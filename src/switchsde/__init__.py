@@ -45,7 +45,6 @@ from .sim import (
     default_dt,
     simulate,
     simulate_coupled,
-    simulate_ensemble,
 )
 from .spectra import SpectralSummary, a_of_i, summarize
 from .verify import (
@@ -103,7 +102,6 @@ __all__ = [
     "search_gain",
     "simulate",
     "simulate_coupled",
-    "simulate_ensemble",
     "stationary",
     "summarize",
     "truncate",

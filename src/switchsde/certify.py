@@ -178,7 +178,8 @@ def _certify(
 ) -> Certificate:
     if margin_frac < 0:
         raise ValueError("margin_frac must be nonnegative")
-    dist = stationary(truncate(lin.qhat, n_modes))
+    tg = truncate(lin.qhat, n_modes)
+    dist = stationary(tg)
     costs = np.array(
         [per_mode_cost(lin, i, form=form, plan=plan) for i in range(1, n_modes + 1)]
     )
@@ -211,9 +212,7 @@ def _certify(
         for s in lin.sigma_mats(i):
             probe_norm = max(probe_norm, np.linalg.norm(np.asarray(s, float), 2))
     flags = {
-        "qhat_conservative": bool(
-            np.abs(truncate(lin.qhat, n_modes).q.sum(axis=1)).max() == 0.0
-        ),
+        "qhat_conservative": bool(np.abs(tg.q.sum(axis=1)).max() == 0.0),
         "qhat_irreducible": True,  # stationary() raised otherwise
         "coeff_bound_ok": bool(probe_norm <= lin.coeff_bound + plan_norm + 1e-9),
         "stationary_residual_ok": bool(dist.residual <= 1e-10),

@@ -83,7 +83,6 @@ class SparseGenerator:
 class TruncatedGenerator:
     size: int
     q: np.ndarray  # (N, N) dense, rows sum to zero
-    lump_policy: str = "boundary"
 
 
 @dataclass(frozen=True)

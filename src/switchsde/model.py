@@ -54,7 +54,6 @@ class ModelSpec:
     rates_row: Callable
     rate_bound: float
     delay: float
-    mode_floor: int = 1
     n_modes: Optional[int] = None
     post_step: Optional[Callable] = None
     zero_diffusion: bool = False
@@ -70,8 +69,6 @@ class ModelSpec:
             raise ValueError("rate_bound must be positive")
         if self.delay <= 0:
             raise ValueError("delay must be positive")
-        if self.mode_floor != 1:
-            raise ValueError("modes are indexed from 1")
 
 
 @dataclass(frozen=True)

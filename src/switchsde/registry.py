@@ -39,18 +39,34 @@ def _per_mode(value, name: str):
     return at, min(vals), max(vals)
 
 
-def _ou_family_qhat() -> SparseGenerator:
-    """Limit rates of the mean-reverting family: every mode feeds the two
-    base modes (or the other base mode) and climbs one rung."""
+def _ou_family_targets(i: int) -> tuple:
+    """Mean-reverting family: every mode feeds the two base modes (or the
+    other base mode) and climbs one rung, all at one common rate."""
+    if i == 1:
+        return (2, 3)
+    if i == 2:
+        return (1, 3)
+    return (1, 2, i + 1)
 
+
+def _ou_family_qhat() -> SparseGenerator:
     def row(i: int) -> dict:
-        if i == 1:
-            return {2: 1.0, 3: 1.0}
-        if i == 2:
-            return {1: 1.0, 3: 1.0}
-        return {1: 1.0, 2: 1.0, i + 1: 1.0}
+        return dict.fromkeys(_ou_family_targets(i), 1.0)
 
     return SparseGenerator(row, rate_bound=3.0, name="switched_ou_limit")
+
+
+def _ou_family_rates(params: dict):
+    """Rates of the mean-reverting family and their bound: the limit rates
+    times the history factor 1 + c(i) / (sup_norm + 1)."""
+    c, c_min, c_max = _per_mode(params.get("c", 1.0), "c")
+    if c_min < 0:
+        raise ValueError("rate offsets c must be nonnegative")
+
+    def rates_row(seg, i):
+        return dict.fromkeys(_ou_family_targets(i), 1.0 + c(i) / (seg.sup_norm() + 1.0))
+
+    return rates_row, 3.0 * (1.0 + c_max)
 
 
 def _ladder_qhat() -> SparseGenerator:
@@ -69,10 +85,8 @@ def _switched_ou(params: dict):
     theta, _, th_max = _per_mode(params.get("theta", 1.0), "theta")
     mu, _, mu_max = _per_mode(params.get("mu", 0.0), "mu")
     sigma, sg_min, sg_max = _per_mode(params.get("sigma", 0.5), "sigma")
-    c, c_min, c_max = _per_mode(params.get("c", 1.0), "c")
+    rates_row, rate_bound = _ou_family_rates(params)
     delay = float(params.get("delay", 1.0))
-    if c_min < 0:
-        raise ValueError("rate offsets c must be nonnegative")
 
     def drift(x, i):
         return theta(i) * (mu(i) - np.asarray(x, dtype=float))
@@ -80,21 +94,13 @@ def _switched_ou(params: dict):
     def diffusion(x, i):
         return np.array([[sigma(i)]])
 
-    def rates_row(seg, i):
-        f = 1.0 + c(i) / (seg.sup_norm() + 1.0)
-        if i == 1:
-            return {2: f, 3: f}
-        if i == 2:
-            return {1: f, 3: f}
-        return {1: f, 2: f, i + 1: f}
-
     spec = ModelSpec(
         dim=1,
         brownian_dim=1,
         drift=drift,
         diffusion=diffusion,
         rates_row=rates_row,
-        rate_bound=3.0 * (1.0 + c_max),
+        rate_bound=rate_bound,
         delay=delay,
         zero_diffusion=(sg_min == 0.0 == sg_max),
         supports_batch=True,
@@ -169,10 +175,8 @@ def _controlled_scalar(params: dict):
 
 def _fluid_queue(params: dict):
     f, _, f_max = _per_mode(params.get("f", (1.0, -2.0)), "f")
-    c, c_min, c_max = _per_mode(params.get("c", 1.0), "c")
+    rates_row, rate_bound = _ou_family_rates(params)
     delay = float(params.get("delay", 1.0))
-    if c_min < 0:
-        raise ValueError("rate offsets c must be nonnegative")
 
     def drift(x, i):
         x = np.asarray(x, dtype=float)
@@ -183,21 +187,13 @@ def _fluid_queue(params: dict):
     def diffusion(x, i):
         return np.zeros((1, 1))
 
-    def rates_row(seg, i):
-        g = 1.0 + c(i) / (seg.sup_norm() + 1.0)
-        if i == 1:
-            return {2: g, 3: g}
-        if i == 2:
-            return {1: g, 3: g}
-        return {1: g, 2: g, i + 1: g}
-
     spec = ModelSpec(
         dim=1,
         brownian_dim=1,
         drift=drift,
         diffusion=diffusion,
         rates_row=rates_row,
-        rate_bound=3.0 * (1.0 + c_max),
+        rate_bound=rate_bound,
         delay=delay,
         post_step=lambda x: np.maximum(x, 0.0),
         zero_diffusion=True,

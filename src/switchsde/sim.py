@@ -1,32 +1,32 @@
 """Path simulation for switching diffusions with history-dependent rates.
 
-The diffusion is advanced by Euler-Maruyama on a uniform grid whose step
-divides the history window exactly, so the window slides one slot per step.
-Two mode-update schemes are provided:
+One per-path loop advances the diffusion by Euler-Maruyama on a uniform
+grid whose step divides the history window exactly, so the window slides
+one slot per step.  A mode kernel decides the jumps, at times set by one
+of two schemes:
 
 ``thinning``
-    A dominating exponential clock at the declared rate bound proposes
-    candidate events; at each event the chain jumps to target j with
-    probability q_ij / bound, realized by partitioning a single uniform
-    draw over the candidate targets.  Exact in distribution for the chain
-    given the path (rates are read off the grid history window, which
-    introduces the same O(dt) error as the Euler step).  The diffusion is
-    advanced through each event and coefficients are re-read afterwards.
+    A dominating exponential clock at the kernel's rate bound proposes
+    events; the diffusion is advanced to each one and the kernel reads the
+    rates off the grid history window (the same O(dt) error as the Euler
+    step).  Exact in distribution for the chain given the path.
 
 ``bernoulli``
     One jump decision per grid step with probability q_i(history) * dt,
     valid while dt * rate_bound < 0.5.  First-order accurate; useful as an
     independent cross-check of the thinning scheme.
 
-Brownian increments and jump decisions are drawn from independent streams;
-ensemble path k derives its streams from (seed, k) only, so disjoint path
-ranges can be merged and worker counts never change results.
+:func:`simulate` runs one chain, jumping to target j with probability
+q_ij / bound by partitioning a single uniform draw over the row.
+:func:`simulate_coupled` runs the basic coupling with the limiting chain,
+always by thinning.  Brownian increments and jump decisions come from
+independent streams; path k derives its streams from (seed, k) only, so
+disjoint path ranges can be merged and worker counts never change results.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,7 +42,6 @@ __all__ = [
     "default_dt",
     "path_rngs",
     "simulate",
-    "simulate_ensemble",
     "simulate_coupled",
     "BatchEnsemble",
 ]
@@ -128,7 +127,9 @@ class CoupledRecord:
     blow_up: bool = False
 
 
-def _check_inputs(model: ModelSpec, phi0: Segment, cfg: SimConfig):
+def _check_inputs(model: ModelSpec, phi0: Segment, cfg: SimConfig, i0: int):
+    if i0 < 1:
+        raise ValueError("modes are indexed from 1")
     if phi0.dim != model.dim:
         raise ValueError(f"phi0 dim {phi0.dim} != model dim {model.dim}")
     if abs(phi0.delay - model.delay) > 1e-9 * max(1.0, model.delay):
@@ -152,6 +153,125 @@ def _pick_target(row: dict, u: float, scale: float):
     return None
 
 
+class _Chain:
+    """Single-chain mode kernel; keeps its jumps as (time, from, to)."""
+
+    def __init__(self, rates_row: Callable, mode: int, bound: float):
+        self.rates_row, self.mode, self.bound = rates_row, mode, bound
+        self.jumps: list = []
+
+    def draw(self, t: float, seg: Segment, rng, scale: float) -> int:
+        """Mode after one jump decision at rate ``scale``; an empty row draws no uniform."""
+        row = self.rates_row(seg, self.mode)
+        j = _pick_target(row, rng.uniform(), scale) if row else None
+        if j is None:
+            return self.mode
+        self.jumps.append((t, self.mode, j))
+        return int(j)
+
+    def propose(self, t: float, seg: Segment, rng) -> bool:
+        self.mode = self.draw(t, seg, rng, self.bound)
+        return False
+
+
+class _Coupling:
+    """Basic-coupling mode kernel against the reference chain of ``qhat``.
+
+    One uniform is drawn per proposal.  The first jump of one chain alone
+    sets ``decouple`` and ends the run.
+    """
+
+    def __init__(self, rates_row: Callable, qhat, mode: int, bound: float):
+        self.rates_row, self.qhat, self.bound = rates_row, qhat, bound
+        self.mode = self.mode_hat = mode
+        self.decouple = math.inf
+
+    def propose(self, t: float, seg: Segment, rng) -> bool:
+        row = self.rates_row(seg, self.mode)
+        ref = self.qhat.row(self.mode_hat)
+        u = rng.uniform() * self.bound
+        acc = 0.0
+        for j in sorted(set(row) | set(ref)):
+            a, b = row.get(j, 0.0), ref.get(j, 0.0)
+            both, lone_a, lone_b = min(a, b), max(a - b, 0.0), max(b - a, 0.0)
+            if u < acc + both:
+                self.mode = self.mode_hat = int(j)
+                return False
+            acc += both
+            if u < acc + lone_a:
+                self.mode = int(j)
+                self.decouple = t
+                return True
+            acc += lone_a
+            if u < acc + lone_b:
+                self.mode_hat = int(j)
+                self.decouple = t
+                return True
+            acc += lone_b
+        return False
+
+
+def _run(
+    model: ModelSpec,
+    seg: Segment,
+    cfg: SimConfig,
+    path_index: int,
+    kernel,
+    thinning: bool,
+    at_grid: Callable[[float, np.ndarray, bool], bool],
+) -> bool:
+    """Advance ``seg`` in place in mode ``kernel.mode``; True on blow-up.
+
+    Under thinning, ``kernel.propose`` handles each event of a clock at
+    ``kernel.bound`` and returns True to end the run there; under
+    bernoulli, ``kernel.draw`` decides each step's jump before the step.
+    ``at_grid(t, x, due)`` follows every grid push, ``due`` marking stride
+    points and the last one, and returns True to end the run.
+    """
+    rng_w, rng_j = path_rngs(cfg.seed, path_index)
+    dt = cfg.dt
+    n_steps = int(round(cfg.horizon / dt))
+    stride = cfg.record_stride
+    x = seg.terminal()
+    drift, diffusion, post = model.drift, model.diffusion, model.post_step
+    draw_noise = not model.zero_diffusion
+    d = model.brownian_dim
+
+    def advance(xv, md, h):
+        out = xv + np.asarray(drift(xv, md), dtype=float) * h
+        if draw_noise:
+            xi = rng_w.standard_normal(d)
+            out = out + np.asarray(diffusion(xv, md), dtype=float) @ xi * math.sqrt(h)
+        if post is not None:
+            out = post(out)
+        return out
+
+    mean_gap = 1.0 / kernel.bound
+    next_ev = rng_j.exponential(mean_gap) if thinning else np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t1 = (k + 1) * dt
+            if thinning:
+                t_sub = k * dt
+                while next_ev < t1:
+                    x = advance(x, kernel.mode, next_ev - t_sub)
+                    t_sub = next_ev
+                    if kernel.propose(t_sub, seg, rng_j):
+                        return False
+                    next_ev += rng_j.exponential(mean_gap)
+                x = advance(x, kernel.mode, t1 - t_sub)
+            else:
+                new_mode = kernel.draw(t1, seg, rng_j, 1.0 / dt)
+                x = advance(x, kernel.mode, dt)
+                kernel.mode = new_mode
+            if not np.isfinite(x).all():
+                return True
+            seg.push(x)
+            if at_grid(t1, x, (k + 1) % stride == 0 or k == n_steps - 1):
+                break
+    return False
+
+
 def simulate(
     model: ModelSpec,
     phi0: Segment,
@@ -171,135 +291,36 @@ def simulate(
     of the recording stride, letting estimators accumulate path
     functionals without storing states.
     """
-    _check_inputs(model, phi0, cfg)
-    if i0 < 1:
-        raise ValueError("modes are indexed from 1")
-    rng_w, rng_j = path_rngs(cfg.seed, path_index)
-
-    dt = cfg.dt
-    n_steps = int(round(cfg.horizon / dt))
+    _check_inputs(model, phi0, cfg, i0)
     seg = phi0.copy()
-    x = seg.terminal()
-    mode = int(i0)
-    drift, diffusion, rates_row = model.drift, model.diffusion, model.rates_row
-    post = model.post_step
-    draw_noise = not model.zero_diffusion
-    d = model.brownian_dim
-    bound = model.rate_bound
-
-    times = [0.0]
-    states = [x.copy()]
-    modes = [mode]
-    jumps: list = []
-    blow_up = False
+    chain = _Chain(model.rates_row, int(i0), model.rate_bound)
+    rows: list = []
     stop_time: Optional[float] = None
 
-    def advance(xv, md, h):
-        out = xv + np.asarray(drift(xv, md), dtype=float) * h
-        if draw_noise:
-            xi = rng_w.standard_normal(d)
-            out = out + np.asarray(diffusion(xv, md), dtype=float) @ xi * math.sqrt(h)
-        if post is not None:
-            out = post(out)
-        return out
+    def at_grid(t: float, x: np.ndarray, due: bool) -> bool:
+        nonlocal stop_time
+        if on_grid is not None:
+            on_grid(t, seg, chain.mode)
+        hit = stop is not None and stop(t, seg, chain.mode)
+        if due or hit:
+            rows.append((t, x.copy(), chain.mode))
+        if hit:
+            stop_time = t
+        return hit
 
-    if on_grid is not None:
-        on_grid(0.0, seg, mode)
-    if stop is not None and stop(0.0, seg, mode):
-        return TrajectoryRecord(
-            times=np.array(times),
-            states=np.array(states),
-            modes=np.array(modes, dtype=int),
-            jump_times=jumps,
-            terminal=seg,
-            stop_time=0.0,
-        )
-
-    next_ev = rng_j.exponential(1.0 / bound) if cfg.scheme == "thinning" else np.inf
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            t0 = k * dt
-            t1 = (k + 1) * dt
-            if cfg.scheme == "thinning":
-                t_sub = t0
-                while next_ev < t1:
-                    x = advance(x, mode, next_ev - t_sub)
-                    t_sub = next_ev
-                    row = rates_row(seg, mode)
-                    if row:
-                        j = _pick_target(row, rng_j.uniform(), bound)
-                        if j is not None:
-                            jumps.append((t_sub, mode, j))
-                            mode = int(j)
-                    next_ev += rng_j.exponential(1.0 / bound)
-                x = advance(x, mode, t1 - t_sub)
-            else:
-                row = rates_row(seg, mode)
-                new_mode = mode
-                if row:
-                    j = _pick_target(row, rng_j.uniform(), 1.0 / dt)
-                    if j is not None:
-                        jumps.append((t1, mode, j))
-                        new_mode = int(j)
-                x = advance(x, mode, dt)
-                mode = new_mode
-
-            if not np.isfinite(x).all():
-                blow_up = True
-                break
-            seg.push(x)
-            if on_grid is not None:
-                on_grid(t1, seg, mode)
-            last = k == n_steps - 1
-            hit = stop is not None and stop(t1, seg, mode)
-            if (k + 1) % cfg.record_stride == 0 or last or hit:
-                times.append(t1)
-                states.append(x.copy())
-                modes.append(mode)
-            if hit:
-                stop_time = t1
-                break
-
+    blow_up = False
+    if not at_grid(0.0, seg.terminal(), True):
+        blow_up = _run(model, seg, cfg, path_index, chain, cfg.scheme == "thinning", at_grid)
+    times, states, modes = zip(*rows)
     return TrajectoryRecord(
         times=np.array(times),
         states=np.array(states),
         modes=np.array(modes, dtype=int),
-        jump_times=jumps,
+        jump_times=chain.jumps,
         terminal=seg,
         blow_up=blow_up,
         stop_time=stop_time,
     )
-
-
-def simulate_ensemble(
-    model: ModelSpec,
-    phi0: Segment,
-    i0: int,
-    cfg: SimConfig,
-    n_paths: int,
-    *,
-    path_offset: int = 0,
-    threads: int = 1,
-    stop: Optional[Callable[[float, Segment, int], bool]] = None,
-) -> list:
-    """Independent paths k = offset .. offset + n_paths - 1.
-
-    Each path derives its streams from (cfg.seed, k) alone, so disjoint
-    offset ranges merged equal one full-range run, and ``threads`` only
-    caps workers without changing any output.
-    """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-
-    def one(k: int) -> TrajectoryRecord:
-        return simulate(model, phi0, i0, cfg, stop=stop, path_index=k)
-
-    ks = range(path_offset, path_offset + n_paths)
-    if threads <= 1:
-        return [one(k) for k in ks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, ks))
 
 
 def simulate_coupled(
@@ -319,93 +340,34 @@ def simulate_coupled(
     rate min(q_ij, qhat_ij), while the excess rates move one chain alone.
     Both chains start at ``i0``; the record stops at the first time they
     differ (``decouple_time``), at the optional state-norm floor, or at
-    the horizon, whichever comes first.
+    the horizon, whichever comes first.  The coupling always runs by
+    thinning, whatever ``cfg.scheme`` says.
     """
-    _check_inputs(model, phi0, cfg)
-    rng_w, rng_j = path_rngs(cfg.seed, path_index)
-
-    dt = cfg.dt
-    n_steps = int(round(cfg.horizon / dt))
-    seg = phi0.copy()
-    x = seg.terminal()
-    mode = mode_hat = int(i0)
-    drift, diffusion, rates_row = model.drift, model.diffusion, model.rates_row
-    post = model.post_step
-    draw_noise = not model.zero_diffusion
-    d = model.brownian_dim
-    bound = model.rate_bound + lin.qhat.rate_bound
-
-    times = [0.0]
-    modes = [mode]
-    modes_hat = [mode_hat]
-    decouple = np.inf
+    _check_inputs(model, phi0, cfg, i0)
+    pair = _Coupling(
+        model.rates_row, lin.qhat, int(i0), model.rate_bound + lin.qhat.rate_bound
+    )
+    rows = [(0.0, pair.mode, pair.mode_hat)]
     floor_time: Optional[float] = None
-    blow_up = False
 
-    def advance(xv, md, h):
-        out = xv + np.asarray(drift(xv, md), dtype=float) * h
-        if draw_noise:
-            xi = rng_w.standard_normal(d)
-            out = out + np.asarray(diffusion(xv, md), dtype=float) @ xi * math.sqrt(h)
-        if post is not None:
-            out = post(out)
-        return out
+    def at_grid(t: float, x: np.ndarray, due: bool) -> bool:
+        nonlocal floor_time
+        if due:
+            rows.append((t, pair.mode, pair.mode_hat))
+        if stop_radius is not None and np.linalg.norm(x) < stop_radius:
+            floor_time = t
+            return True
+        return False
 
-    next_ev = rng_j.exponential(1.0 / bound)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            t0 = k * dt
-            t1 = (k + 1) * dt
-            t_sub = t0
-            while next_ev < t1 and not math.isfinite(decouple):
-                x = advance(x, mode, next_ev - t_sub)
-                t_sub = next_ev
-                row = rates_row(seg, mode)
-                ref = lin.qhat.row(mode_hat)
-                u = rng_j.uniform() * bound
-                acc = 0.0
-                for j in sorted(set(row) | set(ref)):
-                    a = row.get(j, 0.0)
-                    b = ref.get(j, 0.0)
-                    both, lone_a, lone_b = min(a, b), max(a - b, 0.0), max(b - a, 0.0)
-                    if u < acc + both:
-                        mode = mode_hat = int(j)
-                        break
-                    acc += both
-                    if u < acc + lone_a:
-                        mode = int(j)
-                        decouple = t_sub
-                        break
-                    acc += lone_a
-                    if u < acc + lone_b:
-                        mode_hat = int(j)
-                        decouple = t_sub
-                        break
-                    acc += lone_b
-                next_ev += rng_j.exponential(1.0 / bound)
-            if math.isfinite(decouple):
-                times.append(t_sub)
-                modes.append(mode)
-                modes_hat.append(mode_hat)
-                break
-            x = advance(x, mode, t1 - t_sub)
-            if not np.isfinite(x).all():
-                blow_up = True
-                break
-            seg.push(x)
-            if (k + 1) % cfg.record_stride == 0 or k == n_steps - 1:
-                times.append(t1)
-                modes.append(mode)
-                modes_hat.append(mode_hat)
-            if stop_radius is not None and np.linalg.norm(x) < stop_radius:
-                floor_time = t1
-                break
-
+    blow_up = _run(model, phi0.copy(), cfg, path_index, pair, True, at_grid)
+    if math.isfinite(pair.decouple):
+        rows.append((pair.decouple, pair.mode, pair.mode_hat))
+    times, modes, modes_hat = zip(*rows)
     return CoupledRecord(
         times=np.array(times),
         modes=np.array(modes, dtype=int),
         modes_hat=np.array(modes_hat, dtype=int),
-        decouple_time=float(decouple),
+        decouple_time=float(pair.decouple),
         floor_time=floor_time,
         blow_up=blow_up,
     )
@@ -436,7 +398,7 @@ class BatchEnsemble:
             raise ValueError("model does not declare batch support")
         if model.rates_depend_on_path:
             raise ValueError("batch engine needs history-independent rates")
-        _check_inputs(model, phi0, cfg)
+        _check_inputs(model, phi0, cfg, i0)
         self.model = model
         self.cfg = cfg
         self.n_paths = int(n_paths)
@@ -458,15 +420,14 @@ class BatchEnsemble:
             self._next_ev = self.rng.exponential(
                 1.0 / model.rate_bound, size=self.n_paths
             )
-        if cfg.scheme == "bernoulli" and cfg.dt * model.rate_bound >= 0.5:
-            raise ValueError("bernoulli scheme needs dt * rate_bound < 0.5")
 
     def _row(self, v: int) -> tuple:
+        """Cached (targets, rates, {target: rate}) out of mode v, targets sorted."""
         if v not in self._rows:
             row = self.model.rates_row(self._probe_seg, v)
             targets = np.array(sorted(row), dtype=int)
             rates = np.array([row[j] for j in targets], dtype=float)
-            self._rows[v] = (targets, rates, float(rates.sum()))
+            self._rows[v] = (targets, rates, dict(zip(targets.tolist(), rates.tolist())))
         return self._rows[v]
 
     def history(self) -> Optional[np.ndarray]:
@@ -506,7 +467,7 @@ class BatchEnsemble:
         u = self.rng.random(self.n_paths)
         new_modes = self.modes.copy()
         for v in np.unique(self.modes):
-            targets, rates, total = self._row(int(v))
+            targets, rates, _ = self._row(int(v))
             if targets.size == 0:
                 continue
             cum = np.cumsum(rates) * dt
@@ -524,13 +485,9 @@ class BatchEnsemble:
             if active.size == 0:
                 break
             for p in active:
-                targets, rates, _ = self._row(int(self.modes[p]))
-                if targets.size:
-                    j = _pick_target(
-                        dict(zip(targets.tolist(), rates.tolist())),
-                        self.rng.uniform(),
-                        bound,
-                    )
+                row = self._row(int(self.modes[p]))[2]
+                if row:
+                    j = _pick_target(row, self.rng.uniform(), bound)
                     if j is not None:
                         self.modes[p] = j
                 self._next_ev[p] += self.rng.exponential(1.0 / bound)

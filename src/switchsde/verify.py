@@ -77,9 +77,10 @@ class ProductFunctional:
 
     ``grad_f1`` and ``hess_f1`` are the state gradient and Hessian of f1;
     ``dg`` is the time derivative of the kernel g.  The time integral is
-    evaluated by the trapezoid rule on the segment grid.  To use the
-    vectorized estimator the callbacks must broadcast over a leading path
-    axis; the per-path reference estimator never batches.
+    evaluated by the trapezoid rule on the segment grid.  Every estimator,
+    the per-path one included, calls ``f1``, ``grad_f1``, ``hess_f1`` and
+    ``f2`` on states with a leading path axis, shape (P, n), so they must
+    broadcast over it; ``g`` and ``dg`` are scalar callbacks of (s, i).
     """
 
     f1: Callable
@@ -94,18 +95,8 @@ class ProductFunctional:
             raise ValueError("a time-kernel part needs both g and dg")
 
     def value(self, seg: Segment, i: int) -> float:
-        v = float(self.f1(seg.terminal(), i))
-        if self.f2 is None:
-            return v
-        samples = seg.samples
-        m = samples.shape[0]
-        dt = seg.dt
-        acc = 0.0
-        for k in range(m):
-            s = -seg.delay + k * dt
-            w = 0.5 * dt if k in (0, m - 1) else dt
-            acc += w * float(self.g(s, i)) * float(self.f2(samples[k], i))
-        return v + acc
+        x, hist = _one_path(self, seg)
+        return float(_values(self, x, hist, i, seg.delay, seg.dt)[0])
 
 
 def apply_generator(V: ProductFunctional, model: ModelSpec, seg: Segment, i: int) -> float:
@@ -114,31 +105,68 @@ def apply_generator(V: ProductFunctional, model: ModelSpec, seg: Segment, i: int
     The switching sum runs over the returned sparse rate row, which is
     exact for banded rate families.
     """
-    x0 = seg.terminal()
-    grad = np.asarray(V.grad_f1(x0, i), dtype=float)
-    b = np.asarray(model.drift(x0, i), dtype=float)
-    lv = float(grad @ b)
-    if not model.zero_diffusion:
-        sig = np.asarray(model.diffusion(x0, i), dtype=float)
-        hess = np.asarray(V.hess_f1(x0, i), dtype=float)
-        lv += 0.5 * float(np.trace(hess @ (sig @ sig.T)))
-    if V.f2 is not None:
-        r = seg.delay
-        lv += float(V.g(0.0, i)) * float(V.f2(x0, i))
-        lv -= float(V.g(-r, i)) * float(V.f2(seg.value_at(-r), i))
-        samples = seg.samples
-        m = samples.shape[0]
-        acc = 0.0
-        for k in range(m):
-            s = -r + k * seg.dt
-            w = 0.5 * seg.dt if k in (0, m - 1) else seg.dt
-            acc += w * float(V.f2(samples[k], i)) * float(V.dg(s, i))
-        lv -= acc
+    x, hist = _one_path(V, seg)
     row = model.rates_row(seg, i)
+    return float(_generator(V, model, x, hist, i, row, seg.delay, seg.dt)[0])
+
+
+def _one_path(V: ProductFunctional, seg: Segment) -> tuple:
+    """A segment as a batch of one: state (1, n) and window (m, 1, n)."""
+    hist = seg.samples[:, None, :] if V.f2 is not None else None
+    return seg.terminal()[None, :], hist
+
+
+def _as_batch(arr, batch: int, trailing: tuple) -> np.ndarray:
+    """Broadcast a callback result to (batch, *trailing)."""
+    arr = np.asarray(arr, dtype=float)
+    want = (batch,) + trailing
+    if arr.shape == want:
+        return arr
+    return np.broadcast_to(arr, want)
+
+
+def _window_f2(V: ProductFunctional, hist: np.ndarray, i: int) -> np.ndarray:
+    """f2 on every window sample of every path in one call, shape (m, P)."""
+    m, p, n = hist.shape
+    return _as_batch(V.f2(hist.reshape(m * p, n), i), m * p, ()).reshape(m, p)
+
+
+def _trapezoid(kernel: Callable, i: int, f2h: np.ndarray, delay: float, dt: float):
+    """Trapezoid rule for int_{-r}^0 kernel(s, i) f2(phi(s), i) ds per path."""
+    m = f2h.shape[0]
+    w = np.full(m, dt)
+    w[0] = w[-1] = 0.5 * dt
+    w *= [float(kernel(s, i)) for s in (-delay + dt * np.arange(m)).tolist()]
+    return w @ f2h
+
+
+def _values(V, x, hist, i: int, delay: float, dt: float) -> np.ndarray:
+    """V(., i) on P paths: states x (P, n), windows hist (m, P, n) or None."""
+    out = _as_batch(V.f1(x, i), x.shape[0], ())
+    if V.f2 is None:
+        return out
+    return out + _trapezoid(V.g, i, _window_f2(V, hist, i), delay, dt)
+
+
+def _generator(V, model, x, hist, i: int, row: dict, delay: float, dt: float) -> np.ndarray:
+    """LV(., i) on P paths in mode i; ``row`` holds the rates {j: q_ij}."""
+    p, n = x.shape
+    grad = _as_batch(V.grad_f1(x, i), p, (n,))
+    lv = (grad * np.asarray(model.drift(x, i), dtype=float)).sum(axis=-1)
+    if not model.zero_diffusion:
+        sig = np.asarray(model.diffusion(x, i), dtype=float)
+        hess = np.asarray(V.hess_f1(x, i), dtype=float)
+        a = hess @ (sig @ np.swapaxes(sig, -1, -2))
+        lv = lv + 0.5 * a.trace(axis1=-2, axis2=-1)
+    if V.f2 is not None:
+        f2h = _window_f2(V, hist, i)
+        lv = lv + float(V.g(0.0, i)) * f2h[-1]
+        lv = lv - float(V.g(-delay, i)) * f2h[0]
+        lv = lv - _trapezoid(V.dg, i, f2h, delay, dt)
     if row:
-        vi = V.value(seg, i)
-        for j, rate in row.items():
-            lv += rate * (V.value(seg, j) - vi)
+        vi = _values(V, x, hist, i, delay, dt)
+        vj = np.array([_values(V, x, hist, j, delay, dt) for j in row])
+        lv = lv + np.fromiter(row.values(), float, len(row)).dot(vj - vi)
     return lv
 
 
@@ -383,81 +411,13 @@ def occupation_fractions(
     return means, ses
 
 
-def _as_batch(arr, batch: int, trailing: tuple) -> np.ndarray:
-    """Broadcast a pointwise callback result to (batch, *trailing)."""
-    arr = np.asarray(arr, dtype=float)
-    want = (batch,) + trailing
-    if arr.shape == want:
-        return arr
-    return np.broadcast_to(arr, want)
-
-
-def _value_batch(
-    V: ProductFunctional,
-    x: np.ndarray,
-    hist: Optional[np.ndarray],
-    mode: int,
-    delay: float,
-    dt: float,
-) -> np.ndarray:
-    p = x.shape[0]
-    out = _as_batch(V.f1(x, mode), p, ())
-    if V.f2 is None:
-        return out.copy()
-    m = hist.shape[0]
-    acc = np.zeros(p)
-    for k in range(m):
-        s = -delay + k * dt
-        w = 0.5 * dt if k in (0, m - 1) else dt
-        acc += w * float(V.g(s, mode)) * _as_batch(V.f2(hist[k], mode), p, ())
-    return out + acc
-
-
-def _lv_batch(
-    V: ProductFunctional,
-    model: ModelSpec,
-    engine: BatchEnsemble,
-) -> np.ndarray:
-    x = engine.x
-    modes = engine.modes
+def _by_mode(engine: BatchEnsemble, fn: Callable) -> np.ndarray:
+    """``fn(x, hist, mode)`` on each mode group of the engine's paths."""
     hist = engine.history()
-    p = x.shape[0]
-    n = model.dim
-    out = np.zeros(p)
-    for v in np.unique(modes):
-        v = int(v)
-        g = modes == v
-        xg = x[g]
-        kg = xg.shape[0]
-        grad = _as_batch(V.grad_f1(xg, v), kg, (n,))
-        b = _as_batch(model.drift(xg, v), kg, (n,))
-        lv = np.einsum("kn,kn->k", grad, b)
-        if not model.zero_diffusion:
-            sig = np.asarray(model.diffusion(xg, v), dtype=float)
-            if sig.ndim == 2:
-                sig = np.broadcast_to(sig, (kg,) + sig.shape)
-            a = np.einsum("knd,kmd->knm", sig, sig)
-            hess = _as_batch(V.hess_f1(xg, v), kg, (n, n))
-            lv = lv + 0.5 * np.einsum("kij,kji->k", hess, a)
-        hg = hist[:, g, :] if hist is not None else None
-        if V.f2 is not None:
-            r = model.delay
-            lv = lv + float(V.g(0.0, v)) * _as_batch(V.f2(xg, v), kg, ())
-            lv = lv - float(V.g(-r, v)) * _as_batch(V.f2(hg[0], v), kg, ())
-            m = hg.shape[0]
-            acc = np.zeros(kg)
-            for k in range(m):
-                s = -r + k * engine.cfg.dt
-                w = 0.5 * engine.cfg.dt if k in (0, m - 1) else engine.cfg.dt
-                acc += w * _as_batch(V.f2(hg[k], v), kg, ()) * float(V.dg(s, v))
-            lv = lv - acc
-        targets, rates, _total = engine._row(v)
-        if targets.size:
-            vi = _value_batch(V, xg, hg, v, model.delay, engine.cfg.dt)
-            for j, rate in zip(targets.tolist(), rates.tolist()):
-                vj = _value_batch(V, xg, hg, int(j), model.delay, engine.cfg.dt)
-                lv = lv + rate * (vj - vi)
-        out[g] = lv
+    out = np.zeros(engine.n_paths)
+    for v in np.unique(engine.modes):
+        g = engine.modes == v
+        out[g] = fn(engine.x[g], None if hist is None else hist[:, g, :], int(v))
     return out
 
 
@@ -497,23 +457,16 @@ def dynkin_residual(
             model, phi0, i0, run_cfg, n_paths, track_history=V.f2 is not None
         )
         acc = np.zeros(n_paths)
+        delay, dt = model.delay, run_cfg.dt
+
+        def lv(x, hist, v):
+            return _generator(V, model, x, hist, v, be._row(v)[2], delay, dt)
 
         def on_step(e: BatchEnsemble):
-            acc[~e.blown] += _lv_batch(V, model, e)[~e.blown] * run_cfg.dt
+            acc[~e.blown] += _by_mode(e, lv)[~e.blown] * dt
 
         be.run(n_steps, on_step=on_step)
-        vt = np.zeros(n_paths)
-        hist = be.history()
-        for v in np.unique(be.modes):
-            g = be.modes == int(v)
-            vt[g] = _value_batch(
-                V,
-                be.x[g],
-                hist[:, g, :] if hist is not None else None,
-                int(v),
-                model.delay,
-                run_cfg.dt,
-            )
+        vt = _by_mode(be, lambda x, hist, v: _values(V, x, hist, v, delay, dt))
         keep = ~be.blown
         resid = vt[keep] - v0 - acc[keep]
         return _collect(resid, n_paths)

@@ -12,8 +12,8 @@ from switchsde.sim import (
     default_dt,
     simulate,
     simulate_coupled,
-    simulate_ensemble,
 )
+from switchsde.verify import occupation_fractions
 
 
 def plain_model(drift, *, diffusion=None, rates=None, bound=1.0, delay=1.0, **kw):
@@ -128,6 +128,11 @@ def test_blow_up_is_flagged_not_raised():
     assert rec.blow_up
     assert np.isfinite(rec.states).all()
     assert rec.times[-1] < 5.0
+    _, lin = coupled_setup(lambda seg, i: {}, lambda i: {2: 1e-6} if i == 1 else {1: 1e-6}, 1e-6, 1.0)
+    pair = simulate_coupled(model, lin, phi0, 1, SimConfig(dt=0.1, horizon=5.0, seed=0))
+    assert pair.blow_up
+    assert math.isinf(pair.decouple_time)
+    assert pair.times[-1] < 5.0
 
 
 def test_stop_hook_halts_at_grid_point():
@@ -174,16 +179,24 @@ def test_ensemble_merge_and_thread_invariance():
     )
     phi0 = Segment.make_constant([1.0], 1.0, 0.1)
     cfg = SimConfig(dt=0.1, horizon=2.0, seed=7)
-    full = simulate_ensemble(model, phi0, 1, cfg, 6)
-    first = simulate_ensemble(model, phi0, 1, cfg, 3)
-    rest = simulate_ensemble(model, phi0, 1, cfg, 3, path_offset=3)
-    threaded = simulate_ensemble(model, phi0, 1, cfg, 6, threads=3)
+    full = [simulate(model, phi0, 1, cfg, path_index=k) for k in range(6)]
+    # path k draws from (seed, k) alone: ranges run in any order merge exactly
+    rest = [simulate(model, phi0, 1, cfg, path_index=k) for k in range(3, 6)]
+    first = [simulate(model, phi0, 1, cfg, path_index=k) for k in range(3)]
     for a, b in zip(full, first + rest):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.modes, b.modes)
-    for a, b in zip(full, threaded):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.modes, b.modes)
+    # history-dependent rates keep occupation_fractions on its per-path branch
+    path_dep = plain_model(
+        lambda x, i: -np.asarray(x, dtype=float),
+        diffusion=lambda x, i: np.array([[0.3]]),
+        rates=lambda seg, i: {3 - i: 1.0 / (1.0 + seg.sup_norm())},
+        bound=1.0,
+    )
+    serial = occupation_fractions(path_dep, phi0, 1, cfg, 6, [1, 2], threads=1)
+    threaded = occupation_fractions(path_dep, phi0, 1, cfg, 6, [1, 2], threads=3)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
 
 
 def coupled_setup(primary_rates, qhat_row, qhat_bound, model_bound):

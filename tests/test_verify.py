@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,8 @@ def test_coupling_decay_table():
         assert r["ci95"][0] <= r["p_decouple"] <= r["ci95"][1]
         assert r["n_paths"] == 400
     assert rows[0]["p_decouple"] > rows[1]["p_decouple"]
+    # the coupling always runs by thinning, whatever the scheme
+    assert coupling_decay(spec, lin, [5.0, 500.0], replace(cfg, scheme="bernoulli"), 400) == rows
     with pytest.raises(ValueError):
         coupling_decay(spec, lin, [5.0], cfg, 10, floor_frac=1.5)
 
