@@ -2,9 +2,13 @@
 
 The criterion weighs a per-mode spectral cost against the stationary law
 of the limiting rate generator: if the weighted sum is strictly negative
-(after adding a rigorous bound for the mass truncated away), the model is
-certified positively recurrent.  The stabilization variant first closes
-the loop on the controllable modes with linear state feedback u = -L(i) x.
+after adding a bound for the mass truncated away and ``rounding_bound``,
+the floating-point error bound of the weighted sum, the model is certified
+positively recurrent.  The tail mass is either supplied by the caller or,
+by default, extrapolated from the geometric decay of the stationary head;
+the extrapolation is a heuristic, not a proof.  The stabilization variant
+first closes the loop on the controllable modes with linear state feedback
+u = -L(i) x.
 
 Two printed forms of the stabilization cost are kept side by side and
 selected with ``form``: ``thm37`` substitutes the closed-loop drift into
@@ -21,9 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .chain import StationaryDist, stationary, truncate
+from .chain import StationaryDist, TruncatedGenerator, stationary, truncate
 from .model import Linearization
-from .spectra import a_of_i, summarize
 
 __all__ = [
     "Certificate",
@@ -39,6 +42,8 @@ _FORMS = ("thm37", "thm41")
 
 CERTIFIED = "CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,10 @@ class Certificate:
 
     ``partial_sum`` is the stationary-weighted cost over the first N
     modes, ``tail_bound`` the worst-case contribution of the remaining
-    mass, and the verdict is CERTIFIED only when their total clears the
-    margin and every assumption flag holds.
+    mass, ``rounding_bound`` the floating-point error bound
+    gamma_N * sum_i |nu_i c_i| of the partial sum (gamma_N = N u / (1 - N u),
+    u = 2^-53), and the verdict is CERTIFIED only when their total clears
+    the margin and every assumption flag holds.
     """
 
     claim: str
@@ -82,6 +89,7 @@ class Certificate:
     nu: StationaryDist
     partial_sum: float
     tail_bound: float
+    rounding_bound: float
     tail_mass: float
     tail_mass_source: str
     margin_frac: float
@@ -90,7 +98,7 @@ class Certificate:
 
     @property
     def total(self) -> float:
-        return self.partial_sum + self.tail_bound
+        return self.partial_sum + self.tail_bound + self.rounding_bound
 
     def to_dict(self, head: int = 12) -> dict:
         return {
@@ -102,6 +110,7 @@ class Certificate:
             "stationary_residual": float(self.nu.residual),
             "partial_sum": float(self.partial_sum),
             "tail_bound": float(self.tail_bound),
+            "rounding_bound": float(self.rounding_bound),
             "tail_mass": float(self.tail_mass),
             "tail_mass_source": self.tail_mass_source,
             "margin_frac": float(self.margin_frac),
@@ -120,6 +129,52 @@ def _effective_drift(lin: Linearization, i: int, plan: Optional[GainPlan]) -> np
     return b
 
 
+def _stacks(lin: Linearization, modes, plan: Optional[GainPlan]):
+    """Effective drifts (N, n, n) and noise matrices (N, d, n, n) of ``modes``."""
+    b = np.array([_effective_drift(lin, i, plan) for i in modes])
+    sig = np.array([lin.sigma_mats(i) for i in modes], dtype=float)
+    if b.ndim != 3 or b.shape[1] != b.shape[2]:
+        raise ValueError(f"expected square drift matrices, got stack shape {b.shape}")
+    if sig.ndim != 4 or sig.shape[1] == 0 or sig.shape[2:] != b.shape[1:]:
+        raise ValueError(
+            f"each mode needs at least one noise matrix of the drift's shape; "
+            f"got stack shape {sig.shape}"
+        )
+    if not (np.isfinite(b).all() and np.isfinite(sig).all()):
+        raise ValueError("matrix entries must be finite")
+    return b, sig
+
+
+def _sym_eigs(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric parts of a stack of matrices."""
+    return np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+
+
+def _costs(b: np.ndarray, sig: np.ndarray, form: str) -> np.ndarray:
+    """Per-mode spectral costs from the stacks built by ``_stacks``.
+
+    rho is the minimal |x^T s x| over the unit sphere: 0 when the symmetric
+    part of s is indefinite, else its smallest absolute eigenvalue.
+    """
+    if form not in _FORMS:
+        raise ValueError(f"form must be one of {_FORMS}")
+    drift = _sym_eigs(b)[:, -1]
+    eigs = _sym_eigs(sig)
+    lo, hi = eigs[..., 0], eigs[..., -1]
+    rho2 = np.where((lo < 0.0) & (hi > 0.0), 0.0, np.minimum(lo * lo, hi * hi))
+    gram = np.swapaxes(sig, -1, -2) @ sig  # sigma_j^T sigma_j
+    if form == "thm37":
+        return drift + 0.5 * _sym_eigs(gram.sum(axis=1))[:, -1] - rho2.sum(axis=1)
+    return 2.0 * drift + (_sym_eigs(gram)[..., -1] - rho2).sum(axis=1)
+
+
+def _probe_norm(b: np.ndarray, sig: np.ndarray) -> float:
+    """Largest spectral norm over the stacked drifts and noise matrices."""
+    n = b.shape[1]
+    mats = np.concatenate([b, sig.reshape(-1, n, n)])
+    return float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
+
+
 def per_mode_cost(
     lin: Linearization,
     i: int,
@@ -127,19 +182,7 @@ def per_mode_cost(
     plan: Optional[GainPlan] = None,
 ) -> float:
     """Spectral cost of mode i (negative is stabilizing)."""
-    if form not in _FORMS:
-        raise ValueError(f"form must be one of {_FORMS}")
-    b = _effective_drift(lin, i, plan)
-    sigmas = [np.asarray(s, dtype=float) for s in lin.sigma_mats(i)]
-    if form == "thm37":
-        cost = summarize(b).lambda_max
-        cost += 0.5 * summarize(a_of_i(sigmas)).lambda_max
-        cost -= sum(summarize(s).rho ** 2 for s in sigmas)
-        return float(cost)
-    cost = 2.0 * summarize(b).lambda_max
-    for s in sigmas:
-        cost += summarize(s.T @ s).lambda_max - summarize(s).rho ** 2
-    return float(cost)
+    return float(_costs(*_stacks(lin, [i], plan), form)[0])
 
 
 def estimate_tail_mass(nu: np.ndarray) -> float:
@@ -175,15 +218,22 @@ def _certify(
     tail_mass_bound: Optional[float],
     margin_frac: float,
     extra_flags: Optional[dict],
+    law: Optional[tuple[TruncatedGenerator, StationaryDist]] = None,
 ) -> Certificate:
     if margin_frac < 0:
         raise ValueError("margin_frac must be nonnegative")
-    tg = truncate(lin.qhat, n_modes)
-    dist = stationary(tg)
-    costs = np.array(
-        [per_mode_cost(lin, i, form=form, plan=plan) for i in range(1, n_modes + 1)]
-    )
+    if law is None:
+        tg = truncate(lin.qhat, n_modes)
+        dist = stationary(tg)
+    else:
+        tg, dist = law
+        if tg.size != n_modes:
+            raise ValueError(f"law solved at N={tg.size}, certificate asks for N={n_modes}")
+    b, sig = _stacks(lin, range(1, n_modes + 1), plan)
+    costs = _costs(b, sig, form)
     partial = float(dist.nu @ costs)
+    gamma = n_modes * _UNIT_ROUNDOFF / (1.0 - n_modes * _UNIT_ROUNDOFF)
+    rounding_bound = float(gamma * (dist.nu @ np.abs(costs)))
 
     if tail_mass_bound is not None:
         tail_mass = float(tail_mass_bound)
@@ -206,22 +256,18 @@ def _certify(
                         np.asarray(plan.input_mats(i), float) @ np.asarray(gain, float), 2
                     ),
                 )
-    probe_norm = 0.0
-    for i in range(1, n_modes + 1):
-        probe_norm = max(probe_norm, np.linalg.norm(_effective_drift(lin, i, plan), 2))
-        for s in lin.sigma_mats(i):
-            probe_norm = max(probe_norm, np.linalg.norm(np.asarray(s, float), 2))
     flags = {
         "qhat_conservative": bool(np.abs(tg.q.sum(axis=1)).max() == 0.0),
         "qhat_irreducible": True,  # stationary() raised otherwise
-        "coeff_bound_ok": bool(probe_norm <= lin.coeff_bound + plan_norm + 1e-9),
+        "coeff_bound_ok": bool(_probe_norm(b, sig) <= lin.coeff_bound + plan_norm + 1e-9),
         "stationary_residual_ok": bool(dist.residual <= 1e-10),
     }
     if extra_flags:
         flags.update({k: bool(v) for k, v in extra_flags.items()})
 
+    upper = partial + tail_bound + rounding_bound
     margin = margin_frac * abs(partial)
-    certified = (partial + tail_bound < 0.0) and (partial + tail_bound <= -margin)
+    certified = (upper < 0.0) and (upper <= -margin)
     verdict = CERTIFIED if certified and all(flags.values()) else INCONCLUSIVE
     return Certificate(
         claim=claim,
@@ -230,6 +276,7 @@ def _certify(
         nu=dist,
         partial_sum=partial,
         tail_bound=tail_bound,
+        rounding_bound=rounding_bound,
         tail_mass=tail_mass,
         tail_mass_source=source,
         margin_frac=margin_frac,
@@ -266,8 +313,14 @@ def certify_stabilization(
     form: str = "thm37",
     margin_frac: float = 0.1,
     extra_flags: Optional[dict] = None,
+    *,
+    law: Optional[tuple[TruncatedGenerator, StationaryDist]] = None,
 ) -> Certificate:
-    """Certify weak stabilizability under the feedback plan."""
+    """Certify weak stabilizability under the feedback plan.
+
+    ``law`` is an already solved ``(truncate(lin.qhat, n_modes), stationary(...))``
+    pair; ``search_gain`` passes it so that its grid shares one solve.
+    """
     if plan.input_mats is None:
         raise ValueError("gain plan needs input matrices")
     return _certify(
@@ -279,6 +332,7 @@ def certify_stabilization(
         tail_mass_bound=tail_mass_bound,
         margin_frac=margin_frac,
         extra_flags=extra_flags,
+        law=law,
     )
 
 
@@ -298,7 +352,8 @@ def search_gain(
     Tries g = 0 first (the already-stable case), then doubles g from
     ``g_min`` up to ``budget``; returns the first plan whose certificate
     is CERTIFIED at the requested margin, or None when the budget is
-    exhausted.
+    exhausted.  The gain does not enter ``qhat``, so the stationary law is
+    solved once and shared by every grid point.
     """
     controllable = frozenset(int(i) for i in controllable)
     if not controllable:
@@ -309,6 +364,8 @@ def search_gain(
     while g <= budget * (1.0 + 1e-12):
         grid.append(g)
         g *= 2.0
+    tg = truncate(lin.qhat, n_modes)
+    law = (tg, stationary(tg))
     for g in grid:
         gains = {
             i: g * np.eye(np.asarray(input_mats(i), float).shape[1], n)
@@ -322,6 +379,7 @@ def search_gain(
             tail_mass_bound=tail_mass_bound,
             form=form,
             margin_frac=margin_frac,
+            law=law,
         )
         if cert.verdict == CERTIFIED:
             return plan

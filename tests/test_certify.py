@@ -5,6 +5,9 @@ from switchsde.certify import (
     CERTIFIED,
     INCONCLUSIVE,
     GainPlan,
+    _costs,
+    _probe_norm,
+    _stacks,
     certify_recurrence,
     certify_stabilization,
     estimate_tail_mass,
@@ -12,7 +15,9 @@ from switchsde.certify import (
     search_gain,
 )
 from switchsde.chain import stationary, truncate
+from switchsde.model import Linearization
 from switchsde.registry import registry_get
+from switchsde.spectra import a_of_i, summarize
 
 
 def ou_lin(theta=1.0, sigma=0.5):
@@ -38,6 +43,75 @@ def test_per_mode_cost_hand_values():
     assert per_mode_cost(lin3, 2, form="thm41") == pytest.approx(2.0)
     with pytest.raises(ValueError):
         per_mode_cost(lin3, 1, form="thm99")
+
+
+def summarize_cost(b, sigmas, form):
+    """Scalar oracle for one mode's cost: one ``summarize`` per matrix."""
+    if form == "thm37":
+        return (
+            summarize(b).lambda_max
+            + 0.5 * summarize(a_of_i(sigmas)).lambda_max
+            - sum(summarize(s).rho ** 2 for s in sigmas)
+        )
+    return 2.0 * summarize(b).lambda_max + sum(
+        summarize(s.T @ s).lambda_max - summarize(s).rho ** 2 for s in sigmas
+    )
+
+
+def random_matrix(rng, n):
+    """General, positive definite or negative definite, so rho is exercised."""
+    m = rng.standard_normal((n, n))
+    kind = rng.integers(3)
+    if kind == 0:
+        return m
+    spd = m @ m.T + 0.1 * np.eye(n)
+    return spd if kind == 1 else -spd
+
+
+def test_batched_costs_match_summarize_oracle():
+    rng = np.random.default_rng(11)
+    n_modes = 12
+    qhat = ou_lin().qhat
+    for case in range(24):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        drifts = [random_matrix(rng, n) for _ in range(n_modes)]
+        noises = [[random_matrix(rng, n) for _ in range(d)] for _ in range(n_modes)]
+        lin = Linearization(
+            b_mat=lambda i: drifts[i - 1],
+            sigma_mats=lambda i: noises[i - 1],
+            qhat=qhat,
+            coeff_bound=100.0,
+        )
+        plan = None
+        if case % 2:
+            m = int(rng.integers(1, 3))
+            inputs = {i: rng.standard_normal((n, m)) for i in range(1, n_modes + 1)}
+            plan = GainPlan(
+                frozenset([1, 3]),
+                {1: rng.standard_normal((m, n)), 3: rng.standard_normal((m, n))},
+                lambda i: inputs[i],
+            )
+        closed = [
+            drifts[i - 1] - (inputs[i] @ plan.gains[i] if plan and i in plan.gains else 0.0)
+            for i in range(1, n_modes + 1)
+        ]
+        modes = range(1, n_modes + 1)
+        b, sig = _stacks(lin, modes, plan)
+        for form in ("thm37", "thm41"):
+            oracle = [summarize_cost(closed[i - 1], noises[i - 1], form) for i in modes]
+            assert np.allclose(_costs(b, sig, form), oracle, rtol=0.0, atol=1e-12)
+            for i in (1, 3, n_modes):
+                assert per_mode_cost(lin, i, form=form, plan=plan) == pytest.approx(
+                    oracle[i - 1], abs=1e-12
+                )
+            if plan is not None:
+                cert = certify_stabilization(lin, plan, n_modes, tail_mass_bound=0.0, form=form)
+                assert np.allclose(cert.per_mode_c, oracle, rtol=0.0, atol=1e-12)
+        loop = max(
+            max(np.linalg.norm(closed[i - 1], 2) for i in modes),
+            max(np.linalg.norm(s, 2) for i in modes for s in noises[i - 1]),
+        )
+        assert _probe_norm(b, sig) == pytest.approx(loop, abs=1e-12)
 
 
 def test_certify_switched_ou_hand_sum():
@@ -98,6 +172,35 @@ def test_search_gain_finds_first_certified_level():
     assert small is None
     with pytest.raises(ValueError):
         search_gain(lin, spec.meta["input_matrix"], frozenset(), 30)
+
+
+def test_rounding_cannot_certify_an_exact_zero():
+    # at g = 2 the weighted closed-loop cost 1 - g * nu_1 is exactly 0
+    # (nu_1 = 1/2); its computed sign is rounding noise and must not certify
+    spec, lin = scalar_model(0.0)
+    for n in (100, 300, 1000):
+        for form in ("thm37", "thm41"):
+            plan = search_gain(
+                lin, spec.meta["input_matrix"], spec.meta["controllable"], n, form=form
+            )
+            assert float(np.asarray(plan.gains[1])[0, 0]) == pytest.approx(4.0)
+    at_zero = GainPlan(frozenset([1]), {1: np.array([[2.0]])}, spec.meta["input_matrix"])
+    for form in ("thm37", "thm41"):
+        cert = certify_stabilization(lin, at_zero, 1000, form=form)
+        assert cert.verdict == INCONCLUSIVE
+        assert abs(cert.partial_sum) <= cert.rounding_bound
+        assert 0.0 < cert.rounding_bound < 1e-12
+
+
+def test_shared_law_matches_own_solve():
+    spec, lin = scalar_model(0.0)
+    tg = truncate(lin.qhat, 20)
+    plan = GainPlan(frozenset([1]), {1: np.array([[4.0]])}, spec.meta["input_matrix"])
+    cert = certify_stabilization(lin, plan, 20, law=(tg, stationary(tg)))
+    assert cert.verdict == CERTIFIED
+    assert cert.partial_sum == certify_stabilization(lin, plan, 20).partial_sum
+    with pytest.raises(ValueError):
+        certify_stabilization(lin, plan, 30, law=(tg, stationary(tg)))
 
 
 def test_certificate_monotone_in_gain():
@@ -170,7 +273,8 @@ def test_to_dict_is_json_ready():
     assert doc["verdict"] == CERTIFIED
     assert doc["truncation"] == 30
     assert len(doc["per_mode_c"]) == 12
-    assert doc["total"] == pytest.approx(doc["partial_sum"] + doc["tail_bound"])
+    assert 0.0 < doc["rounding_bound"] < 1e-14
+    assert doc["total"] == doc["partial_sum"] + doc["tail_bound"] + doc["rounding_bound"]
 
 
 def test_certified_totals_stable_across_truncation():

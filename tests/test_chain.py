@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -38,21 +40,23 @@ def test_truncate_rows_sum_to_zero_exactly():
 
 
 def test_truncate_lumps_overflow_into_boundary():
-    tg = truncate(return_ladder(), 4)
+    q = truncate(return_ladder(), 4).q.toarray()
     # climbing out of the last kept mode cancels against the diagonal,
     # leaving only the return rate
-    assert np.allclose(tg.q[3], [1.0, 0.0, 0.0, -1.0])
-    tg2 = truncate(two_base_ladder(), 4)
-    assert np.allclose(tg2.q[3], [1.0, 1.0, 0.0, -2.0])
+    assert np.allclose(q[3], [1.0, 0.0, 0.0, -1.0])
+    q2 = truncate(two_base_ladder(), 4).q.toarray()
+    assert np.allclose(q2[3], [1.0, 1.0, 0.0, -2.0])
     # an interior row is untouched
-    assert np.allclose(tg2.q[2], [1.0, 1.0, -3.0, 1.0])
+    assert np.allclose(q2[2], [1.0, 1.0, -3.0, 1.0])
 
 
 def test_truncate_level_bounds():
     with pytest.raises(ValueError):
         truncate(return_ladder(), 1)
-    with pytest.raises(ValueError):
-        truncate(return_ladder(), 5000)
+    # raising N never fails for size alone: far past any dense solve
+    dist = stationary(truncate(return_ladder(), 5000))
+    for k in range(1, 31):
+        assert dist.nu[k - 1] == pytest.approx(ladder_nu(k), abs=1e-12)
 
 
 def test_triplets_accumulate_and_validate():
@@ -97,8 +101,29 @@ def test_stationary_matches_nullspace_oracle():
         gen = SparseGenerator.from_dense(q)
         tg = truncate(gen, n)
         dist = stationary(tg)
-        ref = nullspace_stationary(tg.q)
+        ref = nullspace_stationary(tg.q.toarray())
         assert np.allclose(dist.nu, ref, atol=1e-10)
+
+
+def test_stationary_scales_linearly_in_n():
+    # truncate costs a few us per row and the top-down sparse LU is O(N):
+    # N = 1e5 takes about 0.4 s on a 2-core VM, so the budget keeps 4x
+    # headroom.  Solving in natural mode order under SuperLU's default
+    # COLAMD ordering fills the return ladder quadratically (about 4 s at
+    # N = 1e4), so that ladder runs at 1e4, where such a regression fails
+    # the budget without exhausting memory.
+    budget_s = 2.0
+    for gen, law, n in (
+        (two_base_ladder(), ou_family_nu, 100_000),
+        (return_ladder(), ladder_nu, 10_000),
+    ):
+        t0 = time.perf_counter()
+        dist = stationary(truncate(gen, n))
+        elapsed = time.perf_counter() - t0
+        for k in range(1, 21):
+            assert dist.nu[k - 1] == pytest.approx(law(k), abs=1e-12)
+        assert dist.residual <= 1e-10
+        assert elapsed < budget_s, f"{gen.name} at N={n} took {elapsed:.2f}s"
 
 
 def test_stationary_rejects_reducible():
