@@ -133,6 +133,10 @@ def _stacks(lin: Linearization, modes, plan: Optional[GainPlan]):
     """Effective drifts (N, n, n) and noise matrices (N, d, n, n) of ``modes``."""
     b = np.array([_effective_drift(lin, i, plan) for i in modes])
     sig = np.array([lin.sigma_mats(i) for i in modes], dtype=float)
+    return _checked(b, sig)
+
+
+def _checked(b: np.ndarray, sig: np.ndarray):
     if b.ndim != 3 or b.shape[1] != b.shape[2]:
         raise ValueError(f"expected square drift matrices, got stack shape {b.shape}")
     if sig.ndim != 4 or sig.shape[1] == 0 or sig.shape[2:] != b.shape[1:]:
@@ -219,6 +223,7 @@ def _certify(
     margin_frac: float,
     extra_flags: Optional[dict],
     law: Optional[tuple[TruncatedGenerator, StationaryDist]] = None,
+    stacks: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Certificate:
     if margin_frac < 0:
         raise ValueError("margin_frac must be nonnegative")
@@ -229,7 +234,12 @@ def _certify(
         tg, dist = law
         if tg.size != n_modes:
             raise ValueError(f"law solved at N={tg.size}, certificate asks for N={n_modes}")
-    b, sig = _stacks(lin, range(1, n_modes + 1), plan)
+    if stacks is None:
+        b, sig = _stacks(lin, range(1, n_modes + 1), plan)
+    else:
+        b, sig = stacks
+        if b.shape[0] != n_modes:
+            raise ValueError(f"stacks hold {b.shape[0]} modes, certificate asks for N={n_modes}")
     costs = _costs(b, sig, form)
     partial = float(dist.nu @ costs)
     gamma = n_modes * _UNIT_ROUNDOFF / (1.0 - n_modes * _UNIT_ROUNDOFF)
@@ -315,11 +325,14 @@ def certify_stabilization(
     extra_flags: Optional[dict] = None,
     *,
     law: Optional[tuple[TruncatedGenerator, StationaryDist]] = None,
+    stacks: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Certificate:
     """Certify weak stabilizability under the feedback plan.
 
     ``law`` is an already solved ``(truncate(lin.qhat, n_modes), stationary(...))``
-    pair; ``search_gain`` passes it so that its grid shares one solve.
+    pair, and ``stacks`` the closed-loop ``(drifts, noise)`` stacks of modes
+    1..N under ``plan``; ``search_gain`` passes both so that its grid shares
+    one solve and one build of the gain-independent matrices.
     """
     if plan.input_mats is None:
         raise ValueError("gain plan needs input matrices")
@@ -333,6 +346,7 @@ def certify_stabilization(
         margin_frac=margin_frac,
         extra_flags=extra_flags,
         law=law,
+        stacks=stacks,
     )
 
 
@@ -346,6 +360,8 @@ def search_gain(
     form: str = "thm37",
     tail_mass_bound: Optional[float] = None,
     margin_frac: float = 0.1,
+    *,
+    law: Optional[tuple[TruncatedGenerator, StationaryDist]] = None,
 ) -> Optional[GainPlan]:
     """Scalar gain line search L(i) = g * I over a geometric grid.
 
@@ -353,7 +369,10 @@ def search_gain(
     ``g_min`` up to ``budget``; returns the first plan whose certificate
     is CERTIFIED at the requested margin, or None when the budget is
     exhausted.  The gain does not enter ``qhat``, so the stationary law is
-    solved once and shared by every grid point.
+    solved once (or taken from ``law``, as in
+    :func:`certify_stabilization`) and shared by every grid point; the
+    noise stack and the drifts of uncontrolled modes are built once, and
+    each grid point restacks only the controllable modes.
     """
     controllable = frozenset(int(i) for i in controllable)
     if not controllable:
@@ -364,14 +383,20 @@ def search_gain(
     while g <= budget * (1.0 + 1e-12):
         grid.append(g)
         g *= 2.0
-    tg = truncate(lin.qhat, n_modes)
-    law = (tg, stationary(tg))
+    if law is None:
+        tg = truncate(lin.qhat, n_modes)
+        law = (tg, stationary(tg))
+    b0, sig = _stacks(lin, range(1, n_modes + 1), None)
+    restack = sorted(i for i in controllable if i <= n_modes)
     for g in grid:
         gains = {
             i: g * np.eye(np.asarray(input_mats(i), float).shape[1], n)
             for i in controllable
         }
         plan = GainPlan(controllable=controllable, gains=gains, input_mats=input_mats)
+        b = b0.copy()
+        for i in restack:
+            b[i - 1] = _effective_drift(lin, i, plan)
         cert = certify_stabilization(
             lin,
             plan,
@@ -380,6 +405,7 @@ def search_gain(
             form=form,
             margin_frac=margin_frac,
             law=law,
+            stacks=_checked(b, sig),
         )
         if cert.verdict == CERTIFIED:
             return plan

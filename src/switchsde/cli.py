@@ -196,6 +196,8 @@ def cmd_stabilize(args) -> int:
     if "input_matrix" not in meta or "controllable" not in meta:
         raise ValueError(f"model {loaded.name} declares no control inputs")
     n = args.N if args.N is not None else loaded.truncation_hint
+    tg = truncate(loaded.lin.qhat, n)
+    law = (tg, stationary(tg))
     plan = search_gain(
         loaded.lin,
         meta["input_matrix"],
@@ -205,6 +207,7 @@ def cmd_stabilize(args) -> int:
         form=args.form,
         tail_mass_bound=args.tail_mass,
         margin_frac=args.margin,
+        law=law,
     )
     os.makedirs(args.out, exist_ok=True)
     payload = {
@@ -225,6 +228,7 @@ def cmd_stabilize(args) -> int:
         form=args.form,
         margin_frac=args.margin,
         extra_flags=_model_flags(loaded.spec, loaded.lin),
+        law=law,
     )
     payload["found"] = True
     payload["gains"] = {
@@ -252,7 +256,7 @@ def cmd_verify(args) -> int:
     if args.estimator == "hitting":
         phi0 = _start_segment(args, spec, cfg.dt)
         est = estimate_hitting_time(
-            spec, phi0, args.i0, args.H, args.k0, cfg, args.paths, threads=args.threads
+            spec, phi0, args.i0, args.H, args.k0, cfg, args.paths
         )
         payload["H"] = args.H
         payload["k0"] = args.k0
@@ -260,9 +264,7 @@ def cmd_verify(args) -> int:
         code = 0 if est.usable else 1
     elif args.estimator == "descent":
         phi0 = _start_segment(args, spec, cfg.dt)
-        est = estimate_mode_descent(
-            spec, phi0, args.i0, args.k0, cfg, args.paths, threads=args.threads
-        )
+        est = estimate_mode_descent(spec, phi0, args.i0, args.k0, cfg, args.paths)
         payload["k0"] = args.k0
         payload["estimate"] = est.to_dict()
         code = 0 if est.usable else 1
@@ -276,7 +278,6 @@ def cmd_verify(args) -> int:
             args.paths,
             i0=args.i0,
             floor_frac=args.floor_frac,
-            threads=args.threads,
         )
         payload["floor_frac"] = args.floor_frac
         payload["table"] = rows
@@ -289,7 +290,6 @@ def cmd_verify(args) -> int:
             args.paths,
             burn_in=args.burn_in,
             i0=args.i0,
-            threads=args.threads,
         )
         payload["starts"] = starts
         payload["burn_in"] = args.burn_in
@@ -321,9 +321,7 @@ def cmd_dynkin(args) -> int:
     cfg = SimConfig(dt=dt, horizon=args.t, scheme=args.scheme, seed=args.seed)
     phi0 = _start_segment(args, spec, cfg.dt)
     fn = _FUNCTIONALS[args.functional]
-    est = dynkin_residual(
-        fn, spec, phi0, args.i0, args.t, cfg, args.paths, threads=args.threads
-    )
+    est = dynkin_residual(fn, spec, phi0, args.i0, args.t, cfg, args.paths)
     os.makedirs(args.out, exist_ok=True)
     _write_json(
         os.path.join(args.out, "dynkin.json"),
@@ -350,7 +348,8 @@ def _add_common(p, with_paths=False):
     p.add_argument("--i0", type=int, default=1, help="start mode")
     if with_paths:
         p.add_argument("--paths", type=int, default=1000)
-        p.add_argument("--threads", type=int, default=1)
+        # kept for compatibility: every estimator runs on one stream
+        p.add_argument("--threads", type=int, default=1, help="ignored")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,8 +43,11 @@ class ModelSpec:
     pointwise; registry families also accept a leading batch axis on ``x``.
     ``rates_row(seg, i) -> {j: rate}`` returns the off-diagonal rates out of
     mode i given the history window; ``rate_bound`` must dominate every
-    total row rate.  ``post_step`` (optional) projects the state after each
-    update, e.g. onto the nonnegative half-line for queueing models.
+    total row rate.  ``mode_rate_bound(i)`` (optional) is a bound for the
+    rows out of mode i alone, on every history, at most ``rate_bound``;
+    thinning clocks run at it while the chain sits in mode i.
+    ``post_step`` (optional) projects the state after each update, e.g.
+    onto the nonnegative half-line for queueing models.
     """
 
     dim: int
@@ -61,6 +64,7 @@ class ModelSpec:
     rates_depend_on_path: bool = True
     asserts_irreducible: bool = True
     meta: dict = field(default_factory=dict)
+    mode_rate_bound: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
         if self.dim < 1 or self.brownian_dim < 1:
@@ -69,6 +73,12 @@ class ModelSpec:
             raise ValueError("rate_bound must be positive")
         if self.delay <= 0:
             raise ValueError("delay must be positive")
+
+    def thinning_bound(self, i: int) -> float:
+        """Rate of the thinning clock while the chain sits in mode i."""
+        if self.mode_rate_bound is None:
+            return self.rate_bound
+        return self.mode_rate_bound(i)
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,9 @@ def _ou_family_qhat() -> SparseGenerator:
 
 
 def _ou_family_rates(params: dict):
-    """Rates of the mean-reverting family and their bound: the limit rates
-    times the history factor 1 + c(i) / (sup_norm + 1)."""
+    """Rates of the mean-reverting family, their per-mode bound and their
+    bound: the limit rates times the history factor 1 + c(i) / (sup_norm + 1),
+    which is at most 1 + c(i)."""
     c, c_min, c_max = _per_mode(params.get("c", 1.0), "c")
     if c_min < 0:
         raise ValueError("rate offsets c must be nonnegative")
@@ -66,7 +67,10 @@ def _ou_family_rates(params: dict):
     def rates_row(seg, i):
         return dict.fromkeys(_ou_family_targets(i), 1.0 + c(i) / (seg.sup_norm() + 1.0))
 
-    return rates_row, 3.0 * (1.0 + c_max)
+    def mode_rate_bound(i):
+        return len(_ou_family_targets(i)) * (1.0 + c(i))
+
+    return rates_row, mode_rate_bound, 3.0 * (1.0 + c_max)
 
 
 def _ladder_qhat() -> SparseGenerator:
@@ -85,7 +89,7 @@ def _switched_ou(params: dict):
     theta, _, th_max = _per_mode(params.get("theta", 1.0), "theta")
     mu, _, mu_max = _per_mode(params.get("mu", 0.0), "mu")
     sigma, sg_min, sg_max = _per_mode(params.get("sigma", 0.5), "sigma")
-    rates_row, rate_bound = _ou_family_rates(params)
+    rates_row, mode_rate_bound, rate_bound = _ou_family_rates(params)
     delay = float(params.get("delay", 1.0))
 
     def drift(x, i):
@@ -101,6 +105,7 @@ def _switched_ou(params: dict):
         diffusion=diffusion,
         rates_row=rates_row,
         rate_bound=rate_bound,
+        mode_rate_bound=mode_rate_bound,
         delay=delay,
         zero_diffusion=(sg_min == 0.0 == sg_max),
         supports_batch=True,
@@ -140,7 +145,9 @@ def _controlled_scalar(params: dict):
 
     def diffusion(x, i):
         x = np.asarray(x, dtype=float)
-        return np.stack([sigma(i) * x, np.ones_like(x)], axis=-1)
+        out = np.ones(x.shape + (2,))
+        out[..., 0] = sigma(i) * x
+        return out
 
     def rates_row(seg, i):
         z = float(np.linalg.norm(seg.value_at(-seg.delay)))
@@ -156,6 +163,7 @@ def _controlled_scalar(params: dict):
         diffusion=diffusion,
         rates_row=rates_row,
         rate_bound=2.0,
+        mode_rate_bound=lambda i: 1.0 if i == 1 else 2.0,
         delay=delay,
         supports_batch=True,
         rates_depend_on_path=True,
@@ -175,7 +183,7 @@ def _controlled_scalar(params: dict):
 
 def _fluid_queue(params: dict):
     f, _, f_max = _per_mode(params.get("f", (1.0, -2.0)), "f")
-    rates_row, rate_bound = _ou_family_rates(params)
+    rates_row, mode_rate_bound, rate_bound = _ou_family_rates(params)
     delay = float(params.get("delay", 1.0))
 
     def drift(x, i):
@@ -194,6 +202,7 @@ def _fluid_queue(params: dict):
         diffusion=diffusion,
         rates_row=rates_row,
         rate_bound=rate_bound,
+        mode_rate_bound=mode_rate_bound,
         delay=delay,
         post_step=lambda x: np.maximum(x, 0.0),
         zero_diffusion=True,
@@ -260,6 +269,9 @@ def _predator_prey(params: dict):
             row[n - 1] = n * (delta + c_comp * n + b_feed * phi_cap)
         return row
 
+    # feed_level <= phi_cap, so each limit row dominates its rate row
+    mode_bounds = [sum(limit_row(n).values()) for n in range(1, n_max + 1)]
+
     spec = ModelSpec(
         dim=1,
         brownian_dim=1,
@@ -267,6 +279,7 @@ def _predator_prey(params: dict):
         diffusion=diffusion,
         rates_row=rates_row,
         rate_bound=bound,
+        mode_rate_bound=lambda n: mode_bounds[n - 1],
         delay=delay,
         n_modes=n_max,
         post_step=lambda x: np.maximum(x, 0.0),
@@ -352,6 +365,7 @@ def _linear_2d(params: dict):
         diffusion=diffusion,
         rates_row=rates_row,
         rate_bound=qhat.rate_bound,
+        mode_rate_bound=lambda i: sum(qhat.row(i).values()),
         delay=delay,
         supports_batch=True,
         rates_depend_on_path=False,

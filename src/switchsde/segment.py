@@ -58,6 +58,15 @@ class Segment:
         n = int(round(float(delay) / float(dt))) + 1 if dt > 0 else 2
         return cls(np.tile(phi0, (max(n, 1), 1)), delay, dt)
 
+    @classmethod
+    def view(cls, buf: np.ndarray, head: int, delay: float, dt: float) -> "Segment":
+        """Window over the ring ``buf`` (n_samples, dim), oldest sample at
+        index ``head``, sharing its memory; the caller vouches for the grid."""
+        seg = object.__new__(cls)
+        seg.delay, seg.dt, seg.dim = delay, dt, buf.shape[1]
+        seg._buf, seg._head = buf, head
+        return seg
+
     @property
     def n_samples(self) -> int:
         return self._buf.shape[0]

@@ -1,27 +1,37 @@
 """Path simulation for switching diffusions with history-dependent rates.
 
-One per-path loop advances the diffusion by Euler-Maruyama on a uniform
-grid whose step divides the history window exactly, so the window slides
-one slot per step.  A mode kernel decides the jumps, at times set by one
-of two schemes:
+Both engines advance the diffusion by Euler-Maruyama on a uniform grid
+whose step divides the history window exactly, so the window slides one
+slot per step.  Jumps come at times set by one of two schemes:
 
 ``thinning``
-    A dominating exponential clock at the kernel's rate bound proposes
-    events; the diffusion is advanced to each one and the kernel reads the
-    rates off the grid history window (the same O(dt) error as the Euler
-    step).  Exact in distribution for the chain given the path.
+    A dominating exponential clock proposes events and each proposal
+    reads the rates off the grid history window (the same O(dt) error as
+    the Euler step).  The clock runs at the current mode's
+    ``mode_rate_bound`` (``rate_bound`` when the model declares none);
+    modes change only at proposals, so every gap is drawn at the rate in
+    force until the next one and the scheme is exact in distribution for
+    the chain given the path.  A row total above the bound in force
+    raises instead of being truncated.
 
 ``bernoulli``
     One jump decision per grid step with probability q_i(history) * dt,
     valid while dt * rate_bound < 0.5.  First-order accurate; useful as an
     independent cross-check of the thinning scheme.
 
+The per-path engine is one loop, ``_run``, with a mode kernel:
 :func:`simulate` runs one chain, jumping to target j with probability
-q_ij / bound by partitioning a single uniform draw over the row.
+q_ij / bound by partitioning a single uniform draw over the row, and
 :func:`simulate_coupled` runs the basic coupling with the limiting chain,
 always by thinning.  Brownian increments and jump decisions come from
-independent streams; path k derives its streams from (seed, k) only, so
-disjoint path ranges can be merged and worker counts never change results.
+independent streams; path k derives its streams from (seed, 0, k) only,
+so disjoint path ranges can be merged.  It places mode changes at the
+event time inside a step and is the reference oracle.
+
+:class:`BatchEnsemble` advances a whole ensemble at once from the single
+stream (seed, 1), with the same target and coupling draws and
+history-dependent rates included; mode changes reach the state dynamics
+at the next grid step.
 """
 
 from __future__ import annotations
@@ -143,8 +153,29 @@ def _check_inputs(model: ModelSpec, phi0: Segment, cfg: SimConfig, i0: int):
         )
 
 
-def _pick_target(row: dict, u: float, scale: float):
-    """Walk the partition of [0, 1) induced by row rates / scale."""
+# rounding allowance when a row total is compared with its bound
+_BOUND_SLACK = 1.0 + 1e-12
+
+
+def _gap(rng, bound: float) -> float:
+    """Next gap of a thinning clock at rate ``bound``; a zero bound never fires."""
+    return rng.exponential(1.0 / bound) if bound > 0 else math.inf
+
+
+def _check_total(total: float, bound: float, where: str) -> None:
+    if total > bound * _BOUND_SLACK:
+        raise ValueError(
+            f"rates out of {where} total {total!r}, above the bound {bound!r} in "
+            "force; the jump draw would drop the excess"
+        )
+
+
+def _pick_target(row: dict, u: float, scale: float, mode: int):
+    """Walk the partition of [0, 1) induced by row rates / scale.
+
+    Raises when the row total exceeds ``scale``.
+    """
+    _check_total(sum(row.values()), scale, f"mode {mode}")
     acc = 0.0
     for j in sorted(row):
         acc += row[j] / scale
@@ -153,24 +184,63 @@ def _pick_target(row: dict, u: float, scale: float):
     return None
 
 
+def _couple(row: dict, ref: dict, u: float, bound: float, pair: tuple) -> tuple:
+    """One basic-coupling proposal at offset ``u`` in [0, bound).
+
+    ``pair`` holds (mode, mode_hat) and ``row``/``ref`` their rate rows.
+    Both chains jump to j at rate min(q_ij, qhat_ij), one chain alone at
+    the excess.  Returns the new pair and whether the chains came apart.
+    """
+    targets = sorted(set(row) | set(ref))
+    rates = [(row.get(j, 0.0), ref.get(j, 0.0)) for j in targets]
+    _check_total(sum(max(a, b) for a, b in rates), bound, f"modes {pair}")
+    acc = 0.0
+    for j, (a, b) in zip(targets, rates):
+        both, lone_a, lone_b = min(a, b), max(a - b, 0.0), max(b - a, 0.0)
+        if u < acc + both:
+            return (int(j), int(j)), False
+        acc += both
+        if u < acc + lone_a:
+            return (int(j), pair[1]), True
+        acc += lone_a
+        if u < acc + lone_b:
+            return (pair[0], int(j)), True
+        acc += lone_b
+    return pair, False
+
+
+def _coupling_bound(model: ModelSpec, qhat) -> Callable[[int, int], float]:
+    """Clock rate of the basic coupling in modes (i, ihat): the model's
+    bound plus the reference row total, or both global bounds when the
+    model declares no per-mode bound."""
+    if model.mode_rate_bound is None:
+        bound = model.rate_bound + qhat.rate_bound
+        return lambda i, ih: bound
+    return lambda i, ih: model.mode_rate_bound(i) + sum(qhat.row(ih).values())
+
+
 class _Chain:
     """Single-chain mode kernel; keeps its jumps as (time, from, to)."""
 
-    def __init__(self, rates_row: Callable, mode: int, bound: float):
-        self.rates_row, self.mode, self.bound = rates_row, mode, bound
+    def __init__(self, model: ModelSpec, mode: int):
+        self.rates_row, self._bound = model.rates_row, model.thinning_bound
+        self.mode = mode
         self.jumps: list = []
+
+    def bound(self) -> float:
+        return self._bound(self.mode)
 
     def draw(self, t: float, seg: Segment, rng, scale: float) -> int:
         """Mode after one jump decision at rate ``scale``; an empty row draws no uniform."""
         row = self.rates_row(seg, self.mode)
-        j = _pick_target(row, rng.uniform(), scale) if row else None
+        j = _pick_target(row, rng.random(), scale, self.mode) if row else None
         if j is None:
             return self.mode
         self.jumps.append((t, self.mode, j))
         return int(j)
 
     def propose(self, t: float, seg: Segment, rng) -> bool:
-        self.mode = self.draw(t, seg, rng, self.bound)
+        self.mode = self.draw(t, seg, rng, self.bound())
         return False
 
 
@@ -181,34 +251,24 @@ class _Coupling:
     sets ``decouple`` and ends the run.
     """
 
-    def __init__(self, rates_row: Callable, qhat, mode: int, bound: float):
-        self.rates_row, self.qhat, self.bound = rates_row, qhat, bound
+    def __init__(self, model: ModelSpec, qhat, mode: int):
+        self.rates_row, self.qhat = model.rates_row, qhat
+        self._bound = _coupling_bound(model, qhat)
         self.mode = self.mode_hat = mode
         self.decouple = math.inf
+
+    def bound(self) -> float:
+        return self._bound(self.mode, self.mode_hat)
 
     def propose(self, t: float, seg: Segment, rng) -> bool:
         row = self.rates_row(seg, self.mode)
         ref = self.qhat.row(self.mode_hat)
-        u = rng.uniform() * self.bound
-        acc = 0.0
-        for j in sorted(set(row) | set(ref)):
-            a, b = row.get(j, 0.0), ref.get(j, 0.0)
-            both, lone_a, lone_b = min(a, b), max(a - b, 0.0), max(b - a, 0.0)
-            if u < acc + both:
-                self.mode = self.mode_hat = int(j)
-                return False
-            acc += both
-            if u < acc + lone_a:
-                self.mode = int(j)
-                self.decouple = t
-                return True
-            acc += lone_a
-            if u < acc + lone_b:
-                self.mode_hat = int(j)
-                self.decouple = t
-                return True
-            acc += lone_b
-        return False
+        bound = self.bound()
+        pair = (self.mode, self.mode_hat)
+        (self.mode, self.mode_hat), lone = _couple(row, ref, rng.random() * bound, bound, pair)
+        if lone:
+            self.decouple = t
+        return lone
 
 
 def _run(
@@ -222,8 +282,11 @@ def _run(
 ) -> bool:
     """Advance ``seg`` in place in mode ``kernel.mode``; True on blow-up.
 
-    Under thinning, ``kernel.propose`` handles each event of a clock at
-    ``kernel.bound`` and returns True to end the run there; under
+    Under thinning, ``kernel.propose`` handles each event of a clock and
+    returns True to end the run there.  The clock runs at
+    ``kernel.bound()``, the bound of the current mode(s); as modes change
+    only at events, each gap is drawn at the rate in force until the next
+    event, which keeps thinning exact.  Under
     bernoulli, ``kernel.draw`` decides each step's jump before the step.
     ``at_grid(t, x, due)`` follows every grid push, ``due`` marking stride
     points and the last one, and returns True to end the run.
@@ -246,8 +309,7 @@ def _run(
             out = post(out)
         return out
 
-    mean_gap = 1.0 / kernel.bound
-    next_ev = rng_j.exponential(mean_gap) if thinning else np.inf
+    next_ev = _gap(rng_j, kernel.bound()) if thinning else np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t1 = (k + 1) * dt
@@ -258,7 +320,7 @@ def _run(
                     t_sub = next_ev
                     if kernel.propose(t_sub, seg, rng_j):
                         return False
-                    next_ev += rng_j.exponential(mean_gap)
+                    next_ev += _gap(rng_j, kernel.bound())
                 x = advance(x, kernel.mode, t1 - t_sub)
             else:
                 new_mode = kernel.draw(t1, seg, rng_j, 1.0 / dt)
@@ -293,7 +355,7 @@ def simulate(
     """
     _check_inputs(model, phi0, cfg, i0)
     seg = phi0.copy()
-    chain = _Chain(model.rates_row, int(i0), model.rate_bound)
+    chain = _Chain(model, int(i0))
     rows: list = []
     stop_time: Optional[float] = None
 
@@ -344,9 +406,7 @@ def simulate_coupled(
     thinning, whatever ``cfg.scheme`` says.
     """
     _check_inputs(model, phi0, cfg, i0)
-    pair = _Coupling(
-        model.rates_row, lin.qhat, int(i0), model.rate_bound + lin.qhat.rate_bound
-    )
+    pair = _Coupling(model, lin.qhat, int(i0))
     rows = [(0.0, pair.mode, pair.mode_hat)]
     floor_time: Optional[float] = None
 
@@ -376,13 +436,26 @@ def simulate_coupled(
 class BatchEnsemble:
     """Vectorized fixed-grid integrator over a path ensemble.
 
-    Requires ``model.supports_batch`` and rates that ignore the path
-    history (``rates_depend_on_path`` False), which lets rate rows be
-    cached per mode.  One shared stream drives all paths with a fixed
-    per-step draw order, so results depend only on the config, never on
-    thread counts.  Mode changes take effect at the following grid step;
-    with history-independent rates the embedded chain itself is exact for
-    the thinning scheme and O(dt) for the bernoulli scheme.
+    Requires ``model.supports_batch`` (drift and diffusion take a leading
+    path axis).  Rate rows that ignore the history are cached per mode.
+    With ``rates_depend_on_path`` the engine keeps the (n_samples,
+    n_paths, dim) history ring and calls ``rates_row`` on a zero-copy
+    per-path :class:`Segment` view of it wherever a rate is read: at
+    thinning proposals, at every bernoulli step, and in
+    :meth:`rate_table`.  Each path's thinning clock runs at the bound of
+    its current mode, like the per-path kernels.
+
+    One shared stream (seed, 1) drives all paths with a fixed per-step draw
+    order, so results depend on the config and ``n_paths``, never on thread
+    counts.  Mode changes take effect at the following grid step; the
+    embedded chain itself is exact for the thinning scheme and O(dt) for
+    the bernoulli scheme, given the grid history.
+
+    With ``qhat`` each path carries a second mode in ``modes_hat`` that
+    runs the basic coupling against the chain of ``qhat``, always by
+    thinning; a path whose two chains come apart is marked in
+    ``decoupled`` and its clock stops.  :meth:`keep` drops finished paths
+    from every per-path array.
     """
 
     def __init__(
@@ -393,14 +466,14 @@ class BatchEnsemble:
         cfg: SimConfig,
         n_paths: int,
         track_history: bool = False,
+        qhat=None,
     ):
         if not model.supports_batch:
             raise ValueError("model does not declare batch support")
-        if model.rates_depend_on_path:
-            raise ValueError("batch engine needs history-independent rates")
         _check_inputs(model, phi0, cfg, i0)
         self.model = model
         self.cfg = cfg
+        self.qhat = qhat
         self.n_paths = int(n_paths)
         self.rng = _batch_rng(cfg.seed)
         self.t = 0.0
@@ -410,15 +483,28 @@ class BatchEnsemble:
         self._sqrt_dt = math.sqrt(cfg.dt)
         self._rows: dict[int, tuple] = {}
         self._probe_seg = phi0.copy()
-        if track_history:
+        self._grid = (phi0.delay, phi0.dt)
+        self._thinning = cfg.scheme == "thinning" or qhat is not None
+        if track_history or model.rates_depend_on_path:
             base = phi0.samples  # (m, dim)
             self._hist = np.repeat(base[:, None, :], self.n_paths, axis=1)
             self._head = 0
         else:
             self._hist = None
-        if cfg.scheme == "thinning":
-            self._next_ev = self.rng.exponential(
-                1.0 / model.rate_bound, size=self.n_paths
+        if qhat is None:
+            self.modes_hat = self.decoupled = None
+            bound = model.thinning_bound(int(i0))
+        else:
+            self.modes_hat = self.modes.copy()
+            self.decoupled = np.zeros(self.n_paths, dtype=bool)
+            self._pair_bound = _coupling_bound(model, qhat)
+            bound = self._pair_bound(int(i0), int(i0))
+        self._next_ev = None
+        if self._thinning:
+            self._next_ev = (
+                self.rng.exponential(1.0 / bound, size=self.n_paths)
+                if bound > 0
+                else np.full(self.n_paths, math.inf)
             )
 
     def _row(self, v: int) -> tuple:
@@ -427,8 +513,31 @@ class BatchEnsemble:
             row = self.model.rates_row(self._probe_seg, v)
             targets = np.array(sorted(row), dtype=int)
             rates = np.array([row[j] for j in targets], dtype=float)
+            scale = self.model.thinning_bound(v) if self._thinning else 1.0 / self.cfg.dt
+            _check_total(float(rates.sum()), scale, f"mode {v}")
             self._rows[v] = (targets, rates, dict(zip(targets.tolist(), rates.tolist())))
         return self._rows[v]
+
+    def _rates(self, p: int, v: int) -> dict:
+        """Rate row out of mode v for path p, read off its history window."""
+        if not self.model.rates_depend_on_path:
+            return self._row(v)[2]
+        seg = Segment.view(self._hist[:, p], self._head, *self._grid)
+        return self.model.rates_row(seg, v)
+
+    def rate_table(self, paths, v: int) -> tuple:
+        """Targets (K,) and rates out of mode v for ``paths``.
+
+        Rates come as a (len(paths), K) array, or as (1, K) when the rows
+        ignore the history; a target missing from a row has rate 0.
+        """
+        if not self.model.rates_depend_on_path:
+            targets, rates, _ = self._row(v)
+            return targets.tolist(), rates[None, :]
+        rows = [self._rates(p, v) for p in paths]
+        targets = sorted(set().union(*rows))
+        rates = np.array([[row.get(j, 0.0) for j in targets] for row in rows])
+        return targets, rates.reshape(len(rows), len(targets))
 
     def history(self) -> Optional[np.ndarray]:
         """History stack (n_samples, n_paths, dim), oldest first."""
@@ -440,21 +549,43 @@ class BatchEnsemble:
             (self._hist[self._head :], self._hist[: self._head]), axis=0
         )
 
+    def window_norms(self, paths) -> np.ndarray:
+        """History-window sup-norm of each path in ``paths`` (index or mask)."""
+        h = self._hist[:, paths]
+        return np.sqrt((h * h).sum(axis=2).max(axis=0))
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the paths where ``mask`` is False."""
+        self.x, self.modes, self.blown = self.x[mask], self.modes[mask], self.blown[mask]
+        if self._next_ev is not None:
+            self._next_ev = self._next_ev[mask]
+        if self.modes_hat is not None:
+            self.modes_hat, self.decoupled = self.modes_hat[mask], self.decoupled[mask]
+        if self._hist is not None:
+            self._hist = self._hist[:, mask]
+        self.n_paths = self.x.shape[0]
+
     def _advance_states(self):
         model = self.model
         dt = self.cfg.dt
         xi = None
         if not model.zero_diffusion:
             xi = self.rng.standard_normal((self.n_paths, model.brownian_dim))
+        # paths sorted by mode, so that each mode group is a slice
+        order = np.argsort(self.modes, kind="stable")
+        modes = self.modes[order]
+        xs = self.x[order]
+        if xi is not None:
+            xi = xi[order]
+        cuts = [0, *(np.flatnonzero(modes[1:] != modes[:-1]) + 1).tolist(), self.n_paths]
         with np.errstate(over="ignore", invalid="ignore"):
-            for v in np.unique(self.modes):
-                g = self.modes == v
-                xg = self.x[g]
-                out = xg + np.asarray(model.drift(xg, int(v)), dtype=float) * dt
+            for a, b in zip(cuts, cuts[1:]):
+                v, xg = int(modes[a]), xs[a:b]
+                out = xg + np.asarray(model.drift(xg, v), dtype=float) * dt
                 if xi is not None:
-                    sg = np.asarray(model.diffusion(xg, int(v)), dtype=float)
-                    out = out + np.einsum("...nd,...d->...n", sg, xi[g]) * self._sqrt_dt
-                self.x[g] = out
+                    sg = np.asarray(model.diffusion(xg, v), dtype=float)
+                    out = out + np.einsum("...nd,...d->...n", sg, xi[a:b]) * self._sqrt_dt
+                self.x[order[a:b]] = out
             if model.post_step is not None:
                 self.x = np.asarray(model.post_step(self.x), dtype=float)
         bad = ~np.isfinite(self.x).all(axis=1)
@@ -466,6 +597,14 @@ class BatchEnsemble:
         dt = self.cfg.dt
         u = self.rng.random(self.n_paths)
         new_modes = self.modes.copy()
+        if self.model.rates_depend_on_path:
+            for p, v in enumerate(self.modes.tolist()):
+                row = self._rates(p, v)
+                j = _pick_target(row, u[p], 1.0 / dt, v) if row else None
+                if j is not None:
+                    new_modes[p] = j
+            self.modes = new_modes
+            return
         for v in np.unique(self.modes):
             targets, rates, _ = self._row(int(v))
             if targets.size == 0:
@@ -477,28 +616,47 @@ class BatchEnsemble:
                 new_modes[sel] = targets[np.minimum(idx, targets.size - 1)]
         self.modes = new_modes
 
+    def _propose(self, p: int) -> None:
+        """One thinning proposal of the single chain of path p."""
+        v = int(self.modes[p])
+        row = self._rates(p, v)
+        if row:
+            j = _pick_target(row, self.rng.random(), self.model.thinning_bound(v), v)
+            if j is not None:
+                self.modes[p] = v = j
+        self._next_ev[p] += _gap(self.rng, self.model.thinning_bound(v))
+
+    def _propose_pair(self, p: int) -> None:
+        """One thinning proposal of the coupled pair of path p."""
+        pair = (int(self.modes[p]), int(self.modes_hat[p]))
+        row = self._rates(p, pair[0])
+        ref = self.qhat.row(pair[1])
+        bound = self._pair_bound(*pair)
+        pair, lone = _couple(row, ref, self.rng.random() * bound, bound, pair)
+        self.modes[p], self.modes_hat[p] = pair
+        if lone:
+            self.decoupled[p] = True
+            self._next_ev[p] = math.inf
+        else:
+            self._next_ev[p] += _gap(self.rng, self._pair_bound(*pair))
+
     def _update_modes_thinning(self):
-        bound = self.model.rate_bound
         t1 = self.t + self.cfg.dt
+        propose = self._propose if self.qhat is None else self._propose_pair
         while True:
-            active = np.nonzero(self._next_ev < t1)[0]
+            active = np.flatnonzero(self._next_ev < t1)
             if active.size == 0:
                 break
-            for p in active:
-                row = self._row(int(self.modes[p]))[2]
-                if row:
-                    j = _pick_target(row, self.rng.uniform(), bound)
-                    if j is not None:
-                        self.modes[p] = j
-                self._next_ev[p] += self.rng.exponential(1.0 / bound)
+            for p in active.tolist():
+                propose(p)
 
     def step(self):
         """One grid step: advance states with current modes, then modes."""
         self._advance_states()
-        if self.cfg.scheme == "bernoulli":
-            self._update_modes_bernoulli()
-        else:
+        if self._thinning:
             self._update_modes_thinning()
+        else:
+            self._update_modes_bernoulli()
         if self._hist is not None:
             self._hist[self._head] = self.x
             self._head = (self._head + 1) % self._hist.shape[0]

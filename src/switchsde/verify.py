@@ -6,17 +6,20 @@ against the limiting chain, long-run occupation stability across starts,
 and the martingale identity E V(X_t, a_t) = V0 + E int LV ds for product
 functionals V(phi, i) = f1(phi(0), i) + int_{-r}^0 g(s, i) f2(phi(s), i) ds.
 
-All estimators derive per-path randomness from (seed, path index) and are
-reproducible bit-for-bit regardless of thread count.  Models that declare
-batch support with history-independent rates are run through a vectorized
-single-stream engine instead (equally deterministic, orders of magnitude
-faster for large ensembles).
+Every model that declares batch support runs through the vectorized
+engine :class:`~switchsde.sim.BatchEnsemble`, history-dependent rates
+included.  It draws every path from the one stream (seed, 1), so results
+are reproducible bit-for-bit, depend on ``n_paths``, and ignore the
+``threads`` argument, which is kept for compatibility.  Stop rules are
+masks over the ensemble, and finished paths leave the arrays.  Models
+without batch support run the per-path engine (:func:`~switchsde.sim.simulate`,
+streams (seed, 0, k)) path after path; it also serves the tests as the
+reference oracle.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -107,7 +110,8 @@ def apply_generator(V: ProductFunctional, model: ModelSpec, seg: Segment, i: int
     """
     x, hist = _one_path(V, seg)
     row = model.rates_row(seg, i)
-    return float(_generator(V, model, x, hist, i, row, seg.delay, seg.dt)[0])
+    rates = np.fromiter(row.values(), float, len(row))[None, :]
+    return float(_generator(V, model, x, hist, i, list(row), rates, seg.delay, seg.dt)[0])
 
 
 def _one_path(V: ProductFunctional, seg: Segment) -> tuple:
@@ -148,8 +152,12 @@ def _values(V, x, hist, i: int, delay: float, dt: float) -> np.ndarray:
     return out + _trapezoid(V.g, i, _window_f2(V, hist, i), delay, dt)
 
 
-def _generator(V, model, x, hist, i: int, row: dict, delay: float, dt: float) -> np.ndarray:
-    """LV(., i) on P paths in mode i; ``row`` holds the rates {j: q_ij}."""
+def _generator(V, model, x, hist, i: int, targets, rates, delay: float, dt: float) -> np.ndarray:
+    """LV(., i) on P paths in mode i.
+
+    ``rates`` (P, K), or (1, K) when every path shares one row, holds each
+    path's rate q_ij to ``targets[k]``.
+    """
     p, n = x.shape
     grad = _as_batch(V.grad_f1(x, i), p, (n,))
     lv = (grad * np.asarray(model.drift(x, i), dtype=float)).sum(axis=-1)
@@ -163,10 +171,10 @@ def _generator(V, model, x, hist, i: int, row: dict, delay: float, dt: float) ->
         lv = lv + float(V.g(0.0, i)) * f2h[-1]
         lv = lv - float(V.g(-delay, i)) * f2h[0]
         lv = lv - _trapezoid(V.dg, i, f2h, delay, dt)
-    if row:
+    if targets:
         vi = _values(V, x, hist, i, delay, dt)
-        vj = np.array([_values(V, x, hist, j, delay, dt) for j in row])
-        lv = lv + np.fromiter(row.values(), float, len(row)).dot(vj - vi)
+        dv = np.array([_values(V, x, hist, j, delay, dt) for j in targets]) - vi
+        lv = lv + (rates[0] @ dv if rates.shape[0] == 1 else (rates * dv.T).sum(axis=-1))
     return lv
 
 
@@ -175,12 +183,34 @@ def _quiet(cfg: SimConfig) -> SimConfig:
     return replace(cfg, record_stride=10**9)
 
 
-def _map_paths(fn, n_paths: int, threads: int):
-    ks = range(n_paths)
-    if threads <= 1:
-        return [fn(k) for k in ks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, ks))
+def _n_steps(cfg: SimConfig) -> int:
+    return int(round(cfg.horizon / cfg.dt))
+
+
+def _first_times(model, phi0, i0: int, cfg: SimConfig, n_paths: int, stop, hit) -> list:
+    """First grid time of a stop rule on every path that meets it before the
+    horizon without blowing up.
+
+    ``stop(t, seg, mode)`` is the per-path form of the rule and
+    ``hit(engine)`` its mask over the engine's paths.
+    """
+    if not model.supports_batch:
+        qcfg = _quiet(cfg)
+        recs = (simulate(model, phi0, i0, qcfg, stop=stop, path_index=k) for k in range(n_paths))
+        return [r.stop_time for r in recs if not r.blow_up and r.stop_time is not None]
+    be = BatchEnsemble(model, phi0, i0, cfg, n_paths, track_history=True)
+    times = []
+    for k in range(_n_steps(cfg) + 1):
+        if k:
+            be.step()
+        done = hit(be) & ~be.blown
+        times += [k * cfg.dt] * int(done.sum())
+        live = ~(done | be.blown)
+        if not live.all():
+            be.keep(live)
+            if be.n_paths == 0:
+                break
+    return times
 
 
 def estimate_hitting_time(
@@ -200,17 +230,17 @@ def estimate_hitting_time(
     """
     if radius <= 0 or k0 < 1:
         raise ValueError("radius must be positive and k0 >= 1")
-    qcfg = _quiet(cfg)
 
     def stop(t: float, seg: Segment, mode: int) -> bool:
         return mode <= k0 and seg.sup_norm() <= radius
 
-    def one(k: int):
-        rec = simulate(model, phi0, i0, qcfg, stop=stop, path_index=k)
-        return None if rec.blow_up else rec.stop_time
+    def hit(e: BatchEnsemble) -> np.ndarray:
+        low = e.modes <= k0
+        if low.any():
+            low[low] = e.window_norms(low) <= radius
+        return low
 
-    hits = [t for t in _map_paths(one, n_paths, threads) if t is not None]
-    return _collect(hits, n_paths)
+    return _collect(_first_times(model, phi0, i0, cfg, n_paths, stop, hit), n_paths)
 
 
 def estimate_mode_descent(
@@ -225,17 +255,14 @@ def estimate_mode_descent(
     """Mean first time the mode chain descends to {1, ..., k0} from i0."""
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
-    qcfg = _quiet(cfg)
 
     def stop(t: float, seg: Segment, mode: int) -> bool:
         return mode <= k0
 
-    def one(k: int):
-        rec = simulate(model, phi0, i0, qcfg, stop=stop, path_index=k)
-        return None if rec.blow_up else rec.stop_time
+    def hit(e: BatchEnsemble) -> np.ndarray:
+        return e.modes <= k0
 
-    hits = [t for t in _map_paths(one, n_paths, threads) if t is not None]
-    return _collect(hits, n_paths)
+    return _collect(_first_times(model, phi0, i0, cfg, n_paths, stop, hit), n_paths)
 
 
 def coupling_decay(
@@ -267,15 +294,18 @@ def coupling_decay(
         start[0] = r
         phi0 = Segment.make_constant(start, model.delay, cfg.dt)
         floor = floor_frac * r if floor_frac > 0 else None
-
-        def one(k: int) -> bool:
-            rec = simulate_coupled(
-                model, lin, phi0, i0, qcfg, stop_radius=floor, path_index=k
+        if model.supports_batch:
+            n_apart = _batch_decouplings(model, lin, phi0, i0, qcfg, n_paths, floor)
+        else:
+            n_apart = sum(
+                math.isfinite(
+                    simulate_coupled(
+                        model, lin, phi0, i0, qcfg, stop_radius=floor, path_index=k
+                    ).decouple_time
+                )
+                for k in range(n_paths)
             )
-            return math.isfinite(rec.decouple_time)
-
-        flags = _map_paths(one, n_paths, threads)
-        p = float(np.mean(flags))
+        p = n_apart / n_paths
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
         out.append(
             {
@@ -287,6 +317,24 @@ def coupling_decay(
             }
         )
     return out
+
+
+def _batch_decouplings(model, lin, phi0, i0, cfg, n_paths, floor) -> int:
+    """Paths whose coupled chains come apart before the horizon, the state
+    floor or a blow-up, on the batch engine."""
+    be = BatchEnsemble(model, phi0, i0, cfg, n_paths, qhat=lin.qhat)
+    n_apart = 0
+    for _ in range(_n_steps(cfg)):
+        be.step()
+        n_apart += int(be.decoupled.sum())
+        done = be.decoupled | be.blown
+        if floor is not None:
+            done |= np.linalg.norm(be.x, axis=1) < floor
+        if done.any():
+            be.keep(~done)
+            if be.n_paths == 0:
+                break
+    return n_apart
 
 
 def _mode_bucket(modes: np.ndarray, k_head: int) -> np.ndarray:
@@ -324,21 +372,27 @@ def occupation_stability(
         phi0 = Segment.make_constant(start, model.delay, cfg.dt)
         counts = np.zeros((n_rbins, k_head + 1))
 
-        def one(k: int):
-            rec = simulate(model, phi0, i0, cfg1, path_index=k)
-            keep = rec.times >= burn_in - 1e-12
-            norms = np.linalg.norm(rec.states[keep], axis=1)
+        def tally(states: np.ndarray, modes: np.ndarray):
+            norms = np.linalg.norm(states, axis=1)
             rbin = np.minimum(
                 np.searchsorted(edges, norms, side="right") - 1, n_rbins - 1
             )
             rbin = np.maximum(rbin, 0)
-            mbin = _mode_bucket(rec.modes[keep], k_head)
-            local = np.zeros_like(counts)
-            np.add.at(local, (rbin, mbin), 1.0)
-            return local
+            np.add.at(counts, (rbin, _mode_bucket(modes, k_head)), 1.0)
 
-        for local in _map_paths(one, n_paths, threads):
-            counts += local
+        if model.supports_batch:
+            be = BatchEnsemble(model, phi0, i0, cfg1, n_paths)
+            for k in range(_n_steps(cfg1) + 1):
+                if k:
+                    be.step()
+                if k * cfg1.dt >= burn_in - 1e-12:
+                    live = ~be.blown
+                    tally(be.x[live], be.modes[live])
+        else:
+            for k in range(n_paths):
+                rec = simulate(model, phi0, i0, cfg1, path_index=k)
+                keep = rec.times >= burn_in - 1e-12
+                tally(rec.states[keep], rec.modes[keep])
         total = counts.sum()
         if total == 0:
             raise ValueError("no occupation samples collected; horizon too short?")
@@ -370,17 +424,17 @@ def occupation_fractions(
     """Mean and SE (over paths) of time fractions spent in tracked modes.
 
     Fractions count the mode at the left endpoint of each grid step after
-    ``burn_in``.  Uses the vectorized engine when the model allows it.
+    ``burn_in``.
     """
     modes_track = [int(v) for v in modes_track]
     idx = {v: a for a, v in enumerate(modes_track)}
-    n_steps = int(round(cfg.horizon / cfg.dt))
+    n_steps = _n_steps(cfg)
     burn_steps = int(round(burn_in / cfg.dt))
     counted = n_steps - burn_steps
     if counted <= 0:
         raise ValueError("burn_in leaves no steps to count")
 
-    if model.supports_batch and not model.rates_depend_on_path:
+    if model.supports_batch:
         engine = BatchEnsemble(model, phi0, i0, cfg, n_paths)
         counts = np.zeros((n_paths, len(modes_track)))
         step_no = [0]
@@ -404,20 +458,23 @@ def occupation_fractions(
                 row[a] = np.count_nonzero(left == v)
             return row / max(left.size, 1)
 
-        frac = np.vstack(_map_paths(one, n_paths, threads))
+        frac = np.vstack([one(k) for k in range(n_paths)])
 
     means = frac.mean(axis=0)
     ses = frac.std(axis=0, ddof=1) / math.sqrt(n_paths)
     return means, ses
 
 
-def _by_mode(engine: BatchEnsemble, fn: Callable) -> np.ndarray:
-    """``fn(x, hist, mode)`` on each mode group of the engine's paths."""
-    hist = engine.history()
+def _by_mode(engine: BatchEnsemble, fn: Callable, with_hist: bool) -> np.ndarray:
+    """``fn(paths, x, hist, mode)`` on each mode group of the engine's live
+    paths, 0 on blown ones; ``hist`` is the group's history stack, or None
+    without ``with_hist``."""
+    hist = engine.history() if with_hist else None
+    live = ~engine.blown
     out = np.zeros(engine.n_paths)
-    for v in np.unique(engine.modes):
-        g = engine.modes == v
-        out[g] = fn(engine.x[g], None if hist is None else hist[:, g, :], int(v))
+    for v in np.unique(engine.modes[live]):
+        g = np.flatnonzero((engine.modes == v) & live)
+        out[g] = fn(g, engine.x[g], None if hist is None else hist[:, g, :], int(v))
     return out
 
 
@@ -447,26 +504,28 @@ def dynkin_residual(
     run_cfg = replace(_quiet(cfg), horizon=n_steps * cfg.dt)
     v0 = V.value(phi0, i0)
 
-    can_batch = model.supports_batch and not model.rates_depend_on_path
+    can_batch = model.supports_batch
     if engine == "batch" and not can_batch:
         raise ValueError("model cannot run on the batch engine")
     use_batch = can_batch if engine == "auto" else engine == "batch"
 
     if use_batch:
-        be = BatchEnsemble(
-            model, phi0, i0, run_cfg, n_paths, track_history=V.f2 is not None
-        )
+        with_hist = V.f2 is not None
+        be = BatchEnsemble(model, phi0, i0, run_cfg, n_paths, track_history=with_hist)
         acc = np.zeros(n_paths)
         delay, dt = model.delay, run_cfg.dt
 
-        def lv(x, hist, v):
-            return _generator(V, model, x, hist, v, be._row(v)[2], delay, dt)
+        def lv(paths, x, hist, v):
+            targets, rates = be.rate_table(paths, v)
+            return _generator(V, model, x, hist, v, targets, rates, delay, dt)
 
         def on_step(e: BatchEnsemble):
-            acc[~e.blown] += _by_mode(e, lv)[~e.blown] * dt
+            acc[:] += _by_mode(e, lv, with_hist) * dt
 
         be.run(n_steps, on_step=on_step)
-        vt = _by_mode(be, lambda x, hist, v: _values(V, x, hist, v, delay, dt))
+        vt = _by_mode(
+            be, lambda paths, x, hist, v: _values(V, x, hist, v, delay, dt), with_hist
+        )
         keep = ~be.blown
         resid = vt[keep] - v0 - acc[keep]
         return _collect(resid, n_paths)
@@ -486,5 +545,5 @@ def dynkin_residual(
             return None
         return V.value(rec.terminal, int(rec.modes[-1])) - v0 - acc
 
-    vals = [r for r in _map_paths(one, n_paths, threads) if r is not None]
+    vals = [r for r in map(one, range(n_paths)) if r is not None]
     return _collect(vals, n_paths)

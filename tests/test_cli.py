@@ -120,6 +120,29 @@ def test_stabilize_search(tmp_path):
     assert main(["stabilize", "--model", OU, "--out", str(tmp_path / "s3")]) == 2
 
 
+def test_stabilize_solves_the_stationary_law_once(tmp_path, monkeypatch):
+    import switchsde.certify
+    import switchsde.chain
+    import switchsde.cli
+
+    sizes = []
+    solve = switchsde.chain.stationary
+
+    def counting(tg):
+        sizes.append(tg.size)
+        return solve(tg)
+
+    for module in (switchsde.chain, switchsde.certify, switchsde.cli):
+        monkeypatch.setattr(module, "stationary", counting)
+    open_loop = scalar_config(tmp_path, 0.0)
+    assert main(["stabilize", "--model", open_loop, "--out", str(tmp_path / "a")]) == 0
+    assert sizes == [30]
+    # an exhausted search solves once too
+    assert main(["stabilize", "--model", open_loop, "--budget", "1.0", "--N", "40",
+                 "--out", str(tmp_path / "b")]) == 1
+    assert sizes == [30, 40]
+
+
 def test_verify_hitting_and_threads_invariance(tmp_path):
     out1, out2 = str(tmp_path / "v1"), str(tmp_path / "v2")
     args = [

@@ -145,3 +145,25 @@ def test_linear_2d_noise_matrices_are_rank_one():
     s1, s2 = lin.sigma_mats(1)
     assert np.allclose(s1, np.diag([0.4, 0.0]))
     assert np.allclose(s2, np.diag([0.0, 0.7]))
+
+
+@pytest.mark.parametrize("name", REGISTRY_NAMES)
+def test_mode_bounds_dominate_rows(name):
+    params = DEFAULTS[name]
+    spec, _ = registry_get(name, params)
+    assert spec.mode_rate_bound is not None
+    rng = np.random.default_rng(5)
+    shape = (9, spec.dim)  # delay / dt + 1 samples at dt = delay / 8
+    histories = {
+        "random": 3.0 * rng.standard_normal(shape),
+        "zero": np.zeros(shape),
+        "huge": 1e12 * rng.standard_normal(shape),
+    }
+    if name == "predator_prey":
+        # the feed level reads phi(0) clamped to phi_cap; pin it at the cap
+        histories["feed_at_cap"] = np.full(shape, params["phi_cap"])
+    for label, samples in histories.items():
+        seg = Segment(samples, spec.delay, spec.delay / 8.0)
+        for i in range(1, min(60, spec.n_modes or 60) + 1):
+            total = sum(spec.rates_row(seg, i).values())
+            assert total <= spec.mode_rate_bound(i) <= spec.rate_bound, (label, i)

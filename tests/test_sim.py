@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -321,3 +322,108 @@ def test_batch_blow_up_parks_paths():
     eng.run(30)
     assert eng.blown.all()
     assert np.isfinite(eng.x).all()
+
+
+def test_rows_above_the_bound_raise():
+    # the model declares rate_bound 1.0, but mode 1 leaves at total rate 1.5
+    model = plain_model(lambda x, i: np.zeros(1), rates=two_mode_rates(1.5, 0.5), bound=1.0)
+    batch = replace(model, supports_batch=True)
+    phi0 = Segment.make_constant([0.0], 1.0, 0.1)
+    cfg = SimConfig(dt=0.1, horizon=20.0, seed=0)
+    over = r"mode 1 total 1\.5, above the bound 1\.0"
+    with pytest.raises(ValueError, match=over):
+        simulate(model, phi0, 1, cfg)
+    for engine in (batch, replace(batch, rates_depend_on_path=False)):
+        with pytest.raises(ValueError, match=over):
+            BatchEnsemble(engine, phi0, 1, cfg, 4).run(200)
+    _, lin = coupled_setup(None, lambda i: {2: 0.25} if i == 1 else {1: 0.25}, 0.25, 1.0)
+    with pytest.raises(ValueError, match=r"modes \(1, 1\) total 1\.5, above the bound 1\.25"):
+        simulate_coupled(model, lin, phi0, 1, cfg)
+    with pytest.raises(ValueError, match="above the bound"):
+        BatchEnsemble(batch, phi0, 1, cfg, 4, qhat=lin.qhat).run(200)
+    # bernoulli truncates only a row above 1 / dt
+    steep = plain_model(lambda x, i: np.zeros(1), rates=two_mode_rates(50.0, 0.5), bound=1.0)
+    bern = replace(cfg, scheme="bernoulli")
+    with pytest.raises(ValueError, match=r"mode 1 total 50\.0, above the bound 10\.0"):
+        simulate(steep, phi0, 1, bern)
+    for engine in (steep, replace(steep, rates_depend_on_path=False)):
+        with pytest.raises(ValueError, match="above the bound 10"):
+            BatchEnsemble(replace(engine, supports_batch=True), phi0, 1, bern, 4).run(1)
+
+
+def test_mode_bounds_keep_thinning_exact():
+    # each mode's bound equals its row total: every proposal jumps, and a gap
+    # drawn at the other mode's bound would raise or skew the balance b / (a + b)
+    a, b = 1.0, 3.0
+    model = plain_model(
+        lambda x, i: np.zeros_like(np.asarray(x, dtype=float)),
+        rates=two_mode_rates(a, b),
+        bound=b,
+        mode_rate_bound=lambda i: a if i == 1 else b,
+        supports_batch=True,
+    )
+    phi0 = Segment.make_constant([0.0], 1.0, 0.05)
+    rec = simulate(model, phi0, 1, SimConfig(dt=0.05, horizon=1000.0, seed=8))
+    # sd of the long-run fraction is sqrt(2ab / (a + b)^3 / T) ~ 0.01
+    assert abs(np.mean(rec.modes[:-1] == 1) - 0.75) < 0.04
+    for rates_depend_on_path in (True, False):
+        eng = BatchEnsemble(
+            replace(model, rates_depend_on_path=rates_depend_on_path),
+            phi0, 1, SimConfig(dt=0.05, horizon=50.0, seed=21), 300,
+        )
+        in_one = np.zeros(300)
+
+        def on_step(e):
+            in_one[:] += e.modes == 1
+
+        eng.run(1000, on_step=on_step)
+        # 300 paths of length 50: sd ~ 0.003
+        assert abs(in_one.mean() / 1000 - 0.75) < 0.02
+
+
+def test_batch_keep_drops_paths_everywhere():
+    model = batch_model(two_mode_rates(1.0, 1.0), 1.0)
+    phi0 = Segment.make_constant([0.0], 1.0, 0.25)
+    _, lin = coupled_setup(None, lambda i: {2: 1.0} if i == 1 else {1: 1.0}, 1.0, 1.0)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=0.25, horizon=3.0, seed=0), 5,
+                        track_history=True, qhat=lin.qhat)
+    eng.run(3)
+    mask = np.array([True, False, True, False, True])
+    expect = (eng.x[mask], eng.modes[mask], eng.modes_hat[mask], eng.history()[:, mask])
+    eng.keep(mask)
+    assert eng.n_paths == 3
+    for got, want in zip((eng.x, eng.modes, eng.modes_hat, eng.history()), expect):
+        assert np.array_equal(got, want)
+    assert eng.blown.shape == eng.decoupled.shape == (3,)
+    eng.run(2)
+
+
+def test_batch_rates_read_each_paths_window():
+    # bernoulli reads every path's rates at every step, before the step's push
+    seen = []
+
+    def rates(seg, i):
+        seen.append((seg.samples.copy(), seg.value_at(-seg.delay).copy()))
+        return {3 - i: 0.5}
+
+    model = ModelSpec(
+        dim=1,
+        brownian_dim=1,
+        drift=lambda x, i: -np.asarray(x, dtype=float),
+        diffusion=lambda x, i: np.array([[0.5]]),
+        rates_row=rates,
+        rate_bound=1.0,
+        delay=1.0,
+        supports_batch=True,
+    )
+    phi0 = Segment.make_constant([1.0], 1.0, 0.25)
+    cfg = SimConfig(dt=0.25, horizon=5.0, scheme="bernoulli", seed=4)
+    eng = BatchEnsemble(model, phi0, 1, cfg, 3)
+    windows = []
+    eng.run(12, on_step=lambda e: windows.append(e.history()))
+    assert len(seen) == 12 * 3
+    for k, hist in enumerate(windows):
+        for p in range(3):
+            samples, oldest = seen[3 * k + p]
+            assert np.array_equal(samples, hist[:, p])
+            assert np.array_equal(oldest, hist[0, p])
