@@ -31,7 +31,10 @@ event time inside a step and is the reference oracle.
 :class:`BatchEnsemble` advances a whole ensemble at once from the single
 stream (seed, 1), with the same target and coupling draws and
 history-dependent rates included; mode changes reach the state dynamics
-at the next grid step.
+at the next grid step.  It groups the paths by mode once per mode change,
+not once per step, and evaluates drift and diffusion once per group and
+step into buffers that the Dynkin generator of :mod:`switchsde.verify`
+reads too.
 """
 
 from __future__ import annotations
@@ -445,17 +448,33 @@ class BatchEnsemble:
     :meth:`rate_table`.  Each path's thinning clock runs at the bound of
     its current mode, like the per-path kernels.
 
+    Every step works from one mode-group plan: the stable sort of the paths
+    by mode and each mode's slice of it (:meth:`groups`).  The plan is
+    rebuilt only after a mode changes (a thinning or bernoulli jump, a
+    coupling move) or :meth:`keep` drops paths.  :meth:`coefficients`
+    evaluates ``drift`` and ``diffusion`` once per group on the current
+    states and keeps them until the step moves the states or the plan is
+    rebuilt; the Euler step and the Dynkin generator of
+    :mod:`switchsde.verify` (through :meth:`live_groups`) share them, and
+    the step does one update, one noise contraction and one scatter for
+    the whole ensemble.  Under bernoulli, history-free jumps are drawn per
+    group by a search in the mode's cached running sums, so only occupied
+    modes are ever probed.
+
     One shared stream (seed, 1) drives all paths with a fixed per-step draw
-    order, so results depend on the config and ``n_paths``, never on thread
-    counts.  Mode changes take effect at the following grid step; the
-    embedded chain itself is exact for the thinning scheme and O(dt) for
-    the bernoulli scheme, given the grid history.
+    order (the Brownian increments, then the mode draws in path order), so
+    results depend on the config and ``n_paths``, never on thread counts.
+    Mode changes take effect at the following grid step; the embedded
+    chain itself is exact for the thinning scheme and O(dt) for the
+    bernoulli scheme, given the grid history.
 
     With ``qhat`` each path carries a second mode in ``modes_hat`` that
     runs the basic coupling against the chain of ``qhat``, always by
     thinning; a path whose two chains come apart is marked in
     ``decoupled`` and its clock stops.  :meth:`keep` drops finished paths
-    from every per-path array.
+    from every per-path array.  ``proposals`` counts the thinning
+    proposals read and ``jumps`` the changes of ``modes`` applied; neither
+    touches a result.
     """
 
     def __init__(
@@ -480,11 +499,13 @@ class BatchEnsemble:
         self.x = np.tile(phi0.terminal(), (self.n_paths, 1))
         self.modes = np.full(self.n_paths, int(i0), dtype=int)
         self.blown = np.zeros(self.n_paths, dtype=bool)
+        self.proposals = self.jumps = 0
         self._sqrt_dt = math.sqrt(cfg.dt)
         self._rows: dict[int, tuple] = {}
         self._probe_seg = phi0.copy()
         self._grid = (phi0.delay, phi0.dt)
         self._thinning = cfg.scheme == "thinning" or qhat is not None
+        self._invalidate()
         if track_history or model.rates_depend_on_path:
             base = phi0.samples  # (m, dim)
             self._hist = np.repeat(base[:, None, :], self.n_paths, axis=1)
@@ -507,15 +528,88 @@ class BatchEnsemble:
                 else np.full(self.n_paths, math.inf)
             )
 
+    def _invalidate(self) -> None:
+        """Forget the plan and everything built on it."""
+        self._order = self._groups = self._coef = None
+
+    def groups(self) -> list:
+        """Mode groups of the current plan, ascending in mode.
+
+        Each is (mode, paths, rows): the group's path indices in plan order
+        and their slice of the plan-ordered arrays of :meth:`coefficients`.
+        """
+        if self._groups is None:
+            n = self.n_paths
+            self._order = order = np.argsort(self.modes, kind="stable")
+            modes = self.modes[order]
+            cuts = [0, *(np.flatnonzero(modes[1:] != modes[:-1]) + 1).tolist(), n] if n else [0]
+            self._groups = [
+                (int(modes[a]), order[a:b], slice(a, b)) for a, b in zip(cuts, cuts[1:])
+            ]
+        return self._groups
+
+    def coefficients(self) -> tuple:
+        """States, drifts and diffusions of every path in plan order.
+
+        Returns (x (P, n), drift (P, n), diffusion (P, n, d) or None under
+        zero diffusion), from one ``drift`` and one ``diffusion`` call per
+        mode group; cached until the states move or the plan is rebuilt.
+        """
+        if self._coef is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._coef = self._evaluate()
+        return self._coef
+
+    def live_groups(self, with_hist: bool = False, with_coefficients: bool = True):
+        """The plan's mode groups, restricted to paths not blown up.
+
+        Yields (mode, paths, x, drift, sigma, hist) per group: its path
+        indices and states, its drifts and diffusions from
+        :meth:`coefficients` (None without ``with_coefficients``; sigma is
+        None under zero diffusion), and its history stack (n_samples, P,
+        dim) with ``with_hist``, else None.
+        """
+        coef = self.coefficients() if with_coefficients else None
+        live = ~self.blown
+        for v, paths, rows in self.groups():
+            ok = live[paths]
+            if not ok.all():
+                if not ok.any():
+                    continue
+                paths, rows = paths[ok], np.arange(rows.start, rows.stop)[ok]
+            hist = self.history(paths) if with_hist else None
+            if coef is None:
+                yield v, paths, self.x[paths], None, None, hist
+            else:
+                xs, drift, sigma = coef
+                sig = None if sigma is None else sigma[rows]
+                yield v, paths, xs[rows], drift[rows], sig, hist
+
+    def _evaluate(self) -> tuple:
+        model, groups = self.model, self.groups()
+        xs = self.x[self._order]
+        drift = np.empty_like(xs)
+        sigma = None
+        if not model.zero_diffusion:
+            sigma = np.empty(xs.shape + (model.brownian_dim,))
+        for v, _, rows in groups:
+            drift[rows] = model.drift(xs[rows], v)
+            if sigma is not None:
+                sigma[rows] = model.diffusion(xs[rows], v)
+        return xs, drift, sigma
+
     def _row(self, v: int) -> tuple:
-        """Cached (targets, rates, {target: rate}) out of mode v, targets sorted."""
+        """Cached (targets, rates, {target: rate}, running sums) out of mode
+        v, targets sorted; the running sums of rate / scale are the
+        partition :func:`_pick_target` walks."""
         if v not in self._rows:
             row = self.model.rates_row(self._probe_seg, v)
             targets = np.array(sorted(row), dtype=int)
             rates = np.array([row[j] for j in targets], dtype=float)
             scale = self.model.thinning_bound(v) if self._thinning else 1.0 / self.cfg.dt
             _check_total(float(rates.sum()), scale, f"mode {v}")
-            self._rows[v] = (targets, rates, dict(zip(targets.tolist(), rates.tolist())))
+            row = dict(zip(targets.tolist(), rates.tolist()))
+            self._rows[v] = (targets, rates, row, np.cumsum(rates / scale))
         return self._rows[v]
 
     def _rates(self, p: int, v: int) -> dict:
@@ -532,22 +626,21 @@ class BatchEnsemble:
         ignore the history; a target missing from a row has rate 0.
         """
         if not self.model.rates_depend_on_path:
-            targets, rates, _ = self._row(v)
+            targets, rates, _, _ = self._row(v)
             return targets.tolist(), rates[None, :]
         rows = [self._rates(p, v) for p in paths]
         targets = sorted(set().union(*rows))
         rates = np.array([[row.get(j, 0.0) for j in targets] for row in rows])
         return targets, rates.reshape(len(rows), len(targets))
 
-    def history(self) -> Optional[np.ndarray]:
-        """History stack (n_samples, n_paths, dim), oldest first."""
+    def history(self, paths=None) -> Optional[np.ndarray]:
+        """History stack (n_samples, n_paths, dim), oldest first; only the
+        paths of the index array ``paths`` when it is given."""
         if self._hist is None:
             return None
-        if self._head == 0:
-            return self._hist.copy()
-        return np.concatenate(
-            (self._hist[self._head :], self._hist[: self._head]), axis=0
-        )
+        m = self._hist.shape[0]
+        chron = (self._head + np.arange(m)) % m
+        return self._hist[chron] if paths is None else self._hist[np.ix_(chron, paths)]
 
     def window_norms(self, paths) -> np.ndarray:
         """History-window sup-norm of each path in ``paths`` (index or mask)."""
@@ -564,66 +657,64 @@ class BatchEnsemble:
         if self._hist is not None:
             self._hist = self._hist[:, mask]
         self.n_paths = self.x.shape[0]
+        self._invalidate()
 
     def _advance_states(self):
         model = self.model
-        dt = self.cfg.dt
         xi = None
         if not model.zero_diffusion:
             xi = self.rng.standard_normal((self.n_paths, model.brownian_dim))
-        # paths sorted by mode, so that each mode group is a slice
-        order = np.argsort(self.modes, kind="stable")
-        modes = self.modes[order]
-        xs = self.x[order]
-        if xi is not None:
-            xi = xi[order]
-        cuts = [0, *(np.flatnonzero(modes[1:] != modes[:-1]) + 1).tolist(), self.n_paths]
         with np.errstate(over="ignore", invalid="ignore"):
-            for a, b in zip(cuts, cuts[1:]):
-                v, xg = int(modes[a]), xs[a:b]
-                out = xg + np.asarray(model.drift(xg, v), dtype=float) * dt
-                if xi is not None:
-                    sg = np.asarray(model.diffusion(xg, v), dtype=float)
-                    out = out + np.einsum("...nd,...d->...n", sg, xi[a:b]) * self._sqrt_dt
-                self.x[order[a:b]] = out
+            xs, drift, sigma = self._coef or self._evaluate()
+            out = xs + drift * self.cfg.dt
+            if xi is not None:
+                xi = xi[self._order]
+                out = out + np.einsum("...nd,...d->...n", sigma, xi) * self._sqrt_dt
+            self.x[self._order] = out
             if model.post_step is not None:
                 self.x = np.asarray(model.post_step(self.x), dtype=float)
-        bad = ~np.isfinite(self.x).all(axis=1)
-        if bad.any():
+        self._coef = None
+        if not np.isfinite(self.x).all():
+            bad = ~np.isfinite(self.x).all(axis=1)
             self.blown |= bad
             self.x[bad] = 0.0  # park blown paths; callers exclude via .blown
 
+    def _move(self, p: int, j: int) -> None:
+        """Apply path p's jump to mode j."""
+        if j != self.modes[p]:
+            self.modes[p] = j
+            self.jumps += 1
+            self._invalidate()
+
     def _update_modes_bernoulli(self):
-        dt = self.cfg.dt
+        scale = 1.0 / self.cfg.dt
         u = self.rng.random(self.n_paths)
-        new_modes = self.modes.copy()
         if self.model.rates_depend_on_path:
             for p, v in enumerate(self.modes.tolist()):
                 row = self._rates(p, v)
-                j = _pick_target(row, u[p], 1.0 / dt, v) if row else None
+                j = _pick_target(row, u[p], scale, v) if row else None
                 if j is not None:
-                    new_modes[p] = j
-            self.modes = new_modes
+                    self._move(p, j)
             return
-        for v in np.unique(self.modes):
-            targets, rates, _ = self._row(int(v))
-            if targets.size == 0:
-                continue
-            cum = np.cumsum(rates) * dt
-            sel = (self.modes == v) & (u < cum[-1])
-            if sel.any():
-                idx = np.searchsorted(cum, u[sel], side="right")
-                new_modes[sel] = targets[np.minimum(idx, targets.size - 1)]
-        self.modes = new_modes
+        # the groups are disjoint, so moving one leaves the others' draws as they are
+        for v, paths, _ in self.groups():
+            targets, _, _, cum = self._row(v)
+            jump = paths[u[paths] < cum[-1]] if cum.size else ()
+            if len(jump):
+                self.modes[jump] = targets[np.searchsorted(cum, u[jump], side="right")]
+                self.jumps += len(jump)
+                self._invalidate()
 
     def _propose(self, p: int) -> None:
         """One thinning proposal of the single chain of path p."""
         v = int(self.modes[p])
         row = self._rates(p, v)
+        self.proposals += 1
         if row:
             j = _pick_target(row, self.rng.random(), self.model.thinning_bound(v), v)
             if j is not None:
-                self.modes[p] = v = j
+                self._move(p, j)
+                v = j
         self._next_ev[p] += _gap(self.rng, self.model.thinning_bound(v))
 
     def _propose_pair(self, p: int) -> None:
@@ -632,8 +723,10 @@ class BatchEnsemble:
         row = self._rates(p, pair[0])
         ref = self.qhat.row(pair[1])
         bound = self._pair_bound(*pair)
+        self.proposals += 1
         pair, lone = _couple(row, ref, self.rng.random() * bound, bound, pair)
-        self.modes[p], self.modes_hat[p] = pair
+        self._move(p, pair[0])
+        self.modes_hat[p] = pair[1]
         if lone:
             self.decoupled[p] = True
             self._next_ev[p] = math.inf

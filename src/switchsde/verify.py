@@ -11,10 +11,14 @@ engine :class:`~switchsde.sim.BatchEnsemble`, history-dependent rates
 included.  It draws every path from the one stream (seed, 1), so results
 are reproducible bit-for-bit, depend on ``n_paths``, and ignore the
 ``threads`` argument, which is kept for compatibility.  Stop rules are
-masks over the ensemble, and finished paths leave the arrays.  Models
-without batch support run the per-path engine (:func:`~switchsde.sim.simulate`,
-streams (seed, 0, k)) path after path; it also serves the tests as the
-reference oracle.
+masks over the ensemble, and finished paths leave the arrays.  The
+Dynkin generator works on the engine's mode groups and reads the drift
+and diffusion the engine evaluates for its own step; trapezoid weights
+are built once per kernel and mode in a run.  Models without batch
+support run the per-path engine (:func:`~switchsde.sim.simulate`, streams
+(seed, 0, k)) path after path; it also serves the tests as the reference
+oracle.  In both engines a path contributes nothing from its blow-up
+on.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ class ProductFunctional:
 
     def value(self, seg: Segment, i: int) -> float:
         x, hist = _one_path(self, seg)
-        return float(_values(self, x, hist, i, seg.delay, seg.dt)[0])
+        return float(_values(self, x, hist, i, _Trapezoid(seg.delay, seg.dt))[0])
 
 
 def apply_generator(V: ProductFunctional, model: ModelSpec, seg: Segment, i: int) -> float:
@@ -108,10 +112,17 @@ def apply_generator(V: ProductFunctional, model: ModelSpec, seg: Segment, i: int
     The switching sum runs over the returned sparse rate row, which is
     exact for banded rate families.
     """
+    return _apply(V, model, seg, i, _Trapezoid(seg.delay, seg.dt))
+
+
+def _apply(V, model: ModelSpec, seg: Segment, i: int, trap) -> float:
+    """:func:`apply_generator` with the trapezoid weights of ``trap``."""
     x, hist = _one_path(V, seg)
     row = model.rates_row(seg, i)
     rates = np.fromiter(row.values(), float, len(row))[None, :]
-    return float(_generator(V, model, x, hist, i, list(row), rates, seg.delay, seg.dt)[0])
+    drift = np.asarray(model.drift(x, i), dtype=float)
+    sigma = None if model.zero_diffusion else np.asarray(model.diffusion(x, i), dtype=float)
+    return float(_generator(V, x, hist, i, list(row), rates, drift, sigma, trap)[0])
 
 
 def _one_path(V: ProductFunctional, seg: Segment) -> tuple:
@@ -135,45 +146,62 @@ def _window_f2(V: ProductFunctional, hist: np.ndarray, i: int) -> np.ndarray:
     return _as_batch(V.f2(hist.reshape(m * p, n), i), m * p, ()).reshape(m, p)
 
 
-def _trapezoid(kernel: Callable, i: int, f2h: np.ndarray, delay: float, dt: float):
-    """Trapezoid rule for int_{-r}^0 kernel(s, i) f2(phi(s), i) ds per path."""
-    m = f2h.shape[0]
-    w = np.full(m, dt)
-    w[0] = w[-1] = 0.5 * dt
-    w *= [float(kernel(s, i)) for s in (-delay + dt * np.arange(m)).tolist()]
-    return w @ f2h
+class _Trapezoid:
+    """Trapezoid rule for int_{-r}^0 kernel(s, i) f2(phi(s), i) ds on the
+    window grid of one run; the weights are built once per (kernel, mode,
+    sample count)."""
+
+    def __init__(self, delay: float, dt: float):
+        self.delay, self.dt = delay, dt
+        self._weights: dict = {}
+
+    def __call__(self, kernel: Callable, i: int, f2h: np.ndarray) -> np.ndarray:
+        m = f2h.shape[0]
+        key = (kernel, i, m)  # the dict keeps the kernel alive
+        w = self._weights.get(key)
+        if w is None:
+            w = np.full(m, self.dt)
+            w[0] = w[-1] = 0.5 * self.dt
+            w *= [float(kernel(s, i)) for s in (-self.delay + self.dt * np.arange(m)).tolist()]
+            self._weights[key] = w
+        return w @ f2h
 
 
-def _values(V, x, hist, i: int, delay: float, dt: float) -> np.ndarray:
-    """V(., i) on P paths: states x (P, n), windows hist (m, P, n) or None."""
+def _values(V, x, hist, i: int, trap: _Trapezoid, f2h=None) -> np.ndarray:
+    """V(., i) on P paths: states x (P, n), windows hist (m, P, n) or None.
+
+    ``f2h`` may pass f2 on the windows in mode i when the caller has it.
+    """
     out = _as_batch(V.f1(x, i), x.shape[0], ())
     if V.f2 is None:
         return out
-    return out + _trapezoid(V.g, i, _window_f2(V, hist, i), delay, dt)
+    return out + trap(V.g, i, _window_f2(V, hist, i) if f2h is None else f2h)
 
 
-def _generator(V, model, x, hist, i: int, targets, rates, delay: float, dt: float) -> np.ndarray:
+def _generator(V, x, hist, i: int, targets, rates, drift, sigma, trap) -> np.ndarray:
     """LV(., i) on P paths in mode i.
 
-    ``rates`` (P, K), or (1, K) when every path shares one row, holds each
-    path's rate q_ij to ``targets[k]``.
+    ``drift`` (P, n) and ``sigma`` (P, n, d), or None without noise, are
+    the model's coefficients at x in mode i.  ``rates`` (P, K), or (1, K)
+    when every path shares one row, holds each path's rate q_ij to
+    ``targets[k]``.
     """
     p, n = x.shape
     grad = _as_batch(V.grad_f1(x, i), p, (n,))
-    lv = (grad * np.asarray(model.drift(x, i), dtype=float)).sum(axis=-1)
-    if not model.zero_diffusion:
-        sig = np.asarray(model.diffusion(x, i), dtype=float)
+    lv = (grad * drift).sum(axis=-1)
+    if sigma is not None:
         hess = np.asarray(V.hess_f1(x, i), dtype=float)
-        a = hess @ (sig @ np.swapaxes(sig, -1, -2))
+        a = hess @ (sigma @ np.swapaxes(sigma, -1, -2))
         lv = lv + 0.5 * a.trace(axis1=-2, axis2=-1)
+    f2h = None
     if V.f2 is not None:
         f2h = _window_f2(V, hist, i)
         lv = lv + float(V.g(0.0, i)) * f2h[-1]
-        lv = lv - float(V.g(-delay, i)) * f2h[0]
-        lv = lv - _trapezoid(V.dg, i, f2h, delay, dt)
+        lv = lv - float(V.g(-trap.delay, i)) * f2h[0]
+        lv = lv - trap(V.dg, i, f2h)
     if targets:
-        vi = _values(V, x, hist, i, delay, dt)
-        dv = np.array([_values(V, x, hist, j, delay, dt) for j in targets]) - vi
+        vi = _values(V, x, hist, i, trap, f2h)
+        dv = np.array([_values(V, x, hist, j, trap) for j in targets]) - vi
         lv = lv + (rates[0] @ dv if rates.shape[0] == 1 else (rates * dv.T).sum(axis=-1))
     return lv
 
@@ -424,7 +452,8 @@ def occupation_fractions(
     """Mean and SE (over paths) of time fractions spent in tracked modes.
 
     Fractions count the mode at the left endpoint of each grid step after
-    ``burn_in``.
+    ``burn_in``.  A path that blows up stops counting there: its fractions
+    are over the steps it completed, and 0 if it completed none.
     """
     modes_track = [int(v) for v in modes_track]
     idx = {v: a for a, v in enumerate(modes_track)}
@@ -436,17 +465,29 @@ def occupation_fractions(
 
     if model.supports_batch:
         engine = BatchEnsemble(model, phi0, i0, cfg, n_paths)
-        counts = np.zeros((n_paths, len(modes_track)))
+        counts = np.zeros((len(modes_track), n_paths), dtype=int)
+        steps = np.zeros(n_paths, dtype=int)  # counted steps per path
         step_no = [0]
+        left = [None]  # modes at the left endpoint of the counted step in flight
+
+        def settle(e: BatchEnsemble):
+            # the step just taken counts for the paths it left finite
+            if left[0] is None:
+                return
+            ok = ~e.blown
+            for v, a in idx.items():
+                counts[a] += (left[0] == v) & ok
+            steps[:] += ok
 
         def on_step(e: BatchEnsemble):
-            if step_no[0] >= burn_steps:
-                for v, a in idx.items():
-                    counts[:, a] += e.modes == v
+            settle(e)
+            left[0] = e.modes.copy() if step_no[0] >= burn_steps else None
             step_no[0] += 1
 
         engine.run(n_steps, on_step=on_step)
-        frac = counts / counted
+        settle(engine)
+        # (n_paths, modes) in C order, as the per-path branch builds it
+        frac = np.ascontiguousarray(counts.T) / np.maximum(steps, 1)[:, None]
     else:
         cfg1 = replace(cfg, record_stride=1)
 
@@ -463,19 +504,6 @@ def occupation_fractions(
     means = frac.mean(axis=0)
     ses = frac.std(axis=0, ddof=1) / math.sqrt(n_paths)
     return means, ses
-
-
-def _by_mode(engine: BatchEnsemble, fn: Callable, with_hist: bool) -> np.ndarray:
-    """``fn(paths, x, hist, mode)`` on each mode group of the engine's live
-    paths, 0 on blown ones; ``hist`` is the group's history stack, or None
-    without ``with_hist``."""
-    hist = engine.history() if with_hist else None
-    live = ~engine.blown
-    out = np.zeros(engine.n_paths)
-    for v in np.unique(engine.modes[live]):
-        g = np.flatnonzero((engine.modes == v) & live)
-        out[g] = fn(g, engine.x[g], None if hist is None else hist[:, g, :], int(v))
-    return out
 
 
 def dynkin_residual(
@@ -513,24 +541,24 @@ def dynkin_residual(
         with_hist = V.f2 is not None
         be = BatchEnsemble(model, phi0, i0, run_cfg, n_paths, track_history=with_hist)
         acc = np.zeros(n_paths)
-        delay, dt = model.delay, run_cfg.dt
-
-        def lv(paths, x, hist, v):
-            targets, rates = be.rate_table(paths, v)
-            return _generator(V, model, x, hist, v, targets, rates, delay, dt)
+        dt = run_cfg.dt
+        trap = _Trapezoid(model.delay, dt)
 
         def on_step(e: BatchEnsemble):
-            acc[:] += _by_mode(e, lv, with_hist) * dt
+            for v, paths, x, drift, sigma, hist in e.live_groups(with_hist):
+                targets, rates = e.rate_table(paths, v)
+                acc[paths] += _generator(V, x, hist, v, targets, rates, drift, sigma, trap) * dt
 
         be.run(n_steps, on_step=on_step)
-        vt = _by_mode(
-            be, lambda paths, x, hist, v: _values(V, x, hist, v, delay, dt), with_hist
-        )
+        vt = np.zeros(n_paths)
+        for v, paths, x, _, _, hist in be.live_groups(with_hist, with_coefficients=False):
+            vt[paths] = _values(V, x, hist, v, trap)
         keep = ~be.blown
         resid = vt[keep] - v0 - acc[keep]
         return _collect(resid, n_paths)
 
     horizon = run_cfg.horizon
+    trap = _Trapezoid(phi0.delay, phi0.dt)  # every path's segment is a copy of phi0
 
     def one(k: int):
         acc = 0.0
@@ -538,7 +566,7 @@ def dynkin_residual(
         def on_grid(tt: float, seg: Segment, mode: int):
             nonlocal acc
             if tt < horizon - 0.5 * run_cfg.dt:
-                acc += apply_generator(V, model, seg, mode) * run_cfg.dt
+                acc += _apply(V, model, seg, mode, trap) * run_cfg.dt
 
         rec = simulate(model, phi0, i0, run_cfg, path_index=k, on_grid=on_grid)
         if rec.blow_up or rec.times[-1] < horizon - 0.5 * run_cfg.dt:

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from switchsde.segment import Segment
 from switchsde.sim import (
     BatchEnsemble,
     SimConfig,
+    _pick_target,
     default_dt,
     simulate,
     simulate_coupled,
@@ -427,3 +429,176 @@ def test_batch_rates_read_each_paths_window():
             samples, oldest = seen[3 * k + p]
             assert np.array_equal(samples, hist[:, p])
             assert np.array_equal(oldest, hist[0, p])
+
+
+def cycling_model(**kw):
+    """Four modes left at total rate 2 to the next mode (mode-dependent
+    drift and two-column diffusion, both evaluated row by row)."""
+
+    def diffusion(x, i):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape + (2,))
+        out[..., 0] = 0.1 * i
+        out[..., 1] = 0.05 * x
+        return out
+
+    return ModelSpec(
+        dim=1,
+        brownian_dim=2,
+        drift=lambda x, i: -0.3 * i * np.asarray(x, dtype=float),
+        diffusion=diffusion,
+        rates_row=lambda seg, i: {i % 4 + 1: 2.0},
+        rate_bound=2.0,
+        delay=1.0,
+        supports_batch=True,
+        rates_depend_on_path=False,
+        **kw,
+    )
+
+
+def fresh_step(eng):
+    """The states after the next step from a per-group evaluation made
+    afresh: the engine's draw, coefficients computed at the current modes."""
+    model, dt = eng.model, eng.cfg.dt
+    xi = copy.deepcopy(eng.rng).standard_normal((eng.n_paths, model.brownian_dim))
+    order = np.argsort(eng.modes, kind="stable")
+    out = eng.x.copy()
+    for v in np.unique(eng.modes):
+        g = order[eng.modes[order] == v]
+        xg = eng.x[g]
+        sg = model.diffusion(xg, int(v))
+        out[g] = xg + model.drift(xg, int(v)) * dt + np.einsum(
+            "...nd,...d->...n", sg, xi[g]) * math.sqrt(dt)
+    return out
+
+
+@pytest.mark.parametrize("scheme", ["thinning", "bernoulli"])
+def test_batch_plan_and_coefficients_follow_the_state(scheme):
+    # modes change at about a third of the steps; the plan, the cached
+    # coefficients and every step's states must match a fresh evaluation
+    model = cycling_model()
+    phi0 = Segment.make_constant([1.0], 1.0, 0.05)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=0.05, horizon=5.0, scheme=scheme, seed=5), 40)
+    changed = 0
+    for k in range(60):
+        if k in (20, 30):
+            eng.groups()  # a plan that keep must drop with the paths
+            eng.keep(np.arange(eng.n_paths) % 3 != 0)
+        if k % 2:
+            # read the cache before the step, as the Dynkin generator does
+            xs, drift, sigma = eng.coefficients()
+            groups = eng.groups()
+            assert [v for v, _, _ in groups] == sorted(set(eng.modes.tolist()))
+            for v, paths, rows in groups:
+                assert (eng.modes[paths] == v).all()
+                assert np.array_equal(paths, np.sort(paths))
+                assert np.array_equal(xs[rows], eng.x[paths])
+                assert np.array_equal(drift[rows], model.drift(eng.x[paths], v))
+                assert np.array_equal(sigma[rows], model.diffusion(eng.x[paths], v))
+            assert sum(paths.size for _, paths, _ in groups) == eng.n_paths
+        before = eng.modes.copy()
+        want = fresh_step(eng)
+        eng.step()
+        assert np.array_equal(eng.x, want)
+        changed += not np.array_equal(eng.modes, before)
+    assert changed > 10
+
+
+def test_batch_counts_proposals_and_jumps():
+    # each mode's bound equals its row total, so every proposal jumps
+    a, b = 1.0, 3.0
+    model = batch_model(two_mode_rates(a, b), b)
+    model = replace(model, mode_rate_bound=lambda i: a if i == 1 else b)
+    phi0 = Segment.make_constant([0.0], 1.0, 0.05)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=0.05, horizon=5.0, seed=6), 50)
+    eng.run(100)
+    assert eng.proposals == eng.jumps > 100
+    # bernoulli: one decision per path and step, and no thinning proposal
+    bern = BatchEnsemble(model, phi0, 1, SimConfig(dt=0.05, horizon=5.0, scheme="bernoulli",
+                                                   seed=6), 50)
+    seen = []
+    bern.run(100, on_step=lambda e: seen.append(e.modes.copy()))
+    seen.append(bern.modes)
+    moves = sum(int((b != a).sum()) for a, b in zip(seen, seen[1:]))
+    assert bern.proposals == 0 and bern.jumps == moves > 50
+
+
+def random_rows(rng, n_modes):
+    """Random history-free rows over modes 1..n_modes; mode 2 is absorbing."""
+    rows = {}
+    for v in range(1, n_modes + 1):
+        targets = [j for j in range(1, n_modes + 1) if j != v and rng.random() < 0.6]
+        rows[v] = {} if v == 2 else {j: float(rng.uniform(0.0, 1.5)) for j in targets}
+    return rows
+
+
+def test_bernoulli_table_picks_as_pick_target():
+    # each step's new modes against _pick_target on the replayed uniforms;
+    # modes are first reached mid-run, and no mode is probed before a path
+    # occupies it (mode 7's row is far above 1 / dt and would raise)
+    rows = random_rows(np.random.default_rng(17), 6)
+    rows[1][6] = 0.5
+    rows[7] = {1: 1e6}
+    probed = []
+    occupied = set()
+
+    def rates(seg, i):
+        probed.append(i)
+        assert i in occupied
+        return dict(rows[i])
+
+    model = batch_model(rates, 1.0)
+    dt = 0.1
+    phi0 = Segment.make_constant([0.0], 1.0, dt)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=5.0, scheme="bernoulli",
+                                                  seed=9), 60)
+    for _ in range(50):
+        occupied.update(eng.modes.tolist())
+        u = copy.deepcopy(eng.rng).random(eng.n_paths)
+        want = []
+        for p, v in enumerate(eng.modes.tolist()):
+            j = _pick_target(rows[v], u[p], 1.0 / dt, v) if rows[v] else None
+            want.append(v if j is None else j)
+        eng.step()
+        assert eng.modes.tolist() == want
+    assert len(set(occupied)) >= 5
+    assert 7 not in probed and len(probed) == len(set(probed))
+
+
+class ScriptedUniforms:
+    """Stands in for the engine's stream: ``random(n)`` returns given draws."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self, n):
+        out = np.asarray(self.draws.pop(0), dtype=float)
+        assert out.shape == (n,)
+        return out
+
+
+def test_bernoulli_table_edges():
+    # a uniform exactly on a running sum moves past it (searchsorted
+    # side="right", the strict u < acc of _pick_target); one at the row
+    # total does not jump
+    rows = {1: {2: 0.5, 3: 1.25, 4: 0.25}, 2: {}, 3: {1: 2.0, 4: 0.0, 2: 1.0}, 4: {1: 3.0}}
+    dt = 0.125
+    model = batch_model(lambda seg, i: dict(rows[i]), 1.0)
+    phi0 = Segment.make_constant([0.0], 1.0, dt)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=5.0, scheme="bernoulli"), 8)
+    scale = 1.0 / dt
+    edges = {v: np.cumsum([r / scale for _, r in sorted(row.items())]) for v, row in rows.items()}
+    c1 = edges[1]
+    first = [0.0, c1[0], np.nextafter(c1[0], 0.0), c1[1], c1[1], c1[2], 0.99, c1[0]]
+    below = np.nextafter(edges[3][1], 0.0)  # mode 3's zero-rate target 4 is never picked
+    second = [0.0, edges[3][0], 0.5, np.nextafter(edges[4][0], 0.0), edges[4][0], 0.0, c1[2], below]
+    eng.rng = ScriptedUniforms([first, second])
+    for u in (first, second):
+        modes = eng.modes.tolist()
+        want = []
+        for p, v in enumerate(modes):
+            j = _pick_target(rows[v], u[p], scale, v) if rows[v] else None
+            want.append(v if j is None else j)
+        eng.step()
+        assert eng.modes.tolist() == want
+    assert eng.modes.tolist() == [2, 2, 2, 1, 4, 2, 1, 2]

@@ -8,12 +8,13 @@ from switchsde.chain import SparseGenerator
 from switchsde.model import Linearization, ModelSpec
 from switchsde.registry import registry_get
 from switchsde.segment import Segment
-from switchsde.sim import SimConfig
+from switchsde.sim import BatchEnsemble, SimConfig
 from switchsde.verify import (
     MCEstimate,
     ProductFunctional,
     apply_generator,
     coupling_decay,
+    _Trapezoid,
     dynkin_residual,
     estimate_hitting_time,
     estimate_mode_descent,
@@ -363,3 +364,87 @@ def test_coupling_decay_is_exact_at_mode_bounds(batch):
     (row,) = coupling_decay(model, lin, [1.0], cfg, 2000, floor_frac=0.0)
     # binomial sd at 2000 paths is 0.011
     assert abs(row["p_decouple"] - (1.0 - math.exp(-lam))) < 0.045
+
+
+@pytest.mark.parametrize("rates_depend_on_path", [False, True])
+def test_batch_dynkin_evaluates_coefficients_once_per_group(rates_depend_on_path):
+    # the generator reads the coefficients the Euler step evaluates: one
+    # drift and one diffusion call per mode group and step, where evaluating
+    # them again for the generator would make two
+    calls = {"drift": 0, "diffusion": 0}
+
+    def drift(x, i):
+        calls["drift"] += 1
+        return -0.5 * i * np.asarray(x, dtype=float)
+
+    def diffusion(x, i):
+        calls["diffusion"] += 1
+        return np.full(np.shape(x) + (1,), 0.2 * i)
+
+    model = replace(
+        scalar_spec(drift, diffusion=diffusion, rates=lambda seg, i: {i % 3 + 1: 1.5},
+                    bound=1.5, batch=True),
+        rates_depend_on_path=rates_depend_on_path,
+    )
+    phi0 = Segment.make_constant([1.0], 1.0, 0.05)
+    cfg = SimConfig(dt=0.05, horizon=2.0, seed=12)
+    fn = ProductFunctional(
+        f1=QUAD.f1, grad_f1=QUAD.grad_f1, hess_f1=QUAD.hess_f1,
+        f2=lambda x, i: (np.asarray(x, dtype=float) ** 2).sum(axis=-1),
+        g=lambda s, i: 1.0 + s, dg=lambda s, i: 1.0,
+    )
+    est = dynkin_residual(fn, model, phi0, 1, 2.0, cfg, 30, engine="batch")
+    assert est.censored_fraction == 0.0
+    # the same run again, counting the groups of every step
+    made = dict(calls)
+    groups = []
+    BatchEnsemble(model, phi0, 1, cfg, 30).run(40, on_step=lambda e: groups.append(len(e.groups())))
+    assert max(groups) == 3
+    assert made["drift"] == made["diffusion"] == sum(groups)
+
+
+def test_occupation_fractions_stop_counting_at_blow_up():
+    """Both engines count a path's modes only until it blows up.
+
+    Cubic drift blows up about 98% of the paths within a few steps, while
+    the chain flips between two modes at rate 1.  The engines' per-path
+    fractions then share one law, so |z| >= 4 has probability 6.3e-5;
+    counting the modes of parked blown paths, as the batch engine once
+    did, pulls its mode-1 fraction to 0.51 against 0.75 (z near 10).
+    """
+    model = scalar_spec(
+        lambda x, i: np.asarray(x, dtype=float) ** 3,
+        diffusion=lambda x, i: np.array([[0.5]]),
+        rates=lambda seg, i: {3 - i: 1.0},
+        batch=True,
+    )
+    phi0 = Segment.make_constant([1.0], 1.0, 0.05)
+    cfg = SimConfig(dt=0.05, horizon=10.0, seed=3)
+    eng = BatchEnsemble(model, phi0, 1, cfg, 200)
+    eng.run(200)
+    assert eng.blown.mean() > 0.9
+    frac_b, se_b = occupation_fractions(model, phi0, 1, cfg, 200, [1, 2])
+    frac_p, se_p = occupation_fractions(
+        replace(model, supports_batch=False), phi0, 1, cfg, 200, [1, 2]
+    )
+    z = np.abs(frac_b - frac_p) / np.sqrt(se_b**2 + se_p**2)
+    assert (z < 4.0).all(), z
+    assert frac_b[0] > 0.65
+
+
+def test_trapezoid_keeps_weights_per_kernel():
+    # bound methods are new objects at every attribute access, so a freed
+    # k.g can leave its id to k.dg; the weights must still follow the kernel
+    class Kernels:
+        def g(self, s, i):
+            return 1.0 + s
+
+        def dg(self, s, i):
+            return 1.0
+
+    k = Kernels()
+    trap = _Trapezoid(1.0, 0.25)
+    f2h = np.ones((5, 1))
+    for _ in range(3):
+        assert trap(k.g, 1, f2h)[0] == pytest.approx(0.5)
+        assert trap(k.dg, 1, f2h)[0] == pytest.approx(1.0)
