@@ -4,8 +4,9 @@ The criterion weighs a per-mode spectral cost against the stationary law
 of the limiting rate generator: if the weighted sum is strictly negative
 after adding a bound for the mass truncated away and ``rounding_bound``,
 the floating-point error bound of the weighted sum, the model is certified
-positively recurrent.  The tail mass is either supplied by the caller or,
-by default, extrapolated from the geometric decay of the stationary head;
+positively recurrent.  N is capped at a finite mode count, where the tail
+mass is exactly 0; otherwise it is either supplied by the caller or, by
+default, extrapolated from the geometric decay of the stationary head;
 the extrapolation is a heuristic, not a proof.  The stabilization variant
 first closes the loop on the controllable modes with linear state feedback
 u = -L(i) x.
@@ -227,6 +228,7 @@ def _certify(
 ) -> Certificate:
     if margin_frac < 0:
         raise ValueError("margin_frac must be nonnegative")
+    n_modes = lin.qhat.clamp(n_modes)
     if law is None:
         tg = truncate(lin.qhat, n_modes)
         dist = stationary(tg)
@@ -245,14 +247,14 @@ def _certify(
     gamma = n_modes * _UNIT_ROUNDOFF / (1.0 - n_modes * _UNIT_ROUNDOFF)
     rounding_bound = float(gamma * (dist.nu @ np.abs(costs)))
 
-    if tail_mass_bound is not None:
-        tail_mass = float(tail_mass_bound)
-        source = "user"
-        if tail_mass < 0:
-            raise ValueError("tail_mass_bound must be nonnegative")
+    if tail_mass_bound is not None and tail_mass_bound < 0:
+        raise ValueError("tail_mass_bound must be nonnegative")
+    if n_modes == lin.qhat.n_modes:
+        tail_mass, source = 0.0, "finite_modes"  # no mode lies beyond N
+    elif tail_mass_bound is not None:
+        tail_mass, source = float(tail_mass_bound), "user"
     else:
-        tail_mass = estimate_tail_mass(dist.nu)
-        source = "extrapolated"
+        tail_mass, source = estimate_tail_mass(dist.nu), "extrapolated"
     tail_bound = float(np.max(np.abs(costs)) * tail_mass)
 
     plan_norm = 0.0
@@ -377,6 +379,7 @@ def search_gain(
     controllable = frozenset(int(i) for i in controllable)
     if not controllable:
         raise ValueError("controllable set is empty")
+    n_modes = lin.qhat.clamp(n_modes)
     n = np.asarray(lin.b_mat(min(controllable)), dtype=float).shape[0]
     grid = [0.0]
     g = float(g_min)

@@ -3,9 +3,10 @@
 A generator is described by its off-diagonal jump-rate rows; diagonals are
 implied by conservativeness.  Truncation to the first N modes lumps any
 rate aimed beyond N into the boundary state N (rates that would lump onto
-the diagonal cancel there), which keeps every row conservative.  The
-truncation is a sparse CSR matrix, and its stationary law is obtained by a
-sparse LU solve (SuperLU); both cost O(N) for the registry families.
+the diagonal cancel there), which keeps every row conservative; N is
+capped at a declared finite mode count.  The truncation is a sparse CSR
+matrix, and its stationary law is obtained by a sparse LU solve
+(SuperLU); both cost O(N) for the registry families.
 """
 
 from __future__ import annotations
@@ -33,15 +34,23 @@ class SparseGenerator:
 
     ``row(i)`` returns a dict {j: rate} with j != i and rate >= 0; the
     diagonal entry is -sum(row).  ``rate_bound`` must dominate every total
-    row rate.
+    row rate.  ``n_modes`` (optional) declares a finite mode space
+    {1, ..., n_modes} whose rows never leave it.
     """
 
-    def __init__(self, row_fn: Callable[[int], dict], rate_bound: float, name: str = "custom"):
+    def __init__(
+        self, row_fn: Callable[[int], dict], rate_bound: float, name: str = "custom", n_modes=None
+    ):
         if rate_bound <= 0:
             raise ValueError("rate_bound must be positive")
         self._row_fn = row_fn
         self.rate_bound = float(rate_bound)
         self.name = name
+        self.n_modes = None if n_modes is None else int(n_modes)
+
+    def clamp(self, n: int) -> int:
+        """Truncation level ``n`` capped at the declared mode count."""
+        return int(n) if self.n_modes is None else min(int(n), self.n_modes)
 
     def row(self, i: int) -> dict:
         if i < 1:
@@ -93,8 +102,9 @@ class StationaryDist:
 
 
 def truncate(qhat: SparseGenerator, n_modes: int) -> TruncatedGenerator:
-    """Truncate to modes 1..N, lumping rates beyond N into column N."""
-    n = int(n_modes)
+    """Truncate to modes 1..N, lumping rates beyond N into column N; N is
+    capped at the mode count of a finite generator."""
+    n = qhat.clamp(n_modes)
     if n < 2:
         raise ValueError("need at least 2 modes")
     indptr, indices, rates = [0], [], []
@@ -179,7 +189,7 @@ def convergence_sweep(qhat: SparseGenerator, levels) -> list[dict]:
             change = float(np.abs(dist.nu[:head] - prev[:head]).sum())
         out.append(
             {
-                "N": n,
+                "N": dist.truncation,
                 "nu_head": dist.nu[: min(10, n)].tolist(),
                 "residual": dist.residual,
                 "l1_change": change,

@@ -178,7 +178,7 @@ def cmd_stationary(args) -> int:
     payload = {
         "meta": _meta(args.seed, cfg_hash),
         "generator": name,
-        "N": int(n),
+        "N": int(dist.truncation),
         "nu": [float(v) for v in dist.nu],
         "residual": float(dist.residual),
     }

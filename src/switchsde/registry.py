@@ -289,7 +289,9 @@ def _predator_prey(params: dict):
     lin = Linearization(
         b_mat=lambda i: np.array([[rho * b_feed * min(i, n_max) - d_death]]),
         sigma_mats=lambda i: [np.array([[sigma]])],
-        qhat=SparseGenerator(limit_row, rate_bound=bound, name="predator_prey_capped"),
+        qhat=SparseGenerator(
+            limit_row, rate_bound=bound, name="predator_prey_capped", n_modes=n_max
+        ),
         coeff_bound=rho * b_feed * n_max + d_death + abs(sigma),
     )
     return spec, lin

@@ -33,8 +33,8 @@ stream (seed, 1), with the same target and coupling draws and
 history-dependent rates included; mode changes reach the state dynamics
 at the next grid step.  It groups the paths by mode once per mode change,
 not once per step, and evaluates drift and diffusion once per group and
-step into buffers that the Dynkin generator of :mod:`switchsde.verify`
-reads too.
+step into plan-ordered arrays that the Dynkin generator of
+:mod:`switchsde.verify` reads too.
 """
 
 from __future__ import annotations
@@ -442,31 +442,24 @@ class BatchEnsemble:
     Requires ``model.supports_batch`` (drift and diffusion take a leading
     path axis).  Rate rows that ignore the history are cached per mode.
     With ``rates_depend_on_path`` the engine keeps the (n_samples,
-    n_paths, dim) history ring and calls ``rates_row`` on a zero-copy
-    per-path :class:`Segment` view of it wherever a rate is read: at
-    thinning proposals, at every bernoulli step, and in
-    :meth:`rate_table`.  Each path's thinning clock runs at the bound of
-    its current mode, like the per-path kernels.
+    n_paths, dim) history ring and reads every rate off a zero-copy
+    per-path :class:`Segment` view of it.  Each path's thinning clock runs
+    at the bound of its current mode, like the per-path kernels.
 
-    Every step works from one mode-group plan: the stable sort of the paths
-    by mode and each mode's slice of it (:meth:`groups`).  The plan is
-    rebuilt only after a mode changes (a thinning or bernoulli jump, a
-    coupling move) or :meth:`keep` drops paths.  :meth:`coefficients`
-    evaluates ``drift`` and ``diffusion`` once per group on the current
-    states and keeps them until the step moves the states or the plan is
-    rebuilt; the Euler step and the Dynkin generator of
-    :mod:`switchsde.verify` (through :meth:`live_groups`) share them, and
-    the step does one update, one noise contraction and one scatter for
-    the whole ensemble.  Under bernoulli, history-free jumps are drawn per
-    group by a search in the mode's cached running sums, so only occupied
-    modes are ever probed.
+    Every step works from one mode-group plan (:meth:`groups`): the paths
+    not blown up, stably sorted by mode, and each mode's slice of that
+    order, rebuilt only after a mode changes, a path blows up (it is
+    parked at 0) or :meth:`keep` drops paths.  :meth:`coefficients`
+    evaluates ``drift`` and ``diffusion`` once per group into plan-ordered
+    arrays, which the Euler step and the Dynkin generator of
+    :mod:`switchsde.verify` share.  Under bernoulli, history-free jumps are
+    drawn per group from the mode's cached running sums.
 
     One shared stream (seed, 1) drives all paths with a fixed per-step draw
     order (the Brownian increments, then the mode draws in path order), so
-    results depend on the config and ``n_paths``, never on thread counts.
-    Mode changes take effect at the following grid step; the embedded
-    chain itself is exact for the thinning scheme and O(dt) for the
-    bernoulli scheme, given the grid history.
+    results depend only on the config and ``n_paths``.  Mode changes take
+    effect at the following grid step; the embedded chain is exact under
+    thinning and O(dt) under bernoulli, given the grid history.
 
     With ``qhat`` each path carries a second mode in ``modes_hat`` that
     runs the basic coupling against the chain of ``qhat``, always by
@@ -533,20 +526,29 @@ class BatchEnsemble:
         self._order = self._groups = self._coef = None
 
     def groups(self) -> list:
-        """Mode groups of the current plan, ascending in mode.
+        """Mode groups of the current plan, ascending in mode, without blown-up paths.
 
         Each is (mode, paths, rows): the group's path indices in plan order
         and their slice of the plan-ordered arrays of :meth:`coefficients`.
         """
         if self._groups is None:
-            n = self.n_paths
-            self._order = order = np.argsort(self.modes, kind="stable")
+            live = np.flatnonzero(~self.blown) if self.blown.any() else None
+            key = self.modes if live is None else self.modes[live]
+            n = key.size
+            order = np.argsort(key, kind="stable")
+            self._order = order = order if live is None else live[order]
             modes = self.modes[order]
             cuts = [0, *(np.flatnonzero(modes[1:] != modes[:-1]) + 1).tolist(), n] if n else [0]
             self._groups = [
                 (int(modes[a]), order[a:b], slice(a, b)) for a, b in zip(cuts, cuts[1:])
             ]
         return self._groups
+
+    @property
+    def order(self) -> np.ndarray:
+        """Path indices in plan order: the groups' paths one after another."""
+        self.groups()
+        return self._order
 
     def coefficients(self) -> tuple:
         """States, drifts and diffusions of every path in plan order.
@@ -559,31 +561,6 @@ class BatchEnsemble:
             with np.errstate(over="ignore", invalid="ignore"):
                 self._coef = self._evaluate()
         return self._coef
-
-    def live_groups(self, with_hist: bool = False, with_coefficients: bool = True):
-        """The plan's mode groups, restricted to paths not blown up.
-
-        Yields (mode, paths, x, drift, sigma, hist) per group: its path
-        indices and states, its drifts and diffusions from
-        :meth:`coefficients` (None without ``with_coefficients``; sigma is
-        None under zero diffusion), and its history stack (n_samples, P,
-        dim) with ``with_hist``, else None.
-        """
-        coef = self.coefficients() if with_coefficients else None
-        live = ~self.blown
-        for v, paths, rows in self.groups():
-            ok = live[paths]
-            if not ok.all():
-                if not ok.any():
-                    continue
-                paths, rows = paths[ok], np.arange(rows.start, rows.stop)[ok]
-            hist = self.history(paths) if with_hist else None
-            if coef is None:
-                yield v, paths, self.x[paths], None, None, hist
-            else:
-                xs, drift, sigma = coef
-                sig = None if sigma is None else sigma[rows]
-                yield v, paths, xs[rows], drift[rows], sig, hist
 
     def _evaluate(self) -> tuple:
         model, groups = self.model, self.groups()
@@ -638,9 +615,10 @@ class BatchEnsemble:
         paths of the index array ``paths`` when it is given."""
         if self._hist is None:
             return None
-        m = self._hist.shape[0]
+        m, p, dim = self._hist.shape
         chron = (self._head + np.arange(m)) % m
-        return self._hist[chron] if paths is None else self._hist[np.ix_(chron, paths)]
+        flat = (chron[:, None] * p + (np.arange(p) if paths is None else paths)).ravel()
+        return np.take(self._hist.reshape(m * p, dim), flat, axis=0).reshape(m, -1, dim)
 
     def window_norms(self, paths) -> np.ndarray:
         """History-window sup-norm of each path in ``paths`` (index or mask)."""
@@ -677,14 +655,16 @@ class BatchEnsemble:
         if not np.isfinite(self.x).all():
             bad = ~np.isfinite(self.x).all(axis=1)
             self.blown |= bad
-            self.x[bad] = 0.0  # park blown paths; callers exclude via .blown
+            self.x[bad] = 0.0  # park blown paths outside the plan
+            self._invalidate()
 
     def _move(self, p: int, j: int) -> None:
         """Apply path p's jump to mode j."""
         if j != self.modes[p]:
             self.modes[p] = j
             self.jumps += 1
-            self._invalidate()
+            if not self.blown[p]:  # a blown path is not in the plan
+                self._invalidate()
 
     def _update_modes_bernoulli(self):
         scale = 1.0 / self.cfg.dt

@@ -12,13 +12,15 @@ included.  It draws every path from the one stream (seed, 1), so results
 are reproducible bit-for-bit, depend on ``n_paths``, and ignore the
 ``threads`` argument, which is kept for compatibility.  Stop rules are
 masks over the ensemble, and finished paths leave the arrays.  The
-Dynkin generator works on the engine's mode groups and reads the drift
-and diffusion the engine evaluates for its own step; trapezoid weights
-are built once per kernel and mode in a run.  Models without batch
-support run the per-path engine (:func:`~switchsde.sim.simulate`, streams
-(seed, 0, k)) path after path; it also serves the tests as the reference
-oracle.  In both engines a path contributes nothing from its blow-up
-on.
+Dynkin generator takes one pass per step over the engine's plan-ordered
+states and coefficients, those of its own Euler step: one drift term, one
+diffusion contraction, V(., j) once per mode the switching sums read, and
+one scatter; trapezoid weights are built once per kernel and mode in a
+run.  Models without batch support run the per-path engine
+(:func:`~switchsde.sim.simulate`, streams (seed, 0, k)) path after path,
+with one-group calls of the same pass; it also serves the tests as the
+reference oracle.  In both engines a path contributes nothing from its
+blow-up on.
 """
 
 from __future__ import annotations
@@ -116,13 +118,14 @@ def apply_generator(V: ProductFunctional, model: ModelSpec, seg: Segment, i: int
 
 
 def _apply(V, model: ModelSpec, seg: Segment, i: int, trap) -> float:
-    """:func:`apply_generator` with the trapezoid weights of ``trap``."""
+    """:func:`apply_generator` as a group of one, with the weights of ``trap``."""
     x, hist = _one_path(V, seg)
     row = model.rates_row(seg, i)
     rates = np.fromiter(row.values(), float, len(row))[None, :]
     drift = np.asarray(model.drift(x, i), dtype=float)
     sigma = None if model.zero_diffusion else np.asarray(model.diffusion(x, i), dtype=float)
-    return float(_generator(V, x, hist, i, list(row), rates, drift, sigma, trap)[0])
+    plan = [(i, slice(0, 1), list(row), rates)]
+    return float(_generator(V, x, drift, sigma, hist, plan, trap)[0])
 
 
 def _one_path(V: ProductFunctional, seg: Segment) -> tuple:
@@ -131,19 +134,18 @@ def _one_path(V: ProductFunctional, seg: Segment) -> tuple:
     return seg.terminal()[None, :], hist
 
 
-def _as_batch(arr, batch: int, trailing: tuple) -> np.ndarray:
-    """Broadcast a callback result to (batch, *trailing)."""
+def _as_batch(arr, batch: int) -> np.ndarray:
+    """Broadcast a callback result to (batch,)."""
     arr = np.asarray(arr, dtype=float)
-    want = (batch,) + trailing
-    if arr.shape == want:
+    if arr.shape == (batch,):
         return arr
-    return np.broadcast_to(arr, want)
+    return np.broadcast_to(arr, (batch,))
 
 
 def _window_f2(V: ProductFunctional, hist: np.ndarray, i: int) -> np.ndarray:
     """f2 on every window sample of every path in one call, shape (m, P)."""
     m, p, n = hist.shape
-    return _as_batch(V.f2(hist.reshape(m * p, n), i), m * p, ()).reshape(m, p)
+    return _as_batch(V.f2(hist.reshape(m * p, n), i), m * p).reshape(m, p)
 
 
 class _Trapezoid:
@@ -167,43 +169,59 @@ class _Trapezoid:
         return w @ f2h
 
 
-def _values(V, x, hist, i: int, trap: _Trapezoid, f2h=None) -> np.ndarray:
-    """V(., i) on P paths: states x (P, n), windows hist (m, P, n) or None.
-
-    ``f2h`` may pass f2 on the windows in mode i when the caller has it.
-    """
-    out = _as_batch(V.f1(x, i), x.shape[0], ())
+def _values(V, x, hist, i: int, trap: _Trapezoid) -> np.ndarray:
+    """V(., i) on P paths: states x (P, n), windows hist (m, P, n) or None."""
+    out = _as_batch(V.f1(x, i), x.shape[0])
     if V.f2 is None:
         return out
-    return out + trap(V.g, i, _window_f2(V, hist, i) if f2h is None else f2h)
+    return out + trap(V.g, i, _window_f2(V, hist, i))
 
 
-def _generator(V, x, hist, i: int, targets, rates, drift, sigma, trap) -> np.ndarray:
-    """LV(., i) on P paths in mode i.
+def _generator(V, x, drift, sigma, hist, plan, trap) -> np.ndarray:
+    """LV on P paths grouped by mode, in one pass.
 
-    ``drift`` (P, n) and ``sigma`` (P, n, d), or None without noise, are
-    the model's coefficients at x in mode i.  ``rates`` (P, K), or (1, K)
-    when every path shares one row, holds each path's rate q_ij to
-    ``targets[k]``.
+    ``plan`` lists the mode groups as (i, rows, targets, rates): a slice of
+    the P rows and the rates q_ij to ``targets[k]``, per path (P_i, K) or
+    shared (1, K).  x (P, n), drift (P, n), sigma (P, n, d) or None, and
+    the windows hist (m, P, n) when V has a time kernel, are row-aligned.
+    ``grad_f1`` and ``hess_f1`` run once per group; f1 once on all rows per
+    mode that a group is in or can jump to, and f2 once per such group.
     """
-    p, n = x.shape
-    grad = _as_batch(V.grad_f1(x, i), p, (n,))
+    grad = np.empty(x.shape)
+    hess = None if sigma is None else np.empty(x.shape + x.shape[-1:])
+    readers: dict = {}
+    for i, rows, targets, _ in plan:
+        grad[rows] = V.grad_f1(x[rows], i)
+        if hess is not None:
+            hess[rows] = V.hess_f1(x[rows], i)
+        for j in dict.fromkeys((i, *targets)):  # a row that lists i reads V(., i) once
+            readers.setdefault(j, []).append((i, rows))
     lv = (grad * drift).sum(axis=-1)
     if sigma is not None:
-        hess = np.asarray(V.hess_f1(x, i), dtype=float)
-        a = hess @ (sigma @ np.swapaxes(sigma, -1, -2))
-        lv = lv + 0.5 * a.trace(axis1=-2, axis2=-1)
-    f2h = None
-    if V.f2 is not None:
-        f2h = _window_f2(V, hist, i)
-        lv = lv + float(V.g(0.0, i)) * f2h[-1]
-        lv = lv - float(V.g(-trap.delay, i)) * f2h[0]
-        lv = lv - trap(V.dg, i, f2h)
-    if targets:
-        vi = _values(V, x, hist, i, trap, f2h)
-        dv = np.array([_values(V, x, hist, j, trap) for j in targets]) - vi
-        lv = lv + (rates[0] @ dv if rates.shape[0] == 1 else (rates * dv.T).sum(axis=-1))
+        # tr(H sigma sigma^T); with d = 1 each product rounds as (sigma sigma^T)_ji H_ij
+        lv = lv + 0.5 * np.einsum("...jk,...ik,...ij->...", sigma, sigma, hess)
+    vals = {}
+    for j, groups in readers.items():
+        vals[j] = v = np.array(_as_batch(V.f1(x, j), len(x)))  # a copy: f2 adds into it
+        for i, rows in groups if V.f2 is not None else ():
+            f2h = _window_f2(V, hist[:, rows], j)
+            v[rows] += trap(V.g, j, f2h)
+            if i == j:  # the time part of LV in mode j
+                lv[rows] += float(V.g(0.0, j)) * f2h[-1]
+                lv[rows] -= float(V.g(-trap.delay, j)) * f2h[0]
+                lv[rows] -= trap(V.dg, j, f2h)
+    for i, rows, targets, rates in plan:
+        if len(targets):
+            dv = np.array([vals[j][rows] for j in targets]) - vals[i][rows]
+            lv[rows] += rates[0] @ dv if rates.shape[0] == 1 else (rates * dv.T).sum(axis=-1)
     return lv
+
+
+def _ensemble_generator(V, e: BatchEnsemble, trap) -> tuple:
+    """LV on the paths of the engine's plan, from its own coefficients: (paths, LV)."""
+    hist = None if V.f2 is None else e.history(e.order)
+    plan = [(v, rows, *e.rate_table(paths, v)) for v, paths, rows in e.groups()]
+    return e.order, _generator(V, *e.coefficients(), hist, plan, trap)
 
 
 def _quiet(cfg: SimConfig) -> SimConfig:
@@ -545,14 +563,14 @@ def dynkin_residual(
         trap = _Trapezoid(model.delay, dt)
 
         def on_step(e: BatchEnsemble):
-            for v, paths, x, drift, sigma, hist in e.live_groups(with_hist):
-                targets, rates = e.rate_table(paths, v)
-                acc[paths] += _generator(V, x, hist, v, targets, rates, drift, sigma, trap) * dt
+            paths, lv = _ensemble_generator(V, e, trap)
+            acc[paths] += lv * dt
 
         be.run(n_steps, on_step=on_step)
         vt = np.zeros(n_paths)
-        for v, paths, x, _, _, hist in be.live_groups(with_hist, with_coefficients=False):
-            vt[paths] = _values(V, x, hist, v, trap)
+        for v, paths, _ in be.groups():
+            hist = be.history(paths) if with_hist else None
+            vt[paths] = _values(V, be.x[paths], hist, v, trap)
         keep = ~be.blown
         resid = vt[keep] - v0 - acc[keep]
         return _collect(resid, n_paths)

@@ -69,3 +69,45 @@ def ou_family_nu(k):
 def ladder_nu(k):
     """Closed-form stationary weights of the return-to-base ladder."""
     return 2.0 ** (-k)
+
+
+def group_generator(V, x, hist, i, targets, rates, drift, sigma, delay, dt):
+    """LV(., i) on the P paths of one mode group, term by term.
+
+    States x (P, n), windows hist (m, P, n) or None, drift (P, n), sigma
+    (P, n, d) or None, and rates (P, K) or (1, K) to ``targets``.  The
+    trapezoid weights on the window grid -delay + dt * k are rebuilt here.
+    """
+    p, n = x.shape
+    m = None if hist is None else hist.shape[0]
+
+    def trapezoid(kernel, mode, f2h):
+        w = np.full(m, dt)
+        w[0] = w[-1] = 0.5 * dt
+        w *= [float(kernel(s, mode)) for s in (-delay + dt * np.arange(m)).tolist()]
+        return w @ f2h
+
+    def windows(mode):
+        return np.broadcast_to(V.f2(hist.reshape(m * p, n), mode), (m * p,)).reshape(m, p)
+
+    def value(mode):
+        out = np.broadcast_to(V.f1(x, mode), (p,))
+        if V.f2 is None:
+            return out
+        return out + trapezoid(V.g, mode, windows(mode))
+
+    grad = np.broadcast_to(V.grad_f1(x, i), (p, n))
+    lv = (grad * drift).sum(axis=-1)
+    if sigma is not None:
+        hess = np.asarray(V.hess_f1(x, i), dtype=float)
+        a = hess @ (sigma @ np.swapaxes(sigma, -1, -2))
+        lv = lv + 0.5 * a.trace(axis1=-2, axis2=-1)
+    if V.f2 is not None:
+        f2h = windows(i)
+        lv = lv + float(V.g(0.0, i)) * f2h[-1]
+        lv = lv - float(V.g(-delay, i)) * f2h[0]
+        lv = lv - trapezoid(V.dg, i, f2h)
+    if len(targets):
+        dv = np.array([value(j) for j in targets]) - value(i)
+        lv = lv + (rates[0] @ dv if rates.shape[0] == 1 else (rates * dv.T).sum(axis=-1))
+    return lv

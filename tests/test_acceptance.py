@@ -163,7 +163,8 @@ MODE_INDICATOR = ProductFunctional(
 
 
 def test_criterion_4_dynkin_residual_suite():
-    with criterion("dynkin residual suite", budget_s=120.0):
+    # 1.4-2.0 s in full-suite runs on 2 cores: the budget keeps 4x headroom
+    with criterion("dynkin residual suite", budget_s=8.0):
         cfg = SimConfig(dt=1e-3, horizon=1.0, seed=2024)
         phi0 = Segment.make_constant([0.0], 1.0, cfg.dt)
         phi1 = Segment.make_constant([1.0], 1.0, cfg.dt)

@@ -282,3 +282,21 @@ def test_certified_totals_stable_across_truncation():
     totals = [certify_recurrence(lin, n).total for n in (15, 25, 40)]
     assert all(t < 0 for t in totals)
     assert max(totals) - min(totals) < 1e-6
+
+
+def test_finite_mode_space_caps_the_truncation():
+    # predator_prey's limiting generator lives on modes 1..n_max = 50; any N
+    # past it truncates nothing, so the tail is exactly empty
+    lin = registry_get("predator_prey", {})[1]
+    assert lin.qhat.n_modes == 50
+    certs = [certify_recurrence(lin, n) for n in (50, 51, 100, 1000, 100_000)]
+    for cert in certs:
+        assert cert.nu.truncation == 50
+        assert cert.tail_mass == 0.0 and cert.tail_bound == 0.0
+        assert cert.tail_mass_source == "finite_modes"
+        assert cert.verdict == certs[0].verdict
+        assert cert.partial_sum == certs[0].partial_sum
+        assert cert.total == certs[0].total
+    assert truncate(lin.qhat, 10_000).size == 50
+    assert truncate(lin.qhat, 20).size == 20
+    assert certify_recurrence(lin, 20).tail_mass_source == "extrapolated"

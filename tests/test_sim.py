@@ -326,6 +326,23 @@ def test_batch_blow_up_parks_paths():
     assert np.isfinite(eng.x).all()
 
 
+def test_batch_blown_paths_leave_the_plan():
+    # a blown path stays parked at 0 outside the plan, and its later jumps
+    # leave the plan as it is
+    model = batch_model(
+        two_mode_rates(1.0, 1.0), 1.0, drift=lambda x, i: np.asarray(x, dtype=float) ** 3
+    )
+    phi0 = Segment.make_constant([10.0], 1.0, 0.1)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=0.1, horizon=6.0, seed=0), 5,
+                        track_history=True)
+    eng.run(30)
+    assert eng.blown.all() and eng.groups() == []
+    plan, jumps = eng.groups(), eng.jumps
+    eng.run(20)
+    assert eng.jumps > jumps and eng.groups() is plan
+    assert not eng.x.any() and not eng.history().any()
+
+
 def test_rows_above_the_bound_raise():
     # the model declares rate_bound 1.0, but mode 1 leaves at total rate 1.5
     model = plain_model(lambda x, i: np.zeros(1), rates=two_mode_rates(1.5, 0.5), bound=1.0)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import group_generator
 
 from switchsde.chain import SparseGenerator
 from switchsde.model import Linearization, ModelSpec
@@ -14,6 +15,7 @@ from switchsde.verify import (
     ProductFunctional,
     apply_generator,
     coupling_decay,
+    _ensemble_generator,
     _Trapezoid,
     dynkin_residual,
     estimate_hitting_time,
@@ -448,3 +450,163 @@ def test_trapezoid_keeps_weights_per_kernel():
     for _ in range(3):
         assert trap(k.g, 1, f2h)[0] == pytest.approx(0.5)
         assert trap(k.dg, 1, f2h)[0] == pytest.approx(1.0)
+
+
+def plane_model(rates_depend_on_path: bool, blow: float = 0.0) -> ModelSpec:
+    """Planar three-mode model with a full, state-dependent noise matrix.
+
+    With ``rates_depend_on_path`` the rates read the window's sup-norm, and
+    mode 1 reaches mode 3 only from paths whose window left the unit ball,
+    so paths in one group carry different target sets.  ``blow`` adds a
+    cubic drift in mode 3 that blows paths up within a few steps there.
+    """
+    mix = np.array([[0.3, -0.2], [0.1, 0.4]])
+
+    def drift(x, i):
+        x = np.asarray(x, dtype=float)
+        cubic = blow * (i == 3) * x * (x * x).sum(axis=-1, keepdims=True)
+        return -0.4 * i * x + 0.1 * np.sin(x[..., ::-1]) + cubic
+
+    def diffusion(x, i):
+        x = np.asarray(x, dtype=float)
+        return mix * (1.0 + 0.1 * i) + 0.05 * x[..., :, None] * x[..., None, :]
+
+    def rates(seg, i):
+        lift = 1.0 / (1.0 + seg.sup_norm()) if rates_depend_on_path else 0.5
+        row = {j: 0.4 + 0.3 * lift + 0.1 * j for j in (1, 2, 3) if j != i}
+        if rates_depend_on_path and i == 1 and seg.sup_norm() <= 1.0:
+            del row[3]
+        return row
+
+    return ModelSpec(
+        dim=2,
+        brownian_dim=2,
+        drift=drift,
+        diffusion=diffusion,
+        rates_row=rates,
+        rate_bound=2.5,
+        delay=0.5,
+        supports_batch=True,
+        rates_depend_on_path=rates_depend_on_path,
+    )
+
+
+# V = x^T A x + sin(x1 x2) / i + int e^s |phi(s)|^2 (1 + s / i) ds: a
+# Hessian with off-diagonal entries and a kernel that depends on the mode
+_A = np.array([[1.0, 0.3], [0.3, 0.5]])
+PLANE_V = ProductFunctional(
+    f1=lambda x, i: np.einsum("...j,jk,...k->...", x, _A, x) + np.sin(x[..., 0] * x[..., 1]) / i,
+    grad_f1=lambda x, i: 2.0 * x @ _A + (np.cos(x[..., 0] * x[..., 1]) / i)[..., None] * x[..., ::-1],
+    hess_f1=lambda x, i: 2.0 * _A
+    + (np.cos(x[..., 0] * x[..., 1]) / i)[..., None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
+    - (np.sin(x[..., 0] * x[..., 1]) / i)[..., None, None]
+    * x[..., ::-1, None] * x[..., None, ::-1],
+    f2=lambda x, i: (np.asarray(x) ** 2).sum(axis=-1) * (1.0 + 0.5 * i),
+    g=lambda s, i: math.exp(s) * (1.0 + s / i),
+    dg=lambda s, i: math.exp(s) * (1.0 + (1.0 + s) / i),
+)
+
+
+def oracle_step(V, e: BatchEnsemble, trap) -> dict:
+    """LV per live path, one mode group at a time with the test oracle,
+    next to the sum of the absolute products in tr(H sigma sigma^T), which
+    scales the rounding of any order of that sum."""
+    out = {}
+    for v, paths, _ in e.groups():
+        paths = paths[~e.blown[paths]]
+        if paths.size == 0:
+            continue
+        x = e.x[paths]
+        hist = e.history(paths) if V.f2 is not None else None
+        drift = np.asarray(e.model.drift(x, v), dtype=float)
+        sigma = np.asarray(e.model.diffusion(x, v), dtype=float)
+        targets, rates = e.rate_table(paths, v)
+        lv = group_generator(V, x, hist, v, targets, rates, drift, sigma, trap.delay, trap.dt)
+        hess = np.broadcast_to(V.hess_f1(x, v), x.shape + x.shape[-1:])
+        mag = 0.5 * np.einsum("pjk,pik,pij->p", abs(sigma), abs(sigma), abs(hess))
+        out.update(zip(paths.tolist(), zip(lv.tolist(), mag.tolist())))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("rates_depend_on_path", [False, True])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_ensemble_generator_matches_group_oracle(rates_depend_on_path, seed):
+    # random plans: 40 paths spread over three modes by the chain itself,
+    # and paths that stay in mode 3 blow up there
+    model = plane_model(rates_depend_on_path, blow=40.0)
+    dt = 1.0 / 32
+    phi0 = Segment.make_constant([0.9, -0.6], model.delay, dt)
+    e = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=2.0, seed=seed), 40,
+                      track_history=True)
+    trap = _Trapezoid(model.delay, dt)
+    for _ in range(32):
+        paths, lv = _ensemble_generator(PLANE_V, e, trap)
+        ref = oracle_step(PLANE_V, e, trap)
+        assert sorted(paths.tolist()) == sorted(ref)
+        want, mag = np.array([ref[p] for p in paths.tolist()]).T.reshape(2, -1)
+        ok = np.isfinite(want)  # a path about to blow up may overflow V
+        assert np.array_equal(np.isfinite(lv), ok)
+        # einsum sums tr(H sigma sigma^T) in its own order: rounding only
+        assert (np.abs(lv - want)[ok] <= 1e-14 * (np.abs(want) + mag)[ok]).all()
+        e.step()
+    assert 10 <= e.blown.sum() < e.n_paths and len(e.groups()) == 3
+
+
+def test_ensemble_generator_is_bit_identical_in_one_dimension():
+    # with n = d = 1 the ensemble pass does the oracle's arithmetic exactly
+    model = scalar_spec(
+        lambda x, i: -0.7 * i * np.asarray(x, dtype=float),
+        diffusion=lambda x, i: 0.3 * i * np.asarray(x, dtype=float)[..., None] + 0.1,
+        rates=lambda seg, i: {j: 0.5 + 0.1 * j / (1.0 + seg.sup_norm()) for j in (1, 2, 3) if j != i},
+        bound=2.0,
+        batch=True,
+    )
+    model = replace(model, rates_depend_on_path=True)
+    fn = ProductFunctional(
+        f1=lambda x, i: np.cos(x[..., 0]) * i, grad_f1=lambda x, i: -np.sin(x) * i,
+        hess_f1=lambda x, i: -np.cos(x)[..., None] * i * 0.7,
+        f2=lambda x, i: x[..., 0] ** 3 / i, g=lambda s, i: 0.3 + s * s, dg=lambda s, i: 2.0 * s,
+    )
+    dt = 1.0 / 16
+    phi0 = Segment.make_constant([1.2], model.delay, dt)
+    e = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=2.0, seed=8), 30,
+                      track_history=True)
+    trap = _Trapezoid(model.delay, dt)
+    for _ in range(20):
+        paths, lv = _ensemble_generator(fn, e, trap)
+        ref = oracle_step(fn, e, trap)
+        assert lv.tolist() == [ref[p][0] for p in paths.tolist()]
+        e.step()
+    assert len(e.groups()) == 3
+
+
+@pytest.mark.parametrize("with_kernel", [False, True])
+def test_generator_evaluates_f1_once_per_needed_mode(with_kernel):
+    # every mode can jump to both others, so evaluating f1 per (group,
+    # target) pair would call mode 1 from groups 2 and 3 in the same step
+    calls = []
+
+    def f1(x, i):
+        calls.append(i)
+        return (np.asarray(x, dtype=float) ** 2).sum(axis=-1) * i
+
+    fn = replace(PLANE_V, f1=f1) if with_kernel else replace(
+        PLANE_V, f1=f1, f2=None, g=None, dg=None)
+    model = plane_model(False)
+    dt = 1.0 / 32
+    phi0 = Segment.make_constant([0.9, -0.6], model.delay, dt)
+    e = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=2.0, seed=6), 60,
+                      track_history=with_kernel)
+    trap = _Trapezoid(model.delay, dt)
+    full = 0
+    for _ in range(30):
+        calls.clear()
+        _ensemble_generator(fn, e, trap)
+        needed = {v for v, _, _ in e.groups()}
+        needed |= {j for v in list(needed) for j in model.rates_row(None, v)}
+        assert sorted(calls) == sorted(set(calls))
+        assert set(calls) == needed
+        full += len(e.groups()) == 3
+        e.step()
+    assert full > 10
