@@ -81,7 +81,9 @@ class Certificate:
     mass, ``rounding_bound`` the floating-point error bound
     gamma_N * sum_i |nu_i c_i| of the partial sum (gamma_N = N u / (1 - N u),
     u = 2^-53), and the verdict is CERTIFIED only when their total clears
-    the margin and every assumption flag holds.
+    the margin and every assumption flag holds.  ``reason`` names what
+    decided it: the first failing flag in sorted order, "partial sum >= 0",
+    "tail bound", "margin" or "certified".
     """
 
     claim: str
@@ -96,6 +98,7 @@ class Certificate:
     margin_frac: float
     assumption_flags: dict
     verdict: str
+    reason: str
 
     @property
     def total(self) -> float:
@@ -118,6 +121,7 @@ class Certificate:
             "total": float(self.total),
             "assumptions": {k: bool(v) for k, v in sorted(self.assumption_flags.items())},
             "verdict": self.verdict,
+            "reason": self.reason,
         }
 
 
@@ -279,8 +283,11 @@ def _certify(
 
     upper = partial + tail_bound + rounding_bound
     margin = margin_frac * abs(partial)
-    certified = (upper < 0.0) and (upper <= -margin)
-    verdict = CERTIFIED if certified and all(flags.values()) else INCONCLUSIVE
+    failed = [k for k, ok in sorted(flags.items()) if not ok]
+    tests = ((partial < 0.0, "partial sum >= 0"), (upper < 0.0, "tail bound"),
+             (upper <= -margin, "margin"))  # written so that NaN fails each
+    reason = failed[0] if failed else next((why for ok, why in tests if not ok), "certified")
+    verdict = CERTIFIED if reason == "certified" else INCONCLUSIVE
     return Certificate(
         claim=claim,
         form=form,
@@ -294,6 +301,7 @@ def _certify(
         margin_frac=margin_frac,
         assumption_flags=flags,
         verdict=verdict,
+        reason=reason,
     )
 
 

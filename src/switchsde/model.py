@@ -40,10 +40,13 @@ class ModelSpec:
     """Coefficients and switching rates of one model.
 
     ``drift(x, i) -> (n,)`` and ``diffusion(x, i) -> (n, d)`` are evaluated
-    pointwise; registry families also accept a leading batch axis on ``x``.
-    ``rates_row(seg, i) -> {j: rate}`` returns the off-diagonal rates out of
-    mode i given the history window; ``rate_bound`` must dominate every
-    total row rate.  ``mode_rate_bound(i)`` (optional) is a bound for the
+    pointwise.  ``rates_row(seg, i) -> {j: rate}`` returns the off-diagonal
+    rates out of mode i given the history window; ``rate_bound`` must
+    dominate every total row rate.  ``supports_batch`` declares that drift
+    and diffusion accept a leading path axis on ``x``, and that
+    ``rates_row`` accepts a :class:`~switchsde.segment.SegmentBatch` of P
+    windows, with keys that depend on the mode only and each rate a scalar
+    or a (P,) array.  ``mode_rate_bound(i)`` (optional) is a bound for the
     rows out of mode i alone, on every history, at most ``rate_bound``;
     thinning clocks run at it while the chain sits in mode i.
     ``post_step`` (optional) projects the state after each update, e.g.

@@ -150,7 +150,7 @@ def _controlled_scalar(params: dict):
         return out
 
     def rates_row(seg, i):
-        z = float(np.linalg.norm(seg.value_at(-seg.delay)))
+        z = np.linalg.norm(seg.value_at(-seg.delay), axis=-1)
         if i == 1:
             return {2: z / (c_rate(1) + z)}
         r = z / (c_rate(i) + z)
@@ -244,9 +244,8 @@ def _predator_prey(params: dict):
         x = np.asarray(x, dtype=float)
         return sigma * x[..., None]
 
-    def feed_level(seg) -> float:
-        v = float(seg.integrate_against(weights)[0])
-        return min(max(v, 0.0), phi_cap)
+    def feed_level(seg):
+        return np.minimum(np.maximum(seg.integrate_against(weights)[..., 0], 0.0), phi_cap)
 
     def rates_row(seg, n):
         row = {}

@@ -7,7 +7,38 @@ import numpy as np
 _GRID_TOL = 1e-9
 
 
-class Segment:
+class _Window:
+    """Reads of a ring of grid samples: ``_slot(k)`` copies ring slot k, of shape ``_shape``."""
+
+    __slots__ = ()
+
+    def value_at(self, s: float) -> np.ndarray:
+        """Linearly interpolated value at offset ``s`` in [-r, 0]."""
+        s = float(s)
+        if s < -self.delay - _GRID_TOL or s > _GRID_TOL:
+            raise ValueError(f"offset {s} outside [{-self.delay}, 0]")
+        u = (s + self.delay) / self.dt
+        m = self._buf.shape[0]
+        u = min(max(u, 0.0), m - 1.0)
+        k = int(u)
+        frac = u - k
+        lo = self._slot((self._head + k) % m)
+        if frac <= _GRID_TOL or k == m - 1:
+            return lo
+        hi = self._slot((self._head + k + 1) % m)
+        if frac >= 1.0 - _GRID_TOL:
+            return hi
+        return (1.0 - frac) * lo + frac * hi
+
+    def integrate_against(self, weights) -> np.ndarray:
+        """Discrete pairing sum(w_k * phi(s_k)) for weights [(s_k, w_k), ...]."""
+        out = np.zeros(self._shape)
+        for s, w in weights:
+            out += float(w) * self.value_at(s)
+        return out
+
+
+class Segment(_Window):
     """Sliding window of a trajectory over the interval [-r, 0].
 
     Holds exactly ``r/dt + 1`` samples on a uniform grid, oldest first in
@@ -58,15 +89,6 @@ class Segment:
         n = int(round(float(delay) / float(dt))) + 1 if dt > 0 else 2
         return cls(np.tile(phi0, (max(n, 1), 1)), delay, dt)
 
-    @classmethod
-    def view(cls, buf: np.ndarray, head: int, delay: float, dt: float) -> "Segment":
-        """Window over the ring ``buf`` (n_samples, dim), oldest sample at
-        index ``head``, sharing its memory; the caller vouches for the grid."""
-        seg = object.__new__(cls)
-        seg.delay, seg.dt, seg.dim = delay, dt, buf.shape[1]
-        seg._buf, seg._head = buf, head
-        return seg
-
     @property
     def n_samples(self) -> int:
         return self._buf.shape[0]
@@ -86,23 +108,10 @@ class Segment:
         self._buf[self._head] = x
         self._head = (self._head + 1) % self._buf.shape[0]
 
-    def value_at(self, s: float) -> np.ndarray:
-        """Linearly interpolated value at offset ``s`` in [-r, 0]."""
-        s = float(s)
-        if s < -self.delay - _GRID_TOL or s > _GRID_TOL:
-            raise ValueError(f"offset {s} outside [{-self.delay}, 0]")
-        u = (s + self.delay) / self.dt
-        m = self._buf.shape[0]
-        u = min(max(u, 0.0), m - 1.0)
-        k = int(u)
-        frac = u - k
-        lo = self._buf[(self._head + k) % m]
-        if frac <= _GRID_TOL or k == m - 1:
-            return lo.copy()
-        if frac >= 1.0 - _GRID_TOL:
-            return self._buf[(self._head + k + 1) % m].copy()
-        hi = self._buf[(self._head + k + 1) % m]
-        return (1.0 - frac) * lo + frac * hi
+    _shape = property(lambda self: (self.dim,))
+
+    def _slot(self, k: int) -> np.ndarray:
+        return self._buf[k].copy()
 
     def terminal(self) -> np.ndarray:
         """Newest sample, the current state phi(0)."""
@@ -113,13 +122,6 @@ class Segment:
         """Max Euclidean norm over the grid samples."""
         return float(np.sqrt((self._buf * self._buf).sum(axis=1).max()))
 
-    def integrate_against(self, weights) -> np.ndarray:
-        """Discrete pairing sum(w_k * phi(s_k)) for weights [(s_k, w_k), ...]."""
-        out = np.zeros(self.dim)
-        for s, w in weights:
-            out += float(w) * self.value_at(s)
-        return out
-
     def copy(self) -> "Segment":
         return Segment(self.samples, self.delay, self.dt)
 
@@ -128,3 +130,31 @@ class Segment:
             f"Segment(delay={self.delay}, dt={self.dt}, dim={self.dim}, "
             f"n={self.n_samples})"
         )
+
+
+class SegmentBatch(_Window):
+    """History windows of the paths ``paths`` (an index array) in the ring
+    ``buf`` (n_samples, n_paths, dim), oldest sample at ``head``.
+
+    ``sup_norm``, ``value_at`` and ``integrate_against`` return one value
+    per path, (P,) or (P, dim), each equal to the path's own
+    :class:`Segment` read.  ``norms()``, when given, returns the sup-norm
+    of every path of the ring, so that views share one computation.
+    """
+
+    __slots__ = ("delay", "dt", "dim", "_buf", "_head", "_paths", "_norms")
+
+    def __init__(self, buf, head: int, paths, delay: float, dt: float, norms=None):
+        self.delay, self.dt, self.dim = delay, dt, buf.shape[2]
+        self._buf, self._head, self._paths, self._norms = buf, head, paths, norms
+
+    def sup_norm(self) -> np.ndarray:
+        if self._norms is not None:
+            return self._norms().take(self._paths)
+        h = self._buf.take(self._paths, axis=1)
+        return np.sqrt((h * h).sum(axis=2).max(axis=0))
+
+    _shape = property(lambda self: (len(self._paths), self.dim))
+
+    def _slot(self, k: int) -> np.ndarray:
+        return self._buf[k].take(self._paths, axis=0)

@@ -32,9 +32,10 @@ event time inside a step and is the reference oracle.
 stream (seed, 1), with the same target and coupling draws and
 history-dependent rates included; mode changes reach the state dynamics
 at the next grid step.  It groups the paths by mode once per mode change,
-not once per step, and evaluates drift and diffusion once per group and
-step into plan-ordered arrays that the Dynkin generator of
-:mod:`switchsde.verify` reads too.
+not once per step.  Per group and step it evaluates drift and diffusion
+once, into plan-ordered arrays that the Dynkin generator of
+:mod:`switchsde.verify` reads too, and reads history-dependent rates with
+one ``rates_row`` call on the group's :class:`~switchsde.segment.SegmentBatch`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import Linearization, ModelSpec
-from .segment import Segment
+from .segment import Segment, SegmentBatch
 
 __all__ = [
     "SimConfig",
@@ -440,11 +441,13 @@ class BatchEnsemble:
     """Vectorized fixed-grid integrator over a path ensemble.
 
     Requires ``model.supports_batch`` (drift and diffusion take a leading
-    path axis).  Rate rows that ignore the history are cached per mode.
-    With ``rates_depend_on_path`` the engine keeps the (n_samples,
-    n_paths, dim) history ring and reads every rate off a zero-copy
-    per-path :class:`Segment` view of it.  Each path's thinning clock runs
-    at the bound of its current mode, like the per-path kernels.
+    path axis, ``rates_row`` a :class:`SegmentBatch`).  Rate rows that
+    ignore the history are cached per mode.  With ``rates_depend_on_path``
+    the engine keeps the (n_samples, n_paths, dim) history ring and reads
+    the rows of paths in one mode with one ``rates_row`` call on their
+    batch view (:meth:`rate_table`), the window sup-norms coming once per
+    step from :meth:`sup_norms`.  Each path's thinning clock runs at the
+    bound of its current mode, like the per-path kernels.
 
     Every step works from one mode-group plan (:meth:`groups`): the paths
     not blown up, stably sorted by mode, and each mode's slice of that
@@ -452,8 +455,9 @@ class BatchEnsemble:
     parked at 0) or :meth:`keep` drops paths.  :meth:`coefficients`
     evaluates ``drift`` and ``diffusion`` once per group into plan-ordered
     arrays, which the Euler step and the Dynkin generator of
-    :mod:`switchsde.verify` share.  Under bernoulli, history-free jumps are
-    drawn per group from the mode's cached running sums.
+    :mod:`switchsde.verify` share.  Under bernoulli, jumps are drawn per
+    group from the running sums of its rates, and under thinning each
+    round of proposals reads its rows with one call per mode.
 
     One shared stream (seed, 1) drives all paths with a fixed per-step draw
     order (the Brownian increments, then the mode draws in path order), so
@@ -493,6 +497,7 @@ class BatchEnsemble:
         self.modes = np.full(self.n_paths, int(i0), dtype=int)
         self.blown = np.zeros(self.n_paths, dtype=bool)
         self.proposals = self.jumps = 0
+        self._sq = self._norms = None
         self._sqrt_dt = math.sqrt(cfg.dt)
         self._rows: dict[int, tuple] = {}
         self._probe_seg = phi0.copy()
@@ -589,26 +594,23 @@ class BatchEnsemble:
             self._rows[v] = (targets, rates, row, np.cumsum(rates / scale))
         return self._rows[v]
 
-    def _rates(self, p: int, v: int) -> dict:
-        """Rate row out of mode v for path p, read off its history window."""
-        if not self.model.rates_depend_on_path:
-            return self._row(v)[2]
-        seg = Segment.view(self._hist[:, p], self._head, *self._grid)
-        return self.model.rates_row(seg, v)
-
     def rate_table(self, paths, v: int) -> tuple:
-        """Targets (K,) and rates out of mode v for ``paths``.
+        """Targets (K,) and rates out of mode v for the index array ``paths``.
 
-        Rates come as a (len(paths), K) array, or as (1, K) when the rows
-        ignore the history; a target missing from a row has rate 0.
+        Rates come as a (len(paths), K) array from one ``rates_row`` call on
+        the paths' :class:`SegmentBatch`, or as (1, K) when the rows ignore
+        the history.
         """
         if not self.model.rates_depend_on_path:
             targets, rates, _, _ = self._row(v)
             return targets.tolist(), rates[None, :]
-        rows = [self._rates(p, v) for p in paths]
-        targets = sorted(set().union(*rows))
-        rates = np.array([[row.get(j, 0.0) for j in targets] for row in rows])
-        return targets, rates.reshape(len(rows), len(targets))
+        seg = SegmentBatch(self._hist, self._head, paths, *self._grid, norms=self.sup_norms)
+        row = self.model.rates_row(seg, v)
+        targets = sorted(row)
+        rates = np.empty((len(paths), len(targets)))
+        for k, j in enumerate(targets):
+            rates[:, k] = row[j]
+        return targets, rates
 
     def history(self, paths=None) -> Optional[np.ndarray]:
         """History stack (n_samples, n_paths, dim), oldest first; only the
@@ -620,10 +622,14 @@ class BatchEnsemble:
         flat = (chron[:, None] * p + (np.arange(p) if paths is None else paths)).ravel()
         return np.take(self._hist.reshape(m * p, dim), flat, axis=0).reshape(m, -1, dim)
 
-    def window_norms(self, paths) -> np.ndarray:
-        """History-window sup-norm of each path in ``paths`` (index or mask)."""
-        h = self._hist[:, paths]
-        return np.sqrt((h * h).sum(axis=2).max(axis=0))
+    def sup_norms(self) -> np.ndarray:
+        """History-window sup-norm of every path, once per step, from a ring of
+        squared sample norms made on first use and kept up at every push."""
+        if self._norms is None:
+            if self._sq is None:
+                self._sq = (self._hist * self._hist).sum(axis=2)
+            self._norms = np.sqrt(self._sq.max(axis=0))
+        return self._norms
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the paths where ``mask`` is False."""
@@ -634,6 +640,8 @@ class BatchEnsemble:
             self.modes_hat, self.decoupled = self.modes_hat[mask], self.decoupled[mask]
         if self._hist is not None:
             self._hist = self._hist[:, mask]
+        if self._sq is not None:
+            self._sq, self._norms = self._sq[:, mask], None
         self.n_paths = self.x.shape[0]
         self._invalidate()
 
@@ -669,26 +677,45 @@ class BatchEnsemble:
     def _update_modes_bernoulli(self):
         scale = 1.0 / self.cfg.dt
         u = self.rng.random(self.n_paths)
-        if self.model.rates_depend_on_path:
-            for p, v in enumerate(self.modes.tolist()):
-                row = self._rates(p, v)
-                j = _pick_target(row, u[p], scale, v) if row else None
-                if j is not None:
-                    self._move(p, j)
-            return
         # the groups are disjoint, so moving one leaves the others' draws as they are
         for v, paths, _ in self.groups():
-            targets, _, _, cum = self._row(v)
-            jump = paths[u[paths] < cum[-1]] if cum.size else ()
-            if len(jump):
-                self.modes[jump] = targets[np.searchsorted(cum, u[jump], side="right")]
-                self.jumps += len(jump)
+            if self.model.rates_depend_on_path:
+                targets, rates = self.rate_table(paths, v)
+                targets, cum = np.array(targets, dtype=int), np.cumsum(rates / scale, axis=1)
+                if targets.size:  # a path's last running sum of rates is _pick_target's total
+                    _check_total(float(np.cumsum(rates, axis=1)[:, -1].max()), scale, f"mode {v}")
+            else:
+                targets, _, _, cum = self._row(v)
+            if not targets.size:
+                continue
+            up = u[paths]
+            at = (up < cum[..., -1]).nonzero()[0]
+            if at.size:  # _pick_target's pick is the number of running sums <= u
+                cum = cum if cum.ndim == 1 else cum[at]
+                self.modes[paths[at]] = targets[(cum <= up[at, None]).sum(axis=1)]
+                self.jumps += at.size
                 self._invalidate()
 
-    def _propose(self, p: int) -> None:
-        """One thinning proposal of the single chain of path p."""
+    def _round_rows(self, active: np.ndarray) -> list:
+        """Rate rows of the proposing paths ``active``, in order: one
+        :meth:`rate_table` per mode, or the cached rows when the rates
+        ignore the history."""
+        modes = self.modes[active].tolist()
+        if not self.model.rates_depend_on_path:
+            return [self._row(v)[2] for v in modes]
+        at: dict = {}
+        for a, v in enumerate(modes):
+            at.setdefault(v, []).append(a)
+        rows = [None] * len(modes)
+        for v, idx in at.items():
+            targets, rates = self.rate_table(active[idx], v)
+            for a, r in zip(idx, rates.tolist()):
+                rows[a] = dict(zip(targets, r))
+        return rows
+
+    def _propose(self, p: int, row: dict) -> None:
+        """One thinning proposal of the single chain of path p, rates ``row``."""
         v = int(self.modes[p])
-        row = self._rates(p, v)
         self.proposals += 1
         if row:
             j = _pick_target(row, self.rng.random(), self.model.thinning_bound(v), v)
@@ -697,10 +724,9 @@ class BatchEnsemble:
                 v = j
         self._next_ev[p] += _gap(self.rng, self.model.thinning_bound(v))
 
-    def _propose_pair(self, p: int) -> None:
-        """One thinning proposal of the coupled pair of path p."""
+    def _propose_pair(self, p: int, row: dict) -> None:
+        """One thinning proposal of the coupled pair of path p, rates ``row``."""
         pair = (int(self.modes[p]), int(self.modes_hat[p]))
-        row = self._rates(p, pair[0])
         ref = self.qhat.row(pair[1])
         bound = self._pair_bound(*pair)
         self.proposals += 1
@@ -720,8 +746,8 @@ class BatchEnsemble:
             active = np.flatnonzero(self._next_ev < t1)
             if active.size == 0:
                 break
-            for p in active.tolist():
-                propose(p)
+            for p, row in zip(active.tolist(), self._round_rows(active)):
+                propose(p, row)
 
     def step(self):
         """One grid step: advance states with current modes, then modes."""
@@ -732,7 +758,10 @@ class BatchEnsemble:
             self._update_modes_bernoulli()
         if self._hist is not None:
             self._hist[self._head] = self.x
+            if self._sq is not None:
+                self._sq[self._head] = (self.x * self.x).sum(axis=1)
             self._head = (self._head + 1) % self._hist.shape[0]
+            self._norms = None
         self.t += self.cfg.dt
 
     def run(self, n_steps: int, on_step: Optional[Callable] = None):

@@ -8,15 +8,16 @@ functionals V(phi, i) = f1(phi(0), i) + int_{-r}^0 g(s, i) f2(phi(s), i) ds.
 
 Every model that declares batch support runs through the vectorized
 engine :class:`~switchsde.sim.BatchEnsemble`, history-dependent rates
-included.  It draws every path from the one stream (seed, 1), so results
-are reproducible bit-for-bit, depend on ``n_paths``, and ignore the
-``threads`` argument, which is kept for compatibility.  Stop rules are
-masks over the ensemble, and finished paths leave the arrays.  The
-Dynkin generator takes one pass per step over the engine's plan-ordered
-states and coefficients, those of its own Euler step: one drift term, one
-diffusion contraction, V(., j) once per mode the switching sums read, and
-one scatter; trapezoid weights are built once per kernel and mode in a
-run.  Models without batch support run the per-path engine
+included: they are read per mode group, and the hitting rule reads the
+engine's window sup-norms of the step.  It draws every path from the one
+stream (seed, 1), so results are reproducible bit-for-bit, depend on
+``n_paths``, and ignore the ``threads`` argument, which is kept for
+compatibility.  Stop rules are masks over the ensemble, and finished
+paths leave the arrays.  The Dynkin generator takes one pass per step
+over the engine's plan-ordered states and coefficients, those of its own
+Euler step: one drift term, one diffusion contraction, V(., j) once per
+mode the switching sums read, and one scatter; trapezoid weights are
+built once per kernel and mode in a run.  Models without batch support run the per-path engine
 (:func:`~switchsde.sim.simulate`, streams (seed, 0, k)) path after path,
 with one-group calls of the same pass; it also serves the tests as the
 reference oracle.  In both engines a path contributes nothing from its
@@ -281,10 +282,7 @@ def estimate_hitting_time(
         return mode <= k0 and seg.sup_norm() <= radius
 
     def hit(e: BatchEnsemble) -> np.ndarray:
-        low = e.modes <= k0
-        if low.any():
-            low[low] = e.window_norms(low) <= radius
-        return low
+        return (e.modes <= k0) & (e.sup_norms() <= radius)
 
     return _collect(_first_times(model, phi0, i0, cfg, n_paths, stop, hit), n_paths)
 

@@ -217,7 +217,7 @@ def test_certificate_monotone_in_gain():
 def test_margin_requirement_can_block():
     _, lin = scalar_model(3.0)
     cert = certify_recurrence(lin, 30, margin_frac=2.0)
-    assert cert.verdict == INCONCLUSIVE
+    assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "margin")
     with pytest.raises(ValueError):
         certify_recurrence(lin, 30, margin_frac=-0.1)
 
@@ -228,6 +228,10 @@ def test_user_tail_mass_bound_is_used():
     assert cert.tail_mass_source == "user"
     assert cert.tail_mass == pytest.approx(1e-6)
     assert cert.tail_bound == pytest.approx(2.0 * 1e-6)
+    assert cert.reason == "certified"
+    # partial sum -0.5, but a tail mass of 1 bounds the tail by 2
+    loose = certify_recurrence(lin, 30, tail_mass_bound=1.0)
+    assert (loose.verdict, loose.reason) == (INCONCLUSIVE, "tail bound")
     with pytest.raises(ValueError):
         certify_recurrence(lin, 30, tail_mass_bound=-1.0)
 
@@ -235,8 +239,12 @@ def test_user_tail_mass_bound_is_used():
 def test_extra_flags_veto_the_verdict():
     lin = ou_lin()
     cert = certify_recurrence(lin, 30, extra_flags={"rate_convergence": False})
-    assert cert.verdict == INCONCLUSIVE
+    assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "rate_convergence")
     assert cert.partial_sum == pytest.approx(-1.0, abs=1e-9)
+    # the first failing flag in the sorted order of to_dict decides
+    two = certify_recurrence(lin, 30, extra_flags={"z_probe": False, "a_probe": False})
+    assert two.reason == "a_probe" == next(
+        k for k, ok in two.to_dict()["assumptions"].items() if not ok)
 
 
 def test_tail_estimate_dominates_true_tail():

@@ -71,6 +71,24 @@ def test_certify_exit_codes(tmp_path):
     assert weak_doc["verdict"] == "INCONCLUSIVE"
 
 
+CERTIFY_REASONS = {
+    "fluid_queue": ("INCONCLUSIVE", "partial sum >= 0"),  # every c_i is 0
+    "predator_prey": ("INCONCLUSIVE", "sublinear_residuals"),  # a -c x^2 drift term
+    "switched_ou": ("CERTIFIED", "certified"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_REASONS))
+def test_certify_reason_at_shipped_hints(tmp_path, name):
+    verdict, reason = CERTIFY_REASONS[name]
+    out = str(tmp_path / name)
+    assert main(["certify", "--model", str(CONFIG_DIR / f"{name}.json"), "--out", out]) == (
+        0 if verdict == "CERTIFIED" else 1
+    )
+    doc = read_json(Path(out, "certificate.json"))
+    assert (doc["verdict"], doc["reason"]) == (verdict, reason)
+
+
 def test_stationary_from_model_and_triplets(tmp_path):
     out = str(tmp_path / "st")
     assert main(
@@ -109,6 +127,7 @@ def test_stabilize_search(tmp_path):
     assert doc["found"] is True
     assert doc["gains"]["1"] == [[4.0]]
     assert doc["certificate"]["verdict"] == "CERTIFIED"
+    assert doc["certificate"]["reason"] == "certified"
 
     assert (
         main(["stabilize", "--model", open_loop, "--budget", "1.0", "--out", str(tmp_path / "s2")])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from switchsde.registry import REGISTRY_NAMES, registry_get
-from switchsde.segment import Segment
+from switchsde.segment import Segment, SegmentBatch
 
 DEFAULTS = {
     "switched_ou": {"theta": 1.0, "mu": 0.0, "sigma": 0.5, "c": 1.0},
@@ -167,3 +167,40 @@ def test_mode_bounds_dominate_rows(name):
         for i in range(1, min(60, spec.n_modes or 60) + 1):
             total = sum(spec.rates_row(seg, i).values())
             assert total <= spec.mode_rate_bound(i) <= spec.rate_bound, (label, i)
+
+
+# predator_prey again, with a feed that interpolates between grid samples
+BATCH_CASES = [(name, DEFAULTS[name]) for name in REGISTRY_NAMES] + [
+    ("predator_prey", dict(DEFAULTS["predator_prey"],
+                           mu_weights=[(-0.3, 0.5), (0.0, 0.5), (-1.0, 0.25)])),
+]
+
+
+@pytest.mark.parametrize("name, params", BATCH_CASES,
+                         ids=[*REGISTRY_NAMES, "predator_prey_interpolated"])
+def test_batch_rows_equal_per_path_rows(name, params):
+    # the oracle is rates_row on each path's own Segment, compared bit for bit
+    spec, _ = registry_get(name, params)
+    dt, m = spec.delay / 8.0, 9
+    rng = np.random.default_rng(11)
+    wins = 3.0 * rng.standard_normal((8, m, spec.dim))
+    wins[0] = 0.0  # a zero window
+    wins[1, 0] = 0.0  # oldest sample 0: controlled_scalar at z = 0
+    wins[2] = 1e12 * rng.standard_normal((m, spec.dim))
+    wins[3] = 5.0  # predator_prey's feed at phi_cap
+    wins[4] = 3.0 * 5.0  # and above it
+    wins[5, -1] = 5.0  # phi(0) at the cap, the rest random
+    head = 3  # the ring holds window k at slot (head + k) % m
+    ring = np.empty((m, len(wins), spec.dim))
+    ring[(head + np.arange(m)) % m] = wins.transpose(1, 0, 2)
+    for paths in (np.arange(len(wins)), np.array([5, 0, 3])):
+        view = SegmentBatch(ring, head, paths, spec.delay, dt)
+        segs = [Segment(wins[p], spec.delay, dt) for p in paths]
+        for i in range(1, 61):
+            got = spec.rates_row(view, i)
+            want = [spec.rates_row(seg, i) for seg in segs]
+            assert all(sorted(got) == sorted(row) for row in want), i
+            for j, rate in got.items():
+                rates = np.broadcast_to(rate, paths.shape)
+                assert np.array_equal(rates, [row[j] for row in want]), (i, j)
+

@@ -417,12 +417,33 @@ def test_batch_keep_drops_paths_everywhere():
     eng.run(2)
 
 
+def test_sup_norm_cache_follows_pushes_and_keep():
+    # the cached window sup-norms against each path's own Segment, across
+    # pushes and two keep calls that must compact the squared-norm ring
+    model = batch_model(lambda seg, i: {}, 1.0, diffusion=lambda x, i: np.array([[0.8]]),
+                        drift=lambda x, i: -0.3 * np.asarray(x, dtype=float))
+    phi0 = Segment(np.linspace(-1.0, 2.0, 5)[:, None], 1.0, 0.25)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=0.25, horizon=10.0, seed=3), 12,
+                        track_history=True)
+    for k in range(30):
+        if k in (8, 19):
+            eng.sup_norms()  # read the cache before keep, as the hitting estimator does
+            eng.keep(np.arange(eng.n_paths) % 3 != 1)
+        hist = eng.history()
+        want = [Segment(hist[:, p], 1.0, 0.25).sup_norm() for p in range(eng.n_paths)]
+        assert eng.sup_norms().tolist() == want
+        eng.step()
+    assert eng.n_paths == 5
+
+
 def test_batch_rates_read_each_paths_window():
-    # bernoulli reads every path's rates at every step, before the step's push
+    # bernoulli reads the rates of every mode group once per step, on the
+    # windows of the group's paths before the step's push
     seen = []
 
     def rates(seg, i):
-        seen.append((seg.samples.copy(), seg.value_at(-seg.delay).copy()))
+        grid = -seg.delay + seg.dt * np.arange(5)
+        seen.append((i, np.stack([seg.value_at(s) for s in grid]), seg.value_at(-seg.delay)))
         return {3 - i: 0.5}
 
     model = ModelSpec(
@@ -439,13 +460,17 @@ def test_batch_rates_read_each_paths_window():
     cfg = SimConfig(dt=0.25, horizon=5.0, scheme="bernoulli", seed=4)
     eng = BatchEnsemble(model, phi0, 1, cfg, 3)
     windows = []
-    eng.run(12, on_step=lambda e: windows.append(e.history()))
-    assert len(seen) == 12 * 3
-    for k, hist in enumerate(windows):
-        for p in range(3):
-            samples, oldest = seen[3 * k + p]
-            assert np.array_equal(samples, hist[:, p])
-            assert np.array_equal(oldest, hist[0, p])
+    eng.run(12, on_step=lambda e: windows.append(
+        (e.history(), [(v, paths) for v, paths, _ in e.groups()])))
+    calls = iter(seen)
+    for hist, groups in windows:
+        assert sum(paths.size for _, paths in groups) == 3
+        for v, paths in groups:
+            i, samples, oldest = next(calls)
+            assert i == v
+            assert np.array_equal(samples, hist[:, paths])
+            assert np.array_equal(oldest, hist[0, paths])
+    assert next(calls, None) is None
 
 
 def cycling_model(**kw):
@@ -549,37 +574,60 @@ def random_rows(rng, n_modes):
     return rows
 
 
+def window_factor(seg):
+    """A rate factor in (0, 1] read off the window: one per path of a batch view."""
+    return 1.0 / (1.0 + seg.sup_norm())
+
+
 def test_bernoulli_table_picks_as_pick_target():
+    for rates_depend_on_path in (False, True):
+        check_picks_as_pick_target(rates_depend_on_path)
+
+
+def check_picks_as_pick_target(rates_depend_on_path):
     # each step's new modes against _pick_target on the replayed uniforms;
     # modes are first reached mid-run, and no mode is probed before a path
-    # occupies it (mode 7's row is far above 1 / dt and would raise)
+    # occupies it (mode 7's row is far above 1 / dt and would raise).  With
+    # history, every row is scaled by a factor of the path's own window.
     rows = random_rows(np.random.default_rng(17), 6)
     rows[1][6] = 0.5
     rows[7] = {1: 1e6}
     probed = []
     occupied = set()
 
+    def scaled(i, f):
+        return {j: r * f for j, r in rows[i].items()}
+
     def rates(seg, i):
         probed.append(i)
         assert i in occupied
-        return dict(rows[i])
+        return scaled(i, window_factor(seg) if rates_depend_on_path else 1.0)
 
-    model = batch_model(rates, 1.0)
+    # with history, noise sets the paths' windows apart
+    noise = (lambda x, i: np.array([[0.7]])) if rates_depend_on_path else None
+    model = replace(batch_model(rates, 1.0, diffusion=noise),
+                    rates_depend_on_path=rates_depend_on_path)
     dt = 0.1
     phi0 = Segment.make_constant([0.0], 1.0, dt)
     eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=5.0, scheme="bernoulli",
                                                   seed=9), 60)
     for _ in range(50):
         occupied.update(eng.modes.tolist())
-        u = copy.deepcopy(eng.rng).random(eng.n_paths)
+        rng = copy.deepcopy(eng.rng)
+        if noise is not None:  # the step draws its increments first
+            rng.standard_normal((eng.n_paths, 1))
+        u = rng.random(eng.n_paths)
+        hist = eng.history()
         want = []
         for p, v in enumerate(eng.modes.tolist()):
-            j = _pick_target(rows[v], u[p], 1.0 / dt, v) if rows[v] else None
+            f = window_factor(Segment(hist[:, p], 1.0, dt)) if rates_depend_on_path else 1.0
+            j = _pick_target(scaled(v, f), u[p], 1.0 / dt, v) if rows[v] else None
             want.append(v if j is None else j)
         eng.step()
         assert eng.modes.tolist() == want
     assert len(set(occupied)) >= 5
-    assert 7 not in probed and len(probed) == len(set(probed))
+    assert 7 not in probed
+    assert len(probed) == len(set(probed)) or rates_depend_on_path
 
 
 class ScriptedUniforms:
@@ -595,12 +643,23 @@ class ScriptedUniforms:
 
 
 def test_bernoulli_table_edges():
-    # a uniform exactly on a running sum moves past it (searchsorted
-    # side="right", the strict u < acc of _pick_target); one at the row
-    # total does not jump
+    for rates_depend_on_path in (False, True):
+        check_table_edges(rates_depend_on_path)
+
+
+def check_table_edges(rates_depend_on_path):
+    # a uniform exactly on a running sum moves past it (the count of sums
+    # <= u, the strict u < acc of _pick_target); one at the row total does
+    # not jump.  With history, the rows are read per path off zero windows
+    # (factor 1), so the edges are the same.
     rows = {1: {2: 0.5, 3: 1.25, 4: 0.25}, 2: {}, 3: {1: 2.0, 4: 0.0, 2: 1.0}, 4: {1: 3.0}}
     dt = 0.125
-    model = batch_model(lambda seg, i: dict(rows[i]), 1.0)
+
+    def rates(seg, i):
+        f = window_factor(seg) if rates_depend_on_path else 1.0
+        return {j: r * f for j, r in rows[i].items()}
+
+    model = replace(batch_model(rates, 1.0), rates_depend_on_path=rates_depend_on_path)
     phi0 = Segment.make_constant([0.0], 1.0, dt)
     eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=5.0, scheme="bernoulli"), 8)
     scale = 1.0 / dt

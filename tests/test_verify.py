@@ -405,6 +405,34 @@ def test_batch_dynkin_evaluates_coefficients_once_per_group(rates_depend_on_path
     assert made["drift"] == made["diffusion"] == sum(groups)
 
 
+def test_batch_dynkin_reads_rates_once_per_group_and_step():
+    # history-dependent rates: the generator and the bernoulli draw each
+    # read a mode group's rates in one call per step, on the group's batch
+    # view; reading them path by path would make one call per path
+    calls = []
+
+    def rates(seg, i):
+        calls.append((i, seg.sup_norm().shape))
+        return {j: 0.2 * j + 0.5 / (1.0 + seg.sup_norm()) for j in (1, 2, 3) if j != i}
+
+    model = replace(
+        scalar_spec(lambda x, i: -0.5 * i * np.asarray(x, dtype=float),
+                    diffusion=lambda x, i: np.array([[0.4]]), rates=rates, bound=2.0, batch=True),
+        rates_depend_on_path=True,
+    )
+    phi0 = Segment.make_constant([1.0], 1.0, 0.05)
+    cfg = SimConfig(dt=0.05, horizon=2.0, scheme="bernoulli", seed=7)
+    est = dynkin_residual(QUAD, model, phi0, 1, 2.0, cfg, 30, engine="batch")
+    assert est.censored_fraction == 0.0
+    made = list(calls)
+    # the same run again, listing each step's groups as (mode, (size,))
+    steps = []
+    BatchEnsemble(model, phi0, 1, cfg, 30).run(40, on_step=lambda e: steps.append(
+        [(v, paths.shape) for v, paths, _ in e.groups()]))
+    assert max(len(groups) for groups in steps) == 3
+    assert made == [call for groups in steps for call in groups + groups]
+
+
 def test_occupation_fractions_stop_counting_at_blow_up():
     """Both engines count a path's modes only until it blows up.
 
@@ -456,8 +484,8 @@ def plane_model(rates_depend_on_path: bool, blow: float = 0.0) -> ModelSpec:
     """Planar three-mode model with a full, state-dependent noise matrix.
 
     With ``rates_depend_on_path`` the rates read the window's sup-norm, and
-    mode 1 reaches mode 3 only from paths whose window left the unit ball,
-    so paths in one group carry different target sets.  ``blow`` adds a
+    mode 1 reaches mode 3 only from paths whose window left the unit ball:
+    the others carry a zero rate there.  ``blow`` adds a
     cubic drift in mode 3 that blows paths up within a few steps there.
     """
     mix = np.array([[0.3, -0.2], [0.1, 0.4]])
@@ -474,8 +502,8 @@ def plane_model(rates_depend_on_path: bool, blow: float = 0.0) -> ModelSpec:
     def rates(seg, i):
         lift = 1.0 / (1.0 + seg.sup_norm()) if rates_depend_on_path else 0.5
         row = {j: 0.4 + 0.3 * lift + 0.1 * j for j in (1, 2, 3) if j != i}
-        if rates_depend_on_path and i == 1 and seg.sup_norm() <= 1.0:
-            del row[3]
+        if rates_depend_on_path and i == 1:
+            row[3] = row[3] * (seg.sup_norm() > 1.0)
         return row
 
     return ModelSpec(
