@@ -37,9 +37,18 @@ from .verify import (
 )
 
 
+def _finite(obj):
+    """``obj`` with its non-finite floats as None: JSON has no NaN or infinity."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -445,6 +454,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if args.command == "stationary" and not (args.model or args.generator):
         print("stationary: need --model or --generator", file=sys.stderr)
+        return 2
+    if getattr(args, "paths", 2) < 2:  # a standard error needs two paths
+        print(f"{args.command}: --paths must be at least 2, got {args.paths}", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -51,6 +51,9 @@ class ModelSpec:
     thinning clocks run at it while the chain sits in mode i.
     ``post_step`` (optional) projects the state after each update, e.g.
     onto the nonnegative half-line for queueing models.
+    ``shared_coefficients_from`` (optional) K promises drift(x, i) == drift(x, K)
+    and diffusion(x, i) == diffusion(x, K) bit for bit for every i >= K; the
+    batch engine then evaluates those modes in one call.  It is not checked.
     """
 
     dim: int
@@ -68,6 +71,7 @@ class ModelSpec:
     asserts_irreducible: bool = True
     meta: dict = field(default_factory=dict)
     mode_rate_bound: Optional[Callable[[int], float]] = None
+    shared_coefficients_from: Optional[int] = None
 
     def __post_init__(self):
         if self.dim < 1 or self.brownian_dim < 1:
@@ -76,6 +80,9 @@ class ModelSpec:
             raise ValueError("rate_bound must be positive")
         if self.delay <= 0:
             raise ValueError("delay must be positive")
+        k = self.shared_coefficients_from
+        if k is not None and not 1 <= k <= (self.n_modes or k):
+            raise ValueError("shared_coefficients_from must be a mode in 1..n_modes")
 
     def thinning_bound(self, i: int) -> float:
         """Rate of the thinning clock while the chain sits in mode i."""

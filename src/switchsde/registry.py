@@ -3,7 +3,8 @@
 Each family builder returns a (ModelSpec, Linearization) pair.  Per-mode
 parameters accept either a scalar (constant over modes) or a sequence
 (values for modes 1..len, last value repeated beyond), which keeps every
-coefficient sequence bounded by construction.
+coefficient sequence bounded by construction and lets the modes from the
+longest length on share one drift and diffusion (``shared_coefficients_from``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ def _per_mode(value, name: str):
         return vals[min(i, len(vals)) - 1]
 
     return at, min(vals), max(vals)
+
+
+def _span(params: dict, *names: str) -> int:
+    """Length of the longest per-mode sequence: from there on all repeat their last value."""
+    return max(len(np.atleast_1d(params.get(k, 0.0))) for k in names)
 
 
 def _ou_family_targets(i: int) -> tuple:
@@ -110,6 +116,7 @@ def _switched_ou(params: dict):
         zero_diffusion=(sg_min == 0.0 == sg_max),
         supports_batch=True,
         rates_depend_on_path=True,
+        shared_coefficients_from=_span(params, "theta", "mu", "sigma"),
     )
     lin = Linearization(
         b_mat=lambda i: np.array([[-theta(i)]]),
@@ -167,6 +174,9 @@ def _controlled_scalar(params: dict):
         delay=delay,
         supports_batch=True,
         rates_depend_on_path=True,
+        shared_coefficients_from=max(  # B and L act on the controllable modes only
+            _span(params, "A", "C", "sigma"), max(controllable, default=0) + 1
+        ),
         meta={
             "input_matrix": lambda i: np.array([[input_gain(i)]]),
             "controllable": controllable,
@@ -182,7 +192,8 @@ def _controlled_scalar(params: dict):
 
 
 def _fluid_queue(params: dict):
-    f, _, f_max = _per_mode(params.get("f", (1.0, -2.0)), "f")
+    f_param = params.get("f", (1.0, -2.0))
+    f, _, f_max = _per_mode(f_param, "f")
     rates_row, mode_rate_bound, rate_bound = _ou_family_rates(params)
     delay = float(params.get("delay", 1.0))
 
@@ -208,6 +219,7 @@ def _fluid_queue(params: dict):
         zero_diffusion=True,
         supports_batch=True,
         rates_depend_on_path=True,
+        shared_coefficients_from=len(np.atleast_1d(f_param)),
     )
     lin = Linearization(
         b_mat=lambda i: np.zeros((1, 1)),
@@ -370,6 +382,7 @@ def _linear_2d(params: dict):
         delay=delay,
         supports_batch=True,
         rates_depend_on_path=False,
+        shared_coefficients_from=max(len(b_mats), len(a_vecs), _span(params, "c1", "c2")),
     )
     coeff = max(
         max(np.linalg.norm(mb, 2) for mb in b_mats),

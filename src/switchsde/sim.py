@@ -32,10 +32,11 @@ event time inside a step and is the reference oracle.
 stream (seed, 1), with the same target and coupling draws and
 history-dependent rates included; mode changes reach the state dynamics
 at the next grid step.  It groups the paths by mode once per mode change,
-not once per step.  Per group and step it evaluates drift and diffusion
-once, into plan-ordered arrays that the Dynkin generator of
-:mod:`switchsde.verify` reads too, and reads history-dependent rates with
-one ``rates_row`` call on the group's :class:`~switchsde.segment.SegmentBatch`.
+not once per step.  Per step it evaluates drift and diffusion once per
+coefficient class (a mode group, or all the modes from the model's
+``shared_coefficients_from`` on), into plan-ordered arrays that the Dynkin
+generator of :mod:`switchsde.verify` reads too, and reads history-dependent
+rates with one ``rates_row`` call on each group's :class:`~switchsde.segment.SegmentBatch`.
 """
 
 from __future__ import annotations
@@ -447,14 +448,15 @@ class BatchEnsemble:
     the rows of paths in one mode with one ``rates_row`` call on their
     batch view (:meth:`rate_table`), the window sup-norms coming once per
     step from :meth:`sup_norms`.  Each path's thinning clock runs at the
-    bound of its current mode, like the per-path kernels.
+    bound of its current mode, like the per-path kernels; a step that ends
+    before the earliest clock skips the proposal loop.
 
     Every step works from one mode-group plan (:meth:`groups`): the paths
     not blown up, stably sorted by mode, and each mode's slice of that
     order, rebuilt only after a mode changes, a path blows up (it is
     parked at 0) or :meth:`keep` drops paths.  :meth:`coefficients`
-    evaluates ``drift`` and ``diffusion`` once per group into plan-ordered
-    arrays, which the Euler step and the Dynkin generator of
+    evaluates ``drift`` and ``diffusion`` once per coefficient class into
+    plan-ordered arrays, which the Euler step and the Dynkin generator of
     :mod:`switchsde.verify` share.  Under bernoulli, jumps are drawn per
     group from the running sums of its rates, and under thinning each
     round of proposals reads its rows with one call per mode.
@@ -525,6 +527,7 @@ class BatchEnsemble:
                 if bound > 0
                 else np.full(self.n_paths, math.inf)
             )
+            self._first_ev = self._next_ev.min(initial=math.inf)
 
     def _invalidate(self) -> None:
         """Forget the plan and everything built on it."""
@@ -560,7 +563,7 @@ class BatchEnsemble:
 
         Returns (x (P, n), drift (P, n), diffusion (P, n, d) or None under
         zero diffusion), from one ``drift`` and one ``diffusion`` call per
-        mode group; cached until the states move or the plan is rebuilt.
+        coefficient class; cached until the states move or the plan is rebuilt.
         """
         if self._coef is None:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -568,13 +571,15 @@ class BatchEnsemble:
         return self._coef
 
     def _evaluate(self) -> tuple:
-        model, groups = self.model, self.groups()
+        model, k = self.model, self.model.shared_coefficients_from or math.inf
+        head = [(v, rows) for v, _, rows in self.groups() if v < k]
+        tail = [(k, slice(rows.start, None)) for v, _, rows in self._groups if v >= k][:1]
         xs = self.x[self._order]
         drift = np.empty_like(xs)
         sigma = None
         if not model.zero_diffusion:
             sigma = np.empty(xs.shape + (model.brownian_dim,))
-        for v, _, rows in groups:
+        for v, rows in head + tail:  # the coefficient classes
             drift[rows] = model.drift(xs[rows], v)
             if sigma is not None:
                 sigma[rows] = model.diffusion(xs[rows], v)
@@ -636,6 +641,7 @@ class BatchEnsemble:
         self.x, self.modes, self.blown = self.x[mask], self.modes[mask], self.blown[mask]
         if self._next_ev is not None:
             self._next_ev = self._next_ev[mask]
+            self._first_ev = self._next_ev.min(initial=math.inf)
         if self.modes_hat is not None:
             self.modes_hat, self.decoupled = self.modes_hat[mask], self.decoupled[mask]
         if self._hist is not None:
@@ -742,12 +748,11 @@ class BatchEnsemble:
     def _update_modes_thinning(self):
         t1 = self.t + self.cfg.dt
         propose = self._propose if self.qhat is None else self._propose_pair
-        while True:
+        while self._first_ev < t1:  # the earliest clock, kept at every change
             active = np.flatnonzero(self._next_ev < t1)
-            if active.size == 0:
-                break
             for p, row in zip(active.tolist(), self._round_rows(active)):
                 propose(p, row)
+            self._first_ev = self._next_ev.min(initial=math.inf)
 
     def step(self):
         """One grid step: advance states with current modes, then modes."""

@@ -381,10 +381,6 @@ def _batch_decouplings(model, lin, phi0, i0, cfg, n_paths, floor) -> int:
     return n_apart
 
 
-def _mode_bucket(modes: np.ndarray, k_head: int) -> np.ndarray:
-    return np.minimum(modes, k_head + 1) - 1
-
-
 def occupation_stability(
     model: ModelSpec,
     starts: Sequence,
@@ -417,12 +413,10 @@ def occupation_stability(
         counts = np.zeros((n_rbins, k_head + 1))
 
         def tally(states: np.ndarray, modes: np.ndarray):
-            norms = np.linalg.norm(states, axis=1)
-            rbin = np.minimum(
-                np.searchsorted(edges, norms, side="right") - 1, n_rbins - 1
-            )
-            rbin = np.maximum(rbin, 0)
-            np.add.at(counts, (rbin, _mode_bucket(modes, k_head)), 1.0)
+            rbin = np.searchsorted(edges, np.linalg.norm(states, axis=1), side="right") - 1
+            # one cell per (radial bin, mode bucket), modes above k_head in the last bucket
+            cells = np.clip(rbin, 0, n_rbins - 1) * (k_head + 1) + np.minimum(modes, k_head + 1) - 1
+            counts[...] += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
 
         if model.supports_batch:
             be = BatchEnsemble(model, phi0, i0, cfg1, n_paths)
@@ -455,6 +449,36 @@ def occupation_stability(
     }
 
 
+def _sojourn_counts(e: BatchEnsemble, n_steps: int, burn_steps: int, idx: dict) -> tuple:
+    """Run ``e`` for ``n_steps``; per path, the steps s >= burn_steps it is finite
+    after, (P,), and those in each mode of ``idx`` ({mode: column}), (P, columns).
+    They are added once per sojourn: at a mode change, a blow-up and the end."""
+    counts = np.zeros((e.n_paths, len(idx)), dtype=int)
+    mode, since = e.modes.copy(), np.zeros(e.n_paths, dtype=int)
+    ends = np.full(e.n_paths, n_steps)  # a blown path's first uncounted step
+    seen = None
+
+    def close(paths, end):
+        n = end - np.maximum(since[paths], burn_steps)
+        for p, v, k in zip(paths.tolist(), mode[paths].tolist(), n.tolist()):
+            if k > 0 and v in idx:
+                counts[p, idx[v]] += k
+
+    for s in range(n_steps + 1):
+        if s:
+            e.step()
+        if seen == (e.jumps, np.count_nonzero(e.blown)):
+            continue  # no path changed mode or blew up in the last step
+        seen = (e.jumps, np.count_nonzero(e.blown))
+        gone = e.blown & (ends == n_steps)  # blown in step s - 1, which does not count
+        ends[gone] = s - 1
+        moved = np.flatnonzero(gone | (e.modes != mode) & (ends == n_steps))
+        close(moved, s - gone[moved])
+        mode[moved], since[moved] = e.modes[moved], s
+    close(np.flatnonzero(ends == n_steps), n_steps)
+    return counts, np.maximum(ends - burn_steps, 0)
+
+
 def occupation_fractions(
     model: ModelSpec,
     phi0: Segment,
@@ -481,29 +505,8 @@ def occupation_fractions(
 
     if model.supports_batch:
         engine = BatchEnsemble(model, phi0, i0, cfg, n_paths)
-        counts = np.zeros((len(modes_track), n_paths), dtype=int)
-        steps = np.zeros(n_paths, dtype=int)  # counted steps per path
-        step_no = [0]
-        left = [None]  # modes at the left endpoint of the counted step in flight
-
-        def settle(e: BatchEnsemble):
-            # the step just taken counts for the paths it left finite
-            if left[0] is None:
-                return
-            ok = ~e.blown
-            for v, a in idx.items():
-                counts[a] += (left[0] == v) & ok
-            steps[:] += ok
-
-        def on_step(e: BatchEnsemble):
-            settle(e)
-            left[0] = e.modes.copy() if step_no[0] >= burn_steps else None
-            step_no[0] += 1
-
-        engine.run(n_steps, on_step=on_step)
-        settle(engine)
-        # (n_paths, modes) in C order, as the per-path branch builds it
-        frac = np.ascontiguousarray(counts.T) / np.maximum(steps, 1)[:, None]
+        counts, steps = _sojourn_counts(engine, n_steps, burn_steps, idx)
+        frac = counts / np.maximum(steps, 1)[:, None]
     else:
         cfg1 = replace(cfg, record_stride=1)
 

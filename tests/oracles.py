@@ -111,3 +111,23 @@ def group_generator(V, x, hist, i, targets, rates, drift, sigma, delay, dt):
         dv = np.array([value(j) for j in targets]) - value(i)
         lv = lv + (rates[0] @ dv if rates.shape[0] == 1 else (rates * dv.T).sum(axis=-1))
     return lv
+
+
+def settle_counts(engine, n_steps, burn_steps, modes_track):
+    """Occupation counts of a batch engine, step by step.
+
+    Runs ``engine`` for ``n_steps``; step s counts at the mode it starts
+    from when s >= burn_steps, for the paths it leaves finite.  Returns the
+    (P, len(modes_track)) counts and the (P,) counted steps per path.
+    """
+    counts = np.zeros((len(modes_track), engine.n_paths), dtype=int)
+    steps = np.zeros(engine.n_paths, dtype=int)
+    for s in range(n_steps):
+        left = engine.modes.copy()
+        engine.step()
+        if s >= burn_steps:
+            ok = ~engine.blown
+            for a, v in enumerate(modes_track):
+                counts[a] += (left == v) & ok
+            steps += ok
+    return counts.T, steps

@@ -281,3 +281,40 @@ def test_usage_errors(tmp_path):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+@pytest.mark.parametrize("paths", ["0", "-3", "1"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "hitting"], ["verify", "descent"], ["verify", "coupling"],
+     ["verify", "occupation"], ["dynkin"]],
+)
+def test_paths_below_two_are_usage_errors(tmp_path, capsys, command, paths):
+    # an estimate and its standard error need two paths
+    out = tmp_path / "out"
+    assert main(command + ["--model", OU, "--paths", paths, "--out", str(out)]) == 2
+    assert "--paths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def read_strict_json(path):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def test_non_finite_values_are_written_as_null(tmp_path):
+    # every path starts far outside the target and is censored: no mean, no SE
+    out = str(tmp_path / "h")
+    args = ["verify", "hitting", "--model", OU, "--x0", "100", "--T", "0.5", "--paths", "8"]
+    assert main(args + ["--out", out]) == 1
+    est = read_strict_json(Path(out, "verify_hitting.json"))["estimate"]
+    assert est["mean"] is None and est["std_error"] is None
+    assert est["censored_fraction"] == 1.0 and est["usable"] is False
+    # finite outputs are written as before
+    out2 = str(tmp_path / "d")
+    assert main(["dynkin", "--model", OU, "--t", "0.2", "--paths", "8", "--out", out2]) == 0
+    text = Path(out2, "dynkin.json").read_text(encoding="utf-8")
+    assert text == json.dumps(read_strict_json(Path(out2, "dynkin.json")), indent=2,
+                              sort_keys=True) + "\n"

@@ -159,3 +159,20 @@ def test_modelspec_validation():
             rate_bound=0.0,
             delay=1.0,
         )
+
+
+def test_modelspec_checks_the_shared_coefficient_mode():
+    base = dict(
+        dim=1,
+        brownian_dim=1,
+        drift=lambda x, i: x,
+        diffusion=lambda x, i: x,
+        rates_row=lambda s, i: {},
+        rate_bound=1.0,
+        delay=1.0,
+    )
+    for k, n_modes in ((0, None), (-2, None), (0, 4), (5, 4)):
+        with pytest.raises(ValueError, match="shared_coefficients_from"):
+            ModelSpec(**base, shared_coefficients_from=k, n_modes=n_modes)
+    for k, n_modes in ((1, None), (40, None), (4, 4), (1, 4)):
+        assert ModelSpec(**base, shared_coefficients_from=k, n_modes=n_modes).shared_coefficients_from == k

@@ -204,3 +204,50 @@ def test_batch_rows_equal_per_path_rows(name, params):
                 rates = np.broadcast_to(rate, paths.shape)
                 assert np.array_equal(rates, [row[j] for row in want]), (i, j)
 
+
+
+# sequence-valued parameters and controllable sets: (params, declared K)
+SEQUENCES = {
+    "switched_ou": ({"theta": [1.0, 2.0, 0.5], "mu": [0.0, 1.0], "sigma": [0.5, 0.1, 0.2, 0.3]}, 4),
+    "controlled_scalar": (
+        {"A": [1.0, 2.0], "B": [1.0, 3.0, 0.5, 2.0, 1.0], "C": [0.0, 0.5, 1.0],
+         "sigma": [0.1, 0.2], "L": [3.0, 1.0, 2.0, 4.0, 5.0, 6.0], "controllable": [1, 4]},
+        5,  # mode 4 is controllable; B and L change beyond it but act on no mode there
+    ),
+    "fluid_queue": ({"f": [1.0, -2.0, 0.5, 3.0]}, 4),
+    "linear_2d": (
+        {"B": [[[-1.0, 0.5], [0.0, -2.0]], [[-2.0, 0.0], [0.3, -1.0]]],
+         "A": [[0.3, -0.2], [0.1, 0.1], [1.0, 2.0]], "c1": [0.4, 0.1], "c2": [0.2, 0.3, 0.5, 0.7]},
+        4,
+    ),
+}
+
+
+def shared_cases():
+    for name in REGISTRY_NAMES:
+        yield name, DEFAULTS[name], None
+        if name in SEQUENCES:
+            yield name, *SEQUENCES[name]
+    yield "controlled_scalar", {"controllable": []}, 1
+    yield "controlled_scalar", {"controllable": [3], "A": [1.0, 2.0], "L": 2.0}, 4
+
+
+@pytest.mark.parametrize("name, params, want", shared_cases())
+def test_shared_coefficients_repeat_from_the_declared_mode(name, params, want):
+    spec, _ = registry_get(name, params)
+    k = spec.shared_coefficients_from
+    if name == "predator_prey":
+        assert k is None  # its drift reads min(i, n_max): no tail to share
+        return
+    assert k is not None and (want is None or k == want)
+    rng = np.random.default_rng(len(name) + k)
+    x = rng.standard_normal((40, spec.dim)) * rng.choice([0.0, 1e-3, 1.0, 50.0], (40, 1))
+    b_k, s_k = spec.drift(x, k), spec.diffusion(x, k)
+    for i in range(k + 1, k + 26):
+        assert np.array_equal(spec.drift(x, i), b_k)
+        assert np.array_equal(spec.diffusion(x, i), s_k)
+    if want is not None and k > 1:  # and no lower mode could be declared
+        assert not (
+            np.array_equal(spec.drift(x, k - 1), b_k)
+            and np.array_equal(spec.diffusion(x, k - 1), s_k)
+        )

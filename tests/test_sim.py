@@ -436,6 +436,29 @@ def test_sup_norm_cache_follows_pushes_and_keep():
     assert eng.n_paths == 5
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+def test_thinning_keeps_the_earliest_clock(coupled):
+    # a step that ends before the earliest clock proposes nothing and skips
+    # the proposal loop; the bound it tests must be the clocks' minimum
+    # after every round of proposals, after keep and after a decoupling
+    model = batch_model(two_mode_rates(0.8, 1.5), 1.5)
+    qhat = SparseGenerator(lambda i: {3 - i: 1.0}, rate_bound=1.0) if coupled else None
+    phi0 = Segment.make_constant([0.0], 1.0, 0.05)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=0.05, horizon=5.0, seed=8), 12, qhat=qhat)
+    assert eng._first_ev == eng._next_ev.min()
+    idle = 0
+    for k in range(80):
+        if k in (15, 35):  # drop the path whose clock fires first
+            eng.keep(np.arange(eng.n_paths) != np.argmin(eng._next_ev))
+            assert eng._first_ev == eng._next_ev.min()
+        proposals = eng.proposals
+        eng.step()
+        assert eng._first_ev == eng._next_ev.min(initial=math.inf)
+        idle += eng.proposals == proposals
+    assert eng.n_paths == 10 and eng.proposals > 20 and idle > 10
+    assert eng.decoupled.sum() > 3 if coupled else eng.jumps > 20
+
+
 def test_batch_rates_read_each_paths_window():
     # bernoulli reads the rates of every mode group once per step, on the
     # windows of the group's paths before the step's push

@@ -1,16 +1,20 @@
 import math
+import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import group_generator
+from oracles import group_generator, settle_counts
 
 from switchsde.chain import SparseGenerator
+from switchsde.config import load_model_config
 from switchsde.model import Linearization, ModelSpec
 from switchsde.registry import registry_get
 from switchsde.segment import Segment
 from switchsde.sim import BatchEnsemble, SimConfig
 from switchsde.verify import (
+    _sojourn_counts,
     MCEstimate,
     ProductFunctional,
     apply_generator,
@@ -23,6 +27,8 @@ from switchsde.verify import (
     occupation_fractions,
     occupation_stability,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 QUAD = ProductFunctional(
     f1=lambda x, i: (np.asarray(x, dtype=float) ** 2).sum(axis=-1),
@@ -405,6 +411,49 @@ def test_batch_dynkin_evaluates_coefficients_once_per_group(rates_depend_on_path
     assert made["drift"] == made["diffusion"] == sum(groups)
 
 
+@pytest.mark.parametrize("shared_from", [1, 2])
+def test_batch_coefficients_once_per_class(shared_from):
+    # drift and diffusion ignore the mode, and the model says so from mode
+    # K on: one call per head group below K and one for all groups from K
+    # on, in every step, while the paths occupy three modes
+    calls = {"drift": [], "diffusion": []}
+
+    def drift(x, i):
+        calls["drift"].append(i)
+        return -0.5 * np.asarray(x, dtype=float)
+
+    def diffusion(x, i):
+        calls["diffusion"].append(i)
+        return np.full(np.shape(x) + (1,), 0.3)
+
+    model = replace(
+        scalar_spec(drift, diffusion=diffusion, rates=lambda seg, i: {i % 3 + 1: 1.5},
+                    bound=1.5, batch=True),
+        shared_coefficients_from=shared_from,
+    )
+    phi0 = Segment.make_constant([1.0], 1.0, 0.05)
+    cfg = SimConfig(dt=0.05, horizon=2.0, seed=12)
+    est = dynkin_residual(QUAD, model, phi0, 1, 2.0, cfg, 30, engine="batch")
+    assert est.censored_fraction == 0.0
+    made = {k: list(v) for k, v in calls.items()}
+    # the same run again, listing each step's groups and classes
+    occupied, classes = [], []
+
+    def seen(e):
+        modes = [v for v, _, _ in e.groups()]
+        occupied.append(len(modes))
+        classes.append(sorted({min(v, shared_from) for v in modes}))
+
+    BatchEnsemble(model, phi0, 1, cfg, 30).run(40, on_step=seen)
+    assert max(occupied) == 3
+    assert made["drift"] == made["diffusion"] == [v for c in classes for v in c]
+    if shared_from == 1:
+        assert made["drift"] == [1] * 40
+    # the estimate is the one of the undeclared model, one call per group
+    assert repr(est) == repr(dynkin_residual(
+        QUAD, replace(model, shared_coefficients_from=None), phi0, 1, 2.0, cfg, 30, engine="batch"))
+
+
 def test_batch_dynkin_reads_rates_once_per_group_and_step():
     # history-dependent rates: the generator and the bernoulli draw each
     # read a mode group's rates in one call per step, on the group's batch
@@ -638,3 +687,81 @@ def test_generator_evaluates_f1_once_per_needed_mode(with_kernel):
         full += len(e.groups()) == 3
         e.step()
     assert full > 10
+
+
+def estimator_outputs(spec, lin, seed):
+    """Every estimator on a short run of ``spec``: the hitting, descent,
+    coupling, occupation and Dynkin outputs, pickled."""
+    dt = 1.0 / 32
+    cfg = SimConfig(dt=dt, horizon=2.0, seed=seed)
+    start = Segment.make_constant(np.full(spec.dim, 2.0), spec.delay, dt)
+    out = [
+        estimate_hitting_time(spec, start, 3, 1.0, 2, cfg, 16),
+        estimate_mode_descent(spec, start, 4, 1, cfg, 16),
+        coupling_decay(spec, lin, [1.0, 20.0], cfg, 16, i0=3),
+        occupation_stability(spec, [np.full(spec.dim, s) for s in (0.5, 2.0)], cfg, 8, 1.0),
+        occupation_fractions(spec, start, 2, cfg, 16, [1, 2, 3, 4], burn_in=0.5),
+        dynkin_residual(QUAD, spec, start, 2, 1.0, cfg, 16),
+    ]
+    return pickle.dumps(out)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("name", ["controlled_scalar", "fluid_queue", "linear_2d", "switched_ou"])
+def test_shared_coefficients_leave_every_estimate_bit_identical(name):
+    # one drift and one diffusion call for all modes from K on gives the
+    # bits of one call per mode group, on the shipped configs
+    loaded = load_model_config(str(CONFIG_DIR / f"{name}.json"))
+    spec = loaded.spec
+    assert spec.shared_coefficients_from is not None
+    undeclared = replace(spec, shared_coefficients_from=None)
+    for seed in (1, 2, 3):
+        got = estimator_outputs(spec, loaded.lin, seed)
+        assert got == estimator_outputs(undeclared, loaded.lin, seed), seed
+
+
+BLOW_STEPS = (4, 17, 39)  # before burn-in, after it, and the last step
+
+
+def clocked_blow_up_model(switching: float) -> ModelSpec:
+    """Four modes cycling at rate 3 * switching (and 1 * switching two modes
+    on), on a state (x, clock): the clock counts steps of 0.05, and in the
+    steps of BLOW_STEPS the paths with sin(1000 x) > 0.7 get an infinite drift."""
+
+    def drift(z, i):
+        z = np.asarray(z, dtype=float)
+        due = np.isin(np.rint(z[..., 1] / 0.05), BLOW_STEPS) & (np.sin(1e3 * z[..., 0]) > 0.7)
+        out = np.ones_like(z)
+        out[..., 0] = np.where(due, np.inf, -0.2 * i * z[..., 0])
+        return out
+
+    return ModelSpec(
+        dim=2,
+        brownian_dim=1,
+        drift=drift,
+        diffusion=lambda z, i: np.broadcast_to([[0.5], [0.0]], np.shape(z) + (1,)),
+        rates_row=lambda seg, i: {i % 4 + 1: 3.0 * switching, (i + 1) % 4 + 1: switching},
+        rate_bound=4.0,
+        delay=1.0,
+        supports_batch=True,
+        rates_depend_on_path=False,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("switching", [1.0, 0.0])
+@pytest.mark.parametrize("scheme", ["thinning", "bernoulli"])
+def test_sojourn_counts_equal_the_per_step_count(scheme, switching):
+    # modes 1, 2 and 4 tracked, mode 3 not; steps 10.. count; paths blow up
+    # in steps 4, 17 and 39, the last one.  Without switching, only the
+    # blow-ups end a sojourn before the end.
+    model = clocked_blow_up_model(switching)
+    phi0 = Segment.make_constant([0.3, 0.0], 1.0, 0.05)
+    cfg = SimConfig(dt=0.05, horizon=2.0, scheme=scheme, seed=21)
+    idx = {1: 0, 2: 1, 4: 2}
+    got = _sojourn_counts(BatchEnsemble(model, phi0, 2, cfg, 300), 40, 10, idx)
+    want = settle_counts(BatchEnsemble(model, phi0, 2, cfg, 300), 40, 10, list(idx))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # blown before burn-in, in step 17, in the last step, and never
+    assert {0, 7, 29, 30} <= set(want[1].tolist())
+    assert (want[0].sum(axis=1) < want[1]).any() == bool(switching)  # time in mode 3
