@@ -46,7 +46,8 @@ class ModelSpec:
     and diffusion accept a leading path axis on ``x``, and that
     ``rates_row`` accepts a :class:`~switchsde.segment.SegmentBatch` of P
     windows, with keys that depend on the mode only and each rate a scalar
-    or a (P,) array.  ``mode_rate_bound(i)`` (optional) is a bound for the
+    or a (P,) array.  It only saves time: the batch engine then makes one
+    call per mode group instead of one per path.  ``mode_rate_bound(i)`` (optional) is a bound for the
     rows out of mode i alone, on every history, at most ``rate_bound``;
     thinning clocks run at it while the chain sits in mode i.
     ``post_step`` (optional) projects the state after each update, e.g.

@@ -26,9 +26,10 @@ q_ij / bound by partitioning a single uniform draw over the row, and
 always by thinning.  Brownian increments and jump decisions come from
 independent streams; path k derives its streams from (seed, 0, k) only,
 so disjoint path ranges can be merged.  It places mode changes at the
-event time inside a step and is the reference oracle.
+event time inside a step and serves the tests as the reference oracle.
 
-:class:`BatchEnsemble` advances a whole ensemble at once from the single
+:class:`BatchEnsemble`, the engine of every estimator, advances a whole
+ensemble of any model at once from the single
 stream (seed, 1), with the same target and coupling draws and
 history-dependent rates included; mode changes reach the state dynamics
 at the next grid step.  It groups the paths by mode once per mode change,
@@ -42,7 +43,7 @@ rates with one ``rates_row`` call on each group's :class:`~switchsde.segment.Seg
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,6 +141,23 @@ class CoupledRecord:
     decouple_time: float
     floor_time: Optional[float] = None
     blow_up: bool = False
+
+
+def _per_path(fn: Callable) -> Callable:
+    """A pointwise callback ``fn(x, *args)`` lifted to states with a leading path axis."""
+    return lambda x, *args: np.array([np.asarray(fn(xk, *args), dtype=float) for xk in x])
+
+
+def _rows_per_path(rates_row: Callable) -> Callable:
+    """A ``rates_row`` of one :class:`Segment` lifted to a :class:`SegmentBatch`:
+    the union of the paths' targets, each rate a (P,) array, 0.0 where a path's
+    row lacks the target."""
+
+    def rows(seg: SegmentBatch, i: int) -> dict:
+        per = [rates_row(seg.path(k), i) for k in range(len(seg))]
+        return {j: np.array([r.get(j, 0.0) for r in per]) for j in set().union(*per)}
+
+    return rows
 
 
 def _check_inputs(model: ModelSpec, phi0: Segment, cfg: SimConfig, i0: int):
@@ -441,10 +459,12 @@ def simulate_coupled(
 class BatchEnsemble:
     """Vectorized fixed-grid integrator over a path ensemble.
 
-    Requires ``model.supports_batch`` (drift and diffusion take a leading
-    path axis, ``rates_row`` a :class:`SegmentBatch`).  Rate rows that
-    ignore the history are cached per mode.  With ``rates_depend_on_path``
-    the engine keeps the (n_samples, n_paths, dim) history ring and reads
+    A model without ``supports_batch`` is lifted once, here: drift,
+    diffusion, ``post_step`` and history-dependent rates are then called
+    path by path (rates on :meth:`SegmentBatch.path`), with the draws of a
+    batch model.  Rate rows that ignore the history are cached per mode,
+    read off one :class:`Segment`.  With ``rates_depend_on_path`` the
+    engine keeps the (n_samples, n_paths, dim) history ring and reads
     the rows of paths in one mode with one ``rates_row`` call on their
     batch view (:meth:`rate_table`), the window sup-norms coming once per
     step from :meth:`sup_norms`.  Each path's thinning clock runs at the
@@ -486,9 +506,17 @@ class BatchEnsemble:
         track_history: bool = False,
         qhat=None,
     ):
-        if not model.supports_batch:
-            raise ValueError("model does not declare batch support")
         _check_inputs(model, phi0, cfg, i0)
+        if not model.supports_batch:
+            post, rows = model.post_step, model.rates_row
+            model = replace(
+                model,
+                drift=_per_path(model.drift),
+                diffusion=_per_path(model.diffusion),
+                post_step=post and _per_path(post),
+                rates_row=_rows_per_path(rows) if model.rates_depend_on_path else rows,
+                supports_batch=True,
+            )
         self.model = model
         self.cfg = cfg
         self.qhat = qhat
@@ -632,7 +660,8 @@ class BatchEnsemble:
         squared sample norms made on first use and kept up at every push."""
         if self._norms is None:
             if self._sq is None:
-                self._sq = (self._hist * self._hist).sum(axis=2)
+                with np.errstate(over="ignore"):  # inf is the norm of a huge state
+                    self._sq = (self._hist * self._hist).sum(axis=2)
             self._norms = np.sqrt(self._sq.max(axis=0))
         return self._norms
 
@@ -764,7 +793,8 @@ class BatchEnsemble:
         if self._hist is not None:
             self._hist[self._head] = self.x
             if self._sq is not None:
-                self._sq[self._head] = (self.x * self.x).sum(axis=1)
+                with np.errstate(over="ignore"):
+                    self._sq[self._head] = (self.x * self.x).sum(axis=1)
             self._head = (self._head + 1) % self._hist.shape[0]
             self._norms = None
         self.t += self.cfg.dt

@@ -6,10 +6,11 @@ against the limiting chain, long-run occupation stability across starts,
 and the martingale identity E V(X_t, a_t) = V0 + E int LV ds for product
 functionals V(phi, i) = f1(phi(0), i) + int_{-r}^0 g(s, i) f2(phi(s), i) ds.
 
-Every model that declares batch support runs through the vectorized
-engine :class:`~switchsde.sim.BatchEnsemble`, history-dependent rates
-included: they are read per mode group, and the hitting rule reads the
-engine's window sup-norms of the step.  It draws every path from the one
+Every estimator runs on the vectorized engine
+:class:`~switchsde.sim.BatchEnsemble`, history-dependent rates included:
+they are read per mode group, and the hitting rule reads the engine's
+window sup-norms of the step.  A model without batch support runs there
+too, its callbacks called path by path.  It draws every path from the one
 stream (seed, 1), so results are reproducible bit-for-bit, depend on
 ``n_paths``, and ignore the ``threads`` argument, which is kept for
 compatibility.  Stop rules are masks over the ensemble, and finished
@@ -17,11 +18,8 @@ paths leave the arrays.  The Dynkin generator takes one pass per step
 over the engine's plan-ordered states and coefficients, those of its own
 Euler step: one drift term, one diffusion contraction, V(., j) once per
 mode the switching sums read, and one scatter; trapezoid weights are
-built once per kernel and mode in a run.  Models without batch support run the per-path engine
-(:func:`~switchsde.sim.simulate`, streams (seed, 0, k)) path after path,
-with one-group calls of the same pass; it also serves the tests as the
-reference oracle.  In both engines a path contributes nothing from its
-blow-up on.
+built once per kernel and mode in a run.  :func:`apply_generator` is the
+same pass on one window.  A path contributes nothing from its blow-up on.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 
 from .model import Linearization, ModelSpec
 from .segment import Segment
-from .sim import BatchEnsemble, SimConfig, simulate, simulate_coupled
+from .sim import BatchEnsemble, SimConfig
 
 __all__ = [
     "MCEstimate",
@@ -60,7 +58,8 @@ class MCEstimate:
 
     @property
     def usable(self) -> bool:
-        return self.censored_fraction < 1.0 and math.isfinite(self.mean)
+        finite = math.isfinite(self.mean) and math.isfinite(self.std_error)
+        return self.censored_fraction < 1.0 and finite
 
     def to_dict(self) -> dict:
         return {
@@ -87,8 +86,8 @@ class ProductFunctional:
 
     ``grad_f1`` and ``hess_f1`` are the state gradient and Hessian of f1;
     ``dg`` is the time derivative of the kernel g.  The time integral is
-    evaluated by the trapezoid rule on the segment grid.  Every estimator,
-    the per-path one included, calls ``f1``, ``grad_f1``, ``hess_f1`` and
+    evaluated by the trapezoid rule on the segment grid.  Every estimator
+    and :func:`apply_generator` call ``f1``, ``grad_f1``, ``hess_f1`` and
     ``f2`` on states with a leading path axis, shape (P, n), so they must
     broadcast over it; ``g`` and ``dg`` are scalar callbacks of (s, i).
     """
@@ -115,18 +114,13 @@ def apply_generator(V: ProductFunctional, model: ModelSpec, seg: Segment, i: int
     The switching sum runs over the returned sparse rate row, which is
     exact for banded rate families.
     """
-    return _apply(V, model, seg, i, _Trapezoid(seg.delay, seg.dt))
-
-
-def _apply(V, model: ModelSpec, seg: Segment, i: int, trap) -> float:
-    """:func:`apply_generator` as a group of one, with the weights of ``trap``."""
     x, hist = _one_path(V, seg)
     row = model.rates_row(seg, i)
     rates = np.fromiter(row.values(), float, len(row))[None, :]
     drift = np.asarray(model.drift(x, i), dtype=float)
     sigma = None if model.zero_diffusion else np.asarray(model.diffusion(x, i), dtype=float)
     plan = [(i, slice(0, 1), list(row), rates)]
-    return float(_generator(V, x, drift, sigma, hist, plan, trap)[0])
+    return float(_generator(V, x, drift, sigma, hist, plan, _Trapezoid(seg.delay, seg.dt))[0])
 
 
 def _one_path(V: ProductFunctional, seg: Segment) -> tuple:
@@ -225,26 +219,14 @@ def _ensemble_generator(V, e: BatchEnsemble, trap) -> tuple:
     return e.order, _generator(V, *e.coefficients(), hist, plan, trap)
 
 
-def _quiet(cfg: SimConfig) -> SimConfig:
-    # estimators keep their own statistics; no need to record states
-    return replace(cfg, record_stride=10**9)
-
-
 def _n_steps(cfg: SimConfig) -> int:
     return int(round(cfg.horizon / cfg.dt))
 
 
-def _first_times(model, phi0, i0: int, cfg: SimConfig, n_paths: int, stop, hit) -> list:
-    """First grid time of a stop rule on every path that meets it before the
-    horizon without blowing up.
-
-    ``stop(t, seg, mode)`` is the per-path form of the rule and
-    ``hit(engine)`` its mask over the engine's paths.
-    """
-    if not model.supports_batch:
-        qcfg = _quiet(cfg)
-        recs = (simulate(model, phi0, i0, qcfg, stop=stop, path_index=k) for k in range(n_paths))
-        return [r.stop_time for r in recs if not r.blow_up and r.stop_time is not None]
+def _first_times(model, phi0, i0: int, cfg: SimConfig, n_paths: int, hit) -> list:
+    """First grid time of a stop rule, the mask ``hit(engine)`` over the
+    engine's paths, on every path that meets it before the horizon without
+    blowing up."""
     be = BatchEnsemble(model, phi0, i0, cfg, n_paths, track_history=True)
     times = []
     for k in range(_n_steps(cfg) + 1):
@@ -278,13 +260,10 @@ def estimate_hitting_time(
     if radius <= 0 or k0 < 1:
         raise ValueError("radius must be positive and k0 >= 1")
 
-    def stop(t: float, seg: Segment, mode: int) -> bool:
-        return mode <= k0 and seg.sup_norm() <= radius
-
     def hit(e: BatchEnsemble) -> np.ndarray:
         return (e.modes <= k0) & (e.sup_norms() <= radius)
 
-    return _collect(_first_times(model, phi0, i0, cfg, n_paths, stop, hit), n_paths)
+    return _collect(_first_times(model, phi0, i0, cfg, n_paths, hit), n_paths)
 
 
 def estimate_mode_descent(
@@ -300,13 +279,10 @@ def estimate_mode_descent(
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
 
-    def stop(t: float, seg: Segment, mode: int) -> bool:
-        return mode <= k0
-
     def hit(e: BatchEnsemble) -> np.ndarray:
         return e.modes <= k0
 
-    return _collect(_first_times(model, phi0, i0, cfg, n_paths, stop, hit), n_paths)
+    return _collect(_first_times(model, phi0, i0, cfg, n_paths, hit), n_paths)
 
 
 def coupling_decay(
@@ -328,7 +304,6 @@ def coupling_decay(
     """
     if not 0.0 <= floor_frac < 1.0:
         raise ValueError("floor_frac must be in [0, 1)")
-    qcfg = _quiet(cfg)
     out = []
     for r in radii:
         r = float(r)
@@ -338,18 +313,7 @@ def coupling_decay(
         start[0] = r
         phi0 = Segment.make_constant(start, model.delay, cfg.dt)
         floor = floor_frac * r if floor_frac > 0 else None
-        if model.supports_batch:
-            n_apart = _batch_decouplings(model, lin, phi0, i0, qcfg, n_paths, floor)
-        else:
-            n_apart = sum(
-                math.isfinite(
-                    simulate_coupled(
-                        model, lin, phi0, i0, qcfg, stop_radius=floor, path_index=k
-                    ).decouple_time
-                )
-                for k in range(n_paths)
-            )
-        p = n_apart / n_paths
+        p = _decouplings(model, lin, phi0, i0, cfg, n_paths, floor) / n_paths
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
         out.append(
             {
@@ -363,9 +327,9 @@ def coupling_decay(
     return out
 
 
-def _batch_decouplings(model, lin, phi0, i0, cfg, n_paths, floor) -> int:
+def _decouplings(model, lin, phi0, i0, cfg, n_paths, floor) -> int:
     """Paths whose coupled chains come apart before the horizon, the state
-    floor or a blow-up, on the batch engine."""
+    floor or a blow-up."""
     be = BatchEnsemble(model, phi0, i0, cfg, n_paths, qhat=lin.qhat)
     n_apart = 0
     for _ in range(_n_steps(cfg)):
@@ -373,7 +337,8 @@ def _batch_decouplings(model, lin, phi0, i0, cfg, n_paths, floor) -> int:
         n_apart += int(be.decoupled.sum())
         done = be.decoupled | be.blown
         if floor is not None:
-            done |= np.linalg.norm(be.x, axis=1) < floor
+            with np.errstate(over="ignore"):  # inf is the norm of a huge state
+                done |= np.linalg.norm(be.x, axis=1) < floor
         if done.any():
             be.keep(~done)
             if be.n_paths == 0:
@@ -406,31 +371,23 @@ def occupation_stability(
     edges = np.asarray(radial_edges, dtype=float)
     n_rbins = edges.size  # last bin is overflow
     hists = []
-    cfg1 = replace(cfg, record_stride=1)
     for start in starts:
         start = np.atleast_1d(np.asarray(start, dtype=float))
         phi0 = Segment.make_constant(start, model.delay, cfg.dt)
         counts = np.zeros((n_rbins, k_head + 1))
-
-        def tally(states: np.ndarray, modes: np.ndarray):
-            rbin = np.searchsorted(edges, np.linalg.norm(states, axis=1), side="right") - 1
-            # one cell per (radial bin, mode bucket), modes above k_head in the last bucket
-            cells = np.clip(rbin, 0, n_rbins - 1) * (k_head + 1) + np.minimum(modes, k_head + 1) - 1
-            counts[...] += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
-
-        if model.supports_batch:
-            be = BatchEnsemble(model, phi0, i0, cfg1, n_paths)
-            for k in range(_n_steps(cfg1) + 1):
-                if k:
-                    be.step()
-                if k * cfg1.dt >= burn_in - 1e-12:
-                    live = ~be.blown
-                    tally(be.x[live], be.modes[live])
-        else:
-            for k in range(n_paths):
-                rec = simulate(model, phi0, i0, cfg1, path_index=k)
-                keep = rec.times >= burn_in - 1e-12
-                tally(rec.states[keep], rec.modes[keep])
+        be = BatchEnsemble(model, phi0, i0, cfg, n_paths)
+        for k in range(_n_steps(cfg) + 1):
+            if k:
+                be.step()
+            if k * cfg.dt >= burn_in - 1e-12:
+                live = ~be.blown
+                with np.errstate(over="ignore"):
+                    radii = np.linalg.norm(be.x[live], axis=1)
+                rbin = np.searchsorted(edges, radii, side="right") - 1
+                # one cell per (radial bin, mode bucket), modes above k_head in the last bucket
+                cells = np.clip(rbin, 0, n_rbins - 1) * (k_head + 1)
+                cells += np.minimum(be.modes[live], k_head + 1) - 1
+                counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
         total = counts.sum()
         if total == 0:
             raise ValueError("no occupation samples collected; horizon too short?")
@@ -503,23 +460,9 @@ def occupation_fractions(
     if counted <= 0:
         raise ValueError("burn_in leaves no steps to count")
 
-    if model.supports_batch:
-        engine = BatchEnsemble(model, phi0, i0, cfg, n_paths)
-        counts, steps = _sojourn_counts(engine, n_steps, burn_steps, idx)
-        frac = counts / np.maximum(steps, 1)[:, None]
-    else:
-        cfg1 = replace(cfg, record_stride=1)
-
-        def one(k: int):
-            rec = simulate(model, phi0, i0, cfg1, path_index=k)
-            left = rec.modes[:-1][burn_steps:]
-            row = np.zeros(len(modes_track))
-            for v, a in idx.items():
-                row[a] = np.count_nonzero(left == v)
-            return row / max(left.size, 1)
-
-        frac = np.vstack([one(k) for k in range(n_paths)])
-
+    engine = BatchEnsemble(model, phi0, i0, cfg, n_paths)
+    counts, steps = _sojourn_counts(engine, n_steps, burn_steps, idx)
+    frac = counts / np.maximum(steps, 1)[:, None]
     means = frac.mean(axis=0)
     ses = frac.std(axis=0, ddof=1) / math.sqrt(n_paths)
     return means, ses
@@ -541,56 +484,31 @@ def dynkin_residual(
     The integral is accumulated at the left endpoint of every grid step of
     the same grid the path uses, so the residual estimates only the
     martingale defect plus O(dt) discretization bias.  Blow-up paths are
-    excluded and counted in ``censored_fraction``.
+    excluded and counted in ``censored_fraction``.  ``engine`` names the
+    one engine, ``"auto"`` or ``"batch"``.
     """
-    if engine not in ("auto", "batch", "paths"):
-        raise ValueError("engine must be auto, batch or paths")
+    if engine not in ("auto", "batch"):
+        raise ValueError("engine must be auto or batch")
     n_steps = int(round(t / cfg.dt))
     if n_steps < 1:
         raise ValueError("t must cover at least one grid step")
-    run_cfg = replace(_quiet(cfg), horizon=n_steps * cfg.dt)
+    run_cfg = replace(cfg, horizon=n_steps * cfg.dt)
     v0 = V.value(phi0, i0)
 
-    can_batch = model.supports_batch
-    if engine == "batch" and not can_batch:
-        raise ValueError("model cannot run on the batch engine")
-    use_batch = can_batch if engine == "auto" else engine == "batch"
+    with_hist = V.f2 is not None
+    be = BatchEnsemble(model, phi0, i0, run_cfg, n_paths, track_history=with_hist)
+    acc = np.zeros(n_paths)
+    dt = run_cfg.dt
+    trap = _Trapezoid(model.delay, dt)
 
-    if use_batch:
-        with_hist = V.f2 is not None
-        be = BatchEnsemble(model, phi0, i0, run_cfg, n_paths, track_history=with_hist)
-        acc = np.zeros(n_paths)
-        dt = run_cfg.dt
-        trap = _Trapezoid(model.delay, dt)
+    def on_step(e: BatchEnsemble):
+        paths, lv = _ensemble_generator(V, e, trap)
+        acc[paths] += lv * dt
 
-        def on_step(e: BatchEnsemble):
-            paths, lv = _ensemble_generator(V, e, trap)
-            acc[paths] += lv * dt
-
-        be.run(n_steps, on_step=on_step)
-        vt = np.zeros(n_paths)
-        for v, paths, _ in be.groups():
-            hist = be.history(paths) if with_hist else None
-            vt[paths] = _values(V, be.x[paths], hist, v, trap)
-        keep = ~be.blown
-        resid = vt[keep] - v0 - acc[keep]
-        return _collect(resid, n_paths)
-
-    horizon = run_cfg.horizon
-    trap = _Trapezoid(phi0.delay, phi0.dt)  # every path's segment is a copy of phi0
-
-    def one(k: int):
-        acc = 0.0
-
-        def on_grid(tt: float, seg: Segment, mode: int):
-            nonlocal acc
-            if tt < horizon - 0.5 * run_cfg.dt:
-                acc += _apply(V, model, seg, mode, trap) * run_cfg.dt
-
-        rec = simulate(model, phi0, i0, run_cfg, path_index=k, on_grid=on_grid)
-        if rec.blow_up or rec.times[-1] < horizon - 0.5 * run_cfg.dt:
-            return None
-        return V.value(rec.terminal, int(rec.modes[-1])) - v0 - acc
-
-    vals = [r for r in map(one, range(n_paths)) if r is not None]
-    return _collect(vals, n_paths)
+    be.run(n_steps, on_step=on_step)
+    vt = np.zeros(n_paths)
+    for v, paths, _ in be.groups():
+        hist = be.history(paths) if with_hist else None
+        vt[paths] = _values(V, be.x[paths], hist, v, trap)
+    keep = ~be.blown
+    return _collect(vt[keep] - v0 - acc[keep], n_paths)

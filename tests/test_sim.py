@@ -189,7 +189,7 @@ def test_ensemble_merge_and_thread_invariance():
     for a, b in zip(full, first + rest):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.modes, b.modes)
-    # history-dependent rates keep occupation_fractions on its per-path branch
+    # a model without batch support runs on the batch engine, which ignores threads
     path_dep = plain_model(
         lambda x, i: -np.asarray(x, dtype=float),
         diffusion=lambda x, i: np.array([[0.3]]),
@@ -272,12 +272,44 @@ def batch_model(rates, bound, *, diffusion=None, drift=None):
     )
 
 
-def test_batch_engine_requires_declared_support():
-    model = plain_model(lambda x, i: np.zeros(1))
-    phi0 = Segment.make_constant([0.0], 1.0, 0.1)
-    cfg = SimConfig(dt=0.1, horizon=1.0)
-    with pytest.raises(ValueError):
-        BatchEnsemble(model, phi0, 1, cfg, 4)
+def test_batch_engine_runs_a_model_without_batch_support():
+    # pointwise callbacks and history-dependent rates: the engine calls them
+    # path by path and draws as it does for the model declared batch-ready
+    states = set()
+
+    def drift(x, i):
+        states.add(np.shape(x))
+        return np.zeros(1)
+
+    scalar = plain_model(
+        drift,
+        diffusion=lambda x, i: np.array([[0.3]]),
+        rates=lambda seg, i: {3 - i: 1.0 / (1.0 + seg.sup_norm())},
+        bound=1.0,
+    )
+    batch = replace(
+        scalar,
+        drift=lambda x, i: np.zeros_like(x),
+        diffusion=lambda x, i: np.full(np.shape(x) + (1,), 0.3),
+        supports_batch=True,
+    )
+    phi0 = Segment.make_constant([0.5], 1.0, 0.1)
+    for scheme in ("thinning", "bernoulli"):
+        cfg = SimConfig(dt=0.1, horizon=5.0, seed=2, scheme=scheme)
+        a = BatchEnsemble(scalar, phi0, 1, cfg, 8, track_history=True)
+        b = BatchEnsemble(batch, phi0, 1, cfg, 8, track_history=True)
+        a.run(50)
+        b.run(50)
+        assert a.jumps == b.jumps > 0
+        assert np.array_equal(a.modes, b.modes) and np.array_equal(a.history(), b.history())
+    assert states == {(1,)}
+    # a path whose own row lacks a target reads the rate 0.0 there
+    lacking = replace(scalar, rates_row=lambda seg, i: {2: 0.5} if seg.terminal()[0] > 0.5 else {})
+    e = BatchEnsemble(lacking, phi0, 1, SimConfig(dt=0.1, horizon=5.0, seed=2), 8)
+    e.run(3)
+    targets, rates = e.rate_table(np.arange(8), 1)
+    want = np.where(e.history()[-1, :, 0] > 0.5, 0.5, 0.0)
+    assert targets == [2] and np.array_equal(rates[:, 0], want) and 0 < want.sum() < 4
 
 
 def test_batch_engine_deterministic_states_and_history():

@@ -1,11 +1,12 @@
 import math
 import pickle
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import group_generator, settle_counts
+from oracles import group_generator, path_dynkin, path_hitting_times, path_occupation, settle_counts
 
 from switchsde.chain import SparseGenerator
 from switchsde.config import load_model_config
@@ -14,6 +15,7 @@ from switchsde.registry import registry_get
 from switchsde.segment import Segment
 from switchsde.sim import BatchEnsemble, SimConfig
 from switchsde.verify import (
+    _collect,
     _sojourn_counts,
     MCEstimate,
     ProductFunctional,
@@ -142,12 +144,12 @@ def test_dynkin_engines_agree_on_deterministic_model():
     phi0 = Segment.make_constant([1.0], 1.0, 0.01)
     # bernoulli advances on the grid only, so both engines see one trajectory
     cfg = SimConfig(dt=0.01, horizon=1.0, seed=0, scheme="bernoulli")
-    a = dynkin_residual(QUAD, model, phi0, 1, 1.0, cfg, 3, engine="paths")
+    a = path_dynkin(QUAD, model, phi0, 1, 1.0, cfg, 3)
     b = dynkin_residual(QUAD, model, phi0, 1, 1.0, cfg, 3, engine="batch")
-    assert a.mean == pytest.approx(b.mean, abs=1e-12)
+    assert a.mean() == pytest.approx(b.mean, abs=1e-12)
     # pure Euler bias, first order in dt
-    assert abs(a.mean) < 0.01
-    assert a.censored_fraction == 0.0
+    assert abs(a.mean()) < 0.01
+    assert a.size == 3 and b.censored_fraction == 0.0
 
 
 def test_dynkin_time_kernel_engines_agree():
@@ -162,10 +164,10 @@ def test_dynkin_time_kernel_engines_agree():
     model = scalar_spec(lambda x, i: -np.asarray(x, dtype=float), batch=True)
     phi0 = Segment.make_constant([1.0], 1.0, 0.05)
     cfg = SimConfig(dt=0.05, horizon=2.0, seed=0, scheme="bernoulli")
-    a = dynkin_residual(fn, model, phi0, 1, 2.0, cfg, 2, engine="paths")
+    a = path_dynkin(fn, model, phi0, 1, 2.0, cfg, 2)
     b = dynkin_residual(fn, model, phi0, 1, 2.0, cfg, 2, engine="batch")
-    assert a.mean == pytest.approx(b.mean, abs=1e-10)
-    assert abs(a.mean) < 0.2
+    assert a.mean() == pytest.approx(b.mean, abs=1e-10)
+    assert abs(a.mean()) < 0.2
 
 
 def test_dynkin_brownian_quadratic_centered():
@@ -191,19 +193,23 @@ def test_dynkin_switching_functional_centered():
     )
     phi0 = Segment.make_constant([0.0], 1.0, 0.01)
     cfg = SimConfig(dt=0.01, horizon=1.0, seed=3)
-    for engine in ("batch", "paths"):
-        est = dynkin_residual(fn, model, phi0, 1, 1.0, cfg, 300, engine=engine)
-        assert abs(est.mean) < 4.0 * est.std_error + 0.05
+    est = dynkin_residual(fn, model, phi0, 1, 1.0, cfg, 300, engine="batch")
+    assert abs(est.mean) < 4.0 * est.std_error + 0.05
+    res = path_dynkin(fn, model, phi0, 1, 1.0, cfg, 300)
+    assert abs(res.mean()) < 4.0 * res.std(ddof=1) / math.sqrt(res.size) + 0.05
 
 
 def test_dynkin_engine_flag_validation():
+    # "auto" and "batch" name the one engine, which runs a model without
+    # batch support too; the per-path engine is no longer an option
     model = scalar_spec(lambda x, i: np.zeros(1))
     phi0 = Segment.make_constant([0.0], 1.0, 0.1)
     cfg = SimConfig(dt=0.1, horizon=1.0)
-    with pytest.raises(ValueError):
-        dynkin_residual(QUAD, model, phi0, 1, 1.0, cfg, 2, engine="batch")
-    with pytest.raises(ValueError):
-        dynkin_residual(QUAD, model, phi0, 1, 1.0, cfg, 2, engine="bogus")
+    est = dynkin_residual(QUAD, model, phi0, 1, 1.0, cfg, 2, engine="batch")
+    assert repr(est) == repr(dynkin_residual(QUAD, model, phi0, 1, 1.0, cfg, 2))
+    for engine in ("paths", "bogus"):
+        with pytest.raises(ValueError):
+            dynkin_residual(QUAD, model, phi0, 1, 1.0, cfg, 2, engine=engine)
     with pytest.raises(ValueError):
         dynkin_residual(QUAD, model, phi0, 1, 0.001, cfg, 2)
 
@@ -274,8 +280,8 @@ def test_occupation_fractions_two_mode_balance():
     assert means[0] + means[1] == pytest.approx(1.0)
     assert abs(means[0] - 0.75) < 5.0 * ses[0] + 0.01
 
-    perpath = scalar_spec(lambda x, i: np.zeros_like(np.asarray(x, dtype=float)), rates=rates, bound=a + b)
-    m2, s2 = occupation_fractions(perpath, phi0, 1, cfg, 60, [1, 2], burn_in=5.0)
+    unbatched = scalar_spec(lambda x, i: np.zeros_like(np.asarray(x, dtype=float)), rates=rates, bound=a + b)
+    m2, s2 = occupation_fractions(unbatched, phi0, 1, cfg, 60, [1, 2], burn_in=5.0)
     gap = abs(means[0] - m2[0])
     assert gap < 4.0 * math.sqrt(ses[0] ** 2 + s2[0] ** 2) + 0.01
 
@@ -311,10 +317,60 @@ def test_mcestimate_dict_round_trip():
     assert doc["n_samples"] == 10
 
 
+def test_one_sample_is_not_usable():
+    # one sample has a mean but no standard error
+    one = _collect([1.0], 5)
+    assert one.mean == 1.0 and math.isnan(one.std_error) and not one.usable
+    assert not one.to_dict()["usable"]
+    assert _collect([1.0, 2.0], 5).usable
+    model = scalar_spec(lambda x, i: -np.asarray(x, dtype=float), delay=0.01)
+    phi0 = Segment.make_constant([math.e], 0.01, 0.01)
+    est = estimate_hitting_time(model, phi0, 1, 1.0, 1, SimConfig(dt=0.01, horizon=10.0), 1)
+    assert est.censored_fraction == 0.0 and not est.usable
+
+
+def test_estimate_with_one_surviving_path_is_not_usable():
+    # the drift is infinite at positive states, so a path blows up in the
+    # second step when its first Brownian increment is positive
+    model = scalar_spec(
+        lambda x, i: np.where(np.asarray(x) > 0.0, np.inf, 0.0),
+        diffusion=lambda x, i: np.ones(np.shape(x) + (1,)),
+        batch=True,
+    )
+    phi0 = Segment.make_constant([0.0], 1.0, 0.1)
+    # at seed 3 two of the three increments are positive
+    est = dynkin_residual(QUAD, model, phi0, 1, 0.2, SimConfig(dt=0.1, horizon=1.0, seed=3), 3)
+    assert est.censored_fraction == pytest.approx(2.0 / 3.0)
+    assert math.isfinite(est.mean) and math.isnan(est.std_error) and not est.usable
+
+
+def test_huge_finite_states_leak_no_overflow_warning():
+    # x^3 drift from 5 reaches a finite 1.3e182 on its way to inf, whose
+    # squared norm overflows: inf is its norm, and no warning leaks
+    model = scalar_spec(lambda x, i: np.asarray(x, dtype=float) ** 3, batch=True)
+    lin = Linearization(
+        b_mat=lambda i: np.zeros((1, 1)),
+        sigma_mats=lambda i: [np.zeros((1, 1))],
+        qhat=SparseGenerator(lambda i: {}, rate_bound=1.0),
+        coeff_bound=1e-12,
+    )
+    phi0 = Segment.make_constant([5.0], 1.0, 0.1)
+    cfg = SimConfig(dt=0.1, horizon=3.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert estimate_hitting_time(model, phi0, 1, 0.5, 1, cfg, 3).censored_fraction == 1.0
+        huge = Segment.make_constant([1e200], 1.0, 0.1)  # from the start
+        assert estimate_hitting_time(model, huge, 1, 0.5, 1, cfg, 3).censored_fraction == 1.0
+        (row,) = coupling_decay(model, lin, [5.0], cfg, 3)
+        assert row["p_decouple"] == 0.0
+        rep = occupation_stability(model, [[5.0]], cfg, 3, burn_in=0.0)
+        assert rep["histograms"][0][-1].sum() > 0.0  # the overflow bin
+
+
 def test_batch_engine_agrees_with_per_path_oracle():
     """The batch engine against the per-path oracle on history-dependent rates.
 
-    The oracle is the same model with batch support switched off.  Each z
+    The oracle is the per-path engine ``simulate``, path by path.  Each z
     compares two independent estimates, so |z| >= 4 happens by chance with
     probability 6.3e-5; over the four comparisons the false-failure rate
     is below 3e-4.  The engines differ by O(dt) in where a mode change
@@ -328,9 +384,7 @@ def test_batch_engine_agrees_with_per_path_oracle():
     phi0 = Segment.make_constant([1.0], spec.delay, 1.0 / 32)
     cfg = SimConfig(dt=1.0 / 32, horizon=20.0, seed=31)
     frac_b, se_b = occupation_fractions(spec, phi0, 1, cfg, 1000, [1, 2, 3], burn_in=5.0)
-    frac_p, se_p = occupation_fractions(
-        replace(spec, supports_batch=False), phi0, 1, cfg, 120, [1, 2, 3], burn_in=5.0
-    )
+    frac_p, se_p = path_occupation(spec, phi0, 1, cfg, 120, [1, 2, 3], burn_in=5.0)
     z = np.abs(frac_b - frac_p) / np.sqrt(se_b**2 + se_p**2)
     assert (z < 4.0).all(), z
 
@@ -338,9 +392,12 @@ def test_batch_engine_agrees_with_per_path_oracle():
     phi_ou = Segment.make_constant([2.0], ou.delay, 1.0 / 64)
     cfg = SimConfig(dt=1.0 / 64, horizon=50.0, seed=32)
     est_b = estimate_hitting_time(ou, phi_ou, 3, 1.0, 2, cfg, 2000)
-    est_p = estimate_hitting_time(replace(ou, supports_batch=False), phi_ou, 3, 1.0, 2, cfg, 200)
-    assert est_b.censored_fraction == est_p.censored_fraction == 0.0
-    z = abs(est_b.mean - est_p.mean) / math.hypot(est_b.std_error, est_p.std_error)
+    times = path_hitting_times(
+        ou, phi_ou, 3, cfg, 200, lambda t, seg, mode: mode <= 2 and seg.sup_norm() <= 1.0
+    )
+    assert est_b.censored_fraction == 0.0 and times.size == 200
+    se_p = times.std(ddof=1) / math.sqrt(times.size)
+    z = abs(est_b.mean - times.mean()) / math.hypot(est_b.std_error, se_p)
     assert z < 4.0, z
 
 
@@ -483,10 +540,11 @@ def test_batch_dynkin_reads_rates_once_per_group_and_step():
 
 
 def test_occupation_fractions_stop_counting_at_blow_up():
-    """Both engines count a path's modes only until it blows up.
+    """The batch engine and the per-path oracle count a path's modes only
+    until it blows up.
 
     Cubic drift blows up about 98% of the paths within a few steps, while
-    the chain flips between two modes at rate 1.  The engines' per-path
+    the chain flips between two modes at rate 1.  The two engines' per-path
     fractions then share one law, so |z| >= 4 has probability 6.3e-5;
     counting the modes of parked blown paths, as the batch engine once
     did, pulls its mode-1 fraction to 0.51 against 0.75 (z near 10).
@@ -503,9 +561,7 @@ def test_occupation_fractions_stop_counting_at_blow_up():
     eng.run(200)
     assert eng.blown.mean() > 0.9
     frac_b, se_b = occupation_fractions(model, phi0, 1, cfg, 200, [1, 2])
-    frac_p, se_p = occupation_fractions(
-        replace(model, supports_batch=False), phi0, 1, cfg, 200, [1, 2]
-    )
+    frac_p, se_p = path_occupation(model, phi0, 1, cfg, 200, [1, 2])
     z = np.abs(frac_b - frac_p) / np.sqrt(se_b**2 + se_p**2)
     assert (z < 4.0).all(), z
     assert frac_b[0] > 0.65
@@ -689,11 +745,11 @@ def test_generator_evaluates_f1_once_per_needed_mode(with_kernel):
     assert full > 10
 
 
-def estimator_outputs(spec, lin, seed):
+def estimator_outputs(spec, lin, seed, scheme="thinning"):
     """Every estimator on a short run of ``spec``: the hitting, descent,
     coupling, occupation and Dynkin outputs, pickled."""
     dt = 1.0 / 32
-    cfg = SimConfig(dt=dt, horizon=2.0, seed=seed)
+    cfg = SimConfig(dt=dt, horizon=2.0, seed=seed, scheme=scheme)
     start = Segment.make_constant(np.full(spec.dim, 2.0), spec.delay, dt)
     out = [
         estimate_hitting_time(spec, start, 3, 1.0, 2, cfg, 16),
@@ -718,6 +774,20 @@ def test_shared_coefficients_leave_every_estimate_bit_identical(name):
     for seed in (1, 2, 3):
         got = estimator_outputs(spec, loaded.lin, seed)
         assert got == estimator_outputs(undeclared, loaded.lin, seed), seed
+
+
+@pytest.mark.parametrize("name", ["controlled_scalar", "fluid_queue", "linear_2d", "predator_prey", "switched_ou"])
+def test_models_without_batch_support_give_the_batch_bits(name):
+    # the engine lifted to path-by-path callbacks draws and sums as the
+    # batch callbacks do: every estimator, under both schemes
+    loaded = load_model_config(str(CONFIG_DIR / f"{name}.json"))
+    spec, lin = loaded.spec, loaded.lin
+    assert spec.supports_batch
+    schemes = ["thinning"] + ["bernoulli"] * (spec.rate_bound / 32 < 0.5)
+    for seed in (3, 4):
+        for scheme in schemes:
+            got = estimator_outputs(replace(spec, supports_batch=False), lin, seed, scheme)
+            assert got == estimator_outputs(spec, lin, seed, scheme), (seed, scheme)
 
 
 BLOW_STEPS = (4, 17, 39)  # before burn-in, after it, and the last step
