@@ -4,7 +4,9 @@ Nothing here imports the closed-form implementations under test; the
 quadratic-form floor is estimated by sphere sampling refined with a local
 simplex search, and stationary laws come from a null-space solve.  The
 Monte Carlo estimators are checked against the per-path engine
-``simulate``, path by path from the streams (seed, 0, k).
+``simulate``, path by path from the streams (seed, 0, k); the Dynkin
+oracle adds ``apply_generator``, whose terms the generator tests check
+one by one.
 """
 
 import math
