@@ -366,7 +366,6 @@ def search_gain(
     controllable,
     n_modes: int,
     budget: float = 1024.0,
-    g_min: float = 0.25,
     form: str = "thm37",
     tail_mass_bound: Optional[float] = None,
     margin_frac: float = 0.1,
@@ -376,7 +375,7 @@ def search_gain(
     """Scalar gain line search L(i) = g * I over a geometric grid.
 
     Tries g = 0 first (the already-stable case), then doubles g from
-    ``g_min`` up to ``budget``; returns the first plan whose certificate
+    0.25 up to ``budget``; returns the first plan whose certificate
     is CERTIFIED at the requested margin, or None when the budget is
     exhausted.  The gain does not enter ``qhat``, so the stationary law is
     solved once (or taken from ``law``, as in
@@ -390,7 +389,7 @@ def search_gain(
     n_modes = lin.qhat.clamp(n_modes)
     n = np.asarray(lin.b_mat(min(controllable)), dtype=float).shape[0]
     grid = [0.0]
-    g = float(g_min)
+    g = 0.25
     while g <= budget * (1.0 + 1e-12):
         grid.append(g)
         g *= 2.0

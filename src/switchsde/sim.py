@@ -19,25 +19,24 @@ slot per step.  Jumps come at times set by one of two schemes:
     valid while dt * rate_bound < 0.5.  First-order accurate; useful as an
     independent cross-check of the thinning scheme.
 
-The per-path engine is one loop, ``_run``, with a mode kernel:
-:func:`simulate` runs one chain, jumping to target j with probability
-q_ij / bound by partitioning a single uniform draw over the row, and
-:func:`simulate_coupled` runs the basic coupling with the limiting chain,
-always by thinning.  Brownian increments and jump decisions come from
+The per-path engine, :func:`simulate`, is one loop over one chain, jumping
+to target j with probability q_ij / bound by partitioning a single uniform
+draw over the row.  Brownian increments and jump decisions come from
 independent streams; path k derives its streams from (seed, 0, k) only,
 so disjoint path ranges can be merged.  It places mode changes at the
 event time inside a step and serves the tests as the reference oracle.
 
-:class:`BatchEnsemble`, the engine of every estimator, advances a whole
-ensemble of any model at once from the single
-stream (seed, 1), with the same target and coupling draws and
-history-dependent rates included; mode changes reach the state dynamics
-at the next grid step.  It groups the paths by mode once per mode change,
-not once per step.  Per step it evaluates drift and diffusion once per
-coefficient class (a mode group, or all the modes from the model's
-``shared_coefficients_from`` on), into plan-ordered arrays that the Dynkin
-generator of :mod:`switchsde.verify` reads too, and reads history-dependent
-rates with one ``rates_row`` call on each group's :class:`~switchsde.segment.SegmentBatch`.
+:class:`BatchEnsemble`, the engine of every estimator and of
+:func:`simulate_coupled`, advances a whole ensemble of any model at once
+from the single stream (seed, 1), with the same target draws, the basic
+coupling with the limiting chain and history-dependent rates included;
+mode changes reach the state dynamics at the next grid step.  It groups
+the paths by mode once per mode change, not once per step.  Per step it
+evaluates drift and diffusion once per coefficient class (a mode group, or
+all the modes from the model's ``shared_coefficients_from`` on), into
+plan-ordered arrays that the Dynkin generator of :mod:`switchsde.verify`
+reads too, and reads history-dependent rates with one ``rates_row`` call
+on each group's :class:`~switchsde.segment.SegmentBatch`.
 """
 
 from __future__ import annotations
@@ -232,129 +231,14 @@ def _couple(row: dict, ref: dict, u: float, bound: float, pair: tuple) -> tuple:
     return pair, False
 
 
-def _coupling_bound(model: ModelSpec, qhat) -> Callable[[int, int], float]:
-    """Clock rate of the basic coupling in modes (i, ihat): the model's
-    bound plus the reference row total, or both global bounds when the
-    model declares no per-mode bound."""
+def _coupling_bound(model: ModelSpec, qhat) -> Callable[[int], float]:
+    """Clock rate of the basic coupling while both chains are in mode i: the
+    model's bound plus the reference row total, or both global bounds when
+    the model declares no per-mode bound."""
     if model.mode_rate_bound is None:
         bound = model.rate_bound + qhat.rate_bound
-        return lambda i, ih: bound
-    return lambda i, ih: model.mode_rate_bound(i) + sum(qhat.row(ih).values())
-
-
-class _Chain:
-    """Single-chain mode kernel; keeps its jumps as (time, from, to)."""
-
-    def __init__(self, model: ModelSpec, mode: int):
-        self.rates_row, self._bound = model.rates_row, model.thinning_bound
-        self.mode = mode
-        self.jumps: list = []
-
-    def bound(self) -> float:
-        return self._bound(self.mode)
-
-    def draw(self, t: float, seg: Segment, rng, scale: float) -> int:
-        """Mode after one jump decision at rate ``scale``; an empty row draws no uniform."""
-        row = self.rates_row(seg, self.mode)
-        j = _pick_target(row, rng.random(), scale, self.mode) if row else None
-        if j is None:
-            return self.mode
-        self.jumps.append((t, self.mode, j))
-        return int(j)
-
-    def propose(self, t: float, seg: Segment, rng) -> bool:
-        self.mode = self.draw(t, seg, rng, self.bound())
-        return False
-
-
-class _Coupling:
-    """Basic-coupling mode kernel against the reference chain of ``qhat``.
-
-    One uniform is drawn per proposal.  The first jump of one chain alone
-    sets ``decouple`` and ends the run.
-    """
-
-    def __init__(self, model: ModelSpec, qhat, mode: int):
-        self.rates_row, self.qhat = model.rates_row, qhat
-        self._bound = _coupling_bound(model, qhat)
-        self.mode = self.mode_hat = mode
-        self.decouple = math.inf
-
-    def bound(self) -> float:
-        return self._bound(self.mode, self.mode_hat)
-
-    def propose(self, t: float, seg: Segment, rng) -> bool:
-        row = self.rates_row(seg, self.mode)
-        ref = self.qhat.row(self.mode_hat)
-        bound = self.bound()
-        pair = (self.mode, self.mode_hat)
-        (self.mode, self.mode_hat), lone = _couple(row, ref, rng.random() * bound, bound, pair)
-        if lone:
-            self.decouple = t
-        return lone
-
-
-def _run(
-    model: ModelSpec,
-    seg: Segment,
-    cfg: SimConfig,
-    path_index: int,
-    kernel,
-    thinning: bool,
-    at_grid: Callable[[float, np.ndarray, bool], bool],
-) -> bool:
-    """Advance ``seg`` in place in mode ``kernel.mode``; True on blow-up.
-
-    Under thinning, ``kernel.propose`` handles each event of a clock and
-    returns True to end the run there.  The clock runs at
-    ``kernel.bound()``, the bound of the current mode(s); as modes change
-    only at events, each gap is drawn at the rate in force until the next
-    event, which keeps thinning exact.  Under
-    bernoulli, ``kernel.draw`` decides each step's jump before the step.
-    ``at_grid(t, x, due)`` follows every grid push, ``due`` marking stride
-    points and the last one, and returns True to end the run.
-    """
-    rng_w, rng_j = path_rngs(cfg.seed, path_index)
-    dt = cfg.dt
-    n_steps = int(round(cfg.horizon / dt))
-    stride = cfg.record_stride
-    x = seg.terminal()
-    drift, diffusion, post = model.drift, model.diffusion, model.post_step
-    draw_noise = not model.zero_diffusion
-    d = model.brownian_dim
-
-    def advance(xv, md, h):
-        out = xv + np.asarray(drift(xv, md), dtype=float) * h
-        if draw_noise:
-            xi = rng_w.standard_normal(d)
-            out = out + np.asarray(diffusion(xv, md), dtype=float) @ xi * math.sqrt(h)
-        if post is not None:
-            out = post(out)
-        return out
-
-    next_ev = _gap(rng_j, kernel.bound()) if thinning else np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            t1 = (k + 1) * dt
-            if thinning:
-                t_sub = k * dt
-                while next_ev < t1:
-                    x = advance(x, kernel.mode, next_ev - t_sub)
-                    t_sub = next_ev
-                    if kernel.propose(t_sub, seg, rng_j):
-                        return False
-                    next_ev += _gap(rng_j, kernel.bound())
-                x = advance(x, kernel.mode, t1 - t_sub)
-            else:
-                new_mode = kernel.draw(t1, seg, rng_j, 1.0 / dt)
-                x = advance(x, kernel.mode, dt)
-                kernel.mode = new_mode
-            if not np.isfinite(x).all():
-                return True
-            seg.push(x)
-            if at_grid(t1, x, (k + 1) % stride == 0 or k == n_steps - 1):
-                break
-    return False
+        return lambda i: bound
+    return lambda i: model.mode_rate_bound(i) + sum(qhat.row(i).values())
 
 
 def simulate(
@@ -369,6 +253,10 @@ def simulate(
 ) -> TrajectoryRecord:
     """Run one path from history ``phi0`` and mode ``i0``.
 
+    Under thinning, each event of a clock at the current mode's bound reads
+    the rates and may jump; as modes change only at events, each gap is
+    drawn at the rate in force until the next event, which keeps thinning
+    exact.  Under bernoulli, each step's jump is drawn before the step.
     ``stop(t, segment, mode)`` is evaluated at every grid point (including
     t = 0); when it returns True the run ends there and ``stop_time`` is
     set.  Used by the hitting-time estimators to exit early.
@@ -378,30 +266,78 @@ def simulate(
     """
     _check_inputs(model, phi0, cfg, i0)
     seg = phi0.copy()
-    chain = _Chain(model, int(i0))
-    rows: list = []
+    rng_w, rng_j = path_rngs(cfg.seed, path_index)
+    dt, stride = cfg.dt, cfg.record_stride
+    n_steps = int(round(cfg.horizon / dt))
+    rates_row, bound = model.rates_row, model.thinning_bound
+    drift, diffusion, post = model.drift, model.diffusion, model.post_step
+    draw_noise, d = not model.zero_diffusion, model.brownian_dim
+    mode = int(i0)
+    rows, jumps = [], []
     stop_time: Optional[float] = None
 
+    def advance(xv, h):
+        out = xv + np.asarray(drift(xv, mode), dtype=float) * h
+        if draw_noise:
+            xi = rng_w.standard_normal(d)
+            out = out + np.asarray(diffusion(xv, mode), dtype=float) @ xi * math.sqrt(h)
+        if post is not None:
+            out = post(out)
+        return out
+
+    def draw(t: float, scale: float) -> int:
+        """Mode after one jump decision at rate ``scale``; an empty row draws no uniform."""
+        row = rates_row(seg, mode)
+        j = _pick_target(row, rng_j.random(), scale, mode) if row else None
+        if j is None:
+            return mode
+        jumps.append((t, mode, j))
+        return int(j)
+
     def at_grid(t: float, x: np.ndarray, due: bool) -> bool:
+        """Hooks and recording after a grid push; True ends the run."""
         nonlocal stop_time
         if on_grid is not None:
-            on_grid(t, seg, chain.mode)
-        hit = stop is not None and stop(t, seg, chain.mode)
+            on_grid(t, seg, mode)
+        hit = stop is not None and stop(t, seg, mode)
         if due or hit:
-            rows.append((t, x.copy(), chain.mode))
+            rows.append((t, x.copy(), mode))
         if hit:
             stop_time = t
         return hit
 
     blow_up = False
     if not at_grid(0.0, seg.terminal(), True):
-        blow_up = _run(model, seg, cfg, path_index, chain, cfg.scheme == "thinning", at_grid)
+        thinning = cfg.scheme == "thinning"
+        x = seg.terminal()
+        next_ev = _gap(rng_j, bound(mode)) if thinning else np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps):
+                t1 = (k + 1) * dt
+                if thinning:
+                    t_sub = k * dt
+                    while next_ev < t1:
+                        x = advance(x, next_ev - t_sub)
+                        t_sub = next_ev
+                        mode = draw(t_sub, bound(mode))
+                        next_ev += _gap(rng_j, bound(mode))
+                    x = advance(x, t1 - t_sub)
+                else:
+                    new_mode = draw(t1, 1.0 / dt)
+                    x = advance(x, dt)
+                    mode = new_mode
+                if not np.isfinite(x).all():
+                    blow_up = True
+                    break
+                seg.push(x)
+                if at_grid(t1, x, (k + 1) % stride == 0 or k == n_steps - 1):
+                    break
     times, states, modes = zip(*rows)
     return TrajectoryRecord(
         times=np.array(times),
         states=np.array(states),
         modes=np.array(modes, dtype=int),
-        jump_times=chain.jumps,
+        jump_times=jumps,
         terminal=seg,
         blow_up=blow_up,
         stop_time=stop_time,
@@ -416,43 +352,45 @@ def simulate_coupled(
     cfg: SimConfig,
     *,
     stop_radius: Optional[float] = None,
-    path_index: int = 0,
 ) -> CoupledRecord:
-    """Evolve the mode chain jointly with a reference chain.
+    """Evolve the mode chain jointly with a reference chain: one path of
+    :class:`BatchEnsemble` with ``qhat=lin.qhat``.
 
     The reference chain moves at the limiting rates of ``lin.qhat`` and is
     coupled to the primary chain so that both jump together to target j at
     rate min(q_ij, qhat_ij), while the excess rates move one chain alone.
-    Both chains start at ``i0``; the record stops at the first time they
-    differ (``decouple_time``), at the optional state-norm floor, or at
-    the horizon, whichever comes first.  The coupling always runs by
-    thinning, whatever ``cfg.scheme`` says.
+    Both chains start at ``i0``.  (t, mode, mode_hat) is recorded at t = 0,
+    at the stride points and at the horizon; the record stops at the first
+    time the chains differ (``decouple_time``, recorded too), at the
+    optional state-norm floor, at a blow-up or at the horizon, whichever
+    comes first.  The coupling always runs by thinning, whatever
+    ``cfg.scheme`` says.
     """
-    _check_inputs(model, phi0, cfg, i0)
-    pair = _Coupling(model, lin.qhat, int(i0))
-    rows = [(0.0, pair.mode, pair.mode_hat)]
+    be = BatchEnsemble(model, phi0, i0, cfg, 1, qhat=lin.qhat)
+    rows = [(0.0, int(i0), int(i0))]
     floor_time: Optional[float] = None
-
-    def at_grid(t: float, x: np.ndarray, due: bool) -> bool:
-        nonlocal floor_time
-        if due:
-            rows.append((t, pair.mode, pair.mode_hat))
-        if stop_radius is not None and np.linalg.norm(x) < stop_radius:
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    for k in range(1, n_steps + 1):
+        be.step()
+        t, pair = k * cfg.dt, (int(be.modes[0]), int(be.modes_hat[0]))
+        if math.isfinite(be.decouple_time[0]):
+            rows.append((float(be.decouple_time[0]), *pair))
+            break
+        if be.blown[0]:
+            break
+        if k % cfg.record_stride == 0 or k == n_steps:
+            rows.append((t, *pair))
+        if stop_radius is not None and np.linalg.norm(be.x[0]) < stop_radius:
             floor_time = t
-            return True
-        return False
-
-    blow_up = _run(model, phi0.copy(), cfg, path_index, pair, True, at_grid)
-    if math.isfinite(pair.decouple):
-        rows.append((pair.decouple, pair.mode, pair.mode_hat))
+            break
     times, modes, modes_hat = zip(*rows)
     return CoupledRecord(
         times=np.array(times),
         modes=np.array(modes, dtype=int),
         modes_hat=np.array(modes_hat, dtype=int),
-        decouple_time=float(pair.decouple),
+        decouple_time=float(be.decouple_time[0]),
         floor_time=floor_time,
-        blow_up=blow_up,
+        blow_up=bool(be.blown[0]),
     )
 
 
@@ -468,7 +406,7 @@ class BatchEnsemble:
     the rows of paths in one mode with one ``rates_row`` call on their
     batch view (:meth:`rate_table`), the window sup-norms coming once per
     step from :meth:`sup_norms`.  Each path's thinning clock runs at the
-    bound of its current mode, like the per-path kernels; a step that ends
+    bound of its current mode, as in :func:`simulate`; a step that ends
     before the earliest clock skips the proposal loop.
 
     Every step works from one mode-group plan (:meth:`groups`): the paths
@@ -488,9 +426,11 @@ class BatchEnsemble:
     thinning and O(dt) under bernoulli, given the grid history.
 
     With ``qhat`` each path carries a second mode in ``modes_hat`` that
-    runs the basic coupling against the chain of ``qhat``, always by
-    thinning; a path whose two chains come apart is marked in
-    ``decoupled`` and its clock stops.  :meth:`keep` drops finished paths
+    runs the basic coupling against the chain of ``qhat``; the engine is
+    then checked and run as a thinning run, whatever ``cfg.scheme`` says.
+    A path proposes only while its two chains share a mode: the time of the
+    proposal that parts them goes to ``decouple_time`` (inf while coupled)
+    and its clock stops.  :meth:`keep` drops finished paths
     from every per-path array.  ``proposals`` counts the thinning
     proposals read and ``jumps`` the changes of ``modes`` applied; neither
     touches a result.
@@ -506,6 +446,8 @@ class BatchEnsemble:
         track_history: bool = False,
         qhat=None,
     ):
+        if qhat is not None:  # the coupling runs by thinning
+            cfg = replace(cfg, scheme="thinning")
         _check_inputs(model, phi0, cfg, i0)
         if not model.supports_batch:
             post, rows = model.post_step, model.rates_row
@@ -532,7 +474,7 @@ class BatchEnsemble:
         self._rows: dict[int, tuple] = {}
         self._probe_seg = phi0.copy()
         self._grid = (phi0.delay, phi0.dt)
-        self._thinning = cfg.scheme == "thinning" or qhat is not None
+        self._thinning = cfg.scheme == "thinning"
         self._invalidate()
         if track_history or model.rates_depend_on_path:
             base = phi0.samples  # (m, dim)
@@ -541,13 +483,13 @@ class BatchEnsemble:
         else:
             self._hist = None
         if qhat is None:
-            self.modes_hat = self.decoupled = None
+            self.modes_hat = self.decouple_time = None
             bound = model.thinning_bound(int(i0))
         else:
             self.modes_hat = self.modes.copy()
-            self.decoupled = np.zeros(self.n_paths, dtype=bool)
+            self.decouple_time = np.full(self.n_paths, math.inf)
             self._pair_bound = _coupling_bound(model, qhat)
-            bound = self._pair_bound(int(i0), int(i0))
+            bound = self._pair_bound(int(i0))
         self._next_ev = None
         if self._thinning:
             self._next_ev = (
@@ -672,7 +614,7 @@ class BatchEnsemble:
             self._next_ev = self._next_ev[mask]
             self._first_ev = self._next_ev.min(initial=math.inf)
         if self.modes_hat is not None:
-            self.modes_hat, self.decoupled = self.modes_hat[mask], self.decoupled[mask]
+            self.modes_hat, self.decouple_time = self.modes_hat[mask], self.decouple_time[mask]
         if self._hist is not None:
             self._hist = self._hist[:, mask]
         if self._sq is not None:
@@ -760,19 +702,19 @@ class BatchEnsemble:
         self._next_ev[p] += _gap(self.rng, self.model.thinning_bound(v))
 
     def _propose_pair(self, p: int, row: dict) -> None:
-        """One thinning proposal of the coupled pair of path p, rates ``row``."""
-        pair = (int(self.modes[p]), int(self.modes_hat[p]))
-        ref = self.qhat.row(pair[1])
-        bound = self._pair_bound(*pair)
+        """One thinning proposal of the coupled pair of path p, rates ``row``;
+        both chains are in one mode until they part."""
+        v = int(self.modes[p])
+        bound = self._pair_bound(v)
         self.proposals += 1
-        pair, lone = _couple(row, ref, self.rng.random() * bound, bound, pair)
-        self._move(p, pair[0])
-        self.modes_hat[p] = pair[1]
+        (j, j_hat), lone = _couple(row, self.qhat.row(v), self.rng.random() * bound, bound, (v, v))
+        self._move(p, j)
+        self.modes_hat[p] = j_hat
         if lone:
-            self.decoupled[p] = True
+            self.decouple_time[p] = self._next_ev[p]
             self._next_ev[p] = math.inf
         else:
-            self._next_ev[p] += _gap(self.rng, self._pair_bound(*pair))
+            self._next_ev[p] += _gap(self.rng, self._pair_bound(j))
 
     def _update_modes_thinning(self):
         t1 = self.t + self.cfg.dt

@@ -334,8 +334,9 @@ def _decouplings(model, lin, phi0, i0, cfg, n_paths, floor) -> int:
     n_apart = 0
     for _ in range(_n_steps(cfg)):
         be.step()
-        n_apart += int(be.decoupled.sum())
-        done = be.decoupled | be.blown
+        apart = np.isfinite(be.decouple_time)
+        n_apart += int(apart.sum())
+        done = apart | be.blown
         if floor is not None:
             with np.errstate(over="ignore"):  # inf is the norm of a huge state
                 done |= np.linalg.norm(be.x, axis=1) < floor

@@ -8,6 +8,7 @@ from switchsde.cli import main
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OU = str(CONFIG_DIR / "switched_ou.json")
 SCALAR = str(CONFIG_DIR / "controlled_scalar.json")
+LINEAR = str(CONFIG_DIR / "linear_2d.json")
 
 
 def read_json(path):
@@ -54,6 +55,18 @@ def test_simulate_writes_deterministic_csv(tmp_path):
     assert summary["meta"]["seed"] == 5
     assert summary["n_recorded"] > 1
     assert not summary["blow_up"]
+
+
+def test_x0_takes_one_entry_per_coordinate(tmp_path, capsys):
+    out = tmp_path / "v"
+    sim = ["simulate", "--model", LINEAR, "--T", "0.5"]
+    assert main(sim + ["--x0", "1,2", "--out", str(out)]) == 0
+    assert Path(out, "trajectory.csv").read_text().splitlines()[2] == "0.0,1.0,2.0,1"
+    assert main(sim + ["--x0", "1,2,3", "--out", str(tmp_path / "w")]) == 2
+    assert "state has 3 entries, expected 2" in capsys.readouterr().err
+    hitting = ["verify", "hitting", "--model", OU, "--paths", "4", "--x0", "1,2"]
+    assert main(hitting + ["--out", str(tmp_path / "h")]) == 2
+    assert "state has 2 entries, expected 1" in capsys.readouterr().err
 
 
 def test_certify_exit_codes(tmp_path):

@@ -65,6 +65,37 @@ def test_unknown_name_raises():
         registry_get("no_such_family", {})
 
 
+@pytest.mark.parametrize(
+    "name, params, match",
+    [
+        ("switched_ou", {"theta": []}, "empty per-mode sequence"),
+        ("switched_ou", {"c": -1}, "nonnegative"),
+        ("controlled_scalar", {"c": 0}, "positive"),
+        ("controlled_scalar", {"controllable": [0]}, "indexed from 1"),
+        ("predator_prey", {"beta": -1}, "nonnegative"),
+        ("predator_prey", {"n_max": 1}, "n_max >= 2"),
+        ("linear_2d", {"B": [1.0, 2.0]}, "B must be"),
+        ("linear_2d", {"B": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "B matrices must be 2x2"),
+        ("linear_2d", {"A": [[[1.0, 2.0]]]}, "A must be"),
+        ("linear_2d", {"A": [1.0, 2.0, 3.0]}, "A vectors must have length 2"),
+        ("linear_2d", {"qhat": "nope"}, "unknown qhat family"),
+    ],
+)
+def test_invalid_parameters_raise(name, params, match):
+    with pytest.raises(ValueError, match=match):
+        registry_get(name, params)
+
+
+def test_linear_2d_qhat_families():
+    _, lin = registry_get("linear_2d", {"qhat": "controlled_scalar"})
+    assert lin.qhat.row(1) == {2: 1.0}
+    assert lin.qhat.row(3) == {1: 1.0, 4: 1.0}
+    spec, lin = registry_get("linear_2d", {"qhat": [[1, 2, 0.5], [2, 1, 0.25]]})
+    assert lin.qhat.row(1) == {2: 0.5}
+    assert lin.qhat.row(2) == {1: 0.25}
+    assert lin.qhat.rate_bound == spec.rate_bound == 0.5
+
+
 def test_per_mode_sequences_clamp():
     spec, _ = registry_get("switched_ou", {"theta": [1.0, 2.0], "mu": 0.0})
     assert spec.drift(np.array([1.0]), 1)[0] == pytest.approx(-1.0)

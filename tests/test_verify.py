@@ -270,6 +270,16 @@ def test_coupling_decay_table():
         coupling_decay(spec, lin, [5.0], cfg, 10, floor_frac=1.5)
 
 
+def test_coupling_skips_the_bernoulli_step_check():
+    # dt * rate_bound is 6.64 on predator_prey, far past the bernoulli limit
+    # of 0.5; the coupling runs by thinning, so that limit does not apply
+    loaded = load_model_config(CONFIG_DIR / "predator_prey.json")
+    cfg = SimConfig(dt=0.015625, horizon=2.0, seed=5)
+    rows = coupling_decay(loaded.spec, loaded.lin, [10.0, 1000.0], cfg, 40)
+    bern = replace(cfg, scheme="bernoulli")
+    assert coupling_decay(loaded.spec, loaded.lin, [10.0, 1000.0], bern, 40) == rows
+
+
 def test_occupation_fractions_two_mode_balance():
     a, b = 1.0, 3.0
     rates = lambda seg, i: {2: a} if i == 1 else {1: b}
