@@ -104,12 +104,13 @@ class Certificate:
     def total(self) -> float:
         return self.partial_sum + self.tail_bound + self.rounding_bound
 
-    def to_dict(self, head: int = 12) -> dict:
+    def to_dict(self) -> dict:
+        """JSON-ready summary; costs and stationary weights of the first 12 modes."""
         return {
             "claim": self.claim,
             "form": self.form,
-            "per_mode_c": [float(v) for v in self.per_mode_c[:head]],
-            "nu_head": [float(v) for v in self.nu.nu[:head]],
+            "per_mode_c": [float(v) for v in self.per_mode_c[:12]],
+            "nu_head": [float(v) for v in self.nu.nu[:12]],
             "truncation": int(self.nu.truncation),
             "stationary_residual": float(self.nu.residual),
             "partial_sum": float(self.partial_sum),

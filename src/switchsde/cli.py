@@ -101,7 +101,6 @@ def _model_flags(spec, lin) -> dict:
     return {
         "sublinear_residuals": sub.passed,
         "rate_convergence": conv.passed,
-        "model_asserts_irreducible": spec.asserts_irreducible,
     }
 
 

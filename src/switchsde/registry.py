@@ -5,6 +5,8 @@ parameters accept either a scalar (constant over modes) or a sequence
 (values for modes 1..len, last value repeated beyond), which keeps every
 coefficient sequence bounded by construction and lets the modes from the
 longest length on share one drift and diffusion (``shared_coefficients_from``).
+Each ``coeff_bound`` is derived, not declared: the largest spectral norm of
+the linear drift and noise matrices up to the mode from which they repeat.
 """
 
 from __future__ import annotations
@@ -25,24 +27,39 @@ REGISTRY_NAMES = (
 )
 
 
-def _per_mode(value, name: str):
-    """Scalar or clamped sequence -> callable over modes 1, 2, ..."""
-    if np.isscalar(value):
-        v = float(value)
-        return (lambda i: v), v, v
-    vals = [float(v) for v in value]
-    if not vals:
+# element rank -> how to name one element, and what a wrongly shaped one breaks
+_ELEMENTS = {
+    0: ("a number", ""),
+    1: ("a {}-vector", "vectors must have length {}"),
+    2: ("a {}x{} matrix", "matrices must be {}x{}"),
+}
+
+
+def _per_mode(value, name: str, shape: tuple = ()):
+    """One value or a sequence of values for modes 1..len (the last repeated
+    beyond), each a number or an array of ``shape`` -> (callable over modes
+    1, 2, ..., the (len, *shape) array of values read)."""
+    vals = np.asarray(value, dtype=float)
+    if vals.ndim == len(shape):
+        vals = vals[None]
+    one, wrong = _ELEMENTS[len(shape)]
+    if vals.ndim != len(shape) + 1:
+        raise ValueError(f"{name} must be {one.format(*shape)} or a list of them")
+    if vals.shape[1:] != shape:
+        raise ValueError(f"{name} {wrong.format(*shape)}")
+    if not len(vals):
         raise ValueError(f"{name}: empty per-mode sequence")
-
-    def at(i: int) -> float:
-        return vals[min(i, len(vals)) - 1]
-
-    return at, min(vals), max(vals)
+    seq = list(vals) if shape else vals.tolist()
+    n, last = len(seq), seq[-1]
+    return (lambda i: seq[i - 1] if i < n else last), vals
 
 
-def _span(params: dict, *names: str) -> int:
-    """Length of the longest per-mode sequence: from there on all repeat their last value."""
-    return max(len(np.atleast_1d(params.get(k, 0.0))) for k in names)
+def _linearization(b_mat, sigma_mats, qhat: SparseGenerator, top: int) -> Linearization:
+    """Linearization whose ``coeff_bound`` is the largest spectral norm of the
+    drift and noise matrices of modes 1..top, from which on they repeat."""
+    mats = [m for i in range(1, top + 1) for m in (b_mat(i), *sigma_mats(i))]
+    bound = np.linalg.norm(np.array(mats, dtype=float), 2, axis=(1, 2)).max()
+    return Linearization(b_mat, sigma_mats, qhat, coeff_bound=float(bound))
 
 
 def _ou_family_targets(i: int) -> tuple:
@@ -66,8 +83,8 @@ def _ou_family_rates(params: dict):
     """Rates of the mean-reverting family, their per-mode bound and their
     bound: the limit rates times the history factor 1 + c(i) / (sup_norm + 1),
     which is at most 1 + c(i)."""
-    c, c_min, c_max = _per_mode(params.get("c", 1.0), "c")
-    if c_min < 0:
+    c, cs = _per_mode(params.get("c", 1.0), "c")
+    if cs.min() < 0:
         raise ValueError("rate offsets c must be nonnegative")
 
     def rates_row(seg, i):
@@ -76,27 +93,28 @@ def _ou_family_rates(params: dict):
     def mode_rate_bound(i):
         return len(_ou_family_targets(i)) * (1.0 + c(i))
 
-    return rates_row, mode_rate_bound, 3.0 * (1.0 + c_max)
+    return rates_row, mode_rate_bound, 3.0 * (1.0 + float(cs.max()))
+
+
+def _ladder_targets(i: int) -> tuple:
+    """Saturating-ladder family: return to mode 1 or climb one rung."""
+    return (2,) if i == 1 else (1, i + 1)
 
 
 def _ladder_qhat() -> SparseGenerator:
-    """Limit rates of the saturating-ladder family: return to mode 1 or
-    climb one rung."""
-
     def row(i: int) -> dict:
-        if i == 1:
-            return {2: 1.0}
-        return {1: 1.0, i + 1: 1.0}
+        return dict.fromkeys(_ladder_targets(i), 1.0)
 
     return SparseGenerator(row, rate_bound=2.0, name="controlled_scalar_limit")
 
 
 def _switched_ou(params: dict):
-    theta, _, th_max = _per_mode(params.get("theta", 1.0), "theta")
-    mu, _, mu_max = _per_mode(params.get("mu", 0.0), "mu")
-    sigma, sg_min, sg_max = _per_mode(params.get("sigma", 0.5), "sigma")
+    theta, thetas = _per_mode(params.get("theta", 1.0), "theta")
+    mu, mus = _per_mode(params.get("mu", 0.0), "mu")
+    sigma, sigmas = _per_mode(params.get("sigma", 0.5), "sigma")
     rates_row, mode_rate_bound, rate_bound = _ou_family_rates(params)
     delay = float(params.get("delay", 1.0))
+    top = max(len(thetas), len(mus), len(sigmas))
 
     def drift(x, i):
         return theta(i) * (mu(i) - np.asarray(x, dtype=float))
@@ -113,33 +131,32 @@ def _switched_ou(params: dict):
         rate_bound=rate_bound,
         mode_rate_bound=mode_rate_bound,
         delay=delay,
-        zero_diffusion=(sg_min == 0.0 == sg_max),
+        zero_diffusion=not sigmas.any(),
         supports_batch=True,
         rates_depend_on_path=True,
-        shared_coefficients_from=_span(params, "theta", "mu", "sigma"),
+        shared_coefficients_from=top,
     )
-    lin = Linearization(
-        b_mat=lambda i: np.array([[-theta(i)]]),
-        sigma_mats=lambda i: [np.zeros((1, 1))],
-        qhat=_ou_family_qhat(),
-        coeff_bound=max(abs(th_max), 1e-12),
+    lin = _linearization(
+        lambda i: np.array([[-theta(i)]]), lambda i: [np.zeros((1, 1))], _ou_family_qhat(), top
     )
     return spec, lin
 
 
 def _controlled_scalar(params: dict):
-    a_lin, _, a_max = _per_mode(params.get("A", 1.0), "A")
-    b_in, _, b_max = _per_mode(params.get("B", 1.0), "B")
-    c_aff, _, c_aff_max = _per_mode(params.get("C", 0.0), "C")
-    sigma, _, sg_max = _per_mode(params.get("sigma", 0.0), "sigma")
-    gain, _, gain_max = _per_mode(params.get("L", 0.0), "L")
-    c_rate, c_min, _ = _per_mode(params.get("c", 1.0), "c")
+    a_lin, a_vals = _per_mode(params.get("A", 1.0), "A")
+    b_in, _ = _per_mode(params.get("B", 1.0), "B")
+    c_aff, c_affs = _per_mode(params.get("C", 0.0), "C")
+    sigma, sigmas = _per_mode(params.get("sigma", 0.0), "sigma")
+    gain, _ = _per_mode(params.get("L", 0.0), "L")
+    c_rate, c_rates = _per_mode(params.get("c", 1.0), "c")
     controllable = frozenset(int(i) for i in params.get("controllable", (1,)))
     delay = float(params.get("delay", 1.0))
-    if c_min <= 0:
+    if c_rates.min() <= 0:
         raise ValueError("rate constants c must be positive")
     if any(i < 1 for i in controllable):
         raise ValueError("controllable modes are indexed from 1")
+    # B and L act on the controllable modes only
+    top = max(len(a_vals), len(c_affs), len(sigmas), max(controllable, default=0) + 1)
 
     def input_gain(i: int) -> float:
         return b_in(i) if i in controllable else 0.0
@@ -158,10 +175,7 @@ def _controlled_scalar(params: dict):
 
     def rates_row(seg, i):
         z = np.linalg.norm(seg.value_at(-seg.delay), axis=-1)
-        if i == 1:
-            return {2: z / (c_rate(1) + z)}
-        r = z / (c_rate(i) + z)
-        return {1: r, i + 1: r}
+        return dict.fromkeys(_ladder_targets(i), z / (c_rate(i) + z))
 
     spec = ModelSpec(
         dim=1,
@@ -170,30 +184,23 @@ def _controlled_scalar(params: dict):
         diffusion=diffusion,
         rates_row=rates_row,
         rate_bound=2.0,
-        mode_rate_bound=lambda i: 1.0 if i == 1 else 2.0,
+        mode_rate_bound=lambda i: float(len(_ladder_targets(i))),
         delay=delay,
         supports_batch=True,
         rates_depend_on_path=True,
-        shared_coefficients_from=max(  # B and L act on the controllable modes only
-            _span(params, "A", "C", "sigma"), max(controllable, default=0) + 1
-        ),
+        shared_coefficients_from=top,
         meta={
             "input_matrix": lambda i: np.array([[input_gain(i)]]),
             "controllable": controllable,
         },
     )
-    lin = Linearization(
-        b_mat=lambda i: np.array([[closed_a(i)]]),
-        sigma_mats=lambda i: [np.array([[sigma(i)]]), np.zeros((1, 1))],
-        qhat=_ladder_qhat(),
-        coeff_bound=max(abs(a_max) + abs(b_max) * abs(gain_max), abs(sg_max), 1e-12),
-    )
+    lin = _linearization(lambda i: np.array([[closed_a(i)]]),
+                         lambda i: [np.array([[sigma(i)]]), np.zeros((1, 1))], _ladder_qhat(), top)
     return spec, lin
 
 
 def _fluid_queue(params: dict):
-    f_param = params.get("f", (1.0, -2.0))
-    f, _, f_max = _per_mode(f_param, "f")
+    f, fs = _per_mode(params.get("f", (1.0, -2.0)), "f")
     rates_row, mode_rate_bound, rate_bound = _ou_family_rates(params)
     delay = float(params.get("delay", 1.0))
 
@@ -219,13 +226,10 @@ def _fluid_queue(params: dict):
         zero_diffusion=True,
         supports_batch=True,
         rates_depend_on_path=True,
-        shared_coefficients_from=len(np.atleast_1d(f_param)),
+        shared_coefficients_from=len(fs),
     )
-    lin = Linearization(
-        b_mat=lambda i: np.zeros((1, 1)),
-        sigma_mats=lambda i: [np.zeros((1, 1))],
-        qhat=_ou_family_qhat(),
-        coeff_bound=1e-12,
+    lin = _linearization(
+        lambda i: np.zeros((1, 1)), lambda i: [np.zeros((1, 1))], _ou_family_qhat(), len(fs)
     )
     return spec, lin
 
@@ -259,88 +263,44 @@ def _predator_prey(params: dict):
     def feed_level(seg):
         return np.minimum(np.maximum(seg.integrate_against(weights)[..., 0], 0.0), phi_cap)
 
-    def rates_row(seg, n):
-        row = {}
+    def row(n, feed) -> dict:
+        out = {}
         if n < n_max:
-            row[n + 1] = beta * n
+            out[n + 1] = beta * n
         if n >= 2:
-            row[n - 1] = n * (delta + c_comp * n + b_feed * feed_level(seg))
-        return row
-
-    bound = max(
-        beta * n + (n * (delta + c_comp * n + b_feed * phi_cap) if n >= 2 else 0.0)
-        for n in range(1, n_max + 1)
-    )
-
-    def limit_row(n: int) -> dict:
-        row = {}
-        if n < n_max:
-            row[n + 1] = beta * n
-        if n >= 2:
-            row[n - 1] = n * (delta + c_comp * n + b_feed * phi_cap)
-        return row
+            out[n - 1] = n * (delta + c_comp * n + b_feed * feed)
+        return out
 
     # feed_level <= phi_cap, so each limit row dominates its rate row
-    mode_bounds = [sum(limit_row(n).values()) for n in range(1, n_max + 1)]
-
+    mode_bounds = [sum(row(n, phi_cap).values()) for n in range(1, n_max + 1)]
+    qhat = SparseGenerator(lambda n: row(n, phi_cap), rate_bound=max(mode_bounds),
+                           name="predator_prey_capped", n_modes=n_max)
     spec = ModelSpec(
         dim=1,
         brownian_dim=1,
         drift=drift,
         diffusion=diffusion,
-        rates_row=rates_row,
-        rate_bound=bound,
+        rates_row=lambda seg, n: row(n, feed_level(seg)),
+        rate_bound=qhat.rate_bound,
         mode_rate_bound=lambda n: mode_bounds[n - 1],
         delay=delay,
-        n_modes=n_max,
         post_step=lambda x: np.maximum(x, 0.0),
         supports_batch=True,
         rates_depend_on_path=True,
     )
-    lin = Linearization(
-        b_mat=lambda i: np.array([[rho * b_feed * min(i, n_max) - d_death]]),
-        sigma_mats=lambda i: [np.array([[sigma]])],
-        qhat=SparseGenerator(
-            limit_row, rate_bound=bound, name="predator_prey_capped", n_modes=n_max
-        ),
-        coeff_bound=rho * b_feed * n_max + d_death + abs(sigma),
-    )
+    lin = _linearization(lambda i: np.array([[rho * b_feed * min(i, n_max) - d_death]]),
+                         lambda i: [np.array([[sigma]])], qhat, n_max)
     return spec, lin
 
 
 def _linear_2d(params: dict):
-    b_param = params.get("B", ((-1.0, 0.0), (0.0, -1.0)))
-    a_param = params.get("A", (1.0, 1.0))
-    c1, _, c1_max = _per_mode(params.get("c1", 1.0), "c1")
-    c2, _, c2_max = _per_mode(params.get("c2", 1.0), "c2")
+    b_of, b_mats = _per_mode(params.get("B", ((-1.0, 0.0), (0.0, -1.0))), "B", (2, 2))
+    a_of, a_vecs = _per_mode(params.get("A", (1.0, 1.0)), "A", (2,))
+    c1, c1s = _per_mode(params.get("c1", 1.0), "c1")
+    c2, c2s = _per_mode(params.get("c2", 1.0), "c2")
     delay = float(params.get("delay", 1.0))
     qhat_family = params.get("qhat", "switched_ou")
-
-    b_arr = np.asarray(b_param, dtype=float)
-    if b_arr.ndim == 2:
-        b_mats = [b_arr]
-    elif b_arr.ndim == 3:
-        b_mats = [b_arr[k] for k in range(b_arr.shape[0])]
-    else:
-        raise ValueError("B must be a 2x2 matrix or a list of 2x2 matrices")
-    if any(mb.shape != (2, 2) for mb in b_mats):
-        raise ValueError("B matrices must be 2x2")
-
-    a_arr = np.asarray(a_param, dtype=float)
-    if a_arr.ndim == 1:
-        a_vecs = [a_arr]
-    elif a_arr.ndim == 2:
-        a_vecs = [a_arr[k] for k in range(a_arr.shape[0])]
-    else:
-        raise ValueError("A must be a 2-vector or a list of 2-vectors")
-    if any(av.shape != (2,) for av in a_vecs):
-        raise ValueError("A vectors must have length 2")
-
-    def b_of(i: int) -> np.ndarray:
-        return b_mats[min(i, len(b_mats)) - 1]
-
-    def a_of(i: int) -> np.ndarray:
-        return a_vecs[min(i, len(a_vecs)) - 1]
+    top = max(len(b_mats), len(a_vecs), len(c1s), len(c2s))
 
     if qhat_family == "switched_ou":
         qhat = _ou_family_qhat()
@@ -382,23 +342,9 @@ def _linear_2d(params: dict):
         delay=delay,
         supports_batch=True,
         rates_depend_on_path=False,
-        shared_coefficients_from=max(len(b_mats), len(a_vecs), _span(params, "c1", "c2")),
+        shared_coefficients_from=top,
     )
-    coeff = max(
-        max(np.linalg.norm(mb, 2) for mb in b_mats),
-        abs(c1_max),
-        abs(c2_max),
-        1e-12,
-    )
-    lin = Linearization(
-        b_mat=b_of,
-        sigma_mats=lambda i: [
-            np.diag([c1(i), 0.0]),
-            np.diag([0.0, c2(i)]),
-        ],
-        qhat=qhat,
-        coeff_bound=coeff,
-    )
+    lin = _linearization(b_of, lambda i: [np.diag([c1(i), 0.0]), np.diag([0.0, c2(i)])], qhat, top)
     return spec, lin
 
 

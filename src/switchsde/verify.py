@@ -223,11 +223,12 @@ def _n_steps(cfg: SimConfig) -> int:
     return int(round(cfg.horizon / cfg.dt))
 
 
-def _first_times(model, phi0, i0: int, cfg: SimConfig, n_paths: int, hit) -> list:
+def _first_times(model, phi0, i0: int, cfg: SimConfig, n_paths: int, hit,
+                 track_history: bool) -> list:
     """First grid time of a stop rule, the mask ``hit(engine)`` over the
     engine's paths, on every path that meets it before the horizon without
-    blowing up."""
-    be = BatchEnsemble(model, phi0, i0, cfg, n_paths, track_history=True)
+    blowing up; ``track_history`` when ``hit`` reads the windows."""
+    be = BatchEnsemble(model, phi0, i0, cfg, n_paths, track_history=track_history)
     times = []
     for k in range(_n_steps(cfg) + 1):
         if k:
@@ -263,7 +264,7 @@ def estimate_hitting_time(
     def hit(e: BatchEnsemble) -> np.ndarray:
         return (e.modes <= k0) & (e.sup_norms() <= radius)
 
-    return _collect(_first_times(model, phi0, i0, cfg, n_paths, hit), n_paths)
+    return _collect(_first_times(model, phi0, i0, cfg, n_paths, hit, True), n_paths)
 
 
 def estimate_mode_descent(
@@ -282,7 +283,7 @@ def estimate_mode_descent(
     def hit(e: BatchEnsemble) -> np.ndarray:
         return e.modes <= k0
 
-    return _collect(_first_times(model, phi0, i0, cfg, n_paths, hit), n_paths)
+    return _collect(_first_times(model, phi0, i0, cfg, n_paths, hit, False), n_paths)
 
 
 def coupling_decay(
@@ -353,8 +354,6 @@ def occupation_stability(
     cfg: SimConfig,
     n_paths: int,
     burn_in: float,
-    k_head: int = 3,
-    radial_edges: Optional[Sequence[float]] = None,
     i0: int = 1,
     threads: int = 1,
 ) -> dict:
@@ -363,13 +362,14 @@ def occupation_stability(
     Pools all paths per start into one empirical distribution on the grid
     points after ``burn_in`` and reports the matrix of pairwise l1
     distances.  Small distances indicate the long-run law forgets the
-    initial history, as positive recurrence predicts.
+    initial history, as positive recurrence predicts.  |X| falls in 20
+    bins of width 0.25 on [0, 5] and one overflow bin; the mode in one of
+    1, 2, 3 or above 3.
     """
     if burn_in >= cfg.horizon:
         raise ValueError("burn_in must be below the horizon")
-    if radial_edges is None:
-        radial_edges = np.linspace(0.0, 5.0, 21)
-    edges = np.asarray(radial_edges, dtype=float)
+    edges = np.linspace(0.0, 5.0, 21)
+    k_head = 3
     n_rbins = edges.size  # last bin is overflow
     hists = []
     for start in starts:

@@ -20,11 +20,14 @@ from switchsde.sim import simulate
 from switchsde.verify import apply_generator
 
 
-def sampled_rho(mat, n_dirs=100_000, seed=0, n_polish=8):
+def sampled_rho(mat, n_dirs=100_000, seed=0, n_polish=2):
     """min over the unit sphere of |x^T A x|, by sampling plus polish.
 
     Draws ``n_dirs`` directions, then runs Nelder-Mead on the scale-free
-    objective |y^T S y| / |y|^2 from the best sampled starts.
+    objective |y^T S y| / |y|^2 from the ``n_polish`` best sampled starts.
+    On the 100 Gaussian 2x2..5x5 matrices of acceptance criterion 2 the
+    worst gap to the closed form was 9e-15 with 2 starts (5e-15 with 8, at
+    twice the time).
     """
     mat = np.asarray(mat, dtype=float)
     sym = 0.5 * (mat + mat.T)

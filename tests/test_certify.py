@@ -308,3 +308,14 @@ def test_finite_mode_space_caps_the_truncation():
     assert truncate(lin.qhat, 10_000).size == 50
     assert truncate(lin.qhat, 20).size == 20
     assert certify_recurrence(lin, 20).tail_mass_source == "extrapolated"
+
+
+def test_negative_coefficients_certify_under_the_derived_bound():
+    # every mode is stable (c_1 = -5, c_i = -1 beyond); the coefficient bound
+    # must weigh |A|, not max A, or coeff_bound_ok fails
+    lin = registry_get("controlled_scalar", {"A": [-5.0, -1.0], "L": 0.0})[1]
+    assert lin.coeff_bound == 5.0
+    cert = certify_recurrence(lin, 30, tail_mass_bound=0.0)
+    assert cert.assumption_flags["coeff_bound_ok"]
+    assert cert.partial_sum == pytest.approx(-3.0, abs=1e-8)
+    assert (cert.verdict, cert.reason) == (CERTIFIED, "certified")

@@ -171,8 +171,8 @@ def test_modelspec_checks_the_shared_coefficient_mode():
         rate_bound=1.0,
         delay=1.0,
     )
-    for k, n_modes in ((0, None), (-2, None), (0, 4), (5, 4)):
+    for k in (0, -2):
         with pytest.raises(ValueError, match="shared_coefficients_from"):
-            ModelSpec(**base, shared_coefficients_from=k, n_modes=n_modes)
-    for k, n_modes in ((1, None), (40, None), (4, 4), (1, 4)):
-        assert ModelSpec(**base, shared_coefficients_from=k, n_modes=n_modes).shared_coefficients_from == k
+            ModelSpec(**base, shared_coefficients_from=k)
+    for k in (1, 40):
+        assert ModelSpec(**base, shared_coefficients_from=k).shared_coefficients_from == k

@@ -151,8 +151,8 @@ def test_predator_prey_respects_mode_cap():
     spec, lin = registry_get("predator_prey", DEFAULTS["predator_prey"])
     seg = probe_segment(spec, value=2.0)
     assert 1 not in spec.rates_row(seg, 1)  # no death below mode 2
-    top = spec.rates_row(seg, spec.n_modes)
-    assert spec.n_modes + 1 not in top  # birth stops at the cap
+    top = spec.rates_row(seg, lin.qhat.n_modes)
+    assert lin.qhat.n_modes + 1 not in top  # birth stops at the cap
     mid = spec.rates_row(seg, 5)
     assert set(mid) == {4, 6}
     assert sum(mid.values()) <= spec.rate_bound + 1e-9
@@ -160,6 +160,16 @@ def test_predator_prey_respects_mode_cap():
     big = probe_segment(spec, value=1e6)
     capped = spec.rates_row(big, 5)
     assert capped[4] == pytest.approx(lin.qhat.row(5)[4])
+
+
+def test_predator_prey_limit_rows_are_the_capped_rate_rows():
+    spec, lin = registry_get("predator_prey", DEFAULTS["predator_prey"])
+    n_max = lin.qhat.n_modes
+    seg = probe_segment(spec, value=DEFAULTS["predator_prey"]["phi_cap"])
+    for n in range(1, n_max + 1):
+        assert spec.rates_row(seg, n) == lin.qhat.row(n)
+    bound = max(spec.mode_rate_bound(n) for n in range(1, n_max + 1))
+    assert spec.rate_bound == lin.qhat.rate_bound == bound
 
 
 def test_linear_2d_rates_are_history_free():
@@ -181,7 +191,7 @@ def test_linear_2d_noise_matrices_are_rank_one():
 @pytest.mark.parametrize("name", REGISTRY_NAMES)
 def test_mode_bounds_dominate_rows(name):
     params = DEFAULTS[name]
-    spec, _ = registry_get(name, params)
+    spec, lin = registry_get(name, params)
     assert spec.mode_rate_bound is not None
     rng = np.random.default_rng(5)
     shape = (9, spec.dim)  # delay / dt + 1 samples at dt = delay / 8
@@ -195,7 +205,7 @@ def test_mode_bounds_dominate_rows(name):
         histories["feed_at_cap"] = np.full(shape, params["phi_cap"])
     for label, samples in histories.items():
         seg = Segment(samples, spec.delay, spec.delay / 8.0)
-        for i in range(1, min(60, spec.n_modes or 60) + 1):
+        for i in range(1, min(60, lin.qhat.n_modes or 60) + 1):
             total = sum(spec.rates_row(seg, i).values())
             assert total <= spec.mode_rate_bound(i) <= spec.rate_bound, (label, i)
 
@@ -282,3 +292,28 @@ def test_shared_coefficients_repeat_from_the_declared_mode(name, params, want):
             np.array_equal(spec.drift(x, k - 1), b_k)
             and np.array_equal(spec.diffusion(x, k - 1), s_k)
         )
+
+
+def coeff_cases():
+    for name in REGISTRY_NAMES:
+        yield name, DEFAULTS[name]
+        if name in SEQUENCES:
+            yield name, SEQUENCES[name][0]
+    # negative entries: the bound must take |.|, not the largest signed value
+    yield "switched_ou", {"theta": [-3.0, 1.0]}
+    yield "controlled_scalar", {"A": [-5.0, -1.0], "L": 0.0}
+    yield "controlled_scalar", {"A": 1.0, "B": [1.0, 2.0], "L": [4.0, -3.0], "controllable": [1, 2]}
+    yield "fluid_queue", {"f": [-1.0, -2.0]}
+    yield "predator_prey", {"D": 30.0, "sigma": -0.3, "n_max": 12}
+    yield "linear_2d", {"B": [[[-4.0, 1.0], [0.0, -1.0]], [[-1.0, 0.0], [0.0, -1.0]]], "c1": [-3.0, 0.1]}
+
+
+@pytest.mark.parametrize("name, params", coeff_cases())
+def test_coeff_bound_is_the_largest_spectral_norm(name, params):
+    _, lin = registry_get(name, params)
+    norms = [
+        np.linalg.norm(m, 2)
+        for i in range(1, 61)
+        for m in (lin.b_mat(i), *lin.sigma_mats(i))
+    ]
+    assert lin.coeff_bound == max(norms)

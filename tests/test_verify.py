@@ -271,7 +271,7 @@ def test_coupling_decay_table():
 
 
 def test_coupling_skips_the_bernoulli_step_check():
-    # dt * rate_bound is 6.64 on predator_prey, far past the bernoulli limit
+    # dt * rate_bound is 6.43 on predator_prey, far past the bernoulli limit
     # of 0.5; the coupling runs by thinning, so that limit does not apply
     loaded = load_model_config(CONFIG_DIR / "predator_prey.json")
     cfg = SimConfig(dt=0.015625, horizon=2.0, seed=5)
