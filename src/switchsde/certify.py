@@ -11,6 +11,13 @@ the extrapolation is a heuristic, not a proof.  The stabilization variant
 first closes the loop on the controllable modes with linear state feedback
 u = -L(i) x.
 
+When the linearization declares ``repeats_from`` K, every mode beyond
+D = max(K, largest controllable mode + 1) has mode D's cost, so the
+matrices, costs and norm probe are built for modes 1..D only and the costs
+are extended to length N by repeating c_D: the per-mode work no longer
+grows with N, and the tail bound and the coefficient probe then cover
+every mode, also those beyond N.
+
 Two printed forms of the stabilization cost are kept side by side and
 selected with ``form``: ``thm37`` substitutes the closed-loop drift into
 the recurrence cost, while ``thm41`` uses the alternate weighting
@@ -135,6 +142,15 @@ def _effective_drift(lin: Linearization, i: int, plan: Optional[GainPlan]) -> np
     return b
 
 
+def _cost_modes(lin: Linearization, n_modes: int, controllable=()) -> int:
+    """D such that the stacks of modes 1..D fix every mode's cost: N when
+    the coefficients declare no repeat point K, else max(K, c + 1) for the
+    largest controllable mode c, as every mode beyond is mode D's."""
+    if lin.repeats_from is None:
+        return n_modes
+    return max(lin.repeats_from, max(controllable, default=0) + 1)
+
+
 def _stacks(lin: Linearization, modes, plan: Optional[GainPlan]):
     """Effective drifts (N, n, n) and noise matrices (N, d, n, n) of ``modes``."""
     b = np.array([_effective_drift(lin, i, plan) for i in modes])
@@ -241,13 +257,18 @@ def _certify(
         tg, dist = law
         if tg.size != n_modes:
             raise ValueError(f"law solved at N={tg.size}, certificate asks for N={n_modes}")
+    n_cost = _cost_modes(lin, n_modes, () if plan is None else plan.controllable)
     if stacks is None:
-        b, sig = _stacks(lin, range(1, n_modes + 1), plan)
+        b, sig = _stacks(lin, range(1, n_cost + 1), plan)
     else:
         b, sig = stacks
-        if b.shape[0] != n_modes:
-            raise ValueError(f"stacks hold {b.shape[0]} modes, certificate asks for N={n_modes}")
-    costs = _costs(b, sig, form)
+        if b.shape[0] != n_cost:
+            raise ValueError(f"stacks hold {b.shape[0]} modes, certificate needs {n_cost}")
+    head = _costs(b, sig, form)  # modes 1..n_cost; every mode beyond costs head[-1]
+    if n_cost >= n_modes:
+        costs = head[:n_modes]
+    else:
+        costs = np.concatenate([head, np.full(n_modes - n_cost, head[-1])])
     partial = float(dist.nu @ costs)
     gamma = n_modes * _UNIT_ROUNDOFF / (1.0 - n_modes * _UNIT_ROUNDOFF)
     rounding_bound = float(gamma * (dist.nu @ np.abs(costs)))
@@ -260,7 +281,7 @@ def _certify(
         tail_mass, source = float(tail_mass_bound), "user"
     else:
         tail_mass, source = estimate_tail_mass(dist.nu), "extrapolated"
-    tail_bound = float(np.max(np.abs(costs)) * tail_mass)
+    tail_bound = float(np.max(np.abs(head)) * tail_mass)
 
     plan_norm = 0.0
     if plan is not None and plan.input_mats is not None:
@@ -341,9 +362,11 @@ def certify_stabilization(
     """Certify weak stabilizability under the feedback plan.
 
     ``law`` is an already solved ``(truncate(lin.qhat, n_modes), stationary(...))``
-    pair, and ``stacks`` the closed-loop ``(drifts, noise)`` stacks of modes
-    1..N under ``plan``; ``search_gain`` passes both so that its grid shares
-    one solve and one build of the gain-independent matrices.
+    pair, and ``stacks`` the closed-loop ``(drifts, noise)`` stacks under
+    ``plan`` of modes 1..N, or of modes 1..D when ``lin.repeats_from`` is
+    declared (see the module docstring); ``search_gain`` passes both so that
+    its grid shares one solve and one build of the gain-independent
+    matrices.
     """
     if plan.input_mats is None:
         raise ValueError("gain plan needs input matrices")
@@ -397,8 +420,9 @@ def search_gain(
     if law is None:
         tg = truncate(lin.qhat, n_modes)
         law = (tg, stationary(tg))
-    b0, sig = _stacks(lin, range(1, n_modes + 1), None)
-    restack = sorted(i for i in controllable if i <= n_modes)
+    n_cost = _cost_modes(lin, n_modes, controllable)
+    b0, sig = _stacks(lin, range(1, n_cost + 1), None)
+    restack = sorted(i for i in controllable if i <= n_cost)
     for g in grid:
         gains = {
             i: g * np.eye(np.asarray(input_mats(i), float).shape[1], n)

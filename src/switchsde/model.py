@@ -98,13 +98,22 @@ class Linearization:
     list of d linear noise matrices (column k of the diffusion is
     sigma_k(i) x plus a sublinear remainder), and ``qhat`` the generator
     the switching rates converge to on large histories.  ``coeff_bound``
-    dominates the spectral norms of all these matrices.
+    dominates the spectral norms of all these matrices.  ``repeats_from``
+    (optional) K promises that ``b_mat(i)`` and ``sigma_mats(i)`` equal mode
+    K's for every i >= K, as ``ModelSpec.shared_coefficients_from`` does for
+    the drift and diffusion; certificates then build per-mode costs only up
+    to K and the controllable modes.  It is not checked.
     """
 
     b_mat: Callable[[int], np.ndarray]
     sigma_mats: Callable[[int], list]
     qhat: SparseGenerator
     coeff_bound: float
+    repeats_from: Optional[int] = None
+
+    def __post_init__(self):
+        if self.repeats_from is not None and self.repeats_from < 1:
+            raise ValueError("repeats_from must be a mode >= 1")
 
 
 @dataclass(frozen=True)

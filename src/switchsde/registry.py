@@ -7,6 +7,10 @@ coefficient sequence bounded by construction and lets the modes from the
 longest length on share one drift and diffusion (``shared_coefficients_from``).
 Each ``coeff_bound`` is derived, not declared: the largest spectral norm of
 the linear drift and noise matrices up to the mode from which they repeat.
+The repeat points are derived the same way: ``Linearization.repeats_from``
+is the first mode from which those matrices equal the last listed mode's,
+and the two unbounded limit generators declare the mode from which their
+rows are shift-invariant (``SparseGenerator.repeats_from``).
 """
 
 from __future__ import annotations
@@ -56,10 +60,15 @@ def _per_mode(value, name: str, shape: tuple = ()):
 
 def _linearization(b_mat, sigma_mats, qhat: SparseGenerator, top: int) -> Linearization:
     """Linearization whose ``coeff_bound`` is the largest spectral norm of the
-    drift and noise matrices of modes 1..top, from which on they repeat."""
-    mats = [m for i in range(1, top + 1) for m in (b_mat(i), *sigma_mats(i))]
-    bound = np.linalg.norm(np.array(mats, dtype=float), 2, axis=(1, 2)).max()
-    return Linearization(b_mat, sigma_mats, qhat, coeff_bound=float(bound))
+    drift and noise matrices of modes 1..top, from which on they repeat, and
+    whose ``repeats_from`` is the first mode whose matrices are mode top's
+    bit for bit, as are those of every mode between."""
+    mats = np.array([(b_mat(i), *sigma_mats(i)) for i in range(1, top + 1)], dtype=float)
+    bound = np.linalg.norm(mats.reshape(-1, *mats.shape[2:]), 2, axis=(1, 2)).max()
+    k, last = top, mats[-1].tobytes()
+    while k > 1 and mats[k - 2].tobytes() == last:
+        k -= 1
+    return Linearization(b_mat, sigma_mats, qhat, coeff_bound=float(bound), repeats_from=k)
 
 
 def _ou_family_targets(i: int) -> tuple:
@@ -76,7 +85,7 @@ def _ou_family_qhat() -> SparseGenerator:
     def row(i: int) -> dict:
         return dict.fromkeys(_ou_family_targets(i), 1.0)
 
-    return SparseGenerator(row, rate_bound=3.0, name="switched_ou_limit")
+    return SparseGenerator(row, rate_bound=3.0, name="switched_ou_limit", repeats_from=3)
 
 
 def _ou_family_rates(params: dict):
@@ -105,7 +114,7 @@ def _ladder_qhat() -> SparseGenerator:
     def row(i: int) -> dict:
         return dict.fromkeys(_ladder_targets(i), 1.0)
 
-    return SparseGenerator(row, rate_bound=2.0, name="controlled_scalar_limit")
+    return SparseGenerator(row, rate_bound=2.0, name="controlled_scalar_limit", repeats_from=2)
 
 
 def _switched_ou(params: dict):

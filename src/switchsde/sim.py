@@ -231,16 +231,6 @@ def _couple(row: dict, ref: dict, u: float, bound: float, pair: tuple) -> tuple:
     return pair, False
 
 
-def _coupling_bound(model: ModelSpec, qhat) -> Callable[[int], float]:
-    """Clock rate of the basic coupling while both chains are in mode i: the
-    model's bound plus the reference row total, or both global bounds when
-    the model declares no per-mode bound."""
-    if model.mode_rate_bound is None:
-        bound = model.rate_bound + qhat.rate_bound
-        return lambda i: bound
-    return lambda i: model.mode_rate_bound(i) + sum(qhat.row(i).values())
-
-
 def simulate(
     model: ModelSpec,
     phi0: Segment,
@@ -488,8 +478,8 @@ class BatchEnsemble:
         else:
             self.modes_hat = self.modes.copy()
             self.decouple_time = np.full(self.n_paths, math.inf)
-            self._pair_bound = _coupling_bound(model, qhat)
-            bound = self._pair_bound(int(i0))
+            self._pairs: dict[int, tuple] = {}
+            bound = self._pair(int(i0))[1]
         self._next_ev = None
         if self._thinning:
             self._next_ev = (
@@ -701,20 +691,35 @@ class BatchEnsemble:
                 v = j
         self._next_ev[p] += _gap(self.rng, self.model.thinning_bound(v))
 
+    def _pair(self, v: int) -> tuple:
+        """Reference row of mode v and the coupling clock's rate while both
+        chains sit in v, read once per mode: the model's bound plus the
+        reference row total, or both global bounds when the model declares
+        no per-mode bound."""
+        pair = self._pairs.get(v)
+        if pair is None:
+            ref, model = self.qhat.row(v), self.model
+            if model.mode_rate_bound is None:
+                bound = model.rate_bound + self.qhat.rate_bound
+            else:
+                bound = model.mode_rate_bound(v) + sum(ref.values())
+            pair = self._pairs[v] = (ref, bound)
+        return pair
+
     def _propose_pair(self, p: int, row: dict) -> None:
         """One thinning proposal of the coupled pair of path p, rates ``row``;
         both chains are in one mode until they part."""
         v = int(self.modes[p])
-        bound = self._pair_bound(v)
+        ref, bound = self._pair(v)
         self.proposals += 1
-        (j, j_hat), lone = _couple(row, self.qhat.row(v), self.rng.random() * bound, bound, (v, v))
+        (j, j_hat), lone = _couple(row, ref, self.rng.random() * bound, bound, (v, v))
         self._move(p, j)
         self.modes_hat[p] = j_hat
         if lone:
             self.decouple_time[p] = self._next_ev[p]
             self._next_ev[p] = math.inf
         else:
-            self._next_ev[p] += _gap(self.rng, self._pair_bound(j))
+            self._next_ev[p] += _gap(self.rng, self._pair(j)[1])
 
     def _update_modes_thinning(self):
         t1 = self.t + self.cfg.dt

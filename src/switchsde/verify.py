@@ -138,9 +138,15 @@ def _as_batch(arr, batch: int) -> np.ndarray:
 
 
 def _window_f2(V: ProductFunctional, hist: np.ndarray, i: int) -> np.ndarray:
-    """f2 on every window sample of every path in one call, shape (m, P)."""
+    """f2 on every window sample of every path in one call, shape (m, P).
+
+    The (m * P, n) states are stored coordinate-major (Fortran order): a
+    callback that reduces over the n coordinates, such as |x|^2, then adds
+    whole columns instead of running numpy's short-axis reduce per state.
+    For n < 8 both layouts add the coordinates in the same order."""
     m, p, n = hist.shape
-    return _as_batch(V.f2(hist.reshape(m * p, n), i), m * p).reshape(m, p)
+    states = np.ascontiguousarray(hist.transpose(2, 0, 1)).reshape(n, m * p).T
+    return _as_batch(V.f2(states, i), m * p).reshape(m, p)
 
 
 class _Trapezoid:

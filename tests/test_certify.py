@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,10 +17,11 @@ from switchsde.certify import (
     per_mode_cost,
     search_gain,
 )
-from switchsde.chain import stationary, truncate
+from switchsde.chain import SparseGenerator, stationary, truncate
 from switchsde.model import Linearization
 from switchsde.registry import registry_get
 from switchsde.spectra import a_of_i, summarize
+from test_registry import repeat_cases
 
 
 def ou_lin(theta=1.0, sigma=0.5):
@@ -319,3 +323,64 @@ def test_negative_coefficients_certify_under_the_derived_bound():
     assert cert.assumption_flags["coeff_bound_ok"]
     assert cert.partial_sum == pytest.approx(-3.0, abs=1e-8)
     assert (cert.verdict, cert.reason) == (CERTIFIED, "certified")
+
+
+def undeclared(lin):
+    """The same linearization without either repeat point."""
+    q = lin.qhat
+    plain = SparseGenerator(q.row, q.rate_bound, name=q.name, n_modes=q.n_modes)
+    return replace(lin, repeats_from=None, qhat=plain)
+
+
+def cert_bytes(cert):
+    return json.dumps(cert.to_dict()), cert.per_mode_c.tobytes(), cert.nu.nu.tobytes()
+
+
+def gain_bytes(plan):
+    if plan is None:
+        return None
+    return [(i, np.asarray(g).tobytes()) for i, g in sorted(plan.gains.items())]
+
+
+@pytest.mark.parametrize("name, params", repeat_cases())
+def test_repeat_points_change_no_certificate(name, params):
+    spec, lin = registry_get(name, params)
+    inputs = spec.meta.get("input_matrix", lambda i: np.eye(spec.dim))
+    controllable = spec.meta.get("controllable", frozenset([1]))
+    # certificates read modes beyond N only when N < max(K, controllable + 1)
+    top = max(lin.repeats_from, max(controllable, default=0) + 1)
+    variants = [lin, replace(lin, repeats_from=None), undeclared(lin)]
+    for n in sorted({top, top + 1, 30, 300}):
+        for tail in (None, 0.01):
+            runs = []
+            for v in variants:
+                try:
+                    runs.append(cert_bytes(certify_recurrence(v, n, tail_mass_bound=tail)))
+                except ValueError as exc:
+                    runs.append(str(exc))
+            assert runs[0] == runs[1] == runs[2], (n, tail)
+        for form in ("thm37", "thm41"):
+            gains = [gain_bytes(search_gain(v, inputs, controllable, n, form=form,
+                                            tail_mass_bound=0.01)) for v in variants]
+            assert gains[0] == gains[1] == gains[2], (n, form)
+
+
+def test_tail_bound_and_probe_cover_the_modes_beyond_n():
+    # modes 1..9 cost -1 and every mode from 10 on costs +5; at N = 5 the
+    # mass beyond N may sit at cost 5, so the tail bound must weigh it
+    _, lin = registry_get("controlled_scalar", {"A": [-1.0] * 9 + [5.0], "L": 0.0})
+    assert lin.repeats_from == 10 and lin.coeff_bound == 5.0
+    cert = certify_recurrence(lin, 5, tail_mass_bound=0.01)
+    assert list(cert.per_mode_c) == [-1.0] * 5
+    assert cert.tail_bound == 5.0 * 0.01
+    assert cert.assumption_flags["coeff_bound_ok"]
+    # without the declaration only modes 1..N are seen
+    assert certify_recurrence(undeclared(lin), 5, tail_mass_bound=0.01).tail_bound == 0.01
+    # a coefficient bound that holds on modes 1..N only fails the probe
+    short = replace(lin, coeff_bound=1.0)
+    cert = certify_recurrence(short, 5, tail_mass_bound=0.01)
+    assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "coeff_bound_ok")
+    assert certify_recurrence(undeclared(short), 5, tail_mass_bound=0.01).verdict == CERTIFIED
+    # N past the repeat mode: the costs repeat c_10
+    cert = certify_recurrence(lin, 40, tail_mass_bound=0.01)
+    assert list(cert.per_mode_c) == [-1.0] * 9 + [5.0] * 31

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ladder_nu, nullspace_stationary, ou_family_nu
 from switchsde.chain import (
@@ -12,7 +14,7 @@ from switchsde.chain import (
 )
 
 
-def two_base_ladder():
+def two_base_ladder(repeats_from=None):
     def row(i):
         if i == 1:
             return {2: 1.0, 3: 1.0}
@@ -20,16 +22,21 @@ def two_base_ladder():
             return {1: 1.0, 3: 1.0}
         return {1: 1.0, 2: 1.0, i + 1: 1.0}
 
-    return SparseGenerator(row, rate_bound=3.0, name="two_base")
+    return SparseGenerator(row, rate_bound=3.0, name="two_base", repeats_from=repeats_from)
 
 
-def return_ladder():
+def return_ladder(repeats_from=None):
     def row(i):
         if i == 1:
             return {2: 1.0}
         return {1: 1.0, i + 1: 1.0}
 
-    return SparseGenerator(row, rate_bound=2.0, name="return")
+    return SparseGenerator(row, rate_bound=2.0, name="return", repeats_from=repeats_from)
+
+
+def csr_bytes(tg):
+    q = tg.q
+    return [(a.dtype.str, a.tobytes()) for a in (q.data, q.indices, q.indptr)]
 
 
 def test_truncate_rows_sum_to_zero_exactly():
@@ -144,3 +151,75 @@ def test_row_index_validation():
     gen = return_ladder()
     with pytest.raises(ValueError):
         gen.row(0)
+    # a row aimed below mode 1 would land in column -1, the last one
+    below = SparseGenerator(lambda i: {0: 1.0} if i == 2 else {2: 1.0}, rate_bound=1.0)
+    with pytest.raises(ValueError, match="row 2 targets mode 0"):
+        truncate(below, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 30, 700, 2000])
+def test_declared_repeat_truncates_to_the_same_arrays(n):
+    for make, k in ((two_base_ladder, 3), (return_ladder, 2)):
+        declared, plain = make(repeats_from=k), make()
+        assert csr_bytes(truncate(declared, n)) == csr_bytes(truncate(plain, n))
+        # declaring a later mode is also a true promise
+        assert csr_bytes(truncate(make(repeats_from=k + 2), n)) == csr_bytes(truncate(plain, n))
+
+
+def test_wrong_repeat_declaration_raises():
+    # the two-base rows repeat from 3: row 2 lacks the second base mode
+    with pytest.raises(ValueError, match="repeats_from=2 does not hold"):
+        truncate(two_base_ladder(repeats_from=2), 30)
+    with pytest.raises(ValueError, match="repeats_from must be a mode"):
+        SparseGenerator(lambda i: {}, 1.0, repeats_from=0)
+
+    def drifting(i):  # the climb rate changes from mode 50 on
+        return {2: 1.0} if i == 1 else {1: 1.0, i + 1: 1.0 if i < 50 else 2.0}
+
+    gen = SparseGenerator(drifting, rate_bound=3.0, repeats_from=2)
+    with pytest.raises(ValueError, match="row 60 is not row 2 shifted"):
+        truncate(gen, 60)
+
+
+def test_declared_truncation_is_independent_of_n():
+    # the rows between the repeat mode and the boundary come from numpy, so
+    # N = 1e5 takes about 20 ms on a 2-core VM (0.3-0.55 s when every row
+    # is read); the budget keeps 5x headroom
+    budget_s = 0.1
+    for gen in (two_base_ladder(repeats_from=3), return_ladder(repeats_from=2)):
+        t0 = time.perf_counter()
+        tg = truncate(gen, 100_000)
+        elapsed = time.perf_counter() - t0
+        assert tg.size == 100_000 and (tg.q.sum(axis=1) == 0.0).all()
+        assert tg.q[99_990].toarray()[0, 99_991] == 1.0
+        assert elapsed < budget_s, f"{gen.name} took {elapsed:.3f}s"
+
+
+@st.composite
+def shift_invariant_generators(draw):
+    """Rows 1..K-1 free, row K aimed at modes below K (kept) and 1-3 modes
+    above it (shifted), rows beyond K its shifts; a truncation level N."""
+    k = draw(st.integers(1, 6))
+    rate = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+    head = {
+        i: {j: draw(rate) for j in draw(st.lists(
+            st.integers(1, k + 3).filter(lambda j, i=i: j != i), unique=True, max_size=4))}
+        for i in range(1, k)
+    }
+    base = {j: draw(rate) for j in draw(st.lists(
+        st.integers(1, k + 3).filter(lambda j: j != k), unique=True, min_size=1, max_size=5))}
+
+    def row(i):
+        if i < k:
+            return dict(head[i])
+        return {j + i - k if j >= k else j: r for j, r in base.items()}
+
+    return k, row, draw(st.integers(2, 60))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(shift_invariant_generators())
+def test_shift_invariant_rows_truncate_alike_declared_or_not(case):
+    k, row, n = case
+    declared = SparseGenerator(row, rate_bound=20.0, repeats_from=k)
+    assert csr_bytes(truncate(declared, n)) == csr_bytes(truncate(SparseGenerator(row, 20.0), n))

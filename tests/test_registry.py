@@ -317,3 +317,41 @@ def test_coeff_bound_is_the_largest_spectral_norm(name, params):
         for m in (lin.b_mat(i), *lin.sigma_mats(i))
     ]
     assert lin.coeff_bound == max(norms)
+
+
+def shifted(row: dict, k: int, i: int) -> list:
+    """Row k moved to mode i: targets >= k shift by i - k, the rest stay."""
+    return [(j + i - k if j >= k else j, rate) for j, rate in row.items()]
+
+
+def mode_mats(lin, i) -> bytes:
+    mats = (lin.b_mat(i), *lin.sigma_mats(i))
+    return b"".join(np.asarray(m, dtype=float).tobytes() for m in mats)
+
+
+def repeat_cases():
+    for name in REGISTRY_NAMES:
+        yield name, DEFAULTS[name]
+        if name in SEQUENCES:
+            yield name, SEQUENCES[name][0]
+    yield "linear_2d", {"qhat": "controlled_scalar"}
+
+
+@pytest.mark.parametrize("name, params", repeat_cases())
+def test_rows_and_coefficients_repeat_from_the_declared_modes(name, params):
+    _, lin = registry_get(name, params)
+    qhat, k = lin.qhat, lin.qhat.repeats_from
+    if name == "predator_prey":
+        assert k is None  # a finite mode space whose rates grow with the mode
+    else:
+        assert k in (2, 3)
+        base = qhat.row(k)
+        for i in range(k, k + 26):
+            assert list(qhat.row(i).items()) == shifted(base, k, i), i
+        assert list(base.items()) != shifted(qhat.row(k - 1), k - 1, k)
+    k = lin.repeats_from
+    assert k is not None and k >= 1
+    for i in range(k, k + 26):
+        assert mode_mats(lin, i) == mode_mats(lin, k), i
+    if k > 1:  # and no lower mode could be declared
+        assert mode_mats(lin, k - 1) != mode_mats(lin, k)

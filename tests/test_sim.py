@@ -489,6 +489,26 @@ def test_thinning_keeps_the_earliest_clock(coupled):
     assert np.isfinite(eng.decouple_time).sum() > 3 if coupled else eng.jumps > 20
 
 
+def test_coupling_reads_each_reference_row_once():
+    # a coupled proposal needs the reference row of its mode and the pair
+    # clock rates of that mode and of the mode it lands in; each mode's row
+    # is read once per engine
+    reads = []
+
+    def ref(i):
+        reads.append(i)
+        return {3 - i: 0.6}
+
+    model = replace(batch_model(two_mode_rates(0.6, 0.6), 1.0), mode_rate_bound=lambda i: 0.8)
+    phi0 = Segment.make_constant([0.0], 1.0, 0.05)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=0.05, horizon=20.0, seed=3), 8,
+                        qhat=SparseGenerator(ref, rate_bound=0.6))
+    eng.run(400)
+    assert eng.proposals > 100 and eng.jumps > 50
+    assert not np.isfinite(eng.decouple_time).any()  # identical rates never part
+    assert sorted(reads) == [1, 2]
+
+
 def test_batch_rates_read_each_paths_window():
     # bernoulli reads the rates of every mode group once per step, on the
     # windows of the group's paths before the step's push
