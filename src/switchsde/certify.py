@@ -28,7 +28,7 @@ constants; both are reported rather than reconciled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,8 +65,8 @@ class GainPlan:
     """
 
     controllable: frozenset
-    gains: dict = field(default_factory=dict)
-    input_mats: Optional[Callable[[int], np.ndarray]] = None
+    gains: dict
+    input_mats: Callable[[int], np.ndarray]
 
     def __post_init__(self):
         bad = [i for i in self.gains if i not in self.controllable]
@@ -135,10 +135,9 @@ class Certificate:
 
 def _effective_drift(lin: Linearization, i: int, plan: Optional[GainPlan]) -> np.ndarray:
     b = np.asarray(lin.b_mat(i), dtype=float)
-    if plan is not None and i in plan.controllable:
-        gain = plan.gain(i)
-        if gain is not None and plan.input_mats is not None:
-            b = b - np.asarray(plan.input_mats(i), dtype=float) @ np.asarray(gain, dtype=float)
+    gain = None if plan is None else plan.gain(i)
+    if gain is not None:
+        b = b - np.asarray(plan.input_mats(i), dtype=float) @ np.asarray(gain, dtype=float)
     return b
 
 
@@ -247,8 +246,11 @@ def _certify(
     law: Optional[tuple[TruncatedGenerator, StationaryDist]] = None,
     stacks: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Certificate:
-    if margin_frac < 0:
-        raise ValueError("margin_frac must be nonnegative")
+    # written so that NaN fails each
+    if not margin_frac >= 0:
+        raise ValueError(f"margin_frac must be nonnegative, got {margin_frac}")
+    if tail_mass_bound is not None and not tail_mass_bound >= 0:
+        raise ValueError(f"tail_mass_bound must be nonnegative, got {tail_mass_bound}")
     n_modes = lin.qhat.clamp(n_modes)
     if law is None:
         tg = truncate(lin.qhat, n_modes)
@@ -273,8 +275,6 @@ def _certify(
     gamma = n_modes * _UNIT_ROUNDOFF / (1.0 - n_modes * _UNIT_ROUNDOFF)
     rounding_bound = float(gamma * (dist.nu @ np.abs(costs)))
 
-    if tail_mass_bound is not None and tail_mass_bound < 0:
-        raise ValueError("tail_mass_bound must be nonnegative")
     if n_modes == lin.qhat.n_modes:
         tail_mass, source = 0.0, "finite_modes"  # no mode lies beyond N
     elif tail_mass_bound is not None:
@@ -284,7 +284,7 @@ def _certify(
     tail_bound = float(np.max(np.abs(head)) * tail_mass)
 
     plan_norm = 0.0
-    if plan is not None and plan.input_mats is not None:
+    if plan is not None:
         for i in plan.controllable:
             gain = plan.gain(i)
             if gain is not None:
@@ -368,8 +368,6 @@ def certify_stabilization(
     its grid shares one solve and one build of the gain-independent
     matrices.
     """
-    if plan.input_mats is None:
-        raise ValueError("gain plan needs input matrices")
     return _certify(
         lin,
         n_modes,
@@ -410,6 +408,8 @@ def search_gain(
     controllable = frozenset(int(i) for i in controllable)
     if not controllable:
         raise ValueError("controllable set is empty")
+    if not 0.0 <= budget < np.inf:  # an infinite budget would double g forever
+        raise ValueError(f"budget must be finite and nonnegative, got {budget}")
     n_modes = lin.qhat.clamp(n_modes)
     n = np.asarray(lin.b_mat(min(controllable)), dtype=float).shape[0]
     grid = [0.0]

@@ -3,7 +3,7 @@
 Commands: simulate | certify | stationary | stabilize | verify
 {hitting,descent,coupling,occupation} | dynkin.  All outputs are JSON or
 CSV files under --out, embed {seed, config hash, tool version}, and are
-byte-identical across reruns with the same flags (thread count included).
+byte-identical across reruns with the same flags.
 
 Exit codes: 0 success, 1 valid-but-inconclusive outcome (certificate not
 granted, gain search exhausted, estimate fully censored), 2 usage or
@@ -81,7 +81,7 @@ def _sim_config(args, delay: float) -> SimConfig:
     return SimConfig(
         dt=dt,
         horizon=args.T,
-        scheme=args.scheme,
+        scheme=getattr(args, "scheme", "thinning"),  # verify coupling runs by thinning
         seed=args.seed,
         record_stride=getattr(args, "stride", 1),
     )
@@ -251,7 +251,6 @@ def cmd_verify(args) -> int:
     loaded = load_model_config(args.model)
     spec, lin = loaded.spec, loaded.lin
     cfg = _sim_config(args, spec.delay)
-    os.makedirs(args.out, exist_ok=True)
     payload = {
         "meta": _meta(cfg.seed, loaded.config_hash),
         "model": loaded.name,
@@ -302,6 +301,7 @@ def cmd_verify(args) -> int:
         payload["starts"] = starts
         payload["burn_in"] = args.burn_in
         payload["l1_distances"] = report["distances"].tolist()
+    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, f"verify_{args.estimator}.json"), payload)
     return code
 
@@ -346,18 +346,20 @@ def cmd_dynkin(args) -> int:
     return 0 if est.usable else 1
 
 
-def _add_common(p, with_paths=False):
+def _add_common(p, *flags):
+    """The flags of every simulating command, plus those of ``flags`` among
+    "scheme", "x0" (a start state) and "paths"."""
     p.add_argument("--model", required=True, help="model config JSON")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--scheme", choices=("thinning", "bernoulli"), default="thinning")
-    p.add_argument("--x0", default="1", help="start state, comma separated")
     p.add_argument("--i0", type=int, default=1, help="start mode")
-    if with_paths:
+    if "scheme" in flags:
+        p.add_argument("--scheme", choices=("thinning", "bernoulli"), default="thinning")
+    if "x0" in flags:
+        p.add_argument("--x0", default="1", help="start state, comma separated")
+    if "paths" in flags:
         p.add_argument("--paths", type=int, default=1000)
-        # kept for compatibility: every estimator runs on one stream
-        p.add_argument("--threads", type=int, default=1, help="ignored")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="one trajectory to CSV")
-    _add_common(p)
+    _add_common(p, "scheme", "x0")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--stride", type=int, default=1, help="record every k-th step")
     p.set_defaults(fn=cmd_simulate)
@@ -407,34 +409,34 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="estimator", required=True)
 
     q = vsub.add_parser("hitting")
-    _add_common(q, with_paths=True)
+    _add_common(q, "scheme", "x0", "paths")
     q.add_argument("--T", type=float, default=200.0)
     q.add_argument("--H", type=float, default=1.0)
     q.add_argument("--k0", type=int, default=2)
     q.set_defaults(fn=cmd_verify)
 
     q = vsub.add_parser("descent")
-    _add_common(q, with_paths=True)
+    _add_common(q, "scheme", "x0", "paths")
     q.add_argument("--T", type=float, default=50.0)
     q.add_argument("--k0", type=int, default=2)
     q.set_defaults(fn=cmd_verify)
 
-    q = vsub.add_parser("coupling")
-    _add_common(q, with_paths=True)
+    q = vsub.add_parser("coupling")  # starts from --radii
+    _add_common(q, "paths")
     q.add_argument("--T", type=float, default=10.0)
     q.add_argument("--radii", default="10,1000")
     q.add_argument("--floor-frac", dest="floor_frac", type=float, default=0.5)
     q.set_defaults(fn=cmd_verify)
 
-    q = vsub.add_parser("occupation")
-    _add_common(q, with_paths=True)
+    q = vsub.add_parser("occupation")  # starts from --starts
+    _add_common(q, "scheme", "paths")
     q.add_argument("--T", type=float, default=50.0)
     q.add_argument("--starts", default="1,5")
     q.add_argument("--burn-in", dest="burn_in", type=float, default=10.0)
     q.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("dynkin", help="martingale-identity residual")
-    _add_common(p, with_paths=True)
+    _add_common(p, "scheme", "x0", "paths")
     p.add_argument("--t", type=float, default=1.0, help="identity horizon")
     p.add_argument(
         "--functional", choices=sorted(_FUNCTIONALS), default="quadratic"

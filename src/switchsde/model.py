@@ -77,8 +77,8 @@ class ModelSpec:
             raise ValueError("dim and brownian_dim must be >= 1")
         if self.rate_bound <= 0:
             raise ValueError("rate_bound must be positive")
-        if self.delay <= 0:
-            raise ValueError("delay must be positive")
+        if not (np.isfinite(self.delay) and self.delay > 0):
+            raise ValueError(f"delay must be finite and positive, got {self.delay}")
         k = self.shared_coefficients_from
         if k is not None and k < 1:
             raise ValueError("shared_coefficients_from must be a mode >= 1")

@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _GRID_TOL = 1e-9
+
+
+def _grid_size(delay: float, dt: float) -> int:
+    """Sample count r/dt + 1 of the window grid; raises unless r and dt are
+    finite and positive and r is an integer multiple of dt."""
+    for name, v in (("delay", delay), ("dt", dt)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+    steps = delay / dt
+    if abs(steps - round(steps)) > _GRID_TOL * max(1.0, steps):
+        raise ValueError(f"delay {delay} is not an integer multiple of dt {dt}")
+    return int(round(steps)) + 1
 
 
 class _Window:
@@ -53,16 +67,7 @@ class Segment(_Window):
     def __init__(self, samples, delay: float, dt: float):
         delay = float(delay)
         dt = float(dt)
-        if delay <= 0.0:
-            raise ValueError("delay must be positive")
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        steps = delay / dt
-        if abs(steps - round(steps)) > _GRID_TOL * max(1.0, steps):
-            raise ValueError(
-                f"delay {delay} is not an integer multiple of dt {dt}"
-            )
-        n = int(round(steps)) + 1
+        n = _grid_size(delay, dt)
         buf = np.array(samples, dtype=float, copy=True)
         if buf.ndim == 1:
             buf = buf[:, None]
@@ -85,9 +90,7 @@ class Segment(_Window):
         phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
         if phi0.ndim != 1:
             raise ValueError("phi0 must be a vector")
-        # grid validity is re-checked by the constructor
-        n = int(round(float(delay) / float(dt))) + 1 if dt > 0 else 2
-        return cls(np.tile(phi0, (max(n, 1), 1)), delay, dt)
+        return cls(np.tile(phi0, (_grid_size(float(delay), float(dt)), 1)), delay, dt)
 
     @property
     def n_samples(self) -> int:

@@ -75,10 +75,10 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
         if self.record_stride < 1:
@@ -130,15 +130,12 @@ class CoupledRecord:
 
     ``decouple_time`` is the first time the two chains differ (inf if they
     never do before the record ends); the record stops there.
-    ``floor_time`` is set if the path was stopped by the optional
-    stop_radius floor.
     """
 
     times: np.ndarray
     modes: np.ndarray
     modes_hat: np.ndarray
     decouple_time: float
-    floor_time: Optional[float] = None
     blow_up: bool = False
 
 
@@ -340,8 +337,6 @@ def simulate_coupled(
     phi0: Segment,
     i0: int,
     cfg: SimConfig,
-    *,
-    stop_radius: Optional[float] = None,
 ) -> CoupledRecord:
     """Evolve the mode chain jointly with a reference chain: one path of
     :class:`BatchEnsemble` with ``qhat=lin.qhat``.
@@ -351,14 +346,12 @@ def simulate_coupled(
     rate min(q_ij, qhat_ij), while the excess rates move one chain alone.
     Both chains start at ``i0``.  (t, mode, mode_hat) is recorded at t = 0,
     at the stride points and at the horizon; the record stops at the first
-    time the chains differ (``decouple_time``, recorded too), at the
-    optional state-norm floor, at a blow-up or at the horizon, whichever
-    comes first.  The coupling always runs by thinning, whatever
-    ``cfg.scheme`` says.
+    time the chains differ (``decouple_time``, recorded too), at a blow-up
+    or at the horizon, whichever comes first.  The coupling always runs by
+    thinning, whatever ``cfg.scheme`` says.
     """
     be = BatchEnsemble(model, phi0, i0, cfg, 1, qhat=lin.qhat)
     rows = [(0.0, int(i0), int(i0))]
-    floor_time: Optional[float] = None
     n_steps = int(round(cfg.horizon / cfg.dt))
     for k in range(1, n_steps + 1):
         be.step()
@@ -370,16 +363,12 @@ def simulate_coupled(
             break
         if k % cfg.record_stride == 0 or k == n_steps:
             rows.append((t, *pair))
-        if stop_radius is not None and np.linalg.norm(be.x[0]) < stop_radius:
-            floor_time = t
-            break
     times, modes, modes_hat = zip(*rows)
     return CoupledRecord(
         times=np.array(times),
         modes=np.array(modes, dtype=int),
         modes_hat=np.array(modes_hat, dtype=int),
         decouple_time=float(be.decouple_time[0]),
-        floor_time=floor_time,
         blow_up=bool(be.blown[0]),
     )
 

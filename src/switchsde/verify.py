@@ -11,9 +11,8 @@ Every estimator runs on the vectorized engine
 they are read per mode group, and the hitting rule reads the engine's
 window sup-norms of the step.  A model without batch support runs there
 too, its callbacks called path by path.  It draws every path from the one
-stream (seed, 1), so results are reproducible bit-for-bit, depend on
-``n_paths``, and ignore the ``threads`` argument, which is kept for
-compatibility.  Stop rules are masks over the ensemble, and finished
+stream (seed, 1), so results are reproducible bit-for-bit and depend on
+``n_paths``.  Stop rules are masks over the ensemble, and finished
 paths leave the arrays.  The Dynkin generator takes one pass per step
 over the engine's plan-ordered states and coefficients, those of its own
 Euler step: one drift term, one diffusion contraction, V(., j) once per
@@ -262,9 +261,10 @@ def estimate_hitting_time(
     """Mean first grid time with history sup-norm <= radius and mode <= k0.
 
     Paths that neither hit nor blow up by the horizon are censored; the
-    estimate is flagged unusable when every path is censored.
+    estimate is flagged unusable when every path is censored.  ``threads``
+    is ignored: every path is drawn from the one stream.
     """
-    if radius <= 0 or k0 < 1:
+    if not radius > 0 or k0 < 1:  # written so that NaN fails
         raise ValueError("radius must be positive and k0 >= 1")
 
     def hit(e: BatchEnsemble) -> np.ndarray:
@@ -280,7 +280,6 @@ def estimate_mode_descent(
     k0: int,
     cfg: SimConfig,
     n_paths: int,
-    threads: int = 1,
 ) -> MCEstimate:
     """Mean first time the mode chain descends to {1, ..., k0} from i0."""
     if k0 < 1:
@@ -300,7 +299,6 @@ def coupling_decay(
     n_paths: int,
     i0: int = 1,
     floor_frac: float = 0.5,
-    threads: int = 1,
 ) -> list:
     """Empirical decoupling probability per starting radius.
 
@@ -361,7 +359,6 @@ def occupation_stability(
     n_paths: int,
     burn_in: float,
     i0: int = 1,
-    threads: int = 1,
 ) -> dict:
     """Occupation histograms over (|X| bin, mode head) for several starts.
 
@@ -451,7 +448,6 @@ def occupation_fractions(
     n_paths: int,
     modes_track: Sequence[int],
     burn_in: float = 0.0,
-    threads: int = 1,
 ) -> tuple:
     """Mean and SE (over paths) of time fractions spent in tracked modes.
 
@@ -483,7 +479,6 @@ def dynkin_residual(
     t: float,
     cfg: SimConfig,
     n_paths: int,
-    threads: int = 1,
     engine: str = "auto",
 ) -> MCEstimate:
     """Monte Carlo residual E V(X_t, a_t) - V(phi0, i0) - E int_0^t LV ds.

@@ -144,7 +144,7 @@ def test_certify_scalar_hand_sums():
 
 def test_certify_alternate_form_agrees_on_sign():
     _, lin = scalar_model(3.0)
-    plan = GainPlan(controllable=frozenset(), gains={})
+    plan = GainPlan(controllable=frozenset(), gains={}, input_mats=lin.b_mat)
     cert41 = certify_stabilization(
         lin, GainPlan(frozenset([1]), {1: np.zeros((1, 1))}, lin.b_mat), 30, form="thm41"
     )
@@ -155,9 +155,12 @@ def test_certify_alternate_form_agrees_on_sign():
 
 
 def test_gain_plan_validation():
+    with pytest.raises(TypeError):  # a plan without input matrices would drop its gains
+        GainPlan(controllable=frozenset([1]), gains={1: np.eye(1)})
+    inputs = lambda i: np.eye(1)
     with pytest.raises(ValueError):
-        GainPlan(controllable=frozenset([1]), gains={2: np.eye(1)})
-    plan = GainPlan(controllable=frozenset([1, 2]), gains={1: np.eye(1)})
+        GainPlan(controllable=frozenset([1]), gains={2: np.eye(1)}, input_mats=inputs)
+    plan = GainPlan(controllable=frozenset([1, 2]), gains={1: np.eye(1)}, input_mats=inputs)
     assert plan.gain(1) is not None
     assert plan.gain(2) is None
 
@@ -176,6 +179,13 @@ def test_search_gain_finds_first_certified_level():
     assert small is None
     with pytest.raises(ValueError):
         search_gain(lin, spec.meta["input_matrix"], frozenset(), 30)
+    # an infinite budget would double g forever; NaN and negative ones tried g = 0 only
+    for bad in (float("nan"), -5.0, float("inf")):
+        with pytest.raises(ValueError, match="budget"):
+            search_gain(lin, spec.meta["input_matrix"], spec.meta["controllable"], 30,
+                        budget=bad)
+    zero = search_gain(lin, spec.meta["input_matrix"], spec.meta["controllable"], 30, budget=0.0)
+    assert zero is None  # g = 0 does not certify this open loop
 
 
 def test_rounding_cannot_certify_an_exact_zero():
@@ -222,8 +232,9 @@ def test_margin_requirement_can_block():
     _, lin = scalar_model(3.0)
     cert = certify_recurrence(lin, 30, margin_frac=2.0)
     assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "margin")
-    with pytest.raises(ValueError):
-        certify_recurrence(lin, 30, margin_frac=-0.1)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="margin_frac"):
+            certify_recurrence(lin, 30, margin_frac=bad)
 
 
 def test_user_tail_mass_bound_is_used():
@@ -236,8 +247,12 @@ def test_user_tail_mass_bound_is_used():
     # partial sum -0.5, but a tail mass of 1 bounds the tail by 2
     loose = certify_recurrence(lin, 30, tail_mass_bound=1.0)
     assert (loose.verdict, loose.reason) == (INCONCLUSIVE, "tail bound")
-    with pytest.raises(ValueError):
-        certify_recurrence(lin, 30, tail_mass_bound=-1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tail_mass_bound"):
+            certify_recurrence(lin, 30, tail_mass_bound=bad)
+    # an infinite mass is a legal, useless bound
+    inf = certify_recurrence(lin, 30, tail_mass_bound=float("inf"))
+    assert (inf.verdict, inf.reason, inf.tail_bound) == (INCONCLUSIVE, "tail bound", float("inf"))
 
 
 def test_extra_flags_veto_the_verdict():

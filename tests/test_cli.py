@@ -83,6 +83,11 @@ def test_certify_exit_codes(tmp_path):
     weak_doc = read_json(tmp_path / "w" / "certificate.json")
     assert weak_doc["verdict"] == "INCONCLUSIVE"
 
+    # an infinite tail mass is legal: the tail bound is infinite, written as null
+    assert main(["certify", "--model", OU, "--tail-mass", "inf", "--out", str(tmp_path / "i")]) == 1
+    inf_doc = read_json(tmp_path / "i" / "certificate.json")
+    assert (inf_doc["reason"], inf_doc["tail_bound"]) == ("tail bound", None)
+
 
 CERTIFY_REASONS = {
     "fluid_queue": ("INCONCLUSIVE", "partial sum >= 0"),  # every c_i is 0
@@ -175,7 +180,7 @@ def test_stabilize_solves_the_stationary_law_once(tmp_path, monkeypatch):
     assert sizes == [30, 40]
 
 
-def test_verify_hitting_and_threads_invariance(tmp_path):
+def test_verify_hitting_rerun_is_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "v1"), str(tmp_path / "v2")
     args = [
         "verify",
@@ -197,8 +202,8 @@ def test_verify_hitting_and_threads_invariance(tmp_path):
         "--seed",
         "3",
     ]
-    assert main(args + ["--out", out1, "--threads", "1"]) == 0
-    assert main(args + ["--out", out2, "--threads", "2"]) == 0
+    assert main(args + ["--out", out1]) == 0
+    assert main(args + ["--out", out2]) == 0
     b1 = Path(out1, "verify_hitting.json").read_bytes()
     assert b1 == Path(out2, "verify_hitting.json").read_bytes()
     doc = read_json(Path(out1, "verify_hitting.json"))
@@ -331,3 +336,55 @@ def test_non_finite_values_are_written_as_null(tmp_path):
     text = Path(out2, "dynkin.json").read_text(encoding="utf-8")
     assert text == json.dumps(read_strict_json(Path(out2, "dynkin.json")), indent=2,
                               sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*command, "--threads", "1"] for command in (
+        ["verify", "hitting"], ["verify", "descent"], ["verify", "coupling"],
+        ["verify", "occupation"], ["dynkin"])]
+    + [["verify", "coupling", "--x0", "2"], ["verify", "occupation", "--x0", "2"],
+       ["verify", "coupling", "--scheme", "bernoulli"]],
+)
+def test_flags_without_effect_are_unrecognized(tmp_path, capsys, argv):
+    # the estimators draw every path from one stream, coupling and occupation
+    # start from --radii and --starts, and the coupling runs by thinning
+    out = tmp_path / "out"
+    assert main(argv + ["--model", OU, "--paths", "2", "--out", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", OU, "--T", "inf"],
+        ["simulate", "--model", OU, "--T", "nan"],
+        ["simulate", "--model", OU, "--T", "1", "--dt", "inf"],
+        ["verify", "descent", "--model", OU, "--T", "inf", "--paths", "2"],
+        ["dynkin", "--model", OU, "--t", "inf", "--paths", "2"],
+        ["certify", "--model", OU, "--margin", "nan"],
+        ["certify", "--model", OU, "--tail-mass", "nan"],
+        ["stabilize", "--model", SCALAR, "--margin", "nan"],
+        ["verify", "hitting", "--model", OU, "--H", "nan", "--T", "1", "--paths", "2"],
+        ["stabilize", "--model", SCALAR, "--budget", "nan"],
+        ["stabilize", "--model", SCALAR, "--budget", "-5"],
+        # at the parent this one never returned: the gain grid grew until killed
+        ["stabilize", "--model", SCALAR, "--budget", "inf"],
+    ],
+)
+def test_non_finite_and_nan_inputs_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_infinite_delay_in_a_config_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(Path(OU).read_text(encoding="utf-8"))
+    doc["params"]["delay"] = float("inf")
+    path = tmp_path / "inf_delay.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # written as Infinity
+    assert "Infinity" in path.read_text(encoding="utf-8")
+    assert main(["simulate", "--model", str(path), "--T", "1", "--out", str(tmp_path / "o")]) == 2
+    assert "delay must be finite" in capsys.readouterr().err

@@ -159,6 +159,17 @@ def test_modelspec_validation():
             rate_bound=0.0,
             delay=1.0,
         )
+    for delay in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="delay must be finite and positive"):
+            ModelSpec(
+                dim=1,
+                brownian_dim=1,
+                drift=lambda x, i: x,
+                diffusion=lambda x, i: x,
+                rates_row=lambda s, i: {},
+                rate_bound=1.0,
+                delay=delay,
+            )
 
 
 def test_modelspec_checks_the_shared_coefficient_mode():

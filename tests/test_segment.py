@@ -22,6 +22,13 @@ def test_requires_grid_compatible_delay():
         Segment(np.zeros((3, 1)), delay=1.0, dt=0.25)  # wrong sample count
     with pytest.raises(ValueError):
         Segment(np.full((5, 1), np.inf), delay=1.0, dt=0.25)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="delay must be finite"):
+            Segment.make_constant([0.0], delay=bad, dt=0.25)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            Segment.make_constant([0.0], delay=1.0, dt=bad)
+        with pytest.raises(ValueError, match="delay must be finite"):
+            Segment(np.zeros((5, 1)), delay=bad, dt=0.25)
 
 
 def test_push_slides_window():

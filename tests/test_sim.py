@@ -1,9 +1,12 @@
 import copy
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchsde.chain import SparseGenerator
 from switchsde.model import Linearization, ModelSpec
@@ -11,6 +14,7 @@ from switchsde.segment import Segment
 from switchsde.sim import (
     BatchEnsemble,
     SimConfig,
+    _couple,
     _pick_target,
     default_dt,
     simulate,
@@ -56,6 +60,11 @@ def test_config_validation():
         SimConfig(dt=0.1, horizon=1.0, scheme="exact")
     with pytest.raises(ValueError):
         SimConfig(dt=0.1, horizon=1.0, record_stride=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            SimConfig(dt=bad, horizon=1.0)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            SimConfig(dt=0.1, horizon=bad)
 
 
 def test_zero_diffusion_matches_explicit_euler():
@@ -173,7 +182,7 @@ def test_on_grid_sees_every_point():
     assert seen[-1] == pytest.approx(1.0)
 
 
-def test_ensemble_merge_and_thread_invariance():
+def test_ensemble_merge_and_rerun_invariance():
     model = plain_model(
         lambda x, i: -np.asarray(x, dtype=float),
         diffusion=lambda x, i: np.array([[0.3]]),
@@ -189,16 +198,16 @@ def test_ensemble_merge_and_thread_invariance():
     for a, b in zip(full, first + rest):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.modes, b.modes)
-    # a model without batch support runs on the batch engine, which ignores threads
+    # a model without batch support runs on the batch engine: a rerun gives the same bits
     path_dep = plain_model(
         lambda x, i: -np.asarray(x, dtype=float),
         diffusion=lambda x, i: np.array([[0.3]]),
         rates=lambda seg, i: {3 - i: 1.0 / (1.0 + seg.sup_norm())},
         bound=1.0,
     )
-    serial = occupation_fractions(path_dep, phi0, 1, cfg, 6, [1, 2], threads=1)
-    threaded = occupation_fractions(path_dep, phi0, 1, cfg, 6, [1, 2], threads=3)
-    for a, b in zip(serial, threaded):
+    first = occupation_fractions(path_dep, phi0, 1, cfg, 6, [1, 2])
+    rerun = occupation_fractions(path_dep, phi0, 1, cfg, 6, [1, 2])
+    for a, b in zip(first, rerun):
         assert np.array_equal(a, b)
 
 
@@ -221,6 +230,8 @@ def test_coupled_identical_rates_never_decouple():
         rec = simulate_coupled(model, lin, phi0, 1, SimConfig(dt=0.1, horizon=5.0, seed=k))
         assert math.isinf(rec.decouple_time)
         assert np.array_equal(rec.modes, rec.modes_hat)
+    with pytest.raises(TypeError):  # no state-norm floor: a record ends at the horizon
+        simulate_coupled(model, lin, phi0, 1, SimConfig(dt=0.1, horizon=5.0), stop_radius=1.0)
 
 
 def test_coupled_decouple_time_is_exponential():
@@ -240,19 +251,6 @@ def test_coupled_decouple_time_is_exponential():
     se = float(np.std(times, ddof=1) / math.sqrt(len(times)))
     assert abs(mean - 1.0 / lam) < 4.0 * se
     assert rec.modes[-1] != rec.modes_hat[-1]
-
-
-def test_coupled_floor_stop():
-    model, lin = coupled_setup(
-        lambda seg, i: {}, lambda i: {2: 1e-6} if i == 1 else {1: 1e-6}, 1e-6, 0.5
-    )
-    decaying = plain_model(lambda x, i: -np.asarray(x, dtype=float), bound=0.5)
-    phi0 = Segment.make_constant([4.0], 1.0, 0.1)
-    rec = simulate_coupled(
-        decaying, lin, phi0, 1, SimConfig(dt=0.1, horizon=50.0, seed=1), stop_radius=2.0
-    )
-    assert rec.floor_time is not None
-    assert rec.floor_time < 50.0
 
 
 def batch_model(rates, bound, *, diffusion=None, drift=None):
@@ -751,3 +749,48 @@ def check_table_edges(rates_depend_on_path):
         eng.step()
         assert eng.modes.tolist() == want
     assert eng.modes.tolist() == [2, 2, 2, 1, 4, 2, 1, 2]
+
+
+# rows over targets 3..8 with rates k/8, k in 0..16: every partition point
+# below is a multiple of 1/8 of the bound, so sums and quotients are exact
+dyadic_rows = st.dictionaries(st.integers(3, 8), st.integers(0, 16).map(lambda k: k / 8), max_size=6)
+
+
+def power_of_two_above(total):
+    return 2.0 ** max(math.ceil(math.log2(total)), 0) if total > 0 else 1.0
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(dyadic_rows, st.integers(0, 2))
+def test_pick_target_splits_the_unit_interval_by_rate(row, extra):
+    # on the grid k / n, n = 8 * scale, which holds every partition point, u
+    # maps to the targets in sorted order, target j on 8 * q_j consecutive
+    # points, and to no jump on the rest; so each target's share of [0, 1)
+    # is rate / scale exactly
+    scale = power_of_two_above(sum(row.values())) * 2.0**extra
+    n = int(8 * scale)
+    want = [j for j in sorted(row) for _ in range(int(8 * row[j]))]
+    picks = [_pick_target(row, k / n, scale, 1) for k in range(n)]
+    assert picks == want + [None] * (n - len(want))
+    for j, rate in row.items():
+        assert Fraction(picks.count(j), n) == Fraction(rate) / Fraction(scale)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(dyadic_rows, dyadic_rows, st.sampled_from([(1, 1), (1, 2)]), st.integers(0, 1))
+def test_couple_has_both_rows_as_marginals(row, ref, pair, extra):
+    # over the grid of u in [0, bound) each chain jumps to j on a set of
+    # length exactly its own rate to j, both together on min(q_j, qhat_j),
+    # and the proposal reports the chains apart iff exactly one moved
+    targets = set(row) | set(ref)
+    bound = power_of_two_above(sum(max(row.get(j, 0.0), ref.get(j, 0.0)) for j in targets))
+    bound *= 2.0**extra
+    draws = [_couple(row, ref, k / 8, bound, pair) for k in range(int(8 * bound))]
+    for j in targets:
+        moved = [new[0] == j for new, _ in draws], [new[1] == j for new, _ in draws]
+        together = sum(a and b for a, b in zip(*moved))
+        assert Fraction(sum(moved[0]), 8) == Fraction(row.get(j, 0.0))
+        assert Fraction(sum(moved[1]), 8) == Fraction(ref.get(j, 0.0))
+        assert Fraction(together, 8) == min(Fraction(row.get(j, 0.0)), Fraction(ref.get(j, 0.0)))
+    for new, apart in draws:
+        assert apart == ((new[0] != pair[0]) != (new[1] != pair[1]))

@@ -223,6 +223,9 @@ def test_hitting_time_deterministic_decay():
     assert est.mean == pytest.approx(1.01, abs=1e-9)
     assert est.censored_fraction == 0.0
     assert est.usable
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            estimate_hitting_time(model, phi0, 1, bad, 1, cfg, 2)
 
 
 def test_hitting_time_censors_blow_ups():
@@ -302,6 +305,31 @@ def test_occupation_fraction_burn_in_validation():
     cfg = SimConfig(dt=0.1, horizon=1.0)
     with pytest.raises(ValueError):
         occupation_fractions(model, phi0, 1, cfg, 2, [1], burn_in=1.0)
+
+
+def test_estimators_take_no_threads_keyword():
+    # every estimator draws its paths from one stream; estimate_hitting_time
+    # keeps an ignored ``threads`` only for the benchmark's calls
+    model = scalar_spec(lambda x, i: np.zeros(1))
+    lin = Linearization(
+        b_mat=lambda i: np.zeros((1, 1)),
+        sigma_mats=lambda i: [np.zeros((1, 1))],
+        qhat=SparseGenerator(lambda i: {}, rate_bound=1.0),
+        coeff_bound=1.0,
+    )
+    phi0 = Segment.make_constant([0.0], 1.0, 0.1)
+    cfg = SimConfig(dt=0.1, horizon=1.0)
+    calls = (
+        lambda **kw: estimate_mode_descent(model, phi0, 1, 1, cfg, 2, **kw),
+        lambda **kw: coupling_decay(model, lin, [1.0], cfg, 2, **kw),
+        lambda **kw: occupation_stability(model, [[0.0]], cfg, 2, burn_in=0.5, **kw),
+        lambda **kw: occupation_fractions(model, phi0, 1, cfg, 2, [1], **kw),
+        lambda **kw: dynkin_residual(QUAD, model, phi0, 1, 1.0, cfg, 2, **kw),
+    )
+    for call in calls:
+        call()
+        with pytest.raises(TypeError, match="threads"):
+            call(threads=1)
 
 
 def test_occupation_stability_forgets_start():
