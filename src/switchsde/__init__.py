@@ -31,7 +31,6 @@ from .model import (
     ModelSpec,
     RadialCheck,
     check_drift_condition,
-    check_local_lipschitz,
     check_rate_convergence,
     check_sublinear_residuals,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "certify_recurrence",
     "certify_stabilization",
     "check_drift_condition",
-    "check_local_lipschitz",
     "check_rate_convergence",
     "check_sublinear_residuals",
     "convergence_sweep",

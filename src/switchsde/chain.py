@@ -88,18 +88,6 @@ class SparseGenerator:
             raise ValueError("generator has no positive rates")
         return cls(lambda i: dict(rows.get(i, {})), rate_bound=bound, name=name)
 
-    @classmethod
-    def from_dense(cls, mat, name: str = "dense") -> "SparseGenerator":
-        """Build from a dense square generator matrix (diagonals ignored)."""
-        mat = np.asarray(mat, dtype=float)
-        trips = [
-            (i + 1, j + 1, mat[i, j])
-            for i in range(mat.shape[0])
-            for j in range(mat.shape[1])
-            if i != j and mat[i, j] != 0.0
-        ]
-        return cls.from_triplets(trips, name=name)
-
 
 @dataclass(frozen=True)
 class TruncatedGenerator:

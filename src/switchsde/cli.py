@@ -2,7 +2,8 @@
 
 Commands: simulate | certify | stationary | stabilize | verify
 {hitting,descent,coupling,occupation} | dynkin.  All outputs are JSON or
-CSV files under --out, embed {seed, config hash, tool version}, and are
+CSV files under --out, embed the config hash and tool version, plus the
+seed where the command draws (simulate, verify, dynkin), and are
 byte-identical across reruns with the same flags.
 
 Exit codes: 0 success, 1 valid-but-inconclusive outcome (certificate not
@@ -52,8 +53,10 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _meta(seed: int, cfg_hash: str) -> dict:
-    return {"seed": int(seed), "config_hash": cfg_hash, "version": __version__}
+def _meta(cfg_hash: str, seed=None) -> dict:
+    """The output stamp; only the commands that draw pass their ``seed``."""
+    seeded = {} if seed is None else {"seed": int(seed)}
+    return {**seeded, "config_hash": cfg_hash, "version": __version__}
 
 
 def _csv_writer(path: str, meta: dict, header: list):
@@ -111,7 +114,7 @@ def cmd_simulate(args) -> int:
     phi0 = _start_segment(args, spec, cfg.dt)
     rec = simulate(spec, phi0, args.i0, cfg)
     os.makedirs(args.out, exist_ok=True)
-    meta = _meta(cfg.seed, loaded.config_hash)
+    meta = _meta(loaded.config_hash, cfg.seed)
 
     fh, writer = _csv_writer(
         os.path.join(args.out, "trajectory.csv"),
@@ -157,7 +160,7 @@ def cmd_certify(args) -> int:
         extra_flags=_model_flags(loaded.spec, loaded.lin),
     )
     os.makedirs(args.out, exist_ok=True)
-    payload = {"meta": _meta(args.seed, loaded.config_hash), "model": loaded.name}
+    payload = {"meta": _meta(loaded.config_hash), "model": loaded.name}
     payload.update(cert.to_dict())
     _write_json(os.path.join(args.out, "certificate.json"), payload)
     return 0 if cert.verdict == CERTIFIED else 1
@@ -184,7 +187,7 @@ def cmd_stationary(args) -> int:
     n = args.N if args.N is not None else hint
     dist = stationary(truncate(qhat, n))
     payload = {
-        "meta": _meta(args.seed, cfg_hash),
+        "meta": _meta(cfg_hash),
         "generator": name,
         "N": int(dist.truncation),
         "nu": [float(v) for v in dist.nu],
@@ -219,7 +222,7 @@ def cmd_stabilize(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     payload = {
-        "meta": _meta(args.seed, loaded.config_hash),
+        "meta": _meta(loaded.config_hash),
         "model": loaded.name,
         "form": args.form,
         "budget": float(args.budget),
@@ -252,7 +255,7 @@ def cmd_verify(args) -> int:
     spec, lin = loaded.spec, loaded.lin
     cfg = _sim_config(args, spec.delay)
     payload = {
-        "meta": _meta(cfg.seed, loaded.config_hash),
+        "meta": _meta(loaded.config_hash, cfg.seed),
         "model": loaded.name,
         "estimator": args.estimator,
         "dt": cfg.dt,
@@ -334,7 +337,7 @@ def cmd_dynkin(args) -> int:
     _write_json(
         os.path.join(args.out, "dynkin.json"),
         {
-            "meta": _meta(cfg.seed, loaded.config_hash),
+            "meta": _meta(loaded.config_hash, cfg.seed),
             "model": loaded.name,
             "functional": args.functional,
             "t": args.t,
@@ -378,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="positive-recurrence certificate")
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.add_argument("--N", type=int, default=None, help="truncation level")
     p.add_argument("--tail-mass", dest="tail_mass", type=float, default=None)
@@ -386,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("stationary", help="stationary law of the limiting generator")
-    p.add_argument("--model", default=None)
-    p.add_argument("--generator", default=None, help="JSON triplet list")
-    p.add_argument("--seed", type=int, default=0)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model")
+    source.add_argument("--generator", help="JSON triplet list")
     p.add_argument("--out", default="out")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--levels", default=None, help="comma list for a convergence sweep")
@@ -396,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stabilize", help="feedback gain search")
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--budget", type=float, default=1024.0)
@@ -453,9 +454,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    if args.command == "stationary" and not (args.model or args.generator):
-        print("stationary: need --model or --generator", file=sys.stderr)
-        return 2
     if getattr(args, "paths", 2) < 2:  # a standard error needs two paths
         print(f"{args.command}: --paths must be at least 2, got {args.paths}", file=sys.stderr)
         return 2

@@ -1,10 +1,9 @@
 """Model config files: a JSON document naming a registry family.
 
-Schema: {"name": str, "params": dict, "dim": int, "brownian_dim": int,
-"rate_bound": float, "truncation_hint": int}.  ``dim``, ``brownian_dim``
-and ``rate_bound`` are cross-checks against the built model (the declared
-rate bound must dominate the model's own); ``truncation_hint`` supplies
-the default truncation level for certification.
+Schema: {"name": str, "params": dict, "truncation_hint": int}.  The
+registry derives the dimensions and rate bounds from the parameters;
+``truncation_hint`` supplies the default truncation level for
+certification.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from .registry import registry_get
 
 __all__ = ["LoadedModel", "load_model_config", "config_hash"]
 
-_REQUIRED = ("name", "params", "dim", "brownian_dim", "rate_bound", "truncation_hint")
+_REQUIRED = ("name", "params", "truncation_hint")
 
 
 @dataclass(frozen=True)
@@ -49,17 +48,6 @@ def load_model_config(path: str) -> LoadedModel:
     if not isinstance(doc["params"], dict):
         raise ValueError(f"{path}: params must be an object")
     spec, lin = registry_get(doc["name"], doc["params"])
-    if int(doc["dim"]) != spec.dim:
-        raise ValueError(f"{path}: dim {doc['dim']} != model dim {spec.dim}")
-    if int(doc["brownian_dim"]) != spec.brownian_dim:
-        raise ValueError(
-            f"{path}: brownian_dim {doc['brownian_dim']} != model {spec.brownian_dim}"
-        )
-    if float(doc["rate_bound"]) < spec.rate_bound - 1e-9:
-        raise ValueError(
-            f"{path}: declared rate_bound {doc['rate_bound']} is below the "
-            f"model's bound {spec.rate_bound}"
-        )
     hint = int(doc["truncation_hint"])
     if hint < 2:
         raise ValueError(f"{path}: truncation_hint must be >= 2")

@@ -31,7 +31,6 @@ __all__ = [
     "check_sublinear_residuals",
     "check_rate_convergence",
     "check_drift_condition",
-    "check_local_lipschitz",
 ]
 
 
@@ -279,33 +278,3 @@ def check_drift_condition(
         if s > -1.0 + 1e-12:
             return False
     return True
-
-
-def check_local_lipschitz(
-    m: ModelSpec,
-    radius: float,
-    modes: Sequence[int],
-) -> float:
-    """Max finite-difference quotient of (drift, diffusion) on a ball.
-
-    A smoke check for local regularity: returns the largest
-    |f(x) - f(y)| / |x - y| over 200 seed-0 random pairs with
-    |x|, |y| <= radius.
-    """
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(200):
-        x = rng.uniform(-1, 1, size=m.dim) * radius
-        y = x + rng.uniform(-1, 1, size=m.dim) * 1e-3 * radius
-        gap = np.linalg.norm(x - y)
-        if gap == 0:
-            continue
-        for i in modes:
-            db = np.linalg.norm(
-                np.asarray(m.drift(x, i), float) - np.asarray(m.drift(y, i), float)
-            )
-            ds = np.linalg.norm(
-                np.asarray(m.diffusion(x, i), float) - np.asarray(m.diffusion(y, i), float)
-            )
-            worst = max(worst, db / gap, ds / gap)
-    return worst

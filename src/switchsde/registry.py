@@ -282,6 +282,12 @@ def _predator_prey(params: dict):
 
     # feed_level <= phi_cap, so each limit row dominates its rate row
     mode_bounds = [sum(row(n, phi_cap).values()) for n in range(1, n_max + 1)]
+
+    def mode_bound(n: int) -> float:
+        if not 1 <= n <= n_max:
+            raise ValueError(f"mode {n} is outside the mode space 1..{n_max}")
+        return mode_bounds[n - 1]
+
     qhat = SparseGenerator(lambda n: row(n, phi_cap), rate_bound=max(mode_bounds),
                            name="predator_prey_capped", n_modes=n_max)
     spec = ModelSpec(
@@ -291,7 +297,7 @@ def _predator_prey(params: dict):
         diffusion=diffusion,
         rates_row=lambda seg, n: row(n, feed_level(seg)),
         rate_bound=qhat.rate_bound,
-        mode_rate_bound=lambda n: mode_bounds[n - 1],
+        mode_rate_bound=mode_bound,
         delay=delay,
         post_step=lambda x: np.maximum(x, 0.0),
         supports_batch=True,

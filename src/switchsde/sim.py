@@ -159,6 +159,7 @@ def _rows_per_path(rates_row: Callable) -> Callable:
 def _check_inputs(model: ModelSpec, phi0: Segment, cfg: SimConfig, i0: int):
     if i0 < 1:
         raise ValueError("modes are indexed from 1")
+    model.thinning_bound(i0)  # a model with a finite mode space rejects a start beyond it
     if phi0.dim != model.dim:
         raise ValueError(f"phi0 dim {phi0.dim} != model dim {model.dim}")
     if abs(phi0.delay - model.delay) > 1e-9 * max(1.0, model.delay):

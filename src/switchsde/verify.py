@@ -228,19 +228,19 @@ def _n_steps(cfg: SimConfig) -> int:
     return int(round(cfg.horizon / cfg.dt))
 
 
-def _first_times(model, phi0, i0: int, cfg: SimConfig, n_paths: int, hit,
-                 track_history: bool) -> list:
+def _first_times(be: BatchEnsemble, hit, drop=None) -> list:
     """First grid time of a stop rule, the mask ``hit(engine)`` over the
-    engine's paths, on every path that meets it before the horizon without
-    blowing up; ``track_history`` when ``hit`` reads the windows."""
-    be = BatchEnsemble(model, phi0, i0, cfg, n_paths, track_history=track_history)
+    engine's paths, on every path that meets it before the horizon; a path
+    leaves uncounted at a blow-up or where the mask ``drop(engine)`` holds."""
     times = []
-    for k in range(_n_steps(cfg) + 1):
+    for k in range(_n_steps(be.cfg) + 1):
         if k:
             be.step()
         done = hit(be) & ~be.blown
-        times += [k * cfg.dt] * int(done.sum())
+        times += [k * be.cfg.dt] * int(done.sum())
         live = ~(done | be.blown)
+        if drop is not None:
+            live &= ~drop(be)
         if not live.all():
             be.keep(live)
             if be.n_paths == 0:
@@ -270,7 +270,8 @@ def estimate_hitting_time(
     def hit(e: BatchEnsemble) -> np.ndarray:
         return (e.modes <= k0) & (e.sup_norms() <= radius)
 
-    return _collect(_first_times(model, phi0, i0, cfg, n_paths, hit, True), n_paths)
+    be = BatchEnsemble(model, phi0, i0, cfg, n_paths, track_history=True)
+    return _collect(_first_times(be, hit), n_paths)
 
 
 def estimate_mode_descent(
@@ -288,7 +289,7 @@ def estimate_mode_descent(
     def hit(e: BatchEnsemble) -> np.ndarray:
         return e.modes <= k0
 
-    return _collect(_first_times(model, phi0, i0, cfg, n_paths, hit, False), n_paths)
+    return _collect(_first_times(BatchEnsemble(model, phi0, i0, cfg, n_paths), hit), n_paths)
 
 
 def coupling_decay(
@@ -303,9 +304,11 @@ def coupling_decay(
     """Empirical decoupling probability per starting radius.
 
     For each radius R the path starts from the constant history R * e1 and
-    is stopped at the horizon or when |X| falls below floor_frac * R; the
-    table reports the fraction of paths whose mode chain decoupled from
-    the limiting-rate reference chain before that, with a 95% CI.
+    is stopped at the horizon, at a blow-up or when |X| falls below
+    floor_frac * R; the table reports the fraction of paths whose mode
+    chain decoupled from the limiting-rate reference chain before that,
+    with a 95% CI.  A path that blows up in the step its chains part is
+    censored, as in the hitting estimators.
     """
     if not 0.0 <= floor_frac < 1.0:
         raise ValueError("floor_frac must be in [0, 1)")
@@ -317,8 +320,14 @@ def coupling_decay(
         start = np.zeros(model.dim)
         start[0] = r
         phi0 = Segment.make_constant(start, model.delay, cfg.dt)
-        floor = floor_frac * r if floor_frac > 0 else None
-        p = _decouplings(model, lin, phi0, i0, cfg, n_paths, floor) / n_paths
+        floor = floor_frac * r
+
+        def below(e: BatchEnsemble) -> np.ndarray:
+            with np.errstate(over="ignore"):  # inf is the norm of a huge state
+                return np.linalg.norm(e.x, axis=1) < floor
+
+        be = BatchEnsemble(model, phi0, i0, cfg, n_paths, qhat=lin.qhat)
+        p = len(_first_times(be, lambda e: np.isfinite(e.decouple_time), below)) / n_paths
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
         out.append(
             {
@@ -330,26 +339,6 @@ def coupling_decay(
             }
         )
     return out
-
-
-def _decouplings(model, lin, phi0, i0, cfg, n_paths, floor) -> int:
-    """Paths whose coupled chains come apart before the horizon, the state
-    floor or a blow-up."""
-    be = BatchEnsemble(model, phi0, i0, cfg, n_paths, qhat=lin.qhat)
-    n_apart = 0
-    for _ in range(_n_steps(cfg)):
-        be.step()
-        apart = np.isfinite(be.decouple_time)
-        n_apart += int(apart.sum())
-        done = apart | be.blown
-        if floor is not None:
-            with np.errstate(over="ignore"):  # inf is the norm of a huge state
-                done |= np.linalg.norm(be.x, axis=1) < floor
-        if done.any():
-            be.keep(~done)
-            if be.n_paths == 0:
-                break
-    return n_apart
 
 
 def occupation_stability(
@@ -369,7 +358,7 @@ def occupation_stability(
     bins of width 0.25 on [0, 5] and one overflow bin; the mode in one of
     1, 2, 3 or above 3.
     """
-    if burn_in >= cfg.horizon:
+    if not burn_in < cfg.horizon:  # written so that NaN fails
         raise ValueError("burn_in must be below the horizon")
     edges = np.linspace(0.0, 5.0, 21)
     k_head = 3
@@ -452,11 +441,17 @@ def occupation_fractions(
     """Mean and SE (over paths) of time fractions spent in tracked modes.
 
     Fractions count the mode at the left endpoint of each grid step after
-    ``burn_in``.  A path that blows up stops counting there: its fractions
-    are over the steps it completed, and 0 if it completed none.
+    ``burn_in``, for distinct modes ``modes_track`` and n_paths >= 2.  A
+    path that blows up stops counting there: its fractions are over the
+    steps it completed, and 0 if it completed none.
     """
+    if n_paths < 2:  # a standard error needs two paths
+        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
     modes_track = [int(v) for v in modes_track]
     idx = {v: a for a, v in enumerate(modes_track)}
+    if len(idx) < len(modes_track):
+        repeated = sorted({v for v in modes_track if modes_track.count(v) > 1})
+        raise ValueError(f"modes_track repeats mode(s) {repeated}")
     n_steps = _n_steps(cfg)
     burn_steps = int(round(burn_in / cfg.dt))
     counted = n_steps - burn_steps

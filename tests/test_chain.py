@@ -78,12 +78,6 @@ def test_triplets_accumulate_and_validate():
         SparseGenerator.from_triplets([(0, 2, 1.0)])
 
 
-def test_from_dense_ignores_diagonal():
-    gen = SparseGenerator.from_dense([[-1.0, 1.0], [2.0, -2.0]])
-    assert gen.row(1) == {2: 1.0}
-    assert gen.row(2) == {1: 2.0}
-
-
 def test_stationary_two_base_golden_values():
     dist = stationary(truncate(two_base_ladder(), 30))
     assert dist.residual <= 1e-10
@@ -99,17 +93,34 @@ def test_stationary_return_ladder_golden_values():
         assert dist.nu[k - 1] == pytest.approx(ladder_nu(k), abs=1e-8)
 
 
-def test_stationary_matches_nullspace_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        n = int(rng.integers(3, 9))
-        q = rng.uniform(0.1, 2.0, size=(n, n))
-        np.fill_diagonal(q, 0.0)
-        gen = SparseGenerator.from_dense(q)
-        tg = truncate(gen, n)
-        dist = stationary(tg)
-        ref = nullspace_stationary(tg.q.toarray())
-        assert np.allclose(dist.nu, ref, atol=1e-10)
+@st.composite
+def irreducible_triplets(draw):
+    """Modes 1..n as (i, j, rate) triplets: a cycle through every mode in a
+    drawn order, which makes the chain irreducible, plus up to n more
+    edges; a repeated edge adds its rates."""
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(1, n + 1)))
+    rate = st.floats(0.01, 10.0)
+    trips = [(i, j, draw(rate)) for i, j in zip(order, order[1:] + order[:1])]
+    edge = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    trips += [(i, j, draw(rate)) for i, j in draw(st.lists(edge, max_size=n))]
+    return n, trips
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(irreducible_triplets(), st.integers(2, 12), st.integers(0, 5))
+def test_stationary_matches_nullspace_oracle(case, level, beyond):
+    n, trips = case
+    gen = SparseGenerator.from_triplets(trips)
+    tg = truncate(gen, n)
+    # the diagonal negates the rest of its row as sum(axis=1) adds it up
+    for t in (tg, truncate(gen, min(level, n))):
+        assert (t.q.sum(axis=1) == 0.0).all()
+    dist = stationary(tg)
+    assert np.allclose(dist.nu, nullspace_stationary(tg.q.toarray()), rtol=1e-9, atol=1e-12)
+    # a declared mode count caps the truncation level
+    capped = truncate(SparseGenerator(gen.row, gen.rate_bound, n_modes=n), n + beyond)
+    assert capped.size == n and csr_bytes(capped) == csr_bytes(tg)
 
 
 def test_stationary_scales_linearly_in_n():

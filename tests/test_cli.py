@@ -29,9 +29,6 @@ def scalar_config(tmp_path, gain):
             "controllable": [1],
             "delay": 1.0,
         },
-        "dim": 1,
-        "brownian_dim": 2,
-        "rate_bound": 2.0,
         "truncation_hint": 30,
     }
     path = tmp_path / f"scalar_{gain}.json"
@@ -135,6 +132,17 @@ def test_stationary_from_model_and_triplets(tmp_path):
     assert doc2["nu"] == pytest.approx([0.75, 0.25])
 
     assert main(["stationary", "--out", str(tmp_path / "st3")]) == 2
+
+
+def test_stationary_takes_one_source(tmp_path, capsys):
+    # --generator next to --model was once ignored: the model's law was written
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"triplets": [{"i": 1, "j": 2, "rate": 1.0},
+                                            {"i": 2, "j": 1, "rate": 3.0}]}))
+    out = tmp_path / "st"
+    assert main(["stationary", "--model", OU, "--generator", str(gen), "--out", str(out)]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stabilize_search(tmp_path):
@@ -355,9 +363,40 @@ def test_flags_without_effect_are_unrecognized(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["certify", "stationary", "stabilize"])
+def test_commands_that_draw_nothing_take_no_seed(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--model", SCALAR, "--out", str(out)]
+    assert main(argv + ["--seed", "3"]) == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0
+    (name,) = [p.name for p in out.iterdir()]
+    assert set(read_json(out / name)["meta"]) == {"config_hash", "version"}
+
+
+PREDATOR_PREY = str(CONFIG_DIR / "predator_prey.json")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--T", "1"], ["verify", "hitting"], ["verify", "descent"],
+     ["verify", "coupling"], ["verify", "occupation"], ["dynkin"]],
+)
+def test_start_mode_beyond_the_mode_space_is_a_usage_error(tmp_path, capsys, command):
+    # predator_prey.json has n_max = 50
+    out = tmp_path / "out"
+    paths = [] if command[0] == "simulate" else ["--paths", "2"]
+    argv = command + ["--model", PREDATOR_PREY, "--i0", "60", *paths, "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: mode 60 is outside the mode space 1..50" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "occupation", "--model", OU, "--burn-in", "nan", "--paths", "2"],
         ["simulate", "--model", OU, "--T", "inf"],
         ["simulate", "--model", OU, "--T", "nan"],
         ["simulate", "--model", OU, "--T", "1", "--dt", "inf"],

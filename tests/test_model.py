@@ -6,7 +6,6 @@ from switchsde.model import (
     Linearization,
     ModelSpec,
     check_drift_condition,
-    check_local_lipschitz,
     check_rate_convergence,
     check_sublinear_residuals,
     residual_diffusion,
@@ -130,12 +129,6 @@ def test_drift_condition_rejects_bad_eta():
     _, lin = registry_get("controlled_scalar", {})
     with pytest.raises(ValueError):
         check_drift_condition(lin.qhat, k0=1, eta=lambda j: -1.0, probe_modes=[2])
-
-
-def test_local_lipschitz_smoke():
-    spec, _ = registry_get("switched_ou", {"theta": 1.0, "sigma": 0.5})
-    worst = check_local_lipschitz(spec, radius=5.0, modes=[1, 3])
-    assert 0.9 <= worst <= 1.1
 
 
 def test_modelspec_validation():

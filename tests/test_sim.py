@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from switchsde.chain import SparseGenerator
 from switchsde.model import Linearization, ModelSpec
+from switchsde.registry import registry_get
 from switchsde.segment import Segment
 from switchsde.sim import (
     BatchEnsemble,
@@ -65,6 +66,21 @@ def test_config_validation():
             SimConfig(dt=bad, horizon=1.0)
         with pytest.raises(ValueError, match="horizon must be finite"):
             SimConfig(dt=0.1, horizon=bad)
+
+
+@pytest.mark.parametrize("scheme", ["thinning", "bernoulli"])
+def test_start_mode_outside_a_finite_mode_space_raises(scheme):
+    # predator_prey's modes are 1..n_max; its per-mode bound once raised
+    # IndexError for a start mode beyond them
+    spec, lin = registry_get("predator_prey", {"n_max": 5, "phi_cap": 1.0})
+    cfg = SimConfig(dt=1.0 / 1024, horizon=0.01, scheme=scheme, seed=1)
+    phi0 = Segment.make_constant([1.0], spec.delay, cfg.dt)
+    assert simulate(spec, phi0, 5, cfg).modes[0] == 5
+    for run in (lambda: simulate(spec, phi0, 6, cfg),
+                lambda: BatchEnsemble(spec, phi0, 6, cfg, 2),
+                lambda: simulate_coupled(spec, lin, phi0, 6, cfg)):
+        with pytest.raises(ValueError, match=r"mode 6 is outside the mode space 1\.\.5"):
+            run()
 
 
 def test_zero_diffusion_matches_explicit_euler():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import group_generator, path_dynkin, path_hitting_times, path_occupation, settle_counts
 
+import switchsde.verify
 from switchsde.chain import SparseGenerator
 from switchsde.config import load_model_config
 from switchsde.model import Linearization, ModelSpec
@@ -273,6 +274,29 @@ def test_coupling_decay_table():
         coupling_decay(spec, lin, [5.0], cfg, 10, floor_frac=1.5)
 
 
+def test_coupling_blow_up_in_the_parting_step_is_censored():
+    # every path blows up in its first step, and nearly every coupled pair
+    # parts in that step too (model rate 50 out of mode 1, reference rate 0):
+    # like a hitting path, such a path leaves uncounted
+    model = scalar_spec(lambda x, i: np.full(np.shape(x), np.inf),
+                        rates=lambda seg, i: {2: 50.0} if i == 1 else {1: 1.0},
+                        bound=50.0, batch=True)
+    lin = Linearization(
+        b_mat=lambda i: np.zeros((1, 1)),
+        sigma_mats=lambda i: [np.zeros((1, 1))],
+        qhat=SparseGenerator.from_triplets([(2, 1, 1.0)]),
+        coeff_bound=1.0,
+    )
+    cfg = SimConfig(dt=0.125, horizon=1.0, seed=2)
+    eng = BatchEnsemble(model, Segment.make_constant([1.0], 1.0, cfg.dt), 1, cfg, 40,
+                        qhat=lin.qhat)
+    eng.step()
+    assert eng.blown.all() and np.isfinite(eng.decouple_time).sum() > 30
+    for floor_frac in (0.5, 0.0):
+        (row,) = coupling_decay(model, lin, [1.0], cfg, 40, floor_frac=floor_frac)
+        assert row["p_decouple"] == 0.0
+
+
 def test_coupling_skips_the_bernoulli_step_check():
     # dt * rate_bound is 6.43 on predator_prey, far past the bernoulli limit
     # of 0.5; the coupling runs by thinning, so that limit does not apply
@@ -305,6 +329,37 @@ def test_occupation_fraction_burn_in_validation():
     cfg = SimConfig(dt=0.1, horizon=1.0)
     with pytest.raises(ValueError):
         occupation_fractions(model, phi0, 1, cfg, 2, [1], burn_in=1.0)
+
+
+def test_occupation_fractions_rejects_a_repeated_mode():
+    # one column per entry of modes_track, but one index per distinct mode
+    model = scalar_spec(lambda x, i: np.zeros(1), rates=lambda seg, i: {3 - i: 1.0})
+    phi0 = Segment.make_constant([0.0], 1.0, 0.1)
+    cfg = SimConfig(dt=0.1, horizon=1.0)
+    with pytest.raises(ValueError, match=r"repeats mode\(s\) \[1\]"):
+        occupation_fractions(model, phi0, 1, cfg, 4, [1, 1, 2])
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_occupation_fractions_needs_two_paths(n_paths):
+    # a standard error over paths needs two of them
+    model = scalar_spec(lambda x, i: np.zeros(1))
+    phi0 = Segment.make_constant([0.0], 1.0, 0.1)
+    cfg = SimConfig(dt=0.1, horizon=1.0)
+    with pytest.raises(ValueError, match="n_paths must be at least 2"):
+        occupation_fractions(model, phi0, 1, cfg, n_paths, [1])
+
+
+def test_occupation_stability_rejects_nan_burn_in(monkeypatch):
+    # NaN compares false with the horizon; it must fail before any path runs
+    def no_engine(*args, **kwargs):
+        raise AssertionError("simulated before checking burn_in")
+
+    monkeypatch.setattr(switchsde.verify, "BatchEnsemble", no_engine)
+    model = scalar_spec(lambda x, i: np.zeros(1))
+    cfg = SimConfig(dt=0.1, horizon=1.0)
+    with pytest.raises(ValueError, match="burn_in must be below the horizon"):
+        occupation_stability(model, [[0.0]], cfg, 2, burn_in=math.nan)
 
 
 def test_estimators_take_no_threads_keyword():
