@@ -13,12 +13,16 @@ window sup-norms of the step.  A model without batch support runs there
 too, its callbacks called path by path.  It draws every path from the one
 stream (seed, 1), so results are reproducible bit-for-bit and depend on
 ``n_paths``.  Stop rules are masks over the ensemble, and finished
-paths leave the arrays.  The Dynkin generator takes one pass per step
-over the engine's plan-ordered states and coefficients, those of its own
-Euler step: one drift term, one diffusion contraction, V(., j) once per
-mode the switching sums read, and one scatter; trapezoid weights are
-built once per kernel and mode in a run.  :func:`apply_generator` is the
-same pass on one window.  A path contributes nothing from its blow-up on.
+paths leave the arrays.  The Dynkin estimator records each step's
+plan-ordered states and coefficients, those of the engine's own Euler step
+(and the windows, and rates read at that step), and takes LV of a block
+of up to ``_BLOCK_ROWS`` path-steps times window samples in one pass, rows
+grouped by mode across the block: the callbacks run once per mode per
+block, and a one-step block reads the engine's arrays as they are.  Each
+row's terms are formed row-wise, so LV's bits do not depend on the
+grouping or the block size; trapezoid weights are built once per kernel
+and mode in a run.  :func:`apply_generator` is the same pass on one
+window.  A path contributes nothing from its blow-up on.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ def apply_generator(V: ProductFunctional, model: ModelSpec, seg: Segment, i: int
     rates = np.fromiter(row.values(), float, len(row))[None, :]
     drift = np.asarray(model.drift(x, i), dtype=float)
     sigma = None if model.zero_diffusion else np.asarray(model.diffusion(x, i), dtype=float)
-    plan = [(i, slice(0, 1), list(row), rates)]
+    plan = [(i, slice(0, 1), list(row), rates, None)]
     return float(_generator(V, x, drift, sigma, hist, plan, _Trapezoid(seg.delay, seg.dt))[0])
 
 
@@ -157,7 +161,9 @@ class _Trapezoid:
         self.delay, self.dt = delay, dt
         self._weights: dict = {}
 
-    def __call__(self, kernel: Callable, i: int, f2h: np.ndarray) -> np.ndarray:
+    def __call__(self, kernel: Callable, i: int, f2h: np.ndarray, cuts=None) -> np.ndarray:
+        """Weighted column sums of f2h (m, P); with ``cuts``, one contiguous product
+        per (start, end) column range, as a BLAS product's bits depend on its columns."""
         m = f2h.shape[0]
         key = (kernel, i, m)  # the dict keeps the kernel alive
         w = self._weights.get(key)
@@ -166,7 +172,9 @@ class _Trapezoid:
             w[0] = w[-1] = 0.5 * self.dt
             w *= [float(kernel(s, i)) for s in (-self.delay + self.dt * np.arange(m)).tolist()]
             self._weights[key] = w
-        return w @ f2h
+        if cuts is None:
+            return w @ f2h
+        return np.concatenate([w @ np.ascontiguousarray(f2h[:, a:b]) for a, b in cuts])
 
 
 def _values(V, x, hist, i: int, trap: _Trapezoid) -> np.ndarray:
@@ -180,22 +188,24 @@ def _values(V, x, hist, i: int, trap: _Trapezoid) -> np.ndarray:
 def _generator(V, x, drift, sigma, hist, plan, trap) -> np.ndarray:
     """LV on P paths grouped by mode, in one pass.
 
-    ``plan`` lists the mode groups as (i, rows, targets, rates): a slice of
-    the P rows and the rates q_ij to ``targets[k]``, per path (P_i, K) or
-    shared (1, K).  x (P, n), drift (P, n), sigma (P, n, d) or None, and
-    the windows hist (m, P, n) when V has a time kernel, are row-aligned.
-    ``grad_f1`` and ``hess_f1`` run once per group; f1 once on all rows per
-    mode that a group is in or can jump to, and f2 once per such group.
+    ``plan`` lists the mode groups as (i, rows, targets, rates, cuts): a
+    slice of the P rows, the rates q_ij to ``targets[k]``, per path (P_i, K)
+    or shared (1, K), and the group's row ranges per grid step (None: one
+    step).  x (P, n), drift (P, n), sigma (P, n, d) or None, and the windows
+    hist (m, P, n) when V has a time kernel, are row-aligned.  ``grad_f1``
+    and ``hess_f1`` run once per group, f1 once on all rows per mode a group
+    is in or can jump to, and f2 once per such group.  A row's bits do not
+    depend on the grouping: its terms are row-wise, its trapezoid sums per step.
     """
     grad = np.empty(x.shape)
     hess = None if sigma is None else np.empty(x.shape + x.shape[-1:])
     readers: dict = {}
-    for i, rows, targets, _ in plan:
+    for i, rows, targets, _, cuts in plan:
         grad[rows] = V.grad_f1(x[rows], i)
         if hess is not None:
             hess[rows] = V.hess_f1(x[rows], i)
         for j in dict.fromkeys((i, *targets)):  # a row that lists i reads V(., i) once
-            readers.setdefault(j, []).append((i, rows))
+            readers.setdefault(j, []).append((i, rows, cuts))
     lv = (grad * drift).sum(axis=-1)
     if sigma is not None:
         # tr(H sigma sigma^T); with d = 1 each product rounds as (sigma sigma^T)_ji H_ij
@@ -203,29 +213,67 @@ def _generator(V, x, drift, sigma, hist, plan, trap) -> np.ndarray:
     vals = {}
     for j, groups in readers.items():
         vals[j] = v = np.array(_as_batch(V.f1(x, j), len(x)))  # a copy: f2 adds into it
-        for i, rows in groups if V.f2 is not None else ():
+        for i, rows, cuts in groups if V.f2 is not None else ():
             f2h = _window_f2(V, hist[:, rows], j)
-            v[rows] += trap(V.g, j, f2h)
+            v[rows] += trap(V.g, j, f2h, cuts)
             if i == j:  # the time part of LV in mode j
                 lv[rows] += float(V.g(0.0, j)) * f2h[-1]
                 lv[rows] -= float(V.g(-trap.delay, j)) * f2h[0]
-                lv[rows] -= trap(V.dg, j, f2h)
-    for i, rows, targets, rates in plan:
+                lv[rows] -= trap(V.dg, j, f2h, cuts)
+    for i, rows, targets, rates, _ in plan:
         if len(targets):
             dv = np.array([vals[j][rows] for j in targets]) - vals[i][rows]
-            lv[rows] += rates[0] @ dv if rates.shape[0] == 1 else (rates * dv.T).sum(axis=-1)
+            lv[rows] += (rates * dv.T).sum(axis=-1)
     return lv
 
 
-def _ensemble_generator(V, e: BatchEnsemble, trap) -> tuple:
-    """LV on the paths of the engine's plan, from its own coefficients: (paths, LV)."""
-    hist = None if V.f2 is None else e.history(e.order)
-    plan = [(v, rows, *e.rate_table(paths, v)) for v, paths, rows in e.groups()]
-    return e.order, _generator(V, *e.coefficients(), hist, plan, trap)
+def _snapshot(e: BatchEnsemble, with_hist: bool) -> tuple:
+    """LV's inputs, rates read at this pre-step state: (paths, plan, x, drift, sigma, windows)."""
+    plan = [(v, rows, *e.rate_table(paths, v), None) for v, paths, rows in e.groups()]
+    return (e.order, plan, *e.coefficients(), e.history(e.order) if with_hist else None)
 
 
-def _n_steps(cfg: SimConfig) -> int:
-    return int(round(cfg.horizon / cfg.dt))
+def _block_generator(V, block: list, trap) -> list:
+    """LV of a block of :func:`_snapshot` steps in one :func:`_generator` pass,
+    rows grouped by mode and target list and by step within a group, per-path
+    rate tables stacked and a shared (1, K) row (the same at every step) kept
+    once: (paths, LV) per step.  A one-step block is its arrays as they are."""
+    if len(block) == 1:
+        paths, plan, *arrays = block[0]
+        return [(paths, _generator(V, *arrays, plan, trap))]
+    steps = [((v, tuple(t)), rows.stop - rows.start, r) for _, plan, *_ in block
+             for v, rows, t, r, _ in plan]  # (key, rows, rates) per group of each step
+    parts: dict = {}  # key -> [(rows, rates)], in step order
+    for key, n, rates in steps:
+        parts.setdefault(key, []).append((n, rates))
+    rank = {key: a for a, key in enumerate(sorted(parts))}
+    perm = np.argsort(np.repeat([rank[k] for k, _, _ in steps], [n for _, n, _ in steps]),
+                      kind="stable")
+    plan, a = [], 0
+    for (v, targets), group in sorted(parts.items()):
+        n, tables = zip(*group)
+        ends = np.cumsum(n).tolist()
+        rates = tables[0] if any(len(r) < k for k, r in group) else np.concatenate(tables)
+        plan.append((v, slice(a, a + ends[-1]), list(targets), rates, list(zip([0] + ends, ends))))
+        a += ends[-1]
+    orders, _, *arrays, hists = zip(*block)
+    x, drift, sigma = (None if s[0] is None else np.concatenate(s)[perm] for s in arrays)
+    hist = None if hists[0] is None else np.concatenate(hists, axis=1)[:, perm]
+    lv = _generator(V, x, drift, sigma, hist, plan, trap)[np.argsort(perm)]
+    starts = np.cumsum([0, *map(len, orders)]).tolist()
+    return [(paths, lv[a:b]) for paths, a, b in zip(orders, starts, starts[1:])]
+
+
+# path-steps times window samples per Dynkin block, path-steps per occupation
+# block: what one pass over a block holds at once
+_BLOCK_ROWS = 4096
+
+
+def _n_steps(t: float, dt: float, name: str = "horizon") -> int:
+    """Grid steps of length ``dt`` in the time ``t`` that the argument ``name`` sets."""
+    if not math.isfinite(t):
+        raise ValueError(f"{name} must be finite, got {t}")
+    return int(round(t / dt))
 
 
 def _first_times(be: BatchEnsemble, hit, drop=None) -> list:
@@ -233,7 +281,7 @@ def _first_times(be: BatchEnsemble, hit, drop=None) -> list:
     engine's paths, on every path that meets it before the horizon; a path
     leaves uncounted at a blow-up or where the mask ``drop(engine)`` holds."""
     times = []
-    for k in range(_n_steps(be.cfg) + 1):
+    for k in range(_n_steps(be.cfg.horizon, be.cfg.dt) + 1):
         if k:
             be.step()
         done = hit(be) & ~be.blown
@@ -312,6 +360,8 @@ def coupling_decay(
     """
     if not 0.0 <= floor_frac < 1.0:
         raise ValueError("floor_frac must be in [0, 1)")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     out = []
     for r in radii:
         r = float(r)
@@ -360,6 +410,8 @@ def occupation_stability(
     """
     if not burn_in < cfg.horizon:  # written so that NaN fails
         raise ValueError("burn_in must be below the horizon")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     edges = np.linspace(0.0, 5.0, 21)
     k_head = 3
     n_rbins = edges.size  # last bin is overflow
@@ -368,19 +420,24 @@ def occupation_stability(
         start = np.atleast_1d(np.asarray(start, dtype=float))
         phi0 = Segment.make_constant(start, model.delay, cfg.dt)
         counts = np.zeros((n_rbins, k_head + 1))
+        xs, modes = [], []  # the live paths of a block of grid points, binned at once
         be = BatchEnsemble(model, phi0, i0, cfg, n_paths)
-        for k in range(_n_steps(cfg) + 1):
+        n_steps = _n_steps(cfg.horizon, cfg.dt)
+        for k in range(n_steps + 1):
             if k:
                 be.step()
             if k * cfg.dt >= burn_in - 1e-12:
-                live = ~be.blown
+                xs.append(be.x[~be.blown])
+                modes.append(be.modes[~be.blown])
+            if xs and (k == n_steps or len(xs) * n_paths >= _BLOCK_ROWS):
                 with np.errstate(over="ignore"):
-                    radii = np.linalg.norm(be.x[live], axis=1)
+                    radii = np.linalg.norm(np.concatenate(xs), axis=1)
                 rbin = np.searchsorted(edges, radii, side="right") - 1
                 # one cell per (radial bin, mode bucket), modes above k_head in the last bucket
                 cells = np.clip(rbin, 0, n_rbins - 1) * (k_head + 1)
-                cells += np.minimum(be.modes[live], k_head + 1) - 1
+                cells += np.minimum(np.concatenate(modes), k_head + 1) - 1
                 counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
+                xs, modes = [], []
         total = counts.sum()
         if total == 0:
             raise ValueError("no occupation samples collected; horizon too short?")
@@ -452,8 +509,8 @@ def occupation_fractions(
     if len(idx) < len(modes_track):
         repeated = sorted({v for v in modes_track if modes_track.count(v) > 1})
         raise ValueError(f"modes_track repeats mode(s) {repeated}")
-    n_steps = _n_steps(cfg)
-    burn_steps = int(round(burn_in / cfg.dt))
+    n_steps = _n_steps(cfg.horizon, cfg.dt)
+    burn_steps = _n_steps(burn_in, cfg.dt, "burn_in")
     counted = n_steps - burn_steps
     if counted <= 0:
         raise ValueError("burn_in leaves no steps to count")
@@ -486,7 +543,7 @@ def dynkin_residual(
     """
     if engine not in ("auto", "batch"):
         raise ValueError("engine must be auto or batch")
-    n_steps = int(round(t / cfg.dt))
+    n_steps = _n_steps(t, cfg.dt, "t")
     if n_steps < 1:
         raise ValueError("t must cover at least one grid step")
     run_cfg = replace(cfg, horizon=n_steps * cfg.dt)
@@ -497,12 +554,15 @@ def dynkin_residual(
     acc = np.zeros(n_paths)
     dt = run_cfg.dt
     trap = _Trapezoid(model.delay, dt)
-
-    def on_step(e: BatchEnsemble):
-        paths, lv = _ensemble_generator(V, e, trap)
-        acc[paths] += lv * dt
-
-    be.run(n_steps, on_step=on_step)
+    block, rows = [], n_paths * (phi0.samples.shape[0] if with_hist else 1)  # per step
+    block_steps = max(1, _BLOCK_ROWS // max(rows, 1))
+    for k in range(n_steps):
+        block.append(_snapshot(be, with_hist))
+        if len(block) == block_steps or k == n_steps - 1:
+            for paths, lv in _block_generator(V, block, trap):  # step by step, as the paths ran
+                acc[paths] += lv * dt
+            block = []
+        be.step()
     vt = np.zeros(n_paths)
     for v, paths, _ in be.groups():
         hist = be.history(paths) if with_hist else None

@@ -1,11 +1,14 @@
 import math
 import pickle
 import warnings
+from unittest import mock
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import group_generator, path_dynkin, path_hitting_times, path_occupation, settle_counts
 
 import switchsde.verify
@@ -22,7 +25,8 @@ from switchsde.verify import (
     ProductFunctional,
     apply_generator,
     coupling_decay,
-    _ensemble_generator,
+    _block_generator,
+    _snapshot,
     _Trapezoid,
     dynkin_residual,
     estimate_hitting_time,
@@ -362,6 +366,31 @@ def test_occupation_stability_rejects_nan_burn_in(monkeypatch):
         occupation_stability(model, [[0.0]], cfg, 2, burn_in=math.nan)
 
 
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_coupling_and_occupation_stability_need_a_path(n_paths):
+    # at n_paths = 0 coupling_decay divided by zero and occupation_stability
+    # blamed the horizon; both name the path count instead
+    spec, lin = registry_get("switched_ou", {"c": 1.0, "sigma": 0.5})
+    cfg = SimConfig(dt=1.0 / 16, horizon=1.0, seed=1)
+    with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
+        coupling_decay(spec, lin, [1.0], cfg, n_paths)
+    with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
+        occupation_stability(spec, [[1.0]], cfg, n_paths, burn_in=0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_name_their_argument(bad):
+    # int(round(...)) raised "cannot convert float NaN to integer", naming
+    # neither burn_in nor t
+    model = scalar_spec(lambda x, i: np.zeros(1))
+    phi0 = Segment.make_constant([0.0], 1.0, 0.1)
+    cfg = SimConfig(dt=0.1, horizon=1.0)
+    with pytest.raises(ValueError, match=f"burn_in must be finite, got {bad}"):
+        occupation_fractions(model, phi0, 1, cfg, 2, [1], burn_in=bad)
+    with pytest.raises(ValueError, match=f"t must be finite, got {bad}"):
+        dynkin_residual(QUAD, model, phi0, 1, bad, cfg, 2)
+
+
 def test_estimators_take_no_threads_keyword():
     # every estimator draws its paths from one stream; estimate_hitting_time
     # keeps an ignored ``threads`` only for the benchmark's calls
@@ -399,6 +428,12 @@ def test_occupation_stability_forgets_start():
     assert d[0, 1] < 0.25
     for h in rep["histograms"]:
         assert h.sum() == pytest.approx(1.0)
+    # the counts are binned per block of grid points; they are integers, so
+    # blocks of one grid point and of the whole run give the same bytes
+    for budget in (1, 10**9):
+        with mock.patch.object(switchsde.verify, "_BLOCK_ROWS", budget):
+            again = occupation_stability(spec, [[0.5], [3.0]], cfg, 40, burn_in=15.0)
+        assert pickle.dumps(again) == pickle.dumps(rep)
     with pytest.raises(ValueError):
         occupation_stability(spec, [[0.5]], cfg, 2, burn_in=50.0)
 
@@ -754,33 +789,47 @@ def oracle_step(V, e: BatchEnsemble, trap) -> dict:
     return out
 
 
+def run_blocks(V, e: BatchEnsemble, n_steps: int, block_steps: int, trap, at_step=None):
+    """Step ``e`` ``n_steps`` times, snapshotting each pre-step state, and
+    evaluate LV a block of ``block_steps`` snapshots at a time; yields each
+    block's (paths, LV) per step next to ``at_step(e)`` read at that step."""
+    block, seen = [], []
+    for k in range(n_steps):
+        block.append(_snapshot(e, V.f2 is not None))
+        seen.append(None if at_step is None else at_step(e))
+        if len(block) == block_steps or k == n_steps - 1:
+            yield list(zip(_block_generator(V, block, trap), seen))
+            block, seen = [], []
+        e.step()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("rates_depend_on_path", [False, True])
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_ensemble_generator_matches_group_oracle(rates_depend_on_path, seed):
     # random plans: 40 paths spread over three modes by the chain itself,
-    # and paths that stay in mode 3 blow up there
+    # and paths that stay in mode 3 blow up there; blocks of 5 steps mix
+    # the rows of different steps in one mode group
     model = plane_model(rates_depend_on_path, blow=40.0)
     dt = 1.0 / 32
     phi0 = Segment.make_constant([0.9, -0.6], model.delay, dt)
     e = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=2.0, seed=seed), 40,
                       track_history=True)
     trap = _Trapezoid(model.delay, dt)
-    for _ in range(32):
-        paths, lv = _ensemble_generator(PLANE_V, e, trap)
-        ref = oracle_step(PLANE_V, e, trap)
-        assert sorted(paths.tolist()) == sorted(ref)
-        want, mag = np.array([ref[p] for p in paths.tolist()]).T.reshape(2, -1)
-        ok = np.isfinite(want)  # a path about to blow up may overflow V
-        assert np.array_equal(np.isfinite(lv), ok)
-        # einsum sums tr(H sigma sigma^T) in its own order: rounding only
-        assert (np.abs(lv - want)[ok] <= 1e-14 * (np.abs(want) + mag)[ok]).all()
-        e.step()
+    oracle = lambda e: oracle_step(PLANE_V, e, trap)  # noqa: E731
+    for block in run_blocks(PLANE_V, e, 32, 5, trap, oracle):
+        for (paths, lv), ref in block:
+            assert sorted(paths.tolist()) == sorted(ref)
+            want, mag = np.array([ref[p] for p in paths.tolist()]).T.reshape(2, -1)
+            ok = np.isfinite(want)  # a path about to blow up may overflow V
+            assert np.array_equal(np.isfinite(lv), ok)
+            # einsum sums tr(H sigma sigma^T) in its own order: rounding only
+            assert (np.abs(lv - want)[ok] <= 1e-14 * (np.abs(want) + mag)[ok]).all()
     assert 10 <= e.blown.sum() < e.n_paths and len(e.groups()) == 3
 
 
 def test_ensemble_generator_is_bit_identical_in_one_dimension():
-    # with n = d = 1 the ensemble pass does the oracle's arithmetic exactly
+    # with n = d = 1 the block pass does the oracle's arithmetic exactly
     model = scalar_spec(
         lambda x, i: -0.7 * i * np.asarray(x, dtype=float),
         diffusion=lambda x, i: 0.3 * i * np.asarray(x, dtype=float)[..., None] + 0.1,
@@ -799,18 +848,18 @@ def test_ensemble_generator_is_bit_identical_in_one_dimension():
     e = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=2.0, seed=8), 30,
                       track_history=True)
     trap = _Trapezoid(model.delay, dt)
-    for _ in range(20):
-        paths, lv = _ensemble_generator(fn, e, trap)
-        ref = oracle_step(fn, e, trap)
-        assert lv.tolist() == [ref[p][0] for p in paths.tolist()]
-        e.step()
+    oracle = lambda e: oracle_step(fn, e, trap)  # noqa: E731
+    for block in run_blocks(fn, e, 20, 6, trap, oracle):
+        for (paths, lv), ref in block:
+            assert lv.tolist() == [ref[p][0] for p in paths.tolist()]
     assert len(e.groups()) == 3
 
 
 @pytest.mark.parametrize("with_kernel", [False, True])
 def test_generator_evaluates_f1_once_per_needed_mode(with_kernel):
     # every mode can jump to both others, so evaluating f1 per (group,
-    # target) pair would call mode 1 from groups 2 and 3 in the same step
+    # target) pair would call mode 1 from groups 2 and 3 in the same block;
+    # a block of 4 steps calls f1 once per mode its groups read
     calls = []
 
     def f1(x, i):
@@ -826,16 +875,47 @@ def test_generator_evaluates_f1_once_per_needed_mode(with_kernel):
                       track_history=with_kernel)
     trap = _Trapezoid(model.delay, dt)
     full = 0
-    for _ in range(30):
-        calls.clear()
-        _ensemble_generator(fn, e, trap)
-        needed = {v for v, _, _ in e.groups()}
+    modes = lambda e: {v for v, _, _ in e.groups()}  # noqa: E731
+    for block in run_blocks(fn, e, 32, 4, trap, modes):
+        needed = set().union(*(v for _, v in block))
         needed |= {j for v in list(needed) for j in model.rates_row(None, v)}
         assert sorted(calls) == sorted(set(calls))
         assert set(calls) == needed
-        full += len(e.groups()) == 3
-        e.step()
+        full += sum(len(v) == 3 for _, v in block)
+        calls.clear()
     assert full > 10
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_paths=st.integers(1, 32),
+    n_steps=st.integers(1, 24),
+    rates_depend_on_path=st.booleans(),
+    with_kernel=st.booleans(),
+    blow=st.sampled_from([0.0, 40.0]),
+    scheme=st.sampled_from(["thinning", "bernoulli"]),
+)
+def test_dynkin_bits_do_not_depend_on_the_block(
+    seed, n_paths, n_steps, rates_depend_on_path, with_kernel, blow, scheme
+):
+    # V depends on the mode (sin(x1 x2) / i and a mode-dependent kernel), so
+    # the switching sums read V(., j) for every target; blocks of one step,
+    # of three steps (a shorter last block when 3 does not divide the
+    # steps) and of the whole run must give the same bytes
+    model = plane_model(rates_depend_on_path, blow=blow)
+    fn = PLANE_V if with_kernel else replace(PLANE_V, f2=None, g=None, dg=None)
+    dt = 1.0 / 32
+    phi0 = Segment.make_constant([0.9, -0.6], model.delay, dt)
+    cfg = SimConfig(dt=dt, horizon=1.0, seed=seed, scheme=scheme)
+    rows = n_paths * (phi0.samples.shape[0] if with_kernel else 1)  # per step
+    out = set()
+    for budget in (1, 3 * rows, n_steps * rows):
+        with mock.patch.object(switchsde.verify, "_BLOCK_ROWS", budget):
+            est = dynkin_residual(fn, model, phi0, 1, n_steps * dt, cfg, n_paths)
+        out.add(pickle.dumps(est))
+    assert len(out) == 1
 
 
 def estimator_outputs(spec, lin, seed, scheme="thinning"):
