@@ -14,7 +14,7 @@ means the probed quantities behave as the certificate requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,19 +38,20 @@ __all__ = [
 class ModelSpec:
     """Coefficients and switching rates of one model.
 
-    ``drift(x, i) -> (n,)`` and ``diffusion(x, i) -> (n, d)`` are evaluated
-    pointwise.  ``rates_row(seg, i) -> {j: rate}`` returns the off-diagonal
-    rates out of mode i given the history window; ``rate_bound`` must
-    dominate every total row rate.  ``supports_batch`` declares that drift
-    and diffusion accept a leading path axis on ``x``, and that
-    ``rates_row`` accepts a :class:`~switchsde.segment.SegmentBatch` of P
-    windows, with keys that depend on the mode only and each rate a scalar
-    or a (P,) array.  It only saves time: the batch engine then makes one
-    call per mode group instead of one per path.  ``mode_rate_bound(i)`` (optional) is a bound for the
-    rows out of mode i alone, on every history, at most ``rate_bound``;
-    thinning clocks run at it while the chain sits in mode i.
-    ``post_step`` (optional) projects the state after each update, e.g.
-    onto the nonnegative half-line for queueing models.
+    ``drift(x, i) -> (..., n)``, ``diffusion(x, i) -> (..., n, d)`` and
+    ``post_step(x)`` (optional; it projects the state after each update,
+    e.g. onto the nonnegative half-line for queueing models) take states
+    ``x`` of shape (n,) or (P, n), the leading axis running over paths.
+    ``rates_row(seg, i) -> {j: rate}`` returns the nonnegative
+    off-diagonal rates out of mode i given the history window, one
+    :class:`~switchsde.segment.Segment` or a
+    :class:`~switchsde.segment.SegmentBatch` of P windows; its keys depend
+    on the mode only and each rate is a scalar or a (P,) array.
+    ``rate_bound``, finite and positive, must dominate every total row
+    rate.  ``mode_rate_bound(i)`` (optional) is a bound for the rows out of
+    mode i alone, on every history, at most ``rate_bound``; thinning clocks
+    run at it while the chain sits in mode i.  ``supports_batch=True`` is
+    accepted for callers that still pass it, and not stored.
     ``shared_coefficients_from`` (optional) K promises drift(x, i) == drift(x, K)
     and diffusion(x, i) == diffusion(x, K) bit for bit for every i >= K; the
     batch engine then evaluates those modes in one call.  It is not checked.
@@ -65,17 +66,19 @@ class ModelSpec:
     delay: float
     post_step: Optional[Callable] = None
     zero_diffusion: bool = False
-    supports_batch: bool = False
     rates_depend_on_path: bool = True
     meta: dict = field(default_factory=dict)
     mode_rate_bound: Optional[Callable[[int], float]] = None
     shared_coefficients_from: Optional[int] = None
+    supports_batch: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, supports_batch):
+        if not supports_batch:
+            raise ValueError("supports_batch must be True: every model takes batched states")
         if self.dim < 1 or self.brownian_dim < 1:
             raise ValueError("dim and brownian_dim must be >= 1")
-        if self.rate_bound <= 0:
-            raise ValueError("rate_bound must be positive")
+        if not 0 < self.rate_bound < np.inf:  # NaN fails too
+            raise ValueError(f"rate_bound must be finite and positive, got {self.rate_bound}")
         if not (np.isfinite(self.delay) and self.delay > 0):
             raise ValueError(f"delay must be finite and positive, got {self.delay}")
         k = self.shared_coefficients_from
@@ -86,7 +89,10 @@ class ModelSpec:
         """Rate of the thinning clock while the chain sits in mode i."""
         if self.mode_rate_bound is None:
             return self.rate_bound
-        return self.mode_rate_bound(i)
+        bound = self.mode_rate_bound(i)
+        if not 0 <= bound < np.inf:
+            raise ValueError(f"mode_rate_bound({i}) = {bound} must be finite and >= 0")
+        return bound
 
 
 @dataclass(frozen=True)

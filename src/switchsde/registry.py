@@ -141,7 +141,6 @@ def _switched_ou(params: dict):
         mode_rate_bound=mode_rate_bound,
         delay=delay,
         zero_diffusion=not sigmas.any(),
-        supports_batch=True,
         rates_depend_on_path=True,
         shared_coefficients_from=top,
     )
@@ -195,7 +194,6 @@ def _controlled_scalar(params: dict):
         rate_bound=2.0,
         mode_rate_bound=lambda i: float(len(_ladder_targets(i))),
         delay=delay,
-        supports_batch=True,
         rates_depend_on_path=True,
         shared_coefficients_from=top,
         meta={
@@ -233,7 +231,6 @@ def _fluid_queue(params: dict):
         delay=delay,
         post_step=lambda x: np.maximum(x, 0.0),
         zero_diffusion=True,
-        supports_batch=True,
         rates_depend_on_path=True,
         shared_coefficients_from=len(fs),
     )
@@ -300,7 +297,6 @@ def _predator_prey(params: dict):
         mode_rate_bound=mode_bound,
         delay=delay,
         post_step=lambda x: np.maximum(x, 0.0),
-        supports_batch=True,
         rates_depend_on_path=True,
     )
     lin = _linearization(lambda i: np.array([[rho * b_feed * min(i, n_max) - d_death]]),
@@ -355,7 +351,6 @@ def _linear_2d(params: dict):
         rate_bound=qhat.rate_bound,
         mode_rate_bound=lambda i: sum(qhat.row(i).values()),
         delay=delay,
-        supports_batch=True,
         rates_depend_on_path=False,
         shared_coefficients_from=top,
     )

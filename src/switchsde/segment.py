@@ -159,12 +159,5 @@ class SegmentBatch(_Window):
 
     _shape = property(lambda self: (len(self._paths), self.dim))
 
-    def __len__(self) -> int:
-        return len(self._paths)
-
     def _slot(self, k: int) -> np.ndarray:
         return self._buf[k].take(self._paths, axis=0)
-
-    def path(self, k: int) -> Segment:
-        """The window of the view's k-th path as its own :class:`Segment`."""
-        return Segment(np.roll(self._buf[:, self._paths[k]], -self._head, axis=0), self.delay, self.dt)

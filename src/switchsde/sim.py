@@ -55,7 +55,6 @@ __all__ = [
     "TrajectoryRecord",
     "CoupledRecord",
     "default_dt",
-    "path_rngs",
     "simulate",
     "simulate_coupled",
     "BatchEnsemble",
@@ -94,17 +93,6 @@ def default_dt(delay: float, horizon: float) -> float:
     return delay / n
 
 
-def path_rngs(seed: int, k: int):
-    """Independent Brownian and jump streams for ensemble path k."""
-    ss = np.random.SeedSequence(entropy=(int(seed), 0, int(k)))
-    w, j = ss.spawn(2)
-    return np.random.default_rng(w), np.random.default_rng(j)
-
-
-def _batch_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 1)))
-
-
 @dataclass
 class TrajectoryRecord:
     """Recorded grid states of one path.
@@ -139,23 +127,6 @@ class CoupledRecord:
     blow_up: bool = False
 
 
-def _per_path(fn: Callable) -> Callable:
-    """A pointwise callback ``fn(x, *args)`` lifted to states with a leading path axis."""
-    return lambda x, *args: np.array([np.asarray(fn(xk, *args), dtype=float) for xk in x])
-
-
-def _rows_per_path(rates_row: Callable) -> Callable:
-    """A ``rates_row`` of one :class:`Segment` lifted to a :class:`SegmentBatch`:
-    the union of the paths' targets, each rate a (P,) array, 0.0 where a path's
-    row lacks the target."""
-
-    def rows(seg: SegmentBatch, i: int) -> dict:
-        per = [rates_row(seg.path(k), i) for k in range(len(seg))]
-        return {j: np.array([r.get(j, 0.0) for r in per]) for j in set().union(*per)}
-
-    return rows
-
-
 def _check_inputs(model: ModelSpec, phi0: Segment, cfg: SimConfig, i0: int):
     if i0 < 1:
         raise ValueError("modes are indexed from 1")
@@ -182,7 +153,10 @@ def _gap(rng, bound: float) -> float:
     return rng.exponential(1.0 / bound) if bound > 0 else math.inf
 
 
-def _check_total(total: float, bound: float, where: str) -> None:
+def _check_total(total: float, low: float, bound: float, where: str) -> None:
+    """Reject a row with a negative rate ``low`` or a ``total`` above ``bound``."""
+    if low < 0:
+        raise ValueError(f"rates out of {where} include {float(low)!r}; a rate cannot be negative")
     if total > bound * _BOUND_SLACK:
         raise ValueError(
             f"rates out of {where} total {total!r}, above the bound {bound!r} in "
@@ -193,9 +167,10 @@ def _check_total(total: float, bound: float, where: str) -> None:
 def _pick_target(row: dict, u: float, scale: float, mode: int):
     """Walk the partition of [0, 1) induced by row rates / scale.
 
-    Raises when the row total exceeds ``scale``.
+    Raises on a negative rate or when the row total exceeds ``scale``.
     """
-    _check_total(sum(row.values()), scale, f"mode {mode}")
+    rates = row.values()
+    _check_total(sum(rates), min(rates) if row else 0.0, scale, f"mode {mode}")
     acc = 0.0
     for j in sorted(row):
         acc += row[j] / scale
@@ -213,7 +188,8 @@ def _couple(row: dict, ref: dict, u: float, bound: float, pair: tuple) -> tuple:
     """
     targets = sorted(set(row) | set(ref))
     rates = [(row.get(j, 0.0), ref.get(j, 0.0)) for j in targets]
-    _check_total(sum(max(a, b) for a, b in rates), bound, f"modes {pair}")
+    low = min(map(min, rates)) if rates else 0.0
+    _check_total(sum(max(a, b) for a, b in rates), low, bound, f"modes {pair}")
     acc = 0.0
     for j, (a, b) in zip(targets, rates):
         both, lone_a, lone_b = min(a, b), max(a - b, 0.0), max(b - a, 0.0)
@@ -254,7 +230,8 @@ def simulate(
     """
     _check_inputs(model, phi0, cfg, i0)
     seg = phi0.copy()
-    rng_w, rng_j = path_rngs(cfg.seed, path_index)
+    streams = np.random.SeedSequence(entropy=(int(cfg.seed), 0, int(path_index))).spawn(2)
+    rng_w, rng_j = (np.random.default_rng(ss) for ss in streams)
     dt, stride = cfg.dt, cfg.record_stride
     n_steps = int(round(cfg.horizon / dt))
     rates_row, bound = model.rates_row, model.thinning_bound
@@ -374,20 +351,31 @@ def simulate_coupled(
     )
 
 
+def _per_group(out, x: np.ndarray, ndim: int, name: str, v: int):
+    """``out`` of a coefficient callback on the states ``x`` of mode v: one row
+    per path, or no path axis at all (a constant for every path)."""
+    out = np.asarray(out)
+    if out.ndim == ndim and len(out) != len(x):
+        raise ValueError(f"{name}(x, {v}) gave shape {out.shape} for {len(x)} states")
+    return out
+
+
 class BatchEnsemble:
     """Vectorized fixed-grid integrator over a path ensemble.
 
-    A model without ``supports_batch`` is lifted once, here: drift,
-    diffusion, ``post_step`` and history-dependent rates are then called
-    path by path (rates on :meth:`SegmentBatch.path`), with the draws of a
-    batch model.  Rate rows that ignore the history are cached per mode,
-    read off one :class:`Segment`.  With ``rates_depend_on_path`` the
-    engine keeps the (n_samples, n_paths, dim) history ring and reads
-    the rows of paths in one mode with one ``rates_row`` call on their
-    batch view (:meth:`rate_table`), the window sup-norms coming once per
-    step from :meth:`sup_norms`.  Each path's thinning clock runs at the
-    bound of its current mode, as in :func:`simulate`; a step that ends
-    before the earliest clock skips the proposal loop.
+    The model's callbacks take a whole mode group at once: drift,
+    diffusion and ``post_step`` states with a leading path axis, and
+    ``rates_row`` a :class:`SegmentBatch`.  A drift or diffusion result
+    without the path axis is a constant for every path of the group; one
+    with it but not one row per path raises.  Rate rows that ignore the
+    history are cached per mode, read off one :class:`Segment`.  With
+    ``rates_depend_on_path`` the engine keeps the (n_samples, n_paths,
+    dim) history ring and reads the rows of paths in one mode with one
+    ``rates_row`` call on their batch view (:meth:`rate_table`), the
+    window sup-norms coming once per step from :meth:`sup_norms`.  Each
+    path's thinning clock runs at the bound of its current mode, as in
+    :func:`simulate`; a step that ends before the earliest clock skips the
+    proposal loop.
 
     Every step works from one mode-group plan (:meth:`groups`): the paths
     not blown up, stably sorted by mode, and each mode's slice of that
@@ -429,21 +417,11 @@ class BatchEnsemble:
         if qhat is not None:  # the coupling runs by thinning
             cfg = replace(cfg, scheme="thinning")
         _check_inputs(model, phi0, cfg, i0)
-        if not model.supports_batch:
-            post, rows = model.post_step, model.rates_row
-            model = replace(
-                model,
-                drift=_per_path(model.drift),
-                diffusion=_per_path(model.diffusion),
-                post_step=post and _per_path(post),
-                rates_row=_rows_per_path(rows) if model.rates_depend_on_path else rows,
-                supports_batch=True,
-            )
         self.model = model
         self.cfg = cfg
         self.qhat = qhat
         self.n_paths = int(n_paths)
-        self.rng = _batch_rng(cfg.seed)
+        self.rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 1)))
         self.t = 0.0
         self.x = np.tile(phi0.terminal(), (self.n_paths, 1))
         self.modes = np.full(self.n_paths, int(i0), dtype=int)
@@ -530,9 +508,10 @@ class BatchEnsemble:
         if not model.zero_diffusion:
             sigma = np.empty(xs.shape + (model.brownian_dim,))
         for v, rows in head + tail:  # the coefficient classes
-            drift[rows] = model.drift(xs[rows], v)
+            x = xs[rows]
+            drift[rows] = _per_group(model.drift(x, v), x, 2, "drift", v)
             if sigma is not None:
-                sigma[rows] = model.diffusion(xs[rows], v)
+                sigma[rows] = _per_group(model.diffusion(x, v), x, 3, "diffusion", v)
         return xs, drift, sigma
 
     def _row(self, v: int) -> tuple:
@@ -544,7 +523,7 @@ class BatchEnsemble:
             targets = np.array(sorted(row), dtype=int)
             rates = np.array([row[j] for j in targets], dtype=float)
             scale = self.model.thinning_bound(v) if self._thinning else 1.0 / self.cfg.dt
-            _check_total(float(rates.sum()), scale, f"mode {v}")
+            _check_total(float(rates.sum()), rates.min(initial=0.0), scale, f"mode {v}")
             row = dict(zip(targets.tolist(), rates.tolist()))
             self._rows[v] = (targets, rates, row, np.cumsum(rates / scale))
         return self._rows[v]
@@ -640,7 +619,8 @@ class BatchEnsemble:
                 targets, rates = self.rate_table(paths, v)
                 targets, cum = np.array(targets, dtype=int), np.cumsum(rates / scale, axis=1)
                 if targets.size:  # a path's last running sum of rates is _pick_target's total
-                    _check_total(float(np.cumsum(rates, axis=1)[:, -1].max()), scale, f"mode {v}")
+                    total = float(np.cumsum(rates, axis=1)[:, -1].max())
+                    _check_total(total, rates.min(), scale, f"mode {v}")
             else:
                 targets, _, _, cum = self._row(v)
             if not targets.size:
@@ -692,7 +672,7 @@ class BatchEnsemble:
             if model.mode_rate_bound is None:
                 bound = model.rate_bound + self.qhat.rate_bound
             else:
-                bound = model.mode_rate_bound(v) + sum(ref.values())
+                bound = model.thinning_bound(v) + sum(ref.values())
             pair = self._pairs[v] = (ref, bound)
         return pair
 

@@ -9,11 +9,10 @@ functionals V(phi, i) = f1(phi(0), i) + int_{-r}^0 g(s, i) f2(phi(s), i) ds.
 Every estimator runs on the vectorized engine
 :class:`~switchsde.sim.BatchEnsemble`, history-dependent rates included:
 they are read per mode group, and the hitting rule reads the engine's
-window sup-norms of the step.  A model without batch support runs there
-too, its callbacks called path by path.  It draws every path from the one
-stream (seed, 1), so results are reproducible bit-for-bit and depend on
-``n_paths``.  Stop rules are masks over the ensemble, and finished
-paths leave the arrays.  The Dynkin estimator records each step's
+window sup-norms of the step.  It draws every path from the one stream
+(seed, 1), so results are reproducible bit-for-bit and depend on
+``n_paths``.  Stop rules are masks over the ensemble, and finished paths
+leave the arrays.  The Dynkin estimator records each step's
 plan-ordered states and coefficients, those of the engine's own Euler step
 (and the windows, and rates read at that step), and takes LV of a block
 of up to ``_BLOCK_ROWS`` path-steps times window samples in one pass, rows

@@ -142,7 +142,6 @@ def _point_model(drift, diffusion=None, rates=None, bound=1.0):
         rate_bound=bound,
         delay=1.0,
         zero_diffusion=diffusion is None,
-        supports_batch=True,
         rates_depend_on_path=False,
     )
 

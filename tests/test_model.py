@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,22 @@ def test_modelspec_checks_the_shared_coefficient_mode():
             ModelSpec(**base, shared_coefficients_from=k)
     for k in (1, 40):
         assert ModelSpec(**base, shared_coefficients_from=k).shared_coefficients_from == k
+
+
+def test_modelspec_rejects_bad_rate_bounds_and_pointwise_declarations():
+    spec, _ = toy_affine_model()
+    # NaN switched switching off and inf made the thinning clock draw zero gaps
+    for bad in (np.nan, np.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="rate_bound must be finite and positive"):
+            replace(spec, rate_bound=bad)
+    # every model takes batched states: the keyword is accepted as True only
+    with pytest.raises(ValueError, match="supports_batch must be True"):
+        replace(spec, supports_batch=False)
+    assert replace(spec, supports_batch=True) == spec
+    # a per-mode bound must be finite and nonnegative where it is read; 0 is legal
+    bounds = {1: 0.0, 2: 0.5, 3: np.nan, 4: np.inf, 5: -0.5}
+    spec = replace(spec, mode_rate_bound=bounds.get)
+    assert (spec.thinning_bound(1), spec.thinning_bound(2)) == (0.0, 0.5)
+    for i in (3, 4, 5):
+        with pytest.raises(ValueError, match=rf"mode_rate_bound\({i}\) = .* must be finite and >= 0"):
+            spec.thinning_bound(i)

@@ -44,7 +44,6 @@ def test_shapes_and_rate_bounds(name):
 @pytest.mark.parametrize("name", REGISTRY_NAMES)
 def test_batched_evaluation_matches_pointwise(name):
     spec, _ = registry_get(name, DEFAULTS[name])
-    assert spec.supports_batch
     rng = np.random.default_rng(1)
     xs = np.abs(rng.standard_normal((6, spec.dim))) + 0.1
     for i in (1, 4):

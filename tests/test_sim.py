@@ -279,49 +279,58 @@ def batch_model(rates, bound, *, diffusion=None, drift=None):
         rate_bound=bound,
         delay=1.0,
         zero_diffusion=diffusion is None,
-        supports_batch=True,
         rates_depend_on_path=False,
     )
 
 
-def test_batch_engine_runs_a_model_without_batch_support():
-    # pointwise callbacks and history-dependent rates: the engine calls them
-    # path by path and draws as it does for the model declared batch-ready
-    states = set()
-
-    def drift(x, i):
-        states.add(np.shape(x))
-        return np.zeros(1)
-
-    scalar = plain_model(
-        drift,
-        diffusion=lambda x, i: np.array([[0.3]]),
-        rates=lambda seg, i: {3 - i: 1.0 / (1.0 + seg.sup_norm())},
-        bound=1.0,
-    )
-    batch = replace(
-        scalar,
-        drift=lambda x, i: np.zeros_like(x),
-        diffusion=lambda x, i: np.full(np.shape(x) + (1,), 0.3),
-        supports_batch=True,
-    )
+def test_coefficients_need_a_path_axis_unless_constant():
+    # np.array([-x[0]]) is a drift for one state: on a group of paths it
+    # gives (1, 1), which would broadcast path 0's drift to every path
+    pointwise = plain_model(lambda x, i: np.array([-x[0]]), diffusion=lambda x, i: np.array([[0.3]]))
     phi0 = Segment.make_constant([0.5], 1.0, 0.1)
+    cfg = SimConfig(dt=0.1, horizon=1.0, seed=2)
+    for n_paths in (2, 5):
+        with pytest.raises(ValueError, match=rf"drift\(x, 1\) gave shape \(1, 1\) for {n_paths} states"):
+            BatchEnsemble(pointwise, phi0, 1, cfg, n_paths).run(1)
+    noisy = replace(pointwise, drift=lambda x, i: -np.asarray(x, dtype=float),
+                    diffusion=lambda x, i: np.array([[0.3 * x[0]]]))
+    with pytest.raises(ValueError, match=r"diffusion\(x, 1\) gave shape \(1, 1, 1\) for 3 states"):
+        BatchEnsemble(noisy, phi0, 1, cfg, 3).run(1)
+    # the diffusion np.array([[0.3]]) has no path axis: a constant for every path
+    const = replace(pointwise, drift=lambda x, i: -np.asarray(x, dtype=float))
+    eng = BatchEnsemble(const, phi0, 1, cfg, 4)
+    eng.run(10)
+    assert np.isfinite(eng.x).all() and np.unique(eng.x).size == 4
+    # with one path in the group, one row is that path's own drift
+    one = BatchEnsemble(pointwise, phi0, 1, cfg, 1)
+    one.run(10)
+    assert np.isfinite(one.x).all()
+
+
+def test_negative_rates_raise():
+    # at u = 0.3 the walk over this row picks 2 and the running-sum count
+    # picks 3: the two pick rules would draw different laws from it
+    bad = {2: 0.5, 3: -0.4, 4: 0.5}
+    neg = r"rates out of {} include -0\.4; a rate cannot be negative"
+    with pytest.raises(ValueError, match=neg.format("mode 1")):
+        _pick_target(bad, 0.3, 1.0, 1)
+    model = plain_model(lambda x, i: np.zeros_like(np.asarray(x, dtype=float)),
+                        rates=lambda seg, i: dict(bad) if i == 1 else {1: 0.5})
+    phi0 = Segment.make_constant([0.0], 1.0, 0.1)
+    _, lin = coupled_setup(None, lambda i: {2: 0.5} if i == 1 else {1: 0.5}, 0.5, 1.0)
     for scheme in ("thinning", "bernoulli"):
-        cfg = SimConfig(dt=0.1, horizon=5.0, seed=2, scheme=scheme)
-        a = BatchEnsemble(scalar, phi0, 1, cfg, 8, track_history=True)
-        b = BatchEnsemble(batch, phi0, 1, cfg, 8, track_history=True)
-        a.run(50)
-        b.run(50)
-        assert a.jumps == b.jumps > 0
-        assert np.array_equal(a.modes, b.modes) and np.array_equal(a.history(), b.history())
-    assert states == {(1,)}
-    # a path whose own row lacks a target reads the rate 0.0 there
-    lacking = replace(scalar, rates_row=lambda seg, i: {2: 0.5} if seg.terminal()[0] > 0.5 else {})
-    e = BatchEnsemble(lacking, phi0, 1, SimConfig(dt=0.1, horizon=5.0, seed=2), 8)
-    e.run(3)
-    targets, rates = e.rate_table(np.arange(8), 1)
-    want = np.where(e.history()[-1, :, 0] > 0.5, 0.5, 0.0)
-    assert targets == [2] and np.array_equal(rates[:, 0], want) and 0 < want.sum() < 4
+        cfg = SimConfig(dt=0.1, horizon=20.0, seed=0, scheme=scheme)
+        with pytest.raises(ValueError, match=neg.format("mode 1")):
+            simulate(model, phi0, 1, cfg)
+        # a cached row is checked once, before the coupling reads it
+        cached = replace(model, rates_depend_on_path=False)
+        for engine, pair in ((model, r"modes \(1, 1\)"), (cached, "mode 1")):
+            with pytest.raises(ValueError, match=neg.format("mode 1")):
+                BatchEnsemble(engine, phi0, 1, cfg, 4).run(200)
+            with pytest.raises(ValueError, match=neg.format(pair)):
+                BatchEnsemble(engine, phi0, 1, cfg, 4, qhat=lin.qhat).run(200)
+        with pytest.raises(ValueError, match=neg.format(r"modes \(1, 1\)")):
+            simulate_coupled(model, lin, phi0, 1, cfg)
 
 
 def test_batch_engine_deterministic_states_and_history():
@@ -390,20 +399,19 @@ def test_batch_blown_paths_leave_the_plan():
 def test_rows_above_the_bound_raise():
     # the model declares rate_bound 1.0, but mode 1 leaves at total rate 1.5
     model = plain_model(lambda x, i: np.zeros(1), rates=two_mode_rates(1.5, 0.5), bound=1.0)
-    batch = replace(model, supports_batch=True)
     phi0 = Segment.make_constant([0.0], 1.0, 0.1)
     cfg = SimConfig(dt=0.1, horizon=20.0, seed=0)
     over = r"mode 1 total 1\.5, above the bound 1\.0"
     with pytest.raises(ValueError, match=over):
         simulate(model, phi0, 1, cfg)
-    for engine in (batch, replace(batch, rates_depend_on_path=False)):
+    for engine in (model, replace(model, rates_depend_on_path=False)):
         with pytest.raises(ValueError, match=over):
             BatchEnsemble(engine, phi0, 1, cfg, 4).run(200)
     _, lin = coupled_setup(None, lambda i: {2: 0.25} if i == 1 else {1: 0.25}, 0.25, 1.0)
     with pytest.raises(ValueError, match=r"modes \(1, 1\) total 1\.5, above the bound 1\.25"):
         simulate_coupled(model, lin, phi0, 1, cfg)
     with pytest.raises(ValueError, match="above the bound"):
-        BatchEnsemble(batch, phi0, 1, cfg, 4, qhat=lin.qhat).run(200)
+        BatchEnsemble(model, phi0, 1, cfg, 4, qhat=lin.qhat).run(200)
     # bernoulli truncates only a row above 1 / dt
     steep = plain_model(lambda x, i: np.zeros(1), rates=two_mode_rates(50.0, 0.5), bound=1.0)
     bern = replace(cfg, scheme="bernoulli")
@@ -411,7 +419,7 @@ def test_rows_above_the_bound_raise():
         simulate(steep, phi0, 1, bern)
     for engine in (steep, replace(steep, rates_depend_on_path=False)):
         with pytest.raises(ValueError, match="above the bound 10"):
-            BatchEnsemble(replace(engine, supports_batch=True), phi0, 1, bern, 4).run(1)
+            BatchEnsemble(engine, phi0, 1, bern, 4).run(1)
 
 
 def test_mode_bounds_keep_thinning_exact():
@@ -423,7 +431,6 @@ def test_mode_bounds_keep_thinning_exact():
         rates=two_mode_rates(a, b),
         bound=b,
         mode_rate_bound=lambda i: a if i == 1 else b,
-        supports_batch=True,
     )
     phi0 = Segment.make_constant([0.0], 1.0, 0.05)
     rec = simulate(model, phi0, 1, SimConfig(dt=0.05, horizon=1000.0, seed=8))
@@ -541,7 +548,6 @@ def test_batch_rates_read_each_paths_window():
         rates_row=rates,
         rate_bound=1.0,
         delay=1.0,
-        supports_batch=True,
     )
     phi0 = Segment.make_constant([1.0], 1.0, 0.25)
     cfg = SimConfig(dt=0.25, horizon=5.0, scheme="bernoulli", seed=4)
@@ -579,7 +585,6 @@ def cycling_model(**kw):
         rates_row=lambda seg, i: {i % 4 + 1: 2.0},
         rate_bound=2.0,
         delay=1.0,
-        supports_batch=True,
         rates_depend_on_path=False,
         **kw,
     )

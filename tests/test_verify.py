@@ -50,7 +50,7 @@ def scalar_spec(
     rates=None,
     bound=1.0,
     delay=1.0,
-    batch=False,
+    history_rates=True,
 ):
     return ModelSpec(
         dim=1,
@@ -61,8 +61,7 @@ def scalar_spec(
         rate_bound=bound,
         delay=delay,
         zero_diffusion=diffusion is None,
-        supports_batch=batch,
-        rates_depend_on_path=not batch,
+        rates_depend_on_path=history_rates,
     )
 
 
@@ -145,7 +144,7 @@ def test_generator_time_kernel_part():
 
 
 def test_dynkin_engines_agree_on_deterministic_model():
-    model = scalar_spec(lambda x, i: -np.asarray(x, dtype=float), batch=True)
+    model = scalar_spec(lambda x, i: -np.asarray(x, dtype=float), history_rates=False)
     phi0 = Segment.make_constant([1.0], 1.0, 0.01)
     # bernoulli advances on the grid only, so both engines see one trajectory
     cfg = SimConfig(dt=0.01, horizon=1.0, seed=0, scheme="bernoulli")
@@ -166,7 +165,7 @@ def test_dynkin_time_kernel_engines_agree():
         g=lambda s, i: s + 1.0,
         dg=lambda s, i: 1.0,
     )
-    model = scalar_spec(lambda x, i: -np.asarray(x, dtype=float), batch=True)
+    model = scalar_spec(lambda x, i: -np.asarray(x, dtype=float), history_rates=False)
     phi0 = Segment.make_constant([1.0], 1.0, 0.05)
     cfg = SimConfig(dt=0.05, horizon=2.0, seed=0, scheme="bernoulli")
     a = path_dynkin(fn, model, phi0, 1, 2.0, cfg, 2)
@@ -179,7 +178,7 @@ def test_dynkin_brownian_quadratic_centered():
     model = scalar_spec(
         lambda x, i: np.zeros_like(np.asarray(x, dtype=float)),
         diffusion=lambda x, i: np.array([[1.0]]),
-        batch=True,
+        history_rates=False,
     )
     phi0 = Segment.make_constant([0.0], 1.0, 0.01)
     cfg = SimConfig(dt=0.01, horizon=1.0, seed=42)
@@ -194,7 +193,7 @@ def test_dynkin_switching_functional_centered():
         lambda x, i: np.zeros_like(np.asarray(x, dtype=float)),
         rates=lambda seg, i: {2: 1.0} if i == 1 else {1: 2.0},
         bound=2.0,
-        batch=True,
+        history_rates=False,
     )
     phi0 = Segment.make_constant([0.0], 1.0, 0.01)
     cfg = SimConfig(dt=0.01, horizon=1.0, seed=3)
@@ -205,8 +204,8 @@ def test_dynkin_switching_functional_centered():
 
 
 def test_dynkin_engine_flag_validation():
-    # "auto" and "batch" name the one engine, which runs a model without
-    # batch support too; the per-path engine is no longer an option
+    # "auto" and "batch" name the one engine; the per-path engine is no
+    # longer an option
     model = scalar_spec(lambda x, i: np.zeros(1))
     phi0 = Segment.make_constant([0.0], 1.0, 0.1)
     cfg = SimConfig(dt=0.1, horizon=1.0)
@@ -284,7 +283,7 @@ def test_coupling_blow_up_in_the_parting_step_is_censored():
     # like a hitting path, such a path leaves uncounted
     model = scalar_spec(lambda x, i: np.full(np.shape(x), np.inf),
                         rates=lambda seg, i: {2: 50.0} if i == 1 else {1: 1.0},
-                        bound=50.0, batch=True)
+                        bound=50.0, history_rates=False)
     lin = Linearization(
         b_mat=lambda i: np.zeros((1, 1)),
         sigma_mats=lambda i: [np.zeros((1, 1))],
@@ -314,15 +313,15 @@ def test_coupling_skips_the_bernoulli_step_check():
 def test_occupation_fractions_two_mode_balance():
     a, b = 1.0, 3.0
     rates = lambda seg, i: {2: a} if i == 1 else {1: b}
-    batched = scalar_spec(lambda x, i: np.zeros_like(np.asarray(x, dtype=float)), rates=rates, bound=a + b, batch=True)
+    cached = scalar_spec(lambda x, i: np.zeros_like(np.asarray(x, dtype=float)), rates=rates, bound=a + b, history_rates=False)
     phi0 = Segment.make_constant([0.0], 1.0, 0.05)
     cfg = SimConfig(dt=0.05, horizon=40.0, seed=4)
-    means, ses = occupation_fractions(batched, phi0, 1, cfg, 150, [1, 2], burn_in=5.0)
+    means, ses = occupation_fractions(cached, phi0, 1, cfg, 150, [1, 2], burn_in=5.0)
     assert means[0] + means[1] == pytest.approx(1.0)
     assert abs(means[0] - 0.75) < 5.0 * ses[0] + 0.01
 
-    unbatched = scalar_spec(lambda x, i: np.zeros_like(np.asarray(x, dtype=float)), rates=rates, bound=a + b)
-    m2, s2 = occupation_fractions(unbatched, phi0, 1, cfg, 60, [1, 2], burn_in=5.0)
+    windowed = scalar_spec(lambda x, i: np.zeros_like(np.asarray(x, dtype=float)), rates=rates, bound=a + b)
+    m2, s2 = occupation_fractions(windowed, phi0, 1, cfg, 60, [1, 2], burn_in=5.0)
     gap = abs(means[0] - m2[0])
     assert gap < 4.0 * math.sqrt(ses[0] ** 2 + s2[0] ** 2) + 0.01
 
@@ -463,7 +462,7 @@ def test_estimate_with_one_surviving_path_is_not_usable():
     model = scalar_spec(
         lambda x, i: np.where(np.asarray(x) > 0.0, np.inf, 0.0),
         diffusion=lambda x, i: np.ones(np.shape(x) + (1,)),
-        batch=True,
+        history_rates=False,
     )
     phi0 = Segment.make_constant([0.0], 1.0, 0.1)
     # at seed 3 two of the three increments are positive
@@ -475,7 +474,7 @@ def test_estimate_with_one_surviving_path_is_not_usable():
 def test_huge_finite_states_leak_no_overflow_warning():
     # x^3 drift from 5 reaches a finite 1.3e182 on its way to inf, whose
     # squared norm overflows: inf is its norm, and no warning leaks
-    model = scalar_spec(lambda x, i: np.asarray(x, dtype=float) ** 3, batch=True)
+    model = scalar_spec(lambda x, i: np.asarray(x, dtype=float) ** 3, history_rates=False)
     lin = Linearization(
         b_mat=lambda i: np.zeros((1, 1)),
         sigma_mats=lambda i: [np.zeros((1, 1))],
@@ -529,11 +528,12 @@ def test_batch_engine_agrees_with_per_path_oracle():
     assert z < 4.0, z
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_coupling_decay_is_exact_at_mode_bounds(batch):
+@pytest.mark.parametrize("rates_depend_on_path", [True, False])
+def test_coupling_decay_is_exact_at_mode_bounds(rates_depend_on_path):
     # the primary chain never moves (bound 0) and the reference leaves at
     # rate 0.7, so the coupling clock runs at exactly 0.7 and decouples by
-    # the horizon T with probability 1 - exp(-0.7 T)
+    # the horizon T with probability 1 - exp(-0.7 T), whether the engine
+    # reads the empty rows off the history windows or off its per-mode cache
     lam = 0.7
     model = ModelSpec(
         dim=1,
@@ -545,7 +545,7 @@ def test_coupling_decay_is_exact_at_mode_bounds(batch):
         mode_rate_bound=lambda i: 0.0,
         delay=1.0,
         zero_diffusion=True,
-        supports_batch=batch,
+        rates_depend_on_path=rates_depend_on_path,
     )
     lin = Linearization(
         b_mat=lambda i: np.zeros((1, 1)),
@@ -576,7 +576,7 @@ def test_batch_dynkin_evaluates_coefficients_once_per_group(rates_depend_on_path
 
     model = replace(
         scalar_spec(drift, diffusion=diffusion, rates=lambda seg, i: {i % 3 + 1: 1.5},
-                    bound=1.5, batch=True),
+                    bound=1.5, history_rates=False),
         rates_depend_on_path=rates_depend_on_path,
     )
     phi0 = Segment.make_constant([1.0], 1.0, 0.05)
@@ -613,7 +613,7 @@ def test_batch_coefficients_once_per_class(shared_from):
 
     model = replace(
         scalar_spec(drift, diffusion=diffusion, rates=lambda seg, i: {i % 3 + 1: 1.5},
-                    bound=1.5, batch=True),
+                    bound=1.5, history_rates=False),
         shared_coefficients_from=shared_from,
     )
     phi0 = Segment.make_constant([1.0], 1.0, 0.05)
@@ -651,7 +651,7 @@ def test_batch_dynkin_reads_rates_once_per_group_and_step():
 
     model = replace(
         scalar_spec(lambda x, i: -0.5 * i * np.asarray(x, dtype=float),
-                    diffusion=lambda x, i: np.array([[0.4]]), rates=rates, bound=2.0, batch=True),
+                    diffusion=lambda x, i: np.array([[0.4]]), rates=rates, bound=2.0, history_rates=False),
         rates_depend_on_path=True,
     )
     phi0 = Segment.make_constant([1.0], 1.0, 0.05)
@@ -681,7 +681,7 @@ def test_occupation_fractions_stop_counting_at_blow_up():
         lambda x, i: np.asarray(x, dtype=float) ** 3,
         diffusion=lambda x, i: np.array([[0.5]]),
         rates=lambda seg, i: {3 - i: 1.0},
-        batch=True,
+        history_rates=False,
     )
     phi0 = Segment.make_constant([1.0], 1.0, 0.05)
     cfg = SimConfig(dt=0.05, horizon=10.0, seed=3)
@@ -747,7 +747,6 @@ def plane_model(rates_depend_on_path: bool, blow: float = 0.0) -> ModelSpec:
         rates_row=rates,
         rate_bound=2.5,
         delay=0.5,
-        supports_batch=True,
         rates_depend_on_path=rates_depend_on_path,
     )
 
@@ -835,7 +834,7 @@ def test_ensemble_generator_is_bit_identical_in_one_dimension():
         diffusion=lambda x, i: 0.3 * i * np.asarray(x, dtype=float)[..., None] + 0.1,
         rates=lambda seg, i: {j: 0.5 + 0.1 * j / (1.0 + seg.sup_norm()) for j in (1, 2, 3) if j != i},
         bound=2.0,
-        batch=True,
+        history_rates=False,
     )
     model = replace(model, rates_depend_on_path=True)
     fn = ProductFunctional(
@@ -918,11 +917,11 @@ def test_dynkin_bits_do_not_depend_on_the_block(
     assert len(out) == 1
 
 
-def estimator_outputs(spec, lin, seed, scheme="thinning"):
+def estimator_outputs(spec, lin, seed):
     """Every estimator on a short run of ``spec``: the hitting, descent,
     coupling, occupation and Dynkin outputs, pickled."""
     dt = 1.0 / 32
-    cfg = SimConfig(dt=dt, horizon=2.0, seed=seed, scheme=scheme)
+    cfg = SimConfig(dt=dt, horizon=2.0, seed=seed)
     start = Segment.make_constant(np.full(spec.dim, 2.0), spec.delay, dt)
     out = [
         estimate_hitting_time(spec, start, 3, 1.0, 2, cfg, 16),
@@ -949,20 +948,6 @@ def test_shared_coefficients_leave_every_estimate_bit_identical(name):
         assert got == estimator_outputs(undeclared, loaded.lin, seed), seed
 
 
-@pytest.mark.parametrize("name", ["controlled_scalar", "fluid_queue", "linear_2d", "predator_prey", "switched_ou"])
-def test_models_without_batch_support_give_the_batch_bits(name):
-    # the engine lifted to path-by-path callbacks draws and sums as the
-    # batch callbacks do: every estimator, under both schemes
-    loaded = load_model_config(str(CONFIG_DIR / f"{name}.json"))
-    spec, lin = loaded.spec, loaded.lin
-    assert spec.supports_batch
-    schemes = ["thinning"] + ["bernoulli"] * (spec.rate_bound / 32 < 0.5)
-    for seed in (3, 4):
-        for scheme in schemes:
-            got = estimator_outputs(replace(spec, supports_batch=False), lin, seed, scheme)
-            assert got == estimator_outputs(spec, lin, seed, scheme), (seed, scheme)
-
-
 BLOW_STEPS = (4, 17, 39)  # before burn-in, after it, and the last step
 
 
@@ -986,7 +971,6 @@ def clocked_blow_up_model(switching: float) -> ModelSpec:
         rates_row=lambda seg, i: {i % 4 + 1: 3.0 * switching, (i + 1) % 4 + 1: switching},
         rate_bound=4.0,
         delay=1.0,
-        supports_batch=True,
         rates_depend_on_path=False,
     )
 
