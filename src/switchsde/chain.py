@@ -6,7 +6,10 @@ rate aimed beyond N into the boundary state N (rates that would lump onto
 the diagonal cancel there), which keeps every row conservative; N is
 capped at a declared finite mode count.  The truncation is a sparse CSR
 matrix, and its stationary law is obtained by a sparse LU solve
-(SuperLU); both cost O(N) for the registry families.
+(SuperLU); both cost O(N) for the registry families.  scipy is imported
+inside :func:`truncate` and :func:`stationary`, when they first run, so
+simulation and the Monte Carlo checks, which use only
+:class:`SparseGenerator`, never load it.
 
 A generator may declare that its rows are shift-invariant beyond a mode K
 (``repeats_from``; the level-independent tail of a matrix-geometric chain,
@@ -18,12 +21,12 @@ row K with numpy: the Python work no longer grows with N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "SparseGenerator",
@@ -162,6 +165,8 @@ def _shifted_rows(qhat: SparseGenerator, k: int, n: int):
 def truncate(qhat: SparseGenerator, n_modes: int) -> TruncatedGenerator:
     """Truncate to modes 1..N, lumping rates beyond N into column N; N is
     capped at the mode count of a finite generator."""
+    from scipy.sparse import csr_matrix
+
     n = qhat.clamp(n_modes)
     if n < 2:
         raise ValueError("need at least 2 modes")
@@ -189,6 +194,10 @@ def truncate(qhat: SparseGenerator, n_modes: int) -> TruncatedGenerator:
 
 def stationary(tg: TruncatedGenerator) -> StationaryDist:
     """Stationary law nu of the truncated generator: nu Q = 0, sum nu = 1."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import splu
+
     q = tg.q
     n_comp, _ = connected_components(q, directed=True, connection="strong")
     if n_comp != 1:

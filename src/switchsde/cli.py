@@ -121,16 +121,16 @@ def cmd_simulate(args) -> int:
         meta,
         ["t"] + [f"x{k + 1}" for k in range(spec.dim)] + ["mode"],
     )
+    # csv writes a Python float as its repr
     with fh:
-        for t, x, m in zip(rec.times, rec.states, rec.modes):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in x] + [int(m)])
+        writer.writerows([t, *x, m] for t, x, m in
+                         zip(rec.times.tolist(), rec.states.tolist(), rec.modes.tolist()))
 
     fh, writer = _csv_writer(
         os.path.join(args.out, "jumps.csv"), meta, ["t", "from", "to"]
     )
     with fh:
-        for t, a, b in rec.jump_times:
-            writer.writerow([repr(float(t)), int(a), int(b)])
+        writer.writerows((float(t), int(a), int(b)) for t, a, b in rec.jump_times)
 
     _write_json(
         os.path.join(args.out, "summary.json"),

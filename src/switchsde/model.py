@@ -41,7 +41,8 @@ class ModelSpec:
     ``drift(x, i) -> (..., n)``, ``diffusion(x, i) -> (..., n, d)`` and
     ``post_step(x)`` (optional; it projects the state after each update,
     e.g. onto the nonnegative half-line for queueing models) take states
-    ``x`` of shape (n,) or (P, n), the leading axis running over paths.
+    ``x`` of shape (n,) or (P, n), the leading axis running over paths;
+    ``post_step`` returns an array of the shape of ``x``.
     ``rates_row(seg, i) -> {j: rate}`` returns the nonnegative
     off-diagonal rates out of mode i given the history window, one
     :class:`~switchsde.segment.Segment` or a

@@ -367,15 +367,16 @@ class BatchEnsemble:
     diffusion and ``post_step`` states with a leading path axis, and
     ``rates_row`` a :class:`SegmentBatch`.  A drift or diffusion result
     without the path axis is a constant for every path of the group; one
-    with it but not one row per path raises.  Rate rows that ignore the
-    history are cached per mode, read off one :class:`Segment`.  With
-    ``rates_depend_on_path`` the engine keeps the (n_samples, n_paths,
-    dim) history ring and reads the rows of paths in one mode with one
-    ``rates_row`` call on their batch view (:meth:`rate_table`), the
-    window sup-norms coming once per step from :meth:`sup_norms`.  Each
-    path's thinning clock runs at the bound of its current mode, as in
-    :func:`simulate`; a step that ends before the earliest clock skips the
-    proposal loop.
+    with it but not one row per path raises, and so does a ``post_step``
+    result that is not of the (n_paths, dim) shape of its input.  Rate
+    rows that ignore the history are cached per mode, read off one
+    :class:`Segment`.  With ``rates_depend_on_path`` the engine keeps the
+    (n_samples, n_paths, dim) history ring and reads the rows of paths in
+    one mode with one ``rates_row`` call on their batch view
+    (:meth:`rate_table`), the window sup-norms coming once per step from
+    :meth:`sup_norms`.  Each path's thinning clock runs at the bound of
+    its current mode, as in :func:`simulate`; a step that ends before the
+    earliest clock skips the proposal loop.
 
     Every step works from one mode-group plan (:meth:`groups`): the paths
     not blown up, stably sorted by mode, and each mode's slice of that
@@ -594,7 +595,11 @@ class BatchEnsemble:
                 out = out + np.einsum("...nd,...d->...n", sigma, xi) * self._sqrt_dt
             self.x[self._order] = out
             if model.post_step is not None:
-                self.x = np.asarray(model.post_step(self.x), dtype=float)
+                x = np.asarray(model.post_step(self.x), dtype=float)
+                if x.shape != self.x.shape:
+                    raise ValueError(f"post_step(x) gave shape {x.shape} for states "
+                                     f"of shape {self.x.shape}")
+                self.x = x
         self._coef = None
         if not np.isfinite(self.x).all():
             bad = ~np.isfinite(self.x).all(axis=1)

@@ -184,6 +184,21 @@ def _values(V, x, hist, i: int, trap: _Trapezoid) -> np.ndarray:
     return out + trap(V.g, i, _window_f2(V, hist, i))
 
 
+def _rows_of(groups):
+    """The rows of ``groups`` (plan slices in row order) as one slice when
+    they are adjacent, the usual case (groups of neighbouring modes), else
+    as an index array."""
+    spans = []
+    for _, rows, _ in groups:
+        if spans and spans[-1][1] == rows.start:
+            spans[-1][1] = rows.stop
+        else:
+            spans.append([rows.start, rows.stop])
+    if len(spans) == 1:
+        return slice(*spans[0])
+    return np.concatenate([np.arange(a, b) for a, b in spans])
+
+
 def _generator(V, x, drift, sigma, hist, plan, trap) -> np.ndarray:
     """LV on P paths grouped by mode, in one pass.
 
@@ -192,9 +207,11 @@ def _generator(V, x, drift, sigma, hist, plan, trap) -> np.ndarray:
     or shared (1, K), and the group's row ranges per grid step (None: one
     step).  x (P, n), drift (P, n), sigma (P, n, d) or None, and the windows
     hist (m, P, n) when V has a time kernel, are row-aligned.  ``grad_f1``
-    and ``hess_f1`` run once per group, f1 once on all rows per mode a group
-    is in or can jump to, and f2 once per such group.  A row's bits do not
-    depend on the grouping: its terms are row-wise, its trapezoid sums per step.
+    and ``hess_f1`` run once per group.  f1 runs once per mode j that a
+    group is in or can jump to, on the rows of those groups only (the
+    other rows never read V(., j)), and f2 once per such group.  A row's
+    bits do not depend on the grouping: its terms are row-wise, its
+    trapezoid sums per step.
     """
     grad = np.empty(x.shape)
     hess = None if sigma is None else np.empty(x.shape + x.shape[-1:])
@@ -211,7 +228,10 @@ def _generator(V, x, drift, sigma, hist, plan, trap) -> np.ndarray:
         lv = lv + 0.5 * np.einsum("...jk,...ik,...ij->...", sigma, sigma, hess)
     vals = {}
     for j, groups in readers.items():
-        vals[j] = v = np.array(_as_batch(V.f1(x, j), len(x)))  # a copy: f2 adds into it
+        sel = _rows_of(groups)
+        vals[j] = v = np.empty(len(x))  # rows outside sel are never read
+        xs = x[sel]
+        v[sel] = _as_batch(V.f1(xs, j), len(xs))
         for i, rows, cuts in groups if V.f2 is not None else ():
             f2h = _window_f2(V, hist[:, rows], j)
             v[rows] += trap(V.g, j, f2h, cuts)

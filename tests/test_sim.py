@@ -307,6 +307,32 @@ def test_coefficients_need_a_path_axis_unless_constant():
     assert np.isfinite(one.x).all()
 
 
+def test_post_step_must_keep_the_state_shape():
+    # max(x[0], 0) projects one state: on 4 paths it returns a single state,
+    # which used to pass silently and fail the next step with an IndexError.
+    # The check runs at every step: a projection that keeps the shape once
+    # and collapses at the second call fails on the second step
+    calls = []
+
+    def collapse_from(k):
+        def post(x):
+            calls.append(None)
+            return x if len(calls) < k else np.array([max(x[0], 0.0)])
+        return post
+
+    phi0 = Segment.make_constant([0.5], 1.0, 0.1)
+    cfg = SimConfig(dt=0.1, horizon=1.0, seed=2)
+    for n_steps in (1, 2):
+        calls.clear()
+        model = plain_model(lambda x, i: -np.asarray(x, dtype=float),
+                            post_step=collapse_from(n_steps))
+        eng = BatchEnsemble(model, phi0, 1, cfg, 4)
+        with pytest.raises(ValueError, match=r"post_step\(x\) gave shape \(1, 1\) "
+                                             r"for states of shape \(4, 1\)"):
+            eng.run(n_steps)
+        assert len(calls) == n_steps and eng.t == pytest.approx((n_steps - 1) * cfg.dt)
+
+
 def test_negative_rates_raise():
     # at u = 0.3 the walk over this row picks 2 and the running-sum count
     # picks 3: the two pick rules would draw different laws from it

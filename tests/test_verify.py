@@ -885,6 +885,59 @@ def test_generator_evaluates_f1_once_per_needed_mode(with_kernel):
     assert full > 10
 
 
+@pytest.mark.parametrize("with_kernel", [False, True])
+@pytest.mark.parametrize("family", ["switched_ou", "cycle"])
+def test_generator_evaluates_f1_only_on_the_rows_that_read_it(family, with_kernel):
+    # V(., j) is read by the rows of group j and of the groups that can jump
+    # to j, and f1 must run on exactly those rows, once per mode and pass.
+    # On switched_ou (mode i >= 3 jumps to 1, 2 and i + 1) the readers of a
+    # mode are adjacent groups; on the cycle 1 -> 3 -> 2 -> 1 mode 3 is read
+    # by groups 1 and 3 but not 2.  Each pass must give the bits of the
+    # same pass run group by group
+    counted = []
+
+    def f1(x, i):
+        counted.append(len(x))
+        return (np.asarray(x, dtype=float) ** 2).sum(axis=-1) * i
+
+    fn = replace(QUAD, f1=f1)
+    if with_kernel:
+        fn = replace(fn, f2=lambda x, i: (np.asarray(x) ** 2).sum(axis=-1),
+                     g=lambda s, i: math.exp(s), dg=lambda s, i: math.exp(s))
+    generator = switchsde.verify._generator
+    evaluated, read, full = [], [], []
+
+    def counting(V, x, drift, sigma, hist, plan, trap):
+        counted.clear()
+        out = generator(V, x, drift, sigma, hist, plan, trap)
+        evaluated.append(sum(counted))
+        read.append(sum((rows.stop - rows.start) * len({i, *targets})
+                        for i, rows, targets, _, _ in plan))
+        full.append(len(x) * len({j for i, _, targets, _, _ in plan for j in (i, *targets)}))
+        for i, rows, targets, rates, cuts in plan:
+            alone = generator(V, x[rows], drift[rows], None if sigma is None else sigma[rows],
+                              None if hist is None else hist[:, rows],
+                              [(i, slice(0, rows.stop - rows.start), targets, rates, cuts)], trap)
+            assert alone.tobytes() == out[rows].tobytes()
+        return out
+
+    dt = 1.0 / 32
+    if family == "cycle":
+        spec = scalar_spec(lambda x, i: -np.asarray(x, dtype=float),
+                           diffusion=lambda x, i: np.full(np.shape(x) + (1,), 0.5),
+                           rates=lambda seg, i: {1: {3: 2.0}, 2: {1: 2.0}, 3: {2: 2.0}}[i],
+                           bound=2.0, history_rates=False)
+        i0 = 1
+    else:
+        spec, _ = registry_get("switched_ou", {"c": 1.0, "sigma": 0.5})
+        i0 = 5
+    phi0 = Segment.make_constant([1.0], spec.delay, dt)
+    with mock.patch.object(switchsde.verify, "_generator", counting):
+        dynkin_residual(fn, spec, phi0, i0, 1.0, SimConfig(dt=dt, horizon=1.0, seed=3), 64)
+    assert evaluated and evaluated == read
+    assert sum(read) < 0.8 * sum(full)  # what one f1 call on every row per mode evaluated
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(
