@@ -19,24 +19,25 @@ slot per step.  Jumps come at times set by one of two schemes:
     valid while dt * rate_bound < 0.5.  First-order accurate; useful as an
     independent cross-check of the thinning scheme.
 
-The per-path engine, :func:`simulate`, is one loop over one chain, jumping
-to target j with probability q_ij / bound by partitioning a single uniform
-draw over the row.  Brownian increments and jump decisions come from
-independent streams; path k derives its streams from (seed, 0, k) only,
-so disjoint path ranges can be merged.  It places mode changes at the
-event time inside a step and serves the tests as the reference oracle.
+Both engines keep one contract.  A run draws from the one stream
+(seed, 1) in a fixed per-step order: the Brownian increments, then the
+mode draws in path order, on the windows the step started from.  Both take
+the Euler step of :func:`_euler`, and a mode change reaches the state at
+the next grid step.  A jump goes to target j with probability
+q_ij / bound, by partitioning a single uniform draw over the row.
+:func:`simulate` runs one path and logs its jumps: a one-path
+:class:`BatchEnsemble`, bit for bit, in a faster loop.
 
 :class:`BatchEnsemble`, the engine of every estimator and of
-:func:`simulate_coupled`, advances a whole ensemble of any model at once
-from the single stream (seed, 1), with the same target draws, the basic
-coupling with the limiting chain and history-dependent rates included;
-mode changes reach the state dynamics at the next grid step.  It groups
-the paths by mode once per mode change, not once per step.  Per step it
-evaluates drift and diffusion once per coefficient class (a mode group, or
-all the modes from the model's ``shared_coefficients_from`` on), into
-plan-ordered arrays that the Dynkin generator of :mod:`switchsde.verify`
-reads too, and reads history-dependent rates with one ``rates_row`` call
-on each group's :class:`~switchsde.segment.SegmentBatch`.
+:func:`simulate_coupled`, advances a whole ensemble of any model at once,
+the basic coupling with the limiting chain and history-dependent rates
+included.  It groups the paths by mode once per mode change, not once
+per step.  Per step it evaluates drift and diffusion once per coefficient
+class (a mode group, or all the modes from the model's
+``shared_coefficients_from`` on), into plan-ordered arrays that the Dynkin
+generator of :mod:`switchsde.verify` reads too, and reads
+history-dependent rates with one ``rates_row`` call on each group's
+:class:`~switchsde.segment.SegmentBatch`.
 """
 
 from __future__ import annotations
@@ -97,9 +98,11 @@ def default_dt(delay: float, horizon: float) -> float:
 class TrajectoryRecord:
     """Recorded grid states of one path.
 
-    ``jump_times`` holds (time, from_mode, to_mode) triplets.  ``terminal``
-    is the history window at the final recorded time.  On numerical
-    blow-up the record is truncated at the last finite state and
+    ``modes`` holds each grid point's mode, which the state meets from the
+    next step on.  ``jump_times`` holds (time, from_mode, to_mode) triplets,
+    at the event time under thinning and at the step's end under bernoulli.
+    ``terminal`` is the history window at the final recorded time.  On
+    numerical blow-up the record is truncated at the last finite state and
     ``blow_up`` is set instead of raising.
     """
 
@@ -205,6 +208,22 @@ def _couple(row: dict, ref: dict, u: float, bound: float, pair: tuple) -> tuple:
     return pair, False
 
 
+def _euler(x, drift, sigma, xi, dt: float, post) -> np.ndarray:
+    """The Euler-Maruyama step of both engines from states ``x``, (P, n) or
+    one path's (n,), with increments ``xi`` (P, d) or (d,), None without
+    noise; ``post`` (``post_step`` or None) must keep the states' shape."""
+    out = x + drift * dt
+    if xi is not None:
+        out = out + np.einsum("...nd,...d->...n", sigma, xi) * math.sqrt(dt)
+    if post is not None:
+        projected = np.asarray(post(out), dtype=float)
+        if projected.shape != out.shape:
+            raise ValueError(f"post_step(x) gave shape {projected.shape} for states "
+                             f"of shape {out.shape}")
+        out = projected
+    return out
+
+
 def simulate(
     model: ModelSpec,
     phi0: Segment,
@@ -213,47 +232,39 @@ def simulate(
     *,
     stop: Optional[Callable[[float, Segment, int], bool]] = None,
     on_grid: Optional[Callable[[float, Segment, int], None]] = None,
-    path_index: int = 0,
 ) -> TrajectoryRecord:
-    """Run one path from history ``phi0`` and mode ``i0``.
+    """Run one path from history ``phi0`` and mode ``i0``: the path of a
+    one-path :class:`BatchEnsemble`, bit for bit, with the jumps logged.
+    The callbacks see the state as (n,) where the engine passes (1, n); the
+    two agree wherever the callbacks' values do not depend on that axis,
+    as for every registry family.
 
-    Under thinning, each event of a clock at the current mode's bound reads
-    the rates and may jump; as modes change only at events, each gap is
-    drawn at the rate in force until the next event, which keeps thinning
-    exact.  Under bernoulli, each step's jump is drawn before the step.
-    ``stop(t, segment, mode)`` is evaluated at every grid point (including
-    t = 0); when it returns True the run ends there and ``stop_time`` is
-    set.  Used by the hitting-time estimators to exit early.
-    ``on_grid(t, segment, mode)`` is called at every grid point regardless
-    of the recording stride, letting estimators accumulate path
-    functionals without storing states.
+    Each step draws the increment, takes the Euler step, then draws the
+    mode on the window the step started from: under thinning at the
+    proposals before the step's end of a clock at the mode's bound, under
+    bernoulli from one uniform.  ``stop(t, segment, mode)`` is evaluated
+    at every grid point (including t = 0); when it returns True the run
+    ends there and ``stop_time`` is set.  ``on_grid(t, segment, mode)`` is
+    called at every grid point regardless of the recording stride, so
+    callers can accumulate path functionals without storing states.
     """
     _check_inputs(model, phi0, cfg, i0)
     seg = phi0.copy()
-    streams = np.random.SeedSequence(entropy=(int(cfg.seed), 0, int(path_index))).spawn(2)
-    rng_w, rng_j = (np.random.default_rng(ss) for ss in streams)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 1)))
     dt, stride = cfg.dt, cfg.record_stride
     n_steps = int(round(cfg.horizon / dt))
     rates_row, bound = model.rates_row, model.thinning_bound
     drift, diffusion, post = model.drift, model.diffusion, model.post_step
-    draw_noise, d = not model.zero_diffusion, model.brownian_dim
+    noise = None if model.zero_diffusion else model.brownian_dim
     mode = int(i0)
     rows, jumps = [], []
     stop_time: Optional[float] = None
 
-    def advance(xv, h):
-        out = xv + np.asarray(drift(xv, mode), dtype=float) * h
-        if draw_noise:
-            xi = rng_w.standard_normal(d)
-            out = out + np.asarray(diffusion(xv, mode), dtype=float) @ xi * math.sqrt(h)
-        if post is not None:
-            out = post(out)
-        return out
-
-    def draw(t: float, scale: float) -> int:
-        """Mode after one jump decision at rate ``scale``; an empty row draws no uniform."""
+    def draw(t: float, scale: float, u: Optional[float] = None) -> int:
+        """Mode after one jump decision at rate ``scale``; without ``u`` a
+        uniform is drawn, for a row with a target only."""
         row = rates_row(seg, mode)
-        j = _pick_target(row, rng_j.random(), scale, mode) if row else None
+        j = _pick_target(row, rng.random() if u is None else u, scale, mode) if row else None
         if j is None:
             return mode
         jumps.append((t, mode, j))
@@ -266,36 +277,34 @@ def simulate(
             on_grid(t, seg, mode)
         hit = stop is not None and stop(t, seg, mode)
         if due or hit:
-            rows.append((t, x.copy(), mode))
+            rows.append((t, x, mode))  # each step makes a new x
         if hit:
             stop_time = t
         return hit
 
     blow_up = False
-    if not at_grid(0.0, seg.terminal(), True):
+    x, t = seg.terminal(), 0.0
+    if not at_grid(t, x, True):
         thinning = cfg.scheme == "thinning"
-        x = seg.terminal()
-        next_ev = _gap(rng_j, bound(mode)) if thinning else np.inf
+        next_ev = _gap(rng, bound(mode)) if thinning else math.inf
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
-                t1 = (k + 1) * dt
-                if thinning:
-                    t_sub = k * dt
-                    while next_ev < t1:
-                        x = advance(x, next_ev - t_sub)
-                        t_sub = next_ev
-                        mode = draw(t_sub, bound(mode))
-                        next_ev += _gap(rng_j, bound(mode))
-                    x = advance(x, t1 - t_sub)
-                else:
-                    new_mode = draw(t1, 1.0 / dt)
-                    x = advance(x, dt)
-                    mode = new_mode
-                if not np.isfinite(x).all():
+                xi = None if noise is None else rng.standard_normal(noise)
+                sigma = None if noise is None else diffusion(x, mode)
+                x = _euler(x, drift(x, mode), sigma, xi, dt, post)
+                # a finite sum has finite terms, and np.add.reduce is the cheaper call
+                if not (math.isfinite(np.add.reduce(x)) or np.isfinite(x).all()):
                     blow_up = True
                     break
+                t += dt  # the engine's running sum, which its clocks are compared with
+                if thinning:
+                    while next_ev < t:
+                        mode = draw(next_ev, bound(mode))
+                        next_ev += _gap(rng, bound(mode))
+                else:
+                    mode = draw((k + 1) * dt, 1.0 / dt, rng.random())
                 seg.push(x)
-                if at_grid(t1, x, (k + 1) % stride == 0 or k == n_steps - 1):
+                if at_grid((k + 1) * dt, x, (k + 1) % stride == 0 or k == n_steps - 1):
                     break
     times, states, modes = zip(*rows)
     return TrajectoryRecord(
@@ -368,9 +377,9 @@ class BatchEnsemble:
     ``rates_row`` a :class:`SegmentBatch`.  A drift or diffusion result
     without the path axis is a constant for every path of the group; one
     with it but not one row per path raises, and so does a ``post_step``
-    result that is not of the (n_paths, dim) shape of its input.  Rate
-    rows that ignore the history are cached per mode, read off one
-    :class:`Segment`.  With ``rates_depend_on_path`` the engine keeps the
+    result that does not keep the shape of its input, the states of the
+    paths not blown up.  Rate rows that ignore the history are cached per
+    mode, read off one :class:`Segment`.  With ``rates_depend_on_path`` the engine keeps the
     (n_samples, n_paths, dim) history ring and reads the rows of paths in
     one mode with one ``rates_row`` call on their batch view
     (:meth:`rate_table`), the window sup-norms coming once per step from
@@ -390,9 +399,10 @@ class BatchEnsemble:
 
     One shared stream (seed, 1) drives all paths with a fixed per-step draw
     order (the Brownian increments, then the mode draws in path order), so
-    results depend only on the config and ``n_paths``.  Mode changes take
-    effect at the following grid step; the embedded chain is exact under
-    thinning and O(dt) under bernoulli, given the grid history.
+    results depend only on the config and ``n_paths``; with one path they
+    are :func:`simulate`'s.  Mode changes take effect at the following grid
+    step; the embedded chain is exact under thinning and O(dt) under
+    bernoulli, given the grid history.
 
     With ``qhat`` each path carries a second mode in ``modes_hat`` that
     runs the basic coupling against the chain of ``qhat``; the engine is
@@ -415,6 +425,8 @@ class BatchEnsemble:
         track_history: bool = False,
         qhat=None,
     ):
+        if n_paths < 1:
+            raise ValueError(f"n_paths must be at least 1, got {n_paths}")
         if qhat is not None:  # the coupling runs by thinning
             cfg = replace(cfg, scheme="thinning")
         _check_inputs(model, phi0, cfg, i0)
@@ -429,7 +441,6 @@ class BatchEnsemble:
         self.blown = np.zeros(self.n_paths, dtype=bool)
         self.proposals = self.jumps = 0
         self._sq = self._norms = None
-        self._sqrt_dt = math.sqrt(cfg.dt)
         self._rows: dict[int, tuple] = {}
         self._probe_seg = phi0.copy()
         self._grid = (phi0.delay, phi0.dt)
@@ -585,21 +596,11 @@ class BatchEnsemble:
     def _advance_states(self):
         model = self.model
         xi = None
-        if not model.zero_diffusion:
-            xi = self.rng.standard_normal((self.n_paths, model.brownian_dim))
+        if not model.zero_diffusion:  # drawn for every path, blown ones too
+            xi = self.rng.standard_normal((self.n_paths, model.brownian_dim))[self.order]
         with np.errstate(over="ignore", invalid="ignore"):
             xs, drift, sigma = self._coef or self._evaluate()
-            out = xs + drift * self.cfg.dt
-            if xi is not None:
-                xi = xi[self._order]
-                out = out + np.einsum("...nd,...d->...n", sigma, xi) * self._sqrt_dt
-            self.x[self._order] = out
-            if model.post_step is not None:
-                x = np.asarray(model.post_step(self.x), dtype=float)
-                if x.shape != self.x.shape:
-                    raise ValueError(f"post_step(x) gave shape {x.shape} for states "
-                                     f"of shape {self.x.shape}")
-                self.x = x
+            self.x[self._order] = _euler(xs, drift, sigma, xi, self.cfg.dt, model.post_step)
         self._coef = None
         if not np.isfinite(self.x).all():
             bad = ~np.isfinite(self.x).all(axis=1)

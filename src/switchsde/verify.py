@@ -379,8 +379,6 @@ def coupling_decay(
     """
     if not 0.0 <= floor_frac < 1.0:
         raise ValueError("floor_frac must be in [0, 1)")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     out = []
     for r in radii:
         r = float(r)
@@ -429,8 +427,6 @@ def occupation_stability(
     """
     if not burn_in < cfg.horizon:  # written so that NaN fails
         raise ValueError("burn_in must be below the horizon")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     edges = np.linspace(0.0, 5.0, 21)
     k_head = 3
     n_rbins = edges.size  # last bin is overflow
@@ -530,6 +526,8 @@ def occupation_fractions(
         raise ValueError(f"modes_track repeats mode(s) {repeated}")
     n_steps = _n_steps(cfg.horizon, cfg.dt)
     burn_steps = _n_steps(burn_in, cfg.dt, "burn_in")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     counted = n_steps - burn_steps
     if counted <= 0:
         raise ValueError("burn_in leaves no steps to count")
@@ -574,7 +572,7 @@ def dynkin_residual(
     dt = run_cfg.dt
     trap = _Trapezoid(model.delay, dt)
     block, rows = [], n_paths * (phi0.samples.shape[0] if with_hist else 1)  # per step
-    block_steps = max(1, _BLOCK_ROWS // max(rows, 1))
+    block_steps = max(1, _BLOCK_ROWS // rows)
     for k in range(n_steps):
         block.append(_snapshot(be, with_hist))
         if len(block) == block_steps or k == n_steps - 1:

@@ -3,10 +3,11 @@
 Nothing here imports the closed-form implementations under test; the
 quadratic-form floor is estimated by sphere sampling refined with a local
 simplex search, and stationary laws come from a null-space solve.  The
-Monte Carlo estimators are checked against the per-path engine
-``simulate``, path by path from the streams (seed, 0, k); the Dynkin
-oracle adds ``apply_generator``, whose terms the generator tests check
-one by one.
+Monte Carlo estimators are checked against ``simulate``, one path at a
+time: path k runs at a seed drawn from (seed, k), so no oracle path
+shares the stream (seed, 1) of the estimator it is compared with.  The
+Dynkin oracle adds ``apply_generator``, whose terms the generator tests
+check one by one.
 """
 
 import math
@@ -146,17 +147,22 @@ def settle_counts(engine, n_steps, burn_steps, modes_track):
     return counts.T, steps
 
 
+def path_configs(cfg, n_paths):
+    """One config per oracle path k, at a seed drawn from (cfg.seed, k)."""
+    seeds = (np.random.SeedSequence((cfg.seed, k)).generate_state(1)[0] for k in range(n_paths))
+    return [replace(cfg, seed=int(s)) for s in seeds]
+
+
 def path_occupation(model, phi0, i0, cfg, n_paths, modes_track, burn_in=0.0):
     """Mean and SE over per-path runs of the time fractions in ``modes_track``.
 
     A path counts the mode at the left endpoint of each recorded grid step
     after ``burn_in``; one that blows up counts the steps it completed.
     """
-    cfg1 = replace(cfg, record_stride=1)
     burn_steps = int(round(burn_in / cfg.dt))
     frac = []
-    for k in range(n_paths):
-        left = simulate(model, phi0, i0, cfg1, path_index=k).modes[:-1][burn_steps:]
+    for run in path_configs(replace(cfg, record_stride=1), n_paths):
+        left = simulate(model, phi0, i0, run).modes[:-1][burn_steps:]
         frac.append([np.count_nonzero(left == v) / max(left.size, 1) for v in modes_track])
     frac = np.array(frac)
     return frac.mean(axis=0), frac.std(axis=0, ddof=1) / math.sqrt(n_paths)
@@ -165,8 +171,8 @@ def path_occupation(model, phi0, i0, cfg, n_paths, modes_track, burn_in=0.0):
 def path_hitting_times(model, phi0, i0, cfg, n_paths, stop):
     """First grid times of ``stop(t, seg, mode)`` on the per-path runs that
     meet it before the horizon without blowing up."""
-    cfg = replace(cfg, record_stride=10**9)
-    recs = (simulate(model, phi0, i0, cfg, stop=stop, path_index=k) for k in range(n_paths))
+    runs = path_configs(replace(cfg, record_stride=10**9), n_paths)
+    recs = (simulate(model, phi0, i0, run, stop=stop) for run in runs)
     return np.array([r.stop_time for r in recs if not r.blow_up and r.stop_time is not None])
 
 
@@ -180,14 +186,14 @@ def path_dynkin(V, model, phi0, i0, t, cfg, n_paths):
     run = replace(cfg, horizon=n_steps * cfg.dt, record_stride=10**9)
     v0 = V.value(phi0, i0)
     out = []
-    for k in range(n_paths):
+    for path in path_configs(run, n_paths):
         acc = []
 
         def on_grid(tt, seg, mode):
             if tt < run.horizon - 0.5 * cfg.dt:
                 acc.append(apply_generator(V, model, seg, mode) * cfg.dt)
 
-        rec = simulate(model, phi0, i0, run, path_index=k, on_grid=on_grid)
+        rec = simulate(model, phi0, i0, path, on_grid=on_grid)
         if not rec.blow_up:
             out.append(V.value(rec.terminal, int(rec.modes[-1])) - v0 - sum(acc))
     return np.array(out)

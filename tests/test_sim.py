@@ -2,6 +2,7 @@ import copy
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsde.chain import SparseGenerator
+from switchsde.config import load_model_config
 from switchsde.model import Linearization, ModelSpec
 from switchsde.registry import registry_get
 from switchsde.segment import Segment
@@ -22,6 +24,9 @@ from switchsde.sim import (
     simulate_coupled,
 )
 from switchsde.verify import occupation_fractions
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_NAMES = ("switched_ou", "fluid_queue", "linear_2d", "controlled_scalar", "predator_prey")
 
 
 def plain_model(drift, *, diffusion=None, rates=None, bound=1.0, delay=1.0, **kw):
@@ -92,9 +97,9 @@ def test_zero_diffusion_matches_explicit_euler():
     assert np.allclose(rec.states[:, 0], expect, rtol=0, atol=1e-14)
     assert rec.jump_times == []
     assert not rec.blow_up
-    # thinning splits steps at proposal events, an O(dt^2) perturbation
+    # thinning proposals do not split steps: both schemes take the same Euler steps
     rec2 = simulate(model, phi0, 1, SimConfig(dt=dt, horizon=2.0, seed=3))
-    assert np.allclose(rec2.states[:, 0], expect, atol=1e-2)
+    assert np.array_equal(rec2.states, rec.states) and np.array_equal(rec2.times, rec.times)
 
 
 def test_same_seed_reproduces_path():
@@ -111,7 +116,7 @@ def test_same_seed_reproduces_path():
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.modes, b.modes)
     assert a.jump_times == b.jump_times
-    c = simulate(model, phi0, 1, cfg, path_index=1)
+    c = simulate(model, phi0, 1, replace(cfg, seed=12))
     assert not np.array_equal(a.states, c.states)
 
 
@@ -198,23 +203,10 @@ def test_on_grid_sees_every_point():
     assert seen[-1] == pytest.approx(1.0)
 
 
-def test_ensemble_merge_and_rerun_invariance():
-    model = plain_model(
-        lambda x, i: -np.asarray(x, dtype=float),
-        diffusion=lambda x, i: np.array([[0.3]]),
-        rates=two_mode_rates(1.0, 1.0),
-        bound=1.0,
-    )
+def test_ensemble_rerun_invariance():
+    # a rerun of the batch engine on history-dependent rates gives the same bits
     phi0 = Segment.make_constant([1.0], 1.0, 0.1)
     cfg = SimConfig(dt=0.1, horizon=2.0, seed=7)
-    full = [simulate(model, phi0, 1, cfg, path_index=k) for k in range(6)]
-    # path k draws from (seed, k) alone: ranges run in any order merge exactly
-    rest = [simulate(model, phi0, 1, cfg, path_index=k) for k in range(3, 6)]
-    first = [simulate(model, phi0, 1, cfg, path_index=k) for k in range(3)]
-    for a, b in zip(full, first + rest):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.modes, b.modes)
-    # a model without batch support runs on the batch engine: a rerun gives the same bits
     path_dep = plain_model(
         lambda x, i: -np.asarray(x, dtype=float),
         diffusion=lambda x, i: np.array([[0.3]]),
@@ -225,6 +217,62 @@ def test_ensemble_merge_and_rerun_invariance():
     rerun = occupation_fractions(path_dep, phi0, 1, cfg, 6, [1, 2])
     for a, b in zip(first, rerun):
         assert np.array_equal(a, b)
+
+
+def check_against_one_path_engine(model, phi0, i0, cfg):
+    """``simulate`` against a one-path :class:`BatchEnsemble` run step by
+    step: states and modes at every grid point up to a blow-up, and the
+    jump count.  Returns the record."""
+    rec = simulate(model, phi0, i0, cfg)
+    eng = BatchEnsemble(model, phi0, i0, cfg, 1)
+    assert np.array_equal(rec.states[0], eng.x[0]) and rec.modes[0] == eng.modes[0]
+    for k in range(1, int(round(cfg.horizon / cfg.dt)) + 1):
+        jumps = eng.jumps
+        eng.step()
+        if eng.blown[0]:  # the record ends at the last finite state
+            assert rec.blow_up and rec.times.size == k and len(rec.jump_times) == jumps
+            return rec
+        assert rec.times[k] == k * cfg.dt
+        assert np.array_equal(rec.states[k], eng.x[0]), k
+        assert rec.modes[k] == eng.modes[0], k
+    assert not rec.blow_up and rec.times.size == k + 1
+    assert len(rec.jump_times) == eng.jumps
+    return rec
+
+
+@pytest.mark.parametrize("scheme", ["thinning", "bernoulli"])
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_simulate_is_the_one_path_engine(name, scheme):
+    # simulate draws from the engine's stream (seed, 1) in its per-step
+    # order, so one path of either is the other, bit for bit
+    spec = load_model_config(CONFIG_DIR / f"{name}.json").spec
+    dt = spec.delay / 64
+    while scheme == "bernoulli" and dt * spec.rate_bound >= 0.5:
+        dt /= 2
+    phi0 = Segment.make_constant(np.ones(spec.dim), spec.delay, dt)
+    recs = [check_against_one_path_engine(spec, phi0, 1, SimConfig(dt=dt, horizon=4.0,
+                                                                   scheme=scheme, seed=seed))
+            for seed in (1, 2, 3)]
+    assert sum(len(rec.jump_times) for rec in recs) > 3
+
+
+@pytest.mark.parametrize("scheme", ["thinning", "bernoulli"])
+def test_simulate_is_the_one_path_engine_through_post_step_and_blow_up(scheme):
+    # mode 2 blows up, the projection onto x >= 0 holds noisy paths at 0,
+    # and the rates read the window
+    model = plain_model(
+        lambda x, i: (i - 1.5) * 2.0 * np.asarray(x, dtype=float) ** 3,
+        diffusion=lambda x, i: np.array([[0.5]]),
+        rates=lambda seg, i: {3 - i: 2.0 / (1.0 + seg.sup_norm())},
+        bound=2.0,
+        post_step=lambda x: np.maximum(x, 0.0),
+    )
+    phi0 = Segment.make_constant([0.5], 1.0, 0.05)
+    recs = [check_against_one_path_engine(model, phi0, 1, SimConfig(dt=0.05, horizon=20.0,
+                                                                    scheme=scheme, seed=seed))
+            for seed in (1, 2, 3)]
+    assert any(rec.blow_up for rec in recs)
+    assert any((rec.states == 0.0).any() for rec in recs)
 
 
 def coupled_setup(primary_rates, qhat_row, qhat_bound, model_bound):

@@ -367,14 +367,35 @@ def test_occupation_stability_rejects_nan_burn_in(monkeypatch):
 
 @pytest.mark.parametrize("n_paths", [0, -3])
 def test_coupling_and_occupation_stability_need_a_path(n_paths):
-    # at n_paths = 0 coupling_decay divided by zero and occupation_stability
-    # blamed the horizon; both name the path count instead
+    # at n_paths = 0 coupling_decay divided by zero, occupation_stability
+    # blamed the horizon and the other three returned a NaN estimate; a
+    # negative count failed in numpy.  The engine names the path count
     spec, lin = registry_get("switched_ou", {"c": 1.0, "sigma": 0.5})
     cfg = SimConfig(dt=1.0 / 16, horizon=1.0, seed=1)
-    with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
-        coupling_decay(spec, lin, [1.0], cfg, n_paths)
-    with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
-        occupation_stability(spec, [[1.0]], cfg, n_paths, burn_in=0.5)
+    phi0 = Segment.make_constant([1.0], spec.delay, cfg.dt)
+    calls = (
+        lambda: coupling_decay(spec, lin, [1.0], cfg, n_paths),
+        lambda: occupation_stability(spec, [[1.0]], cfg, n_paths, burn_in=0.5),
+        lambda: estimate_hitting_time(spec, phi0, 1, 0.5, 1, cfg, n_paths),
+        lambda: estimate_mode_descent(spec, phi0, 3, 1, cfg, n_paths),
+        lambda: dynkin_residual(QUAD, spec, phi0, 1, 0.5, cfg, n_paths),
+        lambda: BatchEnsemble(spec, phi0, 1, cfg, n_paths),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
+            call()
+
+
+def test_occupation_fractions_rejects_negative_burn_in():
+    # a negative burn_in once counted the steps before t = 0 that never ran:
+    # on switched_ou the fractions of every mode summed to 0.667 at -2
+    spec, _ = registry_get("switched_ou", {"c": 1.0, "sigma": 0.5})
+    cfg = SimConfig(dt=1.0 / 16, horizon=4.0, seed=1)
+    phi0 = Segment.make_constant([1.0], spec.delay, cfg.dt)
+    frac, _ = occupation_fractions(spec, phi0, 1, cfg, 50, range(1, 40))
+    assert frac.sum() == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="burn_in must be nonnegative, got -2.0"):
+        occupation_fractions(spec, phi0, 1, cfg, 50, range(1, 40), burn_in=-2.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -497,11 +518,10 @@ def test_huge_finite_states_leak_no_overflow_warning():
 def test_batch_engine_agrees_with_per_path_oracle():
     """The batch engine against the per-path oracle on history-dependent rates.
 
-    The oracle is the per-path engine ``simulate``, path by path.  Each z
+    The oracle is ``simulate``, one path per seed drawn from (seed, k).  Each z
     compares two independent estimates, so |z| >= 4 happens by chance with
     probability 6.3e-5; over the four comparisons the false-failure rate
-    is below 3e-4.  The engines differ by O(dt) in where a mode change
-    meets the state dynamics, far below the standard errors here.
+    is below 3e-4.
     """
     spec, _ = registry_get(
         "controlled_scalar",
