@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -425,14 +426,18 @@ def build_parser() -> argparse.ArgumentParser:
     q = vsub.add_parser("coupling")  # starts from --radii
     _add_common(q, "paths")
     q.add_argument("--T", type=float, default=10.0)
-    q.add_argument("--radii", default="10,1000")
+    q.add_argument("--radii", default="10,1000",
+                   help="comma list of start radii R (history R*e1), run as one ensemble "
+                   "of --paths paths per radius: a row depends on the whole list")
     q.add_argument("--floor-frac", dest="floor_frac", type=float, default=0.5)
     q.set_defaults(fn=cmd_verify)
 
     q = vsub.add_parser("occupation")  # starts from --starts
     _add_common(q, "scheme", "paths")
     q.add_argument("--T", type=float, default=50.0)
-    q.add_argument("--starts", default="1,5")
+    q.add_argument("--starts", default="1,5",
+                   help="comma list of start levels, run as one ensemble of --paths paths "
+                   "per start: a histogram depends on the whole list")
     q.add_argument("--burn-in", dest="burn_in", type=float, default=10.0)
     q.set_defaults(fn=cmd_verify)
 
@@ -447,10 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the one parser of every in-process call: parse_args only reads it and fills
+# a new namespace each time, so no call sees another's values
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -182,7 +182,8 @@ def _controlled_scalar(params: dict):
         return out
 
     def rates_row(seg, i):
-        z = np.linalg.norm(seg.value_at(-seg.delay), axis=-1)
+        z = seg.value_at(-seg.delay)
+        z = np.sqrt(np.add.reduce(z * z, axis=-1))  # np.linalg.norm's bits, without its wrapper
         return dict.fromkeys(_ladder_targets(i), z / (c_rate(i) + z))
 
     spec = ModelSpec(
@@ -324,7 +325,7 @@ def _linear_2d(params: dict):
 
     def drift(x, i):
         x = np.asarray(x, dtype=float)
-        nrm = np.linalg.norm(x, axis=-1, keepdims=True)
+        nrm = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))  # as np.linalg.norm
         return x @ b_of(i).T + a_of(i) / (1.0 + nrm)
 
     def gate(x):

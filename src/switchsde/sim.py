@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -397,10 +397,16 @@ class BatchEnsemble:
     group from the running sums of its rates, and under thinning each
     round of proposals reads its rows with one call per mode.
 
-    One shared stream (seed, 1) drives all paths with a fixed per-step draw
-    order (the Brownian increments, then the mode draws in path order), so
-    results depend only on the config and ``n_paths``; with one path they
-    are :func:`simulate`'s.  Mode changes take effect at the following grid
+    ``phi0`` is one start window or a sequence of S of them, each the start
+    of a cohort of ``n_paths`` paths: cohort k is paths k * n_paths to
+    (k + 1) * n_paths - 1, and ``n_paths`` the attribute counts all S of
+    them.  One start and a one-element sequence give the same run.
+
+    One shared stream (seed, 1) drives all paths, every cohort's included,
+    with a fixed per-step draw order (the Brownian increments, then the
+    mode draws in path order), so results depend only on the config, the
+    start windows and ``n_paths``; with one path they are
+    :func:`simulate`'s.  Mode changes take effect at the following grid
     step; the embedded chain is exact under thinning and O(dt) under
     bernoulli, given the grid history.
 
@@ -418,7 +424,7 @@ class BatchEnsemble:
     def __init__(
         self,
         model: ModelSpec,
-        phi0: Segment,
+        phi0: Segment | Sequence[Segment],
         i0: int,
         cfg: SimConfig,
         n_paths: int,
@@ -429,26 +435,30 @@ class BatchEnsemble:
             raise ValueError(f"n_paths must be at least 1, got {n_paths}")
         if qhat is not None:  # the coupling runs by thinning
             cfg = replace(cfg, scheme="thinning")
-        _check_inputs(model, phi0, cfg, i0)
+        starts = [phi0] if isinstance(phi0, Segment) else list(phi0)
+        if not starts:
+            raise ValueError("phi0 must hold at least one start window")
+        for seg in starts:
+            _check_inputs(model, seg, cfg, i0)
         self.model = model
         self.cfg = cfg
         self.qhat = qhat
-        self.n_paths = int(n_paths)
+        self.n_paths = len(starts) * int(n_paths)
         self.rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 1)))
         self.t = 0.0
-        self.x = np.tile(phi0.terminal(), (self.n_paths, 1))
+        self.x = np.repeat([seg.terminal() for seg in starts], int(n_paths), axis=0)
         self.modes = np.full(self.n_paths, int(i0), dtype=int)
         self.blown = np.zeros(self.n_paths, dtype=bool)
         self.proposals = self.jumps = 0
         self._sq = self._norms = None
         self._rows: dict[int, tuple] = {}
-        self._probe_seg = phi0.copy()
-        self._grid = (phi0.delay, phi0.dt)
+        self._probe_seg = starts[0].copy()
+        self._grid = (starts[0].delay, starts[0].dt)
         self._thinning = cfg.scheme == "thinning"
         self._invalidate()
         if track_history or model.rates_depend_on_path:
-            base = phi0.samples  # (m, dim)
-            self._hist = np.repeat(base[:, None, :], self.n_paths, axis=1)
+            base = np.stack([seg.samples for seg in starts], axis=1)  # (m, cohorts, dim)
+            self._hist = np.repeat(base, int(n_paths), axis=1)
             self._head = 0
         else:
             self._hist = None
@@ -722,9 +732,7 @@ class BatchEnsemble:
             self._norms = None
         self.t += self.cfg.dt
 
-    def run(self, n_steps: int, on_step: Optional[Callable] = None):
-        """Run ``n_steps`` steps; ``on_step(engine)`` sees each pre-step state."""
+    def run(self, n_steps: int):
+        """Run ``n_steps`` steps."""
         for _ in range(int(n_steps)):
-            if on_step is not None:
-                on_step(self)
             self.step()

@@ -11,7 +11,10 @@ Every estimator runs on the vectorized engine
 they are read per mode group, and the hitting rule reads the engine's
 window sup-norms of the step.  It draws every path from the one stream
 (seed, 1), so results are reproducible bit-for-bit and depend on
-``n_paths``.  Stop rules are masks over the ensemble, and finished paths
+``n_paths``.  :func:`coupling_decay` and :func:`occupation_stability` run
+all their radii or starts as the cohorts of one ensemble, so their rows
+depend on the whole list too; a one-start call is that start's run alone.
+Stop rules are masks over the ensemble, and finished paths
 leave the arrays.  The Dynkin estimator records each step's
 plan-ordered states and coefficients, those of the engine's own Euler step
 (and the windows, and rates read at that step), and takes LV of a block
@@ -295,24 +298,38 @@ def _n_steps(t: float, dt: float, name: str = "horizon") -> int:
     return int(round(t / dt))
 
 
-def _first_times(be: BatchEnsemble, hit, drop=None) -> list:
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis: the bits of ``np.linalg.norm(x,
+    axis=-1)`` on float arrays, without its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _first_times(be: BatchEnsemble, hit, drop=None) -> tuple:
     """First grid time of a stop rule, the mask ``hit(engine)`` over the
     engine's paths, on every path that meets it before the horizon; a path
-    leaves uncounted at a blow-up or where the mask ``drop(engine)`` holds."""
-    times = []
+    leaves uncounted at a blow-up or where the mask ``drop(engine, paths)``
+    holds, ``paths`` naming the engine's paths by their index at the start.
+    Returns the times and those indices of the paths that met the rule, in
+    the order they met it."""
+    times, who = [], []
+    paths = np.arange(be.n_paths)
     for k in range(_n_steps(be.cfg.horizon, be.cfg.dt) + 1):
         if k:
             be.step()
         done = hit(be) & ~be.blown
-        times += [k * be.cfg.dt] * int(done.sum())
+        n = int(done.sum())
+        if n:
+            times += [k * be.cfg.dt] * n
+            who += paths[done].tolist()
         live = ~(done | be.blown)
         if drop is not None:
-            live &= ~drop(be)
+            live &= ~drop(be, paths)
         if not live.all():
             be.keep(live)
+            paths = paths[live]
             if be.n_paths == 0:
                 break
-    return times
+    return times, np.array(who, dtype=int)
 
 
 def estimate_hitting_time(
@@ -338,7 +355,7 @@ def estimate_hitting_time(
         return (e.modes <= k0) & (e.sup_norms() <= radius)
 
     be = BatchEnsemble(model, phi0, i0, cfg, n_paths, track_history=True)
-    return _collect(_first_times(be, hit), n_paths)
+    return _collect(_first_times(be, hit)[0], n_paths)
 
 
 def estimate_mode_descent(
@@ -356,7 +373,7 @@ def estimate_mode_descent(
     def hit(e: BatchEnsemble) -> np.ndarray:
         return e.modes <= k0
 
-    return _collect(_first_times(BatchEnsemble(model, phi0, i0, cfg, n_paths), hit), n_paths)
+    return _collect(_first_times(BatchEnsemble(model, phi0, i0, cfg, n_paths), hit)[0], n_paths)
 
 
 def coupling_decay(
@@ -370,31 +387,42 @@ def coupling_decay(
 ) -> list:
     """Empirical decoupling probability per starting radius.
 
-    For each radius R the path starts from the constant history R * e1 and
-    is stopped at the horizon, at a blow-up or when |X| falls below
-    floor_frac * R; the table reports the fraction of paths whose mode
-    chain decoupled from the limiting-rate reference chain before that,
-    with a 95% CI.  A path that blows up in the step its chains part is
-    censored, as in the hitting estimators.
+    For each radius R, ``n_paths`` paths start from the constant history
+    R * e1 and are stopped at the horizon, at a blow-up or when |X| falls
+    below floor_frac * R; the table reports the fraction of paths whose
+    mode chain decoupled from the limiting-rate reference chain before
+    that, with a 95% CI.  A path that blows up in the step its chains part
+    is censored, as in the hitting estimators.
+
+    All radii run as the cohorts of one :class:`BatchEnsemble`, R_k's
+    paths k * n_paths to (k + 1) * n_paths - 1 of the one stream, so a row
+    depends on the whole ``radii`` list; a one-radius call is the run of
+    that radius alone.
     """
     if not 0.0 <= floor_frac < 1.0:
         raise ValueError("floor_frac must be in [0, 1)")
-    out = []
+    radii = [float(r) for r in radii]
+    if not radii:
+        raise ValueError("radii must hold at least one radius")
+    if not all(r > 0 for r in radii):  # written so that NaN fails
+        raise ValueError("radii must be positive")
+    starts = []
     for r in radii:
-        r = float(r)
-        if r <= 0:
-            raise ValueError("radii must be positive")
         start = np.zeros(model.dim)
         start[0] = r
-        phi0 = Segment.make_constant(start, model.delay, cfg.dt)
-        floor = floor_frac * r
+        starts.append(Segment.make_constant(start, model.delay, cfg.dt))
+    be = BatchEnsemble(model, starts, i0, cfg, n_paths, qhat=lin.qhat)
+    floor = np.repeat([floor_frac * r for r in radii], n_paths)  # per start path
 
-        def below(e: BatchEnsemble) -> np.ndarray:
-            with np.errstate(over="ignore"):  # inf is the norm of a huge state
-                return np.linalg.norm(e.x, axis=1) < floor
+    def below(e: BatchEnsemble, paths: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # inf is the norm of a huge state
+            return _norms(e.x) < floor[paths]
 
-        be = BatchEnsemble(model, phi0, i0, cfg, n_paths, qhat=lin.qhat)
-        p = len(_first_times(be, lambda e: np.isfinite(e.decouple_time), below)) / n_paths
+    _, who = _first_times(be, lambda e: np.isfinite(e.decouple_time), below)
+    hits = np.bincount(who // n_paths, minlength=len(radii)).tolist()
+    out = []
+    for r, h in zip(radii, hits):
+        p = h / n_paths
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
         out.append(
             {
@@ -418,45 +446,56 @@ def occupation_stability(
 ) -> dict:
     """Occupation histograms over (|X| bin, mode head) for several starts.
 
-    Pools all paths per start into one empirical distribution on the grid
-    points after ``burn_in`` and reports the matrix of pairwise l1
-    distances.  Small distances indicate the long-run law forgets the
-    initial history, as positive recurrence predicts.  |X| falls in 20
-    bins of width 0.25 on [0, 5] and one overflow bin; the mode in one of
-    1, 2, 3 or above 3.
+    Pools the ``n_paths`` paths of each start into one empirical
+    distribution on the grid points after ``burn_in`` and reports the
+    matrix of pairwise l1 distances.  Small distances indicate the long-run
+    law forgets the initial history, as positive recurrence predicts.  |X|
+    falls in 20 bins of width 0.25 on [0, 5] and one overflow bin; the mode
+    in one of 1, 2, 3 or above 3.
+
+    All starts run as the cohorts of one :class:`BatchEnsemble`, start k's
+    paths k * n_paths to (k + 1) * n_paths - 1 of the one stream, so a
+    histogram depends on the whole ``starts`` list; a one-start call is the
+    run of that start alone.
     """
     if not burn_in < cfg.horizon:  # written so that NaN fails
         raise ValueError("burn_in must be below the horizon")
+    windows = [
+        Segment.make_constant(np.atleast_1d(np.asarray(s, dtype=float)), model.delay, cfg.dt)
+        for s in starts
+    ]
+    if not windows:
+        raise ValueError("starts must hold at least one start")
     edges = np.linspace(0.0, 5.0, 21)
     k_head = 3
     n_rbins = edges.size  # last bin is overflow
+    n_cells = n_rbins * (k_head + 1)
+    be = BatchEnsemble(model, windows, i0, cfg, n_paths)
+    counts = np.zeros((len(windows), n_rbins, k_head + 1))
+    cohort = np.arange(be.n_paths) // n_paths
+    xs, cells = [], []  # the live paths of a block of grid points, binned at once
+    n_steps = _n_steps(cfg.horizon, cfg.dt)
+    for k in range(n_steps + 1):
+        if k:
+            be.step()
+        if k * cfg.dt >= burn_in - 1e-12:
+            live = ~be.blown
+            xs.append(be.x[live])
+            # one cell per (cohort, radial bin, mode bucket), modes above k_head in the last bucket
+            cells.append(cohort[live] * n_cells + np.minimum(be.modes[live], k_head + 1) - 1)
+        if xs and (k == n_steps or len(xs) * be.n_paths >= _BLOCK_ROWS):
+            with np.errstate(over="ignore"):
+                radii = _norms(np.concatenate(xs))
+            rbin = np.searchsorted(edges, radii, side="right") - 1
+            at = np.concatenate(cells) + np.clip(rbin, 0, n_rbins - 1) * (k_head + 1)
+            counts += np.bincount(at, minlength=counts.size).reshape(counts.shape)
+            xs, cells = [], []
     hists = []
-    for start in starts:
-        start = np.atleast_1d(np.asarray(start, dtype=float))
-        phi0 = Segment.make_constant(start, model.delay, cfg.dt)
-        counts = np.zeros((n_rbins, k_head + 1))
-        xs, modes = [], []  # the live paths of a block of grid points, binned at once
-        be = BatchEnsemble(model, phi0, i0, cfg, n_paths)
-        n_steps = _n_steps(cfg.horizon, cfg.dt)
-        for k in range(n_steps + 1):
-            if k:
-                be.step()
-            if k * cfg.dt >= burn_in - 1e-12:
-                xs.append(be.x[~be.blown])
-                modes.append(be.modes[~be.blown])
-            if xs and (k == n_steps or len(xs) * n_paths >= _BLOCK_ROWS):
-                with np.errstate(over="ignore"):
-                    radii = np.linalg.norm(np.concatenate(xs), axis=1)
-                rbin = np.searchsorted(edges, radii, side="right") - 1
-                # one cell per (radial bin, mode bucket), modes above k_head in the last bucket
-                cells = np.clip(rbin, 0, n_rbins - 1) * (k_head + 1)
-                cells += np.minimum(np.concatenate(modes), k_head + 1) - 1
-                counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
-                xs, modes = [], []
-        total = counts.sum()
+    for c in counts:
+        total = c.sum()
         if total == 0:
             raise ValueError("no occupation samples collected; horizon too short?")
-        hists.append(counts / total)
+        hists.append(c / total)
 
     n_s = len(hists)
     dists = np.zeros((n_s, n_s))

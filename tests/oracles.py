@@ -7,7 +7,9 @@ Monte Carlo estimators are checked against ``simulate``, one path at a
 time: path k runs at a seed drawn from (seed, k), so no oracle path
 shares the stream (seed, 1) of the estimator it is compared with.  The
 Dynkin oracle adds ``apply_generator``, whose terms the generator tests
-check one by one.
+check one by one.  The cohort estimators (``coupling_decay``,
+``occupation_stability``) are checked against their per-start loop: one
+:class:`BatchEnsemble` per radius or start, each on the stream (seed, 1).
 """
 
 import math
@@ -17,7 +19,8 @@ import numpy as np
 from scipy.linalg import eigh, null_space
 from scipy.optimize import minimize
 
-from switchsde.sim import simulate
+from switchsde.segment import Segment
+from switchsde.sim import BatchEnsemble, simulate
 from switchsde.verify import apply_generator
 
 
@@ -197,3 +200,73 @@ def path_dynkin(V, model, phi0, i0, t, cfg, n_paths):
         if not rec.blow_up:
             out.append(V.value(rec.terminal, int(rec.modes[-1])) - v0 - sum(acc))
     return np.array(out)
+
+
+def per_start_coupling(model, lin, radii, cfg, n_paths, i0=1, floor_frac=0.5):
+    """The decoupling table of ``coupling_decay``, one engine per radius.
+
+    Radius R runs ``n_paths`` coupled paths from the constant history
+    R * e1 on the whole stream (seed, 1); a path counts when its chains
+    part before the horizon, unless it blows up in that step, and leaves
+    uncounted at a blow-up or once |X| < floor_frac * R.
+    """
+    rows = []
+    for r in radii:
+        start = np.zeros(model.dim)
+        start[0] = r
+        phi0 = Segment.make_constant(start, model.delay, cfg.dt)
+        be = BatchEnsemble(model, phi0, i0, cfg, n_paths, qhat=lin.qhat)
+        hits = 0
+        for k in range(int(round(cfg.horizon / cfg.dt)) + 1):
+            if k:
+                be.step()
+            done = np.isfinite(be.decouple_time) & ~be.blown
+            hits += int(done.sum())
+            with np.errstate(over="ignore"):
+                below = np.linalg.norm(be.x, axis=1) < floor_frac * r
+            live = ~(done | be.blown | below)
+            if not live.all():
+                be.keep(live)
+                if be.n_paths == 0:
+                    break
+        p = hits / n_paths
+        se = math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
+        rows.append({
+            "radius": float(r),
+            "p_decouple": p,
+            "std_error": se,
+            "ci95": (max(p - 1.96 * se, 0.0), min(p + 1.96 * se, 1.0)),
+            "n_paths": int(n_paths),
+        })
+    return rows
+
+
+def per_start_occupation(model, starts, cfg, n_paths, burn_in, i0=1):
+    """The report of ``occupation_stability``, one engine per start.
+
+    Each start's ``n_paths`` paths run on the whole stream (seed, 1) and
+    pool their live grid points from ``burn_in`` on into counts over 21
+    |X| bins (width 0.25 on [0, 5], then overflow) and the mode buckets
+    1, 2, 3 and above 3, binned one grid point at a time.
+    """
+    edges = np.linspace(0.0, 5.0, 21)
+    k_head = 3
+    hists = []
+    for start in starts:
+        phi0 = Segment.make_constant(np.atleast_1d(np.asarray(start, dtype=float)),
+                                     model.delay, cfg.dt)
+        be = BatchEnsemble(model, phi0, i0, cfg, n_paths)
+        counts = np.zeros((edges.size, k_head + 1))
+        for k in range(int(round(cfg.horizon / cfg.dt)) + 1):
+            if k:
+                be.step()
+            if k * cfg.dt >= burn_in - 1e-12:
+                live = ~be.blown
+                with np.errstate(over="ignore"):
+                    radii = np.linalg.norm(be.x[live], axis=1)
+                rbin = np.clip(np.searchsorted(edges, radii, side="right") - 1, 0, edges.size - 1)
+                bucket = np.minimum(be.modes[live], k_head + 1) - 1
+                np.add.at(counts, (rbin, bucket), 1.0)
+        hists.append(counts / counts.sum())
+    dists = np.array([[np.abs(a - b).sum() for b in hists] for a in hists])
+    return {"distances": dists, "histograms": hists, "radial_edges": edges, "k_head": k_head}

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import switchsde.cli
 from switchsde.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -34,6 +35,25 @@ def scalar_config(tmp_path, gain):
     path = tmp_path / f"scalar_{gain}.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_in_process_calls_leak_no_values(tmp_path, capsys):
+    # main builds its parser once per process; every call must still parse
+    # as if the parser were new
+    def certify(name, *extra):
+        out = tmp_path / name
+        code = main(["certify", "--model", OU, "--out", str(out), *extra])
+        return code, (out / "certificate.json").read_bytes()
+
+    switchsde.cli._parser.cache_clear()
+    fresh = certify("fresh")
+    assert fresh[0] == 0
+    tail = certify("tail", "--tail-mass", "0.1")
+    assert tail[1] != fresh[1]
+    assert certify("plain") == fresh  # --tail-mass 0.1 did not stick
+    assert main(["certify", "--out", str(tmp_path / "bad")]) == 2  # no --model
+    assert "required" in capsys.readouterr().err
+    assert certify("after") == fresh
 
 
 def test_simulate_writes_deterministic_csv(tmp_path):

@@ -430,11 +430,10 @@ def test_batch_two_mode_occupation_near_balance():
     in_one = np.zeros(300)
     steps = [0]
 
-    def on_step(e):
-        in_one[:] += e.modes == 1
+    for _ in range(1000):
+        in_one[:] += eng.modes == 1
         steps[0] += 1
-
-    eng.run(1000, on_step=on_step)
+        eng.step()
     frac = in_one / steps[0]
     # long-run fraction in mode 1 is b / (a + b)
     assert abs(frac.mean() - 0.75) < 0.02
@@ -516,11 +515,9 @@ def test_mode_bounds_keep_thinning_exact():
             phi0, 1, SimConfig(dt=0.05, horizon=50.0, seed=21), 300,
         )
         in_one = np.zeros(300)
-
-        def on_step(e):
-            in_one[:] += e.modes == 1
-
-        eng.run(1000, on_step=on_step)
+        for _ in range(1000):
+            in_one[:] += eng.modes == 1
+            eng.step()
         # 300 paths of length 50: sd ~ 0.003
         assert abs(in_one.mean() / 1000 - 0.75) < 0.02
 
@@ -540,6 +537,34 @@ def test_batch_keep_drops_paths_everywhere():
         assert np.array_equal(got, want)
     assert eng.blown.shape == eng.decouple_time.shape == (3,)
     eng.run(2)
+
+
+def test_batch_cohorts_start_from_their_windows():
+    # a sequence of S start windows gives S cohorts of n_paths paths each,
+    # cohort k the paths k * n_paths to (k + 1) * n_paths - 1, on one stream
+    model = batch_model(two_mode_rates(1.0, 3.0), 3.0, diffusion=lambda x, i: np.array([[0.5]]))
+    starts = [Segment(np.linspace(a, a + 1.0, 5)[:, None], 1.0, 0.25) for a in (0.0, 10.0, -4.0)]
+    cfg = SimConfig(dt=0.25, horizon=3.0, seed=7)
+    eng = BatchEnsemble(model, starts, 1, cfg, 4, track_history=True)
+    assert eng.n_paths == 12
+    hist = eng.history()
+    for k, seg in enumerate(starts):
+        assert np.array_equal(eng.x[4 * k:4 * k + 4], np.tile(seg.terminal(), (4, 1)))
+        assert np.array_equal(hist[:, 4 * k:4 * k + 4], np.repeat(seg.samples[:, None], 4, axis=1))
+    # a one-element sequence is the run of that start, bit for bit
+    one = BatchEnsemble(model, starts[1:2], 1, cfg, 4, track_history=True)
+    alone = BatchEnsemble(model, starts[1], 1, cfg, 4, track_history=True)
+    one.run(12)
+    alone.run(12)
+    for got, want in zip((one.x, one.modes, one.history()), (alone.x, alone.modes, alone.history())):
+        assert got.tobytes() == want.tobytes()
+    # the path count is checked first, then the windows
+    with pytest.raises(ValueError, match="n_paths must be at least 1, got 0"):
+        BatchEnsemble(model, [], 1, cfg, 0)
+    with pytest.raises(ValueError, match="phi0 must hold at least one start window"):
+        BatchEnsemble(model, [], 1, cfg, 4)
+    with pytest.raises(ValueError, match="phi0 grid step"):
+        BatchEnsemble(model, [starts[0], Segment.make_constant([0.0], 1.0, 0.125)], 1, cfg, 4)
 
 
 def test_sup_norm_cache_follows_pushes_and_keep():
@@ -627,8 +652,9 @@ def test_batch_rates_read_each_paths_window():
     cfg = SimConfig(dt=0.25, horizon=5.0, scheme="bernoulli", seed=4)
     eng = BatchEnsemble(model, phi0, 1, cfg, 3)
     windows = []
-    eng.run(12, on_step=lambda e: windows.append(
-        (e.history(), [(v, paths) for v, paths, _ in e.groups()])))
+    for _ in range(12):
+        windows.append((eng.history(), [(v, paths) for v, paths, _ in eng.groups()]))
+        eng.step()
     calls = iter(seen)
     for hist, groups in windows:
         assert sum(paths.size for _, paths in groups) == 3
@@ -725,7 +751,9 @@ def test_batch_counts_proposals_and_jumps():
     bern = BatchEnsemble(model, phi0, 1, SimConfig(dt=0.05, horizon=5.0, scheme="bernoulli",
                                                    seed=6), 50)
     seen = []
-    bern.run(100, on_step=lambda e: seen.append(e.modes.copy()))
+    for _ in range(100):
+        seen.append(bern.modes.copy())
+        bern.step()
     seen.append(bern.modes)
     moves = sum(int((b != a).sum()) for a, b in zip(seen, seen[1:]))
     assert bern.proposals == 0 and bern.jumps == moves > 50

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import group_generator, path_dynkin, path_hitting_times, path_occupation, settle_counts
+from oracles import (
+    group_generator,
+    path_dynkin,
+    path_hitting_times,
+    path_occupation,
+    per_start_coupling,
+    per_start_occupation,
+    settle_counts,
+)
 
 import switchsde.verify
 from switchsde.chain import SparseGenerator
@@ -20,6 +28,7 @@ from switchsde.segment import Segment
 from switchsde.sim import BatchEnsemble, SimConfig
 from switchsde.verify import (
     _collect,
+    _norms,
     _sojourn_counts,
     MCEstimate,
     ProductFunctional,
@@ -298,6 +307,101 @@ def test_coupling_blow_up_in_the_parting_step_is_censored():
     for floor_frac in (0.5, 0.0):
         (row,) = coupling_decay(model, lin, [1.0], cfg, 40, floor_frac=floor_frac)
         assert row["p_decouple"] == 0.0
+
+
+SHIPPED = ["controlled_scalar", "fluid_queue", "linear_2d", "predator_prey", "switched_ou"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("name", SHIPPED)
+def test_one_cohort_calls_are_the_per_start_run(name):
+    # a call with one radius or one start runs that start alone on the
+    # stream (seed, 1): the bytes of the per-start loop, which every call
+    # ran before the cohorts shared one ensemble
+    loaded = load_model_config(str(CONFIG_DIR / f"{name}.json"))
+    spec, lin = loaded.spec, loaded.lin
+    for seed in (1, 2, 3):
+        cfg = SimConfig(dt=1.0 / 32, horizon=3.0, seed=seed)
+        for r in (1.0, 20.0):
+            got = coupling_decay(spec, lin, [r], cfg, 16, i0=3)
+            assert pickle.dumps(got) == pickle.dumps(per_start_coupling(spec, lin, [r], cfg, 16, i0=3))
+        for level in (0.5, 2.0):
+            start = [np.full(spec.dim, level)]
+            got = occupation_stability(spec, start, cfg, 8, 1.0)
+            assert pickle.dumps(got) == pickle.dumps(per_start_occupation(spec, start, cfg, 8, 1.0))
+
+
+def test_cohorts_follow_the_per_start_law():
+    """Each cohort of a several-start call against its start run alone.
+
+    The per-start oracle runs at another seed, so the two are independent.
+    Coupling: a pooled two-sample binomial z per radius; at 1,000 paths a
+    side (p near 0.47 and 0.12) |z| >= 4 has probability 6.3e-5 under the
+    normal approximation.  Occupation: every one of the n = 2,000 paths
+    per side adds a probability vector f_p / n to its histogram (no path
+    blows up), so the l1 distance L between a cohort's histogram and the
+    oracle's moves by at most 2 / n per path and McDiarmid gives
+    P(L >= E L + t) <= exp(-n t^2 / 4); with E L <= sqrt(2 * 84 / n) = 0.29
+    (84 cells, Cauchy-Schwarz), L >= 0.45 has probability below 4e-6.
+    Over the five comparisons the false-failure rate is below 4e-4.  A
+    cohort given another start's paths or histogram reads L near 1 and
+    z above 10.
+    """
+    spec, lin = registry_get("switched_ou", {"c": 1.0, "sigma": 0.5})
+    radii = [1.0, 10.0]
+    cfg = SimConfig(dt=1.0 / 16, horizon=5.0, seed=23)
+    rows = coupling_decay(spec, lin, radii, cfg, 1000)
+    ref = per_start_coupling(spec, lin, radii, replace(cfg, seed=24), 1000)
+    for row, want in zip(rows, ref):
+        pooled = 0.5 * (row["p_decouple"] + want["p_decouple"])
+        z = (row["p_decouple"] - want["p_decouple"]) / math.sqrt(pooled * (1 - pooled) * 2 / 1000)
+        assert abs(z) < 4.0, (row, want)
+    assert rows[0]["p_decouple"] > 0.3 and rows[1]["p_decouple"] < 0.2  # the radii differ
+
+    starts = [[0.5], [2.0], [4.0]]
+    cfg = SimConfig(dt=1.0 / 16, horizon=1.0, seed=5)
+    rep = occupation_stability(spec, starts, cfg, 2000, burn_in=0.0)
+    ref = per_start_occupation(spec, starts, replace(cfg, seed=6), 2000, burn_in=0.0)
+    for got, want in zip(rep["histograms"], ref["histograms"]):
+        assert np.abs(got - want).sum() < 0.45
+    assert rep["distances"][0, 2] > 1.5  # the starts' laws differ at this horizon
+
+
+def test_coupling_and_occupation_need_a_start():
+    # an empty radii or starts list returned an empty table or matrix
+    spec, lin = registry_get("switched_ou", {"c": 1.0, "sigma": 0.5})
+    cfg = SimConfig(dt=1.0 / 16, horizon=1.0, seed=1)
+    with pytest.raises(ValueError, match="radii must hold at least one radius"):
+        coupling_decay(spec, lin, [], cfg, 4)
+    with pytest.raises(ValueError, match="starts must hold at least one start"):
+        occupation_stability(spec, [], cfg, 4, burn_in=0.5)
+    with pytest.raises(ValueError, match="radii must be positive"):
+        coupling_decay(spec, lin, [1.0, math.nan], cfg, 4)
+
+
+def test_norms_are_the_bytes_of_linalg_norm():
+    # the estimators' stop and bin norms, the linear_2d drift and the
+    # controlled_scalar rates take numpy's own code path of np.linalg.norm
+    # without its wrapper: the same bytes on 0, subnormals, 1e200 (whose
+    # square overflows to inf) and NaN
+    cases = [0.0, 5e-324, -2.5e-310, 1e200, math.nan, 3.0]
+    x = np.array([[a, b] for a in cases for b in cases])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf in the rates
+        assert _norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+        assert _norms(x[:, :1]).tobytes() == np.linalg.norm(x[:, :1], axis=-1).tobytes()
+
+        b_mat, a_vec = np.array([[-1.0, 0.5], [0.0, -2.0]]), np.array([0.3, -0.2])
+        spec, _ = registry_get("linear_2d", {"B": b_mat.tolist(), "A": a_vec.tolist()})
+        want = x @ b_mat.T + a_vec / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
+        assert spec.drift(x, 1).tobytes() == want.tobytes()
+
+        spec, _ = registry_get("controlled_scalar", {"c": 2.0})
+        for v in filter(math.isfinite, cases):  # a window holds finite samples
+            seg = Segment.make_constant([v], spec.delay, spec.delay / 4)
+            z = np.linalg.norm(seg.value_at(-seg.delay), axis=-1)
+            got = spec.rates_row(seg, 2)
+            assert [np.asarray(r).tobytes() for r in got.values()] == [
+                np.asarray(z / (2.0 + z)).tobytes()] * len(got)
 
 
 def test_coupling_skips_the_bernoulli_step_check():
@@ -611,7 +715,10 @@ def test_batch_dynkin_evaluates_coefficients_once_per_group(rates_depend_on_path
     # the same run again, counting the groups of every step
     made = dict(calls)
     groups = []
-    BatchEnsemble(model, phi0, 1, cfg, 30).run(40, on_step=lambda e: groups.append(len(e.groups())))
+    eng = BatchEnsemble(model, phi0, 1, cfg, 30)
+    for _ in range(40):
+        groups.append(len(eng.groups()))
+        eng.step()
     assert max(groups) == 3
     assert made["drift"] == made["diffusion"] == sum(groups)
 
@@ -644,12 +751,12 @@ def test_batch_coefficients_once_per_class(shared_from):
     # the same run again, listing each step's groups and classes
     occupied, classes = [], []
 
-    def seen(e):
-        modes = [v for v, _, _ in e.groups()]
+    eng = BatchEnsemble(model, phi0, 1, cfg, 30)
+    for _ in range(40):
+        modes = [v for v, _, _ in eng.groups()]
         occupied.append(len(modes))
         classes.append(sorted({min(v, shared_from) for v in modes}))
-
-    BatchEnsemble(model, phi0, 1, cfg, 30).run(40, on_step=seen)
+        eng.step()
     assert max(occupied) == 3
     assert made["drift"] == made["diffusion"] == [v for c in classes for v in c]
     if shared_from == 1:
@@ -681,8 +788,10 @@ def test_batch_dynkin_reads_rates_once_per_group_and_step():
     made = list(calls)
     # the same run again, listing each step's groups as (mode, (size,))
     steps = []
-    BatchEnsemble(model, phi0, 1, cfg, 30).run(40, on_step=lambda e: steps.append(
-        [(v, paths.shape) for v, paths, _ in e.groups()]))
+    eng = BatchEnsemble(model, phi0, 1, cfg, 30)
+    for _ in range(40):
+        steps.append([(v, paths.shape) for v, paths, _ in eng.groups()])
+        eng.step()
     assert max(len(groups) for groups in steps) == 3
     assert made == [call for groups in steps for call in groups + groups]
 
