@@ -24,9 +24,10 @@ Both engines keep one contract.  A run draws from the one stream
 mode draws in path order, on the windows the step started from.  Both take
 the Euler step of :func:`_euler`, and a mode change reaches the state at
 the next grid step.  A jump goes to target j with probability
-q_ij / bound, by partitioning a single uniform draw over the row.
-:func:`simulate` runs one path and logs its jumps: a one-path
-:class:`BatchEnsemble`, bit for bit, in a faster loop.
+q_ij / bound, by partitioning a single uniform draw over the row's sorted
+targets; both engines walk a row as sorted lists of targets and rates
+(:func:`_pick`).  :func:`simulate` runs one path and logs its jumps: a
+one-path :class:`BatchEnsemble`, bit for bit, in a faster loop.
 
 :class:`BatchEnsemble`, the engine of every estimator and of
 :func:`simulate_coupled`, advances a whole ensemble of any model at once,
@@ -152,69 +153,87 @@ _BOUND_SLACK = 1.0 + 1e-12
 
 
 def _gap(rng, bound: float) -> float:
-    """Next gap of a thinning clock at rate ``bound``; a zero bound never fires."""
-    return rng.exponential(1.0 / bound) if bound > 0 else math.inf
+    """Next gap of a thinning clock at rate ``bound``; a zero bound never fires.
+    ``rng.exponential(1 / bound)`` draws the same bits through a dearer call."""
+    return rng.standard_exponential() * (1.0 / bound) if bound > 0 else math.inf
 
 
-def _check_total(total: float, low: float, bound: float, where: str) -> None:
-    """Reject a row with a negative rate ``low`` or a ``total`` above ``bound``."""
-    if low < 0:
-        raise ValueError(f"rates out of {where} include {float(low)!r}; a rate cannot be negative")
-    if total > bound * _BOUND_SLACK:
+def _check_total(total: float, low: float, bound: float, modes) -> None:
+    """Reject a row with a negative rate ``low`` or a ``total`` above ``bound``;
+    ``modes`` names the row: a mode, or a coupled (mode, mode_hat) pair."""
+    if low < 0 or total > bound * _BOUND_SLACK:
+        where = f"modes {modes}" if isinstance(modes, tuple) else f"mode {modes}"
+        if low < 0:
+            raise ValueError(f"rates out of {where} include {float(low)!r}; "
+                             "a rate cannot be negative")
         raise ValueError(
             f"rates out of {where} total {total!r}, above the bound {bound!r} in "
             "force; the jump draw would drop the excess"
         )
 
 
-def _pick_target(row: dict, u: float, scale: float, mode: int):
-    """Walk the partition of [0, 1) induced by row rates / scale.
-
-    Raises on a negative rate or when the row total exceeds ``scale``.
-    """
-    rates = row.values()
-    _check_total(sum(rates), min(rates) if row else 0.0, scale, f"mode {mode}")
+def _pick(targets: list, rates: list, u: float, bound: float):
+    """The jump of one proposal at uniform ``u``: the sorted ``targets``
+    split [0, 1) into shares rate / bound laid out in order, and the target
+    whose share holds u is picked; None past the last share.  The caller
+    checks the row with :func:`_check_total` first."""
     acc = 0.0
-    for j in sorted(row):
-        acc += row[j] / scale
+    for j, r in zip(targets, rates):
+        acc += r / bound
         if u < acc:
             return j
     return None
 
 
-def _couple(row: dict, ref: dict, u: float, bound: float, pair: tuple) -> tuple:
-    """One basic-coupling proposal at offset ``u`` in [0, bound).
+def _merge(targets: list, ref: dict) -> list:
+    """(target, column in ``targets`` or None, reference rate) over the sorted
+    union of ``targets`` and the reference row ``ref``'s targets: the layout
+    :func:`_couple_pick` walks."""
+    col = {j: c for c, j in enumerate(targets)}
+    return [(j, col.get(j), ref.get(j, 0.0)) for j in sorted(set(targets) | set(ref))]
 
-    ``pair`` holds (mode, mode_hat) and ``row``/``ref`` their rate rows.
-    Both chains jump to j at rate min(q_ij, qhat_ij), one chain alone at
-    the excess.  Returns the new pair and whether the chains came apart.
+
+def _couple_pick(merged: list, rates: list, u: float, bound: float, v: int) -> tuple:
+    """One basic-coupling proposal at offset ``u`` in [0, bound) of a pair
+    that sits in mode v, with the rates ``rates`` of the primary row laid
+    out by ``merged`` (:func:`_merge`).
+
+    Both chains jump to j at rate min(q_ij, qhat_ij), one chain alone at the
+    excess.  Returns (mode, mode_hat, whether the chains came apart).
     """
-    targets = sorted(set(row) | set(ref))
-    rates = [(row.get(j, 0.0), ref.get(j, 0.0)) for j in targets]
-    low = min(map(min, rates)) if rates else 0.0
-    _check_total(sum(max(a, b) for a, b in rates), low, bound, f"modes {pair}")
+    pairs = [(0.0 if c is None else rates[c], b) for _, c, b in merged]
+    low = min(map(min, pairs)) if pairs else 0.0
+    _check_total(sum(max(a, b) for a, b in pairs), low, bound, (v, v))
     acc = 0.0
-    for j, (a, b) in zip(targets, rates):
+    for (j, _, _), (a, b) in zip(merged, pairs):
         both, lone_a, lone_b = min(a, b), max(a - b, 0.0), max(b - a, 0.0)
         if u < acc + both:
-            return (int(j), int(j)), False
+            return int(j), int(j), False
         acc += both
         if u < acc + lone_a:
-            return (int(j), pair[1]), True
+            return int(j), v, True
         acc += lone_a
         if u < acc + lone_b:
-            return (pair[0], int(j)), True
+            return v, int(j), True
         acc += lone_b
-    return pair, False
+    return v, v, False
 
 
 def _euler(x, drift, sigma, xi, dt: float, post) -> np.ndarray:
     """The Euler-Maruyama step of both engines from states ``x``, (P, n) or
     one path's (n,), with increments ``xi`` (P, d) or (d,), None without
-    noise; ``post`` (``post_step`` or None) must keep the states' shape."""
+    noise; ``post`` (``post_step`` or None) must keep the states' shape.
+
+    With d = 1 the noise term is one product: the bits of ``einsum``'s
+    one-term sum, which starts from +0.0 and so turns a -0.0 product into
+    +0.0, without its call cost."""
     out = x + drift * dt
     if xi is not None:
-        out = out + np.einsum("...nd,...d->...n", sigma, xi) * math.sqrt(dt)
+        if xi.shape[-1] == 1 and np.ndim(sigma) >= 2:
+            noise = 0.0 + np.asarray(sigma)[..., 0] * xi
+        else:
+            noise = np.einsum("...nd,...d->...n", sigma, xi)
+        out = out + noise * math.sqrt(dt)
     if post is not None:
         projected = np.asarray(post(out), dtype=float)
         if projected.shape != out.shape:
@@ -264,7 +283,12 @@ def simulate(
         """Mode after one jump decision at rate ``scale``; without ``u`` a
         uniform is drawn, for a row with a target only."""
         row = rates_row(seg, mode)
-        j = _pick_target(row, rng.random() if u is None else u, scale, mode) if row else None
+        if not row:
+            return mode
+        rates = row.values()  # checked in the row's own order
+        _check_total(sum(rates), min(rates), scale, mode)
+        targets = sorted(row)
+        j = _pick(targets, [row[k] for k in targets], rng.random() if u is None else u, scale)
         if j is None:
             return mode
         jumps.append((t, mode, j))
@@ -379,13 +403,14 @@ class BatchEnsemble:
     with it but not one row per path raises, and so does a ``post_step``
     result that does not keep the shape of its input, the states of the
     paths not blown up.  Rate rows that ignore the history are cached per
-    mode, read off one :class:`Segment`.  With ``rates_depend_on_path`` the engine keeps the
-    (n_samples, n_paths, dim) history ring and reads the rows of paths in
-    one mode with one ``rates_row`` call on their batch view
-    (:meth:`rate_table`), the window sup-norms coming once per step from
-    :meth:`sup_norms`.  Each path's thinning clock runs at the bound of
-    its current mode, as in :func:`simulate`; a step that ends before the
-    earliest clock skips the proposal loop.
+    mode, read off one :class:`Segment` (:meth:`_row`).  With
+    ``rates_depend_on_path`` the engine keeps the (n_samples, n_paths, dim)
+    history ring and reads the rows of paths in one mode with one
+    ``rates_row`` call on their batch view (:meth:`rate_table`), the window
+    sup-norms coming once per step from block maxima (:meth:`sup_norms`).
+    Each path's thinning clock runs at the bound of its current mode, as in
+    :func:`simulate`; a step that ends before the earliest clock skips the
+    proposal loop.
 
     Every step works from one mode-group plan (:meth:`groups`): the paths
     not blown up, stably sorted by mode, and each mode's slice of that
@@ -394,8 +419,12 @@ class BatchEnsemble:
     evaluates ``drift`` and ``diffusion`` once per coefficient class into
     plan-ordered arrays, which the Euler step and the Dynkin generator of
     :mod:`switchsde.verify` share.  Under bernoulli, jumps are drawn per
-    group from the running sums of its rates, and under thinning each
-    round of proposals reads its rows with one call per mode.
+    group from the running sums of its rates.  Under thinning, each round
+    of proposals reads its rows with one call per mode and turns them into
+    one sorted (targets, rates) pair of lists per path; the proposals walk
+    them in Python floats (:func:`_pick`, or :func:`_couple_pick` over a
+    layout merged with the reference row once per mode and targets), and
+    the round writes the modes and clocks back once.
 
     ``phi0`` is one start window or a sequence of S of them, each the start
     of a cohort of ``n_paths`` paths: cohort k is paths k * n_paths to
@@ -478,6 +507,8 @@ class BatchEnsemble:
                 else np.full(self.n_paths, math.inf)
             )
             self._first_ev = self._next_ev.min(initial=math.inf)
+            self._bounds: dict[int, float] = {}
+            self._merged: dict[tuple, list] = {}
 
     def _invalidate(self) -> None:
         """Forget the plan and everything built on it."""
@@ -537,29 +568,32 @@ class BatchEnsemble:
         return xs, drift, sigma
 
     def _row(self, v: int) -> tuple:
-        """Cached (targets, rates, {target: rate}, running sums) out of mode
-        v, targets sorted; the running sums of rate / scale are the
-        partition :func:`_pick_target` walks."""
+        """The row out of mode v of a model whose rates ignore the history,
+        read once off one :class:`Segment` and checked against the scale in
+        force: (targets, rates) as lists, targets sorted, which the thinning
+        picks walk; the rates as the (1, K) table of :meth:`rate_table`; and
+        the running sums of rate / scale, the bernoulli partition."""
         if v not in self._rows:
             row = self.model.rates_row(self._probe_seg, v)
             targets = np.array(sorted(row), dtype=int)
             rates = np.array([row[j] for j in targets], dtype=float)
             scale = self.model.thinning_bound(v) if self._thinning else 1.0 / self.cfg.dt
-            _check_total(float(rates.sum()), rates.min(initial=0.0), scale, f"mode {v}")
-            row = dict(zip(targets.tolist(), rates.tolist()))
-            self._rows[v] = (targets, rates, row, np.cumsum(rates / scale))
+            _check_total(float(rates.sum()), rates.min(initial=0.0), scale, v)
+            self._rows[v] = (targets.tolist(), rates.tolist(), rates[None, :],
+                             np.cumsum(rates / scale))
         return self._rows[v]
 
     def rate_table(self, paths, v: int) -> tuple:
-        """Targets (K,) and rates out of mode v for the index array ``paths``.
+        """Sorted targets (a list of K) and rates out of mode v for the index
+        array ``paths``.
 
         Rates come as a (len(paths), K) array from one ``rates_row`` call on
         the paths' :class:`SegmentBatch`, or as (1, K) when the rows ignore
         the history.
         """
         if not self.model.rates_depend_on_path:
-            targets, rates, _, _ = self._row(v)
-            return targets.tolist(), rates[None, :]
+            targets, _, table, _ = self._row(v)
+            return targets, table
         seg = SegmentBatch(self._hist, self._head, paths, *self._grid, norms=self.sup_norms)
         row = self.model.rates_row(seg, v)
         targets = sorted(row)
@@ -579,13 +613,22 @@ class BatchEnsemble:
         return np.take(self._hist.reshape(m * p, dim), flat, axis=0).reshape(m, -1, dim)
 
     def sup_norms(self) -> np.ndarray:
-        """History-window sup-norm of every path, once per step, from a ring of
-        squared sample norms made on first use and kept up at every push."""
+        """History-window sup-norm of every path, once per step.
+
+        On first use the ring's squared sample norms (m, P) are made, with
+        their maxima over blocks of about sqrt(m) ring slots; every push
+        then rewrites one slot and recomputes its block, and a read takes
+        the max over the block maxima.  A max is exact, so the norms are
+        the bits of the max over all m samples.
+        """
         if self._norms is None:
             if self._sq is None:
                 with np.errstate(over="ignore"):  # inf is the norm of a huge state
                     self._sq = (self._hist * self._hist).sum(axis=2)
-            self._norms = np.sqrt(self._sq.max(axis=0))
+                m = len(self._sq)
+                self._block = math.isqrt(m - 1) + 1  # ceil(sqrt(m)) for m >= 2
+                self._bmax = np.maximum.reduceat(self._sq, np.arange(0, m, self._block), axis=0)
+            self._norms = np.sqrt(self._bmax.max(axis=0))
         return self._norms
 
     def keep(self, mask: np.ndarray) -> None:
@@ -599,7 +642,7 @@ class BatchEnsemble:
         if self._hist is not None:
             self._hist = self._hist[:, mask]
         if self._sq is not None:
-            self._sq, self._norms = self._sq[:, mask], None
+            self._sq, self._bmax, self._norms = self._sq[:, mask], self._bmax[:, mask], None
         self.n_paths = self.x.shape[0]
         self._invalidate()
 
@@ -611,20 +654,14 @@ class BatchEnsemble:
         with np.errstate(over="ignore", invalid="ignore"):
             xs, drift, sigma = self._coef or self._evaluate()
             self.x[self._order] = _euler(xs, drift, sigma, xi, self.cfg.dt, model.post_step)
+            # a finite sum has finite terms, and np.add.reduce is the cheaper call
+            finite = math.isfinite(np.add.reduce(self.x, axis=None)) or np.isfinite(self.x).all()
         self._coef = None
-        if not np.isfinite(self.x).all():
+        if not finite:
             bad = ~np.isfinite(self.x).all(axis=1)
             self.blown |= bad
             self.x[bad] = 0.0  # park blown paths outside the plan
             self._invalidate()
-
-    def _move(self, p: int, j: int) -> None:
-        """Apply path p's jump to mode j."""
-        if j != self.modes[p]:
-            self.modes[p] = j
-            self.jumps += 1
-            if not self.blown[p]:  # a blown path is not in the plan
-                self._invalidate()
 
     def _update_modes_bernoulli(self):
         scale = 1.0 / self.cfg.dt
@@ -633,29 +670,30 @@ class BatchEnsemble:
         for v, paths, _ in self.groups():
             if self.model.rates_depend_on_path:
                 targets, rates = self.rate_table(paths, v)
-                targets, cum = np.array(targets, dtype=int), np.cumsum(rates / scale, axis=1)
-                if targets.size:  # a path's last running sum of rates is _pick_target's total
+                cum = np.cumsum(rates / scale, axis=1)
+                if targets:  # a path's last running sum of rates is its row's sum in order
                     total = float(np.cumsum(rates, axis=1)[:, -1].max())
-                    _check_total(total, rates.min(), scale, f"mode {v}")
+                    _check_total(total, rates.min(), scale, v)
             else:
                 targets, _, _, cum = self._row(v)
-            if not targets.size:
+            if not targets:
                 continue
             up = u[paths]
             at = (up < cum[..., -1]).nonzero()[0]
-            if at.size:  # _pick_target's pick is the number of running sums <= u
+            if at.size:  # _pick's pick is the number of running sums <= u
                 cum = cum if cum.ndim == 1 else cum[at]
-                self.modes[paths[at]] = targets[(cum <= up[at, None]).sum(axis=1)]
+                picks = (cum <= up[at, None]).sum(axis=1)
+                self.modes[paths[at]] = np.array(targets, dtype=int)[picks]
                 self.jumps += at.size
                 self._invalidate()
 
-    def _round_rows(self, active: np.ndarray) -> list:
-        """Rate rows of the proposing paths ``active``, in order: one
-        :meth:`rate_table` per mode, or the cached rows when the rates
-        ignore the history."""
-        modes = self.modes[active].tolist()
+    def _round_rows(self, active: np.ndarray, modes: list) -> list:
+        """Rate rows of the proposing paths ``active``, in ``modes``: one
+        (targets, rates) pair of lists per path, in order, the targets shared
+        by the paths of a mode.  The rows come from one :meth:`rate_table`
+        per mode, or from the cached rows when the rates ignore the history."""
         if not self.model.rates_depend_on_path:
-            return [self._row(v)[2] for v in modes]
+            return [self._row(v)[:2] for v in modes]
         at: dict = {}
         for a, v in enumerate(modes):
             at.setdefault(v, []).append(a)
@@ -663,19 +701,15 @@ class BatchEnsemble:
         for v, idx in at.items():
             targets, rates = self.rate_table(active[idx], v)
             for a, r in zip(idx, rates.tolist()):
-                rows[a] = dict(zip(targets, r))
+                rows[a] = (targets, r)
         return rows
 
-    def _propose(self, p: int, row: dict) -> None:
-        """One thinning proposal of the single chain of path p, rates ``row``."""
-        v = int(self.modes[p])
-        self.proposals += 1
-        if row:
-            j = _pick_target(row, self.rng.random(), self.model.thinning_bound(v), v)
-            if j is not None:
-                self._move(p, j)
-                v = j
-        self._next_ev[p] += _gap(self.rng, self.model.thinning_bound(v))
+    def _bound(self, v: int) -> float:
+        """The thinning clock's rate in mode v, read once per mode."""
+        bound = self._bounds.get(v)
+        if bound is None:
+            bound = self._bounds[v] = self.model.thinning_bound(v)
+        return bound
 
     def _pair(self, v: int) -> tuple:
         """Reference row of mode v and the coupling clock's rate while both
@@ -692,28 +726,75 @@ class BatchEnsemble:
             pair = self._pairs[v] = (ref, bound)
         return pair
 
-    def _propose_pair(self, p: int, row: dict) -> None:
-        """One thinning proposal of the coupled pair of path p, rates ``row``;
-        both chains are in one mode until they part."""
-        v = int(self.modes[p])
-        ref, bound = self._pair(v)
-        self.proposals += 1
-        (j, j_hat), lone = _couple(row, ref, self.rng.random() * bound, bound, (v, v))
-        self._move(p, j)
-        self.modes_hat[p] = j_hat
-        if lone:
-            self.decouple_time[p] = self._next_ev[p]
-            self._next_ev[p] = math.inf
-        else:
-            self._next_ev[p] += _gap(self.rng, self._pair(j)[1])
+    def _single_round(self, modes: list, rows: list, clocks: list) -> list:
+        """One proposal of the single chain of each path, in order, from
+        mode ``modes[k]`` with row ``rows[k]``: a uniform for a row with a
+        target, then the gap at the bound of the path's mode after the
+        proposal.  Moves the ``clocks`` on and returns the new modes."""
+        rng, uniform, new = self.rng, self.rng.random, modes.copy()
+        for k, (targets, rates) in enumerate(rows):
+            v = modes[k]
+            bound = self._bound(v)
+            if targets:
+                _check_total(sum(rates), min(rates), bound, v)
+                j = _pick(targets, rates, uniform(), bound)
+                if j is not None:
+                    new[k] = j
+                    bound = self._bound(j)
+            clocks[k] += _gap(rng, bound)
+        return new
+
+    def _coupled_round(self, modes: list, rows: list, clocks: list) -> tuple:
+        """One basic-coupling proposal of each pair, in order, both chains
+        in mode ``modes[k]``: a uniform at every proposal, then the gap of
+        the pair's new mode unless the chains part, which stops its clock.
+        Returns the new modes, the new reference modes and the (index, time)
+        of the pairs that parted."""
+        rng, uniform, new, hats, parted, layouts = self.rng, self.rng.random, [], [], [], {}
+        for k, (targets, rates) in enumerate(rows):
+            v = modes[k]
+            ref, bound = self._pair(v)
+            merged = layouts.get(v)  # one targets list per mode and round
+            if merged is None:
+                key = (v, tuple(targets))
+                merged = self._merged.get(key)
+                if merged is None:
+                    merged = self._merged[key] = _merge(targets, ref)
+                layouts[v] = merged
+            j, j_hat, lone = _couple_pick(merged, rates, uniform() * bound, bound, v)
+            new.append(j)
+            hats.append(j_hat)
+            if lone:
+                parted.append((k, clocks[k]))
+                clocks[k] = math.inf
+            else:
+                clocks[k] += _gap(rng, self._pair(j)[1])
+        return new, hats, parted
 
     def _update_modes_thinning(self):
+        """Rounds of proposals until every clock passes the step's end: each
+        round reads the rows of the paths whose clocks fall before it, one
+        :meth:`rate_table` per mode, and writes the modes and clocks back once."""
         t1 = self.t + self.cfg.dt
-        propose = self._propose if self.qhat is None else self._propose_pair
         while self._first_ev < t1:  # the earliest clock, kept at every change
-            active = np.flatnonzero(self._next_ev < t1)
-            for p, row in zip(active.tolist(), self._round_rows(active)):
-                propose(p, row)
+            active = (self._next_ev < t1).nonzero()[0]
+            modes = self.modes[active].tolist()
+            rows, clocks = self._round_rows(active, modes), self._next_ev[active].tolist()
+            if self.qhat is None:
+                new = self._single_round(modes, rows, clocks)
+            else:
+                new, hats, parted = self._coupled_round(modes, rows, clocks)
+                self.modes_hat[active] = hats
+                for k, when in parted:
+                    self.decouple_time[active[k]] = when
+            self._next_ev[active] = clocks
+            self.proposals += len(modes)
+            if new != modes:
+                moved = active[[k for k, (a, b) in enumerate(zip(modes, new)) if a != b]]
+                self.modes[active] = new
+                self.jumps += moved.size
+                if not self.blown[moved].all():  # a blown path is not in the plan
+                    self._invalidate()
             self._first_ev = self._next_ev.min(initial=math.inf)
 
     def step(self):
@@ -728,6 +809,8 @@ class BatchEnsemble:
             if self._sq is not None:
                 with np.errstate(over="ignore"):
                     self._sq[self._head] = (self.x * self.x).sum(axis=1)
+                lo = self._head - self._head % self._block
+                self._bmax[lo // self._block] = self._sq[lo:lo + self._block].max(axis=0)
             self._head = (self._head + 1) % self._hist.shape[0]
             self._norms = None
         self.t += self.cfg.dt

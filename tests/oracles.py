@@ -10,6 +10,9 @@ Dynkin oracle adds ``apply_generator``, whose terms the generator tests
 check one by one.  The cohort estimators (``coupling_decay``,
 ``occupation_stability``) are checked against their per-start loop: one
 :class:`BatchEnsemble` per radius or start, each on the stream (seed, 1).
+The engine's thinning rounds are checked against a per-proposal loop over
+rate-row dicts (:class:`ProposalLoopEnsemble`) and its picks against the
+dict walks :func:`pick_target` and :func:`couple`.
 """
 
 import math
@@ -20,7 +23,7 @@ from scipy.linalg import eigh, null_space
 from scipy.optimize import minimize
 
 from switchsde.segment import Segment
-from switchsde.sim import BatchEnsemble, simulate
+from switchsde.sim import BatchEnsemble, _check_total, simulate
 from switchsde.verify import apply_generator
 
 
@@ -86,6 +89,114 @@ def ou_family_nu(k):
 def ladder_nu(k):
     """Closed-form stationary weights of the return-to-base ladder."""
     return 2.0 ** (-k)
+
+
+def pick_target(row: dict, u: float, scale: float, mode: int):
+    """Walk the partition of [0, 1) induced by row rates / scale.
+
+    Raises on a negative rate or when the row total exceeds ``scale``.
+    """
+    rates = row.values()
+    _check_total(sum(rates), min(rates) if row else 0.0, scale, mode)
+    acc = 0.0
+    for j in sorted(row):
+        acc += row[j] / scale
+        if u < acc:
+            return j
+    return None
+
+
+def couple(row: dict, ref: dict, u: float, bound: float, pair: tuple) -> tuple:
+    """One basic-coupling proposal at offset ``u`` in [0, bound).
+
+    ``pair`` holds (mode, mode_hat) and ``row``/``ref`` their rate rows.
+    Both chains jump to j at rate min(q_ij, qhat_ij), one chain alone at
+    the excess.  Returns the new pair and whether the chains came apart.
+    """
+    targets = sorted(set(row) | set(ref))
+    rates = [(row.get(j, 0.0), ref.get(j, 0.0)) for j in targets]
+    low = min(map(min, rates)) if rates else 0.0
+    _check_total(sum(max(a, b) for a, b in rates), low, bound, pair)
+    acc = 0.0
+    for j, (a, b) in zip(targets, rates):
+        both, lone_a, lone_b = min(a, b), max(a - b, 0.0), max(b - a, 0.0)
+        if u < acc + both:
+            return (int(j), int(j)), False
+        acc += both
+        if u < acc + lone_a:
+            return (int(j), pair[1]), True
+        acc += lone_a
+        if u < acc + lone_b:
+            return (pair[0], int(j)), True
+        acc += lone_b
+    return pair, False
+
+
+class ProposalLoopEnsemble(BatchEnsemble):
+    """The batch engine with thinning run one proposal at a time.
+
+    Each round rebuilds a {target: rate} dict per proposing path, walks it
+    with :func:`pick_target` or :func:`couple`, writes each jump and clock
+    back at once and draws each gap with ``rng.exponential(1 / bound)``.
+    It draws what the engine draws, in the same order, so every state,
+    mode, clock and count must come out equal.
+    """
+
+    def _dict_rows(self, active):
+        modes = self.modes[active].tolist()
+        if not self.model.rates_depend_on_path:
+            return [dict(zip(*self._row(v)[:2])) for v in modes]
+        at = {}
+        for a, v in enumerate(modes):
+            at.setdefault(v, []).append(a)
+        rows = [None] * len(modes)
+        for v, idx in at.items():
+            targets, rates = self.rate_table(active[idx], v)
+            for a, r in zip(idx, rates.tolist()):
+                rows[a] = dict(zip(targets, r))
+        return rows
+
+    def _gap_at(self, bound):
+        return self.rng.exponential(1.0 / bound) if bound > 0 else math.inf
+
+    def _move(self, p, j):
+        if j != self.modes[p]:
+            self.modes[p] = j
+            self.jumps += 1
+            if not self.blown[p]:
+                self._invalidate()
+
+    def _propose(self, p, row):
+        v = int(self.modes[p])
+        self.proposals += 1
+        if row:
+            j = pick_target(row, self.rng.random(), self.model.thinning_bound(v), v)
+            if j is not None:
+                self._move(p, j)
+                v = j
+        self._next_ev[p] += self._gap_at(self.model.thinning_bound(v))
+
+    def _propose_pair(self, p, row):
+        v = int(self.modes[p])
+        ref, bound = self._pair(v)
+        self.proposals += 1
+        (j, j_hat), lone = couple(row, ref, self.rng.random() * bound, bound, (v, v))
+        self._move(p, j)
+        self.modes_hat[p] = j_hat
+        if lone:
+            self.decouple_time[p] = self._next_ev[p]
+            self._next_ev[p] = math.inf
+        else:
+            self._next_ev[p] += self._gap_at(self._pair(j)[1])
+
+    def _update_modes_thinning(self):
+        t1 = self.t + self.cfg.dt
+        propose = self._propose if self.qhat is None else self._propose_pair
+        while self._first_ev < t1:
+            active = np.flatnonzero(self._next_ev < t1)
+            for p, row in zip(active.tolist(), self._dict_rows(active)):
+                propose(p, row)
+            self._first_ev = self._next_ev.min(initial=math.inf)
 
 
 def group_generator(V, x, hist, i, targets, rates, drift, sigma, delay, dt):

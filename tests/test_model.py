@@ -201,3 +201,10 @@ def test_modelspec_rejects_bad_rate_bounds_and_pointwise_declarations():
     for i in (3, 4, 5):
         with pytest.raises(ValueError, match=rf"mode_rate_bound\({i}\) = .* must be finite and >= 0"):
             spec.thinning_bound(i)
+    # and at most rate_bound, which the bernoulli check dt * rate_bound < 0.5 reads
+    over = 2.0 * spec.rate_bound
+    spec = replace(spec, mode_rate_bound={1: spec.rate_bound, 2: over}.get)
+    assert spec.thinning_bound(1) == spec.rate_bound
+    with pytest.raises(ValueError, match=rf"mode_rate_bound\(2\) = {over} exceeds "
+                                         rf"rate_bound = {spec.rate_bound}"):
+        spec.thinning_bound(2)

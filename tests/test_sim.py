@@ -17,13 +17,18 @@ from switchsde.segment import Segment
 from switchsde.sim import (
     BatchEnsemble,
     SimConfig,
-    _couple,
-    _pick_target,
+    _check_total,
+    _couple_pick,
+    _euler,
+    _merge,
+    _pick,
     default_dt,
     simulate,
     simulate_coupled,
 )
 from switchsde.verify import occupation_fractions
+
+from oracles import ProposalLoopEnsemble, couple, pick_target
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIG_NAMES = ("switched_ou", "fluid_queue", "linear_2d", "controlled_scalar", "predator_prey")
@@ -387,7 +392,7 @@ def test_negative_rates_raise():
     bad = {2: 0.5, 3: -0.4, 4: 0.5}
     neg = r"rates out of {} include -0\.4; a rate cannot be negative"
     with pytest.raises(ValueError, match=neg.format("mode 1")):
-        _pick_target(bad, 0.3, 1.0, 1)
+        pick_target(bad, 0.3, 1.0, 1)
     model = plain_model(lambda x, i: np.zeros_like(np.asarray(x, dtype=float)),
                         rates=lambda seg, i: dict(bad) if i == 1 else {1: 0.5})
     phi0 = Segment.make_constant([0.0], 1.0, 0.1)
@@ -779,7 +784,7 @@ def test_bernoulli_table_picks_as_pick_target():
 
 
 def check_picks_as_pick_target(rates_depend_on_path):
-    # each step's new modes against _pick_target on the replayed uniforms;
+    # each step's new modes against pick_target on the replayed uniforms;
     # modes are first reached mid-run, and no mode is probed before a path
     # occupies it (mode 7's row is far above 1 / dt and would raise).  With
     # history, every row is scaled by a factor of the path's own window.
@@ -815,7 +820,7 @@ def check_picks_as_pick_target(rates_depend_on_path):
         want = []
         for p, v in enumerate(eng.modes.tolist()):
             f = window_factor(Segment(hist[:, p], 1.0, dt)) if rates_depend_on_path else 1.0
-            j = _pick_target(scaled(v, f), u[p], 1.0 / dt, v) if rows[v] else None
+            j = pick_target(scaled(v, f), u[p], 1.0 / dt, v) if rows[v] else None
             want.append(v if j is None else j)
         eng.step()
         assert eng.modes.tolist() == want
@@ -843,7 +848,7 @@ def test_bernoulli_table_edges():
 
 def check_table_edges(rates_depend_on_path):
     # a uniform exactly on a running sum moves past it (the count of sums
-    # <= u, the strict u < acc of _pick_target); one at the row total does
+    # <= u, the strict u < acc of pick_target); one at the row total does
     # not jump.  With history, the rows are read per path off zero windows
     # (factor 1), so the edges are the same.
     rows = {1: {2: 0.5, 3: 1.25, 4: 0.25}, 2: {}, 3: {1: 2.0, 4: 0.0, 2: 1.0}, 4: {1: 3.0}}
@@ -867,7 +872,7 @@ def check_table_edges(rates_depend_on_path):
         modes = eng.modes.tolist()
         want = []
         for p, v in enumerate(modes):
-            j = _pick_target(rows[v], u[p], scale, v) if rows[v] else None
+            j = pick_target(rows[v], u[p], scale, v) if rows[v] else None
             want.append(v if j is None else j)
         eng.step()
         assert eng.modes.tolist() == want
@@ -893,7 +898,7 @@ def test_pick_target_splits_the_unit_interval_by_rate(row, extra):
     scale = power_of_two_above(sum(row.values())) * 2.0**extra
     n = int(8 * scale)
     want = [j for j in sorted(row) for _ in range(int(8 * row[j]))]
-    picks = [_pick_target(row, k / n, scale, 1) for k in range(n)]
+    picks = [pick_target(row, k / n, scale, 1) for k in range(n)]
     assert picks == want + [None] * (n - len(want))
     for j, rate in row.items():
         assert Fraction(picks.count(j), n) == Fraction(rate) / Fraction(scale)
@@ -908,7 +913,7 @@ def test_couple_has_both_rows_as_marginals(row, ref, pair, extra):
     targets = set(row) | set(ref)
     bound = power_of_two_above(sum(max(row.get(j, 0.0), ref.get(j, 0.0)) for j in targets))
     bound *= 2.0**extra
-    draws = [_couple(row, ref, k / 8, bound, pair) for k in range(int(8 * bound))]
+    draws = [couple(row, ref, k / 8, bound, pair) for k in range(int(8 * bound))]
     for j in targets:
         moved = [new[0] == j for new, _ in draws], [new[1] == j for new, _ in draws]
         together = sum(a and b for a, b in zip(*moved))
@@ -917,3 +922,164 @@ def test_couple_has_both_rows_as_marginals(row, ref, pair, extra):
         assert Fraction(together, 8) == min(Fraction(row.get(j, 0.0)), Fraction(ref.get(j, 0.0)))
     for new, apart in draws:
         assert apart == ((new[0] != pair[0]) != (new[1] != pair[1]))
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def list_pick(row, u, bound, mode):
+    """The engine's single-chain proposal on a row: the sorted lists, checked
+    in their order, then walked."""
+    targets = sorted(row)
+    rates = [row[j] for j in targets]
+    if not targets:
+        return None
+    _check_total(sum(rates), min(rates), bound, mode)
+    return _pick(targets, rates, u, bound)
+
+
+# as dyadic_rows, and rates down to -2/8, which every pick must reject
+signed_rows = st.dictionaries(st.integers(3, 8), st.integers(-2, 16).map(lambda k: k / 8),
+                              max_size=6)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(signed_rows, signed_rows, st.integers(-1, 1))
+def test_list_picks_are_the_dict_walks(row, ref, shift):
+    # the list picks against pick_target and couple at every point of a grid
+    # that holds all the partition points; shift -1 halves the bound, below
+    # most totals, and a negative rate raises whatever the bound: the same
+    # pick or the same error.  ref holds targets that row lacks and back.
+    targets = sorted(row)
+    rates = [row[j] for j in targets]
+    scale = power_of_two_above(sum(abs(r) for r in rates)) * 2.0**shift
+    for k in range(max(int(8 * scale), 1)):
+        u = k / (8 * scale)
+        assert outcome(list_pick, row, u, scale, 1) == outcome(pick_target, row, u, scale, 1)
+    union = set(row) | set(ref)
+    bound = power_of_two_above(sum(max(abs(row.get(j, 0.0)), abs(ref.get(j, 0.0)))
+                                   for j in union)) * 2.0**shift
+    merged = _merge(targets, ref)
+    assert [j for j, _, _ in merged] == sorted(union)
+    for k in range(max(int(8 * bound), 1)):
+        got = outcome(_couple_pick, merged, rates, k / 8, bound, 2)
+        want = outcome(couple, row, ref, k / 8, bound, (2, 2))
+        assert got == (want if isinstance(want, str) else (*want[0], want[1]))
+
+
+def oracle_runs(model, phi0, i0, cfg, n_paths, qhat, n_steps):
+    """The engine and :class:`ProposalLoopEnsemble` step by step: states,
+    modes, clocks and counts equal after every step.  Returns the engine."""
+    eng = BatchEnsemble(model, phi0, i0, cfg, n_paths, qhat=qhat)
+    ref = ProposalLoopEnsemble(model, phi0, i0, cfg, n_paths, qhat=qhat)
+    for k in range(n_steps):
+        eng.step()
+        ref.step()
+        for got, want in ((eng.x, ref.x), (eng.modes, ref.modes), (eng._next_ev, ref._next_ev),
+                          (eng.blown, ref.blown)):
+            assert got.tobytes() == want.tobytes(), k
+        if qhat is not None:
+            assert eng.modes_hat.tobytes() == ref.modes_hat.tobytes(), k
+            assert eng.decouple_time.tobytes() == ref.decouple_time.tobytes(), k
+        assert (eng.proposals, eng.jumps) == (ref.proposals, ref.jumps), k
+    return eng
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_thinning_rounds_are_the_proposal_loop(name, coupled):
+    # the list-form rounds draw what the per-proposal dict loop draws, in
+    # its order, and write back what it writes, bit for bit
+    loaded = load_model_config(CONFIG_DIR / f"{name}.json")
+    dt = loaded.spec.delay / 64
+    phi0 = Segment.make_constant(np.full(loaded.spec.dim, 2.0), loaded.spec.delay, dt)
+    qhat = loaded.lin.qhat if coupled else None
+    engines = [oracle_runs(loaded.spec, phi0, 2, SimConfig(dt=dt, horizon=2.0, seed=seed), 12,
+                           qhat, 128) for seed in (1, 2, 3)]
+    assert sum(e.proposals for e in engines) > 30 and sum(e.jumps for e in engines) > 0
+
+
+@pytest.mark.parametrize("rates_depend_on_path", [False, True])
+def test_thinning_rounds_are_the_proposal_loop_on_empty_rows_and_zero_rates(
+        rates_depend_on_path):
+    # mode 2 has an empty row and a zero clock rate, zero rates sit among
+    # the targets (mode 4 is never reached), and the reference rows hold
+    # targets the model's rows lack
+    rows = {1: {2: 0.0, 3: 0.5}, 2: {}, 3: {1: 0.25, 2: 0.125, 4: 0.0}}
+
+    def rates(seg, i):
+        f = window_factor(seg) if rates_depend_on_path else 1.0
+        return {j: r * f for j, r in rows[i].items()}
+
+    model = replace(batch_model(rates, 1.0, diffusion=lambda x, i: np.array([[0.7]])),
+                    rates_depend_on_path=rates_depend_on_path,
+                    mode_rate_bound={1: 0.5, 2: 0.0, 3: 0.75}.get)
+    qhat = SparseGenerator({1: {2: 0.25, 3: 0.5}, 2: {1: 0.5}, 3: {1: 0.25}}.get, rate_bound=0.75)
+    phi0 = Segment.make_constant([1.0], 1.0, 0.125)
+    for seed in (1, 2, 3):
+        cfg = SimConfig(dt=0.125, horizon=20.0, seed=seed)
+        single = oracle_runs(model, phi0, 1, cfg, 16, None, 160)
+        assert single.proposals > single.jumps > 0 and (single.modes == 2).any()
+        pairs = oracle_runs(model, phi0, 1, cfg, 16, qhat, 160)
+        assert np.isfinite(pairs.decouple_time).any()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.sampled_from([2, 3, 65, 1001]), st.integers(1, 5), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_block_max_sup_norms_are_the_full_max(m, n_paths, dim, seed):
+    # states from a zero-drift, noise-free model set before each push, some
+    # of them large enough to square to inf; reads, pushes and keep masks
+    # in random order, each read equal to the max over the whole window
+    rng = np.random.default_rng(seed)
+    model = ModelSpec(dim=dim, brownian_dim=1, drift=lambda x, i: np.zeros_like(x),
+                      diffusion=lambda x, i: np.zeros((dim, 1)), rates_row=lambda seg, i: {},
+                      rate_bound=1.0, delay=1.0, zero_diffusion=True, rates_depend_on_path=False)
+    scales = np.array([0.0, 1e-300, 0.5, 3.0, 1e154, 1e200, 1.7e308])
+    dt = 1.0 / (m - 1)
+    phi0 = Segment.make_constant(np.full(dim, 0.25), 1.0, dt)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=10.0, seed=1), 4 * n_paths,
+                        track_history=True)
+    for _ in range(int(rng.integers(m // 2, 2 * m + 4))):
+        action = rng.random()
+        if action < 0.3:
+            h = eng.history()
+            with np.errstate(over="ignore"):
+                want = np.sqrt((h * h).sum(2).max(0))
+            assert eng.sup_norms().tobytes() == want.tobytes()
+        elif action < 0.33 and eng.n_paths > 1:
+            mask = rng.random(eng.n_paths) < 0.7
+            mask[rng.integers(eng.n_paths)] = True
+            eng.keep(mask)
+        else:
+            size = (eng.n_paths, dim)
+            eng.x = rng.choice(scales, size) * rng.choice([-1.0, 1.0], size)
+            eng.step()
+    h = eng.history()
+    with np.errstate(over="ignore"):
+        want = np.sqrt((h * h).sum(2).max(0))
+    assert eng.sup_norms().tobytes() == want.tobytes()
+    assert not eng.blown.any()
+
+
+def test_euler_noise_is_the_bytes_of_einsum():
+    # with d = 1 the noise term is a product; x = drift = -0.0 and dt = 1
+    # make the step's result the noise term's bits, signed zeros included
+    vals = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -3.5, 1e300, math.inf, -math.inf, math.nan,
+            -math.nan]
+    sig, xi = (np.array(v).ravel() for v in np.meshgrid(vals, vals))
+    with np.errstate(all="ignore"):
+        # (P, n, 1) states of P paths with n = 2 coordinates, then one path's (n, 1)
+        sigma = np.stack([sig, -sig], axis=1)[..., None]
+        x = np.full(sigma.shape[:2], -0.0)
+        want = x + x * 1.0 + np.einsum("...nd,...d->...n", sigma, xi[:, None]) * 1.0
+        got = _euler(x, x, sigma, xi[:, None], 1.0, None)
+        assert got.tobytes() == want.tobytes()
+        for p in range(len(sig)):
+            want = x[p] + x[p] * 1.0 + np.einsum("...nd,...d->...n", sigma[p], xi[p:p + 1]) * 1.0
+            assert _euler(x[p], x[p], sigma[p], xi[p:p + 1], 1.0, None).tobytes() == want.tobytes()
