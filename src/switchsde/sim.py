@@ -229,7 +229,7 @@ def _euler(x, drift, sigma, xi, dt: float, post) -> np.ndarray:
     +0.0, without its call cost."""
     out = x + drift * dt
     if xi is not None:
-        if xi.shape[-1] == 1 and np.ndim(sigma) >= 2:
+        if xi.shape[-1] == 1 and np.ndim(sigma) >= 2:  # einsum rejects a sigma without (n, d)
             noise = 0.0 + np.asarray(sigma)[..., 0] * xi
         else:
             noise = np.einsum("...nd,...d->...n", sigma, xi)
@@ -507,7 +507,6 @@ class BatchEnsemble:
                 else np.full(self.n_paths, math.inf)
             )
             self._first_ev = self._next_ev.min(initial=math.inf)
-            self._bounds: dict[int, float] = {}
             self._merged: dict[tuple, list] = {}
 
     def _invalidate(self) -> None:
@@ -704,13 +703,6 @@ class BatchEnsemble:
                 rows[a] = (targets, r)
         return rows
 
-    def _bound(self, v: int) -> float:
-        """The thinning clock's rate in mode v, read once per mode."""
-        bound = self._bounds.get(v)
-        if bound is None:
-            bound = self._bounds[v] = self.model.thinning_bound(v)
-        return bound
-
     def _pair(self, v: int) -> tuple:
         """Reference row of mode v and the coupling clock's rate while both
         chains sit in v, read once per mode: the model's bound plus the
@@ -731,16 +723,17 @@ class BatchEnsemble:
         mode ``modes[k]`` with row ``rows[k]``: a uniform for a row with a
         target, then the gap at the bound of the path's mode after the
         proposal.  Moves the ``clocks`` on and returns the new modes."""
-        rng, uniform, new = self.rng, self.rng.random, modes.copy()
+        rng, uniform, bound_of = self.rng, self.rng.random, self.model.thinning_bound
+        new = modes.copy()
         for k, (targets, rates) in enumerate(rows):
             v = modes[k]
-            bound = self._bound(v)
+            bound = bound_of(v)
             if targets:
                 _check_total(sum(rates), min(rates), bound, v)
                 j = _pick(targets, rates, uniform(), bound)
                 if j is not None:
                     new[k] = j
-                    bound = self._bound(j)
+                    bound = bound_of(j)
             clocks[k] += _gap(rng, bound)
         return new
 

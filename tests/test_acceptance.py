@@ -235,8 +235,9 @@ def test_criterion_6_recurrence_corroboration():
 
 
 def test_criterion_7_scheme_cross_validation():
-    # about 20-36 s on 2 cores (36.2 s in one full-suite run): 1,000 paths times
-    # 100,000 steps per scheme
+    # about 20-36 s on 2 cores (29.3 and 30.8 s in two full-suite runs with
+    # list-form thinning rounds, 36.2 s at worst): 1,000 paths times 100,000
+    # steps per scheme
     with criterion("scheme cross validation", budget_s=60.0):
         rates = {1: {2: 0.6, 3: 0.4}, 2: {1: 0.5, 3: 0.5}, 3: {1: 0.8, 2: 0.2}}
         model = _point_model(
