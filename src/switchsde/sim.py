@@ -507,6 +507,7 @@ class BatchEnsemble:
                 else np.full(self.n_paths, math.inf)
             )
             self._first_ev = self._next_ev.min(initial=math.inf)
+            self._bounds: dict[int, float] = {}
             self._merged: dict[tuple, list] = {}
 
     def _invalidate(self) -> None:
@@ -703,6 +704,13 @@ class BatchEnsemble:
                 rows[a] = (targets, r)
         return rows
 
+    def _bound(self, v: int) -> float:
+        """The thinning clock's rate in mode v, read once per mode."""
+        bound = self._bounds.get(v)
+        if bound is None:
+            bound = self._bounds[v] = self.model.thinning_bound(v)
+        return bound
+
     def _pair(self, v: int) -> tuple:
         """Reference row of mode v and the coupling clock's rate while both
         chains sit in v, read once per mode: the model's bound plus the
@@ -723,8 +731,7 @@ class BatchEnsemble:
         mode ``modes[k]`` with row ``rows[k]``: a uniform for a row with a
         target, then the gap at the bound of the path's mode after the
         proposal.  Moves the ``clocks`` on and returns the new modes."""
-        rng, uniform, bound_of = self.rng, self.rng.random, self.model.thinning_bound
-        new = modes.copy()
+        rng, uniform, bound_of, new = self.rng, self.rng.random, self._bound, modes.copy()
         for k, (targets, rates) in enumerate(rows):
             v = modes[k]
             bound = bound_of(v)
@@ -777,16 +784,17 @@ class BatchEnsemble:
                 new = self._single_round(modes, rows, clocks)
             else:
                 new, hats, parted = self._coupled_round(modes, rows, clocks)
-                self.modes_hat[active] = hats
+                if hats != modes:  # a coupled pair's two modes agree before its proposal
+                    self.modes_hat[active] = hats
                 for k, when in parted:
                     self.decouple_time[active[k]] = when
             self._next_ev[active] = clocks
             self.proposals += len(modes)
             if new != modes:
-                moved = active[[k for k, (a, b) in enumerate(zip(modes, new)) if a != b]]
                 self.modes[active] = new
-                self.jumps += moved.size
-                if not self.blown[moved].all():  # a blown path is not in the plan
+                moved = [p for p, a, b in zip(active.tolist(), modes, new) if a != b]
+                self.jumps += len(moved)
+                if not all(self.blown[p] for p in moved):  # a blown path is not in the plan
                     self._invalidate()
             self._first_ev = self._next_ev.min(initial=math.inf)
 
