@@ -93,7 +93,7 @@ class ModelSpec:
         bound = self.mode_rate_bound(i)
         if not 0 <= bound < np.inf:
             raise ValueError(f"mode_rate_bound({i}) = {bound} must be finite and >= 0")
-        if bound > self.rate_bound:  # the bernoulli check dt * rate_bound < 0.5 rests on it
+        if bound > self.rate_bound:  # rows above rate_bound would void dt * rate_bound < 0.5
             raise ValueError(f"mode_rate_bound({i}) = {bound} exceeds rate_bound = "
                              f"{self.rate_bound}")
         return bound

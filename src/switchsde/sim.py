@@ -222,18 +222,10 @@ def _couple_pick(merged: list, rates: list, u: float, bound: float, v: int) -> t
 def _euler(x, drift, sigma, xi, dt: float, post) -> np.ndarray:
     """The Euler-Maruyama step of both engines from states ``x``, (P, n) or
     one path's (n,), with increments ``xi`` (P, d) or (d,), None without
-    noise; ``post`` (``post_step`` or None) must keep the states' shape.
-
-    With d = 1 the noise term is one product: the bits of ``einsum``'s
-    one-term sum, which starts from +0.0 and so turns a -0.0 product into
-    +0.0, without its call cost."""
+    noise; ``post`` (``post_step`` or None) must keep the states' shape."""
     out = x + drift * dt
     if xi is not None:
-        if xi.shape[-1] == 1 and np.ndim(sigma) >= 2:  # einsum rejects a sigma without (n, d)
-            noise = 0.0 + np.asarray(sigma)[..., 0] * xi
-        else:
-            noise = np.einsum("...nd,...d->...n", sigma, xi)
-        out = out + noise * math.sqrt(dt)
+        out = out + np.einsum("...nd,...d->...n", sigma, xi) * math.sqrt(dt)
     if post is not None:
         projected = np.asarray(post(out), dtype=float)
         if projected.shape != out.shape:
@@ -292,6 +284,7 @@ def simulate(
         if j is None:
             return mode
         jumps.append((t, mode, j))
+        bound(j)  # checks the new mode's declared bound under bernoulli too
         return int(j)
 
     def at_grid(t: float, x: np.ndarray, due: bool) -> bool:
@@ -500,6 +493,7 @@ class BatchEnsemble:
             self._pairs: dict[int, tuple] = {}
             bound = self._pair(int(i0))[1]
         self._next_ev = None
+        self._bounds: dict[int, float] = {}
         if self._thinning:
             self._next_ev = (
                 self.rng.exponential(1.0 / bound, size=self.n_paths)
@@ -507,7 +501,6 @@ class BatchEnsemble:
                 else np.full(self.n_paths, math.inf)
             )
             self._first_ev = self._next_ev.min(initial=math.inf)
-            self._bounds: dict[int, float] = {}
             self._merged: dict[tuple, list] = {}
 
     def _invalidate(self) -> None:
@@ -668,6 +661,7 @@ class BatchEnsemble:
         u = self.rng.random(self.n_paths)
         # the groups are disjoint, so moving one leaves the others' draws as they are
         for v, paths, _ in self.groups():
+            self._bound(v)  # checks the mode's declared bound, which bernoulli does not run on
             if self.model.rates_depend_on_path:
                 targets, rates = self.rate_table(paths, v)
                 cum = np.cumsum(rates / scale, axis=1)
@@ -705,7 +699,7 @@ class BatchEnsemble:
         return rows
 
     def _bound(self, v: int) -> float:
-        """The thinning clock's rate in mode v, read once per mode."""
+        """The thinning clock's rate in mode v, read (and checked) once per mode."""
         bound = self._bounds.get(v)
         if bound is None:
             bound = self._bounds[v] = self.model.thinning_bound(v)

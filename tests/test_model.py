@@ -15,6 +15,7 @@ from switchsde.model import (
 )
 from switchsde.registry import registry_get
 from switchsde.segment import Segment
+from switchsde.sim import BatchEnsemble, SimConfig, simulate
 
 
 def toy_affine_model(offset=2.0):
@@ -208,3 +209,13 @@ def test_modelspec_rejects_bad_rate_bounds_and_pointwise_declarations():
     with pytest.raises(ValueError, match=rf"mode_rate_bound\(2\) = {over} exceeds "
                                          rf"rate_bound = {spec.rate_bound}"):
         spec.thinning_bound(2)
+    # bernoulli runs on 1 / dt, and still rejects the bound once a path enters mode 2
+    for depends in (False, True):
+        spec = replace(spec, rates_row=lambda seg, i: {2: 1.0} if i == 1 else {},
+                       rates_depend_on_path=depends)
+        cfg = SimConfig(dt=0.1, horizon=50.0, scheme="bernoulli", seed=1)
+        phi0 = Segment.make_constant([0.0], spec.delay, cfg.dt)
+        with pytest.raises(ValueError, match=r"mode_rate_bound\(2\) = .* exceeds"):
+            simulate(spec, phi0, 1, cfg)
+        with pytest.raises(ValueError, match=r"mode_rate_bound\(2\) = .* exceeds"):
+            BatchEnsemble(spec, phi0, 1, cfg, 4).run(500)

@@ -19,7 +19,6 @@ from switchsde.sim import (
     SimConfig,
     _check_total,
     _couple_pick,
-    _euler,
     _merge,
     _pick,
     default_dt,
@@ -1065,21 +1064,3 @@ def test_block_max_sup_norms_are_the_full_max(m, n_paths, dim, seed):
         want = np.sqrt((h * h).sum(2).max(0))
     assert eng.sup_norms().tobytes() == want.tobytes()
     assert not eng.blown.any()
-
-
-def test_euler_noise_is_the_bytes_of_einsum():
-    # with d = 1 the noise term is a product; x = drift = -0.0 and dt = 1
-    # make the step's result the noise term's bits, signed zeros included
-    vals = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -3.5, 1e300, math.inf, -math.inf, math.nan,
-            -math.nan]
-    sig, xi = (np.array(v).ravel() for v in np.meshgrid(vals, vals))
-    with np.errstate(all="ignore"):
-        # (P, n, 1) states of P paths with n = 2 coordinates, then one path's (n, 1)
-        sigma = np.stack([sig, -sig], axis=1)[..., None]
-        x = np.full(sigma.shape[:2], -0.0)
-        want = x + x * 1.0 + np.einsum("...nd,...d->...n", sigma, xi[:, None]) * 1.0
-        got = _euler(x, x, sigma, xi[:, None], 1.0, None)
-        assert got.tobytes() == want.tobytes()
-        for p in range(len(sig)):
-            want = x[p] + x[p] * 1.0 + np.einsum("...nd,...d->...n", sigma[p], xi[p:p + 1]) * 1.0
-            assert _euler(x[p], x[p], sigma[p], xi[p:p + 1], 1.0, None).tobytes() == want.tobytes()
