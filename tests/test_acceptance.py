@@ -235,7 +235,7 @@ def test_criterion_6_recurrence_corroboration():
 
 
 def test_criterion_7_scheme_cross_validation():
-    # about 20-36 s on 2 cores (29.3 and 30.8 s in two full-suite runs with
+    # about 20-36 s on 2 cores (27.6, 29.3 and 30.8 s in full-suite runs with
     # list-form thinning rounds, 36.2 s at worst): 1,000 paths times 100,000
     # steps per scheme
     with criterion("scheme cross validation", budget_s=60.0):
