@@ -2,21 +2,34 @@
 
 The criterion weighs a per-mode spectral cost against the stationary law
 of the limiting rate generator: if the weighted sum is strictly negative
-after adding a bound for the mass truncated away and ``rounding_bound``,
+after adding a bound for the mass it leaves out and ``rounding_bound``,
 the floating-point error bound of the weighted sum, the model is certified
-positively recurrent.  N is capped at a finite mode count, where the tail
-mass is exactly 0; otherwise it is either supplied by the caller or, by
-default, extrapolated from the geometric decay of the stationary head;
-the extrapolation is a heuristic, not a proof.  The stabilization variant
-first closes the loop on the controllable modes with linear state feedback
-u = -L(i) x.
+positively recurrent.  The law comes in one of two kinds (``solve_law``):
+
+* exact, when ``qhat`` is infinite and declares ``repeats_from``, the
+  linearization declares its own repeat point and the caller gives no
+  tail mass: :func:`~switchsde.chain.geometric_law` solves a head of K'
+  modes and the tail is geometric, so the sum over every mode has a
+  closed form, nothing is left out (``tail_mass_source`` reads
+  ``"exact_geometric"``) and N plays no part.  A row K that climbs more
+  than one rung or never returns below K leaves the tail unproved, and
+  the verdict is INCONCLUSIVE with that reason;
+* truncated to modes 1..N otherwise, N capped at a finite mode count,
+  where the tail mass is exactly 0 (``"finite_modes"``); else it is the
+  caller's (``"user"``) or extrapolated from the geometric decay of the
+  stationary head (``"extrapolated"``, a heuristic, not a proof).  Where
+  the head shows no decay to extrapolate, the tail is unproved and the
+  verdict is INCONCLUSIVE with reason ``"tail unproved"``.
+
+The stabilization variant first closes the loop on the controllable modes
+with linear state feedback u = -L(i) x.
 
 When the linearization declares ``repeats_from`` K, every mode beyond
 D = max(K, largest controllable mode + 1) has mode D's cost, so the
 matrices, costs and norm probe are built for modes 1..D only and the costs
-are extended to length N by repeating c_D: the per-mode work no longer
-grows with N, and the tail bound and the coefficient probe then cover
-every mode, also those beyond N.
+are extended by repeating c_D (to length N on a truncated law): the
+per-mode work does not grow with N, and the tail bound and the
+coefficient probe then cover every mode, also those beyond N.
 
 Two printed forms of the stabilization cost are kept side by side and
 selected with ``form``: ``thm37`` substitutes the closed-loop drift into
@@ -29,11 +42,19 @@ constants; both are reported rather than reconciled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .chain import StationaryDist, TruncatedGenerator, stationary, truncate
+from .chain import (
+    GeometricLaw,
+    StationaryDist,
+    TailUnproved,
+    TruncatedGenerator,
+    geometric_law,
+    stationary,
+    truncate,
+)
 from .model import Linearization
 
 __all__ = [
@@ -43,6 +64,7 @@ __all__ = [
     "certify_recurrence",
     "certify_stabilization",
     "search_gain",
+    "solve_law",
     "estimate_tail_mass",
 ]
 
@@ -52,6 +74,9 @@ CERTIFIED = "CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 _UNIT_ROUNDOFF = 2.0**-53
+
+# what ``solve_law`` returns: the exact law, why there is none, or the truncated pair
+Law = Union[GeometricLaw, TailUnproved, tuple[TruncatedGenerator, StationaryDist]]
 
 
 @dataclass(frozen=True)
@@ -83,13 +108,20 @@ class GainPlan:
 class Certificate:
     """Outcome of one certification run.
 
-    ``partial_sum`` is the stationary-weighted cost over the first N
-    modes, ``tail_bound`` the worst-case contribution of the remaining
-    mass, ``rounding_bound`` the floating-point error bound
+    On a truncated law ``partial_sum`` is the stationary-weighted cost over
+    the first N modes, ``tail_bound`` the worst-case contribution of the
+    remaining mass and ``rounding_bound`` the floating-point error bound
     gamma_N * sum_i |nu_i c_i| of the partial sum (gamma_N = N u / (1 - N u),
-    u = 2^-53), and the verdict is CERTIFIED only when their total clears
-    the margin and every assumption flag holds.  ``reason`` names what
-    decided it: the first failing flag in sorted order, "partial sum >= 0",
+    u = 2^-53).  On the exact law ``partial_sum`` is the sum over every
+    mode, ``tail_bound`` is 0 and ``rounding_bound`` covers the closed form,
+    gamma_(2m+4) / (1 - rho) times its absolute terms for the m modes
+    written out, plus the largest |c_i| times the law's ``error`` bound
+    from the head solve's balance residual; ``nu`` then holds nu_1..nu_m in
+    closed form, and its ``truncation`` is the head size K'.  The verdict
+    is CERTIFIED only when the total clears the margin and every
+    assumption flag holds.  ``reason`` names what decided it: why the tail
+    is unproved ("tail unproved", "tail reach > 1" or "tail ratio >= 1"),
+    else the first failing flag in sorted order, "partial sum >= 0",
     "tail bound", "margin" or "certified".
     """
 
@@ -112,7 +144,8 @@ class Certificate:
         return self.partial_sum + self.tail_bound + self.rounding_bound
 
     def to_dict(self) -> dict:
-        """JSON-ready summary; costs and stationary weights of the first 12 modes."""
+        """JSON-ready summary; costs and stationary weights of the first 12
+        modes (none when the tail is unproved on a declared generator)."""
         return {
             "claim": self.claim,
             "form": self.form,
@@ -234,6 +267,77 @@ def estimate_tail_mass(nu: np.ndarray) -> float:
     return float(interior[-1] * r * r / (1.0 - r))
 
 
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u): the relative error bound of n roundings."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def solve_law(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float] = None) -> Law:
+    """The law a certificate of ``lin`` weighs (see the module docstring):
+    when ``qhat`` is infinite, both repeat points are declared and no tail
+    mass is given, the exact geometric law or the :class:`TailUnproved`
+    that names why there is none; else the truncated pair at N."""
+    q = lin.qhat
+    if (tail_mass_bound is None and lin.repeats_from is not None
+            and q.repeats_from is not None and q.n_modes is None):
+        try:
+            return geometric_law(q)
+        except TailUnproved as exc:
+            return exc
+    tg = truncate(q, n_modes)
+    return tg, stationary(tg)
+
+
+def _extend(head: np.ndarray, n: int) -> np.ndarray:
+    """Costs of modes 1..n from those of modes 1..D, c_D repeated beyond."""
+    if head.size >= n:
+        return head[:n]
+    return np.concatenate([head, np.full(n - head.size, head[-1])])
+
+
+def _exact_terms(law: Union[GeometricLaw, TailUnproved], head: np.ndarray) -> dict:
+    """Certificate terms on the exact law: the weighted sum over every mode
+    in closed form, with nu and c written out to at least 12 modes."""
+    if isinstance(law, TailUnproved):
+        nan = float("nan")
+        return dict(per_mode_c=head, nu=StationaryDist(np.zeros(0), nan, 0), partial_sum=nan,
+                    tail_bound=np.inf, rounding_bound=nan, tail_mass=np.inf,
+                    tail_mass_source="unproved", unproved=law.reason)
+    m = max(law.size, head.size, 12)
+    nu, costs = law.nu(m), _extend(head, m)
+    # modes beyond m all cost c_m and weigh nu_m rho / (1 - rho) together
+    tail = nu[-1] * law.ratio / (1.0 - law.ratio)
+    partial = float(nu @ costs + costs[-1] * tail)
+    spread = float(nu @ np.abs(costs) + abs(costs[-1]) * tail)
+    rounding = _gamma(2 * m + 4) / (1.0 - law.ratio) * spread + np.max(np.abs(head)) * law.error
+    return dict(per_mode_c=costs, nu=StationaryDist(nu, law.residual, law.size),
+                partial_sum=partial, tail_bound=0.0, rounding_bound=float(rounding),
+                tail_mass=0.0, tail_mass_source="exact_geometric", unproved=None)
+
+
+def _truncated_terms(lin: Linearization, law: tuple[TruncatedGenerator, StationaryDist],
+                     head: np.ndarray, tail_mass_bound: Optional[float]) -> dict:
+    """Certificate terms on the truncated law: the weighted sum over modes
+    1..N plus a bound on the mass beyond N weighed at the largest cost."""
+    tg, dist = law
+    n = tg.size
+    costs = _extend(head, n)
+    unproved = None
+    if n == lin.qhat.n_modes:
+        tail_mass, source = 0.0, "finite_modes"  # no mode lies beyond N
+    elif tail_mass_bound is not None:
+        tail_mass, source = float(tail_mass_bound), "user"
+    else:
+        try:
+            tail_mass, source = estimate_tail_mass(dist.nu), "extrapolated"
+        except ValueError:
+            tail_mass, source, unproved = np.inf, "unproved", "tail unproved"
+    tail_bound = np.inf if unproved else float(np.max(np.abs(head)) * tail_mass)
+    return dict(per_mode_c=costs, nu=dist, partial_sum=float(dist.nu @ costs),
+                tail_bound=tail_bound, rounding_bound=float(_gamma(n) * (dist.nu @ np.abs(costs))),
+                tail_mass=tail_mass, tail_mass_source=source, unproved=unproved)
+
+
 def _certify(
     lin: Linearization,
     n_modes: int,
@@ -243,7 +347,7 @@ def _certify(
     tail_mass_bound: Optional[float],
     margin_frac: float,
     extra_flags: Optional[dict],
-    law: Optional[tuple[TruncatedGenerator, StationaryDist]] = None,
+    law: Optional[Law] = None,
     stacks: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Certificate:
     # written so that NaN fails each
@@ -253,12 +357,10 @@ def _certify(
         raise ValueError(f"tail_mass_bound must be nonnegative, got {tail_mass_bound}")
     n_modes = lin.qhat.clamp(n_modes)
     if law is None:
-        tg = truncate(lin.qhat, n_modes)
-        dist = stationary(tg)
-    else:
-        tg, dist = law
-        if tg.size != n_modes:
-            raise ValueError(f"law solved at N={tg.size}, certificate asks for N={n_modes}")
+        law = solve_law(lin, n_modes, tail_mass_bound)
+    truncated = isinstance(law, tuple)
+    if truncated and law[0].size != n_modes:
+        raise ValueError(f"law solved at N={law[0].size}, certificate asks for N={n_modes}")
     n_cost = _cost_modes(lin, n_modes, () if plan is None else plan.controllable)
     if stacks is None:
         b, sig = _stacks(lin, range(1, n_cost + 1), plan)
@@ -267,21 +369,11 @@ def _certify(
         if b.shape[0] != n_cost:
             raise ValueError(f"stacks hold {b.shape[0]} modes, certificate needs {n_cost}")
     head = _costs(b, sig, form)  # modes 1..n_cost; every mode beyond costs head[-1]
-    if n_cost >= n_modes:
-        costs = head[:n_modes]
+    if truncated:
+        terms = _truncated_terms(lin, law, head, tail_mass_bound)
     else:
-        costs = np.concatenate([head, np.full(n_modes - n_cost, head[-1])])
-    partial = float(dist.nu @ costs)
-    gamma = n_modes * _UNIT_ROUNDOFF / (1.0 - n_modes * _UNIT_ROUNDOFF)
-    rounding_bound = float(gamma * (dist.nu @ np.abs(costs)))
-
-    if n_modes == lin.qhat.n_modes:
-        tail_mass, source = 0.0, "finite_modes"  # no mode lies beyond N
-    elif tail_mass_bound is not None:
-        tail_mass, source = float(tail_mass_bound), "user"
-    else:
-        tail_mass, source = estimate_tail_mass(dist.nu), "extrapolated"
-    tail_bound = float(np.max(np.abs(head)) * tail_mass)
+        terms = _exact_terms(law, head)
+    unproved = terms.pop("unproved")
 
     plan_norm = 0.0
     if plan is not None:
@@ -295,35 +387,32 @@ def _certify(
                     ),
                 )
     flags = {
-        "qhat_conservative": bool(np.abs(tg.q.sum(axis=1)).max() == 0.0),
-        "qhat_irreducible": True,  # stationary() raised otherwise
+        # the exact law's rows are conservative by construction
+        "qhat_conservative": bool(not truncated or np.abs(law[0].q.sum(axis=1)).max() == 0.0),
+        "qhat_irreducible": True,  # the law's solve raised otherwise
         "coeff_bound_ok": bool(_probe_norm(b, sig) <= lin.coeff_bound + plan_norm + 1e-9),
-        "stationary_residual_ok": bool(dist.residual <= 1e-10),
+        "stationary_residual_ok": bool(terms["nu"].residual <= 1e-10),
     }
     if extra_flags:
         flags.update({k: bool(v) for k, v in extra_flags.items()})
 
-    upper = partial + tail_bound + rounding_bound
+    partial = terms["partial_sum"]
+    upper = partial + terms["tail_bound"] + terms["rounding_bound"]
     margin = margin_frac * abs(partial)
     failed = [k for k, ok in sorted(flags.items()) if not ok]
     tests = ((partial < 0.0, "partial sum >= 0"), (upper < 0.0, "tail bound"),
              (upper <= -margin, "margin"))  # written so that NaN fails each
-    reason = failed[0] if failed else next((why for ok, why in tests if not ok), "certified")
+    reason = unproved or (failed[0] if failed else
+                          next((why for ok, why in tests if not ok), "certified"))
     verdict = CERTIFIED if reason == "certified" else INCONCLUSIVE
     return Certificate(
         claim=claim,
         form=form,
-        per_mode_c=costs,
-        nu=dist,
-        partial_sum=partial,
-        tail_bound=tail_bound,
-        rounding_bound=rounding_bound,
-        tail_mass=tail_mass,
-        tail_mass_source=source,
         margin_frac=margin_frac,
         assumption_flags=flags,
         verdict=verdict,
         reason=reason,
+        **terms,
     )
 
 
@@ -356,17 +445,18 @@ def certify_stabilization(
     margin_frac: float = 0.1,
     extra_flags: Optional[dict] = None,
     *,
-    law: Optional[tuple[TruncatedGenerator, StationaryDist]] = None,
+    law: Optional[Law] = None,
     stacks: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Certificate:
     """Certify weak stabilizability under the feedback plan.
 
-    ``law`` is an already solved ``(truncate(lin.qhat, n_modes), stationary(...))``
-    pair, and ``stacks`` the closed-loop ``(drifts, noise)`` stacks under
-    ``plan`` of modes 1..N, or of modes 1..D when ``lin.repeats_from`` is
-    declared (see the module docstring); ``search_gain`` passes both so that
-    its grid shares one solve and one build of the gain-independent
-    matrices.
+    ``law`` is what ``solve_law(lin, n_modes, tail_mass_bound)`` returns,
+    or an already solved ``(truncate(lin.qhat, n_modes), stationary(...))``
+    pair, which is weighed as a truncated law.  ``stacks`` are the
+    closed-loop ``(drifts, noise)`` stacks under ``plan`` of modes 1..N, or
+    of modes 1..D when ``lin.repeats_from`` is declared (see the module
+    docstring).  ``search_gain`` passes both so that its grid shares one
+    solve and one build of the gain-independent matrices.
     """
     return _certify(
         lin,
@@ -392,7 +482,7 @@ def search_gain(
     tail_mass_bound: Optional[float] = None,
     margin_frac: float = 0.1,
     *,
-    law: Optional[tuple[TruncatedGenerator, StationaryDist]] = None,
+    law: Optional[Law] = None,
 ) -> Optional[GainPlan]:
     """Scalar gain line search L(i) = g * I over a geometric grid.
 
@@ -418,8 +508,7 @@ def search_gain(
         grid.append(g)
         g *= 2.0
     if law is None:
-        tg = truncate(lin.qhat, n_modes)
-        law = (tg, stationary(tg))
+        law = solve_law(lin, n_modes, tail_mass_bound)
     n_cost = _cost_modes(lin, n_modes, controllable)
     b0, sig = _stacks(lin, range(1, n_cost + 1), None)
     restack = sorted(i for i in controllable if i <= n_cost)

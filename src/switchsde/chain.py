@@ -16,10 +16,21 @@ A generator may declare that its rows are shift-invariant beyond a mode K
 Neuts 1981).  Truncation then reads rows 1..K and the few rows next to N,
 where lumping happens, one at a time, and builds every row in between from
 row K with numpy: the Python work no longer grows with N.
+
+When such a generator is infinite and row K climbs at most one rung, its
+stationary law needs no truncation at all (:func:`geometric_law`, the
+scalar case of the matrix-geometric tail; Latouche & Ramaswami 1999,
+ch. 6-8).  Let K' be the larger of K and the highest target of the rows
+below K.  Beyond K' a mode is entered only by the climb from the mode
+below it, so nu_j = nu_K' rho^(j - K') for j > K', with rho the climb
+rate of row K over its total rate.  The tail's returns enter the K' x K'
+balance system of the head as nu_K' * rate * rho / (1 - rho), which is
+solved with numpy: the cost is O(K'^3) and does not depend on any N.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -32,6 +43,9 @@ __all__ = [
     "SparseGenerator",
     "TruncatedGenerator",
     "StationaryDist",
+    "GeometricLaw",
+    "TailUnproved",
+    "geometric_law",
     "truncate",
     "stationary",
     "convergence_sweep",
@@ -49,7 +63,8 @@ class SparseGenerator:
     with each target j >= K moved to j + i - K, in the same key order, and
     the targets below K kept as they are.  Like
     ``ModelSpec.shared_coefficients_from`` it is not checked, beyond the
-    spot check of row N in :func:`truncate`.
+    spot checks of row N in :func:`truncate` and of rows K+1..K' and row
+    2^20 in :func:`geometric_law`.
     """
 
     def __init__(self, row_fn: Callable[[int], dict], rate_bound: float, name: str = "custom",
@@ -75,7 +90,9 @@ class SparseGenerator:
 
     @classmethod
     def from_triplets(cls, triplets, name: str = "triplets") -> "SparseGenerator":
-        """Build from an iterable of (i, j, rate) entries (off-diagonal only)."""
+        """Build from an iterable of (i, j, rate) entries (off-diagonal only);
+        the mode count is the largest mode named, as no mode beyond it is
+        ever entered."""
         rows: dict[int, dict[int, float]] = {}
         for i, j, rate in triplets:
             i, j, rate = int(i), int(j), float(rate)
@@ -89,7 +106,8 @@ class SparseGenerator:
         bound = max((sum(r.values()) for r in rows.values()), default=0.0)
         if bound <= 0:
             raise ValueError("generator has no positive rates")
-        return cls(lambda i: dict(rows.get(i, {})), rate_bound=bound, name=name)
+        top = max(max(i, *r) for i, r in rows.items())
+        return cls(lambda i: dict(rows.get(i, {})), rate_bound=bound, name=name, n_modes=top)
 
 
 @dataclass(frozen=True)
@@ -103,6 +121,39 @@ class StationaryDist:
     nu: np.ndarray
     residual: float  # l1 norm of nu @ Q, recomputed after the solve
     truncation: int
+
+
+@dataclass(frozen=True)
+class GeometricLaw:
+    """Exact stationary law of an infinite generator that repeats from K
+    and climbs one rung: ``head`` is nu_1..nu_K', and nu_j = nu_K' *
+    ratio^(j - K') for every j > K' (see the module docstring).
+    ``residual`` is the l1 norm of the head system's residual, and
+    ``error`` bounds the l1 distance, tail included, from the computed law
+    to the exact one that this residual and the rounding of the system's
+    entries leave open."""
+
+    head: np.ndarray
+    ratio: float
+    residual: float
+    error: float
+
+    @property
+    def size(self) -> int:
+        return int(self.head.size)
+
+    def nu(self, m: int) -> np.ndarray:
+        """nu_1..nu_m for m >= ``size``, the tail in closed form."""
+        tail = self.head[-1] * self.ratio ** np.arange(1, m - self.size + 1)
+        return np.concatenate([self.head, tail])
+
+
+class TailUnproved(ValueError):
+    """The declared tail has no one-ratio law; ``reason`` names why."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 def _lumped_row(i: int, row: dict, n: int) -> dict:
@@ -138,6 +189,15 @@ def _read_rows(qhat: SparseGenerator, modes, n: int) -> tuple:
     return lengths, indices, rates
 
 
+def _check_shift(qhat: SparseGenerator, k: int, base: dict, i: int) -> dict:
+    """Row i, which ``repeats_from=k`` promises is ``base`` (row k) shifted."""
+    row = qhat.row(i)
+    if list(row.items()) != [(j + i - k if j >= k else j, rate) for j, rate in base.items()]:
+        raise ValueError(f"{qhat.name}: row {i} is not row {k} shifted by {i - k}; "
+                         f"repeats_from={k} does not hold")
+    return row
+
+
 def _shifted_rows(qhat: SparseGenerator, k: int, n: int):
     """CSR pieces of rows k..hi built from row k alone, where hi is the last
     row whose shifted targets all stay inside 1..n, and hi; None when no row
@@ -148,10 +208,7 @@ def _shifted_rows(qhat: SparseGenerator, k: int, n: int):
     hi = n - reach
     if hi < k:
         return None
-    want = [(j + n - k if j >= k else j, rate) for j, rate in base.items()]
-    if list(qhat.row(n).items()) != want:
-        raise ValueError(f"{qhat.name}: row {n} is not row {k} shifted by {n - k}; "
-                         f"repeats_from={k} does not hold")
+    _check_shift(qhat, k, base, n)
     lumped = _lumped_row(k, base, n)  # nothing lumps: every target lies inside 1..n
     cols = np.fromiter(lumped, dtype=np.intp, count=len(lumped))
     shift = np.arange(hi - k + 1)
@@ -234,6 +291,95 @@ def stationary(tg: TruncatedGenerator) -> StationaryDist:
     nu /= nu.sum()
     residual = float(np.abs(q.T @ nu).sum())
     return StationaryDist(nu=nu, residual=residual, truncation=n)
+
+
+# the far row of geometric_law's spot check, past any truncation level in use
+_FAR_ROW = 1 << 20
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _strongly_connected(rows: list) -> bool:
+    """Whether every mode of ``rows`` ({column: rate} dicts, columns from 0,
+    those past the last row ignored) reaches every other: all are reached
+    from mode 1 forwards and backwards."""
+    n = len(rows)
+    links = ([[j for j in row if j < n] for row in rows],
+             [[i for i, row in enumerate(rows) if j in row] for j in range(n)])
+    for step in links:
+        seen, todo = {0}, [0]
+        while todo:
+            new = set(step[todo.pop()]) - seen
+            seen |= new
+            todo.extend(new)
+        if len(seen) < n:
+            return False
+    return True
+
+
+def geometric_law(qhat: SparseGenerator) -> GeometricLaw:
+    """Exact stationary law of an infinite generator that declares
+    ``repeats_from`` K, from rows 1..K' and a spot check of one far row
+    (see the module docstring).
+
+    Raises :class:`TailUnproved` when row K climbs more than one rung
+    (reason ``"tail reach > 1"``) or never returns below K
+    (``"tail ratio >= 1"``), and ``ValueError`` when the generator is
+    finite or declares no repeat point, when a row read breaks the
+    declaration, or when the chain is not irreducible.
+    """
+    k = qhat.repeats_from
+    if k is None or qhat.n_modes is not None:
+        raise ValueError(f"{qhat.name}: the geometric law needs an infinite generator "
+                         "that declares repeats_from")
+    base = qhat.row(k)
+    no_bound = sys.maxsize  # _lumped_row then validates rows and lumps nothing
+    rows = [_lumped_row(i, qhat.row(i), no_bound) for i in range(1, k)]
+    top = max([k] + [j + 1 for row in rows for j in row])  # K'
+    rows += [_lumped_row(i, base if i == k else _check_shift(qhat, k, base, i), no_bound)
+             for i in range(k, top + 1)]
+    _check_shift(qhat, k, base, _FAR_ROW)
+    row_k = rows[k - 1]  # columns from 0: k - 1 is mode k, k is mode k + 1
+    reach = max(row_k, default=k - 1) + 1 - k
+    if reach > 1:
+        raise TailUnproved("tail reach > 1",
+                           f"{qhat.name}: row {k} climbs {reach} rungs; its law has no one ratio")
+    climb = row_k.get(k, 0.0)
+    if climb == 0.0:
+        raise ValueError(f"{qhat.name}: no row enters mode {top + 1}; "
+                         "the generator is not irreducible")
+    ratio = climb / sum(row_k.values())
+    if ratio >= 1.0:
+        raise TailUnproved("tail ratio >= 1",
+                           f"{qhat.name}: row {k} never returns below mode {k}")
+    # the tail returns where row K' does, so the head decides irreducibility
+    if not _strongly_connected(rows):
+        raise ValueError(f"{qhat.name}: the generator is not irreducible")
+    back = ratio / (1.0 - ratio)  # sum over the tail of nu_j / nu_K'
+    q = np.zeros((top, top))
+    for i, row in enumerate(rows):
+        for j, rate in row.items():
+            if j < top:  # the climb out of mode K' enters the tail
+                q[i, j] = rate
+        q[i, i] = -sum(row.values())
+    q[top - 1, : k - 1] += back * np.array([row_k.get(j, 0.0) for j in range(k - 1)])
+    # balance equations nu q = 0, the first replaced by total mass 1
+    system = q.T.copy()
+    system[0] = 1.0
+    system[0, -1] += back
+    inv = np.linalg.inv(system)
+    head = inv[:, 0].copy()
+    if head.min() <= 0.0:
+        raise ValueError(f"{qhat.name}: head solve produced nonpositive mass {head.min():.3e}")
+    res = system @ head
+    res[0] -= 1.0
+    # the residual as computed, widened by its own rounding and by that of
+    # the ratio-dependent entries, then carried through the inverse
+    gamma = (top + 4) * _UNIT_ROUNDOFF / (1.0 - (top + 4) * _UNIT_ROUNDOFF) / (1.0 - ratio)
+    loose = np.abs(res) + gamma * (np.abs(system) @ head)
+    loose[0] += gamma
+    error = float((np.abs(inv) @ loose).sum() / (1.0 - ratio))
+    return GeometricLaw(head=head, ratio=float(ratio), residual=float(np.abs(res).sum()),
+                        error=error)
 
 
 def convergence_sweep(qhat: SparseGenerator, levels) -> list[dict]:

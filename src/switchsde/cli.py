@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .certify import CERTIFIED, certify_recurrence, certify_stabilization, search_gain
+from .certify import CERTIFIED, certify_recurrence, certify_stabilization, search_gain, solve_law
 from .chain import SparseGenerator, convergence_sweep, stationary, truncate
 from .config import config_hash, load_model_config
 from .model import check_rate_convergence, check_sublinear_residuals
@@ -208,8 +208,7 @@ def cmd_stabilize(args) -> int:
     if "input_matrix" not in meta or "controllable" not in meta:
         raise ValueError(f"model {loaded.name} declares no control inputs")
     n = args.N if args.N is not None else loaded.truncation_hint
-    tg = truncate(loaded.lin.qhat, n)
-    law = (tg, stationary(tg))
+    law = solve_law(loaded.lin, n, args.tail_mass)
     plan = search_gain(
         loaded.lin,
         meta["input_matrix"],

@@ -2,11 +2,12 @@
 
 Nothing here imports the closed-form implementations under test; the
 quadratic-form floor is estimated by sphere sampling refined with a local
-simplex search, and stationary laws come from a null-space solve.  The
-Monte Carlo estimators are checked against ``simulate``, one path at a
-time: path k runs at a seed drawn from (seed, k), so no oracle path
-shares the stream (seed, 1) of the estimator it is compared with.  The
-Dynkin oracle adds ``apply_generator``, whose terms the generator tests
+simplex search, and stationary laws come from a null-space solve or,
+for a geometric tail, from Fraction arithmetic checked against the
+balance equations.  The Monte Carlo estimators are checked against
+``simulate``, one path at a time: path k runs at a seed drawn from
+(seed, k), so no oracle path shares the stream (seed, 1) of the estimator
+it is compared with.  The Dynkin oracle adds ``apply_generator``, whose terms the generator tests
 check one by one.  The cohort estimators (``coupling_decay``,
 ``occupation_stability``) are checked against their per-start loop: one
 :class:`BatchEnsemble` per radius or start, each on the stream (seed, 1).
@@ -17,6 +18,7 @@ dict walks :func:`pick_target` and :func:`couple`.
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh, null_space
@@ -89,6 +91,59 @@ def ou_family_nu(k):
 def ladder_nu(k):
     """Closed-form stationary weights of the return-to-base ladder."""
     return 2.0 ** (-k)
+
+
+def rational_geometric_law(row, k):
+    """Exact (head, rho) in Fractions of an infinite generator whose rows
+    from k on are row k shifted, row k climbing one rung: head is
+    nu_1..nu_K' and nu_j = nu_K' rho^(j - K') beyond, K' the largest of k
+    and the targets of the rows below k.  Gauss-Jordan elimination on the
+    balance equations of modes 2..K' and total mass 1, each mode's inflow
+    from the whole tail summed as a geometric series; the result is then
+    checked to balance every mode up to K' + 3 exactly."""
+    rates = {i: {j: Fraction(r) for j, r in row(i).items() if r} for i in range(1, k + 1)}
+    top = max([k] + [j for i in range(1, k) for j in rates[i]])
+
+    def out(i):  # row i as Fractions, the shift applied beyond k
+        return rates[i] if i <= k else {j + i - k if j >= k else j: r
+                                        for j, r in rates[k].items()}
+
+    rho = out(k).get(k + 1, Fraction(0)) / sum(out(k).values())
+    series = rho / (1 - rho)  # sum over j > K' of nu_j / nu_K'
+
+    def inflow(m):
+        """Coefficients over nu_1..nu_K' of the net flow into mode m <= K'."""
+        coef = [Fraction(0)] * top
+        for i in range(1, top + 1):
+            coef[i - 1] += out(i).get(m, 0)
+            if i == m:
+                coef[i - 1] -= sum(out(i).values())
+        if m < k:  # every tail mode returns to m at row k's rate
+            coef[top - 1] += out(k).get(m, 0) * series
+        return coef
+
+    system = [inflow(m) + [Fraction(0)] for m in range(2, top + 1)]
+    system.append([Fraction(1)] * (top - 1) + [1 + series, Fraction(1)])
+    for c in range(top):
+        pivot = next(r for r in range(c, top) if system[r][c] != 0)
+        system[c], system[pivot] = system[pivot], system[c]
+        system[c] = [v / system[c][c] for v in system[c]]
+        for r in range(top):
+            if r != c and system[r][c] != 0:
+                system[r] = [a - system[r][c] * b for a, b in zip(system[r], system[c])]
+    head = [system[r][-1] for r in range(top)]
+
+    def nu(j):
+        return head[j - 1] if j <= top else head[-1] * rho ** (j - top)
+
+    for m in range(1, top + 4):
+        flow = sum(nu(i) * out(i).get(m, 0) for i in range(1, m + top + 2)) - nu(m) * sum(
+            out(m).values())
+        if m < k:
+            flow += nu(m + top + 2) * out(k).get(m, 0) / (1 - rho)  # modes past the loop
+        assert flow == 0, m
+    assert sum(head) + head[-1] * series == 1
+    return head, rho
 
 
 def pick_target(row: dict, u: float, scale: float, mode: int):

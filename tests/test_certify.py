@@ -294,7 +294,9 @@ def test_tail_estimate_rejects_flat_or_short_heads():
 def test_to_dict_is_json_ready():
     import json
 
-    cert = certify_recurrence(ou_lin(), 30)
+    # the truncated path: with both repeat points declared the law is exact
+    # and ``truncation`` reports its head size (test_exact_law.py)
+    cert = certify_recurrence(undeclared(ou_lin()), 30)
     doc = cert.to_dict()
     json.dumps(doc)
     assert doc["verdict"] == CERTIFIED
@@ -365,6 +367,10 @@ def test_repeat_points_change_no_certificate(name, params):
     # certificates read modes beyond N only when N < max(K, controllable + 1)
     top = max(lin.repeats_from, max(controllable, default=0) + 1)
     variants = [lin, replace(lin, repeats_from=None), undeclared(lin)]
+    # without a tail mass a declared infinite generator is weighed by its
+    # exact law, whatever N; the truncated law at N = 300 agrees with it
+    # to rounding (its error is of the order of nu_300 <= 2^-300)
+    exact = lin.qhat.n_modes is None
     for n in sorted({top, top + 1, 30, 300}):
         for tail in (None, 0.01):
             runs = []
@@ -373,7 +379,15 @@ def test_repeat_points_change_no_certificate(name, params):
                     runs.append(cert_bytes(certify_recurrence(v, n, tail_mass_bound=tail)))
                 except ValueError as exc:
                     runs.append(str(exc))
-            assert runs[0] == runs[1] == runs[2], (n, tail)
+            if exact and tail is None:
+                assert runs[0] == cert_bytes(certify_recurrence(lin, 100_000)), n
+                assert runs[1] == runs[2], n
+                if n == 300:
+                    a, b = certify_recurrence(lin, n), certify_recurrence(undeclared(lin), n)
+                    assert (a.verdict, a.reason) == (b.verdict, b.reason)
+                    assert a.partial_sum == pytest.approx(b.partial_sum, abs=1e-12)
+            else:
+                assert runs[0] == runs[1] == runs[2], (n, tail)
         for form in ("thm37", "thm41"):
             gains = [gain_bytes(search_gain(v, inputs, controllable, n, form=form,
                                             tail_mass_bound=0.01)) for v in variants]

@@ -154,6 +154,41 @@ def test_stationary_from_model_and_triplets(tmp_path):
     assert main(["stationary", "--out", str(tmp_path / "st3")]) == 2
 
 
+def test_triplet_generators_count_their_modes(tmp_path):
+    # a triplet generator's modes end at the largest one named: the default
+    # N = 30 is capped there, and its certificate's tail is exactly empty
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"triplets": [{"i": 1, "j": 2, "rate": 1.0},
+                                            {"i": 2, "j": 1, "rate": 3.0}]}))
+    out = tmp_path / "st"
+    assert main(["stationary", "--generator", str(gen), "--out", str(out)]) == 0
+    doc = read_json(out / "stationary.json")
+    assert doc["N"] == 2 and doc["nu"] == pytest.approx([0.75, 0.25])
+
+    config = read_json(LINEAR)
+    config["params"]["qhat"] = [[1, 2, 1.0], [2, 1, 3.0], [2, 3, 1.0], [3, 1, 2.0]]
+    path = tmp_path / "linear_triplets.json"
+    path.write_text(json.dumps(config))
+    for n in ([], ["--N", "100000"]):
+        out = tmp_path / f"cert{len(n)}"
+        assert main(["certify", "--model", str(path), *n, "--out", str(out)]) == 0
+        doc = read_json(out / "certificate.json")
+        assert (doc["verdict"], doc["tail_mass_source"], doc["truncation"]) == (
+            "CERTIFIED", "finite_modes", 3)
+
+
+def test_certify_without_a_tail_bound_is_inconclusive(tmp_path):
+    # five of predator_prey's 50 modes are too few to extrapolate the tail:
+    # a verdict with its reason, not a usage error
+    out = tmp_path / "pp"
+    path = str(CONFIG_DIR / "predator_prey.json")
+    assert main(["certify", "--model", path, "--N", "5", "--out", str(out)]) == 1
+    doc = read_json(out / "certificate.json")
+    assert (doc["verdict"], doc["reason"], doc["tail_mass_source"]) == (
+        "INCONCLUSIVE", "tail unproved", "unproved")
+    assert doc["tail_bound"] is None and doc["total"] is None
+
+
 def test_stationary_takes_one_source(tmp_path, capsys):
     # --generator next to --model was once ignored: the model's law was written
     gen = tmp_path / "gen.json"
@@ -190,22 +225,35 @@ def test_stabilize_solves_the_stationary_law_once(tmp_path, monkeypatch):
     import switchsde.chain
     import switchsde.cli
 
-    sizes = []
-    solve = switchsde.chain.stationary
+    sizes, exact = [], []
+    solve, law = switchsde.chain.stationary, switchsde.certify.geometric_law
 
     def counting(tg):
         sizes.append(tg.size)
         return solve(tg)
 
+    def counting_law(qhat):
+        exact.append(qhat.name)
+        return law(qhat)
+
     for module in (switchsde.chain, switchsde.certify, switchsde.cli):
         monkeypatch.setattr(module, "stationary", counting)
+    monkeypatch.setattr(switchsde.certify, "geometric_law", counting_law)
     open_loop = scalar_config(tmp_path, 0.0)
-    assert main(["stabilize", "--model", open_loop, "--out", str(tmp_path / "a")]) == 0
+    # the ladder declares its repeat point: one exact law and no truncation
+    assert main(["stabilize", "--model", open_loop, "--out", str(tmp_path / "e")]) == 0
+    assert (len(exact), sizes) == (1, [])
+    # a tail mass asks for the law truncated at N
+    tail = ["--tail-mass", "0.01"]
+    assert main(["stabilize", "--model", open_loop, *tail, "--out", str(tmp_path / "a")]) == 0
     assert sizes == [30]
     # an exhausted search solves once too
-    assert main(["stabilize", "--model", open_loop, "--budget", "1.0", "--N", "40",
+    assert main(["stabilize", "--model", open_loop, "--budget", "1.0", "--N", "40", *tail,
                  "--out", str(tmp_path / "b")]) == 1
     assert sizes == [30, 40]
+    assert main(["stabilize", "--model", open_loop, "--budget", "1.0",
+                 "--out", str(tmp_path / "c")]) == 1
+    assert (len(exact), sizes) == (2, [30, 40])
 
 
 def test_verify_hitting_rerun_is_byte_identical(tmp_path):

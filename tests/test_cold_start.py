@@ -1,8 +1,10 @@
-"""scipy is loaded by the stationary solver only.
+"""scipy is loaded by the truncated stationary solver only.
 
 Simulation, the Monte Carlo estimators and the CLI commands built on them
-run in a fresh interpreter without importing scipy; ``certify`` and
-``stationary`` then load it on first use.
+run in a fresh interpreter without importing scipy, and so do the
+certificates of the four families whose limiting generator declares a
+repeat point (their law is exact, from numpy alone).  A certificate on a
+truncated law (predator_prey) and ``stationary`` then load it on first use.
 """
 
 import os
@@ -25,6 +27,7 @@ from switchsde import (
     ProductFunctional,
     Segment,
     SimConfig,
+    certify_recurrence,
     coupling_decay,
     dynkin_residual,
     estimate_hitting_time,
@@ -75,12 +78,23 @@ for name, path in paths.items():
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
 
-for name, path in paths.items():
-    dest = os.path.join(out, name)
+for name in ("controlled_scalar", "fluid_queue", "linear_2d", "switched_ou"):
+    path, dest = paths[name], os.path.join(out, name)
+    for n in (30, 100_000):
+        certify_recurrence(load_model_config(path).lin, n)
     assert cli("certify", "--model", path, "--out", dest) in (0, 1)  # CERTIFIED or INCONCLUSIVE
     assert os.path.isfile(os.path.join(dest, "certificate.json"))
-    assert cli("stationary", "--model", path, "--levels", "10,20", "--out", dest) == 0
+# the one config with control inputs; the others are usage errors
+assert cli("stabilize", "--model", paths["controlled_scalar"], "--out", out) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+
+path, dest = paths["predator_prey"], os.path.join(out, "predator_prey")
+assert cli("certify", "--model", path, "--out", dest) == 1  # a finite, truncated law
 assert "scipy.sparse.linalg" in sys.modules
+for name, path in paths.items():
+    dest = os.path.join(out, name)
+    assert cli("stationary", "--model", path, "--levels", "10,20", "--out", dest) == 0
 print("ok")
 """
 

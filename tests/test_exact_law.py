@@ -1,0 +1,241 @@
+"""The exact geometric law of a declared tail and the certificates weighed by it."""
+
+import json
+import math
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import ladder_nu, ou_family_nu, rational_geometric_law
+from switchsde.certify import INCONCLUSIVE, certify_recurrence
+from switchsde.chain import (
+    SparseGenerator,
+    TailUnproved,
+    geometric_law,
+    stationary,
+    truncate,
+)
+from switchsde.cli import main
+from switchsde.config import load_model_config
+from switchsde.model import Linearization
+from test_certify import cert_bytes, ou_lin, undeclared
+from test_chain import return_ladder, two_base_ladder
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DECLARED = ("controlled_scalar", "fluid_queue", "linear_2d", "switched_ou")
+
+
+def close(value, exact, ulps):
+    """|value - exact| within a few units of the last place of exact."""
+    return abs(Fraction(value) - exact) <= ulps * abs(exact) * Fraction(1, 2**52)
+
+
+def test_exact_law_matches_fraction_closed_forms():
+    for gen, rho, closed in (
+        (two_base_ladder(repeats_from=3), Fraction(1, 3),
+         lambda j: Fraction(1, 3) if j < 3 else 2 * Fraction(1, 3) ** (j - 1)),
+        (return_ladder(repeats_from=2), Fraction(1, 2), lambda j: Fraction(1, 2) ** j),
+    ):
+        law = geometric_law(gen)
+        assert law.ratio == float(rho)
+        head, exact_rho = rational_geometric_law(gen.row, gen.repeats_from)
+        assert exact_rho == rho
+        assert head == [closed(j) for j in range(1, law.size + 1)]
+        for j, v in enumerate(law.nu(60), start=1):
+            assert close(v, closed(j), ulps=j + 4), j  # a power of the rounded ratio
+    # the float closed forms of the oracles agree
+    assert geometric_law(two_base_ladder(repeats_from=3)).nu(20) == pytest.approx(
+        [ou_family_nu(j) for j in range(1, 21)], rel=1e-15)
+    assert geometric_law(return_ladder(repeats_from=2)).nu(20) == pytest.approx(
+        [ladder_nu(j) for j in range(1, 21)], rel=1e-15)
+
+
+def test_truncated_head_converges_to_the_exact_head():
+    # the truncation lumps the modes from N on into mode N, whose row
+    # returns at the rates of the tail it stands for: its law is the exact
+    # law on modes 1..N-1 and the exact mass of modes N, N+1, ... at N, so
+    # it converges to the exact law in l1 as twice that mass
+    for make, k in ((two_base_ladder, 3), (return_ladder, 2)):
+        exact = geometric_law(make(repeats_from=k)).nu(64)
+        gaps = []
+        for n in (10, 20, 40):
+            nu = stationary(truncate(make(), n)).nu
+            assert np.abs(nu[:-1] - exact[: n - 1]).sum() <= 1e-15, (make.__name__, n)
+            assert nu[-1] == pytest.approx(exact[n - 1:].sum(), rel=1e-12, abs=1e-15)
+            gaps.append(2.0 * exact[n - 1:].sum())
+        assert gaps[0] > 1e3 * gaps[1] > 1e6 * gaps[2]
+
+
+RATES = (0.5, 1.0, 2.5)
+COSTS = (-2.0, -1.0, -0.25, 0.5, 1.0)
+
+
+@st.composite
+def one_rung_generators(draw):
+    """An infinite generator that repeats from K in 1..4 and climbs one
+    rung, with per-mode costs that repeat from a mode of their own.  The
+    rows below K climb to the next mode and may jump to any mode up to
+    K + 3; row K returns to mode 1 and maybe other modes below K: the chain
+    is irreducible, and for K = 1 it can only climb."""
+    k = draw(st.sampled_from((2, 3, 4, 1)))  # 1, the runaway case, drawn least
+    rate = st.sampled_from(RATES)
+    head = {}
+    for i in range(1, k):
+        jumps = draw(st.lists(st.integers(1, k + 3).filter(lambda j, i=i: j not in (i, i + 1)),
+                              unique=True, max_size=3))
+        head[i] = {i + 1: draw(rate), **{j: draw(rate) for j in jumps}}
+    base = {}
+    if k > 1:
+        back = draw(st.lists(st.integers(2, k - 1), unique=True, max_size=k - 2)) if k > 2 else []
+        base = {j: draw(rate) for j in [1, *back]}
+    base[k + 1] = draw(rate)
+
+    def row(i):
+        if i < k:
+            return dict(head[i])
+        return {j + i - k if j >= k else j: r for j, r in base.items()}
+
+    costs = draw(st.lists(st.sampled_from(COSTS), min_size=1, max_size=6))
+    qhat = SparseGenerator(row, rate_bound=20.0, name="one_rung", repeats_from=k)
+    lin = Linearization(
+        b_mat=lambda i: np.array([[costs[min(i, len(costs)) - 1]]]),
+        sigma_mats=lambda i: [np.zeros((1, 1))],
+        qhat=qhat,
+        coeff_bound=max(abs(c) for c in costs),
+        repeats_from=len(costs),
+    )
+    return lin
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(one_rung_generators())
+def test_exact_law_on_random_one_rung_generators(lin):
+    qhat = lin.qhat
+    certs = [certify_recurrence(lin, n) for n in (30, 1_000, 100_000)]
+    assert cert_bytes(certs[0]) == cert_bytes(certs[1]) == cert_bytes(certs[2])
+    cert = certs[0]
+    if qhat.repeats_from == 1:  # nothing returns below mode 1: the chain runs off
+        with pytest.raises(TailUnproved, match="never returns"):
+            geometric_law(qhat)
+        assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "tail ratio >= 1")
+        return
+    law = geometric_law(qhat)
+    head, rho = rational_geometric_law(qhat.row, qhat.repeats_from)
+    assert law.ratio == float(rho) and law.size == len(head)
+    m = law.size + 40
+    nu = law.nu(m)
+    assert abs(nu.sum() + nu[-1] * law.ratio / (1.0 - law.ratio) - 1.0) <= 1e-12
+    # the truncation past K' is exact on its head (see the test above)
+    n = law.size + 5
+    assert stationary(truncate(qhat, n)).nu[:-1] == pytest.approx(nu[: n - 1], abs=1e-12)
+
+    def exact_nu(j):
+        return head[j - 1] if j <= len(head) else head[-1] * rho ** (j - len(head))
+
+    # the balance residual, carried through the inverse, bounds the distance
+    # to the exact law, and the rounding bound the distance to the exact sum
+    assert sum(abs(Fraction(v) - exact_nu(j)) for j, v in enumerate(nu, start=1)) <= law.error
+    assert cert.tail_mass_source == "exact_geometric" and cert.tail_bound == 0.0
+    assert cert.assumption_flags["stationary_residual_ok"]
+    costs = [Fraction(c) for c in cert.per_mode_c]
+    top = len(costs)
+    exact_sum = (sum(exact_nu(j) * costs[j - 1] for j in range(1, top + 1))
+                 + costs[-1] * exact_nu(top) * rho / (1 - rho))
+    assert abs(Fraction(cert.partial_sum) - exact_sum) <= Fraction(cert.rounding_bound)
+    assert cert.verdict == INCONCLUSIVE or exact_sum < 0  # sound: never on a sum >= 0
+
+
+def test_shipped_declared_families_read_their_closed_forms(tmp_path):
+    expect = {
+        "switched_ou": (-1.0, 1e-15),
+        "controlled_scalar": (-0.5, 1e-15),
+        "fluid_queue": (0.0, 1e-15),
+        "linear_2d": ((math.sqrt(1.25) - 3.0) / 2.0 + 0.08, 1e-12),
+    }
+    for name in DECLARED:
+        path = str(CONFIG_DIR / f"{name}.json")
+        lin = load_model_config(path).lin
+        value, tol = expect[name]
+        assert certify_recurrence(lin, 30).partial_sum == pytest.approx(value, abs=tol)
+        runs = set()
+        for n in (30, 100, 700, 10_000, 100_000):
+            out = tmp_path / f"{name}_{n}"
+            assert main(["certify", "--model", path, "--N", str(n), "--out", str(out)]) in (0, 1)
+            runs.add((out / "certificate.json").read_bytes())
+        assert len(runs) == 1, name
+        doc = json.loads(runs.pop())
+        assert doc["tail_mass_source"] == "exact_geometric"
+        assert doc["truncation"] == geometric_law(lin.qhat).size
+        assert len(doc["nu_head"]) == len(doc["per_mode_c"]) == 12
+
+
+def bad_tail(base):
+    """Modes 1..2 climb to 3, row 3 is ``base`` and the rows beyond its shifts."""
+    def row(i):
+        if i < 3:
+            return {i + 1: 1.0}
+        return {j + i - 3 if j >= 3 else j: r for j, r in base.items()}
+
+    return row
+
+
+def test_tails_without_one_ratio_are_inconclusive():
+    two_rungs = {1: 1.0, 4: 1.0, 5: 1.0}  # climbs one and two rungs
+    for base, reason in ((two_rungs, "tail reach > 1"), ({4: 1.0}, "tail ratio >= 1")):
+        qhat = SparseGenerator(bad_tail(base), rate_bound=3.0, repeats_from=3)
+        with pytest.raises(TailUnproved) as info:
+            geometric_law(qhat)
+        assert info.value.reason == reason
+        lin = replace(ou_lin(), qhat=qhat)
+        cert = certify_recurrence(lin, 30)
+        assert (cert.verdict, cert.reason) == (INCONCLUSIVE, reason)
+        assert cert.tail_mass_source == "unproved" and math.isnan(cert.partial_sum)
+        json.dumps(cert.to_dict())  # NaN is legal here; the CLI writes null
+    # a tail mass puts the two-rung certificate on the truncated law
+    qhat = SparseGenerator(bad_tail(two_rungs), rate_bound=3.0, repeats_from=3)
+    cert = certify_recurrence(replace(ou_lin(), qhat=qhat), 30, tail_mass_bound=0.0)
+    assert (cert.tail_mass_source, cert.nu.truncation) == ("user", 30)
+
+
+def test_broken_repeat_promise_raises_as_in_truncate():
+    # a head row: the two-base rows repeat from 3, not 2
+    with pytest.raises(ValueError, match="row 3 is not row 2 shifted by 1; "
+                                         "repeats_from=2 does not hold"):
+        geometric_law(two_base_ladder(repeats_from=2))
+
+    def drifting(i):  # the climb rate changes from mode 50 on
+        return {2: 1.0} if i == 1 else {1: 1.0, i + 1: 1.0 if i < 50 else 2.0}
+
+    gen = SparseGenerator(drifting, rate_bound=3.0, repeats_from=2)
+    with pytest.raises(ValueError, match=r"row \d+ is not row 2 shifted"):
+        geometric_law(gen)
+    with pytest.raises(ValueError, match="does not hold"):
+        certify_recurrence(replace(ou_lin(), qhat=gen), 30)
+    # a finite or undeclared generator has no geometric law
+    with pytest.raises(ValueError, match="infinite generator"):
+        geometric_law(return_ladder())
+
+
+def test_reducible_declared_generators_raise():
+    for row, match in (
+        (lambda i: {} if i == 1 else {1: 1.0, i + 1: 1.0}, "not irreducible"),  # 1 absorbs
+        (lambda i: {2: 1.0} if i == 1 else {1: 1.0}, "no row enters mode 3"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            geometric_law(SparseGenerator(row, rate_bound=2.0, repeats_from=2))
+
+
+def test_undeclared_tail_without_decay_is_unproved():
+    # nu_N underflows at N = 700; five modes are too few to extrapolate
+    lin = undeclared(ou_lin())
+    for n in (5, 700):
+        cert = certify_recurrence(lin, n)
+        assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "tail unproved")
+        assert cert.tail_mass_source == "unproved" and cert.tail_bound == np.inf
+        assert cert.partial_sum == pytest.approx(-1.0, abs=1e-9)
+    assert certify_recurrence(lin, 30).tail_mass_source == "extrapolated"
