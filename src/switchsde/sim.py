@@ -32,12 +32,13 @@ one-path :class:`BatchEnsemble`, bit for bit, in a faster loop.
 :class:`BatchEnsemble`, the engine of every estimator and of
 :func:`simulate_coupled`, advances a whole ensemble of any model at once,
 the basic coupling with the limiting chain and history-dependent rates
-included.  It groups the paths by mode once per mode change, not once
-per step.  Per step it evaluates drift and diffusion once per coefficient
-class (a mode group, or all the modes from the model's
-``shared_coefficients_from`` on), into plan-ordered arrays that the Dynkin
-generator of :mod:`switchsde.verify` reads too, and reads
-history-dependent rates with one ``rates_row`` call on each group's
+included.  Per step it evaluates drift and diffusion once per coefficient
+class (a mode group, or every mode from the model's
+``shared_coefficients_from`` on).  While every live path is in one class it
+steps them in path order with no mode-group plan; else it sorts the paths
+by mode once per mode change, not per step, into the plan order that the
+Dynkin generator of :mod:`switchsde.verify` reads too.  History-dependent
+rates come from one ``rates_row`` call on each group's
 :class:`~switchsde.segment.SegmentBatch`.
 """
 
@@ -377,13 +378,18 @@ def simulate_coupled(
     )
 
 
-def _per_group(out, x: np.ndarray, ndim: int, name: str, v: int):
-    """``out`` of a coefficient callback on the states ``x`` of mode v: one row
-    per path, or no path axis at all (a constant for every path)."""
-    out = np.asarray(out)
-    if out.ndim == ndim and len(out) != len(x):
+def _place(buf, rows, out, x: np.ndarray, name: str, v: int, shape: tuple) -> np.ndarray:
+    """``out``, one coefficient callback's result on the states ``x`` of class
+    v, put at ``rows`` of ``buf``; a lone class's full result is used as is."""
+    out = np.asarray(out, dtype=float)
+    if out.ndim == len(shape) and len(out) != len(x):
         raise ValueError(f"{name}(x, {v}) gave shape {out.shape} for {len(x)} states")
-    return out
+    if buf is None:
+        if out.shape == shape:
+            return out
+        buf = np.empty(shape)
+    buf[rows] = out
+    return buf
 
 
 class BatchEnsemble:
@@ -405,19 +411,20 @@ class BatchEnsemble:
     :func:`simulate`; a step that ends before the earliest clock skips the
     proposal loop.
 
-    Every step works from one mode-group plan (:meth:`groups`): the paths
-    not blown up, stably sorted by mode, and each mode's slice of that
-    order, rebuilt only after a mode changes, a path blows up (it is
-    parked at 0) or :meth:`keep` drops paths.  :meth:`coefficients`
-    evaluates ``drift`` and ``diffusion`` once per coefficient class into
-    plan-ordered arrays, which the Euler step and the Dynkin generator of
-    :mod:`switchsde.verify` share.  Under bernoulli, jumps are drawn per
-    group from the running sums of its rates.  Under thinning, each round
-    of proposals reads its rows with one call per mode and turns them into
-    one sorted (targets, rates) pair of lists per path; the proposals walk
-    them in Python floats (:func:`_pick`, or :func:`_couple_pick` over a
-    layout merged with the reference row once per mode and targets), and
-    the round writes the modes and clocks back once.
+    The mode-group plan (:meth:`groups`), the live paths stably sorted by
+    mode and each mode's slice of that order, is made on demand and dropped
+    when a mode changes, a path blows up (parked at 0) or :meth:`keep` drops
+    paths.  The Euler step evaluates ``drift`` and ``diffusion`` once per
+    coefficient class (:meth:`_plan`): in path order, with no plan, gather
+    or scatter, while no path is blown and all share one class; else in plan
+    order, as :meth:`coefficients` hands them to the Dynkin generator of
+    :mod:`switchsde.verify`.  Under bernoulli, jumps are drawn per group
+    from the running sums of its rates.  Under thinning, each round of
+    proposals reads its rows with one call per mode and turns them into one
+    sorted (targets, rates) pair of lists per path; the proposals walk them
+    in Python floats (:func:`_pick`, or :func:`_couple_pick` over a layout
+    merged with the reference row once per mode and targets), and the round
+    writes the modes and clocks back once.
 
     ``phi0`` is one start window or a sequence of S of them, each the start
     of a cohort of ``n_paths`` paths: cohort k is paths k * n_paths to
@@ -505,7 +512,7 @@ class BatchEnsemble:
 
     def _invalidate(self) -> None:
         """Forget the plan and everything built on it."""
-        self._order = self._groups = self._coef = None
+        self._order = self._groups = self._classes = self._coef = None
 
     def groups(self) -> list:
         """Mode groups of the current plan, ascending in mode, without blown-up paths.
@@ -537,27 +544,42 @@ class BatchEnsemble:
 
         Returns (x (P, n), drift (P, n), diffusion (P, n, d) or None under
         zero diffusion), from one ``drift`` and one ``diffusion`` call per
-        coefficient class; cached until the states move or the plan is rebuilt.
+        coefficient class; cached until the states move or a mode changes.
+        The engine writes none of them, so they may be held across steps.
         """
         if self._coef is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._coef = self._evaluate()
+            with np.errstate(over="ignore", invalid="ignore"):  # in the order of groups()
+                self._coef = self._evaluate(self.order, self._plan()[1])
         return self._coef
 
-    def _evaluate(self) -> tuple:
-        model, k = self.model, self.model.shared_coefficients_from or math.inf
-        head = [(v, rows) for v, _, rows in self.groups() if v < k]
-        tail = [(k, slice(rows.start, None)) for v, _, rows in self._groups if v >= k][:1]
-        xs = self.x[self._order]
-        drift = np.empty_like(xs)
-        sigma = None
-        if not model.zero_diffusion:
-            sigma = np.empty(xs.shape + (model.brownian_dim,))
-        for v, rows in head + tail:  # the coefficient classes
+    def _plan(self) -> tuple:
+        """(order, classes), found once per plan, a class being (mode, rows):
+        one class (v or K, every row) in path order (None) while no path is
+        blown and all are in mode v or from K = ``shared_coefficients_from``
+        on; else each group below K and one for all from K, as :meth:`groups`."""
+        if self._classes is None:
+            k, lo = self.model.shared_coefficients_from or math.inf, 0
+            if self._groups is None and self.n_paths:
+                lo = int(self.modes.min())
+            if lo and (lo >= k or lo == self.modes.max()) and not self.blown.any():
+                self._classes = (None, [(min(lo, k), slice(None))])
+            else:
+                head = [(v, rows) for v, _, rows in self.groups() if v < k]
+                tail = [(k, slice(rows.start, None)) for v, _, rows in self._groups if v >= k]
+                self._classes = (self._order, head + tail[:1])
+        return self._classes
+
+    def _evaluate(self, order, classes: list) -> tuple:
+        model, xs = self.model, self.x if order is None else self.x[order]
+        noise = None if model.zero_diffusion else xs.shape + (model.brownian_dim,)
+        drift = sigma = None
+        for v, rows in classes:
             x = xs[rows]
-            drift[rows] = _per_group(model.drift(x, v), x, 2, "drift", v)
-            if sigma is not None:
-                sigma[rows] = _per_group(model.diffusion(x, v), x, 3, "diffusion", v)
+            drift = _place(drift, rows, model.drift(x, v), x, "drift", v, xs.shape)
+            if noise:
+                sigma = _place(sigma, rows, model.diffusion(x, v), x, "diffusion", v, noise)
+        if drift is None:  # no path in the plan
+            drift, sigma = np.empty_like(xs), None if noise is None else np.empty(noise)
         return xs, drift, sigma
 
     def _row(self, v: int) -> tuple:
@@ -640,21 +662,27 @@ class BatchEnsemble:
         self._invalidate()
 
     def _advance_states(self):
-        model = self.model
+        model, coef = self.model, self._coef  # coefficients() caches in plan order
+        order, classes = (self._order, None) if coef else self._plan()
         xi = None
         if not model.zero_diffusion:  # drawn for every path, blown ones too
-            xi = self.rng.standard_normal((self.n_paths, model.brownian_dim))[self.order]
+            xi = self.rng.standard_normal((self.n_paths, model.brownian_dim))
+            xi = xi if order is None else xi[order]
         with np.errstate(over="ignore", invalid="ignore"):
-            xs, drift, sigma = self._coef or self._evaluate()
-            self.x[self._order] = _euler(xs, drift, sigma, xi, self.cfg.dt, model.post_step)
+            x = _euler(*(coef or self._evaluate(order, classes)), xi, self.cfg.dt, model.post_step)
+            if order is None:
+                self.x = x
+            else:
+                self.x[order] = x
             # a finite sum has finite terms, and np.add.reduce is the cheaper call
-            finite = math.isfinite(np.add.reduce(self.x, axis=None)) or np.isfinite(self.x).all()
+            if not (math.isfinite(np.add.reduce(self.x, axis=None)) or np.isfinite(self.x).all()):
+                bad = ~np.isfinite(self.x).all(axis=1)
+                self.blown |= bad
+                self.x = np.where(bad[:, None], 0.0, self.x)  # parked outside the plan
+                self._invalidate()
+            sq = None if self._sq is None else (self.x * self.x).sum(axis=1)  # for the ring
         self._coef = None
-        if not finite:
-            bad = ~np.isfinite(self.x).all(axis=1)
-            self.blown |= bad
-            self.x[bad] = 0.0  # park blown paths outside the plan
-            self._invalidate()
+        return sq
 
     def _update_modes_bernoulli(self):
         scale = 1.0 / self.cfg.dt
@@ -794,16 +822,18 @@ class BatchEnsemble:
 
     def step(self):
         """One grid step: advance states with current modes, then modes."""
-        self._advance_states()
+        sq = self._advance_states()
         if self._thinning:
             self._update_modes_thinning()
         else:
             self._update_modes_bernoulli()
-        if self._hist is not None:
+        if self._hist is not None:  # written after the rates read the step's start window
             self._hist[self._head] = self.x
             if self._sq is not None:
-                with np.errstate(over="ignore"):
-                    self._sq[self._head] = (self.x * self.x).sum(axis=1)
+                if sq is None:  # the norms were first read in this step's mode update
+                    with np.errstate(over="ignore"):
+                        sq = (self.x * self.x).sum(axis=1)
+                self._sq[self._head] = sq
                 lo = self._head - self._head % self._block
                 self._bmax[lo // self._block] = self._sq[lo:lo + self._block].max(axis=0)
             self._head = (self._head + 1) % self._hist.shape[0]

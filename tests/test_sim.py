@@ -379,6 +379,7 @@ def test_post_step_must_keep_the_state_shape():
         model = plain_model(lambda x, i: -np.asarray(x, dtype=float),
                             post_step=collapse_from(n_steps))
         eng = BatchEnsemble(model, phi0, 1, cfg, 4)
+        assert eng._plan()[0] is None  # one mode: the step in path order checks it too
         with pytest.raises(ValueError, match=r"post_step\(x\) gave shape \(1, 1\) "
                                              r"for states of shape \(4, 1\)"):
             eng.run(n_steps)
@@ -1064,3 +1065,155 @@ def test_block_max_sup_norms_are_the_full_max(m, n_paths, dim, seed):
         want = np.sqrt((h * h).sum(2).max(0))
     assert eng.sup_norms().tobytes() == want.tobytes()
     assert not eng.blown.any()
+
+
+# -- the one-class step ------------------------------------------------------
+# switched_ou declares shared_coefficients_from=1: every path is in one
+# coefficient class and the engine steps the states in path order, with no
+# mode-group plan.  The same spec without the declaration runs each mode as
+# its own class through the plan; its drift and diffusion are the same in
+# every mode, bit for bit, so the two runs must agree bit for bit.
+
+def one_class_pair(params=None, name="switched_ou"):
+    spec, lin = registry_get(name, params)
+    return spec, replace(spec, shared_coefficients_from=None), lin
+
+
+def engine_state(eng):
+    return [a.tobytes() for a in (eng.x, eng.modes, eng.blown, eng._next_ev)
+            if a is not None] + [eng.proposals, eng.jumps]
+
+
+def run_side_by_side(one, planned, n_steps, starts, cfg, n_paths, **kw):
+    """Step an engine of ``one`` and one of ``planned`` together, checking
+    their states bit for bit after every step; returns the first engine and
+    its classes at every step: (whether the step ran in path order, the
+    modes its callbacks were called with)."""
+    a = BatchEnsemble(one, starts, 1, cfg, n_paths, **kw)
+    b = BatchEnsemble(planned, starts, 1, cfg, n_paths, **kw)
+    steps = []
+    for k in range(n_steps):
+        order, classes = a._plan()
+        steps.append((order is None, tuple(v for v, _ in classes)))
+        a.step()
+        b.step()
+        assert engine_state(a) == engine_state(b), k
+        if kw.get("qhat") is not None:
+            assert a.modes_hat.tobytes() == b.modes_hat.tobytes()
+            assert a.decouple_time.tobytes() == b.decouple_time.tobytes()
+    return a, steps
+
+
+def lone_steps(steps):
+    return sum(lone for lone, _ in steps)
+
+
+def test_one_class_thinning_run_is_the_plan_run():
+    one, planned, _ = one_class_pair()
+    phi0 = Segment.make_constant([2.0], one.delay, 1.0 / 16)
+    cfg = SimConfig(dt=1.0 / 16, horizon=30.0, seed=11)
+    eng, steps = run_side_by_side(one, planned, 300, phi0, cfg, 24)
+    assert lone_steps(steps) == 300 and eng.jumps > 100
+    assert len(set(eng.modes.tolist())) > 1  # the plan run had several classes
+
+
+def test_one_class_coupled_run_is_the_plan_run():
+    one, planned, lin = one_class_pair()
+    phi0 = Segment.make_constant([2.0], one.delay, 1.0 / 16)
+    cfg = SimConfig(dt=1.0 / 16, horizon=30.0, seed=12)
+    eng, steps = run_side_by_side(one, planned, 300, phi0, cfg, 24, qhat=lin.qhat)
+    assert lone_steps(steps) == 300 and eng.jumps > 20
+    assert np.isfinite(eng.decouple_time).any()
+
+
+def test_controlled_scalar_crosses_between_one_and_two_classes():
+    # K = 2: mode 1 alone, or modes >= 2 alone, is one class; both are two
+    one, planned, _ = one_class_pair(name="controlled_scalar")
+    assert one.shared_coefficients_from == 2
+    phi0 = Segment.make_constant([1.0], one.delay, 1.0 / 16)
+    cfg = SimConfig(dt=1.0 / 16, horizon=30.0, seed=3)
+    _, steps = run_side_by_side(one, planned, 400, phi0, cfg, 3)
+    assert set(steps) == {(True, (1,)), (True, (2,)), (False, (1, 2))}
+
+
+def exploding_ou():
+    # theta < 0 drives |x| up by a factor 1 + 50 dt per step; a start at
+    # 1e300 overflows within a few steps, one at 1 stays finite for 40
+    return one_class_pair({"theta": -50.0})
+
+
+def test_one_class_blow_up_parks_the_path_out_of_later_steps():
+    one, planned, _ = exploding_ou()
+    dt = 1.0 / 64
+    starts = [Segment.make_constant([v], one.delay, dt) for v in (1.0, 1e300, -1.0)]
+    rows = []
+    counted = replace(one, drift=lambda x, i: rows.append(len(x)) or one.drift(x, i))
+    cfg = SimConfig(dt=dt, horizon=1.0, seed=4)
+    eng, steps = run_side_by_side(counted, planned, 40, starts, cfg, 2)
+    lone = lone_steps(steps)
+    assert eng.blown.tolist() == [False, False, True, True, False, False]
+    assert not eng.x[2:4].any() and np.isfinite(eng.x).all() and np.abs(eng.x).max() > 1e6
+    # one class in path order until the blow-up, the plan without the blown paths after
+    assert 0 < lone < 40 and rows == [6] * lone + [4] * (40 - lone)
+    assert eng._plan()[0].tolist() == sorted([0, 1, 4, 5], key=lambda p: eng.modes[p])
+
+
+def test_one_class_constant_coefficients_fill_every_row():
+    # drift and diffusion results without the path axis are constants for
+    # every path, as when the plan fills them group by group
+    model = plain_model(lambda x, i: np.array([0.5]), diffusion=lambda x, i: np.array([[0.3]]),
+                        rates=two_mode_rates(1.0, 1.0), bound=1.0, shared_coefficients_from=1)
+    planned = replace(model, shared_coefficients_from=None)
+    rowwise = replace(model, drift=lambda x, i: np.full(np.shape(x), 0.5),
+                      diffusion=lambda x, i: np.full(np.shape(x) + (1,), 0.3))
+    phi0 = Segment.make_constant([1.0], 1.0, 0.1)
+    cfg = SimConfig(dt=0.1, horizon=10.0, seed=8)
+    eng, steps = run_side_by_side(model, planned, 60, phi0, cfg, 5)
+    other, _ = run_side_by_side(rowwise, planned, 60, phi0, cfg, 5)
+    assert lone_steps(steps) == 60 and eng.jumps > 20
+    assert eng.x.tobytes() == other.x.tobytes() and np.unique(eng.x).size == 5
+    xs, drift, sigma = eng.coefficients()
+    assert drift.shape == (5, 1) and sigma.shape == (5, 1, 1)
+    assert (drift == 0.5).all() and (sigma == 0.3).all()
+
+
+def held(arrays):
+    return [None if a is None else a.copy() for a in arrays]
+
+
+def test_coefficients_stay_as_handed_out_across_steps_and_blow_ups():
+    # the Dynkin generator holds a block of coefficients() results while the
+    # engine steps on: neither a step nor the parking of blown paths may
+    # write into them, in one class or through the plan
+    one, planned, _ = exploding_ou()
+    dt = 1.0 / 64
+    starts = [Segment.make_constant([v], one.delay, dt) for v in (1.0, 1e300)]
+    for model in (one, planned):
+        eng = BatchEnsemble(model, starts, 1, SimConfig(dt=dt, horizon=1.0, seed=4), 3)
+        kept, lone = [], 0
+        for k in range(30):
+            if k % 3:  # a step without a read, which one class takes in path order
+                arrays = eng.coefficients()
+                kept.append((arrays, held(arrays)))
+            lone += eng._plan()[0] is None
+            eng.step()
+            for got, want in kept:
+                for a, b in zip(got, want):
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        assert eng.blown.tolist() == [False] * 3 + [True] * 3
+        assert lone > 0
+
+
+def test_one_class_ensemble_builds_no_mode_group_plan(monkeypatch):
+    # 32 switched_ou paths over 200 thinning steps jump between several
+    # modes, all in one class: no step may sort the paths by mode
+    one, _, _ = one_class_pair()
+    phi0 = Segment.make_constant([2.0], one.delay, 1.0 / 64)
+    eng = BatchEnsemble(one, phi0, 3, SimConfig(dt=1.0 / 64, horizon=5.0, seed=1), 32)
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
+    for _ in range(200):
+        eng.step()
+        assert eng._groups is None and eng._order is None
+    assert not sorts and eng.jumps > 50 and len(set(eng.modes.tolist())) > 1
