@@ -30,7 +30,6 @@ from .model import (
     Linearization,
     ModelSpec,
     RadialCheck,
-    check_drift_condition,
     check_rate_convergence,
     check_sublinear_residuals,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "a_of_i",
     "certify_recurrence",
     "certify_stabilization",
-    "check_drift_condition",
     "check_rate_convergence",
     "check_sublinear_residuals",
     "convergence_sweep",

@@ -14,12 +14,14 @@ positively recurrent.  The law comes in one of two kinds (``solve_law``):
   ``"exact_geometric"``) and N plays no part.  A row K that climbs more
   than one rung or never returns below K leaves the tail unproved, and
   the verdict is INCONCLUSIVE with that reason;
-* truncated to modes 1..N otherwise, N capped at a finite mode count,
-  where the tail mass is exactly 0 (``"finite_modes"``); else it is the
-  caller's (``"user"``) or extrapolated from the geometric decay of the
-  stationary head (``"extrapolated"``, a heuristic, not a proof).  Where
-  the head shows no decay to extrapolate, the tail is unproved and the
-  verdict is INCONCLUSIVE with reason ``"tail unproved"``.
+* truncated otherwise, to every mode of a finite generator when no tail
+  mass is given, whatever N, else to modes 1..N, N capped at a finite
+  mode count.  When no mode lies beyond, the tail mass is exactly 0
+  (``"finite_modes"``); else it is the caller's (``"user"``) or
+  extrapolated from the geometric decay of the stationary head
+  (``"extrapolated"``, a heuristic, not a proof).  Where the head shows
+  no decay to extrapolate, the tail is unproved and the verdict is
+  INCONCLUSIVE with reason ``"tail unproved"``.
 
 The stabilization variant first closes the loop on the controllable modes
 with linear state feedback u = -L(i) x.
@@ -272,11 +274,19 @@ def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
+def _level(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float]) -> int:
+    """The truncation level a certificate weighs: every mode of a finite
+    ``qhat`` when no tail mass is stated, else N capped at the mode count."""
+    q = lin.qhat
+    return q.n_modes if tail_mass_bound is None and q.n_modes is not None else q.clamp(n_modes)
+
+
 def solve_law(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float] = None) -> Law:
     """The law a certificate of ``lin`` weighs (see the module docstring):
     when ``qhat`` is infinite, both repeat points are declared and no tail
     mass is given, the exact geometric law or the :class:`TailUnproved`
-    that names why there is none; else the truncated pair at N."""
+    that names why there is none; else the truncated pair at the level
+    ``_level`` picks."""
     q = lin.qhat
     if (tail_mass_bound is None and lin.repeats_from is not None
             and q.repeats_from is not None and q.n_modes is None):
@@ -284,7 +294,7 @@ def solve_law(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float]
             return geometric_law(q)
         except TailUnproved as exc:
             return exc
-    tg = truncate(q, n_modes)
+    tg = truncate(q, _level(lin, n_modes, tail_mass_bound))
     return tg, stationary(tg)
 
 
@@ -355,7 +365,7 @@ def _certify(
         raise ValueError(f"margin_frac must be nonnegative, got {margin_frac}")
     if tail_mass_bound is not None and not tail_mass_bound >= 0:
         raise ValueError(f"tail_mass_bound must be nonnegative, got {tail_mass_bound}")
-    n_modes = lin.qhat.clamp(n_modes)
+    n_modes = _level(lin, n_modes, tail_mass_bound)
     if law is None:
         law = solve_law(lin, n_modes, tail_mass_bound)
     truncated = isinstance(law, tuple)
@@ -500,7 +510,7 @@ def search_gain(
         raise ValueError("controllable set is empty")
     if not 0.0 <= budget < np.inf:  # an infinite budget would double g forever
         raise ValueError(f"budget must be finite and nonnegative, got {budget}")
-    n_modes = lin.qhat.clamp(n_modes)
+    n_modes = _level(lin, n_modes, tail_mass_bound)
     n = np.asarray(lin.b_mat(min(controllable)), dtype=float).shape[0]
     grid = [0.0]
     g = 0.25

@@ -25,7 +25,9 @@ below K.  Beyond K' a mode is entered only by the climb from the mode
 below it, so nu_j = nu_K' rho^(j - K') for j > K', with rho the climb
 rate of row K over its total rate.  The tail's returns enter the K' x K'
 balance system of the head as nu_K' * rate * rho / (1 - rho), which is
-solved with numpy: the cost is O(K'^3) and does not depend on any N.
+solved with numpy: the cost is O(K'^3) and does not depend on any N.  The
+same matrix decides irreducibility: its nonzero pattern, squared as a
+boolean matrix until paths of K' - 1 links are covered, must be full.
 """
 
 from __future__ import annotations
@@ -298,24 +300,6 @@ _FAR_ROW = 1 << 20
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _strongly_connected(rows: list) -> bool:
-    """Whether every mode of ``rows`` ({column: rate} dicts, columns from 0,
-    those past the last row ignored) reaches every other: all are reached
-    from mode 1 forwards and backwards."""
-    n = len(rows)
-    links = ([[j for j in row if j < n] for row in rows],
-             [[i for i, row in enumerate(rows) if j in row] for j in range(n)])
-    for step in links:
-        seen, todo = {0}, [0]
-        while todo:
-            new = set(step[todo.pop()]) - seen
-            seen |= new
-            todo.extend(new)
-        if len(seen) < n:
-            return False
-    return True
-
-
 def geometric_law(qhat: SparseGenerator) -> GeometricLaw:
     """Exact stationary law of an infinite generator that declares
     ``repeats_from`` K, from rows 1..K' and a spot check of one far row
@@ -351,16 +335,20 @@ def geometric_law(qhat: SparseGenerator) -> GeometricLaw:
     if ratio >= 1.0:
         raise TailUnproved("tail ratio >= 1",
                            f"{qhat.name}: row {k} never returns below mode {k}")
-    # the tail returns where row K' does, so the head decides irreducibility
-    if not _strongly_connected(rows):
-        raise ValueError(f"{qhat.name}: the generator is not irreducible")
-    back = ratio / (1.0 - ratio)  # sum over the tail of nu_j / nu_K'
     q = np.zeros((top, top))
     for i, row in enumerate(rows):
         for j, rate in row.items():
             if j < top:  # the climb out of mode K' enters the tail
                 q[i, j] = rate
         q[i, i] = -sum(row.values())
+    # the tail returns where row K' does, so the head's links decide
+    # irreducibility; reach holds the pairs joined by at most span links
+    reach, span = (q != 0.0) | np.eye(top, dtype=bool), 1
+    while span < top - 1:
+        reach, span = reach @ reach, 2 * span
+    if not reach.all():
+        raise ValueError(f"{qhat.name}: the generator is not irreducible")
+    back = ratio / (1.0 - ratio)  # sum over the tail of nu_j / nu_K'
     q[top - 1, : k - 1] += back * np.array([row_k.get(j, 0.0) for j in range(k - 1)])
     # balance equations nu q = 0, the first replaced by total mass 1
     system = q.T.copy()

@@ -8,8 +8,9 @@ rates approach as the history window grows large; the certificate machinery
 consumes only the linearization.
 
 The ``check_*`` helpers probe the closeness assumptions numerically on user
-supplied radii and modes.  They report tables rather than proofs: PASS
-means the probed quantities behave as the certificate requires.
+supplied radii and modes, through one radius x direction x mode loop.
+They report tables rather than proofs: PASS means the probed quantities
+behave as the certificate of :mod:`switchsde.certify` requires.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "residual_diffusion",
     "check_sublinear_residuals",
     "check_rate_convergence",
-    "check_drift_condition",
 ]
 
 
@@ -150,8 +150,19 @@ def residual_diffusion(m: ModelSpec, lin: Linearization, x, i: int) -> np.ndarra
     return sig - lin_part
 
 
-def _nonincreasing(values, slack: float = 1e-12) -> bool:
-    return all(b <= a * (1.0 + 1e-9) + slack for a, b in zip(values, values[1:]))
+def _radial_check(name: str, radii: list, dirs: list, modes, probe: Callable,
+                  tol: Optional[float] = None) -> RadialCheck:
+    """The table of ``name``: for each radius r the max from 0 over
+    directions d (outer) and modes i (inner) of ``probe(r, r * d)(i)``.
+    PASS if the maxima do not increase and, given ``tol``, the last is
+    below it."""
+    def values(r):
+        for d in dirs:
+            yield from map(probe(r, r * d), modes)
+    table = [max([0.0, *values(r)]) for r in radii]
+    passed = all(b <= a * (1.0 + 1e-9) + 1e-12 for a, b in zip(table, table[1:]))
+    return RadialCheck(name=name, radii=tuple(radii), values=tuple(table),
+                       passed=passed and (tol is None or table[-1] < tol), tol=tol)
 
 
 def check_sublinear_residuals(
@@ -177,24 +188,12 @@ def check_sublinear_residuals(
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii) or len(radii) < 2:
         raise ValueError("need at least two positive radii")
-    ratios = []
-    for r in radii:
-        worst = 0.0
-        for d in dirs:
-            x = r * d
-            for i in modes:
-                rb = np.linalg.norm(residual_drift(m, lin, x, i))
-                rs = np.linalg.norm(residual_diffusion(m, lin, x, i))
-                worst = max(worst, max(rb, rs) / r)
-        ratios.append(worst)
-    passed = _nonincreasing(ratios) and ratios[-1] < tol
-    return RadialCheck(
-        name="sublinear_residuals",
-        radii=tuple(radii),
-        values=tuple(ratios),
-        passed=passed,
-        tol=tol,
-    )
+
+    def ratio(r, x):
+        return lambda i: max(np.linalg.norm(residual_drift(m, lin, x, i)),
+                             np.linalg.norm(residual_diffusion(m, lin, x, i))) / r
+
+    return _radial_check("sublinear_residuals", radii, dirs, modes, ratio, tol)
 
 
 def check_rate_convergence(
@@ -221,70 +220,13 @@ def check_rate_convergence(
         dirs.append(v / np.linalg.norm(v))
     dt = m.delay / 8.0
     radii = [radius * 2.0**k for k in range(4)]
-    devs = []
-    for r in radii:
-        worst = 0.0
-        for d in dirs:
-            seg = Segment.make_constant(r * d, m.delay, dt)
-            for i in modes:
-                row = m.rates_row(seg, i)
-                ref = lin.qhat.row(i)
-                targets = set(row) | set(ref)
-                dev = sum(abs(row.get(j, 0.0) - ref.get(j, 0.0)) for j in targets)
-                worst = max(worst, dev)
-        devs.append(worst)
-    return RadialCheck(
-        name="rate_convergence",
-        radii=tuple(radii),
-        values=tuple(devs),
-        passed=_nonincreasing(devs),
-    )
 
+    def deviation(r, x):
+        seg = Segment.make_constant(x, m.delay, dt)
 
-def check_drift_condition(
-    q,
-    k0: int,
-    eta,
-    probe_modes: Sequence[int],
-    probe_segments: Optional[Sequence[Segment]] = None,
-) -> bool:
-    """Mode-descent drift condition above level k0.
+        def dev(i):
+            row, ref = m.rates_row(seg, i), lin.qhat.row(i)
+            return sum(abs(row.get(j, 0.0) - ref.get(j, 0.0)) for j in set(row) | set(ref))
+        return dev
 
-    With eta_j >= 0 for j > k0 (and eta_j = 0 for j <= k0), checks
-    sum_{j > k0} q_ij eta_j <= -1 for every probed i > k0, including the
-    implied diagonal term q_ii eta_i.  ``q`` is either a
-    :class:`SparseGenerator` (rows constant) or a :class:`ModelSpec`
-    (rows evaluated on the probe segments).
-    """
-    if callable(eta):
-        eta_fn = eta
-    else:
-        table = dict(eta)
-        eta_fn = lambda j: float(table.get(j, 0.0))
-
-    def eta_at(j: int) -> float:
-        if j <= k0:
-            return 0.0
-        v = float(eta_fn(j))
-        if not np.isfinite(v) or v < 0:
-            raise ValueError(f"eta({j}) = {v} must be finite and nonnegative")
-        return v
-
-    if isinstance(q, ModelSpec):
-        if not probe_segments:
-            raise ValueError("probe segments required for a path-dependent model")
-        rows = [(i, q.rates_row(seg, i)) for seg in probe_segments for i in probe_modes]
-    else:
-        rows = [(i, q.row(i)) for i in probe_modes]
-
-    for i, row in rows:
-        if i <= k0:
-            continue
-        total = sum(row.values())
-        s = -total * eta_at(i)  # diagonal term
-        for j, rate in row.items():
-            if j > k0:
-                s += rate * eta_at(j)
-        if s > -1.0 + 1e-12:
-            return False
-    return True
+    return _radial_check("rate_convergence", radii, dirs, modes, deviation)

@@ -141,7 +141,6 @@ def _switched_ou(params: dict):
         mode_rate_bound=mode_rate_bound,
         delay=delay,
         zero_diffusion=not sigmas.any(),
-        rates_depend_on_path=True,
         shared_coefficients_from=top,
     )
     lin = _linearization(
@@ -195,7 +194,6 @@ def _controlled_scalar(params: dict):
         rate_bound=2.0,
         mode_rate_bound=lambda i: float(len(_ladder_targets(i))),
         delay=delay,
-        rates_depend_on_path=True,
         shared_coefficients_from=top,
         meta={
             "input_matrix": lambda i: np.array([[input_gain(i)]]),
@@ -232,7 +230,6 @@ def _fluid_queue(params: dict):
         delay=delay,
         post_step=lambda x: np.maximum(x, 0.0),
         zero_diffusion=True,
-        rates_depend_on_path=True,
         shared_coefficients_from=len(fs),
     )
     lin = _linearization(
@@ -298,7 +295,6 @@ def _predator_prey(params: dict):
         mode_rate_bound=mode_bound,
         delay=delay,
         post_step=lambda x: np.maximum(x, 0.0),
-        rates_depend_on_path=True,
     )
     lin = _linearization(lambda i: np.array([[rho * b_feed * min(i, n_max) - d_death]]),
                          lambda i: [np.array([[sigma]])], qhat, n_max)

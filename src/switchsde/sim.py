@@ -693,9 +693,8 @@ class BatchEnsemble:
             if self.model.rates_depend_on_path:
                 targets, rates = self.rate_table(paths, v)
                 cum = np.cumsum(rates / scale, axis=1)
-                if targets:  # a path's last running sum of rates is its row's sum in order
-                    total = float(np.cumsum(rates, axis=1)[:, -1].max())
-                    _check_total(total, rates.min(), scale, v)
+                if targets:
+                    _check_total(float(rates.sum(axis=1).max()), rates.min(), scale, v)
             else:
                 targets, _, _, cum = self._row(v)
             if not targets:

@@ -13,7 +13,9 @@ check one by one.  The cohort estimators (``coupling_decay``,
 :class:`BatchEnsemble` per radius or start, each on the stream (seed, 1).
 The engine's thinning rounds are checked against a per-proposal loop over
 rate-row dicts (:class:`ProposalLoopEnsemble`) and its picks against the
-dict walks :func:`pick_target` and :func:`couple`.
+dict walks :func:`pick_target` and :func:`couple`.  The exact law's
+irreducibility test is checked against the graph walk
+:func:`strongly_connected`.
 """
 
 import math
@@ -144,6 +146,24 @@ def rational_geometric_law(row, k):
         assert flow == 0, m
     assert sum(head) + head[-1] * series == 1
     return head, rho
+
+
+def strongly_connected(rows: list) -> bool:
+    """Whether every mode of ``rows`` ({column: rate} dicts, columns from 0,
+    those past the last row ignored) reaches every other: all are reached
+    from mode 1 forwards and backwards, by a graph walk."""
+    n = len(rows)
+    links = ([[j for j in row if j < n] for row in rows],
+             [[i for i, row in enumerate(rows) if j in row] for j in range(n)])
+    for step in links:
+        seen, todo = {0}, [0]
+        while todo:
+            new = set(step[todo.pop()]) - seen
+            seen |= new
+            todo.extend(new)
+        if len(seen) < n:
+            return False
+    return True
 
 
 def pick_target(row: dict, u: float, scale: float, mode: int):

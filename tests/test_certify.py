@@ -328,7 +328,19 @@ def test_finite_mode_space_caps_the_truncation():
         assert cert.total == certs[0].total
     assert truncate(lin.qhat, 10_000).size == 50
     assert truncate(lin.qhat, 20).size == 20
-    assert certify_recurrence(lin, 20).tail_mass_source == "extrapolated"
+    assert certify_recurrence(lin, 20).tail_mass_source == "finite_modes"
+
+
+def test_finite_chain_is_weighed_whole_without_a_tail_mass():
+    # with no tail mass stated, N below the mode count changes nothing: the
+    # law is solved on all 50 modes, so no tail is left to extrapolate
+    lin = registry_get("predator_prey", {})[1]
+    runs = [cert_bytes(certify_recurrence(lin, n)) for n in (2, 20, 49, 50, 100_000)]
+    assert all(run == runs[0] for run in runs)
+    assert json.loads(runs[0][0])["truncation"] == 50
+    # a stated tail mass still truncates at N
+    cert = certify_recurrence(lin, 20, tail_mass_bound=0.0)
+    assert (cert.nu.truncation, cert.tail_mass_source) == (20, "user")
 
 
 def test_negative_coefficients_certify_under_the_derived_bound():

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 import switchsde.cli
+from switchsde.certify import certify_recurrence
 from switchsde.cli import main
+from test_certify import ou_lin, undeclared
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OU = str(CONFIG_DIR / "switched_ou.json")
@@ -178,14 +180,20 @@ def test_triplet_generators_count_their_modes(tmp_path):
 
 
 def test_certify_without_a_tail_bound_is_inconclusive(tmp_path):
-    # five of predator_prey's 50 modes are too few to extrapolate the tail:
-    # a verdict with its reason, not a usage error
+    # without a tail mass predator_prey's finite chain is weighed on all its
+    # 50 modes whatever N, so N = 5 leaves no tail; the verdict then rests
+    # on the model's flags: a verdict with its reason, not a usage error
     out = tmp_path / "pp"
     path = str(CONFIG_DIR / "predator_prey.json")
     assert main(["certify", "--model", path, "--N", "5", "--out", str(out)]) == 1
     doc = read_json(out / "certificate.json")
     assert (doc["verdict"], doc["reason"], doc["tail_mass_source"]) == (
-        "INCONCLUSIVE", "tail unproved", "unproved")
+        "INCONCLUSIVE", "sublinear_residuals", "finite_modes")
+    # an unproved tail is written with JSON nulls for its infinite and NaN terms
+    cert = certify_recurrence(undeclared(ou_lin()), 5)
+    assert (cert.reason, cert.tail_mass_source) == ("tail unproved", "unproved")
+    switchsde.cli._write_json(str(tmp_path / "unproved.json"), cert.to_dict())
+    doc = read_json(tmp_path / "unproved.json")
     assert doc["tail_bound"] is None and doc["total"] is None
 
 

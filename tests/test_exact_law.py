@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ladder_nu, ou_family_nu, rational_geometric_law
+from oracles import ladder_nu, ou_family_nu, rational_geometric_law, strongly_connected
 from switchsde.certify import INCONCLUSIVE, certify_recurrence
 from switchsde.chain import (
     SparseGenerator,
@@ -228,6 +228,45 @@ def test_reducible_declared_generators_raise():
     ):
         with pytest.raises(ValueError, match=match):
             geometric_law(SparseGenerator(row, rate_bound=2.0, repeats_from=2))
+
+
+@st.composite
+def declared_heads(draw):
+    """(K, head rows 1..K-1, returns of row K): random head patterns of an
+    infinite generator that repeats from K in 2..8, rows below K reaching up
+    to mode 8 when ``far`` (so K' may pass K), row K climbing one rung and
+    returning below K, so that only irreducibility can fail."""
+    k = draw(st.integers(2, 8))
+    far = draw(st.booleans())
+    reach = 8 if far else k
+    rate = st.sampled_from([0.5, 1.0, 2.0])
+    head = [draw(st.dictionaries(st.integers(1, reach).filter(lambda j, i=i: j != i), rate,
+                                 min_size=1, max_size=3)) for i in range(1, k)]
+    returns = draw(st.dictionaries(st.integers(1, k - 1), rate, min_size=1, max_size=3))
+    return k, head, returns
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(declared_heads())
+@example((5, [{2: 1.0}, {3: 1.0}, {4: 1.0}, {5: 1.0}], {1: 1.0}))  # one cycle of K' links
+@example((2, [{6: 1.0}], {1: 1.0}))  # K' = 6: modes 3..6 entered by the climbs only
+def test_head_matrix_decides_irreducibility_as_the_walk(case):
+    k, head, returns = case
+
+    def row(i):
+        if i < k:
+            return dict(head[i - 1])
+        return {**returns, i + 1: 1.0}
+
+    qhat = SparseGenerator(row, rate_bound=20.0, name="head", repeats_from=k)
+    top = max([k] + [j for r in head for j in r])  # K'
+    walk = strongly_connected([{j - 1: r for j, r in row(i).items()} for i in range(1, top + 1)])
+    if walk:
+        law = geometric_law(qhat)
+        assert law.size == top and law.head.min() > 0.0
+    else:
+        with pytest.raises(ValueError, match="the generator is not irreducible"):
+            geometric_law(qhat)
 
 
 def test_undeclared_tail_without_decay_is_unproved():

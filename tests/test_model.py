@@ -7,7 +7,6 @@ from switchsde.chain import SparseGenerator
 from switchsde.model import (
     Linearization,
     ModelSpec,
-    check_drift_condition,
     check_rate_convergence,
     check_sublinear_residuals,
     residual_diffusion,
@@ -93,45 +92,6 @@ def test_rate_convergence_values_controlled_scalar():
     for r, v in zip(chk.radii, chk.values):
         assert v == pytest.approx(2.0 * 2.0 / (2.0 + r))
     assert chk.passed
-
-
-def test_drift_condition_on_limit_generators():
-    _, lin_ou = registry_get("switched_ou", {})
-    q_ou = lin_ou.qhat
-    assert check_drift_condition(q_ou, k0=2, eta=lambda j: 0.5, probe_modes=range(3, 20))
-    assert not check_drift_condition(
-        q_ou, k0=2, eta=lambda j: 1.0 / 3.0, probe_modes=range(3, 20)
-    )
-
-    _, lin_lad = registry_get("controlled_scalar", {})
-    q_lad = lin_lad.qhat
-    assert check_drift_condition(q_lad, k0=1, eta=lambda j: 1.0, probe_modes=range(2, 20))
-    assert not check_drift_condition(
-        q_lad, k0=1, eta=lambda j: 0.5, probe_modes=range(2, 20)
-    )
-
-
-def test_drift_condition_accepts_dict_eta():
-    _, lin = registry_get("controlled_scalar", {})
-    eta = {j: 1.0 for j in range(2, 30)}
-    assert check_drift_condition(lin.qhat, k0=1, eta=eta, probe_modes=range(2, 20))
-
-
-def test_drift_condition_on_path_dependent_rows():
-    spec, _ = registry_get("switched_ou", {"c": 1.0})
-    seg = Segment.make_constant([5.0], delay=1.0, dt=0.125)
-    # rates exceed their limits, so the margin only improves
-    assert check_drift_condition(
-        spec, k0=2, eta=lambda j: 0.5, probe_modes=range(3, 10), probe_segments=[seg]
-    )
-    with pytest.raises(ValueError):
-        check_drift_condition(spec, k0=2, eta=lambda j: 0.5, probe_modes=[3])
-
-
-def test_drift_condition_rejects_bad_eta():
-    _, lin = registry_get("controlled_scalar", {})
-    with pytest.raises(ValueError):
-        check_drift_condition(lin.qhat, k0=1, eta=lambda j: -1.0, probe_modes=[2])
 
 
 def test_modelspec_validation():
