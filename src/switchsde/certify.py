@@ -4,24 +4,28 @@ The criterion weighs a per-mode spectral cost against the stationary law
 of the limiting rate generator: if the weighted sum is strictly negative
 after adding a bound for the mass it leaves out and ``rounding_bound``,
 the floating-point error bound of the weighted sum, the model is certified
-positively recurrent.  The law comes in one of two kinds (``solve_law``):
+positively recurrent.  ``solve_law`` returns the law as one
+:class:`~switchsde.chain.StationaryDist`, which one formula weighs; only
+the source of the bound on the mass it leaves out (``tail_mass_source``)
+depends on where the law came from:
 
-* exact, when ``qhat`` is infinite and declares ``repeats_from``, the
-  linearization declares its own repeat point and the caller gives no
-  tail mass: :func:`~switchsde.chain.geometric_law` solves a head of K'
-  modes and the tail is geometric, so the sum over every mode has a
-  closed form, nothing is left out (``tail_mass_source`` reads
-  ``"exact_geometric"``) and N plays no part.  A row K that climbs more
-  than one rung or never returns below K leaves the tail unproved, and
-  the verdict is INCONCLUSIVE with that reason;
-* truncated otherwise, to every mode of a finite generator when no tail
-  mass is given, whatever N, else to modes 1..N, N capped at a finite
-  mode count.  When no mode lies beyond, the tail mass is exactly 0
-  (``"finite_modes"``); else it is the caller's (``"user"``) or
-  extrapolated from the geometric decay of the stationary head
-  (``"extrapolated"``, a heuristic, not a proof).  Where the head shows
-  no decay to extrapolate, the tail is unproved and the verdict is
-  INCONCLUSIVE with reason ``"tail unproved"``.
+* ``"exact_geometric"`` when ``qhat`` is infinite and declares
+  ``repeats_from``, the linearization declares its own repeat point and
+  the caller gives no tail mass: :func:`~switchsde.chain.geometric_law`
+  solves a head of K' modes and the tail is geometric, so the sum over
+  every mode has a closed form, nothing is left out and N plays no part.
+  A row K that climbs more than one rung or never returns below K leaves
+  no law (``"unproved"``), and the verdict is INCONCLUSIVE with that
+  reason;
+* else the law is that of a truncation, to every mode of a finite
+  generator when no tail mass is given, whatever N, else to modes 1..N,
+  N capped at a finite mode count.  When no mode lies beyond, the tail
+  mass is exactly 0 (``"finite_modes"``); else it is the caller's
+  (``"user"``) or extrapolated from the geometric decay of the stationary
+  head (``"extrapolated"``).  An extrapolated mass is a heuristic, not a
+  proof: it is reported, and the verdict is INCONCLUSIVE with reason
+  ``"tail extrapolated"``.  Where the head shows no decay to extrapolate,
+  the tail is ``"unproved"`` and the reason ``"tail unproved"``.
 
 The stabilization variant first closes the loop on the controllable modes
 with linear state feedback u = -L(i) x.
@@ -43,20 +47,12 @@ constants; both are reported rather than reconciled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .chain import (
-    GeometricLaw,
-    StationaryDist,
-    TailUnproved,
-    TruncatedGenerator,
-    geometric_law,
-    stationary,
-    truncate,
-)
+from .chain import StationaryDist, TailUnproved, _gamma, geometric_law, stationary, truncate
 from .model import Linearization
 
 __all__ = [
@@ -75,10 +71,8 @@ _FORMS = ("thm37", "thm41")
 CERTIFIED = "CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-_UNIT_ROUNDOFF = 2.0**-53
-
-# what ``solve_law`` returns: the exact law, why there is none, or the truncated pair
-Law = Union[GeometricLaw, TailUnproved, tuple[TruncatedGenerator, StationaryDist]]
+# what ``solve_law`` returns: the law, or why a declared tail has none
+Law = Union[StationaryDist, TailUnproved]
 
 
 @dataclass(frozen=True)
@@ -110,20 +104,21 @@ class GainPlan:
 class Certificate:
     """Outcome of one certification run.
 
-    On a truncated law ``partial_sum`` is the stationary-weighted cost over
-    the first N modes, ``tail_bound`` the worst-case contribution of the
-    remaining mass and ``rounding_bound`` the floating-point error bound
-    gamma_N * sum_i |nu_i c_i| of the partial sum (gamma_N = N u / (1 - N u),
-    u = 2^-53).  On the exact law ``partial_sum`` is the sum over every
-    mode, ``tail_bound`` is 0 and ``rounding_bound`` covers the closed form,
-    gamma_(2m+4) / (1 - rho) times its absolute terms for the m modes
-    written out, plus the largest |c_i| times the law's ``error`` bound
-    from the head solve's balance residual; ``nu`` then holds nu_1..nu_m in
-    closed form, and its ``truncation`` is the head size K'.  The verdict
-    is CERTIFIED only when the total clears the margin and every
-    assumption flag holds.  ``reason`` names what decided it: why the tail
-    is unproved ("tail unproved", "tail reach > 1" or "tail ratio >= 1"),
-    else the first failing flag in sorted order, "partial sum >= 0",
+    ``partial_sum`` is the stationary-weighted cost over every mode the law
+    holds: modes 1..N of a truncation, or every mode of an exact law, whose
+    geometric tail (ratio rho) is summed in closed form.  ``tail_bound`` is
+    the worst-case contribution of the mass the law leaves out (0 on an
+    exact law) and ``rounding_bound`` the floating-point error bound of the
+    partial sum: gamma_n / (1 - rho) * sum_i |nu_i c_i| (gamma_n = n u /
+    (1 - n u), u = 2^-53), with n = N on a truncation (rho = 0) and
+    n = 2m + 4 on an exact law, plus the largest |c_i| times the law's
+    ``error`` bound from the head solve's balance residual.  On an exact
+    law ``nu`` holds nu_1..nu_m for the m modes written out, and its
+    ``truncation`` is the head size K'.  The verdict is CERTIFIED only when
+    the total clears the margin and every assumption flag holds.
+    ``reason`` names what decided it: why the tail is not proved ("tail
+    extrapolated", "tail unproved", "tail reach > 1" or "tail ratio >=
+    1"), else the first failing flag in sorted order, "partial sum >= 0",
     "tail bound", "margin" or "certified".
     """
 
@@ -269,11 +264,6 @@ def estimate_tail_mass(nu: np.ndarray) -> float:
     return float(interior[-1] * r * r / (1.0 - r))
 
 
-def _gamma(n: int) -> float:
-    """gamma_n = n u / (1 - n u): the relative error bound of n roundings."""
-    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-
-
 def _level(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float]) -> int:
     """The truncation level a certificate weighs: every mode of a finite
     ``qhat`` when no tail mass is stated, else N capped at the mode count."""
@@ -285,8 +275,9 @@ def solve_law(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float]
     """The law a certificate of ``lin`` weighs (see the module docstring):
     when ``qhat`` is infinite, both repeat points are declared and no tail
     mass is given, the exact geometric law or the :class:`TailUnproved`
-    that names why there is none; else the truncated pair at the level
-    ``_level`` picks."""
+    that names why there is none; else the stationary law of the
+    truncation at the level ``_level`` picks.  Raises ``ValueError`` when
+    the chain is not irreducible or a truncated row does not sum to 0."""
     q = lin.qhat
     if (tail_mass_bound is None and lin.repeats_from is not None
             and q.repeats_from is not None and q.n_modes is None):
@@ -295,7 +286,10 @@ def solve_law(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float]
         except TailUnproved as exc:
             return exc
     tg = truncate(q, _level(lin, n_modes, tail_mass_bound))
-    return tg, stationary(tg)
+    off = np.abs(tg.q.sum(axis=1)).max()
+    if not off == 0.0:  # written so that NaN fails
+        raise ValueError(f"{q.name}: a truncated row sums to {float(off)!r}, not 0")
+    return stationary(tg)
 
 
 def _extend(head: np.ndarray, n: int) -> np.ndarray:
@@ -305,47 +299,46 @@ def _extend(head: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([head, np.full(n - head.size, head[-1])])
 
 
-def _exact_terms(law: Union[GeometricLaw, TailUnproved], head: np.ndarray) -> dict:
-    """Certificate terms on the exact law: the weighted sum over every mode
-    in closed form, with nu and c written out to at least 12 modes."""
+def _terms(lin: Linearization, law: Law, head: np.ndarray,
+           tail_mass_bound: Optional[float]) -> dict:
+    """Certificate terms: the costs weighed by the law over every mode it
+    holds, its geometric tail (if any) in closed form with nu and c written
+    out to at least 12 modes, plus a bound on the mass it leaves out
+    weighed at the largest cost.  ``unproved`` names why the tail is not
+    proved, None when it is."""
     if isinstance(law, TailUnproved):
         nan = float("nan")
         return dict(per_mode_c=head, nu=StationaryDist(np.zeros(0), nan, 0), partial_sum=nan,
                     tail_bound=np.inf, rounding_bound=nan, tail_mass=np.inf,
                     tail_mass_source="unproved", unproved=law.reason)
-    m = max(law.size, head.size, 12)
-    nu, costs = law.nu(m), _extend(head, m)
-    # modes beyond m all cost c_m and weigh nu_m rho / (1 - rho) together
-    tail = nu[-1] * law.ratio / (1.0 - law.ratio)
-    partial = float(nu @ costs + costs[-1] * tail)
-    spread = float(nu @ np.abs(costs) + abs(costs[-1]) * tail)
-    rounding = _gamma(2 * m + 4) / (1.0 - law.ratio) * spread + np.max(np.abs(head)) * law.error
-    return dict(per_mode_c=costs, nu=StationaryDist(nu, law.residual, law.size),
-                partial_sum=partial, tail_bound=0.0, rounding_bound=float(rounding),
-                tail_mass=0.0, tail_mass_source="exact_geometric", unproved=None)
-
-
-def _truncated_terms(lin: Linearization, law: tuple[TruncatedGenerator, StationaryDist],
-                     head: np.ndarray, tail_mass_bound: Optional[float]) -> dict:
-    """Certificate terms on the truncated law: the weighted sum over modes
-    1..N plus a bound on the mass beyond N weighed at the largest cost."""
-    tg, dist = law
-    n = tg.size
-    costs = _extend(head, n)
     unproved = None
-    if n == lin.qhat.n_modes:
+    if law.ratio:
+        tail_mass, source = 0.0, "exact_geometric"
+    elif law.truncation == lin.qhat.n_modes:
         tail_mass, source = 0.0, "finite_modes"  # no mode lies beyond N
     elif tail_mass_bound is not None:
         tail_mass, source = float(tail_mass_bound), "user"
     else:
         try:
-            tail_mass, source = estimate_tail_mass(dist.nu), "extrapolated"
+            tail_mass, source = estimate_tail_mass(law.nu), "extrapolated"
+            unproved = "tail extrapolated"  # a heuristic, not a proof
         except ValueError:
             tail_mass, source, unproved = np.inf, "unproved", "tail unproved"
-    tail_bound = np.inf if unproved else float(np.max(np.abs(head)) * tail_mass)
-    return dict(per_mode_c=costs, nu=dist, partial_sum=float(dist.nu @ costs),
-                tail_bound=tail_bound, rounding_bound=float(_gamma(n) * (dist.nu @ np.abs(costs))),
-                tail_mass=tail_mass, tail_mass_source=source, unproved=unproved)
+    # a dot of m terms rounds m times; a geometric tail adds the powers of
+    # the ratio and its own sum, each term widened by 1 / (1 - ratio)
+    m = max(law.nu.size, head.size, 12) if law.ratio else law.nu.size
+    steps = 2 * m + 4 if law.ratio else m
+    nu, costs = law.extend(m), _extend(head, m)
+    # modes beyond m all cost c_m and weigh nu_m ratio / (1 - ratio) together
+    tail = nu[-1] * law.ratio / (1.0 - law.ratio)
+    spread = float(nu @ np.abs(costs) + abs(costs[-1]) * tail)
+    top = np.max(np.abs(head))
+    rounding = _gamma(steps) / (1.0 - law.ratio) * spread + top * law.error
+    return dict(per_mode_c=costs, nu=replace(law, nu=nu),
+                partial_sum=float(nu @ costs + costs[-1] * tail),
+                tail_bound=np.inf if source == "unproved" else float(top * tail_mass),
+                rounding_bound=float(rounding), tail_mass=tail_mass, tail_mass_source=source,
+                unproved=unproved)
 
 
 def _certify(
@@ -368,21 +361,13 @@ def _certify(
     n_modes = _level(lin, n_modes, tail_mass_bound)
     if law is None:
         law = solve_law(lin, n_modes, tail_mass_bound)
-    truncated = isinstance(law, tuple)
-    if truncated and law[0].size != n_modes:
-        raise ValueError(f"law solved at N={law[0].size}, certificate asks for N={n_modes}")
+    elif isinstance(law, StationaryDist) and not law.ratio and law.truncation != n_modes:
+        raise ValueError(f"law solved at N={law.truncation}, certificate asks for N={n_modes}")
     n_cost = _cost_modes(lin, n_modes, () if plan is None else plan.controllable)
-    if stacks is None:
-        b, sig = _stacks(lin, range(1, n_cost + 1), plan)
-    else:
-        b, sig = stacks
-        if b.shape[0] != n_cost:
-            raise ValueError(f"stacks hold {b.shape[0]} modes, certificate needs {n_cost}")
+    # search_gain passes the closed-loop stacks of modes 1..n_cost under plan
+    b, sig = _stacks(lin, range(1, n_cost + 1), plan) if stacks is None else stacks
     head = _costs(b, sig, form)  # modes 1..n_cost; every mode beyond costs head[-1]
-    if truncated:
-        terms = _truncated_terms(lin, law, head, tail_mass_bound)
-    else:
-        terms = _exact_terms(law, head)
+    terms = _terms(lin, law, head, tail_mass_bound)
     unproved = terms.pop("unproved")
 
     plan_norm = 0.0
@@ -397,9 +382,9 @@ def _certify(
                     ),
                 )
     flags = {
-        # the exact law's rows are conservative by construction
-        "qhat_conservative": bool(not truncated or np.abs(law[0].q.sum(axis=1)).max() == 0.0),
-        "qhat_irreducible": True,  # the law's solve raised otherwise
+        # the law's solve raised otherwise
+        "qhat_conservative": True,
+        "qhat_irreducible": True,
         "coeff_bound_ok": bool(_probe_norm(b, sig) <= lin.coeff_bound + plan_norm + 1e-9),
         "stationary_residual_ok": bool(terms["nu"].residual <= 1e-10),
     }
@@ -434,16 +419,8 @@ def certify_recurrence(
     extra_flags: Optional[dict] = None,
 ) -> Certificate:
     """Certify positive recurrence from the linearization alone."""
-    return _certify(
-        lin,
-        n_modes,
-        claim="positive_recurrence",
-        form="thm37",
-        plan=None,
-        tail_mass_bound=tail_mass_bound,
-        margin_frac=margin_frac,
-        extra_flags=extra_flags,
-    )
+    return _certify(lin, n_modes, "positive_recurrence", "thm37", None, tail_mass_bound,
+                    margin_frac, extra_flags)
 
 
 def certify_stabilization(
@@ -456,30 +433,16 @@ def certify_stabilization(
     extra_flags: Optional[dict] = None,
     *,
     law: Optional[Law] = None,
-    stacks: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Certificate:
     """Certify weak stabilizability under the feedback plan.
 
     ``law`` is what ``solve_law(lin, n_modes, tail_mass_bound)`` returns,
-    or an already solved ``(truncate(lin.qhat, n_modes), stationary(...))``
-    pair, which is weighed as a truncated law.  ``stacks`` are the
-    closed-loop ``(drifts, noise)`` stacks under ``plan`` of modes 1..N, or
-    of modes 1..D when ``lin.repeats_from`` is declared (see the module
-    docstring).  ``search_gain`` passes both so that its grid shares one
-    solve and one build of the gain-independent matrices.
+    or the :func:`~switchsde.chain.stationary` law of the truncation at the
+    level it weighs; a caller that certifies several plans passes it to
+    solve the law once.
     """
-    return _certify(
-        lin,
-        n_modes,
-        claim="weak_stabilizability",
-        form=form,
-        plan=plan,
-        tail_mass_bound=tail_mass_bound,
-        margin_frac=margin_frac,
-        extra_flags=extra_flags,
-        law=law,
-        stacks=stacks,
-    )
+    return _certify(lin, n_modes, "weak_stabilizability", form, plan, tail_mass_bound,
+                    margin_frac, extra_flags, law=law)
 
 
 def search_gain(
@@ -531,16 +494,8 @@ def search_gain(
         b = b0.copy()
         for i in restack:
             b[i - 1] = _effective_drift(lin, i, plan)
-        cert = certify_stabilization(
-            lin,
-            plan,
-            n_modes,
-            tail_mass_bound=tail_mass_bound,
-            form=form,
-            margin_frac=margin_frac,
-            law=law,
-            stacks=_checked(b, sig),
-        )
+        cert = _certify(lin, n_modes, "weak_stabilizability", form, plan, tail_mass_bound,
+                        margin_frac, None, law=law, stacks=_checked(b, sig))
         if cert.verdict == CERTIFIED:
             return plan
     return None

@@ -28,6 +28,11 @@ balance system of the head as nu_K' * rate * rho / (1 - rho), which is
 solved with numpy: the cost is O(K'^3) and does not depend on any N.  The
 same matrix decides irreducibility: its nonzero pattern, squared as a
 boolean matrix until paths of K' - 1 links are covered, must be full.
+
+Both laws are a :class:`StationaryDist`: a truncation's holds nu_1..nu_N
+and no mass beyond, the geometric law's holds nu_1..nu_K' with the tail's
+ratio and an error bound, and :meth:`StationaryDist.extend` writes the
+tail out to any length.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ __all__ = [
     "SparseGenerator",
     "TruncatedGenerator",
     "StationaryDist",
-    "GeometricLaw",
     "TailUnproved",
     "geometric_law",
     "truncate",
@@ -57,13 +61,13 @@ __all__ = [
 class SparseGenerator:
     """Off-diagonal rate rows over modes {1, 2, ...}.
 
-    ``row(i)`` returns a dict {j: rate} with j != i and rate >= 0; the
-    diagonal entry is -sum(row).  ``rate_bound`` must dominate every total
-    row rate.  ``n_modes`` (optional) declares a finite mode space
-    {1, ..., n_modes} whose rows never leave it.  ``repeats_from``
-    (optional) K promises that for every i >= K, ``row(i)`` is ``row(K)``
-    with each target j >= K moved to j + i - K, in the same key order, and
-    the targets below K kept as they are.  Like
+    ``row(i)`` returns a dict {j: rate} with j != i and finite rate >= 0;
+    the diagonal entry is -sum(row).  ``rate_bound``, finite and positive,
+    must dominate every total row rate.  ``n_modes`` (optional) declares a
+    finite mode space {1, ..., n_modes} whose rows never leave it.
+    ``repeats_from`` (optional) K promises that for every i >= K,
+    ``row(i)`` is ``row(K)`` with each target j >= K moved to j + i - K, in
+    the same key order, and the targets below K kept as they are.  Like
     ``ModelSpec.shared_coefficients_from`` it is not checked, beyond the
     spot checks of row N in :func:`truncate` and of rows K+1..K' and row
     2^20 in :func:`geometric_law`.
@@ -71,8 +75,8 @@ class SparseGenerator:
 
     def __init__(self, row_fn: Callable[[int], dict], rate_bound: float, name: str = "custom",
                  n_modes=None, repeats_from=None):
-        if rate_bound <= 0:
-            raise ValueError("rate_bound must be positive")
+        if not 0.0 < rate_bound < np.inf:  # written so that NaN fails
+            raise ValueError(f"rate_bound must be finite and positive, got {rate_bound}")
         if repeats_from is not None and repeats_from < 1:
             raise ValueError("repeats_from must be a mode >= 1")
         self._row_fn = row_fn
@@ -102,8 +106,8 @@ class SparseGenerator:
                 raise ValueError("modes are indexed from 1")
             if i == j:
                 raise ValueError("diagonal entries are implied; supply only i != j")
-            if rate < 0:
-                raise ValueError(f"negative rate {rate} at ({i},{j})")
+            if not 0.0 <= rate < np.inf:
+                raise ValueError(f"rate {rate} at ({i},{j}) is not finite and nonnegative")
             rows.setdefault(i, {})[j] = rows.get(i, {}).get(j, 0.0) + rate
         bound = max((sum(r.values()) for r in rows.values()), default=0.0)
         if bound <= 0:
@@ -120,34 +124,27 @@ class TruncatedGenerator:
 
 @dataclass(frozen=True)
 class StationaryDist:
+    """Stationary law nu_1..nu_m of a generator, m = ``nu.size``.
+
+    From a truncation (:func:`stationary`), ``truncation`` is N, ``ratio``
+    and ``error`` are 0 and no mass lies beyond N.  From a declared tail
+    (:func:`geometric_law`), ``nu`` is the head nu_1..nu_K', ``truncation``
+    is K', nu_j = nu_m * ratio^(j - m) for every j > m, and ``error``
+    bounds the l1 distance, tail included, from the computed law to the
+    exact one that the residual and the rounding of the head system's
+    entries leave open.  ``residual`` is the l1 norm of the solved
+    system's residual."""
+
     nu: np.ndarray
-    residual: float  # l1 norm of nu @ Q, recomputed after the solve
-    truncation: int
-
-
-@dataclass(frozen=True)
-class GeometricLaw:
-    """Exact stationary law of an infinite generator that repeats from K
-    and climbs one rung: ``head`` is nu_1..nu_K', and nu_j = nu_K' *
-    ratio^(j - K') for every j > K' (see the module docstring).
-    ``residual`` is the l1 norm of the head system's residual, and
-    ``error`` bounds the l1 distance, tail included, from the computed law
-    to the exact one that this residual and the rounding of the system's
-    entries leave open."""
-
-    head: np.ndarray
-    ratio: float
     residual: float
-    error: float
+    truncation: int
+    ratio: float = 0.0
+    error: float = 0.0
 
-    @property
-    def size(self) -> int:
-        return int(self.head.size)
-
-    def nu(self, m: int) -> np.ndarray:
-        """nu_1..nu_m for m >= ``size``, the tail in closed form."""
-        tail = self.head[-1] * self.ratio ** np.arange(1, m - self.size + 1)
-        return np.concatenate([self.head, tail])
+    def extend(self, m: int) -> np.ndarray:
+        """nu_1..nu_m for m >= ``nu.size``, the tail in closed form."""
+        tail = self.nu[-1] * self.ratio ** np.arange(1, m - self.nu.size + 1)
+        return np.concatenate([self.nu, tail])
 
 
 class TailUnproved(ValueError):
@@ -169,8 +166,8 @@ def _lumped_row(i: int, row: dict, n: int) -> dict:
             raise ValueError(f"row {i} targets mode {j}; modes are indexed from 1")
         if j == i:
             raise ValueError(f"row {i} contains a diagonal entry")
-        if rate < 0:
-            raise ValueError(f"negative rate {rate} at ({i},{j})")
+        if not 0.0 <= rate < np.inf:
+            raise ValueError(f"rate {rate} at ({i},{j}) is not finite and nonnegative")
         jj = min(j, n) - 1
         if jj != i - 1 and rate != 0.0:  # boundary self-loops cancel
             lumped[jj] = lumped.get(jj, 0.0) + rate
@@ -300,7 +297,13 @@ _FAR_ROW = 1 << 20
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def geometric_law(qhat: SparseGenerator) -> GeometricLaw:
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2^-53: the relative error bound of n
+    roundings."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def geometric_law(qhat: SparseGenerator) -> StationaryDist:
     """Exact stationary law of an infinite generator that declares
     ``repeats_from`` K, from rows 1..K' and a spot check of one far row
     (see the module docstring).
@@ -362,12 +365,12 @@ def geometric_law(qhat: SparseGenerator) -> GeometricLaw:
     res[0] -= 1.0
     # the residual as computed, widened by its own rounding and by that of
     # the ratio-dependent entries, then carried through the inverse
-    gamma = (top + 4) * _UNIT_ROUNDOFF / (1.0 - (top + 4) * _UNIT_ROUNDOFF) / (1.0 - ratio)
+    gamma = _gamma(top + 4) / (1.0 - ratio)
     loose = np.abs(res) + gamma * (np.abs(system) @ head)
     loose[0] += gamma
     error = float((np.abs(inv) @ loose).sum() / (1.0 - ratio))
-    return GeometricLaw(head=head, ratio=float(ratio), residual=float(np.abs(res).sum()),
-                        error=error)
+    return StationaryDist(nu=head, residual=float(np.abs(res).sum()), truncation=top,
+                          ratio=float(ratio), error=error)
 
 
 def convergence_sweep(qhat: SparseGenerator, levels) -> list[dict]:

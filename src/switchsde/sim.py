@@ -161,16 +161,19 @@ def _gap(rng, bound: float) -> float:
 
 def _check_total(total: float, low: float, bound: float, modes) -> None:
     """Reject a row with a negative rate ``low`` or a ``total`` above ``bound``;
-    ``modes`` names the row: a mode, or a coupled (mode, mode_hat) pair."""
-    if low < 0 or total > bound * _BOUND_SLACK:
+    ``modes`` names the row: a mode, or a coupled (mode, mode_hat) pair.  A
+    NaN rate makes the total NaN, which fails too."""
+    if not (low >= 0 and total <= bound * _BOUND_SLACK):
         where = f"modes {modes}" if isinstance(modes, tuple) else f"mode {modes}"
         if low < 0:
             raise ValueError(f"rates out of {where} include {float(low)!r}; "
                              "a rate cannot be negative")
-        raise ValueError(
-            f"rates out of {where} total {total!r}, above the bound {bound!r} in "
-            "force; the jump draw would drop the excess"
-        )
+        if total > bound * _BOUND_SLACK:
+            raise ValueError(
+                f"rates out of {where} total {total!r}, above the bound {bound!r} in "
+                "force; the jump draw would drop the excess"
+            )
+        raise ValueError(f"rates out of {where} total {total!r}; a rate cannot be NaN")
 
 
 def _pick(targets: list, rates: list, u: float, bound: float):

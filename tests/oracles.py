@@ -15,7 +15,9 @@ The engine's thinning rounds are checked against a per-proposal loop over
 rate-row dicts (:class:`ProposalLoopEnsemble`) and its picks against the
 dict walks :func:`pick_target` and :func:`couple`.  The exact law's
 irreducibility test is checked against the graph walk
-:func:`strongly_connected`.
+:func:`strongly_connected`.  A certificate's weighing of its law is
+checked against the two term builders it replaced, one per kind of law:
+:func:`exact_terms` and :func:`truncated_terms`.
 """
 
 import math
@@ -26,6 +28,8 @@ import numpy as np
 from scipy.linalg import eigh, null_space
 from scipy.optimize import minimize
 
+from switchsde.certify import estimate_tail_mass
+from switchsde.chain import StationaryDist, TailUnproved
 from switchsde.segment import Segment
 from switchsde.sim import BatchEnsemble, _check_total, simulate
 from switchsde.verify import apply_generator
@@ -146,6 +150,64 @@ def rational_geometric_law(row, k):
         assert flow == 0, m
     assert sum(head) + head[-1] * series == 1
     return head, rho
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2^-53."""
+    u = 2.0**-53
+    return n * u / (1.0 - n * u)
+
+
+def _extend(head: np.ndarray, n: int) -> np.ndarray:
+    """Costs of modes 1..n from those of modes 1..D, c_D repeated beyond."""
+    if head.size >= n:
+        return head[:n]
+    return np.concatenate([head, np.full(n - head.size, head[-1])])
+
+
+def exact_terms(law, head: np.ndarray) -> dict:
+    """Certificate terms on an exact law (``ratio`` > 0) or a
+    :class:`TailUnproved`: the weighted sum over every mode in closed form,
+    with nu and c written out to at least 12 modes; ``unproved`` is the
+    reason a certificate then gives, None when the tail is proved."""
+    if isinstance(law, TailUnproved):
+        nan = float("nan")
+        return dict(per_mode_c=head, nu=StationaryDist(np.zeros(0), nan, 0), partial_sum=nan,
+                    tail_bound=np.inf, rounding_bound=nan, tail_mass=np.inf,
+                    tail_mass_source="unproved", unproved=law.reason)
+    m = max(law.truncation, head.size, 12)
+    nu, costs = law.extend(m), _extend(head, m)
+    # modes beyond m all cost c_m and weigh nu_m rho / (1 - rho) together
+    tail = nu[-1] * law.ratio / (1.0 - law.ratio)
+    partial = float(nu @ costs + costs[-1] * tail)
+    spread = float(nu @ np.abs(costs) + abs(costs[-1]) * tail)
+    rounding = _gamma(2 * m + 4) / (1.0 - law.ratio) * spread + np.max(np.abs(head)) * law.error
+    return dict(per_mode_c=costs, nu=StationaryDist(nu, law.residual, law.truncation),
+                partial_sum=partial, tail_bound=0.0, rounding_bound=float(rounding),
+                tail_mass=0.0, tail_mass_source="exact_geometric", unproved=None)
+
+
+def truncated_terms(lin, law, head: np.ndarray, tail_mass_bound) -> dict:
+    """Certificate terms on the law of a truncation to modes 1..N: the
+    weighted sum over modes 1..N plus a bound on the mass beyond N weighed
+    at the largest cost, which an extrapolated mass does not prove."""
+    n = law.truncation
+    costs = _extend(head, n)
+    unproved = None
+    if n == lin.qhat.n_modes:
+        tail_mass, source = 0.0, "finite_modes"  # no mode lies beyond N
+    elif tail_mass_bound is not None:
+        tail_mass, source = float(tail_mass_bound), "user"
+    else:
+        try:
+            tail_mass, source = estimate_tail_mass(law.nu), "extrapolated"
+            unproved = "tail extrapolated"
+        except ValueError:
+            tail_mass, source, unproved = np.inf, "unproved", "tail unproved"
+    tail_bound = np.inf if source == "unproved" else float(np.max(np.abs(head)) * tail_mass)
+    return dict(per_mode_c=costs, nu=law, partial_sum=float(law.nu @ costs),
+                tail_bound=tail_bound, rounding_bound=float(_gamma(n) * (law.nu @ np.abs(costs))),
+                tail_mass=tail_mass, tail_mass_source=source, unproved=unproved)
 
 
 def strongly_connected(rows: list) -> bool:

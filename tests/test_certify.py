@@ -210,11 +210,14 @@ def test_shared_law_matches_own_solve():
     spec, lin = scalar_model(0.0)
     tg = truncate(lin.qhat, 20)
     plan = GainPlan(frozenset([1]), {1: np.array([[4.0]])}, spec.meta["input_matrix"])
-    cert = certify_stabilization(lin, plan, 20, law=(tg, stationary(tg)))
+    # the mass beyond mode 20 is 2^-20; without a stated tail mass the
+    # declared generator would be weighed by its exact law instead
+    tail = 2.0**-20
+    cert = certify_stabilization(lin, plan, 20, tail_mass_bound=tail, law=stationary(tg))
     assert cert.verdict == CERTIFIED
-    assert cert.partial_sum == certify_stabilization(lin, plan, 20).partial_sum
+    assert cert.partial_sum == certify_stabilization(lin, plan, 20, tail).partial_sum
     with pytest.raises(ValueError):
-        certify_stabilization(lin, plan, 30, law=(tg, stationary(tg)))
+        certify_stabilization(lin, plan, 30, tail, law=stationary(tg))
 
 
 def test_certificate_monotone_in_gain():
@@ -299,11 +302,42 @@ def test_to_dict_is_json_ready():
     cert = certify_recurrence(undeclared(ou_lin()), 30)
     doc = cert.to_dict()
     json.dumps(doc)
-    assert doc["verdict"] == CERTIFIED
+    # an extrapolated tail mass is reported but proves nothing
+    assert (doc["verdict"], doc["reason"]) == (INCONCLUSIVE, "tail extrapolated")
+    assert doc["tail_mass_source"] == "extrapolated" and 0.0 < doc["tail_bound"] < 1e-12
     assert doc["truncation"] == 30
     assert len(doc["per_mode_c"]) == 12
     assert 0.0 < doc["rounding_bound"] < 1e-14
     assert doc["total"] == doc["partial_sum"] + doc["tail_bound"] + doc["rounding_bound"]
+
+
+def test_extrapolated_tail_does_not_certify():
+    # the geometric fit beyond N is a heuristic: it once certified this
+    # undeclared OU family for every N from 20 to 600
+    lin = undeclared(ou_lin())
+    for n in (20, 30, 100, 600):
+        cert = certify_recurrence(lin, n)
+        assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "tail extrapolated"), n
+        assert cert.tail_mass_source == "extrapolated"
+        assert cert.tail_bound == cert.tail_mass > 0.0  # reported, at the largest |c_i| = 1
+        assert cert.partial_sum == pytest.approx(-1.0, abs=1e-9)
+    # the reason comes ahead of the flags, as an unproved tail's does
+    cert = certify_recurrence(lin, 30, extra_flags={"a_probe": False})
+    assert cert.reason == "tail extrapolated"
+    # a stated tail mass proves the tail
+    assert certify_recurrence(lin, 30, tail_mass_bound=1e-12).verdict == CERTIFIED
+
+
+def test_a_truncated_row_off_zero_raises():
+    # the law's solve checks what the qhat_conservative flag reports: rates
+    # whose total overflows leave a row sum of -inf + inf
+    qhat = SparseGenerator(lambda i: {j: 1e308 for j in (1, 2, 3) if j != i}, rate_bound=1.0,
+                           name="huge", n_modes=3)
+    lin = replace(undeclared(ou_lin()), qhat=qhat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="huge: a truncated row sums to nan, not 0"):
+            certify_recurrence(lin, 3)
+    assert certify_recurrence(ou_lin(), 30).assumption_flags["qhat_conservative"]
 
 
 def test_certified_totals_stable_across_truncation():
@@ -396,7 +430,8 @@ def test_repeat_points_change_no_certificate(name, params):
                 assert runs[1] == runs[2], n
                 if n == 300:
                     a, b = certify_recurrence(lin, n), certify_recurrence(undeclared(lin), n)
-                    assert (a.verdict, a.reason) == (b.verdict, b.reason)
+                    # only the exact law proves its tail
+                    assert (b.verdict, b.reason) == (INCONCLUSIVE, "tail extrapolated")
                     assert a.partial_sum == pytest.approx(b.partial_sum, abs=1e-12)
             else:
                 assert runs[0] == runs[1] == runs[2], (n, tail)

@@ -78,6 +78,20 @@ def test_triplets_accumulate_and_validate():
         SparseGenerator.from_triplets([(0, 2, 1.0)])
 
 
+def test_non_finite_rates_and_bounds_raise():
+    # NaN fails no comparison: a NaN bound or rate once passed every check,
+    # and an infinite bound made the coupled thinning clocks draw zero gaps
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"rate_bound must be finite and positive, got {bad}"):
+            SparseGenerator(lambda i: {}, rate_bound=bad)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match=rf"rate {bad} at \(1,2\) is not finite and nonnegative"):
+            SparseGenerator.from_triplets([(1, 2, bad), (2, 1, 1.0)])
+        gen = SparseGenerator(lambda i: {2: bad} if i == 1 else {1: 1.0}, rate_bound=1.0)
+        with pytest.raises(ValueError, match=rf"rate {bad} at \(1,2\) is not finite"):
+            truncate(gen, 5)
+
+
 def test_stationary_two_base_golden_values():
     dist = stationary(truncate(two_base_ladder(), 30))
     assert dist.residual <= 1e-10

@@ -208,6 +208,17 @@ def test_stationary_takes_one_source(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_stationary_rejects_a_nan_rate(tmp_path, capsys):
+    # json.loads reads NaN; the rate once reached the solve, which failed
+    # with "Factor is exactly singular"
+    gen = tmp_path / "gen.json"
+    gen.write_text('{"triplets": [{"i": 1, "j": 2, "rate": NaN}, {"i": 2, "j": 1, "rate": 3.0}]}')
+    out = tmp_path / "st"
+    assert main(["stationary", "--generator", str(gen), "--out", str(out)]) == 2
+    assert "rate nan at (1,2) is not finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stabilize_search(tmp_path):
     open_loop = scalar_config(tmp_path, 0.0)
     out = str(tmp_path / "stab")

@@ -11,10 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ladder_nu, ou_family_nu, rational_geometric_law, strongly_connected
-from switchsde.certify import INCONCLUSIVE, certify_recurrence
+from oracles import (
+    exact_terms,
+    ladder_nu,
+    ou_family_nu,
+    rational_geometric_law,
+    strongly_connected,
+    truncated_terms,
+)
+from switchsde.certify import INCONCLUSIVE, certify_recurrence, solve_law
 from switchsde.chain import (
     SparseGenerator,
+    StationaryDist,
     TailUnproved,
     geometric_law,
     stationary,
@@ -45,13 +53,13 @@ def test_exact_law_matches_fraction_closed_forms():
         assert law.ratio == float(rho)
         head, exact_rho = rational_geometric_law(gen.row, gen.repeats_from)
         assert exact_rho == rho
-        assert head == [closed(j) for j in range(1, law.size + 1)]
-        for j, v in enumerate(law.nu(60), start=1):
+        assert head == [closed(j) for j in range(1, law.truncation + 1)]
+        for j, v in enumerate(law.extend(60), start=1):
             assert close(v, closed(j), ulps=j + 4), j  # a power of the rounded ratio
     # the float closed forms of the oracles agree
-    assert geometric_law(two_base_ladder(repeats_from=3)).nu(20) == pytest.approx(
+    assert geometric_law(two_base_ladder(repeats_from=3)).extend(20) == pytest.approx(
         [ou_family_nu(j) for j in range(1, 21)], rel=1e-15)
-    assert geometric_law(return_ladder(repeats_from=2)).nu(20) == pytest.approx(
+    assert geometric_law(return_ladder(repeats_from=2)).extend(20) == pytest.approx(
         [ladder_nu(j) for j in range(1, 21)], rel=1e-15)
 
 
@@ -61,7 +69,7 @@ def test_truncated_head_converges_to_the_exact_head():
     # law on modes 1..N-1 and the exact mass of modes N, N+1, ... at N, so
     # it converges to the exact law in l1 as twice that mass
     for make, k in ((two_base_ladder, 3), (return_ladder, 2)):
-        exact = geometric_law(make(repeats_from=k)).nu(64)
+        exact = geometric_law(make(repeats_from=k)).extend(64)
         gaps = []
         for n in (10, 20, 40):
             nu = stationary(truncate(make(), n)).nu
@@ -126,12 +134,12 @@ def test_exact_law_on_random_one_rung_generators(lin):
         return
     law = geometric_law(qhat)
     head, rho = rational_geometric_law(qhat.row, qhat.repeats_from)
-    assert law.ratio == float(rho) and law.size == len(head)
-    m = law.size + 40
-    nu = law.nu(m)
+    assert law.ratio == float(rho) and law.truncation == len(head)
+    m = law.truncation + 40
+    nu = law.extend(m)
     assert abs(nu.sum() + nu[-1] * law.ratio / (1.0 - law.ratio) - 1.0) <= 1e-12
     # the truncation past K' is exact on its head (see the test above)
-    n = law.size + 5
+    n = law.truncation + 5
     assert stationary(truncate(qhat, n)).nu[:-1] == pytest.approx(nu[: n - 1], abs=1e-12)
 
     def exact_nu(j):
@@ -170,7 +178,7 @@ def test_shipped_declared_families_read_their_closed_forms(tmp_path):
         assert len(runs) == 1, name
         doc = json.loads(runs.pop())
         assert doc["tail_mass_source"] == "exact_geometric"
-        assert doc["truncation"] == geometric_law(lin.qhat).size
+        assert doc["truncation"] == geometric_law(lin.qhat).truncation
         assert len(doc["nu_head"]) == len(doc["per_mode_c"]) == 12
 
 
@@ -263,7 +271,7 @@ def test_head_matrix_decides_irreducibility_as_the_walk(case):
     walk = strongly_connected([{j - 1: r for j, r in row(i).items()} for i in range(1, top + 1)])
     if walk:
         law = geometric_law(qhat)
-        assert law.size == top and law.head.min() > 0.0
+        assert law.truncation == top and law.nu.min() > 0.0
     else:
         with pytest.raises(ValueError, match="the generator is not irreducible"):
             geometric_law(qhat)
@@ -278,3 +286,82 @@ def test_undeclared_tail_without_decay_is_unproved():
         assert cert.tail_mass_source == "unproved" and cert.tail_bound == np.inf
         assert cert.partial_sum == pytest.approx(-1.0, abs=1e-9)
     assert certify_recurrence(lin, 30).tail_mass_source == "extrapolated"
+
+
+# exact zeros among the costs, and costs of every binary exponent
+WEIGHED_COSTS = st.one_of(st.just(0.0), st.sampled_from(COSTS),
+                          st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def finite_generators(draw):
+    """A finite generator on modes 1..n, n in 2..8: a cycle through every
+    mode plus random jumps, so the chain is irreducible."""
+    n = draw(st.integers(2, 8))
+    rate = st.sampled_from(RATES)
+    rows = {i: {i % n + 1: draw(rate)} for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        for j in draw(st.lists(st.integers(1, n).filter(lambda j, i=i: j != i), max_size=2)):
+            rows[i][j] = rows[i].get(j, 0.0) + draw(rate)
+    return SparseGenerator(lambda i: dict(rows[i]), rate_bound=20.0, name="finite", n_modes=n)
+
+
+@st.composite
+def weighed_laws(draw):
+    """(lin, N, tail mass) over the three kinds of law a certificate weighs:
+    exact laws of one-rung generators, truncated laws of finite generators,
+    and truncated laws of undeclared one-rung generators, with and without
+    a tail mass; the costs, one per mode up to a repeat point, are drawn
+    afresh."""
+    costs = draw(st.lists(WEIGHED_COSTS, min_size=1, max_size=6))
+    kind = draw(st.sampled_from(("exact", "finite", "undeclared")))
+    if kind == "finite":
+        qhat = draw(finite_generators())
+    else:
+        qhat = draw(one_rung_generators()).qhat
+    lin = Linearization(
+        b_mat=lambda i: np.array([[costs[min(i, len(costs)) - 1]]]),
+        sigma_mats=lambda i: [np.zeros((1, 1))],
+        qhat=qhat,
+        coeff_bound=4.0,
+        repeats_from=len(costs),
+    )
+    if kind == "undeclared" or (kind == "finite" and draw(st.booleans())):
+        lin = undeclared(lin)
+    tail = None if kind == "exact" else draw(st.sampled_from((None, 0.0, 1e-6, 0.01)))
+    # an extrapolated tail needs 8 modes or more
+    levels = (5, 12, 20, 40) if kind == "undeclared" else (2, 3, 5, 8, 12)
+    return lin, draw(st.sampled_from(levels)), tail
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(weighed_laws())
+def test_one_weighing_matches_the_two_reference_builders(case):
+    lin, n, tail = case
+    try:
+        law = solve_law(lin, n, tail)
+    except ValueError:  # a truncated runaway chain: its boundary mode absorbs
+        with pytest.raises(ValueError, match="not irreducible"):
+            certify_recurrence(lin, n, tail_mass_bound=tail)
+        return
+    cert = certify_recurrence(lin, n, tail_mass_bound=tail)
+    costs = [lin.b_mat(i)[0, 0] for i in range(1, len(cert.per_mode_c) + 1)]
+    if lin.repeats_from is None:  # every mode up to N is stacked
+        ref = truncated_terms(lin, law, np.array(costs), tail)
+    else:
+        head = np.array(costs[: lin.repeats_from])
+        ref = (truncated_terms(lin, law, head, tail) if isinstance(law, StationaryDist)
+               and not law.ratio else exact_terms(law, head))
+    assert same_bits(cert.per_mode_c, ref["per_mode_c"])
+    assert same_bits(cert.nu.nu, ref["nu"].nu)
+    assert same_bits(cert.nu.residual, ref["nu"].residual)
+    assert cert.nu.truncation == ref["nu"].truncation
+    for field in ("partial_sum", "tail_bound", "rounding_bound", "tail_mass"):
+        assert same_bits(getattr(cert, field), ref[field]), field
+    assert cert.tail_mass_source == ref["tail_mass_source"]
+    assert ref["unproved"] is None or cert.reason == ref["unproved"]
+    assert cert.verdict == INCONCLUSIVE or ref["unproved"] is None

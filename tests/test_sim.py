@@ -412,6 +412,26 @@ def test_negative_rates_raise():
             simulate_coupled(model, lin, phi0, 1, cfg)
 
 
+def test_nan_rates_raise():
+    # NaN fails no comparison, so a row with a NaN rate once passed every
+    # check and, under thinning, never jumped
+    nan_row = {2: 0.5, 3: float("nan")}
+    model = plain_model(lambda x, i: np.zeros_like(np.asarray(x, dtype=float)),
+                        rates=lambda seg, i: dict(nan_row) if i == 1 else {1: 0.5})
+    phi0 = Segment.make_constant([0.0], 1.0, 0.1)
+    _, lin = coupled_setup(None, lambda i: {2: 0.5} if i == 1 else {1: 0.5}, 0.5, 1.0)
+    nan = r"rates out of {} total nan; a rate cannot be NaN"
+    for scheme in ("thinning", "bernoulli"):
+        cfg = SimConfig(dt=0.1, horizon=20.0, seed=0, scheme=scheme)
+        with pytest.raises(ValueError, match=nan.format("mode 1")):
+            simulate(model, phi0, 1, cfg)
+        for engine in (model, replace(model, rates_depend_on_path=False)):
+            with pytest.raises(ValueError, match=nan.format("mode 1")):
+                BatchEnsemble(engine, phi0, 1, cfg, 4).run(200)
+        with pytest.raises(ValueError, match=nan.format(r"modes \(1, 1\)")):
+            simulate_coupled(model, lin, phi0, 1, cfg)
+
+
 def test_batch_engine_deterministic_states_and_history():
     model = batch_model(
         lambda seg, i: {}, 1.0, drift=lambda x, i: np.ones_like(np.asarray(x, dtype=float))
