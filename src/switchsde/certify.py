@@ -52,7 +52,14 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .chain import StationaryDist, TailUnproved, _gamma, geometric_law, stationary, truncate
+from .chain import (
+    StationaryDist,
+    TailUnproved,
+    _gamma,
+    geometric_law,
+    stationary,
+    truncate,
+)
 from .model import Linearization
 
 __all__ = [
@@ -276,8 +283,9 @@ def solve_law(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float]
     when ``qhat`` is infinite, both repeat points are declared and no tail
     mass is given, the exact geometric law or the :class:`TailUnproved`
     that names why there is none; else the stationary law of the
-    truncation at the level ``_level`` picks.  Raises ``ValueError`` when
-    the chain is not irreducible or a truncated row does not sum to 0."""
+    truncation at the level ``_level`` picks.  Raises ``ValueError`` as
+    :func:`~switchsde.chain.geometric_law` and
+    :func:`~switchsde.chain.stationary` do."""
     q = lin.qhat
     if (tail_mass_bound is None and lin.repeats_from is not None
             and q.repeats_from is not None and q.n_modes is None):
@@ -285,11 +293,7 @@ def solve_law(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float]
             return geometric_law(q)
         except TailUnproved as exc:
             return exc
-    tg = truncate(q, _level(lin, n_modes, tail_mass_bound))
-    off = np.abs(tg.q.sum(axis=1)).max()
-    if not off == 0.0:  # written so that NaN fails
-        raise ValueError(f"{q.name}: a truncated row sums to {float(off)!r}, not 0")
-    return stationary(tg)
+    return stationary(truncate(q, _level(lin, n_modes, tail_mass_bound)))
 
 
 def _extend(head: np.ndarray, n: int) -> np.ndarray:
@@ -312,8 +316,13 @@ def _terms(lin: Linearization, law: Law, head: np.ndarray,
                     tail_bound=np.inf, rounding_bound=nan, tail_mass=np.inf,
                     tail_mass_source="unproved", unproved=law.reason)
     unproved = None
-    if law.ratio:
-        tail_mass, source = 0.0, "exact_geometric"
+    m = steps = law.nu.size  # a dot of m terms rounds m times
+    if law.ratio > 0.0:  # geometric_law refuses a ratio that rounds to 0
+        # nu and c written out to at least 12 modes; the tail adds the
+        # powers of the ratio and its own sum, each term widened by
+        # 1 / (1 - ratio)
+        m = max(m, head.size, 12)
+        tail_mass, source, steps = 0.0, "exact_geometric", 2 * m + 4
     elif law.truncation == lin.qhat.n_modes:
         tail_mass, source = 0.0, "finite_modes"  # no mode lies beyond N
     elif tail_mass_bound is not None:
@@ -324,10 +333,6 @@ def _terms(lin: Linearization, law: Law, head: np.ndarray,
             unproved = "tail extrapolated"  # a heuristic, not a proof
         except ValueError:
             tail_mass, source, unproved = np.inf, "unproved", "tail unproved"
-    # a dot of m terms rounds m times; a geometric tail adds the powers of
-    # the ratio and its own sum, each term widened by 1 / (1 - ratio)
-    m = max(law.nu.size, head.size, 12) if law.ratio else law.nu.size
-    steps = 2 * m + 4 if law.ratio else m
     nu, costs = law.extend(m), _extend(head, m)
     # modes beyond m all cost c_m and weigh nu_m ratio / (1 - ratio) together
     tail = nu[-1] * law.ratio / (1.0 - law.ratio)
@@ -344,6 +349,7 @@ def _terms(lin: Linearization, law: Law, head: np.ndarray,
 def _certify(
     lin: Linearization,
     n_modes: int,
+    *,
     claim: str,
     form: str,
     plan: Optional[GainPlan],
@@ -361,7 +367,7 @@ def _certify(
     n_modes = _level(lin, n_modes, tail_mass_bound)
     if law is None:
         law = solve_law(lin, n_modes, tail_mass_bound)
-    elif isinstance(law, StationaryDist) and not law.ratio and law.truncation != n_modes:
+    elif isinstance(law, StationaryDist) and law.ratio == 0.0 and law.truncation != n_modes:
         raise ValueError(f"law solved at N={law.truncation}, certificate asks for N={n_modes}")
     n_cost = _cost_modes(lin, n_modes, () if plan is None else plan.controllable)
     # search_gain passes the closed-loop stacks of modes 1..n_cost under plan
@@ -382,7 +388,7 @@ def _certify(
                     ),
                 )
     flags = {
-        # the law's solve raised otherwise
+        # every law is a geometric_law or a stationary, which raise otherwise
         "qhat_conservative": True,
         "qhat_irreducible": True,
         "coeff_bound_ok": bool(_probe_norm(b, sig) <= lin.coeff_bound + plan_norm + 1e-9),
@@ -419,8 +425,16 @@ def certify_recurrence(
     extra_flags: Optional[dict] = None,
 ) -> Certificate:
     """Certify positive recurrence from the linearization alone."""
-    return _certify(lin, n_modes, "positive_recurrence", "thm37", None, tail_mass_bound,
-                    margin_frac, extra_flags)
+    return _certify(
+        lin,
+        n_modes,
+        claim="positive_recurrence",
+        form="thm37",
+        plan=None,
+        tail_mass_bound=tail_mass_bound,
+        margin_frac=margin_frac,
+        extra_flags=extra_flags,
+    )
 
 
 def certify_stabilization(
@@ -441,8 +455,17 @@ def certify_stabilization(
     level it weighs; a caller that certifies several plans passes it to
     solve the law once.
     """
-    return _certify(lin, n_modes, "weak_stabilizability", form, plan, tail_mass_bound,
-                    margin_frac, extra_flags, law=law)
+    return _certify(
+        lin,
+        n_modes,
+        claim="weak_stabilizability",
+        form=form,
+        plan=plan,
+        tail_mass_bound=tail_mass_bound,
+        margin_frac=margin_frac,
+        extra_flags=extra_flags,
+        law=law,
+    )
 
 
 def search_gain(
@@ -494,8 +517,18 @@ def search_gain(
         b = b0.copy()
         for i in restack:
             b[i - 1] = _effective_drift(lin, i, plan)
-        cert = _certify(lin, n_modes, "weak_stabilizability", form, plan, tail_mass_bound,
-                        margin_frac, None, law=law, stacks=_checked(b, sig))
+        cert = _certify(
+            lin,
+            n_modes,
+            claim="weak_stabilizability",
+            form=form,
+            plan=plan,
+            tail_mass_bound=tail_mass_bound,
+            margin_frac=margin_frac,
+            extra_flags=None,
+            law=law,
+            stacks=_checked(b, sig),
+        )
         if cert.verdict == CERTIFIED:
             return plan
     return None

@@ -129,11 +129,11 @@ class StationaryDist:
     From a truncation (:func:`stationary`), ``truncation`` is N, ``ratio``
     and ``error`` are 0 and no mass lies beyond N.  From a declared tail
     (:func:`geometric_law`), ``nu`` is the head nu_1..nu_K', ``truncation``
-    is K', nu_j = nu_m * ratio^(j - m) for every j > m, and ``error``
-    bounds the l1 distance, tail included, from the computed law to the
-    exact one that the residual and the rounding of the head system's
-    entries leave open.  ``residual`` is the l1 norm of the solved
-    system's residual."""
+    is K', nu_j = nu_m * ratio^(j - m) for every j > m with ratio > 0 (a
+    ratio of 0 marks a truncation's law), and ``error`` bounds the l1
+    distance, tail included, from the computed law to the exact one that
+    the residual and the rounding of the head system's entries leave open.
+    ``residual`` is the l1 norm of the solved system's residual."""
 
     nu: np.ndarray
     residual: float
@@ -249,12 +249,17 @@ def truncate(qhat: SparseGenerator, n_modes: int) -> TruncatedGenerator:
 
 
 def stationary(tg: TruncatedGenerator) -> StationaryDist:
-    """Stationary law nu of the truncated generator: nu Q = 0, sum nu = 1."""
+    """Stationary law nu of the truncated generator: nu Q = 0, sum nu = 1.
+    Raises ``ValueError`` when a row of Q does not sum to exactly 0 or Q is
+    not irreducible."""
     from scipy.sparse import csc_matrix
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import splu
 
     q = tg.q
+    off = np.abs(q.sum(axis=1)).max()  # truncate makes every row sum to exactly 0
+    if not off == 0.0:  # written so that NaN fails
+        raise ValueError(f"a truncated row sums to {float(off)!r}, not 0")
     n_comp, _ = connected_components(q, directed=True, connection="strong")
     if n_comp != 1:
         raise ValueError("truncated generator is not irreducible")
@@ -335,6 +340,8 @@ def geometric_law(qhat: SparseGenerator) -> StationaryDist:
         raise ValueError(f"{qhat.name}: no row enters mode {top + 1}; "
                          "the generator is not irreducible")
     ratio = climb / sum(row_k.values())
+    if ratio == 0.0:  # a ratio of 0 marks a truncation's law
+        raise ValueError(f"{qhat.name}: row {k} climbs at {climb!r}, a tail ratio that rounds to 0")
     if ratio >= 1.0:
         raise TailUnproved("tail ratio >= 1",
                            f"{qhat.name}: row {k} never returns below mode {k}")

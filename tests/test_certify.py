@@ -210,12 +210,13 @@ def test_shared_law_matches_own_solve():
     spec, lin = scalar_model(0.0)
     tg = truncate(lin.qhat, 20)
     plan = GainPlan(frozenset([1]), {1: np.array([[4.0]])}, spec.meta["input_matrix"])
-    # the mass beyond mode 20 is 2^-20; without a stated tail mass the
-    # declared generator would be weighed by its exact law instead
+    # the mass beyond mode 20 is 2^-20; a truncated law proves its tail
+    # only with a stated tail mass
     tail = 2.0**-20
     cert = certify_stabilization(lin, plan, 20, tail_mass_bound=tail, law=stationary(tg))
     assert cert.verdict == CERTIFIED
-    assert cert.partial_sum == certify_stabilization(lin, plan, 20, tail).partial_sum
+    # the own solve is the exact geometric law
+    assert cert.partial_sum == certify_stabilization(lin, plan, 20).partial_sum
     with pytest.raises(ValueError):
         certify_stabilization(lin, plan, 30, tail, law=stationary(tg))
 
@@ -329,14 +330,17 @@ def test_extrapolated_tail_does_not_certify():
 
 
 def test_a_truncated_row_off_zero_raises():
-    # the law's solve checks what the qhat_conservative flag reports: rates
-    # whose total overflows leave a row sum of -inf + inf
+    # every truncated law, also one a caller passes in, comes from
+    # stationary, which checks what the qhat_conservative flag reports:
+    # rates whose total overflows leave a row sum of -inf + inf
     qhat = SparseGenerator(lambda i: {j: 1e308 for j in (1, 2, 3) if j != i}, rate_bound=1.0,
                            name="huge", n_modes=3)
     lin = replace(undeclared(ou_lin()), qhat=qhat)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="huge: a truncated row sums to nan, not 0"):
+        with pytest.raises(ValueError, match="a truncated row sums to nan, not 0"):
             certify_recurrence(lin, 3)
+        with pytest.raises(ValueError, match="a truncated row sums to nan, not 0"):
+            stationary(truncate(qhat, 3))
     assert certify_recurrence(ou_lin(), 30).assumption_flags["qhat_conservative"]
 
 

@@ -233,9 +233,12 @@ def test_reducible_declared_generators_raise():
     for row, match in (
         (lambda i: {} if i == 1 else {1: 1.0, i + 1: 1.0}, "not irreducible"),  # 1 absorbs
         (lambda i: {2: 1.0} if i == 1 else {1: 1.0}, "no row enters mode 3"),
+        # a climb so slow that its ratio rounds to 0, which marks a truncation
+        (lambda i: {2: 1.0} if i == 1 else {1: 4.0, i + 1: 5e-324},
+         "row 2 climbs at 5e-324, a tail ratio that rounds to 0"),
     ):
         with pytest.raises(ValueError, match=match):
-            geometric_law(SparseGenerator(row, rate_bound=2.0, repeats_from=2))
+            geometric_law(SparseGenerator(row, rate_bound=4.0, repeats_from=2))
 
 
 @st.composite
