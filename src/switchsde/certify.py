@@ -30,12 +30,15 @@ depends on where the law came from:
 The stabilization variant first closes the loop on the controllable modes
 with linear state feedback u = -L(i) x.
 
-When the linearization declares ``repeats_from`` K, every mode beyond
-D = max(K, largest controllable mode + 1) has mode D's cost, so the
-matrices, costs and norm probe are built for modes 1..D only and the costs
-are extended by repeating c_D (to length N on a truncated law): the
-per-mode work does not grow with N, and the tail bound and the
-coefficient probe then cover every mode, also those beyond N.
+``_parts`` builds every certificate and ``_certify`` weighs it.  ``_parts``
+resolves the level and the law (solves it, or checks a caller's ``law``
+against the level) and builds the closed-loop drifts of modes 1..D and
+their gain-free noise part: D is N, or max(K, largest controllable mode
++ 1) when the linearization declares ``repeats_from`` K, as every mode
+beyond costs c_D, so the per-mode work does not grow with N, and the tail
+bound and coefficient probe cover every mode, also those beyond N.  A gain
+moves only the controllable drifts, so ``search_gain`` resolves the law
+and builds the noise part once per search.
 
 Two printed forms of the stabilization cost are kept side by side and
 selected with ``form``: ``thm37`` substitutes the closed-loop drift into
@@ -102,8 +105,6 @@ class GainPlan:
             raise ValueError(f"gain supplied on uncontrolled modes {sorted(bad)}")
 
     def gain(self, i: int) -> Optional[np.ndarray]:
-        if i not in self.controllable:
-            return None
         return self.gains.get(i)
 
 
@@ -178,33 +179,14 @@ def _effective_drift(lin: Linearization, i: int, plan: Optional[GainPlan]) -> np
     return b
 
 
-def _cost_modes(lin: Linearization, n_modes: int, controllable=()) -> int:
-    """D such that the stacks of modes 1..D fix every mode's cost: N when
-    the coefficients declare no repeat point K, else max(K, c + 1) for the
-    largest controllable mode c, as every mode beyond is mode D's."""
-    if lin.repeats_from is None:
-        return n_modes
-    return max(lin.repeats_from, max(controllable, default=0) + 1)
-
-
-def _stacks(lin: Linearization, modes, plan: Optional[GainPlan]):
-    """Effective drifts (N, n, n) and noise matrices (N, d, n, n) of ``modes``."""
-    b = np.array([_effective_drift(lin, i, plan) for i in modes])
-    sig = np.array([lin.sigma_mats(i) for i in modes], dtype=float)
-    return _checked(b, sig)
-
-
-def _checked(b: np.ndarray, sig: np.ndarray):
+def _stacks(drifts) -> np.ndarray:
+    """The closed-loop drifts of modes 1..D as a checked (D, n, n) stack."""
+    b = np.asarray(drifts, dtype=float)
     if b.ndim != 3 or b.shape[1] != b.shape[2]:
         raise ValueError(f"expected square drift matrices, got stack shape {b.shape}")
-    if sig.ndim != 4 or sig.shape[1] == 0 or sig.shape[2:] != b.shape[1:]:
-        raise ValueError(
-            f"each mode needs at least one noise matrix of the drift's shape; "
-            f"got stack shape {sig.shape}"
-        )
-    if not (np.isfinite(b).all() and np.isfinite(sig).all()):
+    if not np.isfinite(b).all():
         raise ValueError("matrix entries must be finite")
-    return b, sig
+    return b
 
 
 def _sym_eigs(mats: np.ndarray) -> np.ndarray:
@@ -212,29 +194,36 @@ def _sym_eigs(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
 
 
-def _costs(b: np.ndarray, sig: np.ndarray, form: str) -> np.ndarray:
-    """Per-mode spectral costs from the stacks built by ``_stacks``.
-
-    rho is the minimal |x^T s x| over the unit sphere: 0 when the symmetric
-    part of s is indefinite, else its smallest absolute eigenvalue.
-    """
+def _noise(lin: Linearization, modes, form: str, n: int) -> Callable:
+    """The gain-free part of the costs of ``modes`` in ``form``: a function
+    from their closed-loop drifts (a :func:`_stacks` stack of size ``n``) to
+    their costs, the noise terms added in the printed order, and the largest
+    spectral norm over drifts and noise matrices.  rho is the minimal
+    |x^T s x| over the unit sphere: 0 when the symmetric part of s is
+    indefinite, else its smallest absolute eigenvalue."""
     if form not in _FORMS:
         raise ValueError(f"form must be one of {_FORMS}")
-    drift = _sym_eigs(b)[:, -1]
+    sig = np.array([lin.sigma_mats(i) for i in modes], dtype=float)
+    if sig.ndim != 4 or sig.shape[1] == 0 or sig.shape[2:] != (n, n):
+        raise ValueError(f"each mode needs at least one noise matrix of the drift's shape; "
+                         f"got stack shape {sig.shape}")
+    if not np.isfinite(sig).all():
+        raise ValueError("matrix entries must be finite")
     eigs = _sym_eigs(sig)
     lo, hi = eigs[..., 0], eigs[..., -1]
     rho2 = np.where((lo < 0.0) & (hi > 0.0), 0.0, np.minimum(lo * lo, hi * hi))
     gram = np.swapaxes(sig, -1, -2) @ sig  # sigma_j^T sigma_j
+    top = float(np.linalg.svd(sig, compute_uv=False).max())  # largest spectral norm
     if form == "thm37":
-        return drift + 0.5 * _sym_eigs(gram.sum(axis=1))[:, -1] - rho2.sum(axis=1)
-    return 2.0 * drift + (_sym_eigs(gram)[..., -1] - rho2).sum(axis=1)
+        scale, add, sub = 1.0, 0.5 * _sym_eigs(gram.sum(axis=1))[:, -1], rho2.sum(axis=1)
+    else:
+        scale, add, sub = 2.0, (_sym_eigs(gram)[..., -1] - rho2).sum(axis=1), 0.0
 
+    def weigh(b: np.ndarray) -> tuple:
+        norm = max(float(np.linalg.svd(b, compute_uv=False).max()), top)
+        return scale * _sym_eigs(b)[:, -1] + add - sub, norm
 
-def _probe_norm(b: np.ndarray, sig: np.ndarray) -> float:
-    """Largest spectral norm over the stacked drifts and noise matrices."""
-    n = b.shape[1]
-    mats = np.concatenate([b, sig.reshape(-1, n, n)])
-    return float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
+    return weigh
 
 
 def per_mode_cost(
@@ -244,7 +233,8 @@ def per_mode_cost(
     plan: Optional[GainPlan] = None,
 ) -> float:
     """Spectral cost of mode i (negative is stabilizing)."""
-    return float(_costs(*_stacks(lin, [i], plan), form)[0])
+    b = _stacks([_effective_drift(lin, i, plan)])
+    return float(_noise(lin, [i], form, b.shape[1])(b)[0][0])
 
 
 def estimate_tail_mass(nu: np.ndarray) -> float:
@@ -273,7 +263,13 @@ def estimate_tail_mass(nu: np.ndarray) -> float:
 
 def _level(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float]) -> int:
     """The truncation level a certificate weighs: every mode of a finite
-    ``qhat`` when no tail mass is stated, else N capped at the mode count."""
+    ``qhat`` when no tail mass is stated, else N capped at the mode count.
+    Raises ``ValueError`` for N < 2 or a negative tail mass."""
+    # written so that NaN fails each
+    if not n_modes >= 2:
+        raise ValueError(f"n_modes must be at least 2, got {n_modes}")
+    if tail_mass_bound is not None and not tail_mass_bound >= 0:
+        raise ValueError(f"tail_mass_bound must be nonnegative, got {tail_mass_bound}")
     q = lin.qhat
     return q.n_modes if tail_mass_bound is None and q.n_modes is not None else q.clamp(n_modes)
 
@@ -284,23 +280,16 @@ def solve_law(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float]
     mass is given, the exact geometric law or the :class:`TailUnproved`
     that names why there is none; else the stationary law of the
     truncation at the level ``_level`` picks.  Raises ``ValueError`` as
-    :func:`~switchsde.chain.geometric_law` and
+    ``_level``, :func:`~switchsde.chain.geometric_law` and
     :func:`~switchsde.chain.stationary` do."""
-    q = lin.qhat
+    n, q = _level(lin, n_modes, tail_mass_bound), lin.qhat
     if (tail_mass_bound is None and lin.repeats_from is not None
             and q.repeats_from is not None and q.n_modes is None):
         try:
             return geometric_law(q)
         except TailUnproved as exc:
             return exc
-    return stationary(truncate(q, _level(lin, n_modes, tail_mass_bound)))
-
-
-def _extend(head: np.ndarray, n: int) -> np.ndarray:
-    """Costs of modes 1..n from those of modes 1..D, c_D repeated beyond."""
-    if head.size >= n:
-        return head[:n]
-    return np.concatenate([head, np.full(n - head.size, head[-1])])
+    return stationary(truncate(q, n))
 
 
 def _terms(lin: Linearization, law: Law, head: np.ndarray,
@@ -333,7 +322,8 @@ def _terms(lin: Linearization, law: Law, head: np.ndarray,
             unproved = "tail extrapolated"  # a heuristic, not a proof
         except ValueError:
             tail_mass, source, unproved = np.inf, "unproved", "tail unproved"
-    nu, costs = law.extend(m), _extend(head, m)
+    nu = law.extend(m)
+    costs = np.concatenate([head, np.full(max(m - head.size, 0), head[-1])])[:m]  # c_D beyond D
     # modes beyond m all cost c_m and weigh nu_m ratio / (1 - ratio) together
     tail = nu[-1] * law.ratio / (1.0 - law.ratio)
     spread = float(nu @ np.abs(costs) + abs(costs[-1]) * tail)
@@ -346,52 +336,50 @@ def _terms(lin: Linearization, law: Law, head: np.ndarray,
                 unproved=unproved)
 
 
+def _parts(lin: Linearization, plan: Optional[GainPlan], n_modes: int,
+           tail_mass_bound: Optional[float], form: str, law: Optional[Law] = None) -> tuple:
+    """What one certificate weighs (see the module docstring): its law, the
+    closed-loop drifts of modes 1..D under ``plan`` and their noise part."""
+    n = _level(lin, n_modes, tail_mass_bound)
+    if law is None:
+        law = solve_law(lin, n_modes, tail_mass_bound)
+    elif isinstance(law, StationaryDist) and law.ratio == 0.0 and law.truncation != n:
+        raise ValueError(f"law solved at N={law.truncation}, certificate asks for N={n}")
+    if lin.repeats_from is not None:
+        n = max(lin.repeats_from, max(() if plan is None else plan.controllable, default=0) + 1)
+    b = _stacks([_effective_drift(lin, i, plan) for i in range(1, n + 1)])
+    return law, b, _noise(lin, range(1, n + 1), form, b.shape[1])
+
+
 def _certify(
     lin: Linearization,
-    n_modes: int,
+    law: Law,
+    b: np.ndarray,
+    noise: Callable,
     *,
     claim: str,
     form: str,
     plan: Optional[GainPlan],
     tail_mass_bound: Optional[float],
     margin_frac: float,
-    extra_flags: Optional[dict],
-    law: Optional[Law] = None,
-    stacks: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    extra_flags: Optional[dict] = None,
 ) -> Certificate:
-    # written so that NaN fails each
-    if not margin_frac >= 0:
+    """Weigh the costs of the drift stack ``b`` of modes 1..D (every mode
+    beyond costs mode D's) under the noise part ``noise`` against ``law``."""
+    if not margin_frac >= 0:  # written so that NaN fails it
         raise ValueError(f"margin_frac must be nonnegative, got {margin_frac}")
-    if tail_mass_bound is not None and not tail_mass_bound >= 0:
-        raise ValueError(f"tail_mass_bound must be nonnegative, got {tail_mass_bound}")
-    n_modes = _level(lin, n_modes, tail_mass_bound)
-    if law is None:
-        law = solve_law(lin, n_modes, tail_mass_bound)
-    elif isinstance(law, StationaryDist) and law.ratio == 0.0 and law.truncation != n_modes:
-        raise ValueError(f"law solved at N={law.truncation}, certificate asks for N={n_modes}")
-    n_cost = _cost_modes(lin, n_modes, () if plan is None else plan.controllable)
-    # search_gain passes the closed-loop stacks of modes 1..n_cost under plan
-    b, sig = _stacks(lin, range(1, n_cost + 1), plan) if stacks is None else stacks
-    head = _costs(b, sig, form)  # modes 1..n_cost; every mode beyond costs head[-1]
+    head, norm = noise(b)
     terms = _terms(lin, law, head, tail_mass_bound)
     unproved = terms.pop("unproved")
 
-    plan_norm = 0.0
-    if plan is not None:
-        for i in plan.controllable:
-            gain = plan.gain(i)
-            if gain is not None:
-                plan_norm = max(
-                    plan_norm,
-                    np.linalg.norm(
-                        np.asarray(plan.input_mats(i), float) @ np.asarray(gain, float), 2
-                    ),
-                )
+    plan_norm = max([0.0] + [
+        np.linalg.norm(np.asarray(plan.input_mats(i), float) @ np.asarray(gain, float), 2)
+        for i, gain in plan.gains.items() if gain is not None]) if plan else 0.0
     flags = {
         # every law is a geometric_law or a stationary, which raise otherwise
         "qhat_conservative": True,
         "qhat_irreducible": True,
-        "coeff_bound_ok": bool(_probe_norm(b, sig) <= lin.coeff_bound + plan_norm + 1e-9),
+        "coeff_bound_ok": bool(norm <= lin.coeff_bound + plan_norm + 1e-9),
         "stationary_residual_ok": bool(terms["nu"].residual <= 1e-10),
     }
     if extra_flags:
@@ -427,7 +415,7 @@ def certify_recurrence(
     """Certify positive recurrence from the linearization alone."""
     return _certify(
         lin,
-        n_modes,
+        *_parts(lin, None, n_modes, tail_mass_bound, "thm37"),
         claim="positive_recurrence",
         form="thm37",
         plan=None,
@@ -457,14 +445,13 @@ def certify_stabilization(
     """
     return _certify(
         lin,
-        n_modes,
+        *_parts(lin, plan, n_modes, tail_mass_bound, form, law),
         claim="weak_stabilizability",
         form=form,
         plan=plan,
         tail_mass_bound=tail_mass_bound,
         margin_frac=margin_frac,
         extra_flags=extra_flags,
-        law=law,
     )
 
 
@@ -485,32 +472,25 @@ def search_gain(
     Tries g = 0 first (the already-stable case), then doubles g from
     0.25 up to ``budget``; returns the first plan whose certificate
     is CERTIFIED at the requested margin, or None when the budget is
-    exhausted.  The gain does not enter ``qhat``, so the stationary law is
-    solved once (or taken from ``law``, as in
-    :func:`certify_stabilization`) and shared by every grid point; the
-    noise stack and the drifts of uncontrolled modes are built once, and
-    each grid point restacks only the controllable modes.
+    exhausted.  Each grid point's certificate is the one
+    :func:`certify_stabilization` gives for its plan.  The gain enters
+    neither ``qhat`` nor the noise, so the law (solved, or ``law`` checked
+    as there), the noise part and the open-loop drifts are built once per
+    search, and each grid point rebuilds only the drifts of the
+    controllable modes, which are checked again with the rest.
     """
     controllable = frozenset(int(i) for i in controllable)
     if not controllable:
         raise ValueError("controllable set is empty")
     if not 0.0 <= budget < np.inf:  # an infinite budget would double g forever
         raise ValueError(f"budget must be finite and nonnegative, got {budget}")
-    n_modes = _level(lin, n_modes, tail_mass_bound)
-    n = np.asarray(lin.b_mat(min(controllable)), dtype=float).shape[0]
-    grid = [0.0]
-    g = 0.25
+    open_loop = GainPlan(controllable, {}, input_mats)
+    law, b0, noise = _parts(lin, open_loop, n_modes, tail_mass_bound, form, law)
+    restack = sorted(i for i in controllable if i <= len(b0))
+    g = 0.0
     while g <= budget * (1.0 + 1e-12):
-        grid.append(g)
-        g *= 2.0
-    if law is None:
-        law = solve_law(lin, n_modes, tail_mass_bound)
-    n_cost = _cost_modes(lin, n_modes, controllable)
-    b0, sig = _stacks(lin, range(1, n_cost + 1), None)
-    restack = sorted(i for i in controllable if i <= n_cost)
-    for g in grid:
         gains = {
-            i: g * np.eye(np.asarray(input_mats(i), float).shape[1], n)
+            i: g * np.eye(np.asarray(input_mats(i), float).shape[1], b0.shape[1])
             for i in controllable
         }
         plan = GainPlan(controllable=controllable, gains=gains, input_mats=input_mats)
@@ -519,16 +499,16 @@ def search_gain(
             b[i - 1] = _effective_drift(lin, i, plan)
         cert = _certify(
             lin,
-            n_modes,
+            law,
+            _stacks(b),
+            noise,
             claim="weak_stabilizability",
             form=form,
             plan=plan,
             tail_mass_bound=tail_mass_bound,
             margin_frac=margin_frac,
-            extra_flags=None,
-            law=law,
-            stacks=_checked(b, sig),
         )
         if cert.verdict == CERTIFIED:
             return plan
+        g = max(0.25, 2.0 * g)
     return None

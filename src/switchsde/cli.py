@@ -167,6 +167,26 @@ def cmd_certify(args) -> int:
     return 0 if cert.verdict == CERTIFIED else 1
 
 
+def _generator(path: str) -> tuple:
+    """The triplet generator in the file at ``path`` and the file's hash;
+    the document is checked as :func:`~switchsde.config.load_model_config`
+    checks a config."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    doc = json.loads(raw.decode("utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level must be an object")
+    if not isinstance(doc.get("triplets"), list):
+        raise ValueError(f"{path}: 'triplets' must be a list of objects with keys i, j and rate")
+    for k, e in enumerate(doc["triplets"]):
+        e = e if isinstance(e, dict) else {}
+        bad = [key for key in ("i", "j", "rate") if not isinstance(e.get(key), (int, float, str))]
+        if bad:
+            raise ValueError(f"{path}: triplets[{k}] needs a number at each of the keys {bad}")
+    entries = [(e["i"], e["j"], e["rate"]) for e in doc["triplets"]]
+    return SparseGenerator.from_triplets(entries, name=doc.get("name", "triplets")), config_hash(raw)
+
+
 def cmd_stationary(args) -> int:
     if args.model:
         loaded = load_model_config(args.model)
@@ -175,14 +195,7 @@ def cmd_stationary(args) -> int:
         name = loaded.name
         hint = loaded.truncation_hint
     else:
-        with open(args.generator, "rb") as fh:
-            raw = fh.read()
-        doc = json.loads(raw.decode("utf-8"))
-        qhat = SparseGenerator.from_triplets(
-            [(e["i"], e["j"], e["rate"]) for e in doc["triplets"]],
-            name=doc.get("name", "triplets"),
-        )
-        cfg_hash = config_hash(raw)
+        qhat, cfg_hash = _generator(args.generator)
         name = qhat.name
         hint = 30
     n = args.N if args.N is not None else hint

@@ -736,17 +736,21 @@ class BatchEnsemble:
         return bound
 
     def _pair(self, v: int) -> tuple:
-        """Reference row of mode v and the coupling clock's rate while both
-        chains sit in v, read once per mode: the model's bound plus the
-        reference row total, or both global bounds when the model declares
+        """Reference row of mode v, checked, and the coupling clock's rate
+        while both chains sit in v, read once per mode: the model's bound
+        plus the row total, or both global bounds when the model declares
         no per-mode bound."""
         pair = self._pairs.get(v)
         if pair is None:
             ref, model = self.qhat.row(v), self.model
+            total = sum(ref.values())  # a NaN, inf or negative rate would stop the clocks
+            if not (total < math.inf and min(ref.values(), default=0.0) >= 0):
+                raise ValueError(f"reference rates out of mode {v} total {total!r}; each rate "
+                                 "must be finite and nonnegative")
             if model.mode_rate_bound is None:
                 bound = model.rate_bound + self.qhat.rate_bound
             else:
-                bound = model.thinning_bound(v) + sum(ref.values())
+                bound = model.thinning_bound(v) + total
             pair = self._pairs[v] = (ref, bound)
         return pair
 

@@ -17,7 +17,10 @@ dict walks :func:`pick_target` and :func:`couple`.  The exact law's
 irreducibility test is checked against the graph walk
 :func:`strongly_connected`.  A certificate's weighing of its law is
 checked against the two term builders it replaced, one per kind of law:
-:func:`exact_terms` and :func:`truncated_terms`.
+:func:`exact_terms` and :func:`truncated_terms`, and its costs and norm
+probe against the stacked builders they replaced, which took the noise
+eigenvalues at every call: :func:`stacked_costs` and
+:func:`stacked_probe_norm`.
 """
 
 import math
@@ -208,6 +211,34 @@ def truncated_terms(lin, law, head: np.ndarray, tail_mass_bound) -> dict:
     return dict(per_mode_c=costs, nu=law, partial_sum=float(law.nu @ costs),
                 tail_bound=tail_bound, rounding_bound=float(_gamma(n) * (law.nu @ np.abs(costs))),
                 tail_mass=tail_mass, tail_mass_source=source, unproved=unproved)
+
+
+def _sym_eigs(mats: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+
+
+def stacked_costs(b: np.ndarray, sig: np.ndarray, form: str) -> np.ndarray:
+    """Per-mode spectral costs of the drifts (N, n, n) and noise matrices
+    (N, d, n, n), every term taken from the stacks at once.
+
+    rho is the minimal |x^T s x| over the unit sphere: 0 when the symmetric
+    part of s is indefinite, else its smallest absolute eigenvalue.
+    """
+    drift = _sym_eigs(b)[:, -1]
+    eigs = _sym_eigs(sig)
+    lo, hi = eigs[..., 0], eigs[..., -1]
+    rho2 = np.where((lo < 0.0) & (hi > 0.0), 0.0, np.minimum(lo * lo, hi * hi))
+    gram = np.swapaxes(sig, -1, -2) @ sig  # sigma_j^T sigma_j
+    if form == "thm37":
+        return drift + 0.5 * _sym_eigs(gram.sum(axis=1))[:, -1] - rho2.sum(axis=1)
+    return 2.0 * drift + (_sym_eigs(gram)[..., -1] - rho2).sum(axis=1)
+
+
+def stacked_probe_norm(b: np.ndarray, sig: np.ndarray) -> float:
+    """Largest spectral norm over the stacked drifts and noise matrices."""
+    n = b.shape[1]
+    mats = np.concatenate([b, sig.reshape(-1, n, n)])
+    return float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
 
 
 def strongly_connected(rows: list) -> bool:

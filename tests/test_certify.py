@@ -1,23 +1,28 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import switchsde.certify
+from oracles import stacked_costs, stacked_probe_norm
 from switchsde.certify import (
     CERTIFIED,
     INCONCLUSIVE,
     GainPlan,
-    _costs,
-    _probe_norm,
+    _effective_drift,
+    _noise,
     _stacks,
     certify_recurrence,
     certify_stabilization,
     estimate_tail_mass,
     per_mode_cost,
     search_gain,
+    solve_law,
 )
-from switchsde.chain import SparseGenerator, stationary, truncate
+from switchsde.chain import SparseGenerator, StationaryDist, stationary, truncate
 from switchsde.model import Linearization
 from switchsde.registry import registry_get
 from switchsde.spectra import a_of_i, summarize
@@ -100,10 +105,11 @@ def test_batched_costs_match_summarize_oracle():
             for i in range(1, n_modes + 1)
         ]
         modes = range(1, n_modes + 1)
-        b, sig = _stacks(lin, modes, plan)
+        b = _stacks([_effective_drift(lin, i, plan) for i in modes])
         for form in ("thm37", "thm41"):
             oracle = [summarize_cost(closed[i - 1], noises[i - 1], form) for i in modes]
-            assert np.allclose(_costs(b, sig, form), oracle, rtol=0.0, atol=1e-12)
+            costs, norm = _noise(lin, modes, form, n)(b)
+            assert np.allclose(costs, oracle, rtol=0.0, atol=1e-12)
             for i in (1, 3, n_modes):
                 assert per_mode_cost(lin, i, form=form, plan=plan) == pytest.approx(
                     oracle[i - 1], abs=1e-12
@@ -115,7 +121,117 @@ def test_batched_costs_match_summarize_oracle():
             max(np.linalg.norm(closed[i - 1], 2) for i in modes),
             max(np.linalg.norm(s, 2) for i in modes for s in noises[i - 1]),
         )
-        assert _probe_norm(b, sig) == pytest.approx(loop, abs=1e-12)
+        assert norm == pytest.approx(loop, abs=1e-12)
+
+
+@st.composite
+def cost_cases(draw):
+    """Random drifts, noise matrices and, half the time, a gain plan on
+    1-8 modes, n 1-3, d 1-3."""
+    n_modes, n, d = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drifts = [random_matrix(rng, n) for _ in range(n_modes)]
+    noises = [[random_matrix(rng, n) for _ in range(d)] for _ in range(n_modes)]
+    lin = Linearization(b_mat=lambda i: drifts[i - 1], sigma_mats=lambda i: noises[i - 1],
+                        qhat=ou_lin().qhat, coeff_bound=100.0)
+    plan = None
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 2))
+        inputs = {i: rng.standard_normal((n, m)) for i in range(1, n_modes + 1)}
+        ctl = draw(st.sets(st.integers(1, n_modes), min_size=1))
+        plan = GainPlan(frozenset(ctl), {i: rng.standard_normal((m, n)) for i in ctl},
+                        lambda i: inputs[i])
+    closed = np.array([drifts[i] - (plan.input_mats(i + 1) @ plan.gains[i + 1]
+                                    if plan and i + 1 in plan.gains else 0.0)
+                       for i in range(n_modes)])
+    return lin, plan, closed, np.array(noises), draw(st.sampled_from(("thm37", "thm41")))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(cost_cases())
+def test_noise_and_drift_parts_match_the_stacked_builders(case):
+    # the drift stack and the noise part built once give the bits the
+    # builders that took every term from the stacks at each call gave
+    lin, plan, closed, sig, form = case
+    modes = range(1, len(closed) + 1)
+    b = _stacks([_effective_drift(lin, i, plan) for i in modes])
+    assert b.tobytes() == closed.tobytes()
+    costs, norm = _noise(lin, modes, form, b.shape[1])(b)
+    assert costs.tobytes() == stacked_costs(closed, sig, form).tobytes()
+    assert norm == stacked_probe_norm(closed, sig)
+    for i in modes:  # and one mode alone
+        assert per_mode_cost(lin, i, form, plan) == stacked_costs(
+            closed[i - 1:i], sig[i - 1:i], form)[0]
+
+
+def cert_fields(cert):
+    """Every field of a certificate, arrays and floats as their bytes."""
+    def bits(v):
+        if isinstance(v, StationaryDist):
+            return [bits(getattr(v, f.name)) for f in fields(v)]
+        if isinstance(v, (np.ndarray, float)):
+            return np.asarray(v, dtype=float).tobytes()
+        return v
+    return [(f.name, bits(getattr(cert, f.name))) for f in fields(cert)]
+
+
+@pytest.mark.parametrize("form", ["thm37", "thm41"])
+@pytest.mark.parametrize("tail", [None, 0.01])  # the exact law, a truncated law
+@pytest.mark.parametrize("controllable", [[1], [1, 2]])
+def test_each_grid_point_is_the_certificate_of_its_plan(monkeypatch, form, tail, controllable):
+    spec, lin = registry_get("controlled_scalar", {"A": [1.0, 0.5, 1.0], "sigma": 0.3, "L": 0.0,
+                                                   "controllable": controllable})
+    inputs = spec.meta["input_matrix"]
+    weigh, eigs = switchsde.certify._certify, switchsde.certify._sym_eigs
+    points, noise_eigs = [], []
+
+    def recording(*args, **kwargs):
+        points.append((kwargs["plan"], weigh(*args, **kwargs)))
+        return points[-1][1]
+
+    def counting(mats):  # only noise stacks have four axes
+        noise_eigs.extend([mats.shape] if mats.ndim == 4 else [])
+        return eigs(mats)
+
+    monkeypatch.setattr(switchsde.certify, "_certify", recording)
+    monkeypatch.setattr(switchsde.certify, "_sym_eigs", counting)
+    certify_stabilization(lin, GainPlan(frozenset(controllable), {}, inputs), 30, tail, form)
+    once = len(noise_eigs)
+    assert once == (1 if form == "thm37" else 2)
+    for budget in (0.0, 1.0, 1024.0):
+        points.clear()
+        noise_eigs.clear()
+        plan = search_gain(lin, inputs, controllable, 30, budget, form, tail)
+        grid = list(points)
+        # the noise eigenvalues are taken once per search, whatever the grid
+        assert len(noise_eigs) == once, budget
+        assert len(grid) == {0.0: 1, 1.0: 4}.get(budget, len(grid))  # g = 0, 0.25, ...
+        for grid_plan, cert in grid:
+            alone = certify_stabilization(lin, grid_plan, 30, tail, form)
+            assert cert_fields(cert) == cert_fields(alone)
+        assert plan is (grid[-1][0] if grid[-1][1].verdict == CERTIFIED else None)
+    assert len(grid) > 4 and plan is not None
+
+
+@pytest.mark.parametrize("n", [-5, 0, 1])
+def test_a_level_below_two_is_rejected(n):
+    # the exact law and a finite chain weighed whole ignore N, so these
+    # levels once wrote certificates
+    spec, lin = scalar_model(0.0)
+    inputs, ctl = spec.meta["input_matrix"], spec.meta["controllable"]
+    plan = GainPlan(frozenset([1]), {1: np.array([[4.0]])}, inputs)
+    pp = registry_get("predator_prey", {})[1]
+    for tail in (None, 0.01):
+        calls = (lambda: certify_recurrence(ou_lin(), n, tail),
+                 lambda: certify_recurrence(pp, n, tail),
+                 lambda: certify_stabilization(lin, plan, n, tail),
+                 lambda: search_gain(lin, inputs, ctl, n, tail_mass_bound=tail),
+                 lambda: solve_law(lin, n, tail),
+                 lambda: solve_law(pp, n, tail))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"n_modes must be at least 2, got {n}"):
+                call()
+    assert certify_recurrence(ou_lin(), 2).verdict == CERTIFIED
 
 
 def test_certify_switched_ou_hand_sum():

@@ -219,6 +219,40 @@ def test_stationary_rejects_a_nan_rate(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc, key", [
+    ('{"triplets": 5}', "'triplets'"),
+    ('[{"i": 1, "j": 2, "rate": 1.0}]', "top level"),
+    ('{"name": "x"}', "'triplets'"),
+    ('{"triplets": [5]}', "triplets[0]"),
+    ('{"triplets": [{"i": 1, "j": 2, "rate": 1.0}, {"i": 2, "j": 1}]}', "['rate']"),
+    ('{"triplets": [{"i": [1], "j": 2, "rate": 1.0}]}', "['i']"),
+])
+def test_malformed_generator_files_are_usage_errors(tmp_path, capsys, doc, key):
+    # these once ended in a TypeError traceback (exit 1) or "error: 'triplets'"
+    gen = tmp_path / "gen.json"
+    gen.write_text(doc)
+    out = tmp_path / "st"
+    assert main(["stationary", "--generator", str(gen), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gen}: ") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["-5", "0", "1"])
+def test_a_level_below_two_is_a_usage_error(tmp_path, capsys, n):
+    # the exact law and a finite chain weighed whole ignore N, so these
+    # levels once wrote CERTIFIED certificates and exited 0
+    runs = [["certify", "--model", OU], ["certify", "--model", OU, "--tail-mass", "0.01"],
+            ["certify", "--model", str(CONFIG_DIR / "predator_prey.json")],
+            ["stabilize", "--model", SCALAR], ["stabilize", "--model", SCALAR, "--form", "thm41"]]
+    for k, run in enumerate(runs):
+        out = tmp_path / str(k)
+        assert main([*run, "--N", n, "--out", str(out)]) == 2, run
+        assert f"error: n_modes must be at least 2, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["certify", "--model", OU, "--N", "2", "--out", str(tmp_path / "two")]) == 0
+
+
 def test_stabilize_search(tmp_path):
     open_loop = scalar_config(tmp_path, 0.0)
     out = str(tmp_path / "stab")

@@ -25,7 +25,7 @@ from switchsde.sim import (
     simulate,
     simulate_coupled,
 )
-from switchsde.verify import occupation_fractions
+from switchsde.verify import coupling_decay, occupation_fractions
 
 from oracles import ProposalLoopEnsemble, couple, pick_target
 
@@ -430,6 +430,33 @@ def test_nan_rates_raise():
                 BatchEnsemble(engine, phi0, 1, cfg, 4).run(200)
         with pytest.raises(ValueError, match=nan.format(r"modes \(1, 1\)")):
             simulate_coupled(model, lin, phi0, 1, cfg)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf, -0.5])
+@pytest.mark.parametrize("per_mode", [False, True])
+def test_a_bad_reference_rate_raises(bad, per_mode):
+    # the reference row enters the coupling clock's rate: a NaN made it NaN
+    # and a negative total could make it <= 0, and either stopped every
+    # clock, so no pair ever parted
+    row = lambda i: {2: 0.5} if i == 1 else {1: 0.5}
+    extra = dict(mode_rate_bound=lambda i: 0.5) if per_mode else {}
+    model = plain_model(lambda x, i: np.zeros(1), rates=lambda seg, i: row(i), bound=0.5,
+                        **extra)
+    _, lin = coupled_setup(None, lambda i: {2: bad} if i == 1 else {1: 0.5}, 0.5, 1.0)
+    phi0 = Segment.make_constant([1.0], 1.0, 0.1)
+    cfg = SimConfig(dt=0.1, horizon=20.0, seed=0)
+    message = r"reference rates out of mode 1 total .*; each rate must be finite and nonnegative"
+    with pytest.raises(ValueError, match=message):
+        simulate_coupled(model, lin, phi0, 1, cfg)
+    with pytest.raises(ValueError, match=message):
+        BatchEnsemble(model, phi0, 1, cfg, 4, qhat=lin.qhat).run(200)
+    with pytest.raises(ValueError, match=message):
+        coupling_decay(model, lin, [1.0], cfg, 4)
+    # a reference row is read when a pair first sits in its mode
+    _, lin = coupled_setup(None, lambda i: {1: bad} if i == 2 else {2: 0.5}, 0.5, 1.0)
+    assert BatchEnsemble(model, phi0, 1, cfg, 4, qhat=lin.qhat).modes_hat.tolist() == [1] * 4
+    with pytest.raises(ValueError, match=message.replace("mode 1", "mode 2")):
+        simulate_coupled(model, lin, phi0, 1, cfg)
 
 
 def test_batch_engine_deterministic_states_and_history():
