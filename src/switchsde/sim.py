@@ -36,10 +36,10 @@ included.  Per step it evaluates drift and diffusion once per coefficient
 class (a mode group, or every mode from the model's
 ``shared_coefficients_from`` on).  While every live path is in one class it
 steps them in path order with no mode-group plan; else it sorts the paths
-by mode once per mode change, not per step, into the plan order that the
-Dynkin generator of :mod:`switchsde.verify` reads too.  History-dependent
-rates come from one ``rates_row`` call on each group's
-:class:`~switchsde.segment.SegmentBatch`.
+by mode once per mode change, not per step.  The Dynkin generator of
+:mod:`switchsde.verify` reads the step's rows in whichever of the two
+orders the step took.  History-dependent rates come from one ``rates_row``
+call on each group's :class:`~switchsde.segment.SegmentBatch`.
 """
 
 from __future__ import annotations
@@ -420,14 +420,14 @@ class BatchEnsemble:
     paths.  The Euler step evaluates ``drift`` and ``diffusion`` once per
     coefficient class (:meth:`_plan`): in path order, with no plan, gather
     or scatter, while no path is blown and all share one class; else in plan
-    order, as :meth:`coefficients` hands them to the Dynkin generator of
-    :mod:`switchsde.verify`.  Under bernoulli, jumps are drawn per group
-    from the running sums of its rates.  Under thinning, each round of
-    proposals reads its rows with one call per mode and turns them into one
-    sorted (targets, rates) pair of lists per path; the proposals walk them
-    in Python floats (:func:`_pick`, or :func:`_couple_pick` over a layout
-    merged with the reference row once per mode and targets), and the round
-    writes the modes and clocks back once.
+    order; :meth:`coefficients` hands them out in that order.  Under
+    bernoulli, jumps are drawn per group from the running sums of its rates.
+    Under thinning, each round of proposals reads its rows with one call per
+    mode and turns them into one sorted (targets, rates) pair of lists per
+    path; the proposals walk them in Python floats (:func:`_pick`, or
+    :func:`_couple_pick` over a layout merged with the reference row once
+    per mode and targets), and the round writes the modes and clocks back
+    once.
 
     ``phi0`` is one start window or a sequence of S of them, each the start
     of a cohort of ``n_paths`` paths: cohort k is paths k * n_paths to
@@ -521,7 +521,7 @@ class BatchEnsemble:
         """Mode groups of the current plan, ascending in mode, without blown-up paths.
 
         Each is (mode, paths, rows): the group's path indices in plan order
-        and their slice of the plan-ordered arrays of :meth:`coefficients`.
+        and their slice of that order.
         """
         if self._groups is None:
             live = np.flatnonzero(~self.blown) if self.blown.any() else None
@@ -536,14 +536,9 @@ class BatchEnsemble:
             ]
         return self._groups
 
-    @property
-    def order(self) -> np.ndarray:
-        """Path indices in plan order: the groups' paths one after another."""
-        self.groups()
-        return self._order
-
     def coefficients(self) -> tuple:
-        """States, drifts and diffusions of every path in plan order.
+        """States, drifts and diffusions of every live path in the order of
+        the Euler step: the order of :meth:`_plan`, path order for None.
 
         Returns (x (P, n), drift (P, n), diffusion (P, n, d) or None under
         zero diffusion), from one ``drift`` and one ``diffusion`` call per
@@ -551,8 +546,8 @@ class BatchEnsemble:
         The engine writes none of them, so they may be held across steps.
         """
         if self._coef is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # in the order of groups()
-                self._coef = self._evaluate(self.order, self._plan()[1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._coef = self._evaluate(*self._plan())
         return self._coef
 
     def _plan(self) -> tuple:
@@ -561,9 +556,8 @@ class BatchEnsemble:
         blown and all are in mode v or from K = ``shared_coefficients_from``
         on; else each group below K and one for all from K, as :meth:`groups`."""
         if self._classes is None:
-            k, lo = self.model.shared_coefficients_from or math.inf, 0
-            if self._groups is None and self.n_paths:
-                lo = int(self.modes.min())
+            k = self.model.shared_coefficients_from or math.inf
+            lo = int(self.modes.min()) if self.n_paths else 0
             if lo and (lo >= k or lo == self.modes.max()) and not self.blown.any():
                 self._classes = (None, [(min(lo, k), slice(None))])
             else:
@@ -625,9 +619,11 @@ class BatchEnsemble:
         paths of the index array ``paths`` when it is given."""
         if self._hist is None:
             return None
+        if paths is None:  # the ring in chronological order, with no index arrays
+            return np.concatenate((self._hist[self._head:], self._hist[:self._head]))
         m, p, dim = self._hist.shape
         chron = (self._head + np.arange(m)) % m
-        flat = (chron[:, None] * p + (np.arange(p) if paths is None else paths)).ravel()
+        flat = (chron[:, None] * p + paths).ravel()
         return np.take(self._hist.reshape(m * p, dim), flat, axis=0).reshape(m, -1, dim)
 
     def sup_norms(self) -> np.ndarray:
@@ -665,8 +661,8 @@ class BatchEnsemble:
         self._invalidate()
 
     def _advance_states(self):
-        model, coef = self.model, self._coef  # coefficients() caches in plan order
-        order, classes = (self._order, None) if coef else self._plan()
+        model, coef = self.model, self._coef  # coefficients() caches in this order
+        order, classes = self._plan()
         xi = None
         if not model.zero_diffusion:  # drawn for every path, blown ones too
             xi = self.rng.standard_normal((self.n_paths, model.brownian_dim))

@@ -15,16 +15,16 @@ window sup-norms of the step.  It draws every path from the one stream
 all their radii or starts as the cohorts of one ensemble, so their rows
 depend on the whole list too; a one-start call is that start's run alone.
 Stop rules are masks over the ensemble, and finished paths
-leave the arrays.  The Dynkin estimator records each step's
-plan-ordered states and coefficients, those of the engine's own Euler step
-(and the windows, and rates read at that step), and takes LV of a block
-of up to ``_BLOCK_ROWS`` path-steps times window samples in one pass, rows
-grouped by mode across the block: the callbacks run once per mode per
-block, and a one-step block reads the engine's arrays as they are.  Each
-row's terms are formed row-wise, so LV's bits do not depend on the
-grouping or the block size; trapezoid weights are built once per kernel
-and mode in a run.  :func:`apply_generator` is the same pass on one
-window.  A path contributes nothing from its blow-up on.
+leave the arrays.  The Dynkin estimator records each step's states and
+coefficients in the order its Euler step took them (path order on a
+one-class step), with the windows and rates read at that step, and takes
+LV of a block of up to ``_BLOCK_ROWS`` path-steps times window samples in
+one pass, rows grouped by mode with one sort per block: the callbacks run
+once per mode per block.  Each row's terms are formed row-wise, so LV's
+bits do not depend on the grouping or the block size; trapezoid weights
+are built once per kernel and mode in a run.  :func:`apply_generator` is
+the same pass on one window.  A path contributes nothing from its blow-up
+on.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ def apply_generator(V: ProductFunctional, model: ModelSpec, seg: Segment, i: int
     drift = np.asarray(model.drift(x, i), dtype=float)
     sigma = None if model.zero_diffusion else np.asarray(model.diffusion(x, i), dtype=float)
     plan = [(i, slice(0, 1), list(row), rates, None)]
-    return float(_generator(V, x, drift, sigma, hist, plan, _Trapezoid(seg.delay, seg.dt))[0])
+    windows = None if hist is None else lambda rows: hist[:, rows]
+    return float(_generator(V, x, drift, sigma, windows, plan, _Trapezoid(seg.delay, seg.dt))[0])
 
 
 def _one_path(V: ProductFunctional, seg: Segment) -> tuple:
@@ -142,16 +143,19 @@ def _as_batch(arr, batch: int) -> np.ndarray:
     return np.broadcast_to(arr, (batch,))
 
 
-def _window_f2(V: ProductFunctional, hist: np.ndarray, i: int) -> np.ndarray:
-    """f2 on every window sample of every path in one call, shape (m, P).
-
-    The (m * P, n) states are stored coordinate-major (Fortran order): a
-    callback that reduces over the n coordinates, such as |x|^2, then adds
-    whole columns instead of running numpy's short-axis reduce per state.
-    For n < 8 both layouts add the coordinates in the same order."""
+def _window_states(hist: np.ndarray) -> np.ndarray:
+    """Every window sample of every path of hist (m, P, n) as one (m * P, n)
+    array, stored coordinate-major (Fortran order): a callback that reduces
+    over the n coordinates, such as |x|^2, then adds whole columns instead
+    of running numpy's short-axis reduce per state.  For n < 8 both layouts
+    add the coordinates in the same order."""
     m, p, n = hist.shape
-    states = np.ascontiguousarray(hist.transpose(2, 0, 1)).reshape(n, m * p).T
-    return _as_batch(V.f2(states, i), m * p).reshape(m, p)
+    return np.ascontiguousarray(hist.transpose(2, 0, 1)).reshape(n, m * p).T
+
+
+def _window_f2(V: ProductFunctional, states: np.ndarray, p: int, i: int) -> np.ndarray:
+    """f2 on the :func:`_window_states` of p paths in one call, (m, p)."""
+    return _as_batch(V.f2(states, i), len(states)).reshape(-1, p)
 
 
 class _Trapezoid:
@@ -184,7 +188,7 @@ def _values(V, x, hist, i: int, trap: _Trapezoid) -> np.ndarray:
     out = _as_batch(V.f1(x, i), x.shape[0])
     if V.f2 is None:
         return out
-    return out + trap(V.g, i, _window_f2(V, hist, i))
+    return out + trap(V.g, i, _window_f2(V, _window_states(hist), len(x), i))
 
 
 def _rows_of(groups):
@@ -192,7 +196,7 @@ def _rows_of(groups):
     they are adjacent, the usual case (groups of neighbouring modes), else
     as an index array."""
     spans = []
-    for _, rows, _ in groups:
+    for rows in groups:
         if spans and spans[-1][1] == rows.start:
             spans[-1][1] = rows.stop
         else:
@@ -202,29 +206,30 @@ def _rows_of(groups):
     return np.concatenate([np.arange(a, b) for a, b in spans])
 
 
-def _generator(V, x, drift, sigma, hist, plan, trap) -> np.ndarray:
+def _generator(V, x, drift, sigma, windows, plan, trap) -> np.ndarray:
     """LV on P paths grouped by mode, in one pass.
 
     ``plan`` lists the mode groups as (i, rows, targets, rates, cuts): a
     slice of the P rows, the rates q_ij to ``targets[k]``, per path (P_i, K)
-    or shared (1, K), and the group's row ranges per grid step (None: one
-    step).  x (P, n), drift (P, n), sigma (P, n, d) or None, and the windows
-    hist (m, P, n) when V has a time kernel, are row-aligned.  ``grad_f1``
+    or shared (1, K), and its row ranges per grid step, counted from its
+    first row (None: one step).  x (P, n), drift (P, n) and sigma (P, n, d)
+    or None are row-aligned; ``windows(rows)`` gives the windows (m, P_i, n)
+    of a group's rows when V has a time kernel, else it is None.  ``grad_f1``
     and ``hess_f1`` run once per group.  f1 runs once per mode j that a
     group is in or can jump to, on the rows of those groups only (the
-    other rows never read V(., j)), and f2 once per such group.  A row's
-    bits do not depend on the grouping: its terms are row-wise, its
-    trapezoid sums per step.
+    other rows never read V(., j)); f2 once per such mode and group, on
+    the group's window states, made once.  A row's bits do not depend on
+    the grouping: its terms are row-wise, its trapezoid sums per step.
     """
     grad = np.empty(x.shape)
     hess = None if sigma is None else np.empty(x.shape + x.shape[-1:])
     readers: dict = {}
-    for i, rows, targets, _, cuts in plan:
+    for i, rows, targets, _, _ in plan:
         grad[rows] = V.grad_f1(x[rows], i)
         if hess is not None:
             hess[rows] = V.hess_f1(x[rows], i)
         for j in dict.fromkeys((i, *targets)):  # a row that lists i reads V(., i) once
-            readers.setdefault(j, []).append((i, rows, cuts))
+            readers.setdefault(j, []).append(rows)
     lv = (grad * drift).sum(axis=-1)
     if sigma is not None:
         # tr(H sigma sigma^T); with d = 1 each product rounds as (sigma sigma^T)_ji H_ij
@@ -235,9 +240,11 @@ def _generator(V, x, drift, sigma, hist, plan, trap) -> np.ndarray:
         vals[j] = v = np.empty(len(x))  # rows outside sel are never read
         xs = x[sel]
         v[sel] = _as_batch(V.f1(xs, j), len(xs))
-        for i, rows, cuts in groups if V.f2 is not None else ():
-            f2h = _window_f2(V, hist[:, rows], j)
-            v[rows] += trap(V.g, j, f2h, cuts)
+    for i, rows, targets, _, cuts in plan if windows is not None else ():
+        states = _window_states(windows(rows))  # once per group, for every mode it reads
+        for j in dict.fromkeys((i, *targets)):
+            f2h = _window_f2(V, states, rows.stop - rows.start, j)
+            vals[j][rows] += trap(V.g, j, f2h, cuts)
             if i == j:  # the time part of LV in mode j
                 lv[rows] += float(V.g(0.0, j)) * f2h[-1]
                 lv[rows] -= float(V.g(-trap.delay, j)) * f2h[0]
@@ -250,40 +257,61 @@ def _generator(V, x, drift, sigma, hist, plan, trap) -> np.ndarray:
 
 
 def _snapshot(e: BatchEnsemble, with_hist: bool) -> tuple:
-    """LV's inputs, rates read at this pre-step state: (paths, plan, x, drift, sigma, windows)."""
-    plan = [(v, rows, *e.rate_table(paths, v), None) for v, paths, rows in e.groups()]
-    return (e.order, plan, *e.coefficients(), e.history(e.order) if with_hist else None)
+    """LV's inputs at this pre-step state, rows in the Euler step's order:
+    (paths, modes, tables, x, drift, sigma, windows), ``paths`` None in path
+    order, else the live paths in plan order, and ``tables`` each occupied
+    mode's (targets, rates) read now, or None when the rates ignore the history."""
+    paths = e._plan()[0]
+    tables = None
+    if e.model.rates_depend_on_path:
+        tables = {v: e.rate_table(group, v) for v, group, _ in e.groups()}
+    modes = e.modes.copy() if paths is None else e.modes[paths]
+    return (paths, modes, tables, *e.coefficients(), e.history(paths) if with_hist else None)
 
 
-def _block_generator(V, block: list, trap) -> list:
+def _block_generator(V, block: list, trap, rate_table) -> list:
     """LV of a block of :func:`_snapshot` steps in one :func:`_generator` pass,
-    rows grouped by mode and target list and by step within a group, per-path
-    rate tables stacked and a shared (1, K) row (the same at every step) kept
-    once: (paths, LV) per step.  A one-step block is its arrays as they are."""
-    if len(block) == 1:
-        paths, plan, *arrays = block[0]
-        return [(paths, _generator(V, *arrays, plan, trap))]
-    steps = [((v, tuple(t)), rows.stop - rows.start, r) for _, plan, *_ in block
-             for v, rows, t, r, _ in plan]  # (key, rows, rates) per group of each step
-    parts: dict = {}  # key -> [(rows, rates)], in step order
-    for key, n, rates in steps:
-        parts.setdefault(key, []).append((n, rates))
-    rank = {key: a for a, key in enumerate(sorted(parts))}
-    perm = np.argsort(np.repeat([rank[k] for k, _, _ in steps], [n for _, n, _ in steps]),
-                      kind="stable")
-    plan, a = [], 0
-    for (v, targets), group in sorted(parts.items()):
-        n, tables = zip(*group)
-        ends = np.cumsum(n).tolist()
-        rates = tables[0] if any(len(r) < k for k, r in group) else np.concatenate(tables)
-        plan.append((v, slice(a, a + ends[-1]), list(targets), rates, list(zip([0] + ends, ends))))
-        a += ends[-1]
-    orders, _, *arrays, hists = zip(*block)
+    (paths, LV) per step.  One stable argsort over a per-row code of (rank of
+    (mode, targets), step) groups the rows, each group's in step order and,
+    within a step, by path, as its steps' rate tables hold them; rates that
+    ignore the history are the engine's shared (1, K) row ``rate_table(None, v)``."""
+    paths, modes, tables, *arrays, hists = zip(*block)
+    sizes, n = [len(m) for m in modes], len(block)
+    key, step = np.concatenate(modes), np.repeat(np.arange(n), sizes)  # a shared row: by mode
+    if tables[0] is not None:  # rows read per step: rank (mode, targets), targets may vary
+        ranks = sorted({(v, tuple(t)) for tab in tables for v, (t, _) in tab.items()})
+        key = []
+        for m, tab in zip(modes, tables):
+            rank = {v: ranks.index((v, tuple(t))) for v, (t, _) in tab.items()}
+            key += [rank[v] for v in m.tolist()]
+        key = np.array(key, dtype=int)
+    code = key * n + step  # sorts as (rank, step)
+    perm = np.argsort(code, kind="stable")
+    code = code[perm]
+    runs = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist()] if len(code) else []
+    groups: dict = {}  # rank -> (first row, [(step, start, end)]), one run per step
+    for start, end, c in zip(runs, runs[1:] + [len(code)], code[runs].tolist()):
+        k, s = divmod(c, n)
+        groups.setdefault(k, (start, []))[1].append((s, start, end))
+    plan = []
+    for k, (first, parts) in groups.items():
+        if tables[0] is None:
+            v, (targets, rates) = k, rate_table(None, k)
+        else:
+            v, targets = ranks[k]
+            rates = np.concatenate([tables[s][v][1] for s, _, _ in parts])
+        cuts = [(a - first, b - first) for _, a, b in parts]
+        plan.append((v, slice(first, parts[-1][2]), list(targets), rates,
+                     cuts if len(cuts) > 1 else None))
     x, drift, sigma = (None if s[0] is None else np.concatenate(s)[perm] for s in arrays)
-    hist = None if hists[0] is None else np.concatenate(hists, axis=1)[:, perm]
-    lv = _generator(V, x, drift, sigma, hist, plan, trap)[np.argsort(perm)]
-    starts = np.cumsum([0, *map(len, orders)]).tolist()
-    return [(paths, lv[a:b]) for paths, a, b in zip(orders, starts, starts[1:])]
+    windows = None
+    if hists[0] is not None:  # one gather per group, with no sorted copy of every window
+        hist = hists[0] if len(hists) == 1 else np.concatenate(hists, axis=1)
+        windows = lambda rows: np.take(hist, perm[rows], axis=1)  # noqa: E731
+    lv = np.empty(len(perm))
+    lv[perm] = _generator(V, x, drift, sigma, windows, plan, trap)
+    ends = np.cumsum(sizes).tolist()
+    return [(p, lv[b - size:b]) for p, size, b in zip(paths, sizes, ends)]
 
 
 # path-steps times window samples per Dynkin block, path-steps per occupation
@@ -615,8 +643,8 @@ def dynkin_residual(
     for k in range(n_steps):
         block.append(_snapshot(be, with_hist))
         if len(block) == block_steps or k == n_steps - 1:
-            for paths, lv in _block_generator(V, block, trap):  # step by step, as the paths ran
-                acc[paths] += lv * dt
+            for paths, lv in _block_generator(V, block, trap, be.rate_table):  # as the paths ran
+                acc[slice(None) if paths is None else paths] += lv * dt
             block = []
         be.step()
     vt = np.zeros(n_paths)

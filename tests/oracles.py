@@ -8,8 +8,11 @@ balance equations.  The Monte Carlo estimators are checked against
 ``simulate``, one path at a time: path k runs at a seed drawn from
 (seed, k), so no oracle path shares the stream (seed, 1) of the estimator
 it is compared with.  The Dynkin oracle adds ``apply_generator``, whose terms the generator tests
-check one by one.  The cohort estimators (``coupling_decay``,
-``occupation_stability``) are checked against their per-start loop: one
+check one by one.  The Dynkin estimator's block pass is checked against
+the plan-order pass it replaced (:func:`plan_dynkin_residual`): snapshots
+sorted by mode at every step, then regrouped by a second sort per block,
+through the same ``_generator``.  The cohort estimators (``coupling_decay``, ``occupation_stability``) are
+checked against their per-start loop: one
 :class:`BatchEnsemble` per radius or start, each on the stream (seed, 1).
 The engine's thinning rounds are checked against a per-proposal loop over
 rate-row dicts (:class:`ProposalLoopEnsemble`) and its picks against the
@@ -35,7 +38,7 @@ from switchsde.certify import estimate_tail_mass
 from switchsde.chain import StationaryDist, TailUnproved
 from switchsde.segment import Segment
 from switchsde.sim import BatchEnsemble, _check_total, simulate
-from switchsde.verify import apply_generator
+from switchsde.verify import _collect, _generator, _Trapezoid, _values, apply_generator
 
 
 def sampled_rho(mat, n_dirs=100_000, seed=0, n_polish=2):
@@ -479,6 +482,81 @@ def path_dynkin(V, model, phi0, i0, t, cfg, n_paths):
         if not rec.blow_up:
             out.append(V.value(rec.terminal, int(rec.modes[-1])) - v0 - sum(acc))
     return np.array(out)
+
+
+def plan_snapshot(e: BatchEnsemble, with_hist: bool) -> tuple:
+    """The Dynkin snapshot in plan order: (order, plan, x, drift, sigma,
+    windows), the live paths sorted by mode and each mode group's rates read
+    at this step; a step the engine takes in path order is gathered into
+    plan order, row by row."""
+    groups = e.groups()
+    order = e._order
+    plan = [(v, rows, *e.rate_table(paths, v), None) for v, paths, rows in groups]
+    arrays = e.coefficients()
+    if e._plan()[0] is None:
+        arrays = [None if a is None else a[order] for a in arrays]
+    return (order, plan, *arrays, e.history(order) if with_hist else None)
+
+
+def plan_block_generator(V, block: list, trap) -> list:
+    """LV of a block of :func:`plan_snapshot` steps in one ``_generator``
+    pass, the rows regrouped by a second sort on (mode, target list) and by
+    step within a group: (paths, LV) per step."""
+    if len(block) == 1:
+        paths, plan, x, drift, sigma, hist = block[0]
+        return [(paths, _generator(V, x, drift, sigma, _windows(hist), plan, trap))]
+    steps = [((v, tuple(t)), rows.stop - rows.start, r) for _, plan, *_ in block
+             for v, rows, t, r, _ in plan]  # (key, rows, rates) per group of each step
+    parts: dict = {}  # key -> [(rows, rates)], in step order
+    for key, n, rates in steps:
+        parts.setdefault(key, []).append((n, rates))
+    rank = {key: a for a, key in enumerate(sorted(parts))}
+    perm = np.argsort(np.repeat([rank[k] for k, _, _ in steps], [n for _, n, _ in steps]),
+                      kind="stable")
+    plan, a = [], 0
+    for (v, targets), group in sorted(parts.items()):
+        n, tables = zip(*group)
+        ends = np.cumsum(n).tolist()
+        rates = tables[0] if any(len(r) < k for k, r in group) else np.concatenate(tables)
+        plan.append((v, slice(a, a + ends[-1]), list(targets), rates, list(zip([0] + ends, ends))))
+        a += ends[-1]
+    orders, _, *arrays, hists = zip(*block)
+    x, drift, sigma = (None if s[0] is None else np.concatenate(s)[perm] for s in arrays)
+    hist = None if hists[0] is None else np.concatenate(hists, axis=1)[:, perm]
+    lv = _generator(V, x, drift, sigma, _windows(hist), plan, trap)[np.argsort(perm)]
+    starts = np.cumsum([0, *map(len, orders)]).tolist()
+    return [(paths, lv[a:b]) for paths, a, b in zip(orders, starts, starts[1:])]
+
+
+def _windows(hist):
+    """``_generator``'s windows of row-aligned windows hist (m, P, n) or None."""
+    return None if hist is None else lambda rows: hist[:, rows]
+
+
+def plan_dynkin_residual(V, model, phi0, i0, t, cfg, n_paths, block_rows):
+    """``dynkin_residual`` on :func:`plan_snapshot` blocks of at most
+    ``block_rows`` path-steps times window samples, each evaluated by
+    :func:`plan_block_generator`."""
+    n_steps = int(round(t / cfg.dt))
+    with_hist = V.f2 is not None
+    be = BatchEnsemble(model, phi0, i0, replace(cfg, horizon=n_steps * cfg.dt), n_paths,
+                       track_history=with_hist)
+    trap = _Trapezoid(model.delay, cfg.dt)
+    acc = np.zeros(n_paths)
+    block = []
+    block_steps = max(1, block_rows // (n_paths * (phi0.samples.shape[0] if with_hist else 1)))
+    for k in range(n_steps):
+        block.append(plan_snapshot(be, with_hist))
+        if len(block) == block_steps or k == n_steps - 1:
+            for paths, lv in plan_block_generator(V, block, trap):
+                acc[paths] += lv * cfg.dt
+            block = []
+        be.step()
+    vt = np.zeros(n_paths)
+    for v, paths, _ in be.groups():
+        vt[paths] = _values(V, be.x[paths], be.history(paths) if with_hist else None, v, trap)
+    keep = ~be.blown
+    return _collect(vt[keep] - V.value(phi0, i0) - acc[keep], n_paths)
 
 
 def per_start_coupling(model, lin, radii, cfg, n_paths, i0=1, floor_frac=0.5):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 import warnings
 from unittest import mock
 from dataclasses import replace
@@ -16,6 +17,7 @@ from oracles import (
     path_occupation,
     per_start_coupling,
     per_start_occupation,
+    plan_dynkin_residual,
     settle_counts,
 )
 
@@ -920,13 +922,16 @@ def oracle_step(V, e: BatchEnsemble, trap) -> dict:
 def run_blocks(V, e: BatchEnsemble, n_steps: int, block_steps: int, trap, at_step=None):
     """Step ``e`` ``n_steps`` times, snapshotting each pre-step state, and
     evaluate LV a block of ``block_steps`` snapshots at a time; yields each
-    block's (paths, LV) per step next to ``at_step(e)`` read at that step."""
+    block's (paths, LV) per step next to ``at_step(e)`` read at that step;
+    a step in path order names every path."""
     block, seen = [], []
     for k in range(n_steps):
         block.append(_snapshot(e, V.f2 is not None))
         seen.append(None if at_step is None else at_step(e))
         if len(block) == block_steps or k == n_steps - 1:
-            yield list(zip(_block_generator(V, block, trap), seen))
+            out = _block_generator(V, block, trap, e.rate_table)
+            out = [(np.arange(len(lv)) if p is None else p, lv) for p, lv in out]
+            yield list(zip(out, seen))
             block, seen = [], []
         e.step()
 
@@ -1036,16 +1041,17 @@ def test_generator_evaluates_f1_only_on_the_rows_that_read_it(family, with_kerne
     generator = switchsde.verify._generator
     evaluated, read, full = [], [], []
 
-    def counting(V, x, drift, sigma, hist, plan, trap):
+    def counting(V, x, drift, sigma, windows, plan, trap):
         counted.clear()
-        out = generator(V, x, drift, sigma, hist, plan, trap)
+        out = generator(V, x, drift, sigma, windows, plan, trap)
         evaluated.append(sum(counted))
         read.append(sum((rows.stop - rows.start) * len({i, *targets})
                         for i, rows, targets, _, _ in plan))
         full.append(len(x) * len({j for i, _, targets, _, _ in plan for j in (i, *targets)}))
         for i, rows, targets, rates, cuts in plan:
-            alone = generator(V, x[rows], drift[rows], None if sigma is None else sigma[rows],
-                              None if hist is None else hist[:, rows],
+            own = None if windows is None else (  # the group's rows counted from 0
+                lambda r, a=rows.start: windows(slice(a + r.start, a + r.stop)))
+            alone = generator(V, x[rows], drift[rows], None if sigma is None else sigma[rows], own,
                               [(i, slice(0, rows.stop - rows.start), targets, rates, cuts)], trap)
             assert alone.tobytes() == out[rows].tobytes()
         return out
@@ -1097,6 +1103,97 @@ def test_dynkin_bits_do_not_depend_on_the_block(
             est = dynkin_residual(fn, model, phi0, 1, n_steps * dt, cfg, n_paths)
         out.add(pickle.dumps(est))
     assert len(out) == 1
+
+
+def test_one_class_dynkin_run_builds_no_mode_group_plan(monkeypatch):
+    # linear_2d's rates ignore the history and it declares K = 1, so every
+    # step runs in path order while the paths spread over several modes: no
+    # snapshot may sort them by mode.  One sort per block groups its rows
+    # and one more groups the final states for V(X_t)
+    spec = load_model_config(str(CONFIG_DIR / "linear_2d.json")).spec
+    assert spec.shared_coefficients_from == 1 and not spec.rates_depend_on_path
+    n_steps, n_paths = 128, 125
+    seen, sorts = [], []
+    step, argsort = BatchEnsemble.step, np.argsort
+
+    def watched(e):
+        step(e)
+        seen.append((e._groups is None, len(set(e.modes.tolist()))))
+
+    monkeypatch.setattr(BatchEnsemble, "step", watched)
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
+    dt = 1.0 / n_steps
+    phi0 = Segment.make_constant([1.0, 1.0], spec.delay, dt)
+    est = dynkin_residual(QUAD, spec, phi0, 1, 1.0, SimConfig(dt=dt, horizon=1.0, seed=5), n_paths)
+    assert est.censored_fraction == 0.0
+    assert len(seen) == n_steps and all(lone for lone, _ in seen)
+    assert max(occupied for _, occupied in seen) >= 3
+    blocks = math.ceil(n_steps / (switchsde.verify._BLOCK_ROWS // n_paths))
+    assert blocks == 4 and len(sorts) <= blocks + 1
+
+
+def test_dynkin_block_memory_does_not_grow_with_the_mode():
+    # the block pass groups its rows by sorting them, so no table spans the
+    # modes: a start mode of 10^5 on switched_ou, whose rates read the
+    # history, keeps the traced peak of a start in mode 1 (about 1.4 MB)
+    spec = load_model_config(str(CONFIG_DIR / "switched_ou.json")).spec
+    phi0 = Segment.make_constant([1.0], spec.delay, 1.0 / 64)
+    cfg = SimConfig(dt=1.0 / 64, horizon=1.0, seed=1)
+    tracemalloc.start()
+    try:
+        est = dynkin_residual(QUAD, spec, phi0, 10**5, 1.0, cfg, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.usable and peak < 8e6
+
+
+def shared_plane_model(rates_depend_on_path: bool, blow: float, shared_from) -> ModelSpec:
+    """:func:`plane_model` whose coefficients are those of mode ``shared_from``
+    from that mode on, as it declares (None: every mode its own), and whose
+    paths blow up in any mode once |x|^2 passes 1.5, given ``blow`` > 0."""
+    model = plane_model(rates_depend_on_path)
+    top = shared_from or math.inf
+
+    def drift(x, i):
+        x = np.asarray(x, dtype=float)
+        sq = (x * x).sum(axis=-1, keepdims=True)
+        return model.drift(x, min(i, top)) + blow * (sq > 1.5) * x * sq
+
+    return replace(model, drift=drift, diffusion=lambda x, i: model.diffusion(x, min(i, top)),
+                   shared_coefficients_from=shared_from)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_paths=st.integers(1, 32),
+    n_steps=st.integers(1, 24),
+    rates_depend_on_path=st.booleans(),
+    with_kernel=st.booleans(),
+    blow=st.sampled_from([0.0, 40.0]),
+    scheme=st.sampled_from(["thinning", "bernoulli"]),
+    shared_from=st.sampled_from([None, 1, 2]),
+)
+def test_dynkin_matches_the_plan_order_oracle(
+    seed, n_paths, n_steps, rates_depend_on_path, with_kernel, blow, scheme, shared_from
+):
+    # rows kept in the engine's order (path order while one class holds every
+    # path) and grouped by one sort per block give the bytes of snapshots
+    # sorted by mode at every step and regrouped per block, at block budgets
+    # of one step, three steps and the whole run
+    model = shared_plane_model(rates_depend_on_path, blow, shared_from)
+    fn = PLANE_V if with_kernel else replace(PLANE_V, f2=None, g=None, dg=None)
+    dt = 1.0 / 32
+    phi0 = Segment.make_constant([0.9, -0.6], model.delay, dt)
+    cfg = SimConfig(dt=dt, horizon=1.0, seed=seed, scheme=scheme)
+    rows = n_paths * (phi0.samples.shape[0] if with_kernel else 1)  # per step
+    for budget in (1, 3 * rows, n_steps * rows):
+        with mock.patch.object(switchsde.verify, "_BLOCK_ROWS", budget):
+            est = dynkin_residual(fn, model, phi0, 1, n_steps * dt, cfg, n_paths)
+        want = plan_dynkin_residual(fn, model, phi0, 1, n_steps * dt, cfg, n_paths, budget)
+        assert pickle.dumps(est) == pickle.dumps(want), budget
 
 
 def estimator_outputs(spec, lin, seed):
