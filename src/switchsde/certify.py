@@ -4,27 +4,23 @@ The criterion weighs a per-mode spectral cost against the stationary law
 of the limiting rate generator: if the weighted sum is strictly negative
 after adding a bound for the mass it leaves out and ``rounding_bound``,
 the floating-point error bound of the weighted sum, the model is certified
-positively recurrent.  ``solve_law`` returns the law as one
+positively recurrent.  ``solve_law`` picks the law from the declarations
+of the linearization and its ``qhat`` alone and returns it as one
 :class:`~switchsde.chain.StationaryDist`, which one formula weighs; only
 the source of the bound on the mass it leaves out (``tail_mass_source``)
 depends on where the law came from:
 
-* ``"exact_geometric"`` when ``qhat`` is infinite and declares
-  ``repeats_from``, the linearization declares its own repeat point and
-  the caller gives no tail mass: :func:`~switchsde.chain.geometric_law`
-  solves a head of K' modes and the tail is geometric, so the sum over
-  every mode has a closed form, nothing is left out and N plays no part.
-  A row K that climbs more than one rung or never returns below K leaves
-  no law (``"unproved"``), and the verdict is INCONCLUSIVE with that
-  reason;
-* else the law is that of a truncation, to every mode of a finite
-  generator when no tail mass is given, whatever N, else to modes 1..N,
-  N capped at a finite mode count.  When no mode lies beyond, the tail
-  mass is exactly 0 (``"finite_modes"``); else it is the caller's
-  (``"user"``) or extrapolated from the geometric decay of the stationary
-  head (``"extrapolated"``).  An extrapolated mass is a heuristic, not a
-  proof: it is reported, and the verdict is INCONCLUSIVE with reason
-  ``"tail extrapolated"``.  Where the head shows no decay to extrapolate,
+* ``"exact_geometric"`` when ``qhat`` is infinite and both it and the
+  linearization declare ``repeats_from``:
+  :func:`~switchsde.chain.geometric_law` solves a head of K' modes and the
+  tail is geometric, so the sum over every mode has a closed form,
+  nothing is left out and N plays no part.  A row K that climbs more than
+  one rung or never returns below K leaves no law (``"unproved"``), and
+  the verdict is INCONCLUSIVE with that reason;
+* ``"finite_modes"`` when ``qhat`` declares a finite mode count: the law
+  is that of the whole chain, whatever N, and no mode lies beyond it;
+* else the law is that of the truncation to modes 1..N.  Only there does
+  a tail mass count: the caller's bound (``"user"``), or none, and then
   the tail is ``"unproved"`` and the reason ``"tail unproved"``.
 
 The stabilization variant first closes the loop on the controllable modes
@@ -73,7 +69,6 @@ __all__ = [
     "certify_stabilization",
     "search_gain",
     "solve_law",
-    "estimate_tail_mass",
 ]
 
 _FORMS = ("thm37", "thm41")
@@ -125,9 +120,9 @@ class Certificate:
     ``truncation`` is the head size K'.  The verdict is CERTIFIED only when
     the total clears the margin and every assumption flag holds.
     ``reason`` names what decided it: why the tail is not proved ("tail
-    extrapolated", "tail unproved", "tail reach > 1" or "tail ratio >=
-    1"), else the first failing flag in sorted order, "partial sum >= 0",
-    "tail bound", "margin" or "certified".
+    unproved" on a truncation with no tail mass, "tail reach > 1" or "tail
+    ratio >= 1" on a declared tail), else the first failing flag in sorted
+    order, "partial sum >= 0", "tail bound", "margin" or "certified".
     """
 
     claim: str
@@ -237,54 +232,24 @@ def per_mode_cost(
     return float(_noise(lin, [i], form, b.shape[1])(b)[0][0])
 
 
-def estimate_tail_mass(nu: np.ndarray) -> float:
-    """Geometric extrapolation of the stationary mass beyond the truncation.
-
-    Fits the decay ratio on interior entries (the lumped boundary entry
-    absorbs the tail and is excluded) and sums the implied geometric tail.
-    Raises when the head shows no usable geometric decay.
-    """
-    nu = np.asarray(nu, dtype=float)
-    if nu.size < 8:
-        raise ValueError("need at least 8 stationary entries to extrapolate")
-    interior = nu[-8:-2]
-    if (interior <= 0).any():
-        raise ValueError("stationary head contains zeros; supply tail_mass_bound")
-    ratios = interior[1:] / interior[:-1]
-    r = float(np.exp(np.mean(np.log(ratios))))
-    if not (0.0 < r < 0.95):
-        raise ValueError(
-            f"no geometric decay in the stationary head (ratio {r:.3f}); "
-            "supply tail_mass_bound"
-        )
-    # true mass at the boundary mode is roughly interior[-1] * r; sum the tail
-    return float(interior[-1] * r * r / (1.0 - r))
-
-
-def _level(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float]) -> int:
+def _level(lin: Linearization, n_modes: int) -> int:
     """The truncation level a certificate weighs: every mode of a finite
-    ``qhat`` when no tail mass is stated, else N capped at the mode count.
-    Raises ``ValueError`` for N < 2 or a negative tail mass."""
-    # written so that NaN fails each
-    if not n_modes >= 2:
+    ``qhat``, whatever N, else N.  Raises ``ValueError`` for N < 2."""
+    if not n_modes >= 2:  # written so that NaN fails it
         raise ValueError(f"n_modes must be at least 2, got {n_modes}")
-    if tail_mass_bound is not None and not tail_mass_bound >= 0:
-        raise ValueError(f"tail_mass_bound must be nonnegative, got {tail_mass_bound}")
-    q = lin.qhat
-    return q.n_modes if tail_mass_bound is None and q.n_modes is not None else q.clamp(n_modes)
+    return lin.qhat.n_modes or int(n_modes)
 
 
-def solve_law(lin: Linearization, n_modes: int, tail_mass_bound: Optional[float] = None) -> Law:
+def solve_law(lin: Linearization, n_modes: int) -> Law:
     """The law a certificate of ``lin`` weighs (see the module docstring):
-    when ``qhat`` is infinite, both repeat points are declared and no tail
-    mass is given, the exact geometric law or the :class:`TailUnproved`
-    that names why there is none; else the stationary law of the
-    truncation at the level ``_level`` picks.  Raises ``ValueError`` as
-    ``_level``, :func:`~switchsde.chain.geometric_law` and
+    when ``qhat`` is infinite and both repeat points are declared, the
+    exact geometric law or the :class:`TailUnproved` that names why there
+    is none; else the stationary law of the truncation at the level
+    ``_level`` picks.  Raises ``ValueError`` as ``_level``,
+    :func:`~switchsde.chain.geometric_law` and
     :func:`~switchsde.chain.stationary` do."""
-    n, q = _level(lin, n_modes, tail_mass_bound), lin.qhat
-    if (tail_mass_bound is None and lin.repeats_from is not None
-            and q.repeats_from is not None and q.n_modes is None):
+    n, q = _level(lin, n_modes), lin.qhat
+    if lin.repeats_from is not None and q.repeats_from is not None and q.n_modes is None:
         try:
             return geometric_law(q)
         except TailUnproved as exc:
@@ -298,13 +263,14 @@ def _terms(lin: Linearization, law: Law, head: np.ndarray,
     holds, its geometric tail (if any) in closed form with nu and c written
     out to at least 12 modes, plus a bound on the mass it leaves out
     weighed at the largest cost.  ``unproved`` names why the tail is not
-    proved, None when it is."""
+    proved, None when it is.  Refuses a negative tail mass on every law."""
+    if tail_mass_bound is not None and not tail_mass_bound >= 0:  # NaN fails it too
+        raise ValueError(f"tail_mass_bound must be nonnegative, got {tail_mass_bound}")
     if isinstance(law, TailUnproved):
         nan = float("nan")
         return dict(per_mode_c=head, nu=StationaryDist(np.zeros(0), nan, 0), partial_sum=nan,
                     tail_bound=np.inf, rounding_bound=nan, tail_mass=np.inf,
                     tail_mass_source="unproved", unproved=law.reason)
-    unproved = None
     m = steps = law.nu.size  # a dot of m terms rounds m times
     if law.ratio > 0.0:  # geometric_law refuses a ratio that rounds to 0
         # nu and c written out to at least 12 modes; the tail adds the
@@ -317,11 +283,7 @@ def _terms(lin: Linearization, law: Law, head: np.ndarray,
     elif tail_mass_bound is not None:
         tail_mass, source = float(tail_mass_bound), "user"
     else:
-        try:
-            tail_mass, source = estimate_tail_mass(law.nu), "extrapolated"
-            unproved = "tail extrapolated"  # a heuristic, not a proof
-        except ValueError:
-            tail_mass, source, unproved = np.inf, "unproved", "tail unproved"
+        tail_mass, source = np.inf, "unproved"
     nu = law.extend(m)
     costs = np.concatenate([head, np.full(max(m - head.size, 0), head[-1])])[:m]  # c_D beyond D
     # modes beyond m all cost c_m and weigh nu_m ratio / (1 - ratio) together
@@ -329,20 +291,21 @@ def _terms(lin: Linearization, law: Law, head: np.ndarray,
     spread = float(nu @ np.abs(costs) + abs(costs[-1]) * tail)
     top = np.max(np.abs(head))
     rounding = _gamma(steps) / (1.0 - law.ratio) * spread + top * law.error
+    unproved = source == "unproved"
     return dict(per_mode_c=costs, nu=replace(law, nu=nu),
                 partial_sum=float(nu @ costs + costs[-1] * tail),
-                tail_bound=np.inf if source == "unproved" else float(top * tail_mass),
+                tail_bound=np.inf if unproved else float(top * tail_mass),
                 rounding_bound=float(rounding), tail_mass=tail_mass, tail_mass_source=source,
-                unproved=unproved)
+                unproved="tail unproved" if unproved else None)
 
 
-def _parts(lin: Linearization, plan: Optional[GainPlan], n_modes: int,
-           tail_mass_bound: Optional[float], form: str, law: Optional[Law] = None) -> tuple:
+def _parts(lin: Linearization, plan: Optional[GainPlan], n_modes: int, form: str,
+           law: Optional[Law] = None) -> tuple:
     """What one certificate weighs (see the module docstring): its law, the
     closed-loop drifts of modes 1..D under ``plan`` and their noise part."""
-    n = _level(lin, n_modes, tail_mass_bound)
+    n = _level(lin, n_modes)
     if law is None:
-        law = solve_law(lin, n_modes, tail_mass_bound)
+        law = solve_law(lin, n_modes)
     elif isinstance(law, StationaryDist) and law.ratio == 0.0 and law.truncation != n:
         raise ValueError(f"law solved at N={law.truncation}, certificate asks for N={n}")
     if lin.repeats_from is not None:
@@ -412,10 +375,11 @@ def certify_recurrence(
     margin_frac: float = 0.1,
     extra_flags: Optional[dict] = None,
 ) -> Certificate:
-    """Certify positive recurrence from the linearization alone."""
+    """Certify positive recurrence from the linearization alone; a tail
+    mass counts only where the law is a truncation at N (module docstring)."""
     return _certify(
         lin,
-        *_parts(lin, None, n_modes, tail_mass_bound, "thm37"),
+        *_parts(lin, None, n_modes, "thm37"),
         claim="positive_recurrence",
         form="thm37",
         plan=None,
@@ -438,14 +402,14 @@ def certify_stabilization(
 ) -> Certificate:
     """Certify weak stabilizability under the feedback plan.
 
-    ``law`` is what ``solve_law(lin, n_modes, tail_mass_bound)`` returns,
-    or the :func:`~switchsde.chain.stationary` law of the truncation at the
-    level it weighs; a caller that certifies several plans passes it to
-    solve the law once.
+    ``law`` is what ``solve_law(lin, n_modes)`` returns, or the
+    :func:`~switchsde.chain.stationary` law of the truncation at the level
+    it weighs; a caller that certifies several plans passes it to solve
+    the law once.
     """
     return _certify(
         lin,
-        *_parts(lin, plan, n_modes, tail_mass_bound, form, law),
+        *_parts(lin, plan, n_modes, form, law),
         claim="weak_stabilizability",
         form=form,
         plan=plan,
@@ -485,7 +449,7 @@ def search_gain(
     if not 0.0 <= budget < np.inf:  # an infinite budget would double g forever
         raise ValueError(f"budget must be finite and nonnegative, got {budget}")
     open_loop = GainPlan(controllable, {}, input_mats)
-    law, b0, noise = _parts(lin, open_loop, n_modes, tail_mass_bound, form, law)
+    law, b0, noise = _parts(lin, open_loop, n_modes, form, law)
     restack = sorted(i for i in controllable if i <= len(b0))
     g = 0.0
     while g <= budget * (1.0 + 1e-12):

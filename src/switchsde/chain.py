@@ -98,9 +98,13 @@ class SparseGenerator:
     def from_triplets(cls, triplets, name: str = "triplets") -> "SparseGenerator":
         """Build from an iterable of (i, j, rate) entries (off-diagonal only);
         the mode count is the largest mode named, as no mode beyond it is
-        ever entered."""
+        ever entered.  Modes must be integral numbers or numeric strings;
+        a boolean or a fractional mode is refused, not read as 1 or floored."""
         rows: dict[int, dict[int, float]] = {}
-        for i, j, rate in triplets:
+        for k, (i, j, rate) in enumerate(triplets):
+            if any(isinstance(v, bool) for v in (i, j, rate)) or float(i) % 1 or float(j) % 1:
+                raise ValueError(f"triplets[{k}] {(i, j, rate)}: modes must be integers "
+                                 "and no entry a boolean")
             i, j, rate = int(i), int(j), float(rate)
             if i < 1 or j < 1:
                 raise ValueError("modes are indexed from 1")

@@ -156,7 +156,6 @@ def cmd_certify(args) -> int:
     cert = certify_recurrence(
         loaded.lin,
         n,
-        tail_mass_bound=args.tail_mass,
         margin_frac=args.margin,
         extra_flags=_model_flags(loaded.spec, loaded.lin),
     )
@@ -221,7 +220,7 @@ def cmd_stabilize(args) -> int:
     if "input_matrix" not in meta or "controllable" not in meta:
         raise ValueError(f"model {loaded.name} declares no control inputs")
     n = args.N if args.N is not None else loaded.truncation_hint
-    law = solve_law(loaded.lin, n, args.tail_mass)
+    law = solve_law(loaded.lin, n)
     plan = search_gain(
         loaded.lin,
         meta["input_matrix"],
@@ -229,7 +228,6 @@ def cmd_stabilize(args) -> int:
         n,
         budget=args.budget,
         form=args.form,
-        tail_mass_bound=args.tail_mass,
         margin_frac=args.margin,
         law=law,
     )
@@ -248,7 +246,6 @@ def cmd_stabilize(args) -> int:
         loaded.lin,
         plan,
         n,
-        tail_mass_bound=args.tail_mass,
         form=args.form,
         margin_frac=args.margin,
         extra_flags=_model_flags(loaded.spec, loaded.lin),
@@ -396,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", default="out")
     p.add_argument("--N", type=int, default=None, help="truncation level")
-    p.add_argument("--tail-mass", dest="tail_mass", type=float, default=None)
     p.add_argument("--margin", type=float, default=0.1)
     p.set_defaults(fn=cmd_certify)
 
@@ -415,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--budget", type=float, default=1024.0)
     p.add_argument("--form", choices=("thm37", "thm41"), default="thm37")
-    p.add_argument("--tail-mass", dest="tail_mass", type=float, default=None)
     p.add_argument("--margin", type=float, default=0.1)
     p.set_defaults(fn=cmd_stabilize)
 

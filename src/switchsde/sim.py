@@ -83,10 +83,10 @@ class SimConfig:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        for name, low in (("seed", 0), ("record_stride", 1)):  # int() would floor 1.7
+            value = getattr(self, name)
+            if not (hasattr(value, "__index__") and value >= low):  # as operator.index
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def default_dt(delay: float, horizon: float) -> float:

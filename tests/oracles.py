@@ -34,7 +34,6 @@ import numpy as np
 from scipy.linalg import eigh, null_space
 from scipy.optimize import minimize
 
-from switchsde.certify import estimate_tail_mass
 from switchsde.chain import StationaryDist, TailUnproved
 from switchsde.segment import Segment
 from switchsde.sim import BatchEnsemble, _check_total, simulate
@@ -196,7 +195,7 @@ def exact_terms(law, head: np.ndarray) -> dict:
 def truncated_terms(lin, law, head: np.ndarray, tail_mass_bound) -> dict:
     """Certificate terms on the law of a truncation to modes 1..N: the
     weighted sum over modes 1..N plus a bound on the mass beyond N weighed
-    at the largest cost, which an extrapolated mass does not prove."""
+    at the largest cost; without a stated mass the tail is unproved."""
     n = law.truncation
     costs = _extend(head, n)
     unproved = None
@@ -205,11 +204,7 @@ def truncated_terms(lin, law, head: np.ndarray, tail_mass_bound) -> dict:
     elif tail_mass_bound is not None:
         tail_mass, source = float(tail_mass_bound), "user"
     else:
-        try:
-            tail_mass, source = estimate_tail_mass(law.nu), "extrapolated"
-            unproved = "tail extrapolated"
-        except ValueError:
-            tail_mass, source, unproved = np.inf, "unproved", "tail unproved"
+        tail_mass, source, unproved = np.inf, "unproved", "tail unproved"
     tail_bound = np.inf if source == "unproved" else float(np.max(np.abs(head)) * tail_mass)
     return dict(per_mode_c=costs, nu=law, partial_sum=float(law.nu @ costs),
                 tail_bound=tail_bound, rounding_bound=float(_gamma(n) * (law.nu @ np.abs(costs))),

@@ -17,7 +17,6 @@ from switchsde.certify import (
     _stacks,
     certify_recurrence,
     certify_stabilization,
-    estimate_tail_mass,
     per_mode_cost,
     search_gain,
     solve_law,
@@ -181,6 +180,8 @@ def cert_fields(cert):
 def test_each_grid_point_is_the_certificate_of_its_plan(monkeypatch, form, tail, controllable):
     spec, lin = registry_get("controlled_scalar", {"A": [1.0, 0.5, 1.0], "sigma": 0.3, "L": 0.0,
                                                    "controllable": controllable})
+    if tail is not None:
+        lin = truncating(lin)
     inputs = spec.meta["input_matrix"]
     weigh, eigs = switchsde.certify._certify, switchsde.certify._sym_eigs
     points, noise_eigs = [], []
@@ -226,8 +227,8 @@ def test_a_level_below_two_is_rejected(n):
                  lambda: certify_recurrence(pp, n, tail),
                  lambda: certify_stabilization(lin, plan, n, tail),
                  lambda: search_gain(lin, inputs, ctl, n, tail_mass_bound=tail),
-                 lambda: solve_law(lin, n, tail),
-                 lambda: solve_law(pp, n, tail))
+                 lambda: solve_law(lin, n),
+                 lambda: solve_law(pp, n))
         for call in calls:
             with pytest.raises(ValueError, match=f"n_modes must be at least 2, got {n}"):
                 call()
@@ -358,7 +359,8 @@ def test_margin_requirement_can_block():
 
 
 def test_user_tail_mass_bound_is_used():
-    _, lin = scalar_model(3.0)
+    _, declared = scalar_model(3.0)
+    lin = truncating(declared)
     cert = certify_recurrence(lin, 30, tail_mass_bound=1e-6)
     assert cert.tail_mass_source == "user"
     assert cert.tail_mass == pytest.approx(1e-6)
@@ -367,9 +369,10 @@ def test_user_tail_mass_bound_is_used():
     # partial sum -0.5, but a tail mass of 1 bounds the tail by 2
     loose = certify_recurrence(lin, 30, tail_mass_bound=1.0)
     assert (loose.verdict, loose.reason) == (INCONCLUSIVE, "tail bound")
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="tail_mass_bound"):
-            certify_recurrence(lin, 30, tail_mass_bound=bad)
+    for bad in (-1.0, float("nan")):  # refused also where the law leaves no tail
+        for v in (lin, declared, registry_get("predator_prey", {})[1]):
+            with pytest.raises(ValueError, match="tail_mass_bound"):
+                certify_recurrence(v, 30, tail_mass_bound=bad)
     # an infinite mass is a legal, useless bound
     inf = certify_recurrence(lin, 30, tail_mass_bound=float("inf"))
     assert (inf.verdict, inf.reason, inf.tail_bound) == (INCONCLUSIVE, "tail bound", float("inf"))
@@ -386,63 +389,20 @@ def test_extra_flags_veto_the_verdict():
         k for k, ok in two.to_dict()["assumptions"].items() if not ok)
 
 
-def test_tail_estimate_dominates_true_tail():
-    for name, true_tail in (("switched_ou", None), ("controlled_scalar", None)):
-        lin = registry_get(name, {})[1]
-        n = 20
-        nu = stationary(truncate(lin.qhat, n)).nu
-        est = estimate_tail_mass(nu)
-        # exact mass beyond the truncation, from the closed forms
-        if name == "switched_ou":
-            true_tail = 3.0 ** (-(n - 1))
-        else:
-            true_tail = 2.0 ** (-n)
-        assert est >= true_tail
-        assert est <= 5.0 * true_tail
-
-
-def test_tail_estimate_rejects_flat_or_short_heads():
-    with pytest.raises(ValueError):
-        estimate_tail_mass(np.full(30, 1.0 / 30.0))
-    with pytest.raises(ValueError):
-        estimate_tail_mass(np.array([0.5, 0.25, 0.125, 0.125]))
-    bad = np.array([0.5, 0.25, 0.125, 0.0625, 0.0, 0.0, 0.0, 0.0, 0.0625])
-    with pytest.raises(ValueError):
-        estimate_tail_mass(bad)
-
-
 def test_to_dict_is_json_ready():
     import json
 
     # the truncated path: with both repeat points declared the law is exact
     # and ``truncation`` reports its head size (test_exact_law.py)
-    cert = certify_recurrence(undeclared(ou_lin()), 30)
+    cert = certify_recurrence(undeclared(ou_lin()), 30, tail_mass_bound=1e-13)
     doc = cert.to_dict()
     json.dumps(doc)
-    # an extrapolated tail mass is reported but proves nothing
-    assert (doc["verdict"], doc["reason"]) == (INCONCLUSIVE, "tail extrapolated")
-    assert doc["tail_mass_source"] == "extrapolated" and 0.0 < doc["tail_bound"] < 1e-12
+    assert (doc["verdict"], doc["reason"]) == (CERTIFIED, "certified")
+    assert doc["tail_mass_source"] == "user" and doc["tail_bound"] == 1e-13  # at |c_i| = 1
     assert doc["truncation"] == 30
     assert len(doc["per_mode_c"]) == 12
     assert 0.0 < doc["rounding_bound"] < 1e-14
     assert doc["total"] == doc["partial_sum"] + doc["tail_bound"] + doc["rounding_bound"]
-
-
-def test_extrapolated_tail_does_not_certify():
-    # the geometric fit beyond N is a heuristic: it once certified this
-    # undeclared OU family for every N from 20 to 600
-    lin = undeclared(ou_lin())
-    for n in (20, 30, 100, 600):
-        cert = certify_recurrence(lin, n)
-        assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "tail extrapolated"), n
-        assert cert.tail_mass_source == "extrapolated"
-        assert cert.tail_bound == cert.tail_mass > 0.0  # reported, at the largest |c_i| = 1
-        assert cert.partial_sum == pytest.approx(-1.0, abs=1e-9)
-    # the reason comes ahead of the flags, as an unproved tail's does
-    cert = certify_recurrence(lin, 30, extra_flags={"a_probe": False})
-    assert cert.reason == "tail extrapolated"
-    # a stated tail mass proves the tail
-    assert certify_recurrence(lin, 30, tail_mass_bound=1e-12).verdict == CERTIFIED
 
 
 def test_a_truncated_row_off_zero_raises():
@@ -486,15 +446,17 @@ def test_finite_mode_space_caps_the_truncation():
 
 
 def test_finite_chain_is_weighed_whole_without_a_tail_mass():
-    # with no tail mass stated, N below the mode count changes nothing: the
-    # law is solved on all 50 modes, so no tail is left to extrapolate
+    # N below the mode count changes nothing, nor does a tail mass: the law
+    # is solved on all 50 modes, so no tail is left out
     lin = registry_get("predator_prey", {})[1]
-    runs = [cert_bytes(certify_recurrence(lin, n)) for n in (2, 20, 49, 50, 100_000)]
+    runs = [cert_bytes(certify_recurrence(lin, n, tail_mass_bound=tail))
+            for n in (2, 20, 49, 50, 100_000) for tail in (None, 0.0, 0.01)]
     assert all(run == runs[0] for run in runs)
     assert json.loads(runs[0][0])["truncation"] == 50
-    # a stated tail mass still truncates at N
-    cert = certify_recurrence(lin, 20, tail_mass_bound=0.0)
-    assert (cert.nu.truncation, cert.tail_mass_source) == (20, "user")
+    # nor can a law truncated below the mode count be passed in
+    plan = GainPlan(frozenset([1]), {}, lambda i: np.eye(2))
+    with pytest.raises(ValueError, match="law solved at N=20, certificate asks for N=50"):
+        certify_stabilization(lin, plan, 20, 0.0, law=stationary(truncate(lin.qhat, 20)))
 
 
 def test_negative_coefficients_certify_under_the_derived_bound():
@@ -510,9 +472,15 @@ def test_negative_coefficients_certify_under_the_derived_bound():
 
 def undeclared(lin):
     """The same linearization without either repeat point."""
+    return replace(truncating(lin), repeats_from=None)
+
+
+def truncating(lin):
+    """The same linearization over its ``qhat`` without the repeat point:
+    its law is a truncation at N, and its costs still repeat from its own
+    ``repeats_from``."""
     q = lin.qhat
-    plain = SparseGenerator(q.row, q.rate_bound, name=q.name, n_modes=q.n_modes)
-    return replace(lin, repeats_from=None, qhat=plain)
+    return replace(lin, qhat=SparseGenerator(q.row, q.rate_bound, name=q.name, n_modes=q.n_modes))
 
 
 def cert_bytes(cert):
@@ -532,10 +500,10 @@ def test_repeat_points_change_no_certificate(name, params):
     controllable = spec.meta.get("controllable", frozenset([1]))
     # certificates read modes beyond N only when N < max(K, controllable + 1)
     top = max(lin.repeats_from, max(controllable, default=0) + 1)
-    variants = [lin, replace(lin, repeats_from=None), undeclared(lin)]
-    # without a tail mass a declared infinite generator is weighed by its
-    # exact law, whatever N; the truncated law at N = 300 agrees with it
-    # to rounding (its error is of the order of nu_300 <= 2^-300)
+    variants = [lin, truncating(lin), replace(lin, repeats_from=None), undeclared(lin)]
+    # a declared infinite generator is weighed by its exact law, whatever N
+    # and the tail mass; the truncated law at N = 300 agrees with it to
+    # rounding (its error is of the order of nu_300 <= 2^-300)
     exact = lin.qhat.n_modes is None
     for n in sorted({top, top + 1, 30, 300}):
         for tail in (None, 0.01):
@@ -545,27 +513,30 @@ def test_repeat_points_change_no_certificate(name, params):
                     runs.append(cert_bytes(certify_recurrence(v, n, tail_mass_bound=tail)))
                 except ValueError as exc:
                     runs.append(str(exc))
-            if exact and tail is None:
-                assert runs[0] == cert_bytes(certify_recurrence(lin, 100_000)), n
-                assert runs[1] == runs[2], n
-                if n == 300:
+            assert runs[1] == runs[2] == runs[3], (n, tail)
+            if exact:
+                assert runs[0] == cert_bytes(certify_recurrence(lin, 100_000)), (n, tail)
+                if n == 300 and tail is None:
                     a, b = certify_recurrence(lin, n), certify_recurrence(undeclared(lin), n)
                     # only the exact law proves its tail
-                    assert (b.verdict, b.reason) == (INCONCLUSIVE, "tail extrapolated")
+                    assert (b.verdict, b.reason) == (INCONCLUSIVE, "tail unproved")
                     assert a.partial_sum == pytest.approx(b.partial_sum, abs=1e-12)
             else:
-                assert runs[0] == runs[1] == runs[2], (n, tail)
+                assert runs[0] == runs[1], (n, tail)
         for form in ("thm37", "thm41"):
             gains = [gain_bytes(search_gain(v, inputs, controllable, n, form=form,
                                             tail_mass_bound=0.01)) for v in variants]
-            assert gains[0] == gains[1] == gains[2], (n, form)
+            assert gains[1] == gains[2] == gains[3], (n, form)
+            assert gains[0] == gain_bytes(search_gain(lin, inputs, controllable, n, form=form))
+            assert exact or gains[0] == gains[1], (n, form)
 
 
 def test_tail_bound_and_probe_cover_the_modes_beyond_n():
     # modes 1..9 cost -1 and every mode from 10 on costs +5; at N = 5 the
     # mass beyond N may sit at cost 5, so the tail bound must weigh it
-    _, lin = registry_get("controlled_scalar", {"A": [-1.0] * 9 + [5.0], "L": 0.0})
-    assert lin.repeats_from == 10 and lin.coeff_bound == 5.0
+    _, declared = registry_get("controlled_scalar", {"A": [-1.0] * 9 + [5.0], "L": 0.0})
+    assert declared.repeats_from == 10 and declared.coeff_bound == 5.0
+    lin = truncating(declared)  # the exact law of the declared qhat leaves no tail
     cert = certify_recurrence(lin, 5, tail_mass_bound=0.01)
     assert list(cert.per_mode_c) == [-1.0] * 5
     assert cert.tail_bound == 5.0 * 0.01

@@ -12,6 +12,7 @@ from switchsde.chain import (
     stationary,
     truncate,
 )
+from switchsde.registry import registry_get
 
 
 def two_base_ladder(repeats_from=None):
@@ -76,6 +77,18 @@ def test_triplets_accumulate_and_validate():
         SparseGenerator.from_triplets([(1, 2, -1.0)])
     with pytest.raises(ValueError):
         SparseGenerator.from_triplets([(0, 2, 1.0)])
+
+
+def test_triplets_refuse_fractional_modes_and_booleans():
+    # int() once floored mode 1.5 to 1, and True read as mode 1 or rate 1.0
+    for bad in ((1.5, 2, 1.0), (1, 2.5, 1.0), (True, 2, 1.0), (1, 2, True), (1, "nan", 1.0)):
+        with pytest.raises(ValueError, match=r"triplets\[1\] .*modes must be integers"):
+            SparseGenerator.from_triplets([(2, 1, 1.0), bad])
+    with pytest.raises(ValueError, match=r"triplets\[0\]"):
+        registry_get("linear_2d", {"qhat": [[1.5, 2, 1.0], [2, 1, 1.0]]})
+    # integral floats and numeric strings read as before
+    gen = SparseGenerator.from_triplets([(1.0, "2", "0.5"), ("2", 1, 1)])
+    assert (gen.row(1), gen.row(2), gen.n_modes) == ({2: 0.5}, {1: 1.0}, 2)
 
 
 def test_non_finite_rates_and_bounds_raise():

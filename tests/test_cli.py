@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 import switchsde.cli
-from switchsde.certify import certify_recurrence
+from switchsde.certify import certify_recurrence, search_gain
 from switchsde.cli import main
-from test_certify import ou_lin, undeclared
+from switchsde.config import load_model_config
+from test_certify import ou_lin, truncating, undeclared
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OU = str(CONFIG_DIR / "switched_ou.json")
@@ -50,9 +51,9 @@ def test_in_process_calls_leak_no_values(tmp_path, capsys):
     switchsde.cli._parser.cache_clear()
     fresh = certify("fresh")
     assert fresh[0] == 0
-    tail = certify("tail", "--tail-mass", "0.1")
-    assert tail[1] != fresh[1]
-    assert certify("plain") == fresh  # --tail-mass 0.1 did not stick
+    strict = certify("strict", "--margin", "5")
+    assert strict[1] != fresh[1]
+    assert certify("plain") == fresh  # --margin 5 did not stick
     assert main(["certify", "--out", str(tmp_path / "bad")]) == 2  # no --model
     assert "required" in capsys.readouterr().err
     assert certify("after") == fresh
@@ -102,10 +103,15 @@ def test_certify_exit_codes(tmp_path):
     weak_doc = read_json(tmp_path / "w" / "certificate.json")
     assert weak_doc["verdict"] == "INCONCLUSIVE"
 
-    # an infinite tail mass is legal: the tail bound is infinite, written as null
-    assert main(["certify", "--model", OU, "--tail-mass", "inf", "--out", str(tmp_path / "i")]) == 1
-    inf_doc = read_json(tmp_path / "i" / "certificate.json")
-    assert (inf_doc["reason"], inf_doc["tail_bound"]) == ("tail bound", None)
+
+@pytest.mark.parametrize("command", [["certify", "--model", OU], ["stabilize", "--model", SCALAR]])
+def test_tail_mass_is_no_option(tmp_path, capsys, command):
+    # every shipped config declares both repeat points or a finite mode
+    # count, so a tail mass could change none of their certificates
+    out = tmp_path / "out"
+    assert main([*command, "--tail-mass", "0.01", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --tail-mass 0.01" in capsys.readouterr().err
+    assert not out.exists()
 
 
 CERTIFY_REASONS = {
@@ -238,11 +244,29 @@ def test_malformed_generator_files_are_usage_errors(tmp_path, capsys, doc, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry", [{"i": 1.5, "j": 2, "rate": 1.0},
+                                   {"i": True, "j": 2, "rate": 1.0},
+                                   {"i": 1, "j": 2, "rate": True}])
+def test_fractional_and_boolean_triplets_are_usage_errors(tmp_path, capsys, entry):
+    # mode 1.5 once read as mode 1 and true as mode 1 or rate 1.0, exit 0
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"triplets": [{"i": 2, "j": 1, "rate": 3.0}, entry]}))
+    out = tmp_path / "st"
+    assert main(["stationary", "--generator", str(gen), "--out", str(out)]) == 2
+    assert "error: triplets[1] " in capsys.readouterr().err
+    assert not out.exists()
+    # numeric strings stay accepted
+    gen.write_text(json.dumps({"triplets": [{"i": "2", "j": "1", "rate": "3"},
+                                            {"i": 1, "j": 2, "rate": 1.0}]}))
+    assert main(["stationary", "--generator", str(gen), "--out", str(out)]) == 0
+    assert read_json(out / "stationary.json")["nu"] == pytest.approx([0.75, 0.25])
+
+
 @pytest.mark.parametrize("n", ["-5", "0", "1"])
 def test_a_level_below_two_is_a_usage_error(tmp_path, capsys, n):
     # the exact law and a finite chain weighed whole ignore N, so these
     # levels once wrote CERTIFIED certificates and exited 0
-    runs = [["certify", "--model", OU], ["certify", "--model", OU, "--tail-mass", "0.01"],
+    runs = [["certify", "--model", OU], ["certify", "--model", LINEAR],
             ["certify", "--model", str(CONFIG_DIR / "predator_prey.json")],
             ["stabilize", "--model", SCALAR], ["stabilize", "--model", SCALAR, "--form", "thm41"]]
     for k, run in enumerate(runs):
@@ -296,17 +320,16 @@ def test_stabilize_solves_the_stationary_law_once(tmp_path, monkeypatch):
     # the ladder declares its repeat point: one exact law and no truncation
     assert main(["stabilize", "--model", open_loop, "--out", str(tmp_path / "e")]) == 0
     assert (len(exact), sizes) == (1, [])
-    # a tail mass asks for the law truncated at N
-    tail = ["--tail-mass", "0.01"]
-    assert main(["stabilize", "--model", open_loop, *tail, "--out", str(tmp_path / "a")]) == 0
-    assert sizes == [30]
     # an exhausted search solves once too
-    assert main(["stabilize", "--model", open_loop, "--budget", "1.0", "--N", "40", *tail,
-                 "--out", str(tmp_path / "b")]) == 1
-    assert sizes == [30, 40]
-    assert main(["stabilize", "--model", open_loop, "--budget", "1.0",
+    assert main(["stabilize", "--model", open_loop, "--budget", "1.0", "--N", "40",
                  "--out", str(tmp_path / "c")]) == 1
-    assert (len(exact), sizes) == (2, [30, 40])
+    assert (len(exact), sizes) == (2, [])
+    # so does a search over a law truncated at N, the one a tail mass bounds
+    loaded = load_model_config(open_loop)
+    lin, inputs, ctl = truncating(loaded.lin), loaded.spec.meta["input_matrix"], [1]
+    assert search_gain(lin, inputs, ctl, 40, tail_mass_bound=0.01) is not None
+    assert search_gain(lin, inputs, ctl, 30, budget=1.0, tail_mass_bound=0.01) is None
+    assert (len(exact), sizes) == (2, [40, 30])
 
 
 def test_verify_hitting_rerun_is_byte_identical(tmp_path):
@@ -524,7 +547,7 @@ def test_start_mode_beyond_the_mode_space_is_a_usage_error(tmp_path, capsys, com
         ["verify", "descent", "--model", OU, "--T", "inf", "--paths", "2"],
         ["dynkin", "--model", OU, "--t", "inf", "--paths", "2"],
         ["certify", "--model", OU, "--margin", "nan"],
-        ["certify", "--model", OU, "--tail-mass", "nan"],
+        ["verify", "coupling", "--model", OU, "--floor-frac", "nan", "--paths", "2"],
         ["stabilize", "--model", SCALAR, "--margin", "nan"],
         ["verify", "hitting", "--model", OU, "--H", "nan", "--T", "1", "--paths", "2"],
         ["stabilize", "--model", SCALAR, "--budget", "nan"],

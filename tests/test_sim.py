@@ -158,6 +158,21 @@ def test_record_stride_keeps_endpoints():
     assert np.allclose(rec.times, [0.0, 0.4, 0.8, 1.0])
 
 
+def test_seed_and_stride_must_be_integers():
+    # int() once truncated them: seed 1.7 ran seed 1's path and a stride of
+    # 2.5 recorded every 5th step
+    for kw in ({"seed": 1.7}, {"seed": 1.0}, {"seed": "1"}, {"record_stride": 2.5}):
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimConfig(dt=0.1, horizon=1.0, **kw)
+    model = plain_model(lambda x, i: np.ones(1))
+    phi0 = Segment.make_constant([0.0], 1.0, 0.1)
+    runs = [simulate(model, phi0, 1, SimConfig(dt=0.1, horizon=1.0, seed=seed, record_stride=k))
+            for seed, k in ((3, 4), (np.int64(3), np.int32(4)))]
+    assert np.array_equal(runs[0].times, runs[1].times)
+    assert np.array_equal(runs[0].states, runs[1].states)
+
+
 def test_blow_up_is_flagged_not_raised():
     model = plain_model(lambda x, i: np.asarray(x, dtype=float) ** 3)
     phi0 = Segment.make_constant([10.0], 1.0, 0.1)
