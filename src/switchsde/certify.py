@@ -2,13 +2,13 @@
 
 The criterion weighs a per-mode spectral cost against the stationary law
 of the limiting rate generator: if the weighted sum is strictly negative
-after adding a bound for the mass it leaves out and ``rounding_bound``,
-the floating-point error bound of the weighted sum, the model is certified
-positively recurrent.  ``solve_law`` picks the law from the declarations
-of the linearization and its ``qhat`` alone and returns it as one
-:class:`~switchsde.chain.StationaryDist`, which one formula weighs; only
-the source of the bound on the mass it leaves out (``tail_mass_source``)
-depends on where the law came from:
+after adding ``rounding_bound``, the floating-point error bound of the
+weighted sum, and the model's law leaves no mode out, the model is
+certified positively recurrent.  ``solve_law`` picks the law from the
+declarations of the linearization and its ``qhat`` alone and returns it as
+one :class:`~switchsde.chain.StationaryDist`, which one formula weighs;
+the law alone names where the bound on the mass it leaves out
+(``tail_mass_source``) comes from:
 
 * ``"exact_geometric"`` when ``qhat`` is infinite and both it and the
   linearization declare ``repeats_from``:
@@ -19,9 +19,10 @@ depends on where the law came from:
   the verdict is INCONCLUSIVE with that reason;
 * ``"finite_modes"`` when ``qhat`` declares a finite mode count: the law
   is that of the whole chain, whatever N, and no mode lies beyond it;
-* else the law is that of the truncation to modes 1..N.  Only there does
-  a tail mass count: the caller's bound (``"user"``), or none, and then
-  the tail is ``"unproved"`` and the reason ``"tail unproved"``.
+* ``"unproved"`` on a truncation of an infinite chain to modes 1..N (also
+  a caller's truncated ``law``): nothing bounds the mass beyond N, so the
+  tail bound is infinite, the reason ``"tail unproved"`` and the partial
+  sum over modes 1..N is reported only as a diagnostic.
 
 The stabilization variant first closes the loop on the controllable modes
 with linear state feedback u = -L(i) x.
@@ -31,10 +32,10 @@ resolves the level and the law (solves it, or checks a caller's ``law``
 against the level) and builds the closed-loop drifts of modes 1..D and
 their gain-free noise part: D is N, or max(K, largest controllable mode
 + 1) when the linearization declares ``repeats_from`` K, as every mode
-beyond costs c_D, so the per-mode work does not grow with N, and the tail
-bound and coefficient probe cover every mode, also those beyond N.  A gain
-moves only the controllable drifts, so ``search_gain`` resolves the law
-and builds the noise part once per search.
+beyond costs c_D, so the per-mode work does not grow with N, and the
+coefficient probe covers every mode, also those beyond N.  A gain moves
+only the controllable drifts, so ``search_gain`` resolves the law and
+builds the noise part once per search.
 
 Two printed forms of the stabilization cost are kept side by side and
 selected with ``form``: ``thm37`` substitutes the closed-loop drift into
@@ -109,20 +110,21 @@ class Certificate:
 
     ``partial_sum`` is the stationary-weighted cost over every mode the law
     holds: modes 1..N of a truncation, or every mode of an exact law, whose
-    geometric tail (ratio rho) is summed in closed form.  ``tail_bound`` is
-    the worst-case contribution of the mass the law leaves out (0 on an
-    exact law) and ``rounding_bound`` the floating-point error bound of the
-    partial sum: gamma_n / (1 - rho) * sum_i |nu_i c_i| (gamma_n = n u /
-    (1 - n u), u = 2^-53), with n = N on a truncation (rho = 0) and
-    n = 2m + 4 on an exact law, plus the largest |c_i| times the law's
-    ``error`` bound from the head solve's balance residual.  On an exact
-    law ``nu`` holds nu_1..nu_m for the m modes written out, and its
-    ``truncation`` is the head size K'.  The verdict is CERTIFIED only when
-    the total clears the margin and every assumption flag holds.
-    ``reason`` names what decided it: why the tail is not proved ("tail
-    unproved" on a truncation with no tail mass, "tail reach > 1" or "tail
-    ratio >= 1" on a declared tail), else the first failing flag in sorted
-    order, "partial sum >= 0", "tail bound", "margin" or "certified".
+    geometric tail (ratio rho) is summed in closed form.  ``tail_bound``
+    weighs the mass the law leaves out (``tail_mass``): 0, or infinite on a
+    truncation of an infinite chain.  ``rounding_bound`` is the
+    floating-point error bound of the partial sum: gamma_n / (1 - rho) *
+    sum_i |nu_i c_i| (gamma_n = n u / (1 - n u), u = 2^-53), with n = N on a
+    truncation (rho = 0) and n = 2m + 4 on an exact law, plus the largest
+    |c_i| times the law's ``error`` bound from the head solve's balance
+    residual.  On an exact law ``nu`` holds nu_1..nu_m for the m modes
+    written out, and its ``truncation`` is the head size K'.  The verdict
+    is CERTIFIED only when the total clears the margin and every assumption
+    flag holds.  ``reason`` names what decided it: why the tail is not
+    proved ("tail unproved" on a truncation of an infinite chain, "tail
+    reach > 1" or "tail ratio >= 1" on a declared tail), else the first
+    failing flag in sorted order, "partial sum >= 0", "rounding bound",
+    "margin" or "certified".
     """
 
     claim: str
@@ -257,45 +259,38 @@ def solve_law(lin: Linearization, n_modes: int) -> Law:
     return stationary(truncate(q, n))
 
 
-def _terms(lin: Linearization, law: Law, head: np.ndarray,
-           tail_mass_bound: Optional[float]) -> dict:
+def _terms(lin: Linearization, law: Law, head: np.ndarray) -> dict:
     """Certificate terms: the costs weighed by the law over every mode it
     holds, its geometric tail (if any) in closed form with nu and c written
-    out to at least 12 modes, plus a bound on the mass it leaves out
-    weighed at the largest cost.  ``unproved`` names why the tail is not
-    proved, None when it is.  Refuses a negative tail mass on every law."""
-    if tail_mass_bound is not None and not tail_mass_bound >= 0:  # NaN fails it too
-        raise ValueError(f"tail_mass_bound must be nonnegative, got {tail_mass_bound}")
+    out to at least 12 modes, and the mass it leaves out: none, or on a
+    truncation of an infinite chain an unbounded one.  ``unproved`` names
+    why the tail is not proved, None when it is."""
     if isinstance(law, TailUnproved):
         nan = float("nan")
         return dict(per_mode_c=head, nu=StationaryDist(np.zeros(0), nan, 0), partial_sum=nan,
                     tail_bound=np.inf, rounding_bound=nan, tail_mass=np.inf,
                     tail_mass_source="unproved", unproved=law.reason)
     m = steps = law.nu.size  # a dot of m terms rounds m times
+    source = "unproved"  # a truncation of an infinite chain: nothing bounds its tail
     if law.ratio > 0.0:  # geometric_law refuses a ratio that rounds to 0
         # nu and c written out to at least 12 modes; the tail adds the
         # powers of the ratio and its own sum, each term widened by
         # 1 / (1 - ratio)
         m = max(m, head.size, 12)
-        tail_mass, source, steps = 0.0, "exact_geometric", 2 * m + 4
+        source, steps = "exact_geometric", 2 * m + 4
     elif law.truncation == lin.qhat.n_modes:
-        tail_mass, source = 0.0, "finite_modes"  # no mode lies beyond N
-    elif tail_mass_bound is not None:
-        tail_mass, source = float(tail_mass_bound), "user"
-    else:
-        tail_mass, source = np.inf, "unproved"
+        source = "finite_modes"  # no mode lies beyond N
     nu = law.extend(m)
     costs = np.concatenate([head, np.full(max(m - head.size, 0), head[-1])])[:m]  # c_D beyond D
     # modes beyond m all cost c_m and weigh nu_m ratio / (1 - ratio) together
     tail = nu[-1] * law.ratio / (1.0 - law.ratio)
     spread = float(nu @ np.abs(costs) + abs(costs[-1]) * tail)
-    top = np.max(np.abs(head))
-    rounding = _gamma(steps) / (1.0 - law.ratio) * spread + top * law.error
+    rounding = _gamma(steps) / (1.0 - law.ratio) * spread + np.max(np.abs(head)) * law.error
     unproved = source == "unproved"
+    left_out = np.inf if unproved else 0.0
     return dict(per_mode_c=costs, nu=replace(law, nu=nu),
-                partial_sum=float(nu @ costs + costs[-1] * tail),
-                tail_bound=np.inf if unproved else float(top * tail_mass),
-                rounding_bound=float(rounding), tail_mass=tail_mass, tail_mass_source=source,
+                partial_sum=float(nu @ costs + costs[-1] * tail), tail_bound=left_out,
+                rounding_bound=float(rounding), tail_mass=left_out, tail_mass_source=source,
                 unproved="tail unproved" if unproved else None)
 
 
@@ -323,7 +318,6 @@ def _certify(
     claim: str,
     form: str,
     plan: Optional[GainPlan],
-    tail_mass_bound: Optional[float],
     margin_frac: float,
     extra_flags: Optional[dict] = None,
 ) -> Certificate:
@@ -332,7 +326,7 @@ def _certify(
     if not margin_frac >= 0:  # written so that NaN fails it
         raise ValueError(f"margin_frac must be nonnegative, got {margin_frac}")
     head, norm = noise(b)
-    terms = _terms(lin, law, head, tail_mass_bound)
+    terms = _terms(lin, law, head)
     unproved = terms.pop("unproved")
 
     plan_norm = max([0.0] + [
@@ -352,7 +346,7 @@ def _certify(
     upper = partial + terms["tail_bound"] + terms["rounding_bound"]
     margin = margin_frac * abs(partial)
     failed = [k for k, ok in sorted(flags.items()) if not ok]
-    tests = ((partial < 0.0, "partial sum >= 0"), (upper < 0.0, "tail bound"),
+    tests = ((partial < 0.0, "partial sum >= 0"), (upper < 0.0, "rounding bound"),
              (upper <= -margin, "margin"))  # written so that NaN fails each
     reason = unproved or (failed[0] if failed else
                           next((why for ok, why in tests if not ok), "certified"))
@@ -371,19 +365,17 @@ def _certify(
 def certify_recurrence(
     lin: Linearization,
     n_modes: int,
-    tail_mass_bound: Optional[float] = None,
     margin_frac: float = 0.1,
     extra_flags: Optional[dict] = None,
 ) -> Certificate:
-    """Certify positive recurrence from the linearization alone; a tail
-    mass counts only where the law is a truncation at N (module docstring)."""
+    """Certify positive recurrence from the linearization alone, weighed
+    against the law ``solve_law`` picks (module docstring)."""
     return _certify(
         lin,
         *_parts(lin, None, n_modes, "thm37"),
         claim="positive_recurrence",
         form="thm37",
         plan=None,
-        tail_mass_bound=tail_mass_bound,
         margin_frac=margin_frac,
         extra_flags=extra_flags,
     )
@@ -393,7 +385,6 @@ def certify_stabilization(
     lin: Linearization,
     plan: GainPlan,
     n_modes: int,
-    tail_mass_bound: Optional[float] = None,
     form: str = "thm37",
     margin_frac: float = 0.1,
     extra_flags: Optional[dict] = None,
@@ -413,7 +404,6 @@ def certify_stabilization(
         claim="weak_stabilizability",
         form=form,
         plan=plan,
-        tail_mass_bound=tail_mass_bound,
         margin_frac=margin_frac,
         extra_flags=extra_flags,
     )
@@ -426,7 +416,6 @@ def search_gain(
     n_modes: int,
     budget: float = 1024.0,
     form: str = "thm37",
-    tail_mass_bound: Optional[float] = None,
     margin_frac: float = 0.1,
     *,
     law: Optional[Law] = None,
@@ -469,7 +458,6 @@ def search_gain(
             claim="weak_stabilizability",
             form=form,
             plan=plan,
-            tail_mass_bound=tail_mass_bound,
             margin_frac=margin_frac,
         )
         if cert.verdict == CERTIFIED:

@@ -98,20 +98,24 @@ class SparseGenerator:
     def from_triplets(cls, triplets, name: str = "triplets") -> "SparseGenerator":
         """Build from an iterable of (i, j, rate) entries (off-diagonal only);
         the mode count is the largest mode named, as no mode beyond it is
-        ever entered.  Modes must be integral numbers or numeric strings;
-        a boolean or a fractional mode is refused, not read as 1 or floored."""
+        ever entered.  Modes must be integral numbers or numeric strings
+        ("2.0" is mode 2); a boolean or a fractional mode is refused, not
+        read as 1 or floored, and every refusal names the entry."""
         rows: dict[int, dict[int, float]] = {}
-        for k, (i, j, rate) in enumerate(triplets):
-            if any(isinstance(v, bool) for v in (i, j, rate)) or float(i) % 1 or float(j) % 1:
-                raise ValueError(f"triplets[{k}] {(i, j, rate)}: modes must be integers "
-                                 "and no entry a boolean")
-            i, j, rate = int(i), int(j), float(rate)
-            if i < 1 or j < 1:
-                raise ValueError("modes are indexed from 1")
-            if i == j:
-                raise ValueError("diagonal entries are implied; supply only i != j")
-            if not 0.0 <= rate < np.inf:
-                raise ValueError(f"rate {rate} at ({i},{j}) is not finite and nonnegative")
+        for k, entry in enumerate(triplets):
+            try:
+                i, j, rate = (float(v) for v in entry)
+            except (TypeError, ValueError):  # None or a non-numeric string
+                i = j = rate = np.nan  # refused as a fractional mode is
+            why = ("modes must be integers, the rate a number and no entry a boolean"
+                   if any(isinstance(v, bool) for v in entry) or i % 1 or j % 1 else
+                   "modes are indexed from 1" if i < 1 or j < 1 else
+                   "diagonal entries are implied; supply only i != j" if i == j else
+                   None if 0.0 <= rate < np.inf else
+                   f"rate {rate} at ({i:.0f},{j:.0f}) is not finite and nonnegative")
+            if why:
+                raise ValueError(f"triplets[{k}] {tuple(entry)}: {why}")
+            i, j = int(i), int(j)
             rows.setdefault(i, {})[j] = rows.get(i, {}).get(j, 0.0) + rate
         bound = max((sum(r.values()) for r in rows.values()), default=0.0)
         if bound <= 0:

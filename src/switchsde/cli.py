@@ -169,7 +169,7 @@ def cmd_certify(args) -> int:
 def _generator(path: str) -> tuple:
     """The triplet generator in the file at ``path`` and the file's hash;
     the document is checked as :func:`~switchsde.config.load_model_config`
-    checks a config."""
+    checks a config; every refusal names the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     doc = json.loads(raw.decode("utf-8"))
@@ -183,7 +183,11 @@ def _generator(path: str) -> tuple:
         if bad:
             raise ValueError(f"{path}: triplets[{k}] needs a number at each of the keys {bad}")
     entries = [(e["i"], e["j"], e["rate"]) for e in doc["triplets"]]
-    return SparseGenerator.from_triplets(entries, name=doc.get("name", "triplets")), config_hash(raw)
+    try:
+        qhat = SparseGenerator.from_triplets(entries, name=doc.get("name", "triplets"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return qhat, config_hash(raw)
 
 
 def cmd_stationary(args) -> int:

@@ -20,8 +20,10 @@ dict walks :func:`pick_target` and :func:`couple`.  The exact law's
 irreducibility test is checked against the graph walk
 :func:`strongly_connected`.  A certificate's weighing of its law is
 checked against the two term builders it replaced, one per kind of law:
-:func:`exact_terms` and :func:`truncated_terms`, and its costs and norm
-probe against the stacked builders they replaced, which took the noise
+:func:`exact_terms` and :func:`truncated_terms`, and its verdict on a
+finite chain against the sum under the chain's exact law, solved in
+Fractions (:func:`rational_stationary`).  Its costs and norm
+probe are checked against the stacked builders they replaced, which took the noise
 eigenvalues at every call: :func:`stacked_costs` and
 :func:`stacked_probe_norm`.
 """
@@ -90,6 +92,27 @@ def nullspace_stationary(q):
     v = ns[:, 0]
     v = np.abs(v)
     return v / v.sum()
+
+
+def rational_stationary(row, n: int) -> list:
+    """Stationary law of an irreducible generator on modes 1..n as
+    Fractions, its rates ``row(i)`` read exactly: the balance equations of
+    modes 1..n-1 and sum nu = 1, solved by Gauss-Jordan elimination."""
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j, r in row(i + 1).items():
+            q[i][j - 1] += Fraction(r)
+            q[i][i] -= Fraction(r)
+    a = [[q[i][m] for i in range(n)] + [Fraction(0)] for m in range(n - 1)]
+    a.append([Fraction(1)] * (n + 1))
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[p] = a[p], a[c]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [a[i][n] / a[i][i] for i in range(n)]
 
 
 def ou_family_nu(k):
@@ -192,23 +215,19 @@ def exact_terms(law, head: np.ndarray) -> dict:
                 tail_mass=0.0, tail_mass_source="exact_geometric", unproved=None)
 
 
-def truncated_terms(lin, law, head: np.ndarray, tail_mass_bound) -> dict:
+def truncated_terms(lin, law, head: np.ndarray) -> dict:
     """Certificate terms on the law of a truncation to modes 1..N: the
-    weighted sum over modes 1..N plus a bound on the mass beyond N weighed
-    at the largest cost; without a stated mass the tail is unproved."""
+    weighted sum over modes 1..N; no mode lies beyond N on a finite chain,
+    and on an infinite one nothing bounds the mass beyond N."""
     n = law.truncation
     costs = _extend(head, n)
-    unproved = None
     if n == lin.qhat.n_modes:
-        tail_mass, source = 0.0, "finite_modes"  # no mode lies beyond N
-    elif tail_mass_bound is not None:
-        tail_mass, source = float(tail_mass_bound), "user"
+        left_out, source, unproved = 0.0, "finite_modes", None
     else:
-        tail_mass, source, unproved = np.inf, "unproved", "tail unproved"
-    tail_bound = np.inf if source == "unproved" else float(np.max(np.abs(head)) * tail_mass)
+        left_out, source, unproved = np.inf, "unproved", "tail unproved"
     return dict(per_mode_c=costs, nu=law, partial_sum=float(law.nu @ costs),
-                tail_bound=tail_bound, rounding_bound=float(_gamma(n) * (law.nu @ np.abs(costs))),
-                tail_mass=tail_mass, tail_mass_source=source, unproved=unproved)
+                tail_bound=left_out, rounding_bound=float(_gamma(n) * (law.nu @ np.abs(costs))),
+                tail_mass=left_out, tail_mass_source=source, unproved=unproved)
 
 
 def _sym_eigs(mats: np.ndarray) -> np.ndarray:

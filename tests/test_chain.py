@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -89,6 +90,20 @@ def test_triplets_refuse_fractional_modes_and_booleans():
     # integral floats and numeric strings read as before
     gen = SparseGenerator.from_triplets([(1.0, "2", "0.5"), ("2", 1, 1)])
     assert (gen.row(1), gen.row(2), gen.n_modes) == ({2: 0.5}, {1: 1.0}, 2)
+
+
+def test_triplets_read_or_name_every_entry():
+    # "2.0" once failed with int()'s "invalid literal", and "x" and None
+    # with float()'s message (None as a TypeError); no message named the entry
+    gen = SparseGenerator.from_triplets([(1, 2, 1.0), ("2.0", "1", "3")])
+    assert (gen.row(1), gen.row(2), gen.n_modes) == ({2: 1.0}, {1: 3.0}, 2)
+    for bad, why in ((("x", 1, 1.0), "modes must be integers"),
+                     ((1, None, 1.0), "modes must be integers"),
+                     ((1, 2, "x"), "the rate a number"),
+                     ((1, 2, None), "the rate a number"),
+                     ((1, 2, float("nan")), r"rate nan at \(1,2\) is not finite")):
+        with pytest.raises(ValueError, match=rf"^triplets\[1\] {re.escape(str(bad))}: .*{why}"):
+            SparseGenerator.from_triplets([(2, 1, 1.0), bad])
 
 
 def test_non_finite_rates_and_bounds_raise():

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from oracles import (
     exact_terms,
     ladder_nu,
+    nullspace_stationary,
     ou_family_nu,
     rational_geometric_law,
+    rational_stationary,
     strongly_connected,
     truncated_terms,
 )
 from switchsde.certify import (
-    CERTIFIED,
     INCONCLUSIVE,
     GainPlan,
     certify_recurrence,
@@ -40,7 +41,7 @@ from switchsde.chain import (
 from switchsde.cli import main
 from switchsde.config import load_model_config
 from switchsde.model import Linearization
-from test_certify import cert_bytes, gain_bytes, ou_lin, truncating, undeclared
+from test_certify import cert_bytes, ou_lin, truncating, undeclared
 from test_chain import return_ladder, two_base_ladder
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -195,7 +196,8 @@ def test_shipped_declared_families_read_their_closed_forms(tmp_path):
                                   "predator_prey", "switched_ou"])
 def test_a_tail_mass_changes_no_shipped_certificate(name):
     # every shipped config declares both repeat points or a finite mode
-    # count, so its law leaves no tail for a tail mass to bound
+    # count, so its law leaves no tail for a tail mass to bound, at every N
+    # and under every plan; and no tail mass can be passed
     loaded = load_model_config(str(CONFIG_DIR / f"{name}.json"))
     lin, meta = loaded.lin, loaded.spec.meta
     inputs = meta.get("input_matrix", lambda i: np.eye(loaded.spec.dim))
@@ -204,12 +206,15 @@ def test_a_tail_mass_changes_no_shipped_certificate(name):
         i: 2.0 * np.eye(np.shape(inputs(i))[1], loaded.spec.dim) for i in controllable}, inputs)
     for n in (2, loaded.truncation_hint, 100_000):
         for form in ("thm37", "thm41"):
-            runs = [(cert_bytes(certify_recurrence(lin, n, tail_mass_bound=tail)),
-                     cert_bytes(certify_stabilization(lin, plan, n, tail, form)),
-                     gain_bytes(search_gain(lin, inputs, controllable, n, form=form,
-                                            tail_mass_bound=tail)))
-                    for tail in (None, 0.01)]
-            assert runs[0] == runs[1], (n, form)
+            for cert in (certify_recurrence(lin, n), certify_stabilization(lin, plan, n, form)):
+                assert (cert.tail_mass, cert.tail_bound) == (0.0, 0.0), (n, form)
+                assert cert.tail_mass_source in ("exact_geometric", "finite_modes")
+            for call in (lambda: certify_recurrence(lin, n, tail_mass_bound=0.01),
+                         lambda: certify_stabilization(lin, plan, n, form, tail_mass_bound=0.01),
+                         lambda: search_gain(lin, inputs, controllable, n, form=form,
+                                             tail_mass_bound=0.01)):
+                with pytest.raises(TypeError, match="tail_mass_bound"):
+                    call()
 
 
 def bad_tail(base):
@@ -234,12 +239,11 @@ def test_tails_without_one_ratio_are_inconclusive():
         assert (cert.verdict, cert.reason) == (INCONCLUSIVE, reason)
         assert cert.tail_mass_source == "unproved" and math.isnan(cert.partial_sum)
         json.dumps(cert.to_dict())  # NaN is legal here; the CLI writes null
-        # a tail mass selects no other law
-        assert cert_bytes(certify_recurrence(lin, 30, tail_mass_bound=0.0)) == cert_bytes(cert)
     # without the repeat point the two-rung chain is truncated at N
     qhat = SparseGenerator(bad_tail(two_rungs), rate_bound=3.0, repeats_from=3)
-    cert = certify_recurrence(truncating(replace(ou_lin(), qhat=qhat)), 30, tail_mass_bound=0.0)
-    assert (cert.tail_mass_source, cert.nu.truncation) == ("user", 30)
+    cert = certify_recurrence(truncating(replace(ou_lin(), qhat=qhat)), 30)
+    assert (cert.reason, cert.tail_mass_source, cert.nu.truncation) == (
+        "tail unproved", "unproved", 30)
 
 
 def test_broken_repeat_promise_raises_as_in_truncate():
@@ -314,9 +318,8 @@ def test_head_matrix_decides_irreducibility_as_the_walk(case):
 
 def test_undeclared_tail_without_decay_is_unproved():
     # whether the head decays (it underflows by N = 700) or not, nothing
-    # proves the tail of an undeclared infinite chain but a stated mass; a
-    # geometric fit beyond N once certified this family for every N from 20
-    # to 600
+    # proves the tail of an undeclared infinite chain; a geometric fit
+    # beyond N once certified this family for every N from 20 to 600
     lin = undeclared(ou_lin())
     for n in (5, 20, 30, 100, 600, 700):
         cert = certify_recurrence(lin, n)
@@ -325,7 +328,6 @@ def test_undeclared_tail_without_decay_is_unproved():
         assert cert.partial_sum == pytest.approx(-1.0, abs=1e-9)
     # the reason comes ahead of the flags, as a declared tail's does
     assert certify_recurrence(lin, 30, extra_flags={"a_probe": False}).reason == "tail unproved"
-    assert certify_recurrence(lin, 30, tail_mass_bound=1e-12).verdict == CERTIFIED
 
 
 # exact zeros among the costs, and costs of every binary exponent
@@ -348,12 +350,12 @@ def finite_generators(draw):
 
 @st.composite
 def weighed_laws(draw):
-    """(lin, N, tail mass) over the three kinds of law a certificate weighs:
-    exact laws of one-rung generators, truncated laws of finite generators,
-    and truncated laws of one-rung generators whose ``qhat`` declares no
-    repeat point, with and without a tail mass; the costs, one per mode up
-    to a repeat point that the linearization may declare, are drawn
-    afresh."""
+    """(kind, lin, N) over the three kinds of law a certificate weighs:
+    exact laws of one-rung generators (``"exact"``), laws of finite
+    generators (``"finite"``), and truncated laws of one-rung generators
+    whose ``qhat`` declares no repeat point (``"undeclared"``); the costs,
+    one per mode up to a repeat point that the linearization may declare,
+    are drawn afresh."""
     costs = draw(st.lists(WEIGHED_COSTS, min_size=1, max_size=6))
     kind = draw(st.sampled_from(("exact", "finite", "undeclared")))
     if kind == "finite":
@@ -371,9 +373,8 @@ def weighed_laws(draw):
         lin = undeclared(lin) if draw(st.booleans()) else truncating(lin)
     elif kind == "finite" and draw(st.booleans()):
         lin = undeclared(lin)
-    tail = None if kind == "exact" else draw(st.sampled_from((None, 0.0, 1e-6, 0.01)))
     levels = (5, 12, 20, 40) if kind == "undeclared" else (2, 3, 5, 8, 12)
-    return lin, draw(st.sampled_from(levels)), tail
+    return kind, lin, draw(st.sampled_from(levels))
 
 
 def same_bits(a, b):
@@ -381,31 +382,42 @@ def same_bits(a, b):
 
 
 # a drift of -0.0 costs +0.0: the cost adds the (zero) noise terms to it
-NEGATIVE_ZERO = (Linearization(b_mat=lambda i: np.array([[-0.0]]),
-                               sigma_mats=lambda i: [np.zeros((1, 1))],
-                               qhat=SparseGenerator.from_triplets([(1, 2, 1.0), (2, 1, 1.0)]),
-                               coeff_bound=4.0, repeats_from=1), 2, None)
+NEGATIVE_ZERO = ("finite", Linearization(b_mat=lambda i: np.array([[-0.0]]),
+                                         sigma_mats=lambda i: [np.zeros((1, 1))],
+                                         qhat=SparseGenerator.from_triplets([(1, 2, 1.0),
+                                                                             (2, 1, 1.0)]),
+                                         coeff_bound=4.0, repeats_from=1), 2)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(weighed_laws())
 @example(NEGATIVE_ZERO)
 def test_one_weighing_matches_the_two_reference_builders(case):
-    lin, n, tail = case
+    kind, lin, n = case
     try:
         law = solve_law(lin, n)
     except ValueError:  # a truncated runaway chain: its boundary mode absorbs
         with pytest.raises(ValueError, match="not irreducible"):
-            certify_recurrence(lin, n, tail_mass_bound=tail)
+            certify_recurrence(lin, n)
         return
-    cert = certify_recurrence(lin, n, tail_mass_bound=tail)
+    cert = certify_recurrence(lin, n)
+    # sound: a truncation of an infinite chain proves nothing, and on a
+    # finite chain CERTIFIED means the sum under its exact law is negative
+    if kind == "undeclared":
+        assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "tail unproved")
+    if kind == "finite":
+        exact = rational_stationary(lin.qhat.row, lin.qhat.n_modes)
+        dense = truncate(lin.qhat, lin.qhat.n_modes).q.toarray()
+        assert np.allclose([float(v) for v in exact], nullspace_stationary(dense), atol=1e-12)
+        exact_sum = sum(v * Fraction(c) for v, c in zip(exact, cert.per_mode_c))
+        assert cert.verdict == INCONCLUSIVE or exact_sum < 0
     # the costs as the code computes them, where a drift of -0.0 costs +0.0
     costs = [per_mode_cost(lin, i) for i in range(1, len(cert.per_mode_c) + 1)]
     if lin.repeats_from is None:  # every mode up to N is stacked
-        ref = truncated_terms(lin, law, np.array(costs), tail)
+        ref = truncated_terms(lin, law, np.array(costs))
     else:
         head = np.array(costs[: lin.repeats_from])
-        ref = (truncated_terms(lin, law, head, tail) if isinstance(law, StationaryDist)
+        ref = (truncated_terms(lin, law, head) if isinstance(law, StationaryDist)
                and not law.ratio else exact_terms(law, head))
     assert same_bits(cert.per_mode_c, ref["per_mode_c"])
     assert same_bits(cert.nu.nu, ref["nu"].nu)
