@@ -56,6 +56,7 @@ from .chain import (
     StationaryDist,
     TailUnproved,
     _gamma,
+    _integer,
     geometric_law,
     stationary,
     truncate,
@@ -88,7 +89,8 @@ class GainPlan:
     ``input_mats(i)`` returns the (n, m) input matrix B(i); ``gains`` maps
     controllable modes to (m, n) gain matrices L(i).  Modes outside the
     controllable set carry zero gain by construction; supplying a gain for
-    one is an error.
+    one is an error, and so is a controllable mode that is not an integer
+    >= 1.
     """
 
     controllable: frozenset
@@ -96,6 +98,8 @@ class GainPlan:
     input_mats: Callable[[int], np.ndarray]
 
     def __post_init__(self):
+        for i in self.controllable:
+            _integer("controllable mode", i)
         bad = [i for i in self.gains if i not in self.controllable]
         if bad:
             raise ValueError(f"gain supplied on uncontrolled modes {sorted(bad)}")
@@ -229,7 +233,8 @@ def per_mode_cost(
     form: str = "thm37",
     plan: Optional[GainPlan] = None,
 ) -> float:
-    """Spectral cost of mode i (negative is stabilizing)."""
+    """Spectral cost of mode i (negative is stabilizing); i is an integer >= 1."""
+    _integer("mode", i)
     b = _stacks([_effective_drift(lin, i, plan)])
     return float(_noise(lin, [i], form, b.shape[1])(b)[0][0])
 

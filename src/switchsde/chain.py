@@ -58,6 +58,14 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value, low: int = 1) -> int:
+    """``value`` as an int, refused by name unless it is an integer >= ``low``
+    (the test of ``operator.index``: numpy integers pass, 2.5 is not floored)."""
+    if not (hasattr(value, "__index__") and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 class SparseGenerator:
     """Off-diagonal rate rows over modes {1, 2, ...}.
 
@@ -77,13 +85,12 @@ class SparseGenerator:
                  n_modes=None, repeats_from=None):
         if not 0.0 < rate_bound < np.inf:  # written so that NaN fails
             raise ValueError(f"rate_bound must be finite and positive, got {rate_bound}")
-        if repeats_from is not None and repeats_from < 1:
-            raise ValueError("repeats_from must be a mode >= 1")
         self._row_fn = row_fn
         self.rate_bound = float(rate_bound)
         self.name = name
-        self.n_modes = None if n_modes is None else int(n_modes)
-        self.repeats_from = None if repeats_from is None else int(repeats_from)
+        self.n_modes = None if n_modes is None else _integer("n_modes", n_modes)
+        self.repeats_from = (None if repeats_from is None
+                             else _integer("repeats_from", repeats_from))
 
     def clamp(self, n: int) -> int:
         """Truncation level ``n`` capped at the declared mode count."""

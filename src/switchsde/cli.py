@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .certify import CERTIFIED, certify_recurrence, certify_stabilization, search_gain, solve_law
-from .chain import SparseGenerator, convergence_sweep, stationary, truncate
-from .config import config_hash, load_model_config
+from .chain import convergence_sweep, stationary, truncate
+from .config import load_generator, load_model_config
 from .model import check_rate_convergence, check_sublinear_residuals
 from .segment import Segment
 from .sim import SimConfig, default_dt, simulate
@@ -48,36 +48,33 @@ def _finite(obj):
     return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
 def _meta(cfg_hash: str, seed=None) -> dict:
     """The output stamp; only the commands that draw pass their ``seed``."""
     seeded = {} if seed is None else {"seed": int(seed)}
     return {**seeded, "config_hash": cfg_hash, "version": __version__}
 
 
-def _csv_writer(path: str, meta: dict, header: list):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    fh.write(
-        f"# seed={meta['seed']} config_hash={meta['config_hash']} "
-        f"version={meta['version']}\n"
-    )
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    return fh, writer
+def _open(out: str, name: str):
+    """The file ``name`` in the output directory ``out`` (made if missing)."""
+    os.makedirs(out, exist_ok=True)
+    return open(os.path.join(out, name), "w", encoding="utf-8", newline="\n")
 
 
-def _parse_vector(text: str, dim: int) -> np.ndarray:
-    vals = [float(v) for v in text.split(",") if v.strip() != ""]
-    if len(vals) == 1:
-        return np.full(dim, vals[0])
-    if len(vals) != dim:
-        raise ValueError(f"state has {len(vals)} entries, expected {dim}")
-    return np.array(vals)
+def _write_json(out: str, name: str, payload: dict) -> None:
+    with _open(out, name) as fh:
+        json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def _write_csv(out: str, name: str, meta: dict, header: list, rows) -> None:
+    with _open(out, name) as fh:
+        fh.write(
+            f"# seed={meta['seed']} config_hash={meta['config_hash']} "
+            f"version={meta['version']}\n"
+        )
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)  # a Python float as its repr
 
 
 def _sim_config(args, delay: float) -> SimConfig:
@@ -92,8 +89,11 @@ def _sim_config(args, delay: float) -> SimConfig:
 
 
 def _start_segment(args, spec, dt: float) -> Segment:
-    x0 = _parse_vector(args.x0, spec.dim)
-    return Segment.make_constant(x0, spec.delay, dt)
+    """The constant start window at --x0: one entry per coordinate, or one for all."""
+    x0 = [float(v) for v in args.x0.split(",") if v.strip() != ""]
+    if len(x0) not in (1, spec.dim):
+        raise ValueError(f"state has {len(x0)} entries, expected {spec.dim}")
+    return Segment.make_constant(np.broadcast_to(x0, spec.dim), spec.delay, dt)
 
 
 def _model_flags(spec, lin) -> dict:
@@ -108,33 +108,31 @@ def _model_flags(spec, lin) -> dict:
     }
 
 
+def _load(args) -> tuple:
+    """The document of certify, stabilize or stationary and the truncation
+    level N: --N, else the document's truncation_hint (30 for a
+    --generator file)."""
+    generator = getattr(args, "generator", None)
+    loaded = load_generator(generator) if generator else load_model_config(args.model)
+    return loaded, loaded.truncation_hint if args.N is None else args.N
+
+
 def cmd_simulate(args) -> int:
     loaded = load_model_config(args.model)
     spec = loaded.spec
     cfg = _sim_config(args, spec.delay)
     phi0 = _start_segment(args, spec, cfg.dt)
     rec = simulate(spec, phi0, args.i0, cfg)
-    os.makedirs(args.out, exist_ok=True)
     meta = _meta(loaded.config_hash, cfg.seed)
-
-    fh, writer = _csv_writer(
-        os.path.join(args.out, "trajectory.csv"),
-        meta,
-        ["t"] + [f"x{k + 1}" for k in range(spec.dim)] + ["mode"],
-    )
-    # csv writes a Python float as its repr
-    with fh:
-        writer.writerows([t, *x, m] for t, x, m in
-                         zip(rec.times.tolist(), rec.states.tolist(), rec.modes.tolist()))
-
-    fh, writer = _csv_writer(
-        os.path.join(args.out, "jumps.csv"), meta, ["t", "from", "to"]
-    )
-    with fh:
-        writer.writerows((float(t), int(a), int(b)) for t, a, b in rec.jump_times)
-
+    _write_csv(args.out, "trajectory.csv", meta,
+               ["t"] + [f"x{k + 1}" for k in range(spec.dim)] + ["mode"],
+               ([t, *x, m] for t, x, m in
+                zip(rec.times.tolist(), rec.states.tolist(), rec.modes.tolist())))
+    _write_csv(args.out, "jumps.csv", meta, ["t", "from", "to"],
+               ((float(t), int(a), int(b)) for t, a, b in rec.jump_times))
     _write_json(
-        os.path.join(args.out, "summary.json"),
+        args.out,
+        "summary.json",
         {
             "meta": meta,
             "model": loaded.name,
@@ -151,79 +149,41 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    loaded = load_model_config(args.model)
-    n = args.N if args.N is not None else loaded.truncation_hint
+    loaded, n = _load(args)
     cert = certify_recurrence(
         loaded.lin,
         n,
         margin_frac=args.margin,
         extra_flags=_model_flags(loaded.spec, loaded.lin),
     )
-    os.makedirs(args.out, exist_ok=True)
     payload = {"meta": _meta(loaded.config_hash), "model": loaded.name}
     payload.update(cert.to_dict())
-    _write_json(os.path.join(args.out, "certificate.json"), payload)
+    _write_json(args.out, "certificate.json", payload)
     return 0 if cert.verdict == CERTIFIED else 1
 
 
-def _generator(path: str) -> tuple:
-    """The triplet generator in the file at ``path`` and the file's hash;
-    the document is checked as :func:`~switchsde.config.load_model_config`
-    checks a config; every refusal names the file."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    doc = json.loads(raw.decode("utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: top level must be an object")
-    if not isinstance(doc.get("triplets"), list):
-        raise ValueError(f"{path}: 'triplets' must be a list of objects with keys i, j and rate")
-    for k, e in enumerate(doc["triplets"]):
-        e = e if isinstance(e, dict) else {}
-        bad = [key for key in ("i", "j", "rate") if not isinstance(e.get(key), (int, float, str))]
-        if bad:
-            raise ValueError(f"{path}: triplets[{k}] needs a number at each of the keys {bad}")
-    entries = [(e["i"], e["j"], e["rate"]) for e in doc["triplets"]]
-    try:
-        qhat = SparseGenerator.from_triplets(entries, name=doc.get("name", "triplets"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return qhat, config_hash(raw)
-
-
 def cmd_stationary(args) -> int:
-    if args.model:
-        loaded = load_model_config(args.model)
-        qhat = loaded.lin.qhat
-        cfg_hash = loaded.config_hash
-        name = loaded.name
-        hint = loaded.truncation_hint
-    else:
-        qhat, cfg_hash = _generator(args.generator)
-        name = qhat.name
-        hint = 30
-    n = args.N if args.N is not None else hint
-    dist = stationary(truncate(qhat, n))
+    loaded, n = _load(args)
+    dist = stationary(truncate(loaded.qhat, n))
     payload = {
-        "meta": _meta(cfg_hash),
-        "generator": name,
+        "meta": _meta(loaded.config_hash),
+        "generator": loaded.name,
         "N": int(dist.truncation),
         "nu": [float(v) for v in dist.nu],
         "residual": float(dist.residual),
     }
     if args.levels:
         levels = [int(v) for v in args.levels.split(",")]
-        payload["sweep"] = convergence_sweep(qhat, levels)
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "stationary.json"), payload)
+        payload["sweep"] = convergence_sweep(loaded.qhat, levels)
+    _write_json(args.out, "stationary.json", payload)
     return 0
 
 
 def cmd_stabilize(args) -> int:
-    loaded = load_model_config(args.model)
+    loaded, n = _load(args)
     meta = loaded.spec.meta
     if "input_matrix" not in meta or "controllable" not in meta:
         raise ValueError(f"model {loaded.name} declares no control inputs")
-    n = args.N if args.N is not None else loaded.truncation_hint
     law = solve_law(loaded.lin, n)
     plan = search_gain(
         loaded.lin,
@@ -235,33 +195,31 @@ def cmd_stabilize(args) -> int:
         margin_frac=args.margin,
         law=law,
     )
-    os.makedirs(args.out, exist_ok=True)
     payload = {
         "meta": _meta(loaded.config_hash),
         "model": loaded.name,
         "form": args.form,
         "budget": float(args.budget),
+        "found": plan is not None,
     }
-    if plan is None:
-        payload["found"] = False
-        _write_json(os.path.join(args.out, "stabilization.json"), payload)
-        return 1
-    cert = certify_stabilization(
-        loaded.lin,
-        plan,
-        n,
-        form=args.form,
-        margin_frac=args.margin,
-        extra_flags=_model_flags(loaded.spec, loaded.lin),
-        law=law,
-    )
-    payload["found"] = True
-    payload["gains"] = {
-        str(i): np.asarray(plan.gains[i]).tolist() for i in sorted(plan.gains)
-    }
-    payload["certificate"] = cert.to_dict()
-    _write_json(os.path.join(args.out, "stabilization.json"), payload)
-    return 0 if cert.verdict == CERTIFIED else 1
+    code = 1
+    if plan is not None:
+        cert = certify_stabilization(
+            loaded.lin,
+            plan,
+            n,
+            form=args.form,
+            margin_frac=args.margin,
+            extra_flags=_model_flags(loaded.spec, loaded.lin),
+            law=law,
+        )
+        payload["gains"] = {
+            str(i): np.asarray(plan.gains[i]).tolist() for i in sorted(plan.gains)
+        }
+        payload["certificate"] = cert.to_dict()
+        code = 0 if cert.verdict == CERTIFIED else 1
+    _write_json(args.out, "stabilization.json", payload)
+    return code
 
 
 def cmd_verify(args) -> int:
@@ -277,20 +235,14 @@ def cmd_verify(args) -> int:
         "n_paths": args.paths,
     }
     code = 0
-    if args.estimator == "hitting":
+    if args.estimator in ("hitting", "descent"):
         phi0 = _start_segment(args, spec, cfg.dt)
-        est = estimate_hitting_time(
-            spec, phi0, args.i0, args.H, args.k0, cfg, args.paths
-        )
-        payload["H"] = args.H
-        payload["k0"] = args.k0
-        payload["estimate"] = est.to_dict()
-        code = 0 if est.usable else 1
-    elif args.estimator == "descent":
-        phi0 = _start_segment(args, spec, cfg.dt)
-        est = estimate_mode_descent(spec, phi0, args.i0, args.k0, cfg, args.paths)
-        payload["k0"] = args.k0
-        payload["estimate"] = est.to_dict()
+        if args.estimator == "hitting":
+            payload["H"] = args.H
+            est = estimate_hitting_time(spec, phi0, args.i0, args.H, args.k0, cfg, args.paths)
+        else:
+            est = estimate_mode_descent(spec, phi0, args.i0, args.k0, cfg, args.paths)
+        payload.update(k0=args.k0, estimate=est.to_dict())
         code = 0 if est.usable else 1
     elif args.estimator == "coupling":
         radii = [float(v) for v in args.radii.split(",")]
@@ -318,8 +270,7 @@ def cmd_verify(args) -> int:
         payload["starts"] = starts
         payload["burn_in"] = args.burn_in
         payload["l1_distances"] = report["distances"].tolist()
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, f"verify_{args.estimator}.json"), payload)
+    _write_json(args.out, f"verify_{args.estimator}.json", payload)
     return code
 
 
@@ -342,19 +293,18 @@ _FUNCTIONALS = {
 def cmd_dynkin(args) -> int:
     loaded = load_model_config(args.model)
     spec = loaded.spec
-    dt = args.dt if args.dt is not None else default_dt(spec.delay, args.t)
-    cfg = SimConfig(dt=dt, horizon=args.t, scheme=args.scheme, seed=args.seed)
+    cfg = _sim_config(args, spec.delay)
     phi0 = _start_segment(args, spec, cfg.dt)
     fn = _FUNCTIONALS[args.functional]
-    est = dynkin_residual(fn, spec, phi0, args.i0, args.t, cfg, args.paths)
-    os.makedirs(args.out, exist_ok=True)
+    est = dynkin_residual(fn, spec, phi0, args.i0, args.T, cfg, args.paths)
     _write_json(
-        os.path.join(args.out, "dynkin.json"),
+        args.out,
+        "dynkin.json",
         {
             "meta": _meta(loaded.config_hash, cfg.seed),
             "model": loaded.name,
             "functional": args.functional,
-            "t": args.t,
+            "t": args.T,
             "dt": cfg.dt,
             "n_paths": args.paths,
             "residual": est.to_dict(),
@@ -419,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_stabilize)
 
     p = sub.add_parser("verify", help="Monte Carlo verification estimators")
+    p.set_defaults(fn=cmd_verify)
     vsub = p.add_subparsers(dest="estimator", required=True)
 
     q = vsub.add_parser("hitting")
@@ -426,13 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--T", type=float, default=200.0)
     q.add_argument("--H", type=float, default=1.0)
     q.add_argument("--k0", type=int, default=2)
-    q.set_defaults(fn=cmd_verify)
 
     q = vsub.add_parser("descent")
     _add_common(q, "scheme", "x0", "paths")
     q.add_argument("--T", type=float, default=50.0)
     q.add_argument("--k0", type=int, default=2)
-    q.set_defaults(fn=cmd_verify)
 
     q = vsub.add_parser("coupling")  # starts from --radii
     _add_common(q, "paths")
@@ -441,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of start radii R (history R*e1), run as one ensemble "
                    "of --paths paths per radius: a row depends on the whole list")
     q.add_argument("--floor-frac", dest="floor_frac", type=float, default=0.5)
-    q.set_defaults(fn=cmd_verify)
 
     q = vsub.add_parser("occupation")  # starts from --starts
     _add_common(q, "scheme", "paths")
@@ -450,11 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of start levels, run as one ensemble of --paths paths "
                    "per start: a histogram depends on the whole list")
     q.add_argument("--burn-in", dest="burn_in", type=float, default=10.0)
-    q.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("dynkin", help="martingale-identity residual")
     _add_common(p, "scheme", "x0", "paths")
-    p.add_argument("--t", type=float, default=1.0, help="identity horizon")
+    p.add_argument("--t", dest="T", type=float, default=1.0, help="identity horizon")
     p.add_argument(
         "--functional", choices=sorted(_FUNCTIONALS), default="quadratic"
     )
@@ -479,7 +426,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

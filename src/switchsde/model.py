@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chain import SparseGenerator
+from .chain import SparseGenerator, _integer
 from .segment import Segment
 
 __all__ = [
@@ -82,9 +82,8 @@ class ModelSpec:
             raise ValueError(f"rate_bound must be finite and positive, got {self.rate_bound}")
         if not (np.isfinite(self.delay) and self.delay > 0):
             raise ValueError(f"delay must be finite and positive, got {self.delay}")
-        k = self.shared_coefficients_from
-        if k is not None and k < 1:
-            raise ValueError("shared_coefficients_from must be a mode >= 1")
+        if self.shared_coefficients_from is not None:
+            _integer("shared_coefficients_from", self.shared_coefficients_from)
 
     def thinning_bound(self, i: int) -> float:
         """Rate of the thinning clock while the chain sits in mode i."""
@@ -121,8 +120,8 @@ class Linearization:
     repeats_from: Optional[int] = None
 
     def __post_init__(self):
-        if self.repeats_from is not None and self.repeats_from < 1:
-            raise ValueError("repeats_from must be a mode >= 1")
+        if self.repeats_from is not None:
+            _integer("repeats_from", self.repeats_from)
 
 
 @dataclass(frozen=True)

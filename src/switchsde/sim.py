@@ -50,6 +50,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .chain import _integer
 from .model import Linearization, ModelSpec
 from .segment import Segment, SegmentBatch
 
@@ -83,10 +84,8 @@ class SimConfig:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        for name, low in (("seed", 0), ("record_stride", 1)):  # int() would floor 1.7
-            value = getattr(self, name)
-            if not (hasattr(value, "__index__") and value >= low):  # as operator.index
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        _integer("seed", self.seed, 0)  # int() would floor 1.7
+        _integer("record_stride", self.record_stride)
 
 
 def default_dt(delay: float, horizon: float) -> float:
@@ -463,8 +462,7 @@ class BatchEnsemble:
         track_history: bool = False,
         qhat=None,
     ):
-        if n_paths < 1:
-            raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+        n_paths = _integer("n_paths", n_paths)  # int() would floor 2.9
         if qhat is not None:  # the coupling runs by thinning
             cfg = replace(cfg, scheme="thinning")
         starts = [phi0] if isinstance(phi0, Segment) else list(phi0)
@@ -475,10 +473,10 @@ class BatchEnsemble:
         self.model = model
         self.cfg = cfg
         self.qhat = qhat
-        self.n_paths = len(starts) * int(n_paths)
+        self.n_paths = len(starts) * n_paths
         self.rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 1)))
         self.t = 0.0
-        self.x = np.repeat([seg.terminal() for seg in starts], int(n_paths), axis=0)
+        self.x = np.repeat([seg.terminal() for seg in starts], n_paths, axis=0)
         self.modes = np.full(self.n_paths, int(i0), dtype=int)
         self.blown = np.zeros(self.n_paths, dtype=bool)
         self.proposals = self.jumps = 0
@@ -490,7 +488,7 @@ class BatchEnsemble:
         self._invalidate()
         if track_history or model.rates_depend_on_path:
             base = np.stack([seg.samples for seg in starts], axis=1)  # (m, cohorts, dim)
-            self._hist = np.repeat(base, int(n_paths), axis=1)
+            self._hist = np.repeat(base, n_paths, axis=1)
             self._head = 0
         else:
             self._hist = None

@@ -282,6 +282,25 @@ def test_gain_plan_validation():
     assert plan.gain(2) is None
 
 
+def test_a_controllable_mode_below_one_is_refused():
+    # mode 0 was once restacked into b[-1], the row every mode beyond D
+    # shares: the search weighed all of them as controlled and returned
+    # {0: [[2.0]]}, whose certificate read INCONCLUSIVE (partial sum +1.0)
+    spec, lin = scalar_model(0.0)
+    inputs = lambda i: np.eye(1)
+    with pytest.raises(ValueError, match="controllable mode must be an integer >= 1, got 0"):
+        search_gain(lin, inputs, [0], 30)
+    for bad in (0, -2, 1.5):
+        with pytest.raises(ValueError, match="controllable mode must be an integer >= 1"):
+            GainPlan(controllable=frozenset([1, bad]), gains={}, input_mats=inputs)
+    # per_mode_cost(lin, 0) once read mode 0 as the last listed mode
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"mode must be an integer >= 1, got {bad}"):
+            per_mode_cost(lin, bad)
+    assert per_mode_cost(lin, np.int64(1)) == per_mode_cost(lin, 1) == pytest.approx(1.0)
+    assert np.asarray(search_gain(lin, inputs, [np.int64(1)], 30).gains[1]).tolist() == [[4.0]]
+
+
 def test_search_gain_finds_first_certified_level():
     spec, lin = scalar_model(0.0)
     plan = search_gain(lin, spec.meta["input_matrix"], spec.meta["controllable"], 30)

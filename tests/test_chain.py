@@ -223,7 +223,7 @@ def test_wrong_repeat_declaration_raises():
     # the two-base rows repeat from 3: row 2 lacks the second base mode
     with pytest.raises(ValueError, match="repeats_from=2 does not hold"):
         truncate(two_base_ladder(repeats_from=2), 30)
-    with pytest.raises(ValueError, match="repeats_from must be a mode"):
+    with pytest.raises(ValueError, match="repeats_from must be an integer >= 1, got 0"):
         SparseGenerator(lambda i: {}, 1.0, repeats_from=0)
 
     def drifting(i):  # the climb rate changes from mode 50 on

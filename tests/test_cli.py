@@ -198,7 +198,7 @@ def test_certify_without_a_tail_bound_is_inconclusive(tmp_path):
     # an unproved tail is written with JSON nulls for its infinite and NaN terms
     cert = certify_recurrence(undeclared(ou_lin()), 5)
     assert (cert.reason, cert.tail_mass_source) == ("tail unproved", "unproved")
-    switchsde.cli._write_json(str(tmp_path / "unproved.json"), cert.to_dict())
+    switchsde.cli._write_json(str(tmp_path), "unproved.json", cert.to_dict())
     doc = read_json(tmp_path / "unproved.json")
     assert doc["tail_bound"] is None and doc["total"] is None
 
@@ -243,6 +243,21 @@ def test_malformed_generator_files_are_usage_errors(tmp_path, capsys, doc, key):
     assert main(["stationary", "--generator", str(gen), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {gen}: ") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", [b'{"triplets": [{"i"', '{"name": "\u00e9"}'.encode("latin-1")],
+                         ids=["truncated", "latin-1"])
+@pytest.mark.parametrize("command", [["stationary", "--generator"], ["certify", "--model"]],
+                         ids=["generator", "model"])
+def test_unreadable_documents_are_refused_with_their_path(tmp_path, capsys, command, raw):
+    # a truncated or non-UTF-8 --generator file once printed only the
+    # parser's or the codec's message; both files are read by one reader
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    out = tmp_path / "out"
+    assert main([*command, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON (")
     assert not out.exists()
 
 

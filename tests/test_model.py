@@ -145,6 +145,29 @@ def test_modelspec_checks_the_shared_coefficient_mode():
         assert ModelSpec(**base, shared_coefficients_from=k).shared_coefficients_from == k
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.7, 2.0, -3, 0, "2"])
+def test_mode_declarations_must_be_integers_of_at_least_one(bad):
+    # n_modes=2.5 once became 2 and -3 was kept until certify failed with
+    # "need at least 2 modes"; repeats_from=2.7 became 2 without a word,
+    # and Linearization(repeats_from=2.5) failed later in range()
+    spec, lin = toy_affine_model()
+    row = lin.qhat.row
+    declarations = [
+        ("n_modes", lambda: SparseGenerator(row, 2.0, n_modes=bad)),
+        ("repeats_from", lambda: SparseGenerator(row, 2.0, repeats_from=bad)),
+        ("repeats_from", lambda: replace(lin, repeats_from=bad)),
+        ("shared_coefficients_from", lambda: replace(spec, shared_coefficients_from=bad)),
+    ]
+    for name, declare in declarations:
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {bad!r}"):
+            declare()
+    # numpy integers pass and are kept as ints
+    gen = SparseGenerator(row, 2.0, n_modes=np.int64(2), repeats_from=np.int32(2))
+    assert (gen.n_modes, gen.repeats_from) == (2, 2) and type(gen.n_modes) is int
+    assert replace(lin, repeats_from=np.int64(1)).repeats_from == 1
+    assert replace(spec, shared_coefficients_from=np.int64(1)).shared_coefficients_from == 1
+
+
 def test_modelspec_rejects_bad_rate_bounds_and_pointwise_declarations():
     spec, _ = toy_affine_model()
     # NaN switched switching off and inf made the thinning clock draw zero gaps

@@ -626,7 +626,7 @@ def test_batch_cohorts_start_from_their_windows():
     for got, want in zip((one.x, one.modes, one.history()), (alone.x, alone.modes, alone.history())):
         assert got.tobytes() == want.tobytes()
     # the path count is checked first, then the windows
-    with pytest.raises(ValueError, match="n_paths must be at least 1, got 0"):
+    with pytest.raises(ValueError, match="n_paths must be an integer >= 1, got 0"):
         BatchEnsemble(model, [], 1, cfg, 0)
     with pytest.raises(ValueError, match="phi0 must hold at least one start window"):
         BatchEnsemble(model, [], 1, cfg, 4)

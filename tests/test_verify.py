@@ -488,8 +488,24 @@ def test_coupling_and_occupation_stability_need_a_path(n_paths):
         lambda: BatchEnsemble(spec, phi0, 1, cfg, n_paths),
     )
     for call in calls:
-        with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
+        with pytest.raises(ValueError, match=f"n_paths must be an integer >= 1, got {n_paths}"):
             call()
+
+
+def test_a_fractional_path_count_is_refused():
+    # int() once floored it: 4.5 ran 4 paths, reported n_samples 4.5 and a
+    # censored fraction of 0.111 with no path censored
+    spec, _ = registry_get("switched_ou", {"c": 1.0, "sigma": 0.5})
+    cfg = SimConfig(dt=1.0 / 16, horizon=1.0, seed=1)
+    phi0 = Segment.make_constant([1.0], spec.delay, cfg.dt)
+    with pytest.raises(ValueError, match="n_paths must be an integer >= 1, got 4.5"):
+        estimate_mode_descent(spec, phi0, 3, 2, cfg, 4.5)
+    for bad in (2.9, 2.0, "3"):
+        with pytest.raises(ValueError, match=f"n_paths must be an integer >= 1, got {bad!r}"):
+            BatchEnsemble(spec, phi0, 1, cfg, bad)
+    assert BatchEnsemble(spec, [phi0, phi0], 1, cfg, np.int64(3)).n_paths == 6
+    est = estimate_mode_descent(spec, phi0, 3, 2, cfg, np.int64(4))
+    assert est.to_dict() == estimate_mode_descent(spec, phi0, 3, 2, cfg, 4).to_dict()
 
 
 def test_occupation_fractions_rejects_negative_burn_in():
