@@ -437,7 +437,7 @@ def search_gain(
     search, and each grid point rebuilds only the drifts of the
     controllable modes, which are checked again with the rest.
     """
-    controllable = frozenset(int(i) for i in controllable)
+    controllable = frozenset(_integer("controllable mode", i) for i in controllable)
     if not controllable:
         raise ValueError("controllable set is empty")
     if not 0.0 <= budget < np.inf:  # an infinite budget would double g forever

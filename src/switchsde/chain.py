@@ -60,8 +60,9 @@ __all__ = [
 
 def _integer(name: str, value, low: int = 1) -> int:
     """``value`` as an int, refused by name unless it is an integer >= ``low``
-    (the test of ``operator.index``: numpy integers pass, 2.5 is not floored)."""
-    if not (hasattr(value, "__index__") and value >= low):
+    (the test of ``operator.index``: numpy integers pass, 2.5 is not floored;
+    a bool, which passes it, is refused too)."""
+    if isinstance(value, bool) or not (hasattr(value, "__index__") and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 

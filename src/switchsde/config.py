@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .chain import SparseGenerator
+from .chain import SparseGenerator, _integer
 from .model import Linearization, ModelSpec
 from .registry import registry_get
 
@@ -73,9 +73,10 @@ def load_model_config(path: str) -> LoadedModel:
     if not isinstance(doc["params"], dict):
         raise ValueError(f"{path}: params must be an object")
     spec, lin = registry_get(doc["name"], doc["params"])
-    hint = int(doc["truncation_hint"])
-    if hint < 2:
-        raise ValueError(f"{path}: truncation_hint must be >= 2")
+    try:  # int() would floor 30.9 and read true as 1
+        hint = _integer("truncation_hint", doc["truncation_hint"], 2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return LoadedModel(str(doc["name"]), spec, lin, hint, digest)
 
 

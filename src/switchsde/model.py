@@ -56,6 +56,13 @@ class ModelSpec:
     ``shared_coefficients_from`` (optional) K promises drift(x, i) == drift(x, K)
     and diffusion(x, i) == diffusion(x, K) bit for bit for every i >= K; the
     batch engine then evaluates those modes in one call.  It is not checked.
+    ``mode_arrays=True`` promises that ``drift`` and ``diffusion`` also take
+    ``i`` as an int array with one mode per row of a (P, n) ``x`` and give
+    each row the bits of the call with that row's int mode; the batch engine
+    then evaluates an ensemble spread over several modes in one call each.
+    The registry families whose coefficients come from per-mode tables set
+    it; a model whose callbacks take an int mode only leaves it False.  It
+    is not checked either.
     """
 
     dim: int
@@ -71,6 +78,7 @@ class ModelSpec:
     meta: dict = field(default_factory=dict)
     mode_rate_bound: Optional[Callable[[int], float]] = None
     shared_coefficients_from: Optional[int] = None
+    mode_arrays: bool = False
     supports_batch: InitVar[bool] = True
 
     def __post_init__(self, supports_batch):

@@ -11,13 +11,18 @@ The repeat points are derived the same way: ``Linearization.repeats_from``
 is the first mode from which those matrices equal the last listed mode's,
 and the two unbounded limit generators declare the mode from which their
 rows are shift-invariant (``SparseGenerator.repeats_from``).
+Every per-mode value also reads a table over an int array of modes, built
+from the same scalar formula (:func:`_modewise`), so that switched_ou,
+controlled_scalar, fluid_queue and predator_prey declare ``mode_arrays``;
+linear_2d does not, as a per-row product with per-mode matrices may not
+round as its shared ``x @ B.T`` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chain import SparseGenerator
+from .chain import SparseGenerator, _integer
 from .model import Linearization, ModelSpec
 
 __all__ = ["registry_get", "REGISTRY_NAMES"]
@@ -55,7 +60,25 @@ def _per_mode(value, name: str, shape: tuple = ()):
         raise ValueError(f"{name}: empty per-mode sequence")
     seq = list(vals) if shape else vals.tolist()
     n, last = len(seq), seq[-1]
-    return (lambda i: seq[i - 1] if i < n else last), vals
+    return _modewise(lambda i: seq[i - 1] if i < n else last, n), vals
+
+
+def _modewise(fn, top: int):
+    """``fn`` over modes 1, 2, ..., which repeats fn(top) from mode top on,
+    read off values of fn(1), ..., fn(top) made here: an int mode gets its
+    value, and an int array of modes one row per mode from a table of them,
+    a number as a (P, 1) column so that every value broadcasts over (P, n)
+    states row by row.  Both give the bits of ``fn``."""
+    rows = [fn(max(i, 1)) for i in range(top + 1)]  # row i: mode i (row 0 is never read)
+    table = np.array(rows, dtype=float)
+    table = table[:, None] if table.ndim == 1 else table
+
+    def of(i):  # clipping reads mode top for every mode beyond it
+        if isinstance(i, np.ndarray):
+            return table.take(i, axis=0, mode="clip")
+        return rows[i] if i < top else rows[top]
+
+    return of
 
 
 def _linearization(b_mat, sigma_mats, qhat: SparseGenerator, top: int) -> Linearization:
@@ -128,20 +151,20 @@ def _switched_ou(params: dict):
     def drift(x, i):
         return theta(i) * (mu(i) - np.asarray(x, dtype=float))
 
-    def diffusion(x, i):
-        return np.array([[sigma(i)]])
+    noise = _modewise(lambda i: np.array([[sigma(i)]]), len(sigmas))
 
     spec = ModelSpec(
         dim=1,
         brownian_dim=1,
         drift=drift,
-        diffusion=diffusion,
+        diffusion=lambda x, i: noise(i),
         rates_row=rates_row,
         rate_bound=rate_bound,
         mode_rate_bound=mode_rate_bound,
         delay=delay,
         zero_diffusion=not sigmas.any(),
         shared_coefficients_from=top,
+        mode_arrays=True,
     )
     lin = _linearization(
         lambda i: np.array([[-theta(i)]]), lambda i: [np.zeros((1, 1))], _ou_family_qhat(), top
@@ -151,25 +174,25 @@ def _switched_ou(params: dict):
 
 def _controlled_scalar(params: dict):
     a_lin, a_vals = _per_mode(params.get("A", 1.0), "A")
-    b_in, _ = _per_mode(params.get("B", 1.0), "B")
+    b_in, b_vals = _per_mode(params.get("B", 1.0), "B")
     c_aff, c_affs = _per_mode(params.get("C", 0.0), "C")
     sigma, sigmas = _per_mode(params.get("sigma", 0.0), "sigma")
-    gain, _ = _per_mode(params.get("L", 0.0), "L")
+    gain, gains = _per_mode(params.get("L", 0.0), "L")
     c_rate, c_rates = _per_mode(params.get("c", 1.0), "c")
-    controllable = frozenset(int(i) for i in params.get("controllable", (1,)))
+    controllable = frozenset(_integer("controllable mode", i)  # int() would floor 1.5
+                             for i in params.get("controllable", (1,)))
     delay = float(params.get("delay", 1.0))
     if c_rates.min() <= 0:
         raise ValueError("rate constants c must be positive")
-    if any(i < 1 for i in controllable):
-        raise ValueError("controllable modes are indexed from 1")
     # B and L act on the controllable modes only
     top = max(len(a_vals), len(c_affs), len(sigmas), max(controllable, default=0) + 1)
 
     def input_gain(i: int) -> float:
         return b_in(i) if i in controllable else 0.0
 
-    def closed_a(i: int) -> float:
-        return a_lin(i) - input_gain(i) * gain(i)
+    # A, B, L and the controllable set all repeat from here on
+    closed_a = _modewise(lambda i: a_lin(i) - input_gain(i) * gain(i),
+                         max(top, len(b_vals), len(gains)))
 
     def drift(x, i):
         return c_aff(i) + closed_a(i) * np.asarray(x, dtype=float)
@@ -195,6 +218,7 @@ def _controlled_scalar(params: dict):
         mode_rate_bound=lambda i: float(len(_ladder_targets(i))),
         delay=delay,
         shared_coefficients_from=top,
+        mode_arrays=True,
         meta={
             "input_matrix": lambda i: np.array([[input_gain(i)]]),
             "controllable": controllable,
@@ -210,11 +234,12 @@ def _fluid_queue(params: dict):
     rates_row, mode_rate_bound, rate_bound = _ou_family_rates(params)
     delay = float(params.get("delay", 1.0))
 
+    inflow = _modewise(lambda i: max(f(i), 0.0), len(fs))
+
     def drift(x, i):
         x = np.asarray(x, dtype=float)
-        v = f(i)
         # net rate applies off the boundary; only inflow acts at zero
-        return np.where(x > 0.0, v, max(v, 0.0))
+        return np.where(x > 0.0, f(i), inflow(i))
 
     def diffusion(x, i):
         return np.zeros((1, 1))
@@ -231,6 +256,7 @@ def _fluid_queue(params: dict):
         post_step=lambda x: np.maximum(x, 0.0),
         zero_diffusion=True,
         shared_coefficients_from=len(fs),
+        mode_arrays=True,
     )
     lin = _linearization(
         lambda i: np.zeros((1, 1)), lambda i: [np.zeros((1, 1))], _ou_family_qhat(), len(fs)
@@ -256,9 +282,11 @@ def _predator_prey(params: dict):
     if min(beta, delta, c_comp, b_feed) < 0 or n_max < 2:
         raise ValueError("predator_prey parameters must be nonnegative, n_max >= 2")
 
+    growth = _modewise(lambda i: rho * b_feed * min(i, n_max) - d_death, n_max)
+
     def drift(x, i):
         x = np.asarray(x, dtype=float)
-        return x * (rho * b_feed * min(i, n_max) - d_death - c_crowd * x)
+        return x * (growth(i) - c_crowd * x)
 
     def diffusion(x, i):
         x = np.asarray(x, dtype=float)
@@ -295,8 +323,9 @@ def _predator_prey(params: dict):
         mode_rate_bound=mode_bound,
         delay=delay,
         post_step=lambda x: np.maximum(x, 0.0),
+        mode_arrays=True,
     )
-    lin = _linearization(lambda i: np.array([[rho * b_feed * min(i, n_max) - d_death]]),
+    lin = _linearization(lambda i: np.array([[growth(i)]]),
                          lambda i: [np.array([[sigma]])], qhat, n_max)
     return spec, lin
 

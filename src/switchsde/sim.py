@@ -35,10 +35,11 @@ the basic coupling with the limiting chain and history-dependent rates
 included.  Per step it evaluates drift and diffusion once per coefficient
 class (a mode group, or every mode from the model's
 ``shared_coefficients_from`` on).  While every live path is in one class it
-steps them in path order with no mode-group plan; else it sorts the paths
-by mode once per mode change, not per step.  The Dynkin generator of
-:mod:`switchsde.verify` reads the step's rows in whichever of the two
-orders the step took.  History-dependent rates come from one ``rates_row``
+steps them in path order with no mode-group plan; so it does, with the
+live paths' modes as one array, for a model that declares ``mode_arrays``;
+else it sorts the paths by mode once per mode change, not per step.  The
+Dynkin generator of :mod:`switchsde.verify` reads the step's rows in
+whichever of the two orders the step took.  History-dependent rates come from one ``rates_row``
 call on each group's :class:`~switchsde.segment.SegmentBatch`.
 """
 
@@ -382,10 +383,12 @@ def simulate_coupled(
 
 def _place(buf, rows, out, x: np.ndarray, name: str, v: int, shape: tuple) -> np.ndarray:
     """``out``, one coefficient callback's result on the states ``x`` of class
-    v, put at ``rows`` of ``buf``; a lone class's full result is used as is."""
+    v (a mode, or an array of modes), put at ``rows`` of ``buf``; a lone
+    class's full result is used as is."""
     out = np.asarray(out, dtype=float)
     if out.ndim == len(shape) and len(out) != len(x):
-        raise ValueError(f"{name}(x, {v}) gave shape {out.shape} for {len(x)} states")
+        mode = "modes" if isinstance(v, np.ndarray) else v
+        raise ValueError(f"{name}(x, {mode}) gave shape {out.shape} for {len(x)} states")
     if buf is None:
         if out.shape == shape:
             return out
@@ -418,9 +421,11 @@ class BatchEnsemble:
     when a mode changes, a path blows up (parked at 0) or :meth:`keep` drops
     paths.  The Euler step evaluates ``drift`` and ``diffusion`` once per
     coefficient class (:meth:`_plan`): in path order, with no plan, gather
-    or scatter, while no path is blown and all share one class; else in plan
-    order; :meth:`coefficients` hands them out in that order.  Under
-    bernoulli, jumps are drawn per group from the running sums of its rates.
+    or scatter, while no path is blown and all share one class; once for
+    every live path, its modes an array in path order, when the model
+    declares ``mode_arrays``; else in plan order; :meth:`coefficients` hands
+    them out in that order.  Under bernoulli, jumps are drawn per group
+    from the running sums of its rates.
     Under thinning, each round of proposals reads its rows with one call per
     mode and turns them into one sorted (targets, rates) pair of lists per
     path; the proposals walk them in Python floats (:func:`_pick`, or
@@ -552,12 +557,19 @@ class BatchEnsemble:
         """(order, classes), found once per plan, a class being (mode, rows):
         one class (v or K, every row) in path order (None) while no path is
         blown and all are in mode v or from K = ``shared_coefficients_from``
-        on; else each group below K and one for all from K, as :meth:`groups`."""
+        on; else, for a model that declares ``mode_arrays``, one class (the
+        live paths' modes, every row) in path order, or live-index order
+        after a blow-up; else each group below K and one for all from K, as
+        :meth:`groups`."""
         if self._classes is None:
             k = self.model.shared_coefficients_from or math.inf
             lo = int(self.modes.min()) if self.n_paths else 0
             if lo and (lo >= k or lo == self.modes.max()) and not self.blown.any():
                 self._classes = (None, [(min(lo, k), slice(None))])
+            elif self.model.mode_arrays:
+                live = np.flatnonzero(~self.blown) if self.blown.any() else None
+                modes = self.modes.copy() if live is None else self.modes[live]
+                self._classes = (live, [(modes, slice(None))] if modes.size else [])
             else:
                 head = [(v, rows) for v, _, rows in self.groups() if v < k]
                 tail = [(k, slice(rows.start, None)) for v, _, rows in self._groups if v >= k]

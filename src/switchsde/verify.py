@@ -17,14 +17,14 @@ depend on the whole list too; a one-start call is that start's run alone.
 Stop rules are masks over the ensemble, and finished paths
 leave the arrays.  The Dynkin estimator records each step's states and
 coefficients in the order its Euler step took them (path order on a
-one-class step), with the windows and rates read at that step, and takes
-LV of a block of up to ``_BLOCK_ROWS`` path-steps times window samples in
-one pass, rows grouped by mode with one sort per block: the callbacks run
-once per mode per block.  Each row's terms are formed row-wise, so LV's
-bits do not depend on the grouping or the block size; trapezoid weights
-are built once per kernel and mode in a run.  :func:`apply_generator` is
-the same pass on one window.  A path contributes nothing from its blow-up
-on.
+one-class step and on a ``mode_arrays`` model's step), with the windows
+and rates read at that step, and takes LV of a block of up to
+``_BLOCK_ROWS`` path-steps times window samples in one pass, rows grouped
+by mode with one sort per block: the callbacks run once per mode per
+block.  Each row's terms are formed row-wise, so LV's bits do not depend
+on the grouping or the block size; trapezoid weights are built once per
+kernel and mode in a run.  :func:`apply_generator` is the same pass on
+one window.  A path contributes nothing from its blow-up on.
 """
 
 from __future__ import annotations
@@ -256,17 +256,23 @@ def _generator(V, x, drift, sigma, windows, plan, trap) -> np.ndarray:
     return lv
 
 
-def _snapshot(e: BatchEnsemble, with_hist: bool) -> tuple:
+def _snapshot(e: BatchEnsemble, with_hist: bool, first: bool) -> tuple:
     """LV's inputs at this pre-step state, rows in the Euler step's order:
-    (paths, modes, tables, x, drift, sigma, windows), ``paths`` None in path
-    order, else the live paths in plan order, and ``tables`` each occupied
-    mode's (targets, rates) read now, or None when the rates ignore the history."""
+    (paths, modes, tables, x, drift, sigma, pushed), ``paths`` None in path
+    order, else the live paths in plan order (in path order on a step that
+    reads every live path's mode in one call), ``tables`` each occupied
+    mode's (targets, rates) read now, or None when the rates ignore the
+    history, and ``pushed``, given ``with_hist``, what the step adds to its
+    block's run of history samples: every path's window at the block's
+    ``first`` step, else the states the step before it wrote (see
+    :func:`_block_generator`)."""
     paths = e._plan()[0]
+    pushed = None if not with_hist else e.history() if first else e.x.copy()
     tables = None
     if e.model.rates_depend_on_path:
         tables = {v: e.rate_table(group, v) for v, group, _ in e.groups()}
     modes = e.modes.copy() if paths is None else e.modes[paths]
-    return (paths, modes, tables, *e.coefficients(), e.history(paths) if with_hist else None)
+    return (paths, modes, tables, *e.coefficients(), pushed)
 
 
 def _block_generator(V, block: list, trap, rate_table) -> list:
@@ -274,8 +280,12 @@ def _block_generator(V, block: list, trap, rate_table) -> list:
     (paths, LV) per step.  One stable argsort over a per-row code of (rank of
     (mode, targets), step) groups the rows, each group's in step order and,
     within a step, by path, as its steps' rate tables hold them; rates that
-    ignore the history are the engine's shared (1, K) row ``rate_table(None, v)``."""
-    paths, modes, tables, *arrays, hists = zip(*block)
+    ignore the history are the engine's shared (1, K) row ``rate_table(None, v)``.
+    With a time kernel the block's first step pushes every path's window
+    (m, P, n) and each later one the (P, n) states that the step before it
+    wrote to the ring, so step s's windows are samples s..s+m-1 of that run:
+    no step copies its windows, and no block joins them."""
+    paths, modes, tables, *arrays, pushed = zip(*block)
     sizes, n = [len(m) for m in modes], len(block)
     key, step = np.concatenate(modes), np.repeat(np.arange(n), sizes)  # a shared row: by mode
     if tables[0] is not None:  # rows read per step: rank (mode, targets), targets may vary
@@ -305,9 +315,16 @@ def _block_generator(V, block: list, trap, rate_table) -> list:
                      cuts if len(cuts) > 1 else None))
     x, drift, sigma = (None if s[0] is None else np.concatenate(s)[perm] for s in arrays)
     windows = None
-    if hists[0] is not None:  # one gather per group, with no sorted copy of every window
-        hist = hists[0] if len(hists) == 1 else np.concatenate(hists, axis=1)
-        windows = lambda rows: np.take(hist, perm[rows], axis=1)  # noqa: E731
+    if pushed[0] is not None:  # the run of samples the block's windows slide over
+        hist = pushed[0] if n == 1 else np.concatenate([pushed[0], np.stack(pushed[1:])])
+        who = np.concatenate([np.arange(len(m)) if p is None else p for p, m in zip(paths, modes)])
+        if n == 1:  # one gather per group, with no sorted copy of every window
+            windows = lambda rows: np.take(hist, who[perm[rows]], axis=1)  # noqa: E731
+        else:  # sample t of the window of path p in step s is row (s + t) P + p
+            lag = np.arange(len(pushed[0]))[:, None]
+            at = (step[perm] + lag) * hist.shape[1] + who[perm]  # (m, rows), in sorted order
+            flat = hist.reshape(-1, hist.shape[2])
+            windows = lambda rows: np.take(flat, at[:, rows], axis=0)  # noqa: E731
     lv = np.empty(len(perm))
     lv[perm] = _generator(V, x, drift, sigma, windows, plan, trap)
     ends = np.cumsum(sizes).tolist()
@@ -641,7 +658,7 @@ def dynkin_residual(
     block, rows = [], n_paths * (phi0.samples.shape[0] if with_hist else 1)  # per step
     block_steps = max(1, _BLOCK_ROWS // rows)
     for k in range(n_steps):
-        block.append(_snapshot(be, with_hist))
+        block.append(_snapshot(be, with_hist, not block))
         if len(block) == block_steps or k == n_steps - 1:
             for paths, lv in _block_generator(V, block, trap, be.rate_table):  # as the paths ran
                 acc[slice(None) if paths is None else paths] += lv * dt

@@ -501,14 +501,16 @@ def path_dynkin(V, model, phi0, i0, t, cfg, n_paths):
 def plan_snapshot(e: BatchEnsemble, with_hist: bool) -> tuple:
     """The Dynkin snapshot in plan order: (order, plan, x, drift, sigma,
     windows), the live paths sorted by mode and each mode group's rates read
-    at this step; a step the engine takes in path order is gathered into
-    plan order, row by row."""
+    at this step; a step the engine takes in path order, or over the live
+    paths by index, is gathered into plan order, row by row."""
     groups = e.groups()
     order = e._order
     plan = [(v, rows, *e.rate_table(paths, v), None) for v, paths, rows in groups]
     arrays = e.coefficients()
-    if e._plan()[0] is None:
-        arrays = [None if a is None else a[order] for a in arrays]
+    taken = e._plan()[0]
+    if taken is not order:  # the step ran in path order, or over the live paths by index
+        at = order if taken is None else np.searchsorted(taken, order)
+        arrays = [None if a is None else a[at] for a in arrays]
     return (order, plan, *arrays, e.history(order) if with_hist else None)
 
 

@@ -301,6 +301,14 @@ def test_a_controllable_mode_below_one_is_refused():
     assert np.asarray(search_gain(lin, inputs, [np.int64(1)], 30).gains[1]).tolist() == [[4.0]]
 
 
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_search_gain_refuses_a_fractional_or_boolean_controllable_mode(bad):
+    # the search once floored 1.5 to mode 1, and read True as mode 1
+    _, lin = scalar_model(0.0)
+    with pytest.raises(ValueError, match=f"controllable mode must be an integer >= 1, got {bad}"):
+        search_gain(lin, lambda i: np.eye(1), [bad], 30)
+
+
 def test_search_gain_finds_first_certified_level():
     spec, lin = scalar_model(0.0)
     plan = search_gain(lin, spec.meta["input_matrix"], spec.meta["controllable"], 30)

@@ -77,6 +77,16 @@ def test_truncation_hint_floor(tmp_path):
         load_model_config(write_config(tmp_path, base_doc(truncation_hint=1)))
 
 
+@pytest.mark.parametrize("hint", [30.9, 30.0, True, "30"])
+def test_truncation_hint_must_be_an_integer(tmp_path, hint):
+    # int() once read 30.9 as 30, and true as 1, refused as "must be >= 2"
+    path = write_config(tmp_path, base_doc(truncation_hint=hint))
+    want = f"{path}: truncation_hint must be an integer >= 2, got {hint!r}"
+    with pytest.raises(ValueError) as err:
+        load_model_config(path)
+    assert str(err.value) == want
+
+
 def test_params_must_be_mapping(tmp_path):
     with pytest.raises(ValueError):
         load_model_config(write_config(tmp_path, base_doc(params=[1, 2])))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchsde.registry import REGISTRY_NAMES, registry_get
 from switchsde.segment import Segment, SegmentBatch
@@ -70,7 +72,7 @@ def test_unknown_name_raises():
         ("switched_ou", {"theta": []}, "empty per-mode sequence"),
         ("switched_ou", {"c": -1}, "nonnegative"),
         ("controlled_scalar", {"c": 0}, "positive"),
-        ("controlled_scalar", {"controllable": [0]}, "indexed from 1"),
+        ("controlled_scalar", {"controllable": [0]}, "mode .* >= 1, got 0"),
         ("predator_prey", {"beta": -1}, "nonnegative"),
         ("predator_prey", {"n_max": 1}, "n_max >= 2"),
         ("linear_2d", {"B": [1.0, 2.0]}, "B must be"),
@@ -78,6 +80,9 @@ def test_unknown_name_raises():
         ("linear_2d", {"A": [[[1.0, 2.0]]]}, "A must be"),
         ("linear_2d", {"A": [1.0, 2.0, 3.0]}, "A vectors must have length 2"),
         ("linear_2d", {"qhat": "nope"}, "unknown qhat family"),
+        # int() once read 1.5 as mode 1 and True as mode 1
+        ("controlled_scalar", {"controllable": [1.5]}, "controllable mode .* got 1.5"),
+        ("controlled_scalar", {"controllable": [True]}, "controllable mode .* got True"),
     ],
 )
 def test_invalid_parameters_raise(name, params, match):
@@ -354,3 +359,38 @@ def test_rows_and_coefficients_repeat_from_the_declared_modes(name, params):
         assert mode_mats(lin, i) == mode_mats(lin, k), i
     if k > 1:  # and no lower mode could be declared
         assert mode_mats(lin, k - 1) != mode_mats(lin, k)
+
+
+def declared_cases():
+    """The families that declare ``mode_arrays``, with their defaults, their
+    per-mode sequences, and for fluid_queue signed zero rates."""
+    for name in ("controlled_scalar", "fluid_queue", "predator_prey", "switched_ou"):
+        yield name, DEFAULTS[name]
+        if name in SEQUENCES:
+            yield name, SEQUENCES[name][0]
+    yield "fluid_queue", {"f": [1.0, -0.0, 0.0, -2.0, float("nan")]}
+
+
+DECLARED = list(declared_cases())
+STATES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.37, -2.5, 1e300, -1e300]) | st.floats(-50, 50)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(case=st.sampled_from(DECLARED), rows=st.lists(st.tuples(STATES, st.integers(1, 60)),
+                                                      min_size=1, max_size=24))
+def test_a_mode_array_call_gives_each_row_its_scalar_calls_bits(case, rows):
+    # one drift and one diffusion call over modes 1..60 (1..n_max for
+    # predator_prey) give each row the bits of the call with its own mode
+    name, params = case
+    spec, _ = registry_get(name, params)
+    assert spec.mode_arrays
+    top = params.get("n_max", 60)
+    x = np.array([[v] for v, _ in rows])
+    modes = np.array([min(i, top) for _, i in rows])
+    p, shapes = len(rows), ((spec.dim,), (spec.dim, spec.brownian_dim))
+    with np.errstate(all="ignore"):
+        for fn, shape in zip((spec.drift, spec.diffusion), shapes):
+            got = np.broadcast_to(np.asarray(fn(x, modes), dtype=float), (p, *shape))
+            for k in range(p):
+                one = np.asarray(fn(x[k:k + 1], int(modes[k])), dtype=float)
+                assert got[k].tobytes() == np.broadcast_to(one, (1, *shape))[0].tobytes(), k

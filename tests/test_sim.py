@@ -1133,12 +1133,13 @@ def test_block_max_sup_norms_are_the_full_max(m, n_paths, dim, seed):
 # switched_ou declares shared_coefficients_from=1: every path is in one
 # coefficient class and the engine steps the states in path order, with no
 # mode-group plan.  The same spec without the declaration runs each mode as
-# its own class through the plan; its drift and diffusion are the same in
-# every mode, bit for bit, so the two runs must agree bit for bit.
+# its own class through the plan (nor ``mode_arrays``, which would take
+# every mode in one call); its drift and diffusion are the same in every
+# mode, bit for bit, so the two runs must agree bit for bit.
 
 def one_class_pair(params=None, name="switched_ou"):
     spec, lin = registry_get(name, params)
-    return spec, replace(spec, shared_coefficients_from=None), lin
+    return spec, replace(spec, shared_coefficients_from=None, mode_arrays=False), lin
 
 
 def engine_state(eng):
@@ -1189,9 +1190,11 @@ def test_one_class_coupled_run_is_the_plan_run():
 
 
 def test_controlled_scalar_crosses_between_one_and_two_classes():
-    # K = 2: mode 1 alone, or modes >= 2 alone, is one class; both are two
+    # K = 2: mode 1 alone, or modes >= 2 alone, is one class; both are two,
+    # unless the model declares mode_arrays
     one, planned, _ = one_class_pair(name="controlled_scalar")
-    assert one.shared_coefficients_from == 2
+    assert one.shared_coefficients_from == 2 and one.mode_arrays
+    one = replace(one, mode_arrays=False)
     phi0 = Segment.make_constant([1.0], one.delay, 1.0 / 16)
     cfg = SimConfig(dt=1.0 / 16, horizon=30.0, seed=3)
     _, steps = run_side_by_side(one, planned, 400, phi0, cfg, 3)
@@ -1209,7 +1212,8 @@ def test_one_class_blow_up_parks_the_path_out_of_later_steps():
     dt = 1.0 / 64
     starts = [Segment.make_constant([v], one.delay, dt) for v in (1.0, 1e300, -1.0)]
     rows = []
-    counted = replace(one, drift=lambda x, i: rows.append(len(x)) or one.drift(x, i))
+    counted = replace(one, drift=lambda x, i: rows.append(len(x)) or one.drift(x, i),
+                      mode_arrays=False)  # the plan after the blow-up, not one mode array
     cfg = SimConfig(dt=dt, horizon=1.0, seed=4)
     eng, steps = run_side_by_side(counted, planned, 40, starts, cfg, 2)
     lone = lone_steps(steps)
@@ -1279,3 +1283,62 @@ def test_one_class_ensemble_builds_no_mode_group_plan(monkeypatch):
         eng.step()
         assert eng._groups is None and eng._order is None
     assert not sorts and eng.jumps > 50 and len(set(eng.modes.tolist())) > 1
+
+
+# -- mode arrays ---------------------------------------------------------------
+# a family that declares mode_arrays takes the modes of every live path in
+# one drift and one diffusion call, however many coefficient classes they
+# span; the undeclared spec runs the plan, and the two must agree bit for bit
+
+def counted_calls(spec, calls):
+    """``spec`` whose drift and diffusion log (name, rows, mode) per call, an
+    array of modes as a tuple."""
+    def counted(fn, name):
+        def call(x, i):
+            calls.append((name, len(x), tuple(i.tolist()) if np.ndim(i) else i))
+            return fn(x, i)
+        return call
+    return replace(spec, drift=counted(spec.drift, "drift"),
+                   diffusion=counted(spec.diffusion, "diffusion"))
+
+
+@pytest.mark.parametrize("name", ["controlled_scalar", "fluid_queue", "predator_prey"])
+def test_a_declared_family_makes_one_drift_and_one_diffusion_call_per_step(name):
+    spec = load_model_config(CONFIG_DIR / f"{name}.json").spec
+    assert spec.mode_arrays
+    calls = []
+    k = spec.shared_coefficients_from or math.inf
+    phi0 = Segment.make_constant([2.0], spec.delay, 1.0 / 64)
+    eng = BatchEnsemble(counted_calls(spec, calls), phi0, 2,
+                        SimConfig(dt=1.0 / 64, horizon=5.0, seed=2), 16)
+    want = ["drift"] if spec.zero_diffusion else ["drift", "diffusion"]
+    several = 0
+    for _ in range(300):
+        modes = eng.modes.tolist()
+        classes = len({min(v, k) for v in modes})
+        several += classes > 1
+        calls.clear()
+        eng.step()
+        assert [what for what, _, _ in calls] == want
+        assert all(rows == 16 and mode == (tuple(modes) if classes > 1 else min(modes[0], k))
+                   for _, rows, mode in calls)
+    assert several > 100
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_a_declared_family_takes_the_live_paths_in_one_call_after_a_blow_up():
+    # the paths from 1e300 blow up within a few steps; from then on the live
+    # paths, spread over several modes, are one call in path order
+    one, planned, _ = exploding_ou()
+    dt = 1.0 / 64
+    starts = [Segment.make_constant([v], one.delay, dt) for v in (1.0, 1e300, -1.0)]
+    calls = []
+    eng, _ = run_side_by_side(counted_calls(one, calls), planned, 40, starts,
+                              SimConfig(dt=dt, horizon=1.0, seed=4), 2)
+    assert eng.blown.tolist() == [False, False, True, True, False, False]
+    drifts = [(rows, mode) for what, rows, mode in calls if what == "drift"]
+    lone = drifts.index(next(d for d in drifts if d[0] == 4))
+    assert 0 < lone and drifts[:lone] == [(6, 1)] * lone  # K = 1: one class before the blow-up
+    assert all(rows == 4 and len(modes) == 4 for rows, modes in drifts[lone:])
+    assert max(len(set(modes)) for _, modes in drifts[lone:]) > 1
+    assert len(calls) == 2 * 40 and eng._plan()[0].tolist() == [0, 1, 4, 5]

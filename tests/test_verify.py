@@ -942,7 +942,7 @@ def run_blocks(V, e: BatchEnsemble, n_steps: int, block_steps: int, trap, at_ste
     a step in path order names every path."""
     block, seen = [], []
     for k in range(n_steps):
-        block.append(_snapshot(e, V.f2 is not None))
+        block.append(_snapshot(e, V.f2 is not None, not block))
         seen.append(None if at_step is None else at_step(e))
         if len(block) == block_steps or k == n_steps - 1:
             out = _block_generator(V, block, trap, e.rate_table)
@@ -1241,6 +1241,24 @@ def test_shared_coefficients_leave_every_estimate_bit_identical(name):
     for seed in (1, 2, 3):
         got = estimator_outputs(spec, loaded.lin, seed)
         assert got == estimator_outputs(undeclared, loaded.lin, seed), seed
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("name", ["controlled_scalar", "fluid_queue", "predator_prey", "switched_ou"])
+def test_mode_arrays_leave_every_estimate_bit_identical(name):
+    # one drift and one diffusion call over every live path's mode gives the
+    # bits of one call per coefficient class, on the shipped configs
+    loaded = load_model_config(str(CONFIG_DIR / f"{name}.json"))
+    spec = loaded.spec
+    assert spec.mode_arrays
+    ranks = []
+    counted = replace(spec, drift=lambda x, i: ranks.append(np.ndim(i)) or spec.drift(x, i))
+    for seed in (1, 2, 3):
+        got = estimator_outputs(counted, loaded.lin, seed)
+        assert got == estimator_outputs(replace(spec, mode_arrays=False), loaded.lin, seed), seed
+    # the declared runs took modes as arrays, but for switched_ou: with K = 1
+    # every mode is one class, and no path blows up here
+    assert (1 in ranks) == (spec.shared_coefficients_from != 1)
 
 
 BLOW_STEPS = (4, 17, 39)  # before burn-in, after it, and the last step
