@@ -7,22 +7,23 @@ weighted sum, and the model's law leaves no mode out, the model is
 certified positively recurrent.  ``solve_law`` picks the law from the
 declarations of the linearization and its ``qhat`` alone and returns it as
 one :class:`~switchsde.chain.StationaryDist`, which one formula weighs;
-the law alone names where the bound on the mass it leaves out
+the law names where the bound on the mass it leaves out
 (``tail_mass_source``) comes from:
 
 * ``"exact_geometric"`` when ``qhat`` is infinite and both it and the
-  linearization declare ``repeats_from``:
-  :func:`~switchsde.chain.geometric_law` solves a head of K' modes and the
-  tail is geometric, so the sum over every mode has a closed form,
-  nothing is left out and N plays no part.  A row K that climbs more than
-  one rung or never returns below K leaves no law (``"unproved"``), and
-  the verdict is INCONCLUSIVE with that reason;
-* ``"finite_modes"`` when ``qhat`` declares a finite mode count: the law
-  is that of the whole chain, whatever N, and no mode lies beyond it;
+  linearization declare ``repeats_from``: :func:`~switchsde.chain.exact_law`
+  solves a head of K' modes and the tail is geometric, so the sum over
+  every mode has a closed form, nothing is left out and N plays no part;
+* ``"finite_modes"`` when ``qhat`` declares a finite mode count: the same
+  head solve over the whole chain, with no tail, whatever N;
 * ``"unproved"`` on a truncation of an infinite chain to modes 1..N (also
-  a caller's truncated ``law``): nothing bounds the mass beyond N, so the
-  tail bound is infinite, the reason ``"tail unproved"`` and the partial
-  sum over modes 1..N is reported only as a diagnostic.
+  on a caller's truncated ``law``, even at the mode count of a finite
+  chain): nothing bounds the mass beyond N or the truncation's solve
+  error, so the tail bound is infinite, the reason ``"tail unproved"`` and
+  the partial sum over modes 1..N is reported only as a diagnostic; and
+  on an exact law that could not be solved, which gives its own reason.
+
+Both exact laws carry their head solve's error bound into ``rounding_bound``.
 
 The stabilization variant first closes the loop on the controllable modes
 with linear state feedback u = -L(i) x.
@@ -48,19 +49,11 @@ constants; both are reported rather than reconciled.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .chain import (
-    StationaryDist,
-    TailUnproved,
-    _gamma,
-    _integer,
-    geometric_law,
-    stationary,
-    truncate,
-)
+from .chain import StationaryDist, _gamma, _integer, exact_law, stationary, truncate
 from .model import Linearization
 
 __all__ = [
@@ -77,9 +70,6 @@ _FORMS = ("thm37", "thm41")
 
 CERTIFIED = "CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-# what ``solve_law`` returns: the law, or why a declared tail has none
-Law = Union[StationaryDist, TailUnproved]
 
 
 @dataclass(frozen=True)
@@ -115,20 +105,21 @@ class Certificate:
     ``partial_sum`` is the stationary-weighted cost over every mode the law
     holds: modes 1..N of a truncation, or every mode of an exact law, whose
     geometric tail (ratio rho) is summed in closed form.  ``tail_bound``
-    weighs the mass the law leaves out (``tail_mass``): 0, or infinite on a
-    truncation of an infinite chain.  ``rounding_bound`` is the
+    weighs the mass the law leaves out (``tail_mass``, its source named by
+    the law): 0, or infinite on an unproved law.  ``rounding_bound`` is the
     floating-point error bound of the partial sum: gamma_n / (1 - rho) *
-    sum_i |nu_i c_i| (gamma_n = n u / (1 - n u), u = 2^-53), with n = N on a
-    truncation (rho = 0) and n = 2m + 4 on an exact law, plus the largest
-    |c_i| times the law's ``error`` bound from the head solve's balance
-    residual.  On an exact law ``nu`` holds nu_1..nu_m for the m modes
-    written out, and its ``truncation`` is the head size K'.  The verdict
-    is CERTIFIED only when the total clears the margin and every assumption
-    flag holds.  ``reason`` names what decided it: why the tail is not
-    proved ("tail unproved" on a truncation of an infinite chain, "tail
-    reach > 1" or "tail ratio >= 1" on a declared tail), else the first
-    failing flag in sorted order, "partial sum >= 0", "rounding bound",
-    "margin" or "certified".
+    sum_i |nu_i c_i| (gamma_n = n u / (1 - n u), u = 2^-53), with n the
+    mode count of a truncation or a finite chain (rho = 0) and n = 2m + 4
+    on an exact geometric law, plus the largest |c_i| times the law's
+    ``error`` bound from its head solve (0 on a truncation, which proves
+    nothing).  On an exact geometric law ``nu`` holds nu_1..nu_m for the m
+    modes written out, and its ``truncation`` is the head size K'.  The
+    verdict is CERTIFIED only when the total clears the margin and every
+    assumption flag holds.  ``reason`` names what decided it: the law's
+    own reason when it proves nothing ("tail unproved" on a truncation,
+    "tail reach > 1", "tail ratio >= 1" or "head size > 1000" on an exact
+    law that could not be solved), else the first failing flag in sorted
+    order, "partial sum >= 0", "rounding bound", "margin" or "certified".
     """
 
     claim: str
@@ -151,7 +142,7 @@ class Certificate:
 
     def to_dict(self) -> dict:
         """JSON-ready summary; costs and stationary weights of the first 12
-        modes (none when the tail is unproved on a declared generator)."""
+        modes (none on an exact law that could not be solved)."""
         return {
             "claim": self.claim,
             "form": self.form,
@@ -247,66 +238,54 @@ def _level(lin: Linearization, n_modes: int) -> int:
     return lin.qhat.n_modes or int(n_modes)
 
 
-def solve_law(lin: Linearization, n_modes: int) -> Law:
+def solve_law(lin: Linearization, n_modes: int) -> StationaryDist:
     """The law a certificate of ``lin`` weighs (see the module docstring):
-    when ``qhat`` is infinite and both repeat points are declared, the
-    exact geometric law or the :class:`TailUnproved` that names why there
-    is none; else the stationary law of the truncation at the level
-    ``_level`` picks.  Raises ``ValueError`` as ``_level``,
-    :func:`~switchsde.chain.geometric_law` and
+    the exact law of a finite ``qhat``, or of an infinite one when both
+    repeat points are declared; else the stationary law of the truncation
+    at N.  Raises ``ValueError`` as ``_level``,
+    :func:`~switchsde.chain.exact_law` and
     :func:`~switchsde.chain.stationary` do."""
     n, q = _level(lin, n_modes), lin.qhat
-    if lin.repeats_from is not None and q.repeats_from is not None and q.n_modes is None:
-        try:
-            return geometric_law(q)
-        except TailUnproved as exc:
-            return exc
+    if q.n_modes is not None or (lin.repeats_from is not None and q.repeats_from is not None):
+        return exact_law(q)
     return stationary(truncate(q, n))
 
 
-def _terms(lin: Linearization, law: Law, head: np.ndarray) -> dict:
+def _terms(law: StationaryDist, head: np.ndarray) -> dict:
     """Certificate terms: the costs weighed by the law over every mode it
     holds, its geometric tail (if any) in closed form with nu and c written
-    out to at least 12 modes, and the mass it leaves out: none, or on a
-    truncation of an infinite chain an unbounded one.  ``unproved`` names
-    why the tail is not proved, None when it is."""
-    if isinstance(law, TailUnproved):
-        nan = float("nan")
-        return dict(per_mode_c=head, nu=StationaryDist(np.zeros(0), nan, 0), partial_sum=nan,
-                    tail_bound=np.inf, rounding_bound=nan, tail_mass=np.inf,
-                    tail_mass_source="unproved", unproved=law.reason)
+    out to at least 12 modes, and the mass it leaves out: none, or on an
+    unproved law an unbounded one."""
+    left_out = np.inf if law.reason else 0.0
+    if not law.nu.size:  # an exact law that could not be solved
+        return dict(per_mode_c=head, nu=law, partial_sum=np.nan, tail_bound=left_out,
+                    rounding_bound=np.nan, tail_mass=left_out, tail_mass_source=law.source)
     m = steps = law.nu.size  # a dot of m terms rounds m times
-    source = "unproved"  # a truncation of an infinite chain: nothing bounds its tail
-    if law.ratio > 0.0:  # geometric_law refuses a ratio that rounds to 0
+    if law.source == "exact_geometric":
         # nu and c written out to at least 12 modes; the tail adds the
         # powers of the ratio and its own sum, each term widened by
         # 1 / (1 - ratio)
         m = max(m, head.size, 12)
-        source, steps = "exact_geometric", 2 * m + 4
-    elif law.truncation == lin.qhat.n_modes:
-        source = "finite_modes"  # no mode lies beyond N
+        steps = 2 * m + 4
     nu = law.extend(m)
     costs = np.concatenate([head, np.full(max(m - head.size, 0), head[-1])])[:m]  # c_D beyond D
     # modes beyond m all cost c_m and weigh nu_m ratio / (1 - ratio) together
     tail = nu[-1] * law.ratio / (1.0 - law.ratio)
     spread = float(nu @ np.abs(costs) + abs(costs[-1]) * tail)
-    rounding = _gamma(steps) / (1.0 - law.ratio) * spread + np.max(np.abs(head)) * law.error
-    unproved = source == "unproved"
-    left_out = np.inf if unproved else 0.0
+    rounding = _gamma(steps) / (1.0 - law.ratio) * spread + np.max(np.abs(costs)) * law.error
     return dict(per_mode_c=costs, nu=replace(law, nu=nu),
                 partial_sum=float(nu @ costs + costs[-1] * tail), tail_bound=left_out,
-                rounding_bound=float(rounding), tail_mass=left_out, tail_mass_source=source,
-                unproved="tail unproved" if unproved else None)
+                rounding_bound=float(rounding), tail_mass=left_out, tail_mass_source=law.source)
 
 
 def _parts(lin: Linearization, plan: Optional[GainPlan], n_modes: int, form: str,
-           law: Optional[Law] = None) -> tuple:
+           law: Optional[StationaryDist] = None) -> tuple:
     """What one certificate weighs (see the module docstring): its law, the
     closed-loop drifts of modes 1..D under ``plan`` and their noise part."""
     n = _level(lin, n_modes)
     if law is None:
         law = solve_law(lin, n_modes)
-    elif isinstance(law, StationaryDist) and law.ratio == 0.0 and law.truncation != n:
+    elif law.nu.size and law.source != "exact_geometric" and law.truncation != n:  # modes 1..N
         raise ValueError(f"law solved at N={law.truncation}, certificate asks for N={n}")
     if lin.repeats_from is not None:
         n = max(lin.repeats_from, max(() if plan is None else plan.controllable, default=0) + 1)
@@ -316,7 +295,7 @@ def _parts(lin: Linearization, plan: Optional[GainPlan], n_modes: int, form: str
 
 def _certify(
     lin: Linearization,
-    law: Law,
+    law: StationaryDist,
     b: np.ndarray,
     noise: Callable,
     *,
@@ -331,14 +310,13 @@ def _certify(
     if not margin_frac >= 0:  # written so that NaN fails it
         raise ValueError(f"margin_frac must be nonnegative, got {margin_frac}")
     head, norm = noise(b)
-    terms = _terms(lin, law, head)
-    unproved = terms.pop("unproved")
+    terms = _terms(law, head)
 
     plan_norm = max([0.0] + [
         np.linalg.norm(np.asarray(plan.input_mats(i), float) @ np.asarray(gain, float), 2)
         for i, gain in plan.gains.items() if gain is not None]) if plan else 0.0
     flags = {
-        # every law is a geometric_law or a stationary, which raise otherwise
+        # every law comes from exact_law or stationary, which raise otherwise
         "qhat_conservative": True,
         "qhat_irreducible": True,
         "coeff_bound_ok": bool(norm <= lin.coeff_bound + plan_norm + 1e-9),
@@ -353,7 +331,7 @@ def _certify(
     failed = [k for k, ok in sorted(flags.items()) if not ok]
     tests = ((partial < 0.0, "partial sum >= 0"), (upper < 0.0, "rounding bound"),
              (upper <= -margin, "margin"))  # written so that NaN fails each
-    reason = unproved or (failed[0] if failed else
+    reason = law.reason or (failed[0] if failed else
                           next((why for ok, why in tests if not ok), "certified"))
     verdict = CERTIFIED if reason == "certified" else INCONCLUSIVE
     return Certificate(
@@ -394,7 +372,7 @@ def certify_stabilization(
     margin_frac: float = 0.1,
     extra_flags: Optional[dict] = None,
     *,
-    law: Optional[Law] = None,
+    law: Optional[StationaryDist] = None,
 ) -> Certificate:
     """Certify weak stabilizability under the feedback plan.
 
@@ -423,7 +401,7 @@ def search_gain(
     form: str = "thm37",
     margin_frac: float = 0.1,
     *,
-    law: Optional[Law] = None,
+    law: Optional[StationaryDist] = None,
 ) -> Optional[GainPlan]:
     """Scalar gain line search L(i) = g * I over a geometric grid.
 

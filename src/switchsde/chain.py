@@ -8,8 +8,7 @@ capped at a declared finite mode count.  The truncation is a sparse CSR
 matrix, and its stationary law is obtained by a sparse LU solve
 (SuperLU); both cost O(N) for the registry families.  scipy is imported
 inside :func:`truncate` and :func:`stationary`, when they first run, so
-simulation and the Monte Carlo checks, which use only
-:class:`SparseGenerator`, never load it.
+simulation, the Monte Carlo checks and :func:`exact_law` never load it.
 
 A generator may declare that its rows are shift-invariant beyond a mode K
 (``repeats_from``; the level-independent tail of a matrix-geometric chain,
@@ -17,29 +16,26 @@ Neuts 1981).  Truncation then reads rows 1..K and the few rows next to N,
 where lumping happens, one at a time, and builds every row in between from
 row K with numpy: the Python work no longer grows with N.
 
-When such a generator is infinite and row K climbs at most one rung, its
-stationary law needs no truncation at all (:func:`geometric_law`, the
-scalar case of the matrix-geometric tail; Latouche & Ramaswami 1999,
-ch. 6-8).  Let K' be the larger of K and the highest target of the rows
-below K.  Beyond K' a mode is entered only by the climb from the mode
-below it, so nu_j = nu_K' rho^(j - K') for j > K', with rho the climb
-rate of row K over its total rate.  The tail's returns enter the K' x K'
-balance system of the head as nu_K' * rate * rho / (1 - rho), which is
-solved with numpy: the cost is O(K'^3) and does not depend on any N.  The
-same matrix decides irreducibility: its nonzero pattern, squared as a
-boolean matrix until paths of K' - 1 links are covered, must be full.
-
-Both laws are a :class:`StationaryDist`: a truncation's holds nu_1..nu_N
-and no mass beyond, the geometric law's holds nu_1..nu_K' with the tail's
-ratio and an error bound, and :meth:`StationaryDist.extend` writes the
-tail out to any length.
+:func:`exact_law` needs no truncation at all for a finite generator or
+for an infinite one whose row K climbs at most one rung (the scalar case
+of the matrix-geometric tail; Latouche & Ramaswami 1999, ch. 6-8).  Let K'
+be the larger of K and the highest target of the rows below K.  Beyond K'
+a mode is entered only by the climb from the mode below it, so nu_j =
+nu_K' rho^(j - K') for j > K', with rho the climb rate of row K over its
+total rate.  The tail's returns enter the K' x K' balance system of the
+head as nu_K' * rate * rho / (1 - rho).  A finite chain is the same head
+with no tail: K' is its mode count and rho is 0.  The head system is
+solved with numpy, its residual widened by gamma_n (Higham 2002, s. 3.1)
+and carried through the inverse into an error bound; the cost is
+O(K'^3), does not depend on any N and is refused above 1,000 modes.  Two
+graph searches over the head's links, O(links), decide irreducibility.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -50,8 +46,7 @@ __all__ = [
     "SparseGenerator",
     "TruncatedGenerator",
     "StationaryDist",
-    "TailUnproved",
-    "geometric_law",
+    "exact_law",
     "truncate",
     "stationary",
     "convergence_sweep",
@@ -79,7 +74,7 @@ class SparseGenerator:
     the same key order, and the targets below K kept as they are.  Like
     ``ModelSpec.shared_coefficients_from`` it is not checked, beyond the
     spot checks of row N in :func:`truncate` and of rows K+1..K' and row
-    2^20 in :func:`geometric_law`.
+    2^20 in :func:`exact_law`.
     """
 
     def __init__(self, row_fn: Callable[[int], dict], rate_bound: float, name: str = "custom",
@@ -140,35 +135,32 @@ class TruncatedGenerator:
 
 @dataclass(frozen=True)
 class StationaryDist:
-    """Stationary law nu_1..nu_m of a generator, m = ``nu.size``.
+    """Stationary law nu_1..nu_m of a generator, m = ``nu.size``, and the
+    ``source`` of the bound on what it leaves out.
 
     From a truncation (:func:`stationary`), ``truncation`` is N, ``ratio``
-    and ``error`` are 0 and no mass lies beyond N.  From a declared tail
-    (:func:`geometric_law`), ``nu`` is the head nu_1..nu_K', ``truncation``
-    is K', nu_j = nu_m * ratio^(j - m) for every j > m with ratio > 0 (a
-    ratio of 0 marks a truncation's law), and ``error`` bounds the l1
-    distance, tail included, from the computed law to the exact one that
-    the residual and the rounding of the head system's entries leave open.
-    ``residual`` is the l1 norm of the solved system's residual."""
+    and ``error`` are 0 and nothing bounds the mass beyond N or the solve's
+    error: ``source`` is ``"unproved"`` and ``reason`` ``"tail unproved"``.
+    From :func:`exact_law`, ``source`` is ``"finite_modes"`` (every mode,
+    ``ratio`` 0) or ``"exact_geometric"`` (the head nu_1..nu_K', K' =
+    ``truncation``, and nu_j = nu_m * ratio^(j - m) for every j > m),
+    ``reason`` is None and ``error`` bounds the l1 distance, tail included,
+    to the exact law that the residual and the rounding of the head
+    system's entries leave open; or ``nu`` is empty and ``reason`` says
+    why.  ``residual`` is the l1 norm of the solved system's residual."""
 
     nu: np.ndarray
     residual: float
     truncation: int
     ratio: float = 0.0
     error: float = 0.0
+    source: str = "unproved"
+    reason: Optional[str] = "tail unproved"
 
     def extend(self, m: int) -> np.ndarray:
         """nu_1..nu_m for m >= ``nu.size``, the tail in closed form."""
         tail = self.nu[-1] * self.ratio ** np.arange(1, m - self.nu.size + 1)
         return np.concatenate([self.nu, tail])
-
-
-class TailUnproved(ValueError):
-    """The declared tail has no one-ratio law; ``reason`` names why."""
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
 
 
 def _lumped_row(i: int, row: dict, n: int) -> dict:
@@ -313,8 +305,9 @@ def stationary(tg: TruncatedGenerator) -> StationaryDist:
     return StationaryDist(nu=nu, residual=residual, truncation=n)
 
 
-# the far row of geometric_law's spot check, past any truncation level in use
+# the far row of exact_law's spot check, past any truncation level in use
 _FAR_ROW = 1 << 20
+_HEAD_CAP = 1000  # the largest head exact_law solves densely, O(K'^3) (README)
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -324,66 +317,88 @@ def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
-def geometric_law(qhat: SparseGenerator) -> StationaryDist:
-    """Exact stationary law of an infinite generator that declares
-    ``repeats_from`` K, from rows 1..K' and a spot check of one far row
-    (see the module docstring).
+def _irreducible(links: list) -> bool:
+    """Whether mode 1 reaches every mode and every mode mode 1 along ``links``
+    (per mode, the columns its nonzero rates enter), in O(modes + links)."""
+    into = [[] for _ in links]
+    for i, out in enumerate(links):
+        for j in out:
+            into[j].append(i)
+    for edges in (links, into):
+        seen, todo = {0}, [0]
+        while todo:
+            fresh = set(edges[todo.pop()]) - seen
+            seen |= fresh
+            todo += fresh
+        if len(seen) < len(links):
+            return False
+    return True
 
-    Raises :class:`TailUnproved` when row K climbs more than one rung
-    (reason ``"tail reach > 1"``) or never returns below K
-    (``"tail ratio >= 1"``), and ``ValueError`` when the generator is
-    finite or declares no repeat point, when a row read breaks the
-    declaration, or when the chain is not irreducible.
-    """
-    k = qhat.repeats_from
-    if k is None or qhat.n_modes is not None:
-        raise ValueError(f"{qhat.name}: the geometric law needs an infinite generator "
-                         "that declares repeats_from")
-    base = qhat.row(k)
-    no_bound = sys.maxsize  # _lumped_row then validates rows and lumps nothing
-    rows = [_lumped_row(i, qhat.row(i), no_bound) for i in range(1, k)]
-    top = max([k] + [j + 1 for row in rows for j in row])  # K'
-    rows += [_lumped_row(i, base if i == k else _check_shift(qhat, k, base, i), no_bound)
-             for i in range(k, top + 1)]
-    _check_shift(qhat, k, base, _FAR_ROW)
-    row_k = rows[k - 1]  # columns from 0: k - 1 is mode k, k is mode k + 1
-    reach = max(row_k, default=k - 1) + 1 - k
-    if reach > 1:
-        raise TailUnproved("tail reach > 1",
-                           f"{qhat.name}: row {k} climbs {reach} rungs; its law has no one ratio")
-    climb = row_k.get(k, 0.0)
-    if climb == 0.0:
-        raise ValueError(f"{qhat.name}: no row enters mode {top + 1}; "
-                         "the generator is not irreducible")
-    ratio = climb / sum(row_k.values())
-    if ratio == 0.0:  # a ratio of 0 marks a truncation's law
-        raise ValueError(f"{qhat.name}: row {k} climbs at {climb!r}, a tail ratio that rounds to 0")
-    if ratio >= 1.0:
-        raise TailUnproved("tail ratio >= 1",
-                           f"{qhat.name}: row {k} never returns below mode {k}")
+
+def exact_law(qhat: SparseGenerator) -> StationaryDist:
+    """Exact stationary law of a finite generator, from its rows, or of an
+    infinite one that declares ``repeats_from`` K, from rows 1..K' and a
+    spot check of one far row (module docstring).  It holds no nu when row
+    K climbs more than one rung (reason ``"tail reach > 1"``) or never
+    returns below K (``"tail ratio >= 1"``), or when K' > 1,000 (``"head
+    size > 1000"``).  Raises ``ValueError`` when an infinite generator
+    declares no repeat point, a row breaks the declaration or its rates
+    total more than a double holds, or the chain is not irreducible."""
+    k, top = qhat.repeats_from, qhat.n_modes
+    if top is not None:  # every row, lumped as a truncation at top lumps them
+        rows = [_lumped_row(i, qhat.row(i), top) for i in range(1, top + 1)]
+    elif k is None:
+        raise ValueError(f"{qhat.name}: an infinite generator needs repeats_from for an exact law")
+    else:
+        base = qhat.row(k)
+        no_bound = sys.maxsize  # _lumped_row then validates rows and lumps nothing
+        rows = [_lumped_row(i, qhat.row(i), no_bound) for i in range(1, k)]
+        top = max([k] + [j + 1 for row in rows for j in row])  # K'
+        rows += [_lumped_row(i, base if i == k else _check_shift(qhat, k, base, i), no_bound)
+                 for i in range(k, top + 1)]
+        _check_shift(qhat, k, base, _FAR_ROW)
+    totals = [sum(row.values()) for row in rows]
+    if np.inf in totals:  # each rate is finite and nonnegative: only a sum overflows
+        raise ValueError(f"{qhat.name}: the rates of row {totals.index(np.inf) + 1} total inf")
+    ratio, returns = 0.0, {}
+    if qhat.n_modes is None:
+        row_k = rows[k - 1]  # columns from 0: k - 1 is mode k, k is mode k + 1
+        reach = max(row_k, default=k - 1) + 1 - k
+        if reach > 1:
+            return StationaryDist(np.zeros(0), np.nan, 0, reason="tail reach > 1")
+        climb = row_k.get(k, 0.0)
+        if climb == 0.0:
+            raise ValueError(f"{qhat.name}: no row enters mode {top + 1}; "
+                             "the generator is not irreducible")
+        ratio = climb / totals[k - 1]
+        if ratio == 0.0:  # the law would leave every mode past K' without mass
+            raise ValueError(f"{qhat.name}: row {k} climbs at {climb!r}, "
+                             "a tail ratio that rounds to 0")
+        if ratio >= 1.0:
+            return StationaryDist(np.zeros(0), np.nan, 0, reason="tail ratio >= 1")
+        returns = {j: rate for j, rate in row_k.items() if j < k - 1}  # where the tail returns
+    # the tail returns where row K' does, so the head's links decide irreducibility
+    if not _irreducible([[j for j in row if j < top] for row in rows]):
+        raise ValueError(f"{qhat.name}: the generator is not irreducible")
+    if top > _HEAD_CAP:
+        return StationaryDist(np.zeros(0), np.nan, 0, reason=f"head size > {_HEAD_CAP}")
     q = np.zeros((top, top))
     for i, row in enumerate(rows):
         for j, rate in row.items():
             if j < top:  # the climb out of mode K' enters the tail
                 q[i, j] = rate
-        q[i, i] = -sum(row.values())
-    # the tail returns where row K' does, so the head's links decide
-    # irreducibility; reach holds the pairs joined by at most span links
-    reach, span = (q != 0.0) | np.eye(top, dtype=bool), 1
-    while span < top - 1:
-        reach, span = reach @ reach, 2 * span
-    if not reach.all():
-        raise ValueError(f"{qhat.name}: the generator is not irreducible")
+        q[i, i] = -totals[i]
     back = ratio / (1.0 - ratio)  # sum over the tail of nu_j / nu_K'
-    q[top - 1, : k - 1] += back * np.array([row_k.get(j, 0.0) for j in range(k - 1)])
+    for j, rate in returns.items():
+        q[top - 1, j] += back * rate
     # balance equations nu q = 0, the first replaced by total mass 1
     system = q.T.copy()
     system[0] = 1.0
     system[0, -1] += back
     inv = np.linalg.inv(system)
-    head = inv[:, 0].copy()
-    if head.min() <= 0.0:
-        raise ValueError(f"{qhat.name}: head solve produced nonpositive mass {head.min():.3e}")
+    head = inv[:, 0] + 0.0  # a copy, masses that underflow to -0.0 read as 0.0
+    if not head.min() >= 0.0:  # written so that NaN fails
+        raise ValueError(f"{qhat.name}: head solve produced negative mass {head.min():.3e}")
     res = system @ head
     res[0] -= 1.0
     # the residual as computed, widened by its own rounding and by that of
@@ -393,7 +408,8 @@ def geometric_law(qhat: SparseGenerator) -> StationaryDist:
     loose[0] += gamma
     error = float((np.abs(inv) @ loose).sum() / (1.0 - ratio))
     return StationaryDist(nu=head, residual=float(np.abs(res).sum()), truncation=top,
-                          ratio=float(ratio), error=error)
+                          ratio=float(ratio), error=error, reason=None,
+                          source="finite_modes" if qhat.n_modes else "exact_geometric")
 
 
 def convergence_sweep(qhat: SparseGenerator, levels) -> list[dict]:

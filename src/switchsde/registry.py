@@ -204,8 +204,7 @@ def _controlled_scalar(params: dict):
         return out
 
     def rates_row(seg, i):
-        z = seg.value_at(-seg.delay)
-        z = np.sqrt(np.add.reduce(z * z, axis=-1))  # np.linalg.norm's bits, without its wrapper
+        z = np.abs(seg.value_at(-seg.delay)[..., 0])  # sqrt(z * z) overflows past 1.3e154
         return dict.fromkeys(_ladder_targets(i), z / (c_rate(i) + z))
 
     spec = ModelSpec(

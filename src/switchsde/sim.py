@@ -518,7 +518,7 @@ class BatchEnsemble:
 
     def _invalidate(self) -> None:
         """Forget the plan and everything built on it."""
-        self._order = self._groups = self._classes = self._coef = None
+        self._order = self._groups = self._classes = self._coef = self._by_mode = None
 
     def groups(self) -> list:
         """Mode groups of the current plan, ascending in mode, without blown-up paths.
@@ -538,6 +538,13 @@ class BatchEnsemble:
                 (int(modes[a]), order[a:b], slice(a, b)) for a, b in zip(cuts, cuts[1:])
             ]
         return self._groups
+
+    def mode_paths(self) -> dict:
+        """Each occupied mode's live paths, ascending, by mask: no sort; kept with the plan."""
+        if self._by_mode is None:
+            live = np.where(self.blown, 0, self.modes)  # modes count from 1: 0 is a blown path
+            self._by_mode = {v: np.flatnonzero(live == v) for v in set(live.tolist()) - {0}}
+        return self._by_mode
 
     def coefficients(self) -> tuple:
         """States, drifts and diffusions of every live path in the order of

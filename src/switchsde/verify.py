@@ -269,8 +269,8 @@ def _snapshot(e: BatchEnsemble, with_hist: bool, first: bool) -> tuple:
     paths = e._plan()[0]
     pushed = None if not with_hist else e.history() if first else e.x.copy()
     tables = None
-    if e.model.rates_depend_on_path:
-        tables = {v: e.rate_table(group, v) for v, group, _ in e.groups()}
+    if e.model.rates_depend_on_path:  # in path order within a mode, as the plan holds them
+        tables = {v: e.rate_table(group, v) for v, group in e.mode_paths().items()}
     modes = e.modes.copy() if paths is None else e.modes[paths]
     return (paths, modes, tables, *e.coefficients(), pushed)
 

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import eigh, null_space
 from scipy.optimize import minimize
 
-from switchsde.chain import StationaryDist, TailUnproved
+from switchsde.chain import StationaryDist
 from switchsde.segment import Segment
 from switchsde.sim import BatchEnsemble, _check_total, simulate
 from switchsde.verify import _collect, _generator, _Trapezoid, _values, apply_generator
@@ -194,11 +194,11 @@ def _extend(head: np.ndarray, n: int) -> np.ndarray:
 
 
 def exact_terms(law, head: np.ndarray) -> dict:
-    """Certificate terms on an exact law (``ratio`` > 0) or a
-    :class:`TailUnproved`: the weighted sum over every mode in closed form,
-    with nu and c written out to at least 12 modes; ``unproved`` is the
-    reason a certificate then gives, None when the tail is proved."""
-    if isinstance(law, TailUnproved):
+    """Certificate terms on an exact law (``ratio`` > 0) or on a declared
+    tail without one (no nu): the weighted sum over every mode in closed
+    form, with nu and c written out to at least 12 modes; ``unproved`` is
+    the reason a certificate then gives, None when the tail is proved."""
+    if not law.nu.size:
         nan = float("nan")
         return dict(per_mode_c=head, nu=StationaryDist(np.zeros(0), nan, 0), partial_sum=nan,
                     tail_bound=np.inf, rounding_bound=nan, tail_mass=np.inf,
@@ -216,17 +216,20 @@ def exact_terms(law, head: np.ndarray) -> dict:
 
 
 def truncated_terms(lin, law, head: np.ndarray) -> dict:
-    """Certificate terms on the law of a truncation to modes 1..N: the
-    weighted sum over modes 1..N; no mode lies beyond N on a finite chain,
-    and on an infinite one nothing bounds the mass beyond N."""
+    """Certificate terms on the law of modes 1..N: the weighted sum over
+    modes 1..N; no mode lies beyond N on a finite chain, whose law carries
+    the error bound of its solve, and on an infinite one nothing bounds the
+    mass beyond N."""
     n = law.truncation
     costs = _extend(head, n)
+    rounding = _gamma(n) * (law.nu @ np.abs(costs))
     if n == lin.qhat.n_modes:
         left_out, source, unproved = 0.0, "finite_modes", None
+        rounding += np.max(np.abs(costs)) * law.error
     else:
         left_out, source, unproved = np.inf, "unproved", "tail unproved"
     return dict(per_mode_c=costs, nu=law, partial_sum=float(law.nu @ costs),
-                tail_bound=left_out, rounding_bound=float(_gamma(n) * (law.nu @ np.abs(costs))),
+                tail_bound=left_out, rounding_bound=float(rounding),
                 tail_mass=left_out, tail_mass_source=source, unproved=unproved)
 
 

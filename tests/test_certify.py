@@ -480,14 +480,15 @@ def test_to_dict_is_json_ready():
 
 
 def test_a_truncated_row_off_zero_raises():
-    # every truncated law, also one a caller passes in, comes from
-    # stationary, which checks what the qhat_conservative flag reports:
-    # rates whose total overflows leave a row sum of -inf + inf
+    # every law, also a truncated one a caller passes in, comes from
+    # exact_law or stationary, which check what the qhat_conservative flag
+    # reports: rates whose total overflows are refused by row, and leave a
+    # truncated row sum of -inf + inf
     qhat = SparseGenerator(lambda i: {j: 1e308 for j in (1, 2, 3) if j != i}, rate_bound=1.0,
                            name="huge", n_modes=3)
     lin = replace(undeclared(ou_lin()), qhat=qhat)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="a truncated row sums to nan, not 0"):
+        with pytest.raises(ValueError, match="huge: the rates of row 1 total inf"):
             certify_recurrence(lin, 3)
         with pytest.raises(ValueError, match="a truncated row sums to nan, not 0"):
             stationary(truncate(qhat, 3))

@@ -10,6 +10,7 @@ from oracles import ladder_nu, nullspace_stationary, ou_family_nu
 from switchsde.chain import (
     SparseGenerator,
     convergence_sweep,
+    exact_law,
     stationary,
     truncate,
 )
@@ -190,6 +191,8 @@ def test_stationary_rejects_reducible():
     gen = SparseGenerator.from_triplets([(1, 2, 1.0), (3, 4, 1.0), (4, 3, 1.0), (2, 1, 1.0)])
     with pytest.raises(ValueError):
         stationary(truncate(gen, 4))
+    with pytest.raises(ValueError, match="the generator is not irreducible"):
+        exact_law(gen)  # the finite chain's exact law, as a certificate solves it
 
 
 def test_convergence_sweep_reports_decreasing_change():

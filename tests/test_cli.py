@@ -321,7 +321,7 @@ def test_stabilize_solves_the_stationary_law_once(tmp_path, monkeypatch):
     import switchsde.cli
 
     sizes, exact = [], []
-    solve, law = switchsde.chain.stationary, switchsde.certify.geometric_law
+    solve, law = switchsde.chain.stationary, switchsde.certify.exact_law
 
     def counting(tg):
         sizes.append(tg.size)
@@ -333,7 +333,7 @@ def test_stabilize_solves_the_stationary_law_once(tmp_path, monkeypatch):
 
     for module in (switchsde.chain, switchsde.certify, switchsde.cli):
         monkeypatch.setattr(module, "stationary", counting)
-    monkeypatch.setattr(switchsde.certify, "geometric_law", counting_law)
+    monkeypatch.setattr(switchsde.certify, "exact_law", counting_law)
     open_loop = scalar_config(tmp_path, 0.0)
     # the ladder declares its repeat point: one exact law and no truncation
     assert main(["stabilize", "--model", open_loop, "--out", str(tmp_path / "e")]) == 0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -30,17 +31,11 @@ from switchsde.certify import (
     search_gain,
     solve_law,
 )
-from switchsde.chain import (
-    SparseGenerator,
-    StationaryDist,
-    TailUnproved,
-    geometric_law,
-    stationary,
-    truncate,
-)
+from switchsde.chain import SparseGenerator, exact_law, stationary, truncate
 from switchsde.cli import main
 from switchsde.config import load_model_config
 from switchsde.model import Linearization
+from switchsde.registry import registry_get
 from test_certify import cert_bytes, ou_lin, truncating, undeclared
 from test_chain import return_ladder, two_base_ladder
 
@@ -59,7 +54,7 @@ def test_exact_law_matches_fraction_closed_forms():
          lambda j: Fraction(1, 3) if j < 3 else 2 * Fraction(1, 3) ** (j - 1)),
         (return_ladder(repeats_from=2), Fraction(1, 2), lambda j: Fraction(1, 2) ** j),
     ):
-        law = geometric_law(gen)
+        law = exact_law(gen)
         assert law.ratio == float(rho)
         head, exact_rho = rational_geometric_law(gen.row, gen.repeats_from)
         assert exact_rho == rho
@@ -67,9 +62,9 @@ def test_exact_law_matches_fraction_closed_forms():
         for j, v in enumerate(law.extend(60), start=1):
             assert close(v, closed(j), ulps=j + 4), j  # a power of the rounded ratio
     # the float closed forms of the oracles agree
-    assert geometric_law(two_base_ladder(repeats_from=3)).extend(20) == pytest.approx(
+    assert exact_law(two_base_ladder(repeats_from=3)).extend(20) == pytest.approx(
         [ou_family_nu(j) for j in range(1, 21)], rel=1e-15)
-    assert geometric_law(return_ladder(repeats_from=2)).extend(20) == pytest.approx(
+    assert exact_law(return_ladder(repeats_from=2)).extend(20) == pytest.approx(
         [ladder_nu(j) for j in range(1, 21)], rel=1e-15)
 
 
@@ -79,7 +74,7 @@ def test_truncated_head_converges_to_the_exact_head():
     # law on modes 1..N-1 and the exact mass of modes N, N+1, ... at N, so
     # it converges to the exact law in l1 as twice that mass
     for make, k in ((two_base_ladder, 3), (return_ladder, 2)):
-        exact = geometric_law(make(repeats_from=k)).extend(64)
+        exact = exact_law(make(repeats_from=k)).extend(64)
         gaps = []
         for n in (10, 20, 40):
             nu = stationary(truncate(make(), n)).nu
@@ -138,11 +133,11 @@ def test_exact_law_on_random_one_rung_generators(lin):
     assert cert_bytes(certs[0]) == cert_bytes(certs[1]) == cert_bytes(certs[2])
     cert = certs[0]
     if qhat.repeats_from == 1:  # nothing returns below mode 1: the chain runs off
-        with pytest.raises(TailUnproved, match="never returns"):
-            geometric_law(qhat)
+        law = exact_law(qhat)
+        assert (law.source, law.reason, law.nu.size) == ("unproved", "tail ratio >= 1", 0)
         assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "tail ratio >= 1")
         return
-    law = geometric_law(qhat)
+    law = exact_law(qhat)
     head, rho = rational_geometric_law(qhat.row, qhat.repeats_from)
     assert law.ratio == float(rho) and law.truncation == len(head)
     m = law.truncation + 40
@@ -188,7 +183,7 @@ def test_shipped_declared_families_read_their_closed_forms(tmp_path):
         assert len(runs) == 1, name
         doc = json.loads(runs.pop())
         assert doc["tail_mass_source"] == "exact_geometric"
-        assert doc["truncation"] == geometric_law(lin.qhat).truncation
+        assert doc["truncation"] == exact_law(lin.qhat).truncation
         assert len(doc["nu_head"]) == len(doc["per_mode_c"]) == 12
 
 
@@ -231,9 +226,8 @@ def test_tails_without_one_ratio_are_inconclusive():
     two_rungs = {1: 1.0, 4: 1.0, 5: 1.0}  # climbs one and two rungs
     for base, reason in ((two_rungs, "tail reach > 1"), ({4: 1.0}, "tail ratio >= 1")):
         qhat = SparseGenerator(bad_tail(base), rate_bound=3.0, repeats_from=3)
-        with pytest.raises(TailUnproved) as info:
-            geometric_law(qhat)
-        assert info.value.reason == reason
+        law = exact_law(qhat)
+        assert (law.source, law.reason, law.nu.size) == ("unproved", reason, 0)
         lin = replace(ou_lin(), qhat=qhat)
         cert = certify_recurrence(lin, 30)
         assert (cert.verdict, cert.reason) == (INCONCLUSIVE, reason)
@@ -250,31 +244,31 @@ def test_broken_repeat_promise_raises_as_in_truncate():
     # a head row: the two-base rows repeat from 3, not 2
     with pytest.raises(ValueError, match="row 3 is not row 2 shifted by 1; "
                                          "repeats_from=2 does not hold"):
-        geometric_law(two_base_ladder(repeats_from=2))
+        exact_law(two_base_ladder(repeats_from=2))
 
     def drifting(i):  # the climb rate changes from mode 50 on
         return {2: 1.0} if i == 1 else {1: 1.0, i + 1: 1.0 if i < 50 else 2.0}
 
     gen = SparseGenerator(drifting, rate_bound=3.0, repeats_from=2)
     with pytest.raises(ValueError, match=r"row \d+ is not row 2 shifted"):
-        geometric_law(gen)
+        exact_law(gen)
     with pytest.raises(ValueError, match="does not hold"):
         certify_recurrence(replace(ou_lin(), qhat=gen), 30)
-    # a finite or undeclared generator has no geometric law
-    with pytest.raises(ValueError, match="infinite generator"):
-        geometric_law(return_ladder())
+    # an undeclared infinite generator has no exact law
+    with pytest.raises(ValueError, match="infinite generator needs repeats_from"):
+        exact_law(return_ladder())
 
 
 def test_reducible_declared_generators_raise():
     for row, match in (
         (lambda i: {} if i == 1 else {1: 1.0, i + 1: 1.0}, "not irreducible"),  # 1 absorbs
         (lambda i: {2: 1.0} if i == 1 else {1: 1.0}, "no row enters mode 3"),
-        # a climb so slow that its ratio rounds to 0, which marks a truncation
+        # a climb so slow that its ratio rounds to 0: no mode past K' would weigh anything
         (lambda i: {2: 1.0} if i == 1 else {1: 4.0, i + 1: 5e-324},
          "row 2 climbs at 5e-324, a tail ratio that rounds to 0"),
     ):
         with pytest.raises(ValueError, match=match):
-            geometric_law(SparseGenerator(row, rate_bound=4.0, repeats_from=2))
+            exact_law(SparseGenerator(row, rate_bound=4.0, repeats_from=2))
 
 
 @st.composite
@@ -309,11 +303,11 @@ def test_head_matrix_decides_irreducibility_as_the_walk(case):
     top = max([k] + [j for r in head for j in r])  # K'
     walk = strongly_connected([{j - 1: r for j, r in row(i).items()} for i in range(1, top + 1)])
     if walk:
-        law = geometric_law(qhat)
+        law = exact_law(qhat)
         assert law.truncation == top and law.nu.min() > 0.0
     else:
         with pytest.raises(ValueError, match="the generator is not irreducible"):
-            geometric_law(qhat)
+            exact_law(qhat)
 
 
 def test_undeclared_tail_without_decay_is_unproved():
@@ -417,8 +411,8 @@ def test_one_weighing_matches_the_two_reference_builders(case):
         ref = truncated_terms(lin, law, np.array(costs))
     else:
         head = np.array(costs[: lin.repeats_from])
-        ref = (truncated_terms(lin, law, head) if isinstance(law, StationaryDist)
-               and not law.ratio else exact_terms(law, head))
+        ref = (exact_terms(law, head) if law.source == "exact_geometric" or not law.nu.size
+               else truncated_terms(lin, law, head))
     assert same_bits(cert.per_mode_c, ref["per_mode_c"])
     assert same_bits(cert.nu.nu, ref["nu"].nu)
     assert same_bits(cert.nu.residual, ref["nu"].residual)
@@ -428,3 +422,136 @@ def test_one_weighing_matches_the_two_reference_builders(case):
     assert cert.tail_mass_source == ref["tail_mass_source"]
     assert ref["unproved"] is None or cert.reason == ref["unproved"]
     assert cert.verdict == INCONCLUSIVE or ref["unproved"] is None
+
+
+# once CERTIFIED, its law's solve error entering no bound: partial sum
+# -2.47e-12 and rounding bound 4.4e-16 on an exact sum of +9.7e-17
+ONCE_CERTIFIED = SparseGenerator.from_triplets([(1, 2, 1.7345e-5), (2, 1, 0.57206)],
+                                               name="two_modes")
+
+
+@st.composite
+def wide_rate_chains(draw):
+    """An irreducible finite generator on modes 1..n, n in 2..8, with rates
+    10^U(-6, 6): a cycle through every mode plus random jumps."""
+    n = draw(st.integers(2, 8))
+    rate = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+    rows = {i: {i % n + 1: draw(rate)} for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        for j in draw(st.lists(st.integers(1, n).filter(lambda j, i=i: j != i), max_size=2)):
+            rows[i][j] = rows[i].get(j, 0.0) + draw(rate)
+    bound = max(sum(r.values()) for r in rows.values())
+    return SparseGenerator(lambda i: dict(rows[i]), rate_bound=bound, name="wide", n_modes=n)
+
+
+def at_the_sign_boundary(qhat):
+    """(linearization, exact law, exact sum): costs -1 at mode 1, at mode 2
+    the smallest double that makes the sum under the chain's exact law
+    nonnegative, and 0 elsewhere."""
+    nu = rational_stationary(qhat.row, qhat.n_modes)
+    x = float(nu[0] / nu[1])
+    while nu[1] * Fraction(x) < nu[0]:
+        x = math.nextafter(x, math.inf)
+    while nu[1] * Fraction(math.nextafter(x, -math.inf)) >= nu[0]:
+        x = math.nextafter(x, -math.inf)
+    costs = [-1.0, x] + [0.0] * (qhat.n_modes - 2)
+    lin = Linearization(b_mat=lambda i: np.array([[costs[i - 1]]]),
+                        sigma_mats=lambda i: [np.zeros((1, 1))], qhat=qhat,
+                        coeff_bound=max(1.0, x))
+    return lin, nu, nu[1] * Fraction(x) - nu[0]
+
+
+def test_the_two_mode_chain_once_certified_is_inconclusive():
+    lin, _, exact_sum = at_the_sign_boundary(ONCE_CERTIFIED)
+    assert 0 <= exact_sum < 1e-16
+    cert = certify_recurrence(lin, 2, margin_frac=0.0)
+    assert (cert.verdict, cert.reason, cert.tail_mass_source) == (
+        INCONCLUSIVE, "partial sum >= 0", "finite_modes")
+    assert abs(Fraction(cert.partial_sum) - exact_sum) <= Fraction(cert.rounding_bound) < 1e-10
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(wide_rate_chains())
+@example(ONCE_CERTIFIED)
+def test_no_finite_chain_certifies_a_sum_at_the_sign_boundary(qhat):
+    # the law's error bound covers its l1 distance to the exact law, and
+    # the rounding bound the partial sum's distance to the exact sum, which
+    # is nonnegative: no certificate may read CERTIFIED
+    lin, nu, exact_sum = at_the_sign_boundary(qhat)
+    cert = certify_recurrence(lin, 2, margin_frac=0.0)
+    law = cert.nu
+    assert (law.source, law.truncation, cert.tail_bound) == ("finite_modes", qhat.n_modes, 0.0)
+    assert sum(abs(Fraction(v) - e) for v, e in zip(law.nu, nu)) <= law.error
+    assert abs(Fraction(cert.partial_sum) - exact_sum) <= Fraction(cert.rounding_bound)
+    assert cert.verdict == INCONCLUSIVE
+
+
+def test_predator_prey_reads_its_exact_law_to_rounding():
+    lin = load_model_config(str(CONFIG_DIR / "predator_prey.json")).lin
+    law = solve_law(lin, 2)
+    exact = rational_stationary(lin.qhat.row, lin.qhat.n_modes)
+    assert (law.source, law.truncation, law.reason) == ("finite_modes", 50, None)
+    assert law.nu.min() > 0.0
+    assert all(abs(Fraction(v) - e) <= 1e-15 * e for v, e in zip(law.nu, exact))
+    assert sum(abs(Fraction(v) - e) for v, e in zip(law.nu, exact)) <= law.error < 1e-12
+
+
+def test_overflowing_row_totals_are_refused_by_row():
+    # rows 1 and 2 each hold two rates of 1e308; their law was once
+    # nu = (nan, 0, -0) with a NaN error, reported as conservative
+    def row(i):
+        return {j: 1e308 for j in (1, 2, 3) if j != i} if i < 3 else {1: 1.0, i + 1: 1.0}
+
+    qhat = SparseGenerator(row, rate_bound=1.0, name="huge", repeats_from=3)
+    with pytest.raises(ValueError, match="huge: the rates of row 1 total inf"):
+        exact_law(qhat)
+    with pytest.raises(ValueError, match="huge: the rates of row 1 total inf"):
+        certify_recurrence(replace(ou_lin(), qhat=qhat), 30)
+
+
+def test_a_head_over_the_cap_is_unproved_without_a_dense_solve(monkeypatch):
+    def cycle(n):
+        lin = Linearization(b_mat=lambda i: np.array([[-1.0]]),
+                            sigma_mats=lambda i: [np.zeros((1, 1))],
+                            qhat=SparseGenerator(lambda i: {i % n + 1: 1.0}, rate_bound=1.0,
+                                                 name="cycle", n_modes=n),
+                            coeff_bound=1.0, repeats_from=1)
+        return certify_recurrence(lin, 2)
+
+    def refused(a):
+        raise AssertionError("a dense solve above the cap")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "inv", refused)
+        start = time.perf_counter()
+        cert = cycle(1001)
+        assert time.perf_counter() - start < 0.5
+    assert (cert.verdict, cert.reason, cert.tail_mass_source) == (
+        INCONCLUSIVE, "head size > 1000", "unproved")
+    assert cert.to_dict()["nu_head"] == [] and math.isnan(cert.partial_sum)
+    cert = cycle(1000)  # one mode fewer is solved: nu_i = 1/1000
+    assert (cert.verdict, cert.tail_mass_source) == ("CERTIFIED", "finite_modes")
+    start = time.perf_counter()
+    cert = certify_recurrence(registry_get("predator_prey", {"n_max": 500})[1], 2)
+    assert time.perf_counter() - start < 1.0
+    assert (cert.tail_mass_source, cert.nu.truncation) == ("finite_modes", 500)
+
+
+def test_only_an_undeclared_infinite_chain_is_truncated(monkeypatch):
+    import switchsde.certify
+
+    sizes, solve = [], switchsde.certify.stationary
+
+    def counting(tg):
+        sizes.append(tg.size)
+        return solve(tg)
+
+    monkeypatch.setattr(switchsde.certify, "stationary", counting)
+    ring = [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 2.0)]
+    for lin in (registry_get("predator_prey", {})[1],
+                registry_get("linear_2d", {"qhat": ring})[1]):
+        for n in (2, 30, 100_000):
+            assert certify_recurrence(lin, n).tail_mass_source == "finite_modes"
+    assert sizes == []
+    assert certify_recurrence(undeclared(ou_lin()), 30).reason == "tail unproved"
+    assert sizes == [30]

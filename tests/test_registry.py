@@ -131,6 +131,31 @@ def test_controlled_scalar_rates_read_oldest_point():
     assert spec.rates_row(seg, 1) == {2: z / (1.0 + z)}
 
 
+# |z| from the square root of the smallest normal double to that of the
+# largest double: the range where z * z is a normal double
+NORMAL_SQUARES = st.floats(2.0**-511, 1.3e154)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(NORMAL_SQUARES, st.booleans()), min_size=1, max_size=4),
+       st.integers(1, 4))
+def test_controlled_scalar_rates_keep_the_bits_of_the_square_root(zs, i):
+    # |z| was once taken as sqrt(z * z), which overflows past about 1.3e154;
+    # wherever z * z is a normal double the two agree bit for bit
+    spec, _ = registry_get("controlled_scalar", {"c": [0.5, 1.0, 3.0]})
+    z = np.array([-v if neg else v for v, neg in zs])
+    ref = np.sqrt(z * z)
+    want = ref / ([0.5, 1.0, 3.0][min(i, 3) - 1] + ref)
+    dt, m = spec.delay / 8.0, 9
+    ring = np.repeat(z[None, :, None], m, axis=0)
+    view = SegmentBatch(ring, 0, np.arange(z.size), spec.delay, dt)
+    for rate in spec.rates_row(view, i).values():
+        assert rate.tobytes() == want.tobytes()
+    for p, v in enumerate(z):
+        for rate in spec.rates_row(Segment.make_constant([v], spec.delay, dt), i).values():
+            assert np.float64(rate).tobytes() == want[p].tobytes()
+
+
 def test_controlled_scalar_control_only_on_declared_modes():
     spec, lin = registry_get(
         "controlled_scalar",

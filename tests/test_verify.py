@@ -382,10 +382,9 @@ def test_coupling_and_occupation_need_a_start():
 
 
 def test_norms_are_the_bytes_of_linalg_norm():
-    # the estimators' stop and bin norms, the linear_2d drift and the
-    # controlled_scalar rates take numpy's own code path of np.linalg.norm
-    # without its wrapper: the same bytes on 0, subnormals, 1e200 (whose
-    # square overflows to inf) and NaN
+    # the estimators' stop and bin norms and the linear_2d drift take
+    # numpy's own code path of np.linalg.norm without its wrapper: the same
+    # bytes on 0, subnormals, 1e200 (whose square overflows to inf) and NaN
     cases = [0.0, 5e-324, -2.5e-310, 1e200, math.nan, 3.0]
     x = np.array([[a, b] for a in cases for b in cases])
     with np.errstate(over="ignore", invalid="ignore"):  # inf / inf in the rates
@@ -397,10 +396,15 @@ def test_norms_are_the_bytes_of_linalg_norm():
         want = x @ b_mat.T + a_vec / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
         assert spec.drift(x, 1).tobytes() == want.tobytes()
 
+        # the controlled_scalar rates take |z| itself, which has the norm's
+        # bytes wherever z * z is 0 or a normal double (0 and 3 here); the
+        # norm of 1e200 overflows, and the rate was then NaN
         spec, _ = registry_get("controlled_scalar", {"c": 2.0})
         for v in filter(math.isfinite, cases):  # a window holds finite samples
             seg = Segment.make_constant([v], spec.delay, spec.delay / 4)
-            z = np.linalg.norm(seg.value_at(-seg.delay), axis=-1)
+            z = np.abs(seg.value_at(-seg.delay)[0])
+            if v in (0.0, 3.0):
+                assert z.tobytes() == np.linalg.norm(seg.value_at(-seg.delay)).tobytes()
             got = spec.rates_row(seg, 2)
             assert [np.asarray(r).tobytes() for r in got.values()] == [
                 np.asarray(z / (2.0 + z)).tobytes()] * len(got)
@@ -1148,6 +1152,27 @@ def test_one_class_dynkin_run_builds_no_mode_group_plan(monkeypatch):
     assert blocks == 4 and len(sorts) <= blocks + 1
 
 
+def test_declared_dynkin_snapshots_read_rates_without_the_plan(monkeypatch):
+    # controlled_scalar's rates read the history and it declares
+    # mode_arrays: each snapshot reads its occupied modes' rate tables by
+    # mask, in path order, so no step sorts the paths by mode (a 16-path run
+    # once sorted 73 times).  One sort per block groups its rows and one
+    # more groups the final states for V(X_t)
+    spec = load_model_config(str(CONFIG_DIR / "controlled_scalar.json")).spec
+    assert spec.rates_depend_on_path and spec.mode_arrays
+    sorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
+    dt, n_paths = 1.0 / 16, 16
+    phi0 = Segment.make_constant([1.0], spec.delay, dt)
+    cfg = SimConfig(dt=dt, horizon=8.0, seed=1)
+    for budget, blocks in ((switchsde.verify._BLOCK_ROWS, 1), (16 * n_paths, 8)):
+        sorts.clear()
+        with mock.patch.object(switchsde.verify, "_BLOCK_ROWS", budget):
+            est = dynkin_residual(QUAD, spec, phi0, 1, 8.0, cfg, n_paths)
+        assert est.n_samples == n_paths
+        assert blocks == math.ceil(128 / (budget // n_paths)) and len(sorts) <= blocks + 1
+
+
 def test_dynkin_block_memory_does_not_grow_with_the_mode():
     # the block pass groups its rows by sorting them, so no table spans the
     # modes: a start mode of 10^5 on switched_ou, whose rates read the
@@ -1305,3 +1330,19 @@ def test_sojourn_counts_equal_the_per_step_count(scheme, switching):
     # blown before burn-in, in step 17, in the last step, and never
     assert {0, 7, 29, 30} <= set(want[1].tolist())
     assert (want[0].sum(axis=1) < want[1]).any() == bool(switching)  # time in mode 3
+
+
+def test_controlled_scalar_runs_past_the_square_root_of_the_largest_double():
+    # |z| was once sqrt(z * z), which overflows past about 1.3e154: the
+    # rates turned NaN and the run raised "rates out of mode 3 total nan".
+    # By t = 30 the states pass 1e295; by t = 40 every path has overflowed,
+    # and its fractions are over the steps it completed
+    spec, _ = registry_get("controlled_scalar", {"A": 50.0})
+    phi = Segment.make_constant([1.0], spec.delay, 1 / 16)
+    for horizon, blown in ((30.0, 0), (40.0, 4)):
+        cfg = SimConfig(dt=1 / 16, horizon=horizon, seed=1)
+        means, _ = occupation_fractions(spec, phi, 1, cfg, 4, [1, 2, 3])
+        assert np.isfinite(means).all() and 0.0 < means.sum() <= 1.0
+        engine = BatchEnsemble(spec, phi, 1, cfg, 4)
+        engine.run(int(horizon * 16))
+        assert engine.blown.sum() == blown, horizon
