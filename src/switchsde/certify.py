@@ -16,12 +16,14 @@ the law names where the bound on the mass it leaves out
   every mode has a closed form, nothing is left out and N plays no part;
 * ``"finite_modes"`` when ``qhat`` declares a finite mode count: the same
   head solve over the whole chain, with no tail, whatever N;
-* ``"unproved"`` on a truncation of an infinite chain to modes 1..N (also
-  on a caller's truncated ``law``, even at the mode count of a finite
-  chain): nothing bounds the mass beyond N or the truncation's solve
-  error, so the tail bound is infinite, the reason ``"tail unproved"`` and
-  the partial sum over modes 1..N is reported only as a diagnostic; and
-  on an exact law that could not be solved, which gives its own reason.
+* ``"unproved"`` on a truncation of an infinite chain to modes 1..N:
+  nothing bounds the mass beyond N or the truncation's solve error, so
+  the tail bound is infinite, the reason ``"tail unproved"`` and the
+  partial sum over modes 1..N is reported only as a diagnostic; and on an
+  exact law that could not be solved, which gives its own reason.
+
+N thus changes a certificate only when ``qhat`` is infinite and either
+repeat point is undeclared.
 
 Both exact laws carry their head solve's error bound into ``rounding_bound``.
 
@@ -29,14 +31,13 @@ The stabilization variant first closes the loop on the controllable modes
 with linear state feedback u = -L(i) x.
 
 ``_parts`` builds every certificate and ``_certify`` weighs it.  ``_parts``
-resolves the level and the law (solves it, or checks a caller's ``law``
-against the level) and builds the closed-loop drifts of modes 1..D and
-their gain-free noise part: D is N, or max(K, largest controllable mode
-+ 1) when the linearization declares ``repeats_from`` K, as every mode
-beyond costs c_D, so the per-mode work does not grow with N, and the
-coefficient probe covers every mode, also those beyond N.  A gain moves
-only the controllable drifts, so ``search_gain`` resolves the law and
-builds the noise part once per search.
+resolves the level, solves the law and builds the closed-loop drifts of
+modes 1..D and their gain-free noise part: D is N, or max(K, largest
+controllable mode + 1) when the linearization declares ``repeats_from``
+K, as every mode beyond costs c_D, so the per-mode work does not grow
+with N, and the coefficient probe covers every mode, also those beyond N.  A gain moves
+only the controllable drifts, so ``search_gain`` solves the law and builds
+the noise part once per search.
 
 Two printed forms of the stabilization cost are kept side by side and
 selected with ``form``: ``thm37`` substitutes the closed-loop drift into
@@ -232,10 +233,10 @@ def per_mode_cost(
 
 def _level(lin: Linearization, n_modes: int) -> int:
     """The truncation level a certificate weighs: every mode of a finite
-    ``qhat``, whatever N, else N.  Raises ``ValueError`` for N < 2."""
-    if not n_modes >= 2:  # written so that NaN fails it
-        raise ValueError(f"n_modes must be at least 2, got {n_modes}")
-    return lin.qhat.n_modes or int(n_modes)
+    ``qhat``, whatever N, else N.  Raises ``ValueError`` unless N is an
+    integer >= 2."""
+    n = _integer("n_modes", n_modes, 2)
+    return lin.qhat.n_modes or n
 
 
 def solve_law(lin: Linearization, n_modes: int) -> StationaryDist:
@@ -278,15 +279,10 @@ def _terms(law: StationaryDist, head: np.ndarray) -> dict:
                 rounding_bound=float(rounding), tail_mass=left_out, tail_mass_source=law.source)
 
 
-def _parts(lin: Linearization, plan: Optional[GainPlan], n_modes: int, form: str,
-           law: Optional[StationaryDist] = None) -> tuple:
+def _parts(lin: Linearization, plan: Optional[GainPlan], n_modes: int, form: str) -> tuple:
     """What one certificate weighs (see the module docstring): its law, the
     closed-loop drifts of modes 1..D under ``plan`` and their noise part."""
-    n = _level(lin, n_modes)
-    if law is None:
-        law = solve_law(lin, n_modes)
-    elif law.nu.size and law.source != "exact_geometric" and law.truncation != n:  # modes 1..N
-        raise ValueError(f"law solved at N={law.truncation}, certificate asks for N={n}")
+    law, n = solve_law(lin, n_modes), _level(lin, n_modes)
     if lin.repeats_from is not None:
         n = max(lin.repeats_from, max(() if plan is None else plan.controllable, default=0) + 1)
     b = _stacks([_effective_drift(lin, i, plan) for i in range(1, n + 1)])
@@ -371,19 +367,12 @@ def certify_stabilization(
     form: str = "thm37",
     margin_frac: float = 0.1,
     extra_flags: Optional[dict] = None,
-    *,
-    law: Optional[StationaryDist] = None,
 ) -> Certificate:
-    """Certify weak stabilizability under the feedback plan.
-
-    ``law`` is what ``solve_law(lin, n_modes)`` returns, or the
-    :func:`~switchsde.chain.stationary` law of the truncation at the level
-    it weighs; a caller that certifies several plans passes it to solve
-    the law once.
-    """
+    """Certify weak stabilizability under the feedback plan, weighed
+    against the law ``solve_law`` picks (module docstring)."""
     return _certify(
         lin,
-        *_parts(lin, plan, n_modes, form, law),
+        *_parts(lin, plan, n_modes, form),
         claim="weak_stabilizability",
         form=form,
         plan=plan,
@@ -400,8 +389,6 @@ def search_gain(
     budget: float = 1024.0,
     form: str = "thm37",
     margin_frac: float = 0.1,
-    *,
-    law: Optional[StationaryDist] = None,
 ) -> Optional[GainPlan]:
     """Scalar gain line search L(i) = g * I over a geometric grid.
 
@@ -410,10 +397,10 @@ def search_gain(
     is CERTIFIED at the requested margin, or None when the budget is
     exhausted.  Each grid point's certificate is the one
     :func:`certify_stabilization` gives for its plan.  The gain enters
-    neither ``qhat`` nor the noise, so the law (solved, or ``law`` checked
-    as there), the noise part and the open-loop drifts are built once per
-    search, and each grid point rebuilds only the drifts of the
-    controllable modes, which are checked again with the rest.
+    neither ``qhat`` nor the noise, so the law, the noise part and the
+    open-loop drifts are built once per search, and each grid point
+    rebuilds only the drifts of the controllable modes, which are checked
+    again with the rest.
     """
     controllable = frozenset(_integer("controllable mode", i) for i in controllable)
     if not controllable:
@@ -421,7 +408,7 @@ def search_gain(
     if not 0.0 <= budget < np.inf:  # an infinite budget would double g forever
         raise ValueError(f"budget must be finite and nonnegative, got {budget}")
     open_loop = GainPlan(controllable, {}, input_mats)
-    law, b0, noise = _parts(lin, open_loop, n_modes, form, law)
+    law, b0, noise = _parts(lin, open_loop, n_modes, form)
     restack = sorted(i for i in controllable if i <= len(b0))
     g = 0.0
     while g <= budget * (1.0 + 1e-12):

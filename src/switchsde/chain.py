@@ -28,7 +28,9 @@ with no tail: K' is its mode count and rho is 0.  The head system is
 solved with numpy, its residual widened by gamma_n (Higham 2002, s. 3.1)
 and carried through the inverse into an error bound; the cost is
 O(K'^3), does not depend on any N and is refused above 1,000 modes.  Two
-graph searches over the head's links, O(links), decide irreducibility.
+graph searches over the head's links, O(links), decide irreducibility,
+before any tail is read; a tail whose row K enters no mode below K never
+returns, so its chain is refused as reducible too.
 """
 
 from __future__ import annotations
@@ -89,8 +91,10 @@ class SparseGenerator:
                              else _integer("repeats_from", repeats_from))
 
     def clamp(self, n: int) -> int:
-        """Truncation level ``n`` capped at the declared mode count."""
-        return int(n) if self.n_modes is None else min(int(n), self.n_modes)
+        """Truncation level ``n``, an integer >= 2, capped at the declared
+        mode count."""
+        n = _integer("n_modes", n, 2)
+        return n if self.n_modes is None else min(n, self.n_modes)
 
     def row(self, i: int) -> dict:
         if i < 1:
@@ -227,8 +231,8 @@ def _shifted_rows(qhat: SparseGenerator, k: int, n: int):
 
 
 def truncate(qhat: SparseGenerator, n_modes: int) -> TruncatedGenerator:
-    """Truncate to modes 1..N, lumping rates beyond N into column N; N is
-    capped at the mode count of a finite generator."""
+    """Truncate to modes 1..N, lumping rates beyond N into column N; N, an
+    integer >= 2, is capped at the mode count of a finite generator."""
     from scipy.sparse import csr_matrix
 
     n = qhat.clamp(n_modes)
@@ -339,11 +343,13 @@ def exact_law(qhat: SparseGenerator) -> StationaryDist:
     """Exact stationary law of a finite generator, from its rows, or of an
     infinite one that declares ``repeats_from`` K, from rows 1..K' and a
     spot check of one far row (module docstring).  It holds no nu when row
-    K climbs more than one rung (reason ``"tail reach > 1"``) or never
-    returns below K (``"tail ratio >= 1"``), or when K' > 1,000 (``"head
-    size > 1000"``).  Raises ``ValueError`` when an infinite generator
-    declares no repeat point, a row breaks the declaration or its rates
-    total more than a double holds, or the chain is not irreducible."""
+    K climbs more than one rung (reason ``"tail reach > 1"``) or returns
+    below K at rates too small to weigh against its climb (``"tail ratio
+    >= 1"``), or when K' > 1,000 (``"head size > 1000"``).  Raises
+    ``ValueError`` when an infinite generator declares no repeat point, a
+    row breaks the declaration or its rates total more than a double
+    holds, or the chain is not irreducible, as it is when row K enters no
+    mode below K."""
     k, top = qhat.repeats_from, qhat.n_modes
     if top is not None:  # every row, lumped as a truncation at top lumps them
         rows = [_lumped_row(i, qhat.row(i), top) for i in range(1, top + 1)]
@@ -360,10 +366,18 @@ def exact_law(qhat: SparseGenerator) -> StationaryDist:
     totals = [sum(row.values()) for row in rows]
     if np.inf in totals:  # each rate is finite and nonnegative: only a sum overflows
         raise ValueError(f"{qhat.name}: the rates of row {totals.index(np.inf) + 1} total inf")
+    # the tail returns where row K' does, so the head's links decide
+    # irreducibility once row K is seen to return below K
+    if not _irreducible([[j for j in row if j < top] for row in rows]):
+        raise ValueError(f"{qhat.name}: the generator is not irreducible")
     ratio, returns = 0.0, {}
     if qhat.n_modes is None:
         row_k = rows[k - 1]  # columns from 0: k - 1 is mode k, k is mode k + 1
-        reach = max(row_k, default=k - 1) + 1 - k
+        returns = {j: rate for j, rate in row_k.items() if j < k - 1}  # where the tail returns
+        if not returns:  # the tail only climbs
+            raise ValueError(f"{qhat.name}: row {k} enters no mode below {k}; "
+                             "the generator is not irreducible")
+        reach = max(row_k) + 1 - k
         if reach > 1:
             return StationaryDist(np.zeros(0), np.nan, 0, reason="tail reach > 1")
         climb = row_k.get(k, 0.0)
@@ -374,12 +388,8 @@ def exact_law(qhat: SparseGenerator) -> StationaryDist:
         if ratio == 0.0:  # the law would leave every mode past K' without mass
             raise ValueError(f"{qhat.name}: row {k} climbs at {climb!r}, "
                              "a tail ratio that rounds to 0")
-        if ratio >= 1.0:
+        if ratio >= 1.0:  # a return too small to weigh against the climb
             return StationaryDist(np.zeros(0), np.nan, 0, reason="tail ratio >= 1")
-        returns = {j: rate for j, rate in row_k.items() if j < k - 1}  # where the tail returns
-    # the tail returns where row K' does, so the head's links decide irreducibility
-    if not _irreducible([[j for j in row if j < top] for row in rows]):
-        raise ValueError(f"{qhat.name}: the generator is not irreducible")
     if top > _HEAD_CAP:
         return StationaryDist(np.zeros(0), np.nan, 0, reason=f"head size > {_HEAD_CAP}")
     q = np.zeros((top, top))
@@ -414,7 +424,7 @@ def exact_law(qhat: SparseGenerator) -> StationaryDist:
 
 def convergence_sweep(qhat: SparseGenerator, levels) -> list[dict]:
     """Stationary laws across truncation levels with head-to-head l1 changes."""
-    levels = sorted(int(n) for n in levels)
+    levels = sorted(_integer("truncation level", n, 2) for n in levels)
     if len(levels) < 2:
         raise ValueError("need at least two truncation levels")
     out = []

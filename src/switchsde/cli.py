@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .certify import CERTIFIED, certify_recurrence, certify_stabilization, search_gain, solve_law
+from .certify import CERTIFIED, certify_recurrence, certify_stabilization, search_gain
 from .chain import convergence_sweep, stationary, truncate
 from .config import load_generator, load_model_config
 from .model import check_rate_convergence, check_sublinear_residuals
@@ -108,13 +108,13 @@ def _model_flags(spec, lin) -> dict:
     }
 
 
-def _load(args) -> tuple:
-    """The document of certify, stabilize or stationary and the truncation
-    level N: --N, else the document's truncation_hint (30 for a
-    --generator file)."""
+def _load(args):
+    """The document of certify, stabilize or stationary.  Its
+    truncation_hint (30 for a --generator file) is the default of
+    stationary --N; a certificate reads it only where its law is a
+    truncation, which no loadable model's is (README)."""
     generator = getattr(args, "generator", None)
-    loaded = load_generator(generator) if generator else load_model_config(args.model)
-    return loaded, loaded.truncation_hint if args.N is None else args.N
+    return load_generator(generator) if generator else load_model_config(args.model)
 
 
 def cmd_simulate(args) -> int:
@@ -149,10 +149,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    loaded, n = _load(args)
+    loaded = _load(args)
     cert = certify_recurrence(
         loaded.lin,
-        n,
+        loaded.truncation_hint,
         margin_frac=args.margin,
         extra_flags=_model_flags(loaded.spec, loaded.lin),
     )
@@ -163,7 +163,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    loaded, n = _load(args)
+    loaded = _load(args)
+    n = loaded.truncation_hint if args.N is None else args.N
     dist = stationary(truncate(loaded.qhat, n))
     payload = {
         "meta": _meta(loaded.config_hash),
@@ -180,11 +181,11 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    loaded, n = _load(args)
+    loaded = _load(args)
+    n = loaded.truncation_hint
     meta = loaded.spec.meta
     if "input_matrix" not in meta or "controllable" not in meta:
         raise ValueError(f"model {loaded.name} declares no control inputs")
-    law = solve_law(loaded.lin, n)
     plan = search_gain(
         loaded.lin,
         meta["input_matrix"],
@@ -193,7 +194,6 @@ def cmd_stabilize(args) -> int:
         budget=args.budget,
         form=args.form,
         margin_frac=args.margin,
-        law=law,
     )
     payload = {
         "meta": _meta(loaded.config_hash),
@@ -211,7 +211,6 @@ def cmd_stabilize(args) -> int:
             form=args.form,
             margin_frac=args.margin,
             extra_flags=_model_flags(loaded.spec, loaded.lin),
-            law=law,
         )
         payload["gains"] = {
             str(i): np.asarray(plan.gains[i]).tolist() for i in sorted(plan.gains)
@@ -346,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="positive-recurrence certificate")
     p.add_argument("--model", required=True)
     p.add_argument("--out", default="out")
-    p.add_argument("--N", type=int, default=None, help="truncation level")
     p.add_argument("--margin", type=float, default=0.1)
     p.set_defaults(fn=cmd_certify)
 
@@ -355,14 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--model")
     source.add_argument("--generator", help="JSON triplet list")
     p.add_argument("--out", default="out")
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=int, default=None, help="truncation level")
     p.add_argument("--levels", default=None, help="comma list for a convergence sweep")
     p.set_defaults(fn=cmd_stationary)
 
     p = sub.add_parser("stabilize", help="feedback gain search")
     p.add_argument("--model", required=True)
     p.add_argument("--out", default="out")
-    p.add_argument("--N", type=int, default=None)
     p.add_argument("--budget", type=float, default=1024.0)
     p.add_argument("--form", choices=("thm37", "thm41"), default="thm37")
     p.add_argument("--margin", type=float, default=0.1)

@@ -3,9 +3,10 @@
 A model config names a registry family: {"name": str, "params": dict,
 "truncation_hint": int}.  The registry derives the dimensions and rate
 bounds from the parameters; ``truncation_hint`` supplies the default
-truncation level for certification.  A triplet generator file is
-{"name": str (optional), "triplets": [{"i": .., "j": .., "rate": ..}, ..]};
-its default truncation level is 30.  Both are read by
+truncation level of ``stationary`` (the certificates of every loadable
+model have exact laws, which no level changes).  A triplet generator file
+is {"name": str (optional), "triplets": [{"i": .., "j": .., "rate": ..},
+..]}; its default truncation level is 30.  Both are read by
 :func:`_read_document`, and every refusal of a document names its file.
 """
 

@@ -287,8 +287,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             out = tmp_path / f"sim_{rerun}"
             _run_cli(["simulate", "--model", config, "--T", 5, "--dt", 0.015625,
                       "--seed", 9, "--out", out])
-            _run_cli(["certify", "--model", config, "--N", 30,
-                      "--out", tmp_path / f"cert_{rerun}"])
+            _run_cli(["certify", "--model", config, "--out", tmp_path / f"cert_{rerun}"])
         _assert_same_bytes(tmp_path / "sim_a", tmp_path / "sim_b")
         _assert_same_bytes(tmp_path / "cert_a", tmp_path / "cert_b")
 

@@ -21,7 +21,13 @@ from switchsde.certify import (
     search_gain,
     solve_law,
 )
-from switchsde.chain import SparseGenerator, StationaryDist, stationary, truncate
+from switchsde.chain import (
+    SparseGenerator,
+    StationaryDist,
+    convergence_sweep,
+    stationary,
+    truncate,
+)
 from switchsde.model import Linearization
 from switchsde.registry import registry_get
 from switchsde.spectra import a_of_i, summarize
@@ -230,9 +236,26 @@ def test_a_level_below_two_is_rejected(n):
              lambda: solve_law(lin, n),
              lambda: solve_law(pp, n))
     for call in calls:
-        with pytest.raises(ValueError, match=f"n_modes must be at least 2, got {n}"):
+        with pytest.raises(ValueError, match=f"n_modes must be an integer >= 2, got {n}"):
             call()
     assert certify_recurrence(ou_lin(), 2).verdict == CERTIFIED
+
+
+@pytest.mark.parametrize("bad", [30.9, 2.5, True, "30"])
+def test_a_fractional_level_is_refused_not_floored(bad):
+    # 30.9 once truncated at 30, a sweep over [10.7, 20] at 10 and 20, and
+    # True read as level 1
+    lin = undeclared(ou_lin())
+    calls = (lambda: truncate(lin.qhat, bad),
+             lambda: convergence_sweep(lin.qhat, [bad, 40]),
+             lambda: certify_recurrence(lin, bad))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"must be an integer >= 2, got {bad!r}"):
+            call()
+    # numpy integers still pass
+    assert truncate(lin.qhat, np.int64(30)).size == 30
+    assert [row["N"] for row in convergence_sweep(lin.qhat, [np.int32(10), 20])] == [10, 20]
+    assert certify_recurrence(lin, np.int64(30)).nu.truncation == 30
 
 
 def test_certify_switched_ou_hand_sum():
@@ -352,20 +375,21 @@ def test_rounding_cannot_certify_an_exact_zero():
 
 def test_shared_law_matches_own_solve():
     spec, lin = scalar_model(0.0)
-    tg = truncate(lin.qhat, 20)
     plan = GainPlan(frozenset([1]), {1: np.array([[4.0]])}, spec.meta["input_matrix"])
     # a truncated law of the infinite ladder leaves its tail unproved; the
     # own solve is the exact geometric law, whose sum over every mode the
     # truncation's sum over modes 1..20 matches, mode 20 standing for the rest
-    cert = certify_stabilization(lin, plan, 20, law=stationary(tg))
+    cert = certify_stabilization(truncating(lin), plan, 20)
     own = certify_stabilization(lin, plan, 20)
     assert (cert.verdict, cert.reason, cert.tail_bound) == (INCONCLUSIVE, "tail unproved", np.inf)
     assert (own.verdict, own.tail_mass_source) == (CERTIFIED, "exact_geometric")
+    assert cert.nu.nu.tobytes() == stationary(truncate(lin.qhat, 20)).nu.tobytes()
     assert cert.partial_sum == own.partial_sum
     assert 0.0 < cert.rounding_bound < -cert.partial_sum
     assert all(cert.assumption_flags.values())
-    with pytest.raises(ValueError):
-        certify_stabilization(lin, plan, 30, law=stationary(tg))
+    # the truncation is solved at the level asked for, the exact law at none
+    assert certify_stabilization(truncating(lin), plan, 30).nu.truncation == 30
+    assert cert_bytes(certify_stabilization(lin, plan, 30)) == cert_bytes(own)
 
 
 def test_certificate_monotone_in_gain():
@@ -527,10 +551,11 @@ def test_finite_chain_is_weighed_whole_without_a_tail_mass():
     runs = [cert_bytes(certify_recurrence(lin, n)) for n in (2, 20, 49, 50, 100_000)]
     assert all(run == runs[0] for run in runs)
     assert json.loads(runs[0][0])["truncation"] == 50
-    # nor can a law truncated below the mode count be passed in
+    # nor does a stabilization certificate weigh a truncation below it
     plan = GainPlan(frozenset([1]), {}, lambda i: np.eye(2))
-    with pytest.raises(ValueError, match="law solved at N=20, certificate asks for N=50"):
-        certify_stabilization(lin, plan, 20, law=stationary(truncate(lin.qhat, 20)))
+    runs = [cert_bytes(certify_stabilization(lin, plan, n)) for n in (2, 20, 50, 100_000)]
+    assert all(run == runs[0] for run in runs)
+    assert json.loads(runs[0][0])["truncation"] == 50
 
 
 def test_negative_coefficients_certify_under_the_derived_bound():

@@ -177,12 +177,13 @@ def test_triplet_generators_count_their_modes(tmp_path):
     config["params"]["qhat"] = [[1, 2, 1.0], [2, 1, 3.0], [2, 3, 1.0], [3, 1, 2.0]]
     path = tmp_path / "linear_triplets.json"
     path.write_text(json.dumps(config))
-    for n in ([], ["--N", "100000"]):
-        out = tmp_path / f"cert{len(n)}"
-        assert main(["certify", "--model", str(path), *n, "--out", str(out)]) == 0
-        doc = read_json(out / "certificate.json")
-        assert (doc["verdict"], doc["tail_mass_source"], doc["truncation"]) == (
-            "CERTIFIED", "finite_modes", 3)
+    out = tmp_path / "cert"
+    assert main(["certify", "--model", str(path), "--out", str(out)]) == 0
+    doc = read_json(out / "certificate.json")
+    assert (doc["verdict"], doc["tail_mass_source"], doc["truncation"]) == (
+        "CERTIFIED", "finite_modes", 3)
+    lin = load_model_config(str(path)).lin
+    assert {certify_recurrence(lin, n).nu.truncation for n in (2, 30, 100_000)} == {3}
 
 
 def test_certify_without_a_tail_bound_is_inconclusive(tmp_path):
@@ -191,10 +192,12 @@ def test_certify_without_a_tail_bound_is_inconclusive(tmp_path):
     # on the model's flags: a verdict with its reason, not a usage error
     out = tmp_path / "pp"
     path = str(CONFIG_DIR / "predator_prey.json")
-    assert main(["certify", "--model", path, "--N", "5", "--out", str(out)]) == 1
+    assert main(["certify", "--model", path, "--out", str(out)]) == 1
     doc = read_json(out / "certificate.json")
     assert (doc["verdict"], doc["reason"], doc["tail_mass_source"]) == (
         "INCONCLUSIVE", "sublinear_residuals", "finite_modes")
+    at_five = certify_recurrence(load_model_config(path).lin, 5).to_dict()
+    assert (at_five["partial_sum"], at_five["truncation"]) == (doc["partial_sum"], 50)
     # an unproved tail is written with JSON nulls for its infinite and NaN terms
     cert = certify_recurrence(undeclared(ou_lin()), 5)
     assert (cert.reason, cert.tail_mass_source) == ("tail unproved", "unproved")
@@ -280,19 +283,47 @@ def test_fractional_and_boolean_triplets_are_usage_errors(tmp_path, capsys, entr
     assert read_json(out / "stationary.json")["nu"] == pytest.approx([0.75, 0.25])
 
 
-@pytest.mark.parametrize("n", ["-5", "0", "1"])
+def with_hint(tmp_path, path, hint):
+    """A copy of the model config at ``path`` whose truncation_hint is ``hint``."""
+    doc = read_json(path)
+    doc["truncation_hint"] = hint
+    copy = tmp_path / f"hint{hint}_{Path(path).name}"
+    copy.write_text(json.dumps(doc))
+    return str(copy)
+
+
+@pytest.mark.parametrize("n", [-5, 0, 1])
 def test_a_level_below_two_is_a_usage_error(tmp_path, capsys, n):
     # the exact law and a finite chain weighed whole ignore N, so these
-    # levels once wrote CERTIFIED certificates and exited 0
-    runs = [["certify", "--model", OU], ["certify", "--model", LINEAR],
-            ["certify", "--model", str(CONFIG_DIR / "predator_prey.json")],
-            ["stabilize", "--model", SCALAR], ["stabilize", "--model", SCALAR, "--form", "thm41"]]
-    for k, run in enumerate(runs):
+    # levels once wrote CERTIFIED certificates and exited 0; a certificate
+    # reads its level from the config's truncation_hint
+    pp = str(CONFIG_DIR / "predator_prey.json")
+    runs = [["certify", OU], ["certify", LINEAR], ["certify", pp], ["stabilize", SCALAR],
+            ["stabilize", SCALAR, "--form", "thm41"]]
+    for k, (command, path, *extra) in enumerate(runs):
         out = tmp_path / str(k)
-        assert main([*run, "--N", n, "--out", str(out)]) == 2, run
-        assert f"error: n_modes must be at least 2, got {n}" in capsys.readouterr().err
+        bad = with_hint(tmp_path, path, n)
+        assert main([command, "--model", bad, *extra, "--out", str(out)]) == 2, command
+        assert f"error: {bad}: truncation_hint must be an integer >= 2, got {n}" in (
+            capsys.readouterr().err)
         assert not out.exists()
-    assert main(["certify", "--model", OU, "--N", "2", "--out", str(tmp_path / "two")]) == 0
+    two = with_hint(tmp_path, OU, 2)
+    assert main(["certify", "--model", two, "--out", str(tmp_path / "two")]) == 0
+
+
+@pytest.mark.parametrize("command", [["certify", "--model", OU],
+                                     ["stabilize", "--model", SCALAR]])
+def test_certificates_take_no_truncation_level(tmp_path, capsys, command):
+    # every loadable model's law is exact, so --N changed no certificate and
+    # is gone from both commands; stationary keeps it, as N is its truncation
+    out = tmp_path / "c"
+    assert main([*command, "--N", "30", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --N 30" in capsys.readouterr().err
+    assert not out.exists()
+    out = tmp_path / "st"
+    assert main(["stationary", "--model", OU, "--N", "12", "--out", str(out)]) == 0
+    doc = read_json(out / "stationary.json")
+    assert doc["N"] == 12 and len(doc["nu"]) == 12
 
 
 def test_stabilize_search(tmp_path):
@@ -335,20 +366,21 @@ def test_stabilize_solves_the_stationary_law_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "stationary", counting)
     monkeypatch.setattr(switchsde.certify, "exact_law", counting_law)
     open_loop = scalar_config(tmp_path, 0.0)
-    # the ladder declares its repeat point: one exact law and no truncation
+    # the ladder declares its repeat point: no truncation, and one exact law
+    # per certificate built, the search's and the found plan's
     assert main(["stabilize", "--model", open_loop, "--out", str(tmp_path / "e")]) == 0
-    assert (len(exact), sizes) == (1, [])
-    # an exhausted search solves once too
-    assert main(["stabilize", "--model", open_loop, "--budget", "1.0", "--N", "40",
-                 "--out", str(tmp_path / "c")]) == 1
     assert (len(exact), sizes) == (2, [])
+    # an exhausted search builds one
+    assert main(["stabilize", "--model", open_loop, "--budget", "1.0",
+                 "--out", str(tmp_path / "c")]) == 1
+    assert (len(exact), sizes) == (3, [])
     # so does a search over a law truncated at N, whose tail is unproved at
     # every grid point
     loaded = load_model_config(open_loop)
     lin, inputs, ctl = truncating(loaded.lin), loaded.spec.meta["input_matrix"], [1]
     assert search_gain(lin, inputs, ctl, 40) is None
     assert search_gain(lin, inputs, ctl, 30, budget=1.0) is None
-    assert (len(exact), sizes) == (2, [40, 30])
+    assert (len(exact), sizes) == (3, [40, 30])
 
 
 def test_verify_hitting_rerun_is_byte_identical(tmp_path):

@@ -129,14 +129,15 @@ def one_rung_generators(draw):
 @given(one_rung_generators())
 def test_exact_law_on_random_one_rung_generators(lin):
     qhat = lin.qhat
+    if qhat.repeats_from == 1:  # nothing returns below mode 1: the chain runs off
+        for solve in (lambda: exact_law(qhat), lambda: certify_recurrence(lin, 30)):
+            with pytest.raises(ValueError, match="row 1 enters no mode below 1; "
+                                                 "the generator is not irreducible"):
+                solve()
+        return
     certs = [certify_recurrence(lin, n) for n in (30, 1_000, 100_000)]
     assert cert_bytes(certs[0]) == cert_bytes(certs[1]) == cert_bytes(certs[2])
     cert = certs[0]
-    if qhat.repeats_from == 1:  # nothing returns below mode 1: the chain runs off
-        law = exact_law(qhat)
-        assert (law.source, law.reason, law.nu.size) == ("unproved", "tail ratio >= 1", 0)
-        assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "tail ratio >= 1")
-        return
     law = exact_law(qhat)
     head, rho = rational_geometric_law(qhat.row, qhat.repeats_from)
     assert law.ratio == float(rho) and law.truncation == len(head)
@@ -175,13 +176,14 @@ def test_shipped_declared_families_read_their_closed_forms(tmp_path):
         lin = load_model_config(path).lin
         value, tol = expect[name]
         assert certify_recurrence(lin, 30).partial_sum == pytest.approx(value, abs=tol)
-        runs = set()
-        for n in (30, 100, 700, 10_000, 100_000):
-            out = tmp_path / f"{name}_{n}"
-            assert main(["certify", "--model", path, "--N", str(n), "--out", str(out)]) in (0, 1)
-            runs.add((out / "certificate.json").read_bytes())
+        runs = {cert_bytes(certify_recurrence(lin, n)) for n in (30, 100, 700, 10_000, 100_000)}
         assert len(runs) == 1, name
-        doc = json.loads(runs.pop())
+        out = tmp_path / name
+        assert main(["certify", "--model", path, "--out", str(out)]) in (0, 1)
+        doc = json.loads((out / "certificate.json").read_bytes())
+        lib = json.loads(runs.pop()[0])
+        assert {k: doc[k] for k in lib if k != "assumptions"} == {
+            k: v for k, v in lib.items() if k != "assumptions"}
         assert doc["tail_mass_source"] == "exact_geometric"
         assert doc["truncation"] == exact_law(lin.qhat).truncation
         assert len(doc["nu_head"]) == len(doc["per_mode_c"]) == 12
@@ -224,7 +226,9 @@ def bad_tail(base):
 
 def test_tails_without_one_ratio_are_inconclusive():
     two_rungs = {1: 1.0, 4: 1.0, 5: 1.0}  # climbs one and two rungs
-    for base, reason in ((two_rungs, "tail reach > 1"), ({4: 1.0}, "tail ratio >= 1")):
+    # a return so small that the climb over the total rounds to 1
+    faint = {1: 1e-300, 4: 1.0}
+    for base, reason in ((two_rungs, "tail reach > 1"), (faint, "tail ratio >= 1")):
         qhat = SparseGenerator(bad_tail(base), rate_bound=3.0, repeats_from=3)
         law = exact_law(qhat)
         assert (law.source, law.reason, law.nu.size) == ("unproved", reason, 0)
@@ -233,6 +237,13 @@ def test_tails_without_one_ratio_are_inconclusive():
         assert (cert.verdict, cert.reason) == (INCONCLUSIVE, reason)
         assert cert.tail_mass_source == "unproved" and math.isnan(cert.partial_sum)
         json.dumps(cert.to_dict())  # NaN is legal here; the CLI writes null
+    # a tail that never returns is no ratio of 1 but a reducible chain; it
+    # once read "tail ratio >= 1"
+    qhat = SparseGenerator(bad_tail({4: 1.0}), rate_bound=3.0, repeats_from=3)
+    lin = replace(ou_lin(), qhat=qhat)
+    for solve in (lambda: exact_law(qhat), lambda: certify_recurrence(lin, 30)):
+        with pytest.raises(ValueError, match="the generator is not irreducible"):
+            solve()
     # without the repeat point the two-rung chain is truncated at N
     qhat = SparseGenerator(bad_tail(two_rungs), rate_bound=3.0, repeats_from=3)
     cert = certify_recurrence(truncating(replace(ou_lin(), qhat=qhat)), 30)
@@ -269,6 +280,16 @@ def test_reducible_declared_generators_raise():
     ):
         with pytest.raises(ValueError, match=match):
             exact_law(SparseGenerator(row, rate_bound=4.0, repeats_from=2))
+    # mode 1 absorbs behind a tail that climbs two rungs: the chain once read
+    # "tail reach > 1" with qhat_irreducible true in its certificate
+    def absorbing(i):
+        return {} if i == 1 else {1: 1.0, 3: 1.0} if i == 2 else {1: 1.0, i + 1: 1.0, i + 2: 1.0}
+
+    qhat = SparseGenerator(absorbing, rate_bound=3.0, repeats_from=3)
+    lin = replace(ou_lin(), qhat=qhat)
+    for solve in (lambda: exact_law(qhat), lambda: certify_recurrence(lin, 30)):
+        with pytest.raises(ValueError, match="the generator is not irreducible"):
+            solve()
 
 
 @st.composite
