@@ -21,10 +21,11 @@ one-class step and on a ``mode_arrays`` model's step), with the windows
 and rates read at that step, and takes LV of a block of up to
 ``_BLOCK_ROWS`` path-steps times window samples in one pass, rows grouped
 by mode with one sort per block: the callbacks run once per mode per
-block.  Each row's terms are formed row-wise, so LV's bits do not depend
-on the grouping or the block size; trapezoid weights are built once per
-kernel and mode in a run.  :func:`apply_generator` is the same pass on
-one window.  A path contributes nothing from its blow-up on.
+block.  Each row's terms are formed row-wise and added in a fixed order
+at every shape, so LV's bits do not depend on the grouping or the block
+size; trapezoid weights are built once per kernel and mode in a run.
+:func:`apply_generator` is the same pass on one window.  A path
+contributes nothing from its blow-up on.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ class ProductFunctional:
     and :func:`apply_generator` call ``f1``, ``grad_f1``, ``hess_f1`` and
     ``f2`` on states with a leading path axis, shape (P, n), so they must
     broadcast over it; ``g`` and ``dg`` are scalar callbacks of (s, i).
+    The Dynkin pass hands them coordinate-major states (Fortran order), so
+    a sum over the coordinates adds whole columns, in the order numpy adds
+    a row-major row of fewer than 8 entries; a callback that sums 8 or more
+    coordinates, or that calls BLAS or ``einsum`` on the states, may round
+    differently by block size, while an elementwise one keeps its bits.
     """
 
     f1: Callable
@@ -206,23 +212,71 @@ def _rows_of(groups):
     return np.concatenate([np.arange(a, b) for a, b in spans])
 
 
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Row sums of terms (P, K) with the bits of ``.sum(axis=-1)`` on a
+    C-ordered copy, at any P and layout.  Below 8 entries numpy adds a row
+    in order from +0.0, as this adds one whole column at a time; from 8 on
+    it adds a C-ordered row pairwise, so a C-ordered copy is summed."""
+    if terms.shape[-1] >= 8:
+        return np.ascontiguousarray(terms).sum(axis=-1)
+    cols = terms.T
+    out = cols[0] + 0.0
+    for col in cols[1:]:
+        out += col
+    return out
+
+
+def _diffusion_trace(sigma: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """tr(H sigma sigma^T) per row of sigma (P, n, d) and hess (P, n, n), either
+    possibly broadcast over P: every product (sigma_jk sigma_ik) H_ij is formed
+    over whole columns and added to +0.0 in i, j, k order, the order einsum
+    takes at P >= 2 (at P = 1 it may reorder its loops), so a row's bits do not
+    depend on P.  It runs fastest on coordinate-major operands (P the last axis
+    in memory), and holds no temporary larger than d columns."""
+    n, d = sigma.shape[-2:]
+    s, h = sigma.transpose(1, 2, 0), hess.transpose(1, 2, 0)  # (n, d, P), (n, n, P)
+    out = np.zeros(len(sigma))
+    for i in range(n):
+        for j in range(n):
+            terms = s[j] * s[i]
+            terms *= h[i, j]
+            for col in terms:
+                out += col
+    return out
+
+
+def _coordinate_major(parts: Sequence, rows: np.ndarray) -> np.ndarray:
+    """The rows ``rows`` of the arrays ``parts`` (P_s, ...) stacked, stored
+    coordinate-major (P the last axis in memory), as :func:`_window_states`
+    stores f2's states: a callback or kernel that reduces over the
+    coordinates then adds whole columns."""
+    stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    cols = np.ascontiguousarray(np.take(flat, rows, axis=0).T)
+    return cols.reshape(stack.shape[1:] + (len(rows),)).transpose(-1, *range(stack.ndim - 1))
+
+
 def _generator(V, x, drift, sigma, windows, plan, trap) -> np.ndarray:
     """LV on P paths grouped by mode, in one pass.
 
     ``plan`` lists the mode groups as (i, rows, targets, rates, cuts): a
     slice of the P rows, the rates q_ij to ``targets[k]``, per path (P_i, K)
     or shared (1, K), and its row ranges per grid step, counted from its
-    first row (None: one step).  x (P, n), drift (P, n) and sigma (P, n, d)
-    or None are row-aligned; ``windows(rows)`` gives the windows (m, P_i, n)
-    of a group's rows when V has a time kernel, else it is None.  ``grad_f1``
-    and ``hess_f1`` run once per group.  f1 runs once per mode j that a
-    group is in or can jump to, on the rows of those groups only (the
-    other rows never read V(., j)); f2 once per such mode and group, on
-    the group's window states, made once.  A row's bits do not depend on
-    the grouping: its terms are row-wise, its trapezoid sums per step.
+    first row (None: one step).  x (P, n), drift (P, n) and sigma (P, n, d),
+    (n, d) or None are row-aligned, best stored coordinate-major;
+    ``windows(rows)`` gives the windows (m, P_i, n) of a group's rows when V
+    has a time kernel, else it is None.  ``grad_f1`` and ``hess_f1`` run once
+    per group, into coordinate-major arrays.  f1 runs once per mode j that a
+    group is in or can jump to, on the rows of those groups only (the other
+    rows never read V(., j)); f2 once per such mode and group, on the group's
+    window states, made once.  A row's bits do not depend on the grouping or
+    on P: its terms are row-wise, its trapezoid sums per step, and its drift,
+    diffusion and switching sums are added in a fixed order
+    (:func:`_row_sums`, :func:`_diffusion_trace`).
     """
-    grad = np.empty(x.shape)
-    hess = None if sigma is None else np.empty(x.shape + x.shape[-1:])
+    p, n = x.shape
+    grad = np.empty((n, p)).T
+    hess = None if sigma is None else np.empty((n, n, p)).transpose(2, 0, 1)
     readers: dict = {}
     for i, rows, targets, _, _ in plan:
         grad[rows] = V.grad_f1(x[rows], i)
@@ -230,10 +284,9 @@ def _generator(V, x, drift, sigma, windows, plan, trap) -> np.ndarray:
             hess[rows] = V.hess_f1(x[rows], i)
         for j in dict.fromkeys((i, *targets)):  # a row that lists i reads V(., i) once
             readers.setdefault(j, []).append(rows)
-    lv = (grad * drift).sum(axis=-1)
+    lv = _row_sums(grad * drift)
     if sigma is not None:
-        # tr(H sigma sigma^T); with d = 1 each product rounds as (sigma sigma^T)_ji H_ij
-        lv = lv + 0.5 * np.einsum("...jk,...ik,...ij->...", sigma, sigma, hess)
+        lv += 0.5 * _diffusion_trace(np.broadcast_to(sigma, (p, n, sigma.shape[-1])), hess)
     vals = {}
     for j, groups in readers.items():
         sel = _rows_of(groups)
@@ -252,11 +305,11 @@ def _generator(V, x, drift, sigma, windows, plan, trap) -> np.ndarray:
     for i, rows, targets, rates, _ in plan:
         if len(targets):
             dv = np.array([vals[j][rows] for j in targets]) - vals[i][rows]
-            lv[rows] += (rates * dv.T).sum(axis=-1)
+            lv[rows] += _row_sums(rates * dv.T)
     return lv
 
 
-def _snapshot(e: BatchEnsemble, with_hist: bool, first: bool) -> tuple:
+def _snapshot(e: BatchEnsemble, with_hist: bool, first: bool, lone: bool) -> tuple:
     """LV's inputs at this pre-step state, rows in the Euler step's order:
     (paths, modes, tables, x, drift, sigma, pushed), ``paths`` None in path
     order, else the live paths in plan order (in path order on a step that
@@ -265,9 +318,13 @@ def _snapshot(e: BatchEnsemble, with_hist: bool, first: bool) -> tuple:
     history, and ``pushed``, given ``with_hist``, what the step adds to its
     block's run of history samples: every path's window at the block's
     ``first`` step, else the states the step before it wrote (see
-    :func:`_block_generator`)."""
+    :func:`_block_generator`); a ``lone`` first step, a block of one step
+    read before the engine steps on, pushes the engine's ``history`` reader
+    instead of a copy of every window."""
     paths = e._plan()[0]
-    pushed = None if not with_hist else e.history() if first else e.x.copy()
+    pushed = None
+    if with_hist:
+        pushed = (e.history if lone else e.history()) if first else e.x.copy()
     tables = None
     if e.model.rates_depend_on_path:  # in path order within a mode, as the plan holds them
         tables = {v: e.rate_table(group, v) for v, group in e.mode_paths().items()}
@@ -277,26 +334,30 @@ def _snapshot(e: BatchEnsemble, with_hist: bool, first: bool) -> tuple:
 
 def _block_generator(V, block: list, trap, rate_table) -> list:
     """LV of a block of :func:`_snapshot` steps in one :func:`_generator` pass,
-    (paths, LV) per step.  One stable argsort over a per-row code of (rank of
-    (mode, targets), step) groups the rows, each group's in step order and,
-    within a step, by path, as its steps' rate tables hold them; rates that
-    ignore the history are the engine's shared (1, K) row ``rate_table(None, v)``.
-    With a time kernel the block's first step pushes every path's window
-    (m, P, n) and each later one the (P, n) states that the step before it
-    wrote to the ring, so step s's windows are samples s..s+m-1 of that run:
-    no step copies its windows, and no block joins them."""
+    (paths, LV) per step.  One stable argsort of the rows, which come in step
+    order, on the rank of their (mode, targets) groups them, each group's in
+    step order and, within a step, by path, as its steps' rate tables hold
+    them (numpy radix-sorts ranks below 2^16, else the code (rank, step));
+    rates that ignore the history are the engine's shared (1, K) row
+    ``rate_table(None, v)``.  With a time kernel the block's first step
+    pushes every path's window (m, P, n) and each later one the (P, n)
+    states that the step before it wrote to the ring, so step s's windows
+    are samples s..s+m-1 of that run: no step copies its windows, and no
+    block joins them.  A block of one step pushes the engine's reader of
+    them, and each group gathers its windows off the ring."""
     paths, modes, tables, *arrays, pushed = zip(*block)
     sizes, n = [len(m) for m in modes], len(block)
     key, step = np.concatenate(modes), np.repeat(np.arange(n), sizes)  # a shared row: by mode
     if tables[0] is not None:  # rows read per step: rank (mode, targets), targets may vary
-        ranks = sorted({(v, tuple(t)) for tab in tables for v, (t, _) in tab.items()})
-        key = []
-        for m, tab in zip(modes, tables):
-            rank = {v: ranks.index((v, tuple(t))) for v, (t, _) in tab.items()}
-            key += [rank[v] for v in m.tolist()]
-        key = np.array(key, dtype=int)
-    code = key * n + step  # sorts as (rank, step)
-    perm = np.argsort(code, kind="stable")
+        pairs = [(s, v, tuple(tab[v][0])) for s, tab in enumerate(tables) for v in sorted(tab)]
+        ranks = sorted({(v, t) for _, v, t in pairs})
+        index = {r: a for a, r in enumerate(ranks)}
+        top = 1 + max((v for _, v, _ in pairs), default=0)  # (step, mode) as step * top + mode
+        at = np.array([s * top + v for s, v, _ in pairs], dtype=int)  # ascending
+        rank = np.array([index[v, t] for _, v, t in pairs], dtype=int)
+        key = rank[np.searchsorted(at, step * top + key)]  # each row's (step, mode) pair
+    code = key * n + step  # sorts as (rank, step), as the rank alone does stably
+    perm = np.argsort(key.astype(np.uint16) if key.max(initial=0) < 2**16 else code, kind="stable")
     code = code[perm]
     runs = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist()] if len(code) else []
     groups: dict = {}  # rank -> (first row, [(step, start, end)]), one run per step
@@ -313,13 +374,13 @@ def _block_generator(V, block: list, trap, rate_table) -> list:
         cuts = [(a - first, b - first) for _, a, b in parts]
         plan.append((v, slice(first, parts[-1][2]), list(targets), rates,
                      cuts if len(cuts) > 1 else None))
-    x, drift, sigma = (None if s[0] is None else np.concatenate(s)[perm] for s in arrays)
+    x, drift, sigma = (None if s[0] is None else _coordinate_major(s, perm) for s in arrays)
     windows = None
     if pushed[0] is not None:  # the run of samples the block's windows slide over
         hist = pushed[0] if n == 1 else np.concatenate([pushed[0], np.stack(pushed[1:])])
         who = np.concatenate([np.arange(len(m)) if p is None else p for p, m in zip(paths, modes)])
-        if n == 1:  # one gather per group, with no sorted copy of every window
-            windows = lambda rows: np.take(hist, who[perm[rows]], axis=1)  # noqa: E731
+        if n == 1:  # one gather per group off the engine's ring, with no copy of every window
+            windows = lambda rows: hist(who[perm[rows]])  # noqa: E731
         else:  # sample t of the window of path p in step s is row (s + t) P + p
             lag = np.arange(len(pushed[0]))[:, None]
             at = (step[perm] + lag) * hist.shape[1] + who[perm]  # (m, rows), in sorted order
@@ -658,8 +719,9 @@ def dynkin_residual(
     block, rows = [], n_paths * (phi0.samples.shape[0] if with_hist else 1)  # per step
     block_steps = max(1, _BLOCK_ROWS // rows)
     for k in range(n_steps):
-        block.append(_snapshot(be, with_hist, not block))
-        if len(block) == block_steps or k == n_steps - 1:
+        last = len(block) + 1 == block_steps or k == n_steps - 1  # the block is read now
+        block.append(_snapshot(be, with_hist, not block, last))
+        if last:
             for paths, lv in _block_generator(V, block, trap, be.rate_table):  # as the paths ran
                 acc[slice(None) if paths is None else paths] += lv * dt
             block = []

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     group_generator,
@@ -28,9 +28,13 @@ from switchsde.model import Linearization, ModelSpec
 from switchsde.registry import registry_get
 from switchsde.segment import Segment
 from switchsde.sim import BatchEnsemble, SimConfig
+from switchsde.cli import _FUNCTIONALS
 from switchsde.verify import (
     _collect,
+    _diffusion_trace,
+    _generator,
     _norms,
+    _row_sums,
     _sojourn_counts,
     MCEstimate,
     ProductFunctional,
@@ -864,8 +868,9 @@ def test_trapezoid_keeps_weights_per_kernel():
         assert trap(k.dg, 1, f2h)[0] == pytest.approx(1.0)
 
 
-def plane_model(rates_depend_on_path: bool, blow: float = 0.0) -> ModelSpec:
-    """Planar three-mode model with a full, state-dependent noise matrix.
+def plane_model(rates_depend_on_path: bool, blow: float = 0.0, noise_dim: int = 2) -> ModelSpec:
+    """Planar three-mode model with a full, state-dependent noise matrix, or
+    its first column with ``noise_dim`` 1.
 
     With ``rates_depend_on_path`` the rates read the window's sup-norm, and
     mode 1 reaches mode 3 only from paths whose window left the unit ball:
@@ -881,7 +886,8 @@ def plane_model(rates_depend_on_path: bool, blow: float = 0.0) -> ModelSpec:
 
     def diffusion(x, i):
         x = np.asarray(x, dtype=float)
-        return mix * (1.0 + 0.1 * i) + 0.05 * x[..., :, None] * x[..., None, :]
+        noise = mix * (1.0 + 0.1 * i) + 0.05 * x[..., :, None] * x[..., None, :]
+        return noise[..., :noise_dim]
 
     def rates(seg, i):
         lift = 1.0 / (1.0 + seg.sup_norm()) if rates_depend_on_path else 0.5
@@ -892,7 +898,7 @@ def plane_model(rates_depend_on_path: bool, blow: float = 0.0) -> ModelSpec:
 
     return ModelSpec(
         dim=2,
-        brownian_dim=2,
+        brownian_dim=noise_dim,
         drift=drift,
         diffusion=diffusion,
         rates_row=rates,
@@ -903,11 +909,22 @@ def plane_model(rates_depend_on_path: bool, blow: float = 0.0) -> ModelSpec:
 
 
 # V = x^T A x + sin(x1 x2) / i + int e^s |phi(s)|^2 (1 + s / i) ds: a
-# Hessian with off-diagonal entries and a kernel that depends on the mode
+# Hessian with off-diagonal entries and a kernel that depends on the mode.
+# x^T A x and its gradient are written out elementwise: an einsum or a
+# matrix product of the states rounds by their layout and row count
 _A = np.array([[1.0, 0.3], [0.3, 0.5]])
+
+
+def _a_times(x):
+    """x A (A symmetric) per row, elementwise."""
+    return x[..., :1] * _A[0] + x[..., 1:] * _A[1]
+
+
 PLANE_V = ProductFunctional(
-    f1=lambda x, i: np.einsum("...j,jk,...k->...", x, _A, x) + np.sin(x[..., 0] * x[..., 1]) / i,
-    grad_f1=lambda x, i: 2.0 * x @ _A + (np.cos(x[..., 0] * x[..., 1]) / i)[..., None] * x[..., ::-1],
+    f1=lambda x, i: (_a_times(x) * x)[..., 0] + (_a_times(x) * x)[..., 1]
+    + np.sin(x[..., 0] * x[..., 1]) / i,
+    grad_f1=lambda x, i: 2.0 * _a_times(x)
+    + (np.cos(x[..., 0] * x[..., 1]) / i)[..., None] * x[..., ::-1],
     hess_f1=lambda x, i: 2.0 * _A
     + (np.cos(x[..., 0] * x[..., 1]) / i)[..., None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
     - (np.sin(x[..., 0] * x[..., 1]) / i)[..., None, None]
@@ -946,9 +963,10 @@ def run_blocks(V, e: BatchEnsemble, n_steps: int, block_steps: int, trap, at_ste
     a step in path order names every path."""
     block, seen = [], []
     for k in range(n_steps):
-        block.append(_snapshot(e, V.f2 is not None, not block))
+        last = len(block) + 1 == block_steps or k == n_steps - 1
+        block.append(_snapshot(e, V.f2 is not None, not block, last))
         seen.append(None if at_step is None else at_step(e))
-        if len(block) == block_steps or k == n_steps - 1:
+        if last:
             out = _block_generator(V, block, trap, e.rate_table)
             out = [(np.arange(len(lv)) if p is None else p, lv) for p, lv in out]
             yield list(zip(out, seen))
@@ -976,7 +994,8 @@ def test_ensemble_generator_matches_group_oracle(rates_depend_on_path, seed):
             want, mag = np.array([ref[p] for p in paths.tolist()]).T.reshape(2, -1)
             ok = np.isfinite(want)  # a path about to blow up may overflow V
             assert np.array_equal(np.isfinite(lv), ok)
-            # einsum sums tr(H sigma sigma^T) in its own order: rounding only
+            # the oracle takes tr(H sigma sigma^T) as the trace of a matrix product,
+            # in another order than the generator's fixed i, j, k: rounding only
             assert (np.abs(lv - want)[ok] <= 1e-14 * (np.abs(want) + mag)[ok]).all()
     assert 10 <= e.blown.sum() < e.n_paths and len(e.groups()) == 3
 
@@ -1103,15 +1122,20 @@ def test_generator_evaluates_f1_only_on_the_rows_that_read_it(family, with_kerne
     with_kernel=st.booleans(),
     blow=st.sampled_from([0.0, 40.0]),
     scheme=st.sampled_from(["thinning", "bernoulli"]),
+    noise_dim=st.sampled_from([2, 1]),
 )
+# one path: its blocks of one step hold one row, its whole run's block nine
+@example(seed=11, n_paths=1, n_steps=9, rates_depend_on_path=False, with_kernel=False,
+         blow=0.0, scheme="bernoulli", noise_dim=2)
 def test_dynkin_bits_do_not_depend_on_the_block(
-    seed, n_paths, n_steps, rates_depend_on_path, with_kernel, blow, scheme
+    seed, n_paths, n_steps, rates_depend_on_path, with_kernel, blow, scheme, noise_dim
 ):
     # V depends on the mode (sin(x1 x2) / i and a mode-dependent kernel), so
     # the switching sums read V(., j) for every target; blocks of one step,
     # of three steps (a shorter last block when 3 does not divide the
-    # steps) and of the whole run must give the same bytes
-    model = plane_model(rates_depend_on_path, blow=blow)
+    # steps) and of the whole run must give the same bytes, with a full
+    # noise matrix and with one noise column (n = 2, d = 1)
+    model = plane_model(rates_depend_on_path, blow=blow, noise_dim=noise_dim)
     fn = PLANE_V if with_kernel else replace(PLANE_V, f2=None, g=None, dg=None)
     dt = 1.0 / 32
     phi0 = Segment.make_constant([0.9, -0.6], model.delay, dt)
@@ -1123,6 +1147,171 @@ def test_dynkin_bits_do_not_depend_on_the_block(
             est = dynkin_residual(fn, model, phi0, 1, n_steps * dt, cfg, n_paths)
         out.add(pickle.dumps(est))
     assert len(out) == 1
+
+
+def column_model(b, c) -> ModelSpec:
+    """Planar model with one noise column (n = 2, d = 1), drift x0 b0 + x1 b1
+    and noise c0 + c1 x, all elementwise so that a row's coefficients do
+    not depend on the rows next to it; modes 1 and 2 swap at rate 0.7."""
+    return ModelSpec(
+        dim=2,
+        brownian_dim=1,
+        drift=lambda x, i: x[..., :1] * b[0] + x[..., 1:] * b[1] / i,
+        diffusion=lambda x, i: (c[0] + c[1] * x)[..., None],
+        rates_row=lambda seg, i: {3 - i: 0.7},
+        rate_bound=1.0,
+        delay=1.0,
+        rates_depend_on_path=False,
+    )
+
+
+def quadratic_form(h) -> ProductFunctional:
+    """V = x^T H x / 2 (1 + i / 10) with a full symmetric H, every callback
+    elementwise."""
+    def grad(x, i):
+        return (x[..., :1] * h[0] + x[..., 1:] * h[1]) * (1.0 + 0.1 * i)
+
+    return ProductFunctional(
+        f1=lambda x, i: 0.5 * (grad(x, i) * x)[..., 0] + 0.5 * (grad(x, i) * x)[..., 1],
+        grad_f1=grad,
+        hess_f1=lambda x, i: h * (1.0 + 0.1 * i),
+    )
+
+
+def test_apply_generator_is_its_row_of_a_batch():
+    # with n = 2 and d = 1, einsum summed tr(H sigma sigma^T) of one row in
+    # another order than the rows of a batch: 35 of these 200 cases differed
+    rng = np.random.default_rng(7)
+    trap = _Trapezoid(1.0, 0.25)
+    for _ in range(200):
+        b, a, c = rng.standard_normal((3, 2, 2))
+        model, fn = column_model(b, c), quadratic_form(a + a.T)
+        xs = rng.standard_normal((3, 2))
+        one = apply_generator(fn, model, Segment.make_constant(xs[1], 1.0, 0.25), 1)
+        plan = [(1, slice(0, 3), [2], np.array([[0.7]]), None)]
+        batch = _generator(fn, xs, model.drift(xs, 1), model.diffusion(xs, 1), None, plan, trap)
+        assert np.float64(one).tobytes() == batch[1].tobytes()
+
+
+def test_one_path_dynkin_bits_do_not_depend_on_the_block():
+    # a one-path block of one step holds one row; with einsum its trace term
+    # (n = 2, d = 1) rounded apart from that of the whole run's block, and
+    # the residual's bytes differed on 6 of these 20 seeds
+    rng = np.random.default_rng(17)
+    b, a, c = rng.standard_normal((3, 2, 2))
+    model, fn = column_model(-np.abs(b), c), quadratic_form(a + a.T)
+    dt = 1.0 / 32
+    phi0 = Segment.make_constant([0.8, -0.5], model.delay, dt)
+    for seed in range(1, 21):
+        cfg = SimConfig(dt=dt, horizon=2.0, seed=seed)
+        out = set()
+        for budget in (1, switchsde.verify._BLOCK_ROWS):
+            with mock.patch.object(switchsde.verify, "_BLOCK_ROWS", budget):
+                out.add(pickle.dumps(dynkin_residual(fn, model, phi0, 1, 2.0, cfg, 1)))
+        assert len(out) == 1, seed
+
+
+def test_dynkin_block_pass_calls_no_einsum(monkeypatch):
+    # tr(H sigma sigma^T) is added over whole columns in a fixed order: the
+    # CLI's quadratic functional on linear_2d (full 2 x 2 noise) reaches no
+    # np.einsum call inside a block pass (the Euler step keeps its own)
+    spec = load_model_config(str(CONFIG_DIR / "linear_2d.json")).spec
+    calls, blocks, inside = [], [], []
+    einsum, block_generator = np.einsum, switchsde.verify._block_generator
+
+    def counted(*args, **kwargs):
+        if inside:
+            calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    def watched(*args, **kwargs):
+        inside.append(True)
+        try:
+            out = block_generator(*args, **kwargs)
+        finally:
+            inside.pop()
+        blocks.append(len(out))
+        return out
+
+    monkeypatch.setattr(np, "einsum", counted)
+    monkeypatch.setattr(switchsde.verify, "_block_generator", watched)
+    dt = 1.0 / 64
+    phi0 = Segment.make_constant([1.0, 1.0], spec.delay, dt)
+    est = dynkin_residual(_FUNCTIONALS["quadratic"], spec, phi0, 1, 1.0,
+                          SimConfig(dt=dt, horizon=1.0, seed=2), 16)
+    assert est.usable and sum(blocks) == 64 and calls == []
+
+
+def kernel_operands(seed: int, p: int, n: int, d: int, scale: int, shared_hess: bool):
+    """sigma (p, n, d) and hess (p, n, n) at magnitude 10^scale, hess one
+    (n, n) matrix broadcast over p (stride 0) with ``shared_hess``."""
+    rng = np.random.default_rng(seed)
+    sigma = rng.standard_normal((p, n, d)) * 10.0**scale
+    hess = rng.standard_normal((1 if shared_hess else p, n, n)) * 10.0**scale
+    return sigma, np.broadcast_to(hess, (p, n, n))
+
+
+def coordinate_major(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` (P, ...) whose P axis is last in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([0, 2, 3, 5, 17]),
+    n=st.integers(1, 4),
+    d=st.integers(1, 9),
+    scale=st.integers(-5, 5),
+    shared_hess=st.booleans(),
+    major=st.booleans(),
+)
+def test_diffusion_trace_is_einsum_bit_for_bit(seed, p, n, d, scale, shared_hess, major):
+    # from two rows on, einsum adds (sigma_jk sigma_ik) H_ij to 0 in i, j, k
+    # order, as the kernel does, at any operand layout
+    sigma, hess = kernel_operands(seed, p, n, d, scale, shared_hess)
+    want = np.einsum("...jk,...ik,...ij->...", sigma, sigma, hess)
+    if major:
+        sigma, hess = coordinate_major(sigma), coordinate_major(hess)
+    assert _diffusion_trace(sigma, hess).tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 6),
+    n=st.integers(1, 4),
+    d=st.integers(1, 9),
+    scale=st.integers(-5, 5),
+    shared_hess=st.booleans(),
+)
+def test_diffusion_trace_of_one_row_is_its_row_of_a_batch(seed, p, n, d, scale, shared_hess):
+    sigma, hess = kernel_operands(seed, p, n, d, scale, shared_hess)
+    batch = _diffusion_trace(sigma, hess)
+    for r in range(p):
+        assert _diffusion_trace(sigma[r:r + 1], hess[r:r + 1]).tobytes() == batch[r:r + 1].tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([0, 1, 2, 3, 9]),
+    k=st.integers(1, 12),
+    scale=st.integers(0, 8),
+    zeros=st.booleans(),
+    major=st.booleans(),
+)
+def test_row_sums_are_numpy_row_sums(seed, p, k, scale, zeros, major):
+    # below 8 entries numpy adds a row in order, from +0.0, so whole-column
+    # adds give its bits; from 8 on the helper sums a C-ordered copy
+    rng = np.random.default_rng(seed)
+    terms = rng.standard_normal((p, k)) * 10.0 ** rng.integers(-scale, scale + 1, (p, k))
+    if zeros:  # signed zeros, whose sum's sign numpy also fixes
+        terms[rng.random((p, k)) < 0.5] = 0.0
+        terms = np.where(rng.random((p, k)) < 0.5, -terms, terms)
+    want = np.ascontiguousarray(terms).sum(axis=-1)
+    got = _row_sums(np.asfortranarray(terms) if major else terms)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_one_class_dynkin_run_builds_no_mode_group_plan(monkeypatch):
