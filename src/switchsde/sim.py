@@ -133,8 +133,9 @@ class CoupledRecord:
 
 
 def _check_inputs(model: ModelSpec, phi0: Segment, cfg: SimConfig, i0: int):
-    if i0 < 1:
+    if hasattr(i0, "__index__") and i0 < 1:
         raise ValueError("modes are indexed from 1")
+    _integer("i0", i0)  # int() would floor 2.5, and True would start in mode 1
     model.thinning_bound(i0)  # a model with a finite mode space rejects a start beyond it
     if phi0.dim != model.dim:
         raise ValueError(f"phi0 dim {phi0.dim} != model dim {model.dim}")

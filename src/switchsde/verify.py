@@ -17,13 +17,15 @@ depend on the whole list too; a one-start call is that start's run alone.
 Stop rules are masks over the ensemble, and finished paths
 leave the arrays.  The Dynkin estimator records each step's states and
 coefficients in the order its Euler step took them (path order on a
-one-class step and on a ``mode_arrays`` model's step), with the windows
-and rates read at that step, and takes LV of a block of up to
-``_BLOCK_ROWS`` path-steps times window samples in one pass, rows grouped
-by mode with one sort per block: the callbacks run once per mode per
-block.  Each row's terms are formed row-wise and added in a fixed order
-at every shape, so LV's bits do not depend on the grouping or the block
-size; trapezoid weights are built once per kernel and mode in a run.
+one-class step and on a ``mode_arrays`` model's step), with the rates
+read at that step, and takes LV of a block in one pass, rows grouped by
+mode with one sort per block: the callbacks run once per mode per block.
+A block holds up to ``_BLOCK_ROWS`` path-steps when V has no time
+kernel; with one it is a single step, whose windows are read off the
+engine's history ring before it steps on.  Each row's terms are formed
+row-wise and added in a fixed order at every shape, so LV's bits do not
+depend on the grouping or the block size; trapezoid weights are built
+once per kernel and mode in a run.
 :func:`apply_generator` is the same pass on one window.  A path
 contributes nothing from its blow-up on.
 """
@@ -36,6 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .chain import _integer
 from .model import Linearization, ModelSpec
 from .segment import Segment
 from .sim import BatchEnsemble, SimConfig
@@ -130,7 +133,7 @@ def apply_generator(V: ProductFunctional, model: ModelSpec, seg: Segment, i: int
     rates = np.fromiter(row.values(), float, len(row))[None, :]
     drift = np.asarray(model.drift(x, i), dtype=float)
     sigma = None if model.zero_diffusion else np.asarray(model.diffusion(x, i), dtype=float)
-    plan = [(i, slice(0, 1), list(row), rates, None)]
+    plan = [(i, slice(0, 1), list(row), rates)]
     windows = None if hist is None else lambda rows: hist[:, rows]
     return float(_generator(V, x, drift, sigma, windows, plan, _Trapezoid(seg.delay, seg.dt))[0])
 
@@ -173,9 +176,8 @@ class _Trapezoid:
         self.delay, self.dt = delay, dt
         self._weights: dict = {}
 
-    def __call__(self, kernel: Callable, i: int, f2h: np.ndarray, cuts=None) -> np.ndarray:
-        """Weighted column sums of f2h (m, P); with ``cuts``, one contiguous product
-        per (start, end) column range, as a BLAS product's bits depend on its columns."""
+    def __call__(self, kernel: Callable, i: int, f2h: np.ndarray) -> np.ndarray:
+        """Weighted column sums of f2h (m, P), columns of one grid step."""
         m = f2h.shape[0]
         key = (kernel, i, m)  # the dict keeps the kernel alive
         w = self._weights.get(key)
@@ -184,9 +186,7 @@ class _Trapezoid:
             w[0] = w[-1] = 0.5 * self.dt
             w *= [float(kernel(s, i)) for s in (-self.delay + self.dt * np.arange(m)).tolist()]
             self._weights[key] = w
-        if cuts is None:
-            return w @ f2h
-        return np.concatenate([w @ np.ascontiguousarray(f2h[:, a:b]) for a, b in cuts])
+        return w @ f2h
 
 
 def _values(V, x, hist, i: int, trap: _Trapezoid) -> np.ndarray:
@@ -259,26 +259,25 @@ def _coordinate_major(parts: Sequence, rows: np.ndarray) -> np.ndarray:
 def _generator(V, x, drift, sigma, windows, plan, trap) -> np.ndarray:
     """LV on P paths grouped by mode, in one pass.
 
-    ``plan`` lists the mode groups as (i, rows, targets, rates, cuts): a
-    slice of the P rows, the rates q_ij to ``targets[k]``, per path (P_i, K)
-    or shared (1, K), and its row ranges per grid step, counted from its
-    first row (None: one step).  x (P, n), drift (P, n) and sigma (P, n, d),
-    (n, d) or None are row-aligned, best stored coordinate-major;
-    ``windows(rows)`` gives the windows (m, P_i, n) of a group's rows when V
-    has a time kernel, else it is None.  ``grad_f1`` and ``hess_f1`` run once
-    per group, into coordinate-major arrays.  f1 runs once per mode j that a
-    group is in or can jump to, on the rows of those groups only (the other
-    rows never read V(., j)); f2 once per such mode and group, on the group's
-    window states, made once.  A row's bits do not depend on the grouping or
-    on P: its terms are row-wise, its trapezoid sums per step, and its drift,
-    diffusion and switching sums are added in a fixed order
-    (:func:`_row_sums`, :func:`_diffusion_trace`).
+    ``plan`` lists the mode groups as (i, rows, targets, rates): a slice of
+    the P rows and the rates q_ij to ``targets[k]``, per path (P_i, K) or
+    shared (1, K).  x (P, n), drift (P, n) and sigma (P, n, d), (n, d) or
+    None are row-aligned, best stored coordinate-major; ``windows(rows)``
+    gives the windows (m, P_i, n) of a group's rows, all of one grid step,
+    when V has a time kernel, else it is None.  ``grad_f1`` and ``hess_f1``
+    run once per group, into coordinate-major arrays.  f1 runs once per mode
+    j that a group is in or can jump to, on the rows of those groups only
+    (the other rows never read V(., j)); f2 once per such mode and group, on
+    the group's window states, made once.  A row's bits do not depend on the
+    grouping or on P: its terms are row-wise, its trapezoid sums over one
+    step, and its drift, diffusion and switching sums are added in a fixed
+    order (:func:`_row_sums`, :func:`_diffusion_trace`).
     """
     p, n = x.shape
     grad = np.empty((n, p)).T
     hess = None if sigma is None else np.empty((n, n, p)).transpose(2, 0, 1)
     readers: dict = {}
-    for i, rows, targets, _, _ in plan:
+    for i, rows, targets, _ in plan:
         grad[rows] = V.grad_f1(x[rows], i)
         if hess is not None:
             hess[rows] = V.hess_f1(x[rows], i)
@@ -293,43 +292,36 @@ def _generator(V, x, drift, sigma, windows, plan, trap) -> np.ndarray:
         vals[j] = v = np.empty(len(x))  # rows outside sel are never read
         xs = x[sel]
         v[sel] = _as_batch(V.f1(xs, j), len(xs))
-    for i, rows, targets, _, cuts in plan if windows is not None else ():
+    for i, rows, targets, _ in plan if windows is not None else ():
         states = _window_states(windows(rows))  # once per group, for every mode it reads
         for j in dict.fromkeys((i, *targets)):
             f2h = _window_f2(V, states, rows.stop - rows.start, j)
-            vals[j][rows] += trap(V.g, j, f2h, cuts)
+            vals[j][rows] += trap(V.g, j, f2h)
             if i == j:  # the time part of LV in mode j
                 lv[rows] += float(V.g(0.0, j)) * f2h[-1]
                 lv[rows] -= float(V.g(-trap.delay, j)) * f2h[0]
-                lv[rows] -= trap(V.dg, j, f2h, cuts)
-    for i, rows, targets, rates, _ in plan:
+                lv[rows] -= trap(V.dg, j, f2h)
+    for i, rows, targets, rates in plan:
         if len(targets):
             dv = np.array([vals[j][rows] for j in targets]) - vals[i][rows]
             lv[rows] += _row_sums(rates * dv.T)
     return lv
 
 
-def _snapshot(e: BatchEnsemble, with_hist: bool, first: bool, lone: bool) -> tuple:
+def _snapshot(e: BatchEnsemble, with_hist: bool) -> tuple:
     """LV's inputs at this pre-step state, rows in the Euler step's order:
-    (paths, modes, tables, x, drift, sigma, pushed), ``paths`` None in path
+    (paths, modes, tables, x, drift, sigma, history), ``paths`` None in path
     order, else the live paths in plan order (in path order on a step that
     reads every live path's mode in one call), ``tables`` each occupied
     mode's (targets, rates) read now, or None when the rates ignore the
-    history, and ``pushed``, given ``with_hist``, what the step adds to its
-    block's run of history samples: every path's window at the block's
-    ``first`` step, else the states the step before it wrote (see
-    :func:`_block_generator`); a ``lone`` first step, a block of one step
-    read before the engine steps on, pushes the engine's ``history`` reader
-    instead of a copy of every window."""
+    history, and ``history``, given ``with_hist``, the engine's reader of
+    the windows on its ring, valid until the engine steps on."""
     paths = e._plan()[0]
-    pushed = None
-    if with_hist:
-        pushed = (e.history if lone else e.history()) if first else e.x.copy()
     tables = None
     if e.model.rates_depend_on_path:  # in path order within a mode, as the plan holds them
         tables = {v: e.rate_table(group, v) for v, group in e.mode_paths().items()}
     modes = e.modes.copy() if paths is None else e.modes[paths]
-    return (paths, modes, tables, *e.coefficients(), pushed)
+    return (paths, modes, tables, *e.coefficients(), e.history if with_hist else None)
 
 
 def _block_generator(V, block: list, trap, rate_table) -> list:
@@ -339,13 +331,10 @@ def _block_generator(V, block: list, trap, rate_table) -> list:
     step order and, within a step, by path, as its steps' rate tables hold
     them (numpy radix-sorts ranks below 2^16, else the code (rank, step));
     rates that ignore the history are the engine's shared (1, K) row
-    ``rate_table(None, v)``.  With a time kernel the block's first step
-    pushes every path's window (m, P, n) and each later one the (P, n)
-    states that the step before it wrote to the ring, so step s's windows
-    are samples s..s+m-1 of that run: no step copies its windows, and no
-    block joins them.  A block of one step pushes the engine's reader of
-    them, and each group gathers its windows off the ring."""
-    paths, modes, tables, *arrays, pushed = zip(*block)
+    ``rate_table(None, v)``.  With a time kernel the block is one step, read
+    before the engine steps on: each group gathers its windows off the
+    engine's ring, and no step copies them."""
+    paths, modes, tables, *arrays, history = zip(*block)
     sizes, n = [len(m) for m in modes], len(block)
     key, step = np.concatenate(modes), np.repeat(np.arange(n), sizes)  # a shared row: by mode
     if tables[0] is not None:  # rows read per step: rank (mode, targets), targets may vary
@@ -360,40 +349,31 @@ def _block_generator(V, block: list, trap, rate_table) -> list:
     perm = np.argsort(key.astype(np.uint16) if key.max(initial=0) < 2**16 else code, kind="stable")
     code = code[perm]
     runs = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist()] if len(code) else []
-    groups: dict = {}  # rank -> (first row, [(step, start, end)]), one run per step
+    groups: dict = {}  # rank -> (first row, [(step, end)]), one run per step
     for start, end, c in zip(runs, runs[1:] + [len(code)], code[runs].tolist()):
         k, s = divmod(c, n)
-        groups.setdefault(k, (start, []))[1].append((s, start, end))
+        groups.setdefault(k, (start, []))[1].append((s, end))
     plan = []
     for k, (first, parts) in groups.items():
         if tables[0] is None:
             v, (targets, rates) = k, rate_table(None, k)
         else:
             v, targets = ranks[k]
-            rates = np.concatenate([tables[s][v][1] for s, _, _ in parts])
-        cuts = [(a - first, b - first) for _, a, b in parts]
-        plan.append((v, slice(first, parts[-1][2]), list(targets), rates,
-                     cuts if len(cuts) > 1 else None))
+            rates = np.concatenate([tables[s][v][1] for s, _ in parts])
+        plan.append((v, slice(first, parts[-1][1]), list(targets), rates))
     x, drift, sigma = (None if s[0] is None else _coordinate_major(s, perm) for s in arrays)
     windows = None
-    if pushed[0] is not None:  # the run of samples the block's windows slide over
-        hist = pushed[0] if n == 1 else np.concatenate([pushed[0], np.stack(pushed[1:])])
-        who = np.concatenate([np.arange(len(m)) if p is None else p for p, m in zip(paths, modes)])
-        if n == 1:  # one gather per group off the engine's ring, with no copy of every window
-            windows = lambda rows: hist(who[perm[rows]])  # noqa: E731
-        else:  # sample t of the window of path p in step s is row (s + t) P + p
-            lag = np.arange(len(pushed[0]))[:, None]
-            at = (step[perm] + lag) * hist.shape[1] + who[perm]  # (m, rows), in sorted order
-            flat = hist.reshape(-1, hist.shape[2])
-            windows = lambda rows: np.take(flat, at[:, rows], axis=0)  # noqa: E731
+    if history[0] is not None:  # one gather per group off the engine's ring
+        who = np.arange(sizes[0]) if paths[0] is None else paths[0]
+        windows = lambda rows: history[0](who[perm[rows]])  # noqa: E731
     lv = np.empty(len(perm))
     lv[perm] = _generator(V, x, drift, sigma, windows, plan, trap)
     ends = np.cumsum(sizes).tolist()
     return [(p, lv[b - size:b]) for p, size, b in zip(paths, sizes, ends)]
 
 
-# path-steps times window samples per Dynkin block, path-steps per occupation
-# block: what one pass over a block holds at once
+# path-steps per Dynkin block of a functional without a time kernel and per
+# occupation block: what one pass over a block holds at once
 _BLOCK_ROWS = 4096
 
 
@@ -454,7 +434,8 @@ def estimate_hitting_time(
     estimate is flagged unusable when every path is censored.  ``threads``
     is ignored: every path is drawn from the one stream.
     """
-    if not radius > 0 or k0 < 1:  # written so that NaN fails
+    _integer("k0", k0)
+    if not radius > 0:  # written so that NaN fails
         raise ValueError("radius must be positive and k0 >= 1")
 
     def hit(e: BatchEnsemble) -> np.ndarray:
@@ -473,8 +454,7 @@ def estimate_mode_descent(
     n_paths: int,
 ) -> MCEstimate:
     """Mean first time the mode chain descends to {1, ..., k0} from i0."""
-    if k0 < 1:
-        raise ValueError("k0 must be >= 1")
+    _integer("k0", k0)
 
     def hit(e: BatchEnsemble) -> np.ndarray:
         return e.modes <= k0
@@ -664,7 +644,7 @@ def occupation_fractions(
     """
     if n_paths < 2:  # a standard error needs two paths
         raise ValueError(f"n_paths must be at least 2, got {n_paths}")
-    modes_track = [int(v) for v in modes_track]
+    modes_track = [_integer("tracked mode", v) for v in modes_track]  # int() would floor 1.5
     idx = {v: a for a, v in enumerate(modes_track)}
     if len(idx) < len(modes_track):
         repeated = sorted({v for v in modes_track if modes_track.count(v) > 1})
@@ -716,12 +696,11 @@ def dynkin_residual(
     acc = np.zeros(n_paths)
     dt = run_cfg.dt
     trap = _Trapezoid(model.delay, dt)
-    block, rows = [], n_paths * (phi0.samples.shape[0] if with_hist else 1)  # per step
-    block_steps = max(1, _BLOCK_ROWS // rows)
+    # a time-kernel block is one step, its windows read off the ring before the engine steps on
+    block, block_steps = [], 1 if with_hist else max(1, _BLOCK_ROWS // n_paths)
     for k in range(n_steps):
-        last = len(block) + 1 == block_steps or k == n_steps - 1  # the block is read now
-        block.append(_snapshot(be, with_hist, not block, last))
-        if last:
+        block.append(_snapshot(be, with_hist))
+        if len(block) == block_steps or k == n_steps - 1:
             for paths, lv in _block_generator(V, block, trap, be.rate_table):  # as the paths ran
                 acc[slice(None) if paths is None else paths] += lv * dt
             block = []

@@ -425,7 +425,9 @@ def group_generator(V, x, hist, i, targets, rates, drift, sigma, delay, dt):
         lv = lv - trapezoid(V.dg, i, f2h)
     if len(targets):
         dv = np.array([value(j) for j in targets]) - value(i)
-        lv = lv + (rates[0] @ dv if rates.shape[0] == 1 else (rates * dv.T).sum(axis=-1))
+        # products, then a row sum: a dot product of a one-path group's rate
+        # row may round as a fused multiply-add, which no generator takes
+        lv = lv + (rates * dv.T).sum(axis=-1)
     return lv
 
 
@@ -508,7 +510,7 @@ def plan_snapshot(e: BatchEnsemble, with_hist: bool) -> tuple:
     paths by index, is gathered into plan order, row by row."""
     groups = e.groups()
     order = e._order
-    plan = [(v, rows, *e.rate_table(paths, v), None) for v, paths, rows in groups]
+    plan = [(v, rows, *e.rate_table(paths, v)) for v, paths, rows in groups]
     arrays = e.coefficients()
     taken = e._plan()[0]
     if taken is not order:  # the step ran in path order, or over the live paths by index
@@ -520,12 +522,13 @@ def plan_snapshot(e: BatchEnsemble, with_hist: bool) -> tuple:
 def plan_block_generator(V, block: list, trap) -> list:
     """LV of a block of :func:`plan_snapshot` steps in one ``_generator``
     pass, the rows regrouped by a second sort on (mode, target list) and by
-    step within a group: (paths, LV) per step."""
+    step within a group: (paths, LV) per step.  A block of several steps
+    has no windows: a time-kernel block is one step."""
     if len(block) == 1:
         paths, plan, x, drift, sigma, hist = block[0]
         return [(paths, _generator(V, x, drift, sigma, _windows(hist), plan, trap))]
     steps = [((v, tuple(t)), rows.stop - rows.start, r) for _, plan, *_ in block
-             for v, rows, t, r, _ in plan]  # (key, rows, rates) per group of each step
+             for v, rows, t, r in plan]  # (key, rows, rates) per group of each step
     parts: dict = {}  # key -> [(rows, rates)], in step order
     for key, n, rates in steps:
         parts.setdefault(key, []).append((n, rates))
@@ -537,12 +540,12 @@ def plan_block_generator(V, block: list, trap) -> list:
         n, tables = zip(*group)
         ends = np.cumsum(n).tolist()
         rates = tables[0] if any(len(r) < k for k, r in group) else np.concatenate(tables)
-        plan.append((v, slice(a, a + ends[-1]), list(targets), rates, list(zip([0] + ends, ends))))
+        plan.append((v, slice(a, a + ends[-1]), list(targets), rates))
         a += ends[-1]
     orders, _, *arrays, hists = zip(*block)
+    assert hists[0] is None
     x, drift, sigma = (None if s[0] is None else np.concatenate(s)[perm] for s in arrays)
-    hist = None if hists[0] is None else np.concatenate(hists, axis=1)[:, perm]
-    lv = _generator(V, x, drift, sigma, _windows(hist), plan, trap)[np.argsort(perm)]
+    lv = _generator(V, x, drift, sigma, None, plan, trap)[np.argsort(perm)]
     starts = np.cumsum([0, *map(len, orders)]).tolist()
     return [(paths, lv[a:b]) for paths, a, b in zip(orders, starts, starts[1:])]
 
@@ -554,8 +557,8 @@ def _windows(hist):
 
 def plan_dynkin_residual(V, model, phi0, i0, t, cfg, n_paths, block_rows):
     """``dynkin_residual`` on :func:`plan_snapshot` blocks of at most
-    ``block_rows`` path-steps times window samples, each evaluated by
-    :func:`plan_block_generator`."""
+    ``block_rows`` path-steps, or of one step when V has a time kernel,
+    each evaluated by :func:`plan_block_generator`."""
     n_steps = int(round(t / cfg.dt))
     with_hist = V.f2 is not None
     be = BatchEnsemble(model, phi0, i0, replace(cfg, horizon=n_steps * cfg.dt), n_paths,
@@ -563,7 +566,7 @@ def plan_dynkin_residual(V, model, phi0, i0, t, cfg, n_paths, block_rows):
     trap = _Trapezoid(model.delay, cfg.dt)
     acc = np.zeros(n_paths)
     block = []
-    block_steps = max(1, block_rows // (n_paths * (phi0.samples.shape[0] if with_hist else 1)))
+    block_steps = 1 if with_hist else max(1, block_rows // n_paths)
     for k in range(n_steps):
         block.append(plan_snapshot(be, with_hist))
         if len(block) == block_steps or k == n_steps - 1:

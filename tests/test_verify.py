@@ -27,7 +27,7 @@ from switchsde.config import load_model_config
 from switchsde.model import Linearization, ModelSpec
 from switchsde.registry import registry_get
 from switchsde.segment import Segment
-from switchsde.sim import BatchEnsemble, SimConfig
+from switchsde.sim import BatchEnsemble, SimConfig, simulate, simulate_coupled
 from switchsde.cli import _FUNCTIONALS
 from switchsde.verify import (
     _collect,
@@ -516,6 +516,59 @@ def test_a_fractional_path_count_is_refused():
     assert est.to_dict() == estimate_mode_descent(spec, phi0, 3, 2, cfg, 4).to_dict()
 
 
+# each entry point that takes a mode: (the name it refuses a mode by, call
+# with that mode set to ``bad``, on switched_ou's spec and linearization,
+# start window and config)
+_MODE_ENTRIES = {
+    "simulate": ("i0", lambda spec, lin, phi0, cfg, bad: simulate(spec, phi0, bad, cfg)),
+    "BatchEnsemble": ("i0", lambda spec, lin, phi0, cfg, bad: BatchEnsemble(
+        spec, phi0, bad, cfg, 4)),
+    "simulate_coupled": ("i0", lambda spec, lin, phi0, cfg, bad: simulate_coupled(
+        spec, lin, phi0, bad, cfg)),
+    "coupling_decay": ("i0", lambda spec, lin, phi0, cfg, bad: coupling_decay(
+        spec, lin, [1.0], cfg, 4, i0=bad)),
+    "occupation_stability": ("i0", lambda spec, lin, phi0, cfg, bad: occupation_stability(
+        spec, [[1.0]], cfg, 4, burn_in=0.5, i0=bad)),
+    "dynkin_residual": ("i0", lambda spec, lin, phi0, cfg, bad: dynkin_residual(
+        QUAD, spec, phi0, bad, 0.5, cfg, 4)),
+    "estimate_hitting_time": ("k0", lambda spec, lin, phi0, cfg, bad: estimate_hitting_time(
+        spec, phi0, 3, 0.5, bad, cfg, 4)),
+    "estimate_mode_descent": ("k0", lambda spec, lin, phi0, cfg, bad: estimate_mode_descent(
+        spec, phi0, 3, bad, cfg, 4)),
+    "occupation_fractions": ("tracked mode", lambda spec, lin, phi0, cfg, bad: (
+        occupation_fractions(spec, phi0, 1, cfg, 4, [bad, 3]))),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True])
+@pytest.mark.parametrize("entry", sorted(_MODE_ENTRIES))
+def test_a_fractional_or_boolean_mode_is_refused(entry, bad):
+    # modes were once compared with 1 and cast by int() or numpy: simulate
+    # and BatchEnsemble ran i0 = 2.5 in mode 2, a k0 of 1.5 stopped at mode
+    # 1, and modes_track [1.5, 3] and [True, 3] both counted mode 1
+    spec, lin = registry_get("switched_ou", {"c": 1.0, "sigma": 0.5})
+    cfg = SimConfig(dt=1.0 / 16, horizon=1.0, seed=1)
+    phi0 = Segment.make_constant([1.0], spec.delay, cfg.dt)
+    name, call = _MODE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {bad!r}"):
+        call(spec, lin, phi0, cfg, bad)
+
+
+def test_a_mode_below_one_and_a_numpy_mode():
+    # a start mode below 1 keeps its message; numpy integers pass as modes
+    spec, lin = registry_get("switched_ou", {"c": 1.0, "sigma": 0.5})
+    cfg = SimConfig(dt=1.0 / 16, horizon=1.0, seed=1)
+    phi0 = Segment.make_constant([1.0], spec.delay, cfg.dt)
+    for bad in (0, -2, np.int64(0), False):
+        with pytest.raises(ValueError, match="modes are indexed from 1"):
+            BatchEnsemble(spec, phi0, bad, cfg, 4)
+    want = pickle.dumps(occupation_fractions(spec, phi0, 2, cfg, 4, [1, 3]))
+    assert pickle.dumps(occupation_fractions(spec, phi0, np.int64(2), cfg, 4,
+                                             [np.int64(1), np.int64(3)])) == want
+    assert (estimate_mode_descent(spec, phi0, 3, np.int64(1), cfg, 4).to_dict()
+            == estimate_mode_descent(spec, phi0, 3, 1, cfg, 4).to_dict())
+
+
 def test_occupation_fractions_rejects_negative_burn_in():
     # a negative burn_in once counted the steps before t = 0 that never ran:
     # on switched_ou the fractions of every mode summed to 0.667 at -2
@@ -960,13 +1013,15 @@ def run_blocks(V, e: BatchEnsemble, n_steps: int, block_steps: int, trap, at_ste
     """Step ``e`` ``n_steps`` times, snapshotting each pre-step state, and
     evaluate LV a block of ``block_steps`` snapshots at a time; yields each
     block's (paths, LV) per step next to ``at_step(e)`` read at that step;
-    a step in path order names every path."""
+    a step in path order names every path.  A time-kernel block is one
+    step, read off the ring before the engine steps on, as in
+    ``dynkin_residual``."""
+    assert V.f2 is None or block_steps == 1
     block, seen = [], []
     for k in range(n_steps):
-        last = len(block) + 1 == block_steps or k == n_steps - 1
-        block.append(_snapshot(e, V.f2 is not None, not block, last))
+        block.append(_snapshot(e, V.f2 is not None))
         seen.append(None if at_step is None else at_step(e))
-        if last:
+        if len(block) == block_steps or k == n_steps - 1:
             out = _block_generator(V, block, trap, e.rate_table)
             out = [(np.arange(len(lv)) if p is None else p, lv) for p, lv in out]
             yield list(zip(out, seen))
@@ -979,29 +1034,32 @@ def run_blocks(V, e: BatchEnsemble, n_steps: int, block_steps: int, trap, at_ste
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_ensemble_generator_matches_group_oracle(rates_depend_on_path, seed):
     # random plans: 40 paths spread over three modes by the chain itself,
-    # and paths that stay in mode 3 blow up there; blocks of 5 steps mix
-    # the rows of different steps in one mode group
+    # and paths that stay in mode 3 blow up there; without the time kernel
+    # blocks of 5 steps mix the rows of different steps in one mode group,
+    # with it each block is one step
     model = plane_model(rates_depend_on_path, blow=40.0)
     dt = 1.0 / 32
     phi0 = Segment.make_constant([0.9, -0.6], model.delay, dt)
-    e = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=2.0, seed=seed), 40,
-                      track_history=True)
     trap = _Trapezoid(model.delay, dt)
-    oracle = lambda e: oracle_step(PLANE_V, e, trap)  # noqa: E731
-    for block in run_blocks(PLANE_V, e, 32, 5, trap, oracle):
-        for (paths, lv), ref in block:
-            assert sorted(paths.tolist()) == sorted(ref)
-            want, mag = np.array([ref[p] for p in paths.tolist()]).T.reshape(2, -1)
-            ok = np.isfinite(want)  # a path about to blow up may overflow V
-            assert np.array_equal(np.isfinite(lv), ok)
-            # the oracle takes tr(H sigma sigma^T) as the trace of a matrix product,
-            # in another order than the generator's fixed i, j, k: rounding only
-            assert (np.abs(lv - want)[ok] <= 1e-14 * (np.abs(want) + mag)[ok]).all()
-    assert 10 <= e.blown.sum() < e.n_paths and len(e.groups()) == 3
+    for fn, block_steps in ((replace(PLANE_V, f2=None, g=None, dg=None), 5), (PLANE_V, 1)):
+        e = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=2.0, seed=seed), 40,
+                          track_history=fn.f2 is not None)
+        oracle = lambda e: oracle_step(fn, e, trap)  # noqa: E731
+        for block in run_blocks(fn, e, 32, block_steps, trap, oracle):
+            for (paths, lv), ref in block:
+                assert sorted(paths.tolist()) == sorted(ref)
+                want, mag = np.array([ref[p] for p in paths.tolist()]).T.reshape(2, -1)
+                ok = np.isfinite(want)  # a path about to blow up may overflow V
+                assert np.array_equal(np.isfinite(lv), ok)
+                # the oracle takes tr(H sigma sigma^T) as the trace of a matrix product,
+                # in another order than the generator's fixed i, j, k: rounding only
+                assert (np.abs(lv - want)[ok] <= 1e-14 * (np.abs(want) + mag)[ok]).all()
+        assert 10 <= e.blown.sum() < e.n_paths and len(e.groups()) == 3
 
 
 def test_ensemble_generator_is_bit_identical_in_one_dimension():
-    # with n = d = 1 the block pass does the oracle's arithmetic exactly
+    # with n = d = 1 the block pass does the oracle's arithmetic exactly, on
+    # blocks of 6 steps without the time kernel and of one step with it
     model = scalar_spec(
         lambda x, i: -0.7 * i * np.asarray(x, dtype=float),
         diffusion=lambda x, i: 0.3 * i * np.asarray(x, dtype=float)[..., None] + 0.1,
@@ -1017,21 +1075,23 @@ def test_ensemble_generator_is_bit_identical_in_one_dimension():
     )
     dt = 1.0 / 16
     phi0 = Segment.make_constant([1.2], model.delay, dt)
-    e = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=2.0, seed=8), 30,
-                      track_history=True)
     trap = _Trapezoid(model.delay, dt)
-    oracle = lambda e: oracle_step(fn, e, trap)  # noqa: E731
-    for block in run_blocks(fn, e, 20, 6, trap, oracle):
-        for (paths, lv), ref in block:
-            assert lv.tolist() == [ref[p][0] for p in paths.tolist()]
-    assert len(e.groups()) == 3
+    for fn, block_steps in ((replace(fn, f2=None, g=None, dg=None), 6), (fn, 1)):
+        e = BatchEnsemble(model, phi0, 1, SimConfig(dt=dt, horizon=2.0, seed=8), 30,
+                          track_history=fn.f2 is not None)
+        oracle = lambda e: oracle_step(fn, e, trap)  # noqa: E731
+        for block in run_blocks(fn, e, 20, block_steps, trap, oracle):
+            for (paths, lv), ref in block:
+                assert lv.tolist() == [ref[p][0] for p in paths.tolist()]
+        assert len(e.groups()) == 3
 
 
 @pytest.mark.parametrize("with_kernel", [False, True])
 def test_generator_evaluates_f1_once_per_needed_mode(with_kernel):
     # every mode can jump to both others, so evaluating f1 per (group,
     # target) pair would call mode 1 from groups 2 and 3 in the same block;
-    # a block of 4 steps calls f1 once per mode its groups read
+    # a block (4 steps without the time kernel, one with it) calls f1 once
+    # per mode its groups read
     calls = []
 
     def f1(x, i):
@@ -1048,7 +1108,7 @@ def test_generator_evaluates_f1_once_per_needed_mode(with_kernel):
     trap = _Trapezoid(model.delay, dt)
     full = 0
     modes = lambda e: {v for v, _, _ in e.groups()}  # noqa: E731
-    for block in run_blocks(fn, e, 32, 4, trap, modes):
+    for block in run_blocks(fn, e, 32, 1 if with_kernel else 4, trap, modes):
         needed = set().union(*(v for _, v in block))
         needed |= {j for v in list(needed) for j in model.rates_row(None, v)}
         assert sorted(calls) == sorted(set(calls))
@@ -1085,13 +1145,13 @@ def test_generator_evaluates_f1_only_on_the_rows_that_read_it(family, with_kerne
         out = generator(V, x, drift, sigma, windows, plan, trap)
         evaluated.append(sum(counted))
         read.append(sum((rows.stop - rows.start) * len({i, *targets})
-                        for i, rows, targets, _, _ in plan))
-        full.append(len(x) * len({j for i, _, targets, _, _ in plan for j in (i, *targets)}))
-        for i, rows, targets, rates, cuts in plan:
+                        for i, rows, targets, _ in plan))
+        full.append(len(x) * len({j for i, _, targets, _ in plan for j in (i, *targets)}))
+        for i, rows, targets, rates in plan:
             own = None if windows is None else (  # the group's rows counted from 0
                 lambda r, a=rows.start: windows(slice(a + r.start, a + r.stop)))
             alone = generator(V, x[rows], drift[rows], None if sigma is None else sigma[rows], own,
-                              [(i, slice(0, rows.stop - rows.start), targets, rates, cuts)], trap)
+                              [(i, slice(0, rows.stop - rows.start), targets, rates)], trap)
             assert alone.tobytes() == out[rows].tobytes()
         return out
 
@@ -1188,7 +1248,7 @@ def test_apply_generator_is_its_row_of_a_batch():
         model, fn = column_model(b, c), quadratic_form(a + a.T)
         xs = rng.standard_normal((3, 2))
         one = apply_generator(fn, model, Segment.make_constant(xs[1], 1.0, 0.25), 1)
-        plan = [(1, slice(0, 3), [2], np.array([[0.7]]), None)]
+        plan = [(1, slice(0, 3), [2], np.array([[0.7]]))]
         batch = _generator(fn, xs, model.drift(xs, 1), model.diffusion(xs, 1), None, plan, trap)
         assert np.float64(one).tobytes() == batch[1].tobytes()
 
@@ -1240,6 +1300,28 @@ def test_dynkin_block_pass_calls_no_einsum(monkeypatch):
     est = dynkin_residual(_FUNCTIONALS["quadratic"], spec, phi0, 1, 1.0,
                           SimConfig(dt=dt, horizon=1.0, seed=2), 16)
     assert est.usable and sum(blocks) == 64 and calls == []
+
+
+@pytest.mark.parametrize("n_paths", [2, 15])
+def test_a_time_kernel_dynkin_block_is_one_step(monkeypatch, n_paths):
+    # a time-kernel block is one step, its windows read off the engine's
+    # ring: with m = 65 window samples, blocks of 4,096 path-steps times
+    # samples held 31 steps at 2 paths and 4 at 15
+    spec = load_model_config(str(CONFIG_DIR / "switched_ou.json")).spec
+    fn = replace(QUAD, f2=lambda x, i: (np.asarray(x) ** 2).sum(axis=-1),
+                 g=lambda s, i: math.exp(s), dg=lambda s, i: math.exp(s))
+    sizes, block_generator = [], switchsde.verify._block_generator
+
+    def counted(V, block, *args):
+        sizes.append(len(block))
+        return block_generator(V, block, *args)
+
+    monkeypatch.setattr(switchsde.verify, "_block_generator", counted)
+    dt = 1.0 / 64
+    phi0 = Segment.make_constant([1.0], spec.delay, dt)
+    assert phi0.samples.shape[0] == 65
+    est = dynkin_residual(fn, spec, phi0, 2, 1.0, SimConfig(dt=dt, horizon=1.0, seed=1), n_paths)
+    assert est.n_samples == n_paths and sizes == [1] * 64
 
 
 def kernel_operands(seed: int, p: int, n: int, d: int, scale: int, shared_hess: bool):
@@ -1412,14 +1494,14 @@ def test_dynkin_matches_the_plan_order_oracle(
     # rows kept in the engine's order (path order while one class holds every
     # path) and grouped by one sort per block give the bytes of snapshots
     # sorted by mode at every step and regrouped per block, at block budgets
-    # of one step, three steps and the whole run
+    # of one step, three steps and the whole run; a time-kernel block is one
+    # step at any budget
     model = shared_plane_model(rates_depend_on_path, blow, shared_from)
     fn = PLANE_V if with_kernel else replace(PLANE_V, f2=None, g=None, dg=None)
     dt = 1.0 / 32
     phi0 = Segment.make_constant([0.9, -0.6], model.delay, dt)
     cfg = SimConfig(dt=dt, horizon=1.0, seed=seed, scheme=scheme)
-    rows = n_paths * (phi0.samples.shape[0] if with_kernel else 1)  # per step
-    for budget in (1, 3 * rows, n_steps * rows):
+    for budget in (1,) if with_kernel else (1, 3 * n_paths, n_steps * n_paths):
         with mock.patch.object(switchsde.verify, "_BLOCK_ROWS", budget):
             est = dynkin_residual(fn, model, phi0, 1, n_steps * dt, cfg, n_paths)
         want = plan_dynkin_residual(fn, model, phi0, 1, n_steps * dt, cfg, n_paths, budget)
