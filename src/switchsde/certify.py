@@ -35,9 +35,13 @@ resolves the level, solves the law and builds the closed-loop drifts of
 modes 1..D and their gain-free noise part: D is N, or max(K, largest
 controllable mode + 1) when the linearization declares ``repeats_from``
 K, as every mode beyond costs c_D, so the per-mode work does not grow
-with N, and the coefficient probe covers every mode, also those beyond N.  A gain moves
-only the controllable drifts, so ``search_gain`` solves the law and builds
-the noise part once per search.
+with N, and the coefficient probe covers every mode, also those beyond N.
+The noise part weighs a stack of drift stacks (G, D, n, n) in one
+eigenvalue pass and one svd; a certificate passes one drift stack, and
+``_certify`` turns its costs, probe norm and feedback norm into the
+verdict.  A gain moves only the controllable drifts, so ``search_gain``
+solves the law and builds the noise part once per search, and weighs its
+whole gain grid in passes of at most ``_GRID_CHUNK`` matrices.
 
 Two printed forms of the stabilization cost are kept side by side and
 selected with ``form``: ``thm37`` substitutes the closed-loop drift into
@@ -71,6 +75,8 @@ _FORMS = ("thm37", "thm41")
 
 CERTIFIED = "CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+_GRID_CHUNK = 256  # drift matrices the gain search weighs in one stacked pass
 
 
 @dataclass(frozen=True)
@@ -189,11 +195,13 @@ def _sym_eigs(mats: np.ndarray) -> np.ndarray:
 
 def _noise(lin: Linearization, modes, form: str, n: int) -> Callable:
     """The gain-free part of the costs of ``modes`` in ``form``: a function
-    from their closed-loop drifts (a :func:`_stacks` stack of size ``n``) to
-    their costs, the noise terms added in the printed order, and the largest
-    spectral norm over drifts and noise matrices.  rho is the minimal
-    |x^T s x| over the unit sphere: 0 when the symmetric part of s is
-    indefinite, else its smallest absolute eigenvalue."""
+    from a stack of their closed-loop drift stacks (..., D, n, n), each a
+    :func:`_stacks` stack of size ``n``, to their costs (..., D), the noise
+    terms added in the printed order, and per drift stack the largest
+    spectral norm over its drifts and the noise matrices, from one
+    eigenvalue pass and one svd whatever the leading axes.  rho is the
+    minimal |x^T s x| over the unit sphere: 0 when the symmetric part of s
+    is indefinite, else its smallest absolute eigenvalue."""
     if form not in _FORMS:
         raise ValueError(f"form must be one of {_FORMS}")
     sig = np.array([lin.sigma_mats(i) for i in modes], dtype=float)
@@ -213,8 +221,8 @@ def _noise(lin: Linearization, modes, form: str, n: int) -> Callable:
         scale, add, sub = 2.0, (_sym_eigs(gram)[..., -1] - rho2).sum(axis=1), 0.0
 
     def weigh(b: np.ndarray) -> tuple:
-        norm = max(float(np.linalg.svd(b, compute_uv=False).max()), top)
-        return scale * _sym_eigs(b)[:, -1] + add - sub, norm
+        norm = np.maximum(np.linalg.svd(b, compute_uv=False).max(axis=(-2, -1)), top)
+        return scale * _sym_eigs(b)[..., -1] + add - sub, norm
 
     return weigh
 
@@ -292,30 +300,26 @@ def _parts(lin: Linearization, plan: Optional[GainPlan], n_modes: int, form: str
 def _certify(
     lin: Linearization,
     law: StationaryDist,
-    b: np.ndarray,
-    noise: Callable,
+    head: np.ndarray,
+    norm: float,
+    feedback: float,
     *,
     claim: str,
     form: str,
-    plan: Optional[GainPlan],
     margin_frac: float,
     extra_flags: Optional[dict] = None,
 ) -> Certificate:
-    """Weigh the costs of the drift stack ``b`` of modes 1..D (every mode
-    beyond costs mode D's) under the noise part ``noise`` against ``law``."""
+    """Weigh the costs ``head`` of modes 1..D (every mode beyond costs mode
+    D's) against ``law``; ``norm`` is their probe norm and ``feedback`` the
+    largest spectral norm of a feedback term B(i) L(i) (0 without one)."""
     if not margin_frac >= 0:  # written so that NaN fails it
         raise ValueError(f"margin_frac must be nonnegative, got {margin_frac}")
-    head, norm = noise(b)
     terms = _terms(law, head)
-
-    plan_norm = max([0.0] + [
-        np.linalg.norm(np.asarray(plan.input_mats(i), float) @ np.asarray(gain, float), 2)
-        for i, gain in plan.gains.items() if gain is not None]) if plan else 0.0
     flags = {
         # every law comes from exact_law or stationary, which raise otherwise
         "qhat_conservative": True,
         "qhat_irreducible": True,
-        "coeff_bound_ok": bool(norm <= lin.coeff_bound + plan_norm + 1e-9),
+        "coeff_bound_ok": bool(norm <= lin.coeff_bound + feedback + 1e-9),
         "stationary_residual_ok": bool(terms["nu"].residual <= 1e-10),
     }
     if extra_flags:
@@ -349,12 +353,14 @@ def certify_recurrence(
 ) -> Certificate:
     """Certify positive recurrence from the linearization alone, weighed
     against the law ``solve_law`` picks (module docstring)."""
+    law, b, weigh = _parts(lin, None, n_modes, "thm37")
     return _certify(
         lin,
-        *_parts(lin, None, n_modes, "thm37"),
+        law,
+        *weigh(b),
+        0.0,
         claim="positive_recurrence",
         form="thm37",
-        plan=None,
         margin_frac=margin_frac,
         extra_flags=extra_flags,
     )
@@ -370,12 +376,17 @@ def certify_stabilization(
 ) -> Certificate:
     """Certify weak stabilizability under the feedback plan, weighed
     against the law ``solve_law`` picks (module docstring)."""
+    law, b, weigh = _parts(lin, plan, n_modes, form)
+    terms = [np.asarray(plan.input_mats(i), float) @ np.asarray(gain, float)
+             for i, gain in plan.gains.items() if gain is not None]
+    feedback = float(np.linalg.svd(np.array(terms), compute_uv=False).max()) if terms else 0.0
     return _certify(
         lin,
-        *_parts(lin, plan, n_modes, form),
+        law,
+        *weigh(b),
+        feedback,
         claim="weak_stabilizability",
         form=form,
-        plan=plan,
         margin_frac=margin_frac,
         extra_flags=extra_flags,
     )
@@ -398,39 +409,55 @@ def search_gain(
     exhausted.  Each grid point's certificate is the one
     :func:`certify_stabilization` gives for its plan.  The gain enters
     neither ``qhat`` nor the noise, so the law, the noise part and the
-    open-loop drifts are built once per search, and each grid point
-    rebuilds only the drifts of the controllable modes, which are checked
-    again with the rest.
+    open-loop drifts are built once per search.  So is the grid: one svd
+    takes the norms of the feedback terms B(i) g I of every point, and the
+    closed-loop drifts of the points are weighed in stacked passes of at
+    most ``_GRID_CHUNK`` matrices (one point at least), so a search that
+    stops early weighs at most the rest of its answer's pass.  A point
+    whose drifts overflow raises when the search reaches it.
     """
     controllable = frozenset(_integer("controllable mode", i) for i in controllable)
     if not controllable:
         raise ValueError("controllable set is empty")
     if not 0.0 <= budget < np.inf:  # an infinite budget would double g forever
         raise ValueError(f"budget must be finite and nonnegative, got {budget}")
-    open_loop = GainPlan(controllable, {}, input_mats)
-    law, b0, noise = _parts(lin, open_loop, n_modes, form)
-    restack = sorted(i for i in controllable if i <= len(b0))
-    g = 0.0
-    while g <= budget * (1.0 + 1e-12):
-        gains = {
-            i: g * np.eye(np.asarray(input_mats(i), float).shape[1], b0.shape[1])
-            for i in controllable
-        }
-        plan = GainPlan(controllable=controllable, gains=gains, input_mats=input_mats)
-        b = b0.copy()
-        for i in restack:
-            b[i - 1] = _effective_drift(lin, i, plan)
+    law, b0, weigh = _parts(lin, GainPlan(controllable, {}, input_mats), n_modes, form)
+    grid = [0.0]
+    while max(0.25, 2.0 * grid[-1]) <= budget * (1.0 + 1e-12):
+        grid.append(max(0.25, 2.0 * grid[-1]))
+    ctl = sorted(controllable)
+    eyes = {i: np.eye(np.asarray(input_mats(i), float).shape[1], b0.shape[1]) for i in ctl}
+    at = [i - 1 for i in ctl if i <= len(b0)]  # the rows of a prefix of ctl
+    # points past the answer are built and weighed too: an overflow there
+    # warns of nothing the search reads, and a point whose drifts overflow
+    # is refused when the search reaches it
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.array(grid)[:, None, None]
+        # B(i) L(i) at every grid point and controllable mode: (G, C, n, n)
+        fb = np.stack([np.asarray(input_mats(i), float) @ (scaled * eyes[i]) for i in ctl], 1)
+        closed = b0[at] - fb[:, :len(at)]  # the controllable drifts of modes 1..D
+    finite = np.isfinite(fb).all(axis=(1, 2, 3)) & np.isfinite(closed).all(axis=(1, 2, 3))
+    stop = len(grid) if finite.all() else int(np.argmin(finite))
+    feedback = np.linalg.svd(fb[:stop], compute_uv=False).max(axis=(-2, -1))
+    per = max(1, _GRID_CHUNK // len(b0))
+    for k, g in enumerate(grid):
+        if k == stop:
+            raise ValueError("matrix entries must be finite")
+        if k % per == 0:
+            b = np.repeat(b0[None], min(per, stop - k), axis=0)
+            b[:, at] = closed[k:k + len(b)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                costs, norms = weigh(b)
         cert = _certify(
             lin,
             law,
-            _stacks(b),
-            noise,
+            costs[k % per],
+            norms[k % per],
+            feedback[k],
             claim="weak_stabilizability",
             form=form,
-            plan=plan,
             margin_frac=margin_frac,
         )
         if cert.verdict == CERTIFIED:
-            return plan
-        g = max(0.25, 2.0 * g)
+            return GainPlan(controllable, {i: g * eyes[i] for i in controllable}, input_mats)
     return None

@@ -180,45 +180,139 @@ def cert_fields(cert):
     return [(f.name, bits(getattr(cert, f.name))) for f in fields(cert)]
 
 
+def grid_plans(controllable, inputs, n, budget):
+    """The plans L(i) = g * I of the gain grid g = 0, 0.25, 0.5, ... up to
+    ``budget``, as :func:`certify_stabilization` takes them."""
+    gains, g = [], 0.0
+    while g <= budget * (1.0 + 1e-12):
+        gains.append(g)
+        g = max(0.25, 2.0 * g)
+    return [GainPlan(frozenset(controllable),
+                     {i: g * np.eye(np.asarray(inputs(i)).shape[1], n) for i in controllable},
+                     inputs) for g in gains]
+
+
+def recording_weighs(monkeypatch):
+    """Patch the noise part so that it logs the four-axis stacks whose
+    eigenvalues it takes while it is built (the noise matrices, and their
+    Gram matrices in thm41) apart from the drift stacks its ``weigh`` gets."""
+    noise, eigs = switchsde.certify._noise, switchsde.certify._sym_eigs
+    log, building = dict(noise_eigs=[], stacks=[]), []
+
+    def counting(mats):
+        log["noise_eigs"].extend([mats.shape] if building and mats.ndim == 4 else [])
+        return eigs(mats)
+
+    def wrapped(*args):
+        building.append(True)
+        try:
+            weigh = noise(*args)
+        finally:
+            building.pop()
+
+        def recording(b):
+            log["stacks"].append(b.shape)
+            return weigh(b)
+        return recording
+
+    monkeypatch.setattr(switchsde.certify, "_noise", wrapped)
+    monkeypatch.setattr(switchsde.certify, "_sym_eigs", counting)
+    return log
+
+
+def check_grid(monkeypatch, form, n_modes, controllable):
+    """Every grid point's certificate is its plan's, each search takes the
+    noise eigenvalues once, and the grid is weighed in stacked passes."""
+    spec, lin = registry_get("controlled_scalar", {"A": [1.0, 0.5, 1.0], "sigma": 0.3, "L": 0.0,
+                                                   "controllable": controllable})
+    if n_modes is not None:
+        lin = finite(lin, n_modes)
+    cap = switchsde.certify._GRID_CHUNK
+    inputs = spec.meta["input_matrix"]
+    weigh, certs = switchsde.certify._certify, []
+
+    def recording(*args, **kwargs):
+        certs.append(weigh(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(switchsde.certify, "_certify", recording)
+    log = recording_weighs(monkeypatch)
+    certify_stabilization(lin, GainPlan(frozenset(controllable), {}, inputs), 30, form)
+    once = len(log["noise_eigs"])
+    assert once == (1 if form == "thm37" else 2)
+    d = log["stacks"][0][0]  # modes 1..D: the drift stack of one certificate
+    assert log["stacks"] == [(d, 1, 1)]
+    for budget in (0.0, 1.0, 1024.0):
+        certs.clear()
+        log["noise_eigs"].clear()
+        log["stacks"].clear()
+        plan = search_gain(lin, inputs, controllable, 30, budget, form)
+        stacks, plans = list(log["stacks"]), grid_plans(controllable, inputs, 1, budget)
+        grid = list(zip(plans, certs))
+        # the noise eigenvalues are taken once per search, whatever the grid
+        assert len(log["noise_eigs"]) == once, budget
+        assert len(grid) == len(certs) == {0.0: 1, 1.0: 4}.get(budget, len(certs))  # g = 0, ...
+        for grid_plan, cert in grid:
+            alone = certify_stabilization(lin, grid_plan, 30, form)
+            assert cert_fields(cert) == cert_fields(alone)
+        # the grid is weighed in stacked passes of at most the cap's matrices
+        # (one point at least), up to the pass that holds the answer
+        per = max(1, cap // d)
+        assert stacks == [(min(per, len(plans) - k), d, 1, 1) for k in range(0, len(grid), per)]
+        if cap >= len(plans) * d:
+            assert len(stacks) == 1
+        answer = grid[-1][0] if grid[-1][1].verdict == CERTIFIED else None
+        assert gain_bytes(plan) == gain_bytes(answer)
+        if plan is not None:
+            assert (plan.controllable, plan.input_mats) == (answer.controllable, inputs)
+    assert len(grid) > 4 and plan is not None
+
+
 @pytest.mark.parametrize("form", ["thm37", "thm41"])
 @pytest.mark.parametrize("n_modes", [None, 30])  # the exact law, the law of a finite chain
 @pytest.mark.parametrize("controllable", [[1], [1, 2]])
 def test_each_grid_point_is_the_certificate_of_its_plan(monkeypatch, form, n_modes,
                                                         controllable):
-    spec, lin = registry_get("controlled_scalar", {"A": [1.0, 0.5, 1.0], "sigma": 0.3, "L": 0.0,
-                                                   "controllable": controllable})
-    if n_modes is not None:
-        lin = finite(lin, n_modes)
-    inputs = spec.meta["input_matrix"]
-    weigh, eigs = switchsde.certify._certify, switchsde.certify._sym_eigs
-    points, noise_eigs = [], []
+    check_grid(monkeypatch, form, n_modes, controllable)
 
-    def recording(*args, **kwargs):
-        points.append((kwargs["plan"], weigh(*args, **kwargs)))
-        return points[-1][1]
 
-    def counting(mats):  # only noise stacks have four axes
-        noise_eigs.extend([mats.shape] if mats.ndim == 4 else [])
-        return eigs(mats)
+@pytest.mark.parametrize("form", ["thm37", "thm41"])
+@pytest.mark.parametrize("n_modes", [None, 30])
+@pytest.mark.parametrize("controllable", [[1], [1, 2]])
+def test_grid_points_weighed_in_chunks_keep_their_certificates(monkeypatch, form, n_modes,
+                                                               controllable):
+    # a cap of 7 matrices below the grid's 14 points x 3 modes: passes of 2 points
+    monkeypatch.setattr(switchsde.certify, "_GRID_CHUNK", 7)
+    check_grid(monkeypatch, form, n_modes, controllable)
 
-    monkeypatch.setattr(switchsde.certify, "_certify", recording)
-    monkeypatch.setattr(switchsde.certify, "_sym_eigs", counting)
-    certify_stabilization(lin, GainPlan(frozenset(controllable), {}, inputs), 30, form)
-    once = len(noise_eigs)
-    assert once == (1 if form == "thm37" else 2)
-    for budget in (0.0, 1.0, 1024.0):
-        points.clear()
-        noise_eigs.clear()
-        plan = search_gain(lin, inputs, controllable, 30, budget, form)
-        grid = list(points)
-        # the noise eigenvalues are taken once per search, whatever the grid
-        assert len(noise_eigs) == once, budget
-        assert len(grid) == {0.0: 1, 1.0: 4}.get(budget, len(grid))  # g = 0, 0.25, ...
-        for grid_plan, cert in grid:
-            alone = certify_stabilization(lin, grid_plan, 30, form)
-            assert cert_fields(cert) == cert_fields(alone)
-        assert plan is (grid[-1][0] if grid[-1][1].verdict == CERTIFIED else None)
-    assert len(grid) > 4 and plan is not None
+
+def test_a_default_search_weighs_its_grid_in_one_stacked_pass(monkeypatch):
+    # A = B = 1, L = 0: g = 4 is the first certifying point, and one pass
+    # weighs all 14 points g = 0, 0.25, ..., 1024 of modes 1..2
+    spec, lin = scalar_model(0.0)
+    log = recording_weighs(monkeypatch)
+    plan = search_gain(lin, spec.meta["input_matrix"], spec.meta["controllable"], 30)
+    assert np.asarray(plan.gains[1]).tolist() == [[4.0]]
+    assert log["stacks"] == [(14, 2, 1, 1)]
+    assert len(log["noise_eigs"]) == 1
+
+
+def test_a_search_that_stops_at_zero_gain_weighs_at_most_one_chunk(monkeypatch):
+    # no repeat point on the linearization: every one of the 1,000 modes of
+    # the finite chain is weighed, more than one pass holds, so the pass
+    # holds g = 0 alone and the search stops there
+    spec, lin = registry_get("controlled_scalar", {"A": -1.0, "L": 0.0, "controllable": [1]})
+    assert 1000 > switchsde.certify._GRID_CHUNK
+    log = recording_weighs(monkeypatch)
+    plan = search_gain(replace(finite(lin, 1000), repeats_from=None),
+                       spec.meta["input_matrix"], [1], 2000)
+    assert np.asarray(plan.gains[1]).tolist() == [[0.0]]
+    assert log["stacks"] == [(1, 1000, 1, 1)]
+    # on a truncation of the infinite chain no point certifies: each pass
+    # of the whole grid still holds one point of 2,000 modes
+    log["stacks"].clear()
+    assert search_gain(undeclared(lin), spec.meta["input_matrix"], [1], 2000) is None
+    assert log["stacks"] == [(1, 2000, 1, 1)] * 14
 
 
 @pytest.mark.parametrize("n", [-5, 0, 1])
