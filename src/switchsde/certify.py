@@ -7,8 +7,8 @@ weighted sum, and the model's law leaves no mode out, the model is
 certified positively recurrent.  ``solve_law`` picks the law from the
 declarations of the linearization and its ``qhat`` alone and returns it as
 one :class:`~switchsde.chain.StationaryDist`, which one formula weighs;
-the law names where the bound on the mass it leaves out
-(``tail_mass_source``) comes from:
+the law's ``source`` (written as ``tail_mass_source``) names where the
+bound on the mass it leaves out comes from:
 
 * ``"exact_geometric"`` when ``qhat`` is infinite and both it and the
   linearization declare ``repeats_from``: :func:`~switchsde.chain.exact_law`
@@ -25,7 +25,11 @@ the law names where the bound on the mass it leaves out
 N thus changes a certificate only when ``qhat`` is infinite and either
 repeat point is undeclared.
 
-Both exact laws carry their head solve's error bound into ``rounding_bound``.
+Both exact laws carry their head solve's error bound, residual included,
+into ``rounding_bound``.  ``qhat`` needs no flags: ``exact_law`` and
+``stationary`` raise unless it is conservative and irreducible.  The flags
+are ``coeff_bound_ok`` (the probe norm is at most ``coeff_bound`` plus the
+feedback norm plus an absolute 1e-9) and the caller's own.
 
 The stabilization variant first closes the loop on the controllable modes
 with linear state feedback u = -L(i) x.
@@ -112,8 +116,8 @@ class Certificate:
     ``partial_sum`` is the stationary-weighted cost over every mode the law
     holds: modes 1..N of a truncation, or every mode of an exact law, whose
     geometric tail (ratio rho) is summed in closed form.  ``tail_bound``
-    weighs the mass the law leaves out (``tail_mass``, its source named by
-    the law): 0, or infinite on an unproved law.  ``rounding_bound`` is the
+    weighs the mass the law leaves out: 0, or infinite on an unproved law;
+    ``nu.source`` names where it comes from.  ``rounding_bound`` is the
     floating-point error bound of the partial sum: gamma_n / (1 - rho) *
     sum_i |nu_i c_i| (gamma_n = n u / (1 - n u), u = 2^-53), with n the
     mode count of a truncation or a finite chain (rho = 0) and n = 2m + 4
@@ -122,11 +126,12 @@ class Certificate:
     nothing).  On an exact geometric law ``nu`` holds nu_1..nu_m for the m
     modes written out, and its ``truncation`` is the head size K'.  The
     verdict is CERTIFIED only when the total clears the margin and every
-    assumption flag holds.  ``reason`` names what decided it: the law's
-    own reason when it proves nothing ("tail unproved" on a truncation,
-    "tail reach > 1", "tail ratio >= 1" or "head size > 1000" on an exact
-    law that could not be solved), else the first failing flag in sorted
-    order, "partial sum >= 0", "rounding bound", "margin" or "certified".
+    assumption flag (``coeff_bound_ok`` and the caller's) holds.
+    ``reason`` names what decided it: the law's own reason when it proves
+    nothing ("tail unproved" on a truncation, "tail reach > 1",
+    "tail ratio >= 1" or "head size > 1000" on an exact law that could not
+    be solved), else the first failing flag in sorted order,
+    "partial sum >= 0", "rounding bound", "margin" or "certified".
     """
 
     claim: str
@@ -136,8 +141,6 @@ class Certificate:
     partial_sum: float
     tail_bound: float
     rounding_bound: float
-    tail_mass: float
-    tail_mass_source: str
     margin_frac: float
     assumption_flags: dict
     verdict: str
@@ -160,8 +163,7 @@ class Certificate:
             "partial_sum": float(self.partial_sum),
             "tail_bound": float(self.tail_bound),
             "rounding_bound": float(self.rounding_bound),
-            "tail_mass": float(self.tail_mass),
-            "tail_mass_source": self.tail_mass_source,
+            "tail_mass_source": self.nu.source,
             "margin_frac": float(self.margin_frac),
             "total": float(self.total),
             "assumptions": {k: bool(v) for k, v in sorted(self.assumption_flags.items())},
@@ -268,7 +270,7 @@ def _terms(law: StationaryDist, head: np.ndarray) -> dict:
     left_out = np.inf if law.reason else 0.0
     if not law.nu.size:  # an exact law that could not be solved
         return dict(per_mode_c=head, nu=law, partial_sum=np.nan, tail_bound=left_out,
-                    rounding_bound=np.nan, tail_mass=left_out, tail_mass_source=law.source)
+                    rounding_bound=np.nan)
     m = steps = law.nu.size  # a dot of m terms rounds m times
     if law.source == "exact_geometric":
         # nu and c written out to at least 12 modes; the tail adds the
@@ -282,9 +284,8 @@ def _terms(law: StationaryDist, head: np.ndarray) -> dict:
     tail = nu[-1] * law.ratio / (1.0 - law.ratio)
     spread = float(nu @ np.abs(costs) + abs(costs[-1]) * tail)
     rounding = _gamma(steps) / (1.0 - law.ratio) * spread + np.max(np.abs(costs)) * law.error
-    return dict(per_mode_c=costs, nu=replace(law, nu=nu),
-                partial_sum=float(nu @ costs + costs[-1] * tail), tail_bound=left_out,
-                rounding_bound=float(rounding), tail_mass=left_out, tail_mass_source=law.source)
+    return dict(per_mode_c=costs, nu=replace(law, nu=nu), tail_bound=left_out,
+                partial_sum=float(nu @ costs + costs[-1] * tail), rounding_bound=float(rounding))
 
 
 def _parts(lin: Linearization, plan: Optional[GainPlan], n_modes: int, form: str) -> tuple:
@@ -315,13 +316,8 @@ def _certify(
     if not margin_frac >= 0:  # written so that NaN fails it
         raise ValueError(f"margin_frac must be nonnegative, got {margin_frac}")
     terms = _terms(law, head)
-    flags = {
-        # every law comes from exact_law or stationary, which raise otherwise
-        "qhat_conservative": True,
-        "qhat_irreducible": True,
-        "coeff_bound_ok": bool(norm <= lin.coeff_bound + feedback + 1e-9),
-        "stationary_residual_ok": bool(terms["nu"].residual <= 1e-10),
-    }
+    # exact_law and stationary raise unless qhat is conservative and irreducible
+    flags = {"coeff_bound_ok": bool(norm <= lin.coeff_bound + feedback + 1e-9)}
     if extra_flags:
         flags.update({k: bool(v) for k, v in extra_flags.items()})
 

@@ -273,7 +273,7 @@ def _predator_prey(params: dict):
     rho = float(params.get("rho", 1.0))
     sigma = float(params.get("sigma", 0.1))
     delay = float(params.get("delay", 1.0))
-    n_max = int(params.get("n_max", 50))
+    n_max = _integer("n_max", params.get("n_max", 50))
     phi_cap = float(params.get("phi_cap", 1e4))
     weights = tuple(
         (float(s), float(w)) for s, w in params.get("mu_weights", ((0.0, 1.0),))

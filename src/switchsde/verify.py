@@ -436,7 +436,7 @@ def estimate_hitting_time(
     """
     _integer("k0", k0)
     if not radius > 0:  # written so that NaN fails
-        raise ValueError("radius must be positive and k0 >= 1")
+        raise ValueError(f"radius must be positive, got {radius!r}")
 
     def hit(e: BatchEnsemble) -> np.ndarray:
         return (e.modes <= k0) & (e.sup_norms() <= radius)
@@ -544,6 +544,8 @@ def occupation_stability(
     histogram depends on the whole ``starts`` list; a one-start call is the
     run of that start alone.
     """
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     if not burn_in < cfg.horizon:  # written so that NaN fails
         raise ValueError("burn_in must be below the horizon")
     windows = [

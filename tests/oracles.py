@@ -196,13 +196,14 @@ def _extend(head: np.ndarray, n: int) -> np.ndarray:
 def exact_terms(law, head: np.ndarray) -> dict:
     """Certificate terms on an exact law (``ratio`` > 0) or on a declared
     tail without one (no nu): the weighted sum over every mode in closed
-    form, with nu and c written out to at least 12 modes; ``unproved`` is
-    the reason a certificate then gives, None when the tail is proved."""
+    form, with nu and c written out to at least 12 modes; ``source`` is the
+    source its law names and ``unproved`` the reason a certificate then
+    gives, None when the tail is proved."""
     if not law.nu.size:
         nan = float("nan")
         return dict(per_mode_c=head, nu=StationaryDist(np.zeros(0), nan, 0), partial_sum=nan,
-                    tail_bound=np.inf, rounding_bound=nan, tail_mass=np.inf,
-                    tail_mass_source="unproved", unproved=law.reason)
+                    tail_bound=np.inf, rounding_bound=nan, source="unproved",
+                    unproved=law.reason)
     m = max(law.truncation, head.size, 12)
     nu, costs = law.extend(m), _extend(head, m)
     # modes beyond m all cost c_m and weigh nu_m rho / (1 - rho) together
@@ -212,7 +213,7 @@ def exact_terms(law, head: np.ndarray) -> dict:
     rounding = _gamma(2 * m + 4) / (1.0 - law.ratio) * spread + np.max(np.abs(head)) * law.error
     return dict(per_mode_c=costs, nu=StationaryDist(nu, law.residual, law.truncation),
                 partial_sum=partial, tail_bound=0.0, rounding_bound=float(rounding),
-                tail_mass=0.0, tail_mass_source="exact_geometric", unproved=None)
+                source="exact_geometric", unproved=None)
 
 
 def truncated_terms(lin, law, head: np.ndarray) -> dict:
@@ -230,7 +231,7 @@ def truncated_terms(lin, law, head: np.ndarray) -> dict:
         left_out, source, unproved = np.inf, "unproved", "tail unproved"
     return dict(per_mode_c=costs, nu=law, partial_sum=float(law.nu @ costs),
                 tail_bound=left_out, rounding_bound=float(rounding),
-                tail_mass=left_out, tail_mass_source=source, unproved=unproved)
+                source=source, unproved=unproved)
 
 
 def _sym_eigs(mats: np.ndarray) -> np.ndarray:

@@ -476,7 +476,7 @@ def test_shared_law_matches_own_solve():
     cert = certify_stabilization(truncating(lin), plan, 20)
     own = certify_stabilization(lin, plan, 20)
     assert (cert.verdict, cert.reason, cert.tail_bound) == (INCONCLUSIVE, "tail unproved", np.inf)
-    assert (own.verdict, own.tail_mass_source) == (CERTIFIED, "exact_geometric")
+    assert (own.verdict, own.nu.source) == (CERTIFIED, "exact_geometric")
     assert cert.nu.nu.tobytes() == stationary(truncate(lin.qhat, 20)).nu.tobytes()
     assert cert.partial_sum == own.partial_sum
     assert 0.0 < cert.rounding_bound < -cert.partial_sum
@@ -544,7 +544,7 @@ def test_truncations_that_once_certified_a_positive_sum_are_unproved():
     for v, partial, mass in ((ladder, -1.0, 3.0**-4), (head, -0.99005, far[4:].sum())):
         cert = certify_recurrence(v, 4)
         assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "tail unproved")
-        assert (cert.tail_mass_source, cert.tail_bound) == ("unproved", np.inf)
+        assert (cert.nu.source, cert.tail_bound) == ("unproved", np.inf)
         assert cert.partial_sum == pytest.approx(partial, abs=1e-5)
         with pytest.raises(TypeError, match="tail_mass_bound"):
             certify_recurrence(v, 4, tail_mass_bound=1.01 * mass)
@@ -559,7 +559,7 @@ def test_rounding_bound_decides_a_sum_just_below_zero():
                         coeff_bound=1.0)
     cert = certify_recurrence(lin, 2)
     assert cert.nu.nu.tolist() == [0.5, 0.5] and cert.partial_sum == -(2.0**-53)
-    assert (cert.tail_mass_source, cert.tail_bound) == ("finite_modes", 0.0)
+    assert (cert.nu.source, cert.tail_bound) == ("finite_modes", 0.0)
     assert cert.rounding_bound > -cert.partial_sum
     assert all(cert.assumption_flags.values())
     assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "rounding bound")
@@ -599,9 +599,9 @@ def test_to_dict_is_json_ready():
 
 def test_a_truncated_row_off_zero_raises():
     # every law, also a truncated one a caller passes in, comes from
-    # exact_law or stationary, which check what the qhat_conservative flag
-    # reports: rates whose total overflows are refused by row, and leave a
-    # truncated row sum of -inf + inf
+    # exact_law or stationary, which check what the removed qhat_conservative
+    # flag reported: rates whose total overflows are refused by row, and
+    # leave a truncated row sum of -inf + inf
     qhat = SparseGenerator(lambda i: {j: 1e308 for j in (1, 2, 3) if j != i}, rate_bound=1.0,
                            name="huge", n_modes=3)
     lin = replace(undeclared(ou_lin()), qhat=qhat)
@@ -610,7 +610,7 @@ def test_a_truncated_row_off_zero_raises():
             certify_recurrence(lin, 3)
         with pytest.raises(ValueError, match="a truncated row sums to nan, not 0"):
             stationary(truncate(qhat, 3))
-    assert certify_recurrence(ou_lin(), 30).assumption_flags["qhat_conservative"]
+    assert set(certify_recurrence(ou_lin(), 30).assumption_flags) == {"coeff_bound_ok"}
 
 
 def test_certified_totals_stable_across_truncation():
@@ -628,14 +628,14 @@ def test_finite_mode_space_caps_the_truncation():
     certs = [certify_recurrence(lin, n) for n in (50, 51, 100, 1000, 100_000)]
     for cert in certs:
         assert cert.nu.truncation == 50
-        assert cert.tail_mass == 0.0 and cert.tail_bound == 0.0
-        assert cert.tail_mass_source == "finite_modes"
+        assert cert.tail_bound == 0.0 and not hasattr(cert, "tail_mass")
+        assert cert.nu.source == "finite_modes"
         assert cert.verdict == certs[0].verdict
         assert cert.partial_sum == certs[0].partial_sum
         assert cert.total == certs[0].total
     assert truncate(lin.qhat, 10_000).size == 50
     assert truncate(lin.qhat, 20).size == 20
-    assert certify_recurrence(lin, 20).tail_mass_source == "finite_modes"
+    assert certify_recurrence(lin, 20).nu.source == "finite_modes"
 
 
 def test_finite_chain_is_weighed_whole_without_a_tail_mass():
@@ -762,7 +762,7 @@ def test_tail_bound_and_probe_cover_the_modes_beyond_n():
     # the exact law (nu_i = 2^-i) weighs the costs beyond N: the modes from
     # 10 on hold 2^-9 at cost 5
     exact = certify_recurrence(declared, 5)
-    assert exact.tail_mass_source == "exact_geometric" and exact.tail_bound == 0.0
+    assert exact.nu.source == "exact_geometric" and exact.tail_bound == 0.0
     assert exact.partial_sum == -(1.0 - 2.0**-9) + 5.0 * 2.0**-9
     # N past the repeat mode: the costs repeat c_10
     cert = certify_recurrence(lin, 40)

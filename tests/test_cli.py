@@ -200,10 +200,40 @@ def test_certify_without_a_tail_bound_is_inconclusive(tmp_path):
     assert (at_five["partial_sum"], at_five["truncation"]) == (doc["partial_sum"], 50)
     # an unproved tail is written with JSON nulls for its infinite and NaN terms
     cert = certify_recurrence(undeclared(ou_lin()), 5)
-    assert (cert.reason, cert.tail_mass_source) == ("tail unproved", "unproved")
+    assert (cert.reason, cert.nu.source) == ("tail unproved", "unproved")
     switchsde.cli._write_json(str(tmp_path), "unproved.json", cert.to_dict())
     doc = read_json(tmp_path / "unproved.json")
     assert doc["tail_bound"] is None and doc["total"] is None
+
+
+CERTIFICATE_KEYS = {
+    "claim", "form", "per_mode_c", "nu_head", "truncation", "stationary_residual",
+    "partial_sum", "tail_bound", "rounding_bound", "tail_mass_source", "margin_frac", "total",
+    "assumptions", "verdict", "reason",
+}
+ASSUMPTION_KEYS = {"coeff_bound_ok", "rate_convergence", "sublinear_residuals"}
+
+
+@pytest.mark.parametrize("name, code", [("switched_ou", 0), ("predator_prey", 1)])
+def test_certificate_json_holds_exactly_its_keys(tmp_path, name, code):
+    # tail_mass (always tail_bound) and the flags qhat_conservative,
+    # qhat_irreducible and stationary_residual_ok (true whenever a law is
+    # solved) are no longer written
+    out = tmp_path / name
+    assert main(["certify", "--model", str(CONFIG_DIR / f"{name}.json"), "--out", str(out)]) == code
+    doc = read_json(out / "certificate.json")
+    assert set(doc) == CERTIFICATE_KEYS | {"meta", "model"}
+    assert set(doc["assumptions"]) == ASSUMPTION_KEYS
+
+
+@pytest.mark.parametrize("form", ["thm37", "thm41"])
+def test_stabilization_certificate_holds_exactly_its_keys(tmp_path, form):
+    out = tmp_path / form
+    assert main(["stabilize", "--model", SCALAR, "--form", form, "--out", str(out)]) == 0
+    doc = read_json(out / "stabilization.json")
+    assert set(doc) == {"meta", "model", "form", "budget", "found", "gains", "certificate"}
+    assert set(doc["certificate"]) == CERTIFICATE_KEYS
+    assert set(doc["certificate"]["assumptions"]) == ASSUMPTION_KEYS
 
 
 def test_stationary_takes_one_source(tmp_path, capsys):
@@ -611,6 +641,15 @@ def test_non_finite_and_nan_inputs_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_a_negative_burn_in_is_a_usage_error(tmp_path, capsys):
+    # it once ran as burn_in 0 and exited 0
+    out = tmp_path / "out"
+    argv = ["verify", "occupation", "--model", OU, "--burn-in", "-5", "--paths", "2"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "error: burn_in must be nonnegative, got -5.0" in capsys.readouterr().err
     assert not out.exists()
 
 

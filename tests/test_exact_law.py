@@ -154,8 +154,9 @@ def test_exact_law_on_random_one_rung_generators(lin):
     # the balance residual, carried through the inverse, bounds the distance
     # to the exact law, and the rounding bound the distance to the exact sum
     assert sum(abs(Fraction(v) - exact_nu(j)) for j, v in enumerate(nu, start=1)) <= law.error
-    assert cert.tail_mass_source == "exact_geometric" and cert.tail_bound == 0.0
-    assert cert.assumption_flags["stationary_residual_ok"]
+    assert cert.nu.source == "exact_geometric" and cert.tail_bound == 0.0
+    # the residual the removed stationary_residual_ok flag held to 1e-10
+    assert cert.nu.residual <= 1e-10 and "stationary_residual_ok" not in cert.assumption_flags
     costs = [Fraction(c) for c in cert.per_mode_c]
     top = len(costs)
     exact_sum = (sum(exact_nu(j) * costs[j - 1] for j in range(1, top + 1))
@@ -204,8 +205,8 @@ def test_a_tail_mass_changes_no_shipped_certificate(name):
     for n in (2, loaded.truncation_hint, 100_000):
         for form in ("thm37", "thm41"):
             for cert in (certify_recurrence(lin, n), certify_stabilization(lin, plan, n, form)):
-                assert (cert.tail_mass, cert.tail_bound) == (0.0, 0.0), (n, form)
-                assert cert.tail_mass_source in ("exact_geometric", "finite_modes")
+                assert cert.tail_bound == 0.0 and not hasattr(cert, "tail_mass"), (n, form)
+                assert cert.nu.source in ("exact_geometric", "finite_modes")
             for call in (lambda: certify_recurrence(lin, n, tail_mass_bound=0.01),
                          lambda: certify_stabilization(lin, plan, n, form, tail_mass_bound=0.01),
                          lambda: search_gain(lin, inputs, controllable, n, form=form,
@@ -235,7 +236,7 @@ def test_tails_without_one_ratio_are_inconclusive():
         lin = replace(ou_lin(), qhat=qhat)
         cert = certify_recurrence(lin, 30)
         assert (cert.verdict, cert.reason) == (INCONCLUSIVE, reason)
-        assert cert.tail_mass_source == "unproved" and math.isnan(cert.partial_sum)
+        assert cert.nu.source == "unproved" and math.isnan(cert.partial_sum)
         json.dumps(cert.to_dict())  # NaN is legal here; the CLI writes null
     # a tail that never returns is no ratio of 1 but a reducible chain; it
     # once read "tail ratio >= 1"
@@ -247,7 +248,7 @@ def test_tails_without_one_ratio_are_inconclusive():
     # without the repeat point the two-rung chain is truncated at N
     qhat = SparseGenerator(bad_tail(two_rungs), rate_bound=3.0, repeats_from=3)
     cert = certify_recurrence(truncating(replace(ou_lin(), qhat=qhat)), 30)
-    assert (cert.reason, cert.tail_mass_source, cert.nu.truncation) == (
+    assert (cert.reason, cert.nu.source, cert.nu.truncation) == (
         "tail unproved", "unproved", 30)
 
 
@@ -339,7 +340,7 @@ def test_undeclared_tail_without_decay_is_unproved():
     for n in (5, 20, 30, 100, 600, 700):
         cert = certify_recurrence(lin, n)
         assert (cert.verdict, cert.reason) == (INCONCLUSIVE, "tail unproved"), n
-        assert cert.tail_mass_source == "unproved" and cert.tail_bound == np.inf
+        assert cert.nu.source == "unproved" and cert.tail_bound == np.inf
         assert cert.partial_sum == pytest.approx(-1.0, abs=1e-9)
     # the reason comes ahead of the flags, as a declared tail's does
     assert certify_recurrence(lin, 30, extra_flags={"a_probe": False}).reason == "tail unproved"
@@ -438,9 +439,9 @@ def test_one_weighing_matches_the_two_reference_builders(case):
     assert same_bits(cert.nu.nu, ref["nu"].nu)
     assert same_bits(cert.nu.residual, ref["nu"].residual)
     assert cert.nu.truncation == ref["nu"].truncation
-    for field in ("partial_sum", "tail_bound", "rounding_bound", "tail_mass"):
+    for field in ("partial_sum", "tail_bound", "rounding_bound"):
         assert same_bits(getattr(cert, field), ref[field]), field
-    assert cert.tail_mass_source == ref["tail_mass_source"]
+    assert cert.nu.source == ref["source"]
     assert ref["unproved"] is None or cert.reason == ref["unproved"]
     assert cert.verdict == INCONCLUSIVE or ref["unproved"] is None
 
@@ -486,7 +487,7 @@ def test_the_two_mode_chain_once_certified_is_inconclusive():
     lin, _, exact_sum = at_the_sign_boundary(ONCE_CERTIFIED)
     assert 0 <= exact_sum < 1e-16
     cert = certify_recurrence(lin, 2, margin_frac=0.0)
-    assert (cert.verdict, cert.reason, cert.tail_mass_source) == (
+    assert (cert.verdict, cert.reason, cert.nu.source) == (
         INCONCLUSIVE, "partial sum >= 0", "finite_modes")
     assert abs(Fraction(cert.partial_sum) - exact_sum) <= Fraction(cert.rounding_bound) < 1e-10
 
@@ -547,15 +548,15 @@ def test_a_head_over_the_cap_is_unproved_without_a_dense_solve(monkeypatch):
         start = time.perf_counter()
         cert = cycle(1001)
         assert time.perf_counter() - start < 0.5
-    assert (cert.verdict, cert.reason, cert.tail_mass_source) == (
+    assert (cert.verdict, cert.reason, cert.nu.source) == (
         INCONCLUSIVE, "head size > 1000", "unproved")
     assert cert.to_dict()["nu_head"] == [] and math.isnan(cert.partial_sum)
     cert = cycle(1000)  # one mode fewer is solved: nu_i = 1/1000
-    assert (cert.verdict, cert.tail_mass_source) == ("CERTIFIED", "finite_modes")
+    assert (cert.verdict, cert.nu.source) == ("CERTIFIED", "finite_modes")
     start = time.perf_counter()
     cert = certify_recurrence(registry_get("predator_prey", {"n_max": 500})[1], 2)
     assert time.perf_counter() - start < 1.0
-    assert (cert.tail_mass_source, cert.nu.truncation) == ("finite_modes", 500)
+    assert (cert.nu.source, cert.nu.truncation) == ("finite_modes", 500)
 
 
 def test_only_an_undeclared_infinite_chain_is_truncated(monkeypatch):
@@ -572,7 +573,7 @@ def test_only_an_undeclared_infinite_chain_is_truncated(monkeypatch):
     for lin in (registry_get("predator_prey", {})[1],
                 registry_get("linear_2d", {"qhat": ring})[1]):
         for n in (2, 30, 100_000):
-            assert certify_recurrence(lin, n).tail_mass_source == "finite_modes"
+            assert certify_recurrence(lin, n).nu.source == "finite_modes"
     assert sizes == []
     assert certify_recurrence(undeclared(ou_lin()), 30).reason == "tail unproved"
     assert sizes == [30]

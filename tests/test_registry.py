@@ -83,6 +83,11 @@ def test_unknown_name_raises():
         # int() once read 1.5 as mode 1 and True as mode 1
         ("controlled_scalar", {"controllable": [1.5]}, "controllable mode .* got 1.5"),
         ("controlled_scalar", {"controllable": [True]}, "controllable mode .* got True"),
+        # int() once certified n_max = 50.7 as a 50-mode chain
+        ("predator_prey", {"n_max": 50.7}, "n_max must be an integer >= 1, got 50.7"),
+        ("predator_prey", {"n_max": 2.5}, "n_max must be an integer >= 1, got 2.5"),
+        ("predator_prey", {"n_max": True}, "n_max must be an integer >= 1, got True"),
+        ("predator_prey", {"n_max": "12"}, "n_max must be an integer >= 1, got '12'"),
     ],
 )
 def test_invalid_parameters_raise(name, params, match):

@@ -243,7 +243,7 @@ def test_hitting_time_deterministic_decay():
     assert est.censored_fraction == 0.0
     assert est.usable
     for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="radius"):
+        with pytest.raises(ValueError, match=f"^radius must be positive, got {bad!r}$"):
             estimate_hitting_time(model, phi0, 1, bad, 1, cfg, 2)
 
 
@@ -477,6 +477,18 @@ def test_occupation_stability_rejects_nan_burn_in(monkeypatch):
     cfg = SimConfig(dt=0.1, horizon=1.0)
     with pytest.raises(ValueError, match="burn_in must be below the horizon"):
         occupation_stability(model, [[0.0]], cfg, 2, burn_in=math.nan)
+
+
+def test_occupation_stability_rejects_a_negative_burn_in(monkeypatch):
+    # a negative burn_in once counted from step 0, as burn_in = 0 does
+    def no_engine(*args, **kwargs):
+        raise AssertionError("simulated before checking burn_in")
+
+    monkeypatch.setattr(switchsde.verify, "BatchEnsemble", no_engine)
+    model = scalar_spec(lambda x, i: np.zeros(1))
+    cfg = SimConfig(dt=0.1, horizon=1.0)
+    with pytest.raises(ValueError, match="^burn_in must be nonnegative, got -5.0$"):
+        occupation_stability(model, [[0.0]], cfg, 2, burn_in=-5.0)
 
 
 @pytest.mark.parametrize("n_paths", [0, -3])
