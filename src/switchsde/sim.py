@@ -40,7 +40,9 @@ live paths' modes as one array, for a model that declares ``mode_arrays``;
 else it sorts the paths by mode once per mode change, not per step.  The
 Dynkin generator of :mod:`switchsde.verify` reads the step's rows in
 whichever of the two orders the step took.  History-dependent rates come from one ``rates_row``
-call on each group's :class:`~switchsde.segment.SegmentBatch`.
+call on each group's :class:`~switchsde.segment.SegmentBatch`.  Under
+bernoulli, rows that ignore the history need no groups: each path's row
+total is kept beside its mode and rewritten only when the path jumps.
 """
 
 from __future__ import annotations
@@ -382,18 +384,22 @@ def simulate_coupled(
     )
 
 
-def _place(buf, rows, out, x: np.ndarray, name: str, v: int, shape: tuple) -> np.ndarray:
-    """``out``, one coefficient callback's result on the states ``x`` of class
-    v (a mode, or an array of modes), put at ``rows`` of ``buf``; a lone
-    class's full result is used as is."""
+def _shape_error(name: str, v, out: np.ndarray, x: np.ndarray) -> ValueError:
+    """A coefficient callback's result ``out`` with a path axis but not one
+    row per state of ``x``, class v (a mode, or an array of modes)."""
+    mode = "modes" if isinstance(v, np.ndarray) else v
+    return ValueError(f"{name}(x, {mode}) gave shape {out.shape} for {len(x)} states")
+
+
+def _place(rows, out, x: np.ndarray, name: str, v, shape: tuple) -> np.ndarray:
+    """A lone class's callback result ``out`` on the states ``x``: as it
+    comes when it has the full ``shape``, else put at ``rows`` of a buffer."""
     out = np.asarray(out, dtype=float)
     if out.ndim == len(shape) and len(out) != len(x):
-        mode = "modes" if isinstance(v, np.ndarray) else v
-        raise ValueError(f"{name}(x, {mode}) gave shape {out.shape} for {len(x)} states")
-    if buf is None:
-        if out.shape == shape:
-            return out
-        buf = np.empty(shape)
+        raise _shape_error(name, v, out, x)
+    if out.shape == shape:
+        return out
+    buf = np.empty(shape)
     buf[rows] = out
     return buf
 
@@ -425,8 +431,15 @@ class BatchEnsemble:
     or scatter, while no path is blown and all share one class; once for
     every live path, its modes an array in path order, when the model
     declares ``mode_arrays``; else in plan order; :meth:`coefficients` hands
-    them out in that order.  Under bernoulli, jumps are drawn per group
-    from the running sums of its rates.
+    them out in that order.  Under bernoulli, a path jumps when its uniform
+    falls below its row total, to the target of the count of its running
+    sums <= u.  Rows that ignore the history keep their totals in a
+    per-path array beside ``modes``: 0.0 for an empty row and for a blown
+    path, rewritten only for the paths that jump and subset by
+    :meth:`keep`.  A jump's new row is read at the next update that finds
+    the path live, so a mode's row and bound are read only once a live
+    path is in it.  A step without a jump is one comparison, with no plan;
+    rows that read the history are read per mode group.
     Under thinning, each round of proposals reads its rows with one call per
     mode and turns them into one sorted (targets, rates) pair of lists per
     path; the proposals walk them in Python floats (:func:`_pick`, or
@@ -491,6 +504,12 @@ class BatchEnsemble:
         self._probe_seg = starts[0].copy()
         self._grid = (starts[0].delay, starts[0].dt)
         self._thinning = cfg.scheme == "thinning"
+        # bernoulli on rows that ignore the history: each path's row total,
+        # NaN until the update after the path enters its mode reads the row
+        self._totals = None
+        if not (self._thinning or model.rates_depend_on_path):
+            self._totals, self._unread = np.full(self.n_paths, math.nan), True
+            self._known: dict[int, float] = {}  # the totals of the modes read so far
         self._invalidate()
         if track_history or model.rates_depend_on_path:
             base = np.stack([seg.samples for seg in starts], axis=1)  # (m, cohorts, dim)
@@ -572,7 +591,8 @@ class BatchEnsemble:
         if self._classes is None:
             k = self.model.shared_coefficients_from or math.inf
             lo = int(self.modes.min()) if self.n_paths else 0
-            if lo and (lo >= k or lo == self.modes.max()) and not self.blown.any():
+            # below K one class needs every mode at lo: path 0's mode settles most cases
+            if lo and (lo >= k or self.modes[0] == lo == self.modes.max()) and not self.blown.any():
                 self._classes = (None, [(min(lo, k), slice(None))])
             elif self.model.mode_arrays:
                 live = np.flatnonzero(~self.blown) if self.blown.any() else None
@@ -587,14 +607,26 @@ class BatchEnsemble:
     def _evaluate(self, order, classes: list) -> tuple:
         model, xs = self.model, self.x if order is None else self.x[order]
         noise = None if model.zero_diffusion else xs.shape + (model.brownian_dim,)
-        drift = sigma = None
+        if len(classes) == 1:
+            (v, rows), = classes
+            x = xs[rows]
+            drift = _place(rows, model.drift(x, v), x, "drift", v, xs.shape)
+            sigma = None if noise is None else _place(
+                rows, model.diffusion(x, v), x, "diffusion", v, noise)
+            return xs, drift, sigma
+        # several classes, or none: each result checked and put at its rows
+        drift, sigma = np.empty(xs.shape), None if noise is None else np.empty(noise)
         for v, rows in classes:
             x = xs[rows]
-            drift = _place(drift, rows, model.drift(x, v), x, "drift", v, xs.shape)
+            out = np.asarray(model.drift(x, v), dtype=float)
+            if out.ndim == 2 and len(out) != len(x):
+                raise _shape_error("drift", v, out, x)
+            drift[rows] = out
             if noise:
-                sigma = _place(sigma, rows, model.diffusion(x, v), x, "diffusion", v, noise)
-        if drift is None:  # no path in the plan
-            drift, sigma = np.empty_like(xs), None if noise is None else np.empty(noise)
+                out = np.asarray(model.diffusion(x, v), dtype=float)
+                if out.ndim == 3 and len(out) != len(x):
+                    raise _shape_error("diffusion", v, out, x)
+                sigma[rows] = out
         return xs, drift, sigma
 
     def _row(self, v: int) -> tuple:
@@ -666,6 +698,8 @@ class BatchEnsemble:
     def keep(self, mask: np.ndarray) -> None:
         """Drop the paths where ``mask`` is False."""
         self.x, self.modes, self.blown = self.x[mask], self.modes[mask], self.blown[mask]
+        if self._totals is not None:
+            self._totals = self._totals[mask]
         if self._next_ev is not None:
             self._next_ev = self._next_ev[mask]
             self._first_ev = self._next_ev.min(initial=math.inf)
@@ -678,6 +712,7 @@ class BatchEnsemble:
         self.n_paths = self.x.shape[0]
         self._invalidate()
 
+    @np.errstate(over="ignore", invalid="ignore")  # the decorator is the cheaper entry
     def _advance_states(self):
         model, coef = self.model, self._coef  # coefficients() caches in this order
         order, classes = self._plan()
@@ -685,42 +720,73 @@ class BatchEnsemble:
         if not model.zero_diffusion:  # drawn for every path, blown ones too
             xi = self.rng.standard_normal((self.n_paths, model.brownian_dim))
             xi = xi if order is None else xi[order]
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = _euler(*(coef or self._evaluate(order, classes)), xi, self.cfg.dt, model.post_step)
-            if order is None:
-                self.x = x
-            else:
-                self.x[order] = x
-            # a finite sum has finite terms, and np.add.reduce is the cheaper call
-            if not (math.isfinite(np.add.reduce(self.x, axis=None)) or np.isfinite(self.x).all()):
-                bad = ~np.isfinite(self.x).all(axis=1)
-                self.blown |= bad
-                self.x = np.where(bad[:, None], 0.0, self.x)  # parked outside the plan
-                self._invalidate()
-            sq = None if self._sq is None else (self.x * self.x).sum(axis=1)  # for the ring
+        x = _euler(*(coef or self._evaluate(order, classes)), xi, self.cfg.dt, model.post_step)
+        if order is None:
+            self.x = x
+        else:
+            self.x[order] = x
+        # a finite sum has finite terms, and np.add.reduce is the cheaper call
+        if not (math.isfinite(np.add.reduce(self.x, axis=None)) or np.isfinite(self.x).all()):
+            bad = ~np.isfinite(self.x).all(axis=1)
+            self.blown |= bad
+            self.x = np.where(bad[:, None], 0.0, self.x)  # parked outside the plan
+            if self._totals is not None:  # a blown path never jumps under bernoulli
+                self._totals[bad] = 0.0
+            self._invalidate()
         self._coef = None
-        return sq
+        return None if self._sq is None else (self.x * self.x).sum(axis=1)  # for the ring
 
     def _update_modes_bernoulli(self):
-        scale = 1.0 / self.cfg.dt
+        """One uniform per path; a path jumps when it falls below its row
+        total, to the target of the count of its running sums <= u, as
+        :func:`_pick`.  Rows that ignore the history come from the per-path
+        totals with no plan; rows that read it, per mode group."""
         u = self.rng.random(self.n_paths)
+        if self._totals is None:
+            return self._bernoulli_groups(u)
+        if self._unread:
+            self._read_totals()
+        at = (u < self._totals).nonzero()[0]
+        if at.size:
+            froms = self.modes[at]
+            modes = set(froms.tolist())
+            for v in modes:
+                here = at if len(modes) == 1 else at[froms == v]
+                targets, _, _, cum = self._rows[v]
+                self.modes[here] = np.array(targets, dtype=int)[(cum <= u[here, None]).sum(axis=1)]
+            known, new = self._known, self.modes[at].tolist()
+            self._totals[at] = [known.get(j, math.nan) for j in new]  # NaN: read at the next update
+            self._unread = self._unread or any(j not in known for j in new)
+            self.jumps += at.size
+            self._invalidate()
+
+    def _read_totals(self):
+        """Row totals of the paths whose mode was not yet read when they
+        entered it (every path at the first update), read and checked one
+        mode at a time in ascending order: so a mode is probed only once a
+        live path is in it."""
+        fresh = np.isnan(self._totals).nonzero()[0]
+        modes = self.modes[fresh]
+        for v in sorted(set(modes.tolist())):
+            self._bound(v)  # checks the mode's declared bound, which bernoulli does not run on
+            cum = self._row(v)[3]
+            self._totals[fresh[modes == v]] = self._known[v] = cum[-1] if cum.size else 0.0
+        self._unread = False
+
+    def _bernoulli_groups(self, u: np.ndarray):
+        scale = 1.0 / self.cfg.dt
         # the groups are disjoint, so moving one leaves the others' draws as they are
         for v, paths, _ in self.groups():
             self._bound(v)  # checks the mode's declared bound, which bernoulli does not run on
-            if self.model.rates_depend_on_path:
-                targets, rates = self.rate_table(paths, v)
-                cum = np.cumsum(rates / scale, axis=1)
-                if targets:
-                    _check_total(float(rates.sum(axis=1).max()), rates.min(), scale, v)
-            else:
-                targets, _, _, cum = self._row(v)
+            targets, rates = self.rate_table(paths, v)
             if not targets:
                 continue
+            _check_total(float(rates.sum(axis=1).max()), rates.min(), scale, v)
+            cum = np.cumsum(rates / scale, axis=1)
             up = u[paths]
-            at = (up < cum[..., -1]).nonzero()[0]
+            at = (up < cum[:, -1]).nonzero()[0]
             if at.size:  # _pick's pick is the number of running sums <= u
-                cum = cum if cum.ndim == 1 else cum[at]
-                picks = (cum <= up[at, None]).sum(axis=1)
+                picks = (cum[at] <= up[at, None]).sum(axis=1)
                 self.modes[paths[at]] = np.array(targets, dtype=int)[picks]
                 self.jumps += at.size
                 self._invalidate()

@@ -15,8 +15,10 @@ through the same ``_generator``.  The cohort estimators (``coupling_decay``, ``o
 checked against their per-start loop: one
 :class:`BatchEnsemble` per radius or start, each on the stream (seed, 1).
 The engine's thinning rounds are checked against a per-proposal loop over
-rate-row dicts (:class:`ProposalLoopEnsemble`) and its picks against the
-dict walks :func:`pick_target` and :func:`couple`.  The exact law's
+rate-row dicts (:class:`ProposalLoopEnsemble`), its bernoulli draws on
+rows that ignore the history against the walk over every mode group that
+the per-path row totals replaced (:class:`GroupWalkEnsemble`), and its
+picks against the dict walks :func:`pick_target` and :func:`couple`.  The exact law's
 irreducibility test is checked against the graph walk
 :func:`strongly_connected`.  A certificate's weighing of its law is
 checked against the two term builders it replaced, one per kind of law:
@@ -386,6 +388,43 @@ class ProposalLoopEnsemble(BatchEnsemble):
             for p, row in zip(active.tolist(), self._dict_rows(active)):
                 propose(p, row)
             self._first_ev = self._next_ev.min(initial=math.inf)
+
+
+class GroupWalkEnsemble(BatchEnsemble):
+    """The batch engine with every bernoulli update walking the mode groups.
+
+    Each step draws one uniform per path, then walks :meth:`groups` in
+    ascending mode: it checks the mode's bound, reads its row (the cached
+    running sums when the rates ignore the history, a checked
+    ``rate_table`` when they read it) and moves the group's paths whose
+    uniform falls below the row total to the target of the count of running
+    sums <= u.  Blown paths are in no group, so they never jump, and a mode
+    is read only while a live path is in it.  It draws what the engine
+    draws, so every state, mode and count must come out equal.
+    """
+
+    def _update_modes_bernoulli(self):
+        scale = 1.0 / self.cfg.dt
+        u = self.rng.random(self.n_paths)
+        for v, paths, _ in self.groups():
+            self._bound(v)
+            if self.model.rates_depend_on_path:
+                targets, rates = self.rate_table(paths, v)
+                cum = np.cumsum(rates / scale, axis=1)
+                if targets:
+                    _check_total(float(rates.sum(axis=1).max()), rates.min(), scale, v)
+            else:
+                targets, _, _, cum = self._row(v)
+            if not targets:
+                continue
+            up = u[paths]
+            at = (up < cum[..., -1]).nonzero()[0]
+            if at.size:
+                cum = cum if cum.ndim == 1 else cum[at]
+                picks = (cum <= up[at, None]).sum(axis=1)
+                self.modes[paths[at]] = np.array(targets, dtype=int)[picks]
+                self.jumps += at.size
+                self._invalidate()
 
 
 def group_generator(V, x, hist, i, targets, rates, drift, sigma, delay, dt):

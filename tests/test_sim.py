@@ -27,7 +27,7 @@ from switchsde.sim import (
 )
 from switchsde.verify import coupling_decay, occupation_fractions
 
-from oracles import ProposalLoopEnsemble, couple, pick_target
+from oracles import GroupWalkEnsemble, ProposalLoopEnsemble, couple, pick_target
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIG_NAMES = ("switched_ou", "fluid_queue", "linear_2d", "controlled_scalar", "predator_prey")
@@ -939,6 +939,129 @@ def check_table_edges(rates_depend_on_path):
         eng.step()
         assert eng.modes.tolist() == want
     assert eng.modes.tolist() == [2, 2, 2, 1, 4, 2, 1, 2]
+
+
+def logged_rates(rows, probed):
+    """History-free rates off ``rows`` that log each mode they are read for."""
+    def rates(seg, i):
+        probed.append(i)
+        return dict(rows[i])
+    return rates
+
+
+def group_walk_model(rows, probed):
+    """Rows ``rows``, a drift of growth 10 * i in mode i and noise in
+    proportion to the state: a start at 1e290 overflows within about 40
+    steps of 0.1, at a time set by the path's modes and noise."""
+    return ModelSpec(
+        dim=1,
+        brownian_dim=1,
+        drift=lambda x, i: 10.0 * i * np.asarray(x, dtype=float),
+        diffusion=lambda x, i: 0.8 * np.asarray(x, dtype=float)[..., None],
+        rates_row=logged_rates(rows, probed),
+        rate_bound=1.0,
+        delay=1.0,
+        rates_depend_on_path=False,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bernoulli_row_totals_are_the_group_walk(seed):
+    # random history-free rows over modes 1..6: mode 2 is absorbing, mode 6
+    # has targets at rate 0, and every mode but 1 is first entered mid-run.
+    # The cohort from 1e290 blows up, and keep masks drop paths of the other
+    # one at random steps.  After every step the engine's states, modes, jumps and
+    # blown flags are the group walk's, and so are the modes it has read.
+    rng = np.random.default_rng(seed)
+    rows = random_rows(rng, 6)
+    rows[1] = {j: float(rng.uniform(0.2, 1.2)) for j in range(2, 7)}
+    rows[6] = {1: 0.0, 3: 0.0}
+    probed, probed_ref = [], []
+    starts = [Segment.make_constant([v], 1.0, 0.1) for v in (1.0, 1e290)]
+    cfg = SimConfig(dt=0.1, horizon=20.0, scheme="bernoulli", seed=int(rng.integers(2**31)))
+    eng = BatchEnsemble(group_walk_model(rows, probed), starts, 1, cfg, 6)
+    ref = GroupWalkEnsemble(group_walk_model(rows, probed_ref), starts, 1, cfg, 6)
+    cohort = np.repeat([0, 1], 6)
+    for k in range(80):
+        if rng.random() < 0.05:  # drops paths from 1.0, but not the last
+            mask = (rng.random(eng.n_paths) < 0.7) | (cohort == 1)
+            mask[np.flatnonzero(cohort == 0)[:1]] = True
+            eng.keep(mask)
+            ref.keep(mask)
+            cohort = cohort[mask]
+        eng.step()
+        ref.step()
+        for got, want in ((eng.x, ref.x), (eng.modes, ref.modes), (eng.blown, ref.blown)):
+            assert got.tobytes() == want.tobytes(), k
+        assert eng.jumps == ref.jumps and probed == probed_ref, k
+    assert eng.blown.any() and not eng.blown.all() and eng.jumps > 0
+    assert probed[0] == 1 and len(probed) == len(set(probed)) > 1
+
+
+def mode_array_model():
+    """History-free cycling rows; drift and diffusion take an int mode or
+    an array of modes, one per state."""
+    return ModelSpec(
+        dim=1,
+        brownian_dim=1,
+        drift=lambda x, i: -0.3 * np.asarray(i, dtype=float)[..., None] * np.asarray(x, float),
+        diffusion=lambda x, i: np.array([[0.2]]),
+        rates_row=lambda seg, i: {i % 4 + 1: 2.0},
+        rate_bound=2.0,
+        delay=1.0,
+        rates_depend_on_path=False,
+        mode_arrays=True,
+    )
+
+
+@pytest.mark.parametrize("kind", ["one_class", "mode_arrays"])
+def test_a_history_free_bernoulli_step_walks_no_mode_groups(kind, monkeypatch):
+    # linear_2d's rates ignore the history and all its modes share one
+    # coefficient class; the cycling model declares mode_arrays.  Neither
+    # Euler step needs a plan, and the bernoulli draw reads the per-path
+    # row totals: no step may build the mode groups.
+    if kind == "one_class":
+        model = load_model_config(CONFIG_DIR / "linear_2d.json").spec
+        assert model.shared_coefficients_from == 1
+        x0 = [1.0, -0.5]
+    else:
+        model = mode_array_model()
+        x0 = [1.0]
+    assert not model.rates_depend_on_path
+    phi0 = Segment.make_constant(x0, model.delay, 1.0 / 64)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=1.0 / 64, horizon=5.0, scheme="bernoulli",
+                                                  seed=3), 24)
+    walks = []
+    groups = BatchEnsemble.groups
+    monkeypatch.setattr(BatchEnsemble, "groups", lambda self: walks.append(1) or groups(self))
+    modes = set()
+    for _ in range(300):
+        eng.step()
+        modes.update(eng.modes.tolist())
+    assert not walks and eng._groups is None
+    assert eng.jumps > 50 and len(modes) > 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_a_blown_paths_thinning_proposals_still_count():
+    # a blown path's thinning clock runs on: its proposals draw from the
+    # shared stream and count in proposals.  Stopping them would shift
+    # every later draw of the other paths.
+    rows = {1: {2: 0.5}, 2: {1: 0.5}}
+    model = group_walk_model(rows, [])
+    starts = [Segment.make_constant([v], 1.0, 0.1) for v in (1.0, 1e290)]
+    eng = BatchEnsemble(model, starts, 1, SimConfig(dt=0.1, horizon=20.0, seed=5), 4)
+    while not eng.blown[4:].all():  # the cohort from 1e290
+        eng.step()
+    before, active = eng.proposals, []
+    round_rows = eng._round_rows
+    eng._round_rows = lambda paths, modes: active.append(paths.copy()) or round_rows(paths, modes)
+    eng.run(100)
+    assert eng.blown.tolist() == [False] * 4 + [True] * 4
+    assert eng.proposals - before == sum(len(a) for a in active)
+    assert sum(int((a >= 4).sum()) for a in active) > 10
 
 
 # rows over targets 3..8 with rates k/8, k in 0..16: every partition point
