@@ -43,6 +43,9 @@ whichever of the two orders the step took.  History-dependent rates come from on
 call on each group's :class:`~switchsde.segment.SegmentBatch`.  Under
 bernoulli, rows that ignore the history need no groups: each path's row
 total is kept beside its mode and rewritten only when the path jumps.
+Its one stepping loop (:meth:`BatchEnsemble._advance`) runs a stretch of
+steps up to the next mode change, parted pair or blow-up on one plan,
+drawing per step what a one-step call draws.
 """
 
 from __future__ import annotations
@@ -229,10 +232,16 @@ def _couple_pick(merged: list, rates: list, u: float, bound: float, v: int) -> t
 def _euler(x, drift, sigma, xi, dt: float, post) -> np.ndarray:
     """The Euler-Maruyama step of both engines from states ``x``, (P, n) or
     one path's (n,), with increments ``xi`` (P, d) or (d,), None without
-    noise; ``post`` (``post_step`` or None) must keep the states' shape."""
+    noise; ``post`` (``post_step`` or None) must keep the states' shape.
+    One noise column is a product, added to +0.0 as einsum's sum adds it,
+    so that a -0.0 product comes out +0.0 as there."""
     out = x + drift * dt
     if xi is not None:
-        out = out + np.einsum("...nd,...d->...n", sigma, xi) * math.sqrt(dt)
+        if xi.shape[-1] == 1:
+            noise = 0.0 + sigma[..., 0] * xi
+        else:
+            noise = np.einsum("...nd,...d->...n", sigma, xi)
+        out = out + noise * math.sqrt(dt)
     if post is not None:
         projected = np.asarray(post(out), dtype=float)
         if projected.shape != out.shape:
@@ -447,6 +456,11 @@ class BatchEnsemble:
     per mode and targets), and the round writes the modes and clocks back
     once.
 
+    Steps are taken in stretches (:meth:`_advance`) that end at a mode
+    change, a parted pair or a blow-up, each on one plan; :meth:`step` is a
+    one-step stretch and :meth:`run` a loop of stretches.  The draws are
+    those of the same steps taken one by one.
+
     ``phi0`` is one start window or a sequence of S of them, each the start
     of a cohort of ``n_paths`` paths: cohort k is paths k * n_paths to
     (k + 1) * n_paths - 1, and ``n_paths`` the attribute counts all S of
@@ -576,8 +590,9 @@ class BatchEnsemble:
         The engine writes none of them, so they may be held across steps.
         """
         if self._coef is None:
+            order, classes = self._plan()
             with np.errstate(over="ignore", invalid="ignore"):
-                self._coef = self._evaluate(*self._plan())
+                self._coef = self._evaluate(self.x if order is None else self.x[order], classes)
         return self._coef
 
     def _plan(self) -> tuple:
@@ -604,8 +619,10 @@ class BatchEnsemble:
                 self._classes = (self._order, head + tail[:1])
         return self._classes
 
-    def _evaluate(self, order, classes: list) -> tuple:
-        model, xs = self.model, self.x if order is None else self.x[order]
+    def _evaluate(self, xs: np.ndarray, classes: list) -> tuple:
+        """(xs, drift, diffusion) of the states ``xs``, in the order of the
+        plan whose ``classes`` are given."""
+        model = self.model
         noise = None if model.zero_diffusion else xs.shape + (model.brownian_dim,)
         if len(classes) == 1:
             (v, rows), = classes
@@ -713,28 +730,68 @@ class BatchEnsemble:
         self._invalidate()
 
     @np.errstate(over="ignore", invalid="ignore")  # the decorator is the cheaper entry
-    def _advance_states(self):
-        model, coef = self.model, self._coef  # coefficients() caches in this order
+    def _advance(self, limit: int) -> int:
+        """Grid steps, at most ``limit`` (>= 1) of them, up to and including
+        the first that changes a mode (``jumps`` moves), parts a coupled pair
+        or blows a path up; returns the number of steps taken.
+
+        Each step advances the states with the modes it starts from, then
+        the modes (on the window it started from), then pushes the ring.
+        No plan changes before such a step, so the plan is read once and the
+        states stay in its order, put back in path order at the end, or at
+        every step when the ring needs them so, or at a blow-up.  Each step
+        draws what a one-step call draws, in the same order."""
+        model, dt, ring = self.model, self.cfg.dt, self._hist is not None
+        noise = None if model.zero_diffusion else (self.n_paths, model.brownian_dim)
+        update = self._update_modes_thinning if self._thinning else self._update_modes_bernoulli
         order, classes = self._plan()
-        xi = None
-        if not model.zero_diffusion:  # drawn for every path, blown ones too
-            xi = self.rng.standard_normal((self.n_paths, model.brownian_dim))
-            xi = xi if order is None else xi[order]
-        x = _euler(*(coef or self._evaluate(order, classes)), xi, self.cfg.dt, model.post_step)
-        if order is None:
-            self.x = x
-        else:
-            self.x[order] = x
-        # a finite sum has finite terms, and np.add.reduce is the cheaper call
-        if not (math.isfinite(np.add.reduce(self.x, axis=None)) or np.isfinite(self.x).all()):
-            bad = ~np.isfinite(self.x).all(axis=1)
-            self.blown |= bad
-            self.x = np.where(bad[:, None], 0.0, self.x)  # parked outside the plan
-            if self._totals is not None:  # a blown path never jumps under bernoulli
-                self._totals[bad] = 0.0
-            self._invalidate()
-        self._coef = None
-        return None if self._sq is None else (self.x * self.x).sum(axis=1)  # for the ring
+        coef, self._coef = self._coef, None  # coefficients() caches in this order
+        xs = None if coef else self.x if order is None else self.x[order]
+        apart = self._apart() if limit > 1 else None  # read only when a next step is due
+        for steps in range(1, limit + 1):
+            xi = None if noise is None else self.rng.standard_normal(noise)  # blown paths' too
+            if xi is not None and order is not None:
+                xi = xi[order]
+            xs = _euler(*(coef or self._evaluate(xs, classes)), xi, dt, model.post_step)
+            coef = None
+            # a finite sum has finite terms, and np.add.reduce is the cheaper call
+            finite = math.isfinite(np.add.reduce(xs, axis=None)) or np.isfinite(xs).all()
+            if order is None:
+                self.x = xs
+            elif ring or not finite:
+                self.x[order] = xs
+            if not finite:
+                bad = ~np.isfinite(self.x).all(axis=1)
+                self.blown |= bad
+                self.x = np.where(bad[:, None], 0.0, self.x)  # parked outside the plan
+                if self._totals is not None:  # a blown path never jumps under bernoulli
+                    self._totals[bad] = 0.0
+                self._invalidate()
+            jumps = self.jumps
+            update()
+            if ring:  # written after the rates read the step's start window
+                self._push()
+            self.t += dt
+            if steps == limit or not finite or self.jumps != jumps or self._apart() != apart:
+                break
+        if finite and order is not None and not ring:
+            self.x[order] = xs
+        return steps
+
+    def _apart(self) -> int:
+        """The coupled pairs that have parted; 0 without a coupling."""
+        return 0 if self.decouple_time is None else np.count_nonzero(self.decouple_time < math.inf)
+
+    def _push(self) -> None:
+        """Write the states, and their squared norms once :meth:`sup_norms`
+        keeps them, into the ring's oldest slot."""
+        self._hist[self._head] = self.x
+        if self._sq is not None:
+            self._sq[self._head] = (self.x * self.x).sum(axis=1)
+            lo = self._head - self._head % self._block
+            self._bmax[lo // self._block] = self._sq[lo:lo + self._block].max(axis=0)
+        self._head = (self._head + 1) % self._hist.shape[0]
+        self._norms = None
 
     def _update_modes_bernoulli(self):
         """One uniform per path; a path jumps when it falls below its row
@@ -908,25 +965,10 @@ class BatchEnsemble:
 
     def step(self):
         """One grid step: advance states with current modes, then modes."""
-        sq = self._advance_states()
-        if self._thinning:
-            self._update_modes_thinning()
-        else:
-            self._update_modes_bernoulli()
-        if self._hist is not None:  # written after the rates read the step's start window
-            self._hist[self._head] = self.x
-            if self._sq is not None:
-                if sq is None:  # the norms were first read in this step's mode update
-                    with np.errstate(over="ignore"):
-                        sq = (self.x * self.x).sum(axis=1)
-                self._sq[self._head] = sq
-                lo = self._head - self._head % self._block
-                self._bmax[lo // self._block] = self._sq[lo:lo + self._block].max(axis=0)
-            self._head = (self._head + 1) % self._hist.shape[0]
-            self._norms = None
-        self.t += self.cfg.dt
+        self._advance(1)
 
     def run(self, n_steps: int):
-        """Run ``n_steps`` steps."""
-        for _ in range(int(n_steps)):
-            self.step()
+        """Run ``n_steps`` steps, a stretch of :meth:`_advance` at a time."""
+        n_steps = _integer("n_steps", n_steps, 0)  # int() would floor 2.7
+        while n_steps:
+            n_steps -= self._advance(n_steps)

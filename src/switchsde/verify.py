@@ -601,11 +601,11 @@ def occupation_stability(
 def _sojourn_counts(e: BatchEnsemble, n_steps: int, burn_steps: int, idx: dict) -> tuple:
     """Run ``e`` for ``n_steps``; per path, the steps s >= burn_steps it is finite
     after, (P,), and those in each mode of ``idx`` ({mode: column}), (P, columns).
-    They are added once per sojourn: at a mode change, a blow-up and the end."""
+    They are added once per sojourn: at a mode change, a blow-up and the end,
+    each of which ends a stretch of :meth:`BatchEnsemble._advance`."""
     counts = np.zeros((e.n_paths, len(idx)), dtype=int)
     mode, since = e.modes.copy(), np.zeros(e.n_paths, dtype=int)
     ends = np.full(e.n_paths, n_steps)  # a blown path's first uncounted step
-    seen = None
 
     def close(paths, end):
         n = end - np.maximum(since[paths], burn_steps)
@@ -613,12 +613,9 @@ def _sojourn_counts(e: BatchEnsemble, n_steps: int, burn_steps: int, idx: dict) 
             if k > 0 and v in idx:
                 counts[p, idx[v]] += k
 
-    for s in range(n_steps + 1):
-        if s:
-            e.step()
-        if seen == (e.jumps, np.count_nonzero(e.blown)):
-            continue  # no path changed mode or blew up in the last step
-        seen = (e.jumps, np.count_nonzero(e.blown))
+    s = 0
+    while s < n_steps:
+        s += e._advance(n_steps - s)  # no path changed mode or blew up before step s - 1
         gone = e.blown & (ends == n_steps)  # blown in step s - 1, which does not count
         ends[gone] = s - 1
         moved = np.flatnonzero(gone | (e.modes != mode) & (ends == n_steps))

@@ -17,7 +17,9 @@ checked against their per-start loop: one
 The engine's thinning rounds are checked against a per-proposal loop over
 rate-row dicts (:class:`ProposalLoopEnsemble`), its bernoulli draws on
 rows that ignore the history against the walk over every mode group that
-the per-path row totals replaced (:class:`GroupWalkEnsemble`), and its
+the per-path row totals replaced (:class:`GroupWalkEnsemble`), its
+stretches against the one-step loop they replaced, with the noise always
+through einsum (:class:`StepwiseEnsemble`, :func:`einsum_euler`), and its
 picks against the dict walks :func:`pick_target` and :func:`couple`.  The exact law's
 irreducibility test is checked against the graph walk
 :func:`strongly_connected`.  A certificate's weighing of its law is
@@ -388,6 +390,80 @@ class ProposalLoopEnsemble(BatchEnsemble):
             for p, row in zip(active.tolist(), self._dict_rows(active)):
                 propose(p, row)
             self._first_ev = self._next_ev.min(initial=math.inf)
+
+
+def einsum_euler(x, drift, sigma, xi, dt, post):
+    """The Euler step with its noise always through einsum, one column too."""
+    out = x + drift * dt
+    if xi is not None:
+        out = out + np.einsum("...nd,...d->...n", sigma, xi) * math.sqrt(dt)
+    if post is not None:
+        projected = np.asarray(post(out), dtype=float)
+        if projected.shape != out.shape:
+            raise ValueError(f"post_step(x) gave shape {projected.shape} for states "
+                             f"of shape {out.shape}")
+        out = projected
+    return out
+
+
+class StepwiseEnsemble(BatchEnsemble):
+    """The batch engine one grid step per call, every call on its own.
+
+    Each step enters ``np.errstate``, reads the plan, gathers the states
+    into its order, takes :func:`einsum_euler` and scatters them back, checks
+    every state for a blow-up, updates the modes and pushes the ring with
+    the states in path order.  It draws what the engine draws, so after as
+    many steps as a stretch took every state, mode, clock, count and the
+    stream must come out equal.
+    """
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _advance_states(self):
+        model, coef = self.model, self._coef
+        order, classes = self._plan()
+        xi = None
+        if not model.zero_diffusion:
+            xi = self.rng.standard_normal((self.n_paths, model.brownian_dim))
+            xi = xi if order is None else xi[order]
+        if coef is None:
+            coef = self._evaluate(self.x if order is None else self.x[order], classes)
+        x = einsum_euler(*coef, xi, self.cfg.dt, model.post_step)
+        if order is None:
+            self.x = x
+        else:
+            self.x[order] = x
+        if not np.isfinite(self.x).all():
+            bad = ~np.isfinite(self.x).all(axis=1)
+            self.blown |= bad
+            self.x = np.where(bad[:, None], 0.0, self.x)
+            if self._totals is not None:
+                self._totals[bad] = 0.0
+            self._invalidate()
+        self._coef = None
+
+    def step(self):
+        self._advance_states()
+        if self._thinning:
+            self._update_modes_thinning()
+        else:
+            self._update_modes_bernoulli()
+        if self._hist is not None:
+            self._hist[self._head] = self.x
+            if self._sq is not None:
+                with np.errstate(over="ignore"):
+                    self._sq[self._head] = (self.x * self.x).sum(axis=1)
+                lo = self._head - self._head % self._block
+                self._bmax[lo // self._block] = self._sq[lo:lo + self._block].max(axis=0)
+            self._head = (self._head + 1) % self._hist.shape[0]
+            self._norms = None
+        self.t += self.cfg.dt
+
+    def _advance(self, limit):
+        raise AssertionError("the stepwise engine takes one step per call")
+
+    def run(self, n_steps):
+        for _ in range(n_steps):
+            self.step()
 
 
 class GroupWalkEnsemble(BatchEnsemble):

@@ -235,10 +235,10 @@ def test_criterion_6_recurrence_corroboration():
 
 
 def test_criterion_7_scheme_cross_validation():
-    # about 20-25 s on 2 cores (20.1 and 20.0 s in full-suite runs with
-    # per-path bernoulli row totals, alternated with 24.4 and 21.6 s for the
-    # per-group walk; 36.2 s at worst in earlier runs): 1,000 paths times
-    # 100,000 steps per scheme
+    # about 17-22 s on 2 cores (18.0 and 17.4 s in full-suite runs stepping
+    # by stretches between mode changes, alternated with 19.1 and 21.6 s
+    # stepping one grid step per call; 36.2 s at worst in earlier runs):
+    # 1,000 paths times 100,000 steps per scheme
     with criterion("scheme cross validation", budget_s=60.0):
         rates = {1: {2: 0.6, 3: 0.4}, 2: {1: 0.5, 3: 0.5}, 3: {1: 0.8, 2: 0.2}}
         model = _point_model(

@@ -19,6 +19,7 @@ from switchsde.sim import (
     SimConfig,
     _check_total,
     _couple_pick,
+    _euler,
     _merge,
     _pick,
     default_dt,
@@ -27,7 +28,14 @@ from switchsde.sim import (
 )
 from switchsde.verify import coupling_decay, occupation_fractions
 
-from oracles import GroupWalkEnsemble, ProposalLoopEnsemble, couple, pick_target
+from oracles import (
+    GroupWalkEnsemble,
+    ProposalLoopEnsemble,
+    StepwiseEnsemble,
+    couple,
+    einsum_euler,
+    pick_target,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIG_NAMES = ("switched_ou", "fluid_queue", "linear_2d", "controlled_scalar", "predator_prey")
@@ -1465,3 +1473,153 @@ def test_a_declared_family_takes_the_live_paths_in_one_call_after_a_blow_up():
     assert all(rows == 4 and len(modes) == 4 for rows, modes in drifts[lone:])
     assert max(len(set(modes)) for _, modes in drifts[lone:]) > 1
     assert len(calls) == 2 * 40 and eng._plan()[0].tolist() == [0, 1, 4, 5]
+
+
+# signed zeros, often enough that -0.0 meets -0.0; subnormals, the largest
+# doubles, inf and NaN; and any double
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, math.inf, -math.inf, math.nan, 1.0, -1.0]),
+    st.floats(width=64),
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.integers(0, 3), st.integers(1, 3), st.booleans(), st.sampled_from([1e-3, 0.1, 1.0]),
+       st.data())
+def test_a_one_column_noise_is_the_einsum_step(n_paths, n, one_path, dt, data):
+    # a one-column noise is a product added to +0.0: a bare product would
+    # keep the -0.0 that einsum's sum turns into +0.0
+    lead = () if one_path else (n_paths,)
+
+    def array(shape):
+        size = math.prod(shape)
+        return np.array(data.draw(st.lists(edge_floats, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    x, drift = array(lead + (n,)), array(lead + (n,))
+    sigma, xi = array(lead + (n, 1)), array(lead + (1,))
+    got = _euler(x, drift, sigma, xi, dt, None)
+    assert got.tobytes() == einsum_euler(x, drift, sigma, xi, dt, None).tobytes()
+    assert got.shape == x.shape
+
+
+def stretch_model(rows, *, history, kind, post, noise_dim):
+    """Five modes on the history-free ``rows``, scaled by a window factor
+    when ``history``; drift 10 * i * x, so that a start at 1e290 overflows
+    within about 40 steps of 0.1, and noise in proportion to the state in
+    ``noise_dim`` columns.  ``kind`` sets the Euler step's plan: one class
+    (K = 1), one mode array, or one class per mode."""
+
+    def drift(x, i):
+        return 10.0 * np.asarray(i, dtype=float)[..., None] * np.asarray(x, dtype=float)
+
+    def diffusion(x, i):
+        x = np.asarray(x, dtype=float)
+        return np.stack([0.8 * x] + [-0.3 * x] * (noise_dim - 1), axis=-1)
+
+    def rates(seg, i):
+        factor = window_factor(seg) if history else 1.0
+        return {j: r * factor for j, r in rows[i].items()}
+
+    return ModelSpec(
+        dim=1,
+        brownian_dim=noise_dim,
+        drift=drift,
+        diffusion=diffusion,
+        rates_row=rates,
+        rate_bound=4.0,
+        delay=1.0,
+        post_step=np.abs if post else None,
+        rates_depend_on_path=history,
+        shared_coefficients_from=1 if kind == "one_class" else None,
+        mode_arrays=kind == "mode_arrays",
+    )
+
+
+def stretch_state(e):
+    arrays = (e.x, e.modes, e.modes_hat, e.decouple_time, e.blown, e._next_ev, e.history())
+    return ([None if a is None else a.tobytes() for a in arrays]
+            + [e.jumps, e.proposals, e.t, e.rng.bit_generator.state])
+
+
+def stretch_events(e):
+    """What ends a stretch: the jumps, the blown paths and the parted pairs."""
+    apart = 0 if e.decouple_time is None else int(np.isfinite(e.decouple_time).sum())
+    return e.jumps, int(e.blown.sum()), apart
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.sampled_from(["thinning", "bernoulli", "coupled"]), st.booleans(),
+       st.sampled_from(["one_class", "mode_arrays", "per_mode"]), st.booleans(),
+       st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_stretches_are_the_stepwise_engine(scheme, history, kind, post, noise_dim, seed):
+    # random rows over five modes (mode 2 absorbing) at a random scale, so
+    # that stretches run from one step to many; a cohort from 1e290 blows
+    # up, often mid-stretch, and keep masks drop paths between calls.  Each
+    # call's steps are those of the stepwise engine up to its first jump,
+    # blow-up or parted pair, and everything the engine holds is the same
+    rng = np.random.default_rng(seed)
+    scale = float(rng.choice([0.03, 0.3, 1.0]))
+    rows = {v: {j: float(rng.uniform(0.0, 0.8)) * scale for j in range(1, 6)
+                if j != v and rng.random() < 0.6} for v in range(1, 6)}
+    rows[2] = {}
+    ref_rows = {v: {j: float(rng.uniform(0.0, 0.8)) * scale for j in row}
+                for v, row in rows.items()}
+    qhat = SparseGenerator(ref_rows.get, rate_bound=4.0) if scheme == "coupled" else None
+    model = stretch_model(rows, history=history, kind=kind, post=post, noise_dim=noise_dim)
+    run_scheme = "bernoulli" if scheme == "bernoulli" else "thinning"  # a coupling runs by thinning
+    cfg = SimConfig(dt=0.1, horizon=20.0, scheme=run_scheme, seed=int(rng.integers(2**31)))
+    starts = [Segment.make_constant([v], 1.0, 0.1) for v in (1.0, 1e290)]
+    eng = BatchEnsemble(model, starts, 1, cfg, 3, qhat=qhat)
+    ref = StepwiseEnsemble(model, starts, 1, cfg, 3, qhat=qhat)
+    taken = 0
+    while taken < 100:
+        if rng.random() < 0.1 and eng.n_paths > 1:
+            mask = rng.random(eng.n_paths) < 0.8
+            mask[0] = True
+            eng.keep(mask)
+            ref.keep(mask)
+        if rng.random() < 0.2:  # a snapshot's coefficients, which the next step takes
+            pair = eng.coefficients(), ref.coefficients()
+            assert [a.tobytes() for a in pair[0]] == [a.tobytes() for a in pair[1]]
+        limit = int(rng.integers(1, 16))
+        events, want = stretch_events(ref), 0
+        while want < limit:
+            want += 1
+            ref.step()
+            if stretch_events(ref) != events:
+                break
+        got = eng._advance(limit)
+        assert got == want, taken
+        assert stretch_state(eng) == stretch_state(ref), taken
+        taken += got
+
+
+@pytest.mark.parametrize("scheme", ["thinning", "bernoulli"])
+def test_run_takes_its_steps_in_stretches(scheme):
+    # run(n) is n one-step calls, whichever stretches it takes them in
+    model = load_model_config(CONFIG_DIR / "linear_2d.json").spec
+    phi0 = Segment.make_constant([1.0, -0.5], model.delay, 1.0 / 64)
+    cfg = SimConfig(dt=1.0 / 64, horizon=5.0, scheme=scheme, seed=4)
+    eng, ref = BatchEnsemble(model, phi0, 1, cfg, 8), StepwiseEnsemble(model, phi0, 1, cfg, 8)
+    eng.run(np.int64(300))
+    ref.run(300)
+    assert stretch_state(eng) == stretch_state(ref) and eng.jumps > 10
+    eng.run(0)
+    assert stretch_state(eng) == stretch_state(ref)
+
+
+@pytest.mark.parametrize("bad", [2.7, True, -3, "4", None])
+def test_run_refuses_a_step_count_that_is_not_a_count(bad):
+    # int() would floor 2.7 to 2 steps, take True as 1 and -3 as none
+    model = load_model_config(CONFIG_DIR / "linear_2d.json").spec
+    phi0 = Segment.make_constant([1.0, -0.5], model.delay, 1.0 / 64)
+    eng = BatchEnsemble(model, phi0, 1, SimConfig(dt=1.0 / 64, horizon=1.0, seed=2), 4)
+    state = eng.rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 0"):
+        eng.run(bad)
+    assert eng.t == 0.0 and eng.rng.bit_generator.state == state

@@ -1629,3 +1629,46 @@ def test_controlled_scalar_runs_past_the_square_root_of_the_largest_double():
         engine = BatchEnsemble(spec, phi, 1, cfg, 4)
         engine.run(int(horizon * 16))
         assert engine.blown.sum() == blown, horizon
+
+
+THREE_MODE_RATES = {1: {2: 0.6, 3: 0.4}, 2: {1: 0.5, 3: 0.5}, 3: {1: 0.8, 2: 0.2}}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("scheme", ["thinning", "bernoulli"])
+@pytest.mark.parametrize("case", ["criterion_7", "blow_ups"])
+def test_occupation_steps_the_engine_a_stretch_at_a_time(case, scheme, monkeypatch):
+    # the counts change only at a mode change or a blow-up, so the engine is
+    # called once per stretch between them, not once per grid step: every
+    # call but the last ends on a jump or a blow-up, and no step() is made
+    if case == "criterion_7":
+        model = ModelSpec(dim=1, brownian_dim=1, drift=lambda x, i: -0.5 * np.asarray(x, float),
+                          diffusion=lambda x, i: np.array([[0.3]]),
+                          rates_row=lambda seg, i: dict(THREE_MODE_RATES[i]), rate_bound=1.0,
+                          delay=1.0, rates_depend_on_path=False)
+        phi0, cfg = Segment.make_constant([1.0], 1.0, 1e-3), SimConfig(1e-3, 2.0, scheme, 3)
+        n_paths, tracked, n_steps = 20, [1, 2, 3], 2000
+    else:  # no switching: only the blow-ups of BLOW_STEPS end a stretch
+        model = clocked_blow_up_model(0.0)
+        phi0, cfg = Segment.make_constant([0.3, 0.0], 1.0, 0.05), SimConfig(0.05, 2.0, scheme, 21)
+        n_paths, tracked, n_steps = 300, [1, 2, 4], 40
+    calls, steps = [], []
+    advance, step = BatchEnsemble._advance, BatchEnsemble.step
+
+    def counted(e, limit):
+        before = (e.jumps, int(e.blown.sum()))
+        taken = advance(e, limit)
+        calls.append((taken, limit, (e.jumps, int(e.blown.sum())) != before))
+        return taken
+
+    monkeypatch.setattr(BatchEnsemble, "_advance", counted)
+    monkeypatch.setattr(BatchEnsemble, "step", lambda e: steps.append(1) or step(e))
+    occupation_fractions(model, phi0, 2, cfg, n_paths, tracked, burn_in=0.5)
+    assert not steps and sum(taken for taken, _, _ in calls) == n_steps
+    assert all(event for _, _, event in calls[:-1])
+    taken, limit, event = calls[-1]
+    assert event or taken == limit
+    if case == "criterion_7":
+        assert 10 < len(calls) < n_steps / 10
+    else:
+        assert len(calls) == len(BLOW_STEPS)  # the last blow-up is in the last step
