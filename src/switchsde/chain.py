@@ -423,10 +423,13 @@ def exact_law(qhat: SparseGenerator) -> StationaryDist:
 
 
 def convergence_sweep(qhat: SparseGenerator, levels) -> list[dict]:
-    """Stationary laws across truncation levels with head-to-head l1 changes."""
+    """Stationary laws across distinct truncation levels with head-to-head l1 changes."""
     levels = sorted(_integer("truncation level", n, 2) for n in levels)
     if len(levels) < 2:
         raise ValueError("need at least two truncation levels")
+    repeated = sorted({a for a, b in zip(levels, levels[1:]) if a == b})
+    if repeated:  # a repeated level's l1 change is 0.0 and measures nothing
+        raise ValueError(f"levels repeats truncation level(s) {repeated}")
     out = []
     prev = None
     for n in levels:

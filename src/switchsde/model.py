@@ -47,7 +47,8 @@ class ModelSpec:
     off-diagonal rates out of mode i given the history window, one
     :class:`~switchsde.segment.Segment` or a
     :class:`~switchsde.segment.SegmentBatch` of P windows; its keys depend
-    on the mode only and each rate is a scalar or a (P,) array.
+    on the mode only (both engines refuse a row whose keys are not those of
+    the mode's first) and each rate is a scalar or a (P,) array.
     ``rate_bound``, finite and positive, must dominate every total row
     rate.  ``mode_rate_bound(i)`` (optional) is a bound for the rows out of
     mode i alone, on every history, at most ``rate_bound``; thinning clocks

@@ -29,7 +29,7 @@ class _Window:
     def value_at(self, s: float) -> np.ndarray:
         """Linearly interpolated value at offset ``s`` in [-r, 0]."""
         s = float(s)
-        if s < -self.delay - _GRID_TOL or s > _GRID_TOL:
+        if not -self.delay - _GRID_TOL <= s <= _GRID_TOL:  # written so that NaN fails
             raise ValueError(f"offset {s} outside [{-self.delay}, 0]")
         u = (s + self.delay) / self.dt
         m = self._buf.shape[0]

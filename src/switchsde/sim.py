@@ -26,26 +26,18 @@ the Euler step of :func:`_euler`, and a mode change reaches the state at
 the next grid step.  A jump goes to target j with probability
 q_ij / bound, by partitioning a single uniform draw over the row's sorted
 targets; both engines walk a row as sorted lists of targets and rates
-(:func:`_pick`).  :func:`simulate` runs one path and logs its jumps: a
-one-path :class:`BatchEnsemble`, bit for bit, in a faster loop.
+(:func:`_pick`), and both fix a mode's targets at the first row read out
+of it (:func:`_fixed_targets`).  :func:`simulate` runs one path and logs
+its jumps: a one-path :class:`BatchEnsemble`, bit for bit, in a faster loop.
 
 :class:`BatchEnsemble`, the engine of every estimator and of
 :func:`simulate_coupled`, advances a whole ensemble of any model at once,
 the basic coupling with the limiting chain and history-dependent rates
-included.  Per step it evaluates drift and diffusion once per coefficient
-class (a mode group, or every mode from the model's
-``shared_coefficients_from`` on).  While every live path is in one class it
-steps them in path order with no mode-group plan; so it does, with the
-live paths' modes as one array, for a model that declares ``mode_arrays``;
-else it sorts the paths by mode once per mode change, not per step.  The
-Dynkin generator of :mod:`switchsde.verify` reads the step's rows in
-whichever of the two orders the step took.  History-dependent rates come from one ``rates_row``
-call on each group's :class:`~switchsde.segment.SegmentBatch`.  Under
-bernoulli, rows that ignore the history need no groups: each path's row
-total is kept beside its mode and rewritten only when the path jumps.
-Its one stepping loop (:meth:`BatchEnsemble._advance`) runs a stretch of
-steps up to the next mode change, parted pair or blow-up on one plan,
-drawing per step what a one-step call draws.
+included: drift and diffusion once per coefficient class and step, rows
+that read the history once per mode group, and steps in stretches up to
+the next mode change, parted pair or blow-up, each on one plan
+(:meth:`BatchEnsemble._advance`), drawing per step what a one-step call
+draws.
 """
 
 from __future__ import annotations
@@ -195,6 +187,18 @@ def _pick(targets: list, rates: list, u: float, bound: float):
     return None
 
 
+def _fixed_targets(fixed: dict, row: dict, v: int) -> list:
+    """Sorted targets of ``row``, out of mode v: fixed at v's first row, kept in
+    ``fixed`` as (targets, key set), so a later row with other keys raises."""
+    got = fixed.get(v)
+    if got is None:
+        got = fixed[v] = (sorted(row), frozenset(row))
+    elif row.keys() != got[1]:
+        raise ValueError(f"rates out of mode {v} go to {sorted(row)}, not to the targets "
+                         f"{got[0]} of its first row; a mode's targets must stay fixed")
+    return got[0]
+
+
 def _merge(targets: list, ref: dict) -> list:
     """(target, column in ``targets`` or None, reference rate) over the sorted
     union of ``targets`` and the reference row ``ref``'s targets: the layout
@@ -284,18 +288,18 @@ def simulate(
     drift, diffusion, post = model.drift, model.diffusion, model.post_step
     noise = None if model.zero_diffusion else model.brownian_dim
     mode = int(i0)
-    rows, jumps = [], []
+    rows, jumps, fixed = [], [], {}
     stop_time: Optional[float] = None
 
     def draw(t: float, scale: float, u: Optional[float] = None) -> int:
         """Mode after one jump decision at rate ``scale``; without ``u`` a
         uniform is drawn, for a row with a target only."""
         row = rates_row(seg, mode)
-        if not row:
+        targets = _fixed_targets(fixed, row, mode)
+        if not targets:
             return mode
         rates = row.values()  # checked in the row's own order
         _check_total(sum(rates), min(rates), scale, mode)
-        targets = sorted(row)
         j = _pick(targets, [row[k] for k in targets], rng.random() if u is None else u, scale)
         if j is None:
             return mode
@@ -453,8 +457,8 @@ class BatchEnsemble:
     mode and turns them into one sorted (targets, rates) pair of lists per
     path; the proposals walk them in Python floats (:func:`_pick`, or
     :func:`_couple_pick` over a layout merged with the reference row once
-    per mode and targets), and the round writes the modes and clocks back
-    once.
+    per mode), and the round writes the modes and clocks back once.  A
+    mode's targets are fixed at the first row read out of it.
 
     Steps are taken in stretches (:meth:`_advance`) that end at a mode
     change, a parted pair or a blow-up, each on one plan; :meth:`step` is a
@@ -514,7 +518,7 @@ class BatchEnsemble:
         self.blown = np.zeros(self.n_paths, dtype=bool)
         self.proposals = self.jumps = 0
         self._sq = self._norms = None
-        self._rows: dict[int, tuple] = {}
+        self._rows, self._targets = {}, {}  # rows that ignore the history; _fixed_targets
         self._probe_seg = starts[0].copy()
         self._grid = (starts[0].delay, starts[0].dt)
         self._thinning = cfg.scheme == "thinning"
@@ -548,7 +552,7 @@ class BatchEnsemble:
                 else np.full(self.n_paths, math.inf)
             )
             self._first_ev = self._next_ev.min(initial=math.inf)
-            self._merged: dict[tuple, list] = {}
+            self._merged: dict[int, list] = {}
 
     def _invalidate(self) -> None:
         """Forget the plan and everything built on it."""
@@ -667,15 +671,16 @@ class BatchEnsemble:
         array ``paths``.
 
         Rates come as a (len(paths), K) array from one ``rates_row`` call on
-        the paths' :class:`SegmentBatch`, or as (1, K) when the rows ignore
-        the history.
+        the paths' :class:`SegmentBatch`, whose keys must be those of the
+        first row read out of v (:func:`_fixed_targets`), or as (1, K) when
+        the rows ignore the history.
         """
         if not self.model.rates_depend_on_path:
             targets, _, table, _ = self._row(v)
             return targets, table
         seg = SegmentBatch(self._hist, self._head, paths, *self._grid, norms=self.sup_norms)
         row = self.model.rates_row(seg, v)
-        targets = sorted(row)
+        targets = _fixed_targets(self._targets, row, v)
         rates = np.empty((len(paths), len(targets)))
         for k, j in enumerate(targets):
             rates[:, k] = row[j]
@@ -911,21 +916,17 @@ class BatchEnsemble:
 
     def _coupled_round(self, modes: list, rows: list, clocks: list) -> tuple:
         """One basic-coupling proposal of each pair, in order, both chains
-        in mode ``modes[k]``: a uniform at every proposal, then the gap of
-        the pair's new mode unless the chains part, which stops its clock.
-        Returns the new modes, the new reference modes and the (index, time)
-        of the pairs that parted."""
-        rng, uniform, new, hats, parted, layouts = self.rng, self.rng.random, [], [], [], {}
+        in mode ``modes[k]``, on the layout merged once per mode: a uniform
+        at every proposal, then the gap of the pair's new mode unless the
+        chains part, which stops its clock.  Returns the new modes, the new
+        reference modes and the (index, time) of the pairs that parted."""
+        rng, uniform, new, hats, parted = self.rng, self.rng.random, [], [], []
         for k, (targets, rates) in enumerate(rows):
             v = modes[k]
             ref, bound = self._pair(v)
-            merged = layouts.get(v)  # one targets list per mode and round
+            merged = self._merged.get(v)
             if merged is None:
-                key = (v, tuple(targets))
-                merged = self._merged.get(key)
-                if merged is None:
-                    merged = self._merged[key] = _merge(targets, ref)
-                layouts[v] = merged
+                merged = self._merged[v] = _merge(targets, ref)
             j, j_hat, lone = _couple_pick(merged, rates, uniform() * bound, bound, v)
             new.append(j)
             hats.append(j_hat)

@@ -326,41 +326,33 @@ def _snapshot(e: BatchEnsemble, with_hist: bool) -> tuple:
 
 def _block_generator(V, block: list, trap, rate_table) -> list:
     """LV of a block of :func:`_snapshot` steps in one :func:`_generator` pass,
-    (paths, LV) per step.  One stable argsort of the rows, which come in step
-    order, on the rank of their (mode, targets) groups them, each group's in
-    step order and, within a step, by path, as its steps' rate tables hold
-    them (numpy radix-sorts ranks below 2^16, else the code (rank, step));
-    rates that ignore the history are the engine's shared (1, K) row
-    ``rate_table(None, v)``.  With a time kernel the block is one step, read
-    before the engine steps on: each group gathers its windows off the
-    engine's ring, and no step copies them."""
+    (paths, LV) per step.  One stable argsort of the rows on their mode
+    groups them, each group's in step order and then by path, as its steps'
+    rate tables hold them (numpy radix-sorts modes below 2^16, else the code
+    (mode, step)).  A mode's targets are fixed: a group takes them from its
+    first step's table; rates that ignore the history are the engine's
+    shared (1, K) row ``rate_table(None, v)``.  With a time kernel the block
+    is one step, read before the engine steps on: each group gathers its
+    windows off the engine's ring, and no step copies them."""
     paths, modes, tables, *arrays, history = zip(*block)
     sizes, n = [len(m) for m in modes], len(block)
-    key, step = np.concatenate(modes), np.repeat(np.arange(n), sizes)  # a shared row: by mode
-    if tables[0] is not None:  # rows read per step: rank (mode, targets), targets may vary
-        pairs = [(s, v, tuple(tab[v][0])) for s, tab in enumerate(tables) for v in sorted(tab)]
-        ranks = sorted({(v, t) for _, v, t in pairs})
-        index = {r: a for a, r in enumerate(ranks)}
-        top = 1 + max((v for _, v, _ in pairs), default=0)  # (step, mode) as step * top + mode
-        at = np.array([s * top + v for s, v, _ in pairs], dtype=int)  # ascending
-        rank = np.array([index[v, t] for _, v, t in pairs], dtype=int)
-        key = rank[np.searchsorted(at, step * top + key)]  # each row's (step, mode) pair
-    code = key * n + step  # sorts as (rank, step), as the rank alone does stably
+    key = np.concatenate(modes)
+    code = key * n + np.repeat(np.arange(n), sizes)  # (mode, step): a stable sort by mode
     perm = np.argsort(key.astype(np.uint16) if key.max(initial=0) < 2**16 else code, kind="stable")
     code = code[perm]
     runs = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist()] if len(code) else []
-    groups: dict = {}  # rank -> (first row, [(step, end)]), one run per step
+    groups: dict = {}  # mode -> (first row, [(step, end)]), one run per step
     for start, end, c in zip(runs, runs[1:] + [len(code)], code[runs].tolist()):
-        k, s = divmod(c, n)
-        groups.setdefault(k, (start, []))[1].append((s, end))
+        v, s = divmod(c, n)
+        groups.setdefault(v, (start, []))[1].append((s, end))
     plan = []
-    for k, (first, parts) in groups.items():
+    for v, (first, parts) in groups.items():
         if tables[0] is None:
-            v, (targets, rates) = k, rate_table(None, k)
+            targets, rates = rate_table(None, v)
         else:
-            v, targets = ranks[k]
+            targets = tables[parts[0][0]][v][0]
             rates = np.concatenate([tables[s][v][1] for s, _ in parts])
-        plan.append((v, slice(first, parts[-1][1]), list(targets), rates))
+        plan.append((v, slice(first, parts[-1][1]), targets, rates))
     x, drift, sigma = (None if s[0] is None else _coordinate_major(s, perm) for s in arrays)
     windows = None
     if history[0] is not None:  # one gather per group off the engine's ring

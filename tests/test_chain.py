@@ -203,6 +203,15 @@ def test_convergence_sweep_reports_decreasing_change():
     assert all(len(s["nu_head"]) <= 10 for s in sweep)
 
 
+@pytest.mark.parametrize("levels, repeated", [([10, 10], "[10]"), ([16, 8, 16, 24, 8], "[8, 16]")])
+def test_convergence_sweep_refuses_a_repeated_level(levels, repeated):
+    # a repeated level once gave two equal entries, the second with an
+    # l1_change of 0.0 that measures nothing
+    message = f"levels repeats truncation level(s) {repeated}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        convergence_sweep(two_base_ladder(), levels)
+
+
 def test_row_index_validation():
     gen = return_ladder()
     with pytest.raises(ValueError):

@@ -162,6 +162,15 @@ def test_stationary_from_model_and_triplets(tmp_path):
     assert main(["stationary", "--out", str(tmp_path / "st3")]) == 2
 
 
+def test_stationary_refuses_a_repeated_level(tmp_path, capsys):
+    # --levels 10,10 once wrote two equal sweep entries, the second with an
+    # l1_change of 0.0
+    out = tmp_path / "rep"
+    assert main(["stationary", "--model", OU, "--levels", "10,10", "--out", str(out)]) == 2
+    assert "levels repeats truncation level(s) [10]" in capsys.readouterr().err
+    assert not (out / "stationary.json").exists()
+
+
 def test_triplet_generators_count_their_modes(tmp_path):
     # a triplet generator's modes end at the largest one named: the default
     # N = 30 is capped there, and its certificate's tail is exactly empty

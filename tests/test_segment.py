@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from switchsde.segment import Segment
+from switchsde.segment import Segment, SegmentBatch
 
 
 def test_constant_window_basics():
@@ -60,6 +60,16 @@ def test_value_at_interpolates_linearly():
         seg.value_at(-1.5)
     with pytest.raises(ValueError):
         seg.value_at(0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_value_at_refuses_an_offset_that_is_not_a_number_in_range(bad):
+    # a NaN offset once passed the range test and failed converting to an index
+    seg = Segment(np.array([[0.0], [1.0], [4.0]]), delay=1.0, dt=0.5)
+    batch = SegmentBatch(np.zeros((3, 2, 1)), 0, np.arange(2), 1.0, 0.5)
+    for window in (seg, batch):
+        with pytest.raises(ValueError, match=rf"offset {bad} outside \[-1.0, 0\]"):
+            window.value_at(bad)
 
 
 def test_value_at_after_wraparound():

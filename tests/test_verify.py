@@ -315,6 +315,44 @@ def test_coupling_blow_up_in_the_parting_step_is_censored():
         assert row["p_decouple"] == 0.0
 
 
+def dropping_row(seg, i):
+    """Rates that read the history and break the fixed-targets rule: mode
+    1's row drops its target 3 once every window is below 1/4."""
+    if i > 1:
+        return {1: 2.0}
+    return {2: 1.0} if np.all(np.asarray(seg.sup_norm()) < 0.25) else {2: 1.0, 3: 1.0}
+
+
+_DROPPING_RUNS = {
+    "thinning": lambda m, lin, phi0, cfg: BatchEnsemble(m, phi0, 1, cfg, 8).run(192),
+    "coupled": lambda m, lin, phi0, cfg: coupling_decay(m, lin, [2.0], cfg, 8, floor_frac=0.0),
+    "bernoulli": lambda m, lin, phi0, cfg: BatchEnsemble(
+        m, phi0, 1, replace(cfg, scheme="bernoulli"), 8).run(192),
+    "dynkin": lambda m, lin, phi0, cfg: dynkin_residual(QUAD, m, phi0, 1, 6.0, cfg, 8),
+    "simulate": lambda m, lin, phi0, cfg: simulate(m, phi0, 1, cfg),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_DROPPING_RUNS))
+def test_a_row_that_changes_its_targets_is_refused(run):
+    # the states decay from 2 with no noise, so mode 1's first rows go to
+    # 2 and 3 and its rows after t = ln 8 + 1/2 to 2 alone: every engine
+    # refuses the first such row by its mode
+    model = scalar_spec(lambda x, i: -np.asarray(x, dtype=float), rates=dropping_row,
+                        bound=2.0, delay=0.5)
+    lin = Linearization(
+        b_mat=lambda i: -np.eye(1),
+        sigma_mats=lambda i: [np.zeros((1, 1))],
+        qhat=SparseGenerator(lambda i: {2: 1.0, 3: 1.0} if i == 1 else {1: 2.0}, rate_bound=2.0),
+        coeff_bound=1.0,
+    )
+    cfg = SimConfig(dt=1.0 / 32, horizon=6.0, seed=4)
+    phi0 = Segment.make_constant([2.0], model.delay, cfg.dt)
+    with pytest.raises(ValueError, match=r"rates out of mode 1 go to \[2\], not to the "
+                                         r"targets \[2, 3\] of its first row"):
+        _DROPPING_RUNS[run](model, lin, phi0, cfg)
+
+
 SHIPPED = ["controlled_scalar", "fluid_queue", "linear_2d", "predator_prey", "switched_ou"]
 
 
@@ -1470,6 +1508,21 @@ def test_dynkin_block_memory_does_not_grow_with_the_mode():
     finally:
         tracemalloc.stop()
     assert est.usable and peak < 8e6
+
+
+def test_dynkin_from_a_high_mode_matches_the_plan_order_oracle():
+    # switched_ou's rates read the history, so the block pass keys its rows
+    # by mode; from mode 10^5 the keys pass 2^16 and take the int64 (mode,
+    # step) sort, which must give the bytes of the plan-order pass
+    spec = load_model_config(str(CONFIG_DIR / "switched_ou.json")).spec
+    dt, n_paths = 1.0 / 64, 32
+    phi0 = Segment.make_constant([1.0], spec.delay, dt)
+    cfg = SimConfig(dt=dt, horizon=1.0, seed=1)
+    for budget in (3 * n_paths, switchsde.verify._BLOCK_ROWS):
+        with mock.patch.object(switchsde.verify, "_BLOCK_ROWS", budget):
+            est = dynkin_residual(QUAD, spec, phi0, 10**5, 1.0, cfg, n_paths)
+        want = plan_dynkin_residual(QUAD, spec, phi0, 10**5, 1.0, cfg, n_paths, budget)
+        assert est.usable and pickle.dumps(est) == pickle.dumps(want), budget
 
 
 def shared_plane_model(rates_depend_on_path: bool, blow: float, shared_from) -> ModelSpec:
