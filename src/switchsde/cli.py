@@ -14,7 +14,6 @@ config errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -72,9 +71,9 @@ def _write_csv(out: str, name: str, meta: dict, header: list, rows) -> None:
             f"# seed={meta['seed']} config_hash={meta['config_hash']} "
             f"version={meta['version']}\n"
         )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)  # a Python float as its repr
+        fh.write(",".join(header) + "\n")
+        # ints and Python floats as their repr: csv.writer's bytes, which quote no number
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _sim_config(args, delay: float) -> SimConfig:
@@ -88,9 +87,19 @@ def _sim_config(args, delay: float) -> SimConfig:
     )
 
 
+def _comma_list(args, flag: str, kind=float) -> list:
+    """The entries of the comma list of ``--flag``, each read by ``kind``; an
+    entry that ``kind`` cannot read, an empty one too, is an error naming the flag."""
+    text = getattr(args, flag)
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--{flag} {text!r}: {exc}") from None
+
+
 def _start_segment(args, spec, dt: float) -> Segment:
     """The constant start window at --x0: one entry per coordinate, or one for all."""
-    x0 = [float(v) for v in args.x0.split(",") if v.strip() != ""]
+    x0 = _comma_list(args, "x0")
     if len(x0) not in (1, spec.dim):
         raise ValueError(f"state has {len(x0)} entries, expected {spec.dim}")
     return Segment.make_constant(np.broadcast_to(x0, spec.dim), spec.delay, dt)
@@ -174,7 +183,7 @@ def cmd_stationary(args) -> int:
         "residual": float(dist.residual),
     }
     if args.levels:
-        levels = [int(v) for v in args.levels.split(",")]
+        levels = _comma_list(args, "levels", int)
         payload["sweep"] = convergence_sweep(loaded.qhat, levels)
     _write_json(args.out, "stationary.json", payload)
     return 0
@@ -244,7 +253,7 @@ def cmd_verify(args) -> int:
         payload.update(k0=args.k0, estimate=est.to_dict())
         code = 0 if est.usable else 1
     elif args.estimator == "coupling":
-        radii = [float(v) for v in args.radii.split(",")]
+        radii = _comma_list(args, "radii")
         rows = coupling_decay(
             spec,
             lin,
@@ -257,7 +266,7 @@ def cmd_verify(args) -> int:
         payload["floor_frac"] = args.floor_frac
         payload["table"] = rows
     else:  # occupation
-        starts = [float(v) for v in args.starts.split(",")]
+        starts = _comma_list(args, "starts")
         report = occupation_stability(
             spec,
             [np.full(spec.dim, s) for s in starts],

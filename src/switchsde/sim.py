@@ -150,6 +150,8 @@ def _check_inputs(model: ModelSpec, phi0: Segment, cfg: SimConfig, i0: int):
 # rounding allowance when a row total is compared with its bound
 _BOUND_SLACK = 1.0 + 1e-12
 
+_BLOCK_STEPS = 4096  # most steps whose increments :func:`simulate` draws in one call
+
 
 def _gap(rng, bound: float) -> float:
     """Next gap of a thinning clock at rate ``bound``; a zero bound never fires.
@@ -273,11 +275,14 @@ def simulate(
     Each step draws the increment, takes the Euler step, then draws the
     mode on the window the step started from: under thinning at the
     proposals before the step's end of a clock at the mode's bound, under
-    bernoulli from one uniform.  ``stop(t, segment, mode)`` is evaluated
-    at every grid point (including t = 0); when it returns True the run
-    ends there and ``stop_time`` is set.  ``on_grid(t, segment, mode)`` is
-    called at every grid point regardless of the recording stride, so
-    callers can accumulate path functionals without storing states.
+    bernoulli from one uniform.  Under thinning no other draw falls between
+    proposals, so one ``standard_normal`` call draws, in per-step order, the
+    increments of every step up to the next proposal's (at most
+    ``_BLOCK_STEPS``).  ``stop(t, segment, mode)`` is evaluated at every
+    grid point (including t = 0); when it returns True the run ends there
+    and ``stop_time`` is set.  ``on_grid(t, segment, mode)`` is called at
+    every grid point regardless of the recording stride, so callers can
+    accumulate path functionals without storing states.
     """
     _check_inputs(model, phi0, cfg, i0)
     seg = phi0.copy()
@@ -321,16 +326,24 @@ def simulate(
 
     blow_up = False
     x, t = seg.terminal(), 0.0
+    hooks = stop is not None or on_grid is not None
     if not at_grid(t, x, True):
         thinning = cfg.scheme == "thinning"
         next_ev = _gap(rng, bound(mode)) if thinning else math.inf
+        xis = iter(())  # the rest of the increment block
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
-                xi = None if noise is None else rng.standard_normal(noise)
+                xi = next(xis, None)
+                if xi is None and noise is not None:  # no draw before the step past next_ev
+                    j, end, most = 1, t + dt, min(n_steps - k, _BLOCK_STEPS)
+                    while thinning and not next_ev < end and j < most:
+                        j, end = j + 1, end + dt  # the running sum t will take
+                    xis = iter(rng.standard_normal((j, noise)))
+                    xi = next(xis)
                 sigma = None if noise is None else diffusion(x, mode)
                 x = _euler(x, drift(x, mode), sigma, xi, dt, post)
-                # a finite sum has finite terms, and np.add.reduce is the cheaper call
-                if not (math.isfinite(np.add.reduce(x)) or np.isfinite(x).all()):
+                # a finite sum has finite terms, and a sum of Python floats is the cheaper call
+                if not (math.isfinite(sum(x.tolist())) or np.isfinite(x).all()):
                     blow_up = True
                     break
                 t += dt  # the engine's running sum, which its clocks are compared with
@@ -341,8 +354,12 @@ def simulate(
                 else:
                     mode = draw((k + 1) * dt, 1.0 / dt, rng.random())
                 seg.push(x)
-                if at_grid((k + 1) * dt, x, (k + 1) % stride == 0 or k == n_steps - 1):
-                    break
+                due = (k + 1) % stride == 0 or k == n_steps - 1
+                if hooks:
+                    if at_grid((k + 1) * dt, x, due):
+                        break
+                elif due:
+                    rows.append(((k + 1) * dt, x, mode))  # each step makes a new x
     times, states, modes = zip(*rows)
     return TrajectoryRecord(
         times=np.array(times),
@@ -738,14 +755,17 @@ class BatchEnsemble:
     def _advance(self, limit: int) -> int:
         """Grid steps, at most ``limit`` (>= 1) of them, up to and including
         the first that changes a mode (``jumps`` moves), parts a coupled pair
-        or blows a path up; returns the number of steps taken.
+        or blows a path up; returns the number of steps taken."""
+        return self._stretch(limit)
 
-        Each step advances the states with the modes it starts from, then
-        the modes (on the window it started from), then pushes the ring.
-        No plan changes before such a step, so the plan is read once and the
-        states stay in its order, put back in path order at the end, or at
-        every step when the ring needs them so, or at a blow-up.  Each step
-        draws what a one-step call draws, in the same order."""
+    def _stretch(self, limit: int) -> int:
+        """:meth:`_advance` outside ``np.errstate``, for a caller that steps
+        many times in one.  Each step advances the states with the modes it
+        starts from, then the modes (on the window it started from), then
+        pushes the ring.  No plan changes before such a step, so the plan is
+        read once and the states stay in its order, put back in path order
+        at the end, or at every step when the ring needs them so, or at a
+        blow-up.  Each step draws what a one-step call draws, in order."""
         model, dt, ring = self.model, self.cfg.dt, self._hist is not None
         noise = None if model.zero_diffusion else (self.n_paths, model.brownian_dim)
         update = self._update_modes_thinning if self._thinning else self._update_modes_bernoulli

@@ -388,21 +388,21 @@ def _first_times(be: BatchEnsemble, hit, drop=None) -> tuple:
     leaves uncounted at a blow-up or where the mask ``drop(engine, paths)``
     holds, ``paths`` naming the engine's paths by their index at the start.
     Returns the times and those indices of the paths that met the rule, in
-    the order they met it."""
+    the order they met it.  The masks are combined only where a path leaves."""
     times, who = [], []
     paths = np.arange(be.n_paths)
-    for k in range(_n_steps(be.cfg.horizon, be.cfg.dt) + 1):
-        if k:
-            be.step()
-        done = hit(be) & ~be.blown
-        n = int(done.sum())
-        if n:
-            times += [k * be.cfg.dt] * n
-            who += paths[done].tolist()
-        live = ~(done | be.blown)
-        if drop is not None:
-            live &= ~drop(be, paths)
-        if not live.all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_n_steps(be.cfg.horizon, be.cfg.dt) + 1):
+            if k:
+                be._stretch(1)
+            hits = hit(be)
+            out = hits if drop is None else hits | drop(be, paths)
+            if not (out.any() or be.blown.any()):
+                continue
+            done = paths[hits & ~be.blown].tolist()
+            times += [k * be.cfg.dt] * len(done)
+            who += done
+            live = ~(out | be.blown)
             be.keep(live)
             paths = paths[live]
             if be.n_paths == 0:
@@ -552,24 +552,24 @@ def occupation_stability(
     n_cells = n_rbins * (k_head + 1)
     be = BatchEnsemble(model, windows, i0, cfg, n_paths)
     counts = np.zeros((len(windows), n_rbins, k_head + 1))
-    cohort = np.arange(be.n_paths) // n_paths
+    # one cell per (cohort, radial bin, mode bucket), modes above k_head in the last bucket
+    base = np.arange(be.n_paths) // n_paths * n_cells - 1
     xs, cells = [], []  # the live paths of a block of grid points, binned at once
     n_steps = _n_steps(cfg.horizon, cfg.dt)
-    for k in range(n_steps + 1):
-        if k:
-            be.step()
-        if k * cfg.dt >= burn_in - 1e-12:
-            live = ~be.blown
-            xs.append(be.x[live])
-            # one cell per (cohort, radial bin, mode bucket), modes above k_head in the last bucket
-            cells.append(cohort[live] * n_cells + np.minimum(be.modes[live], k_head + 1) - 1)
-        if xs and (k == n_steps or len(xs) * be.n_paths >= _BLOCK_ROWS):
-            with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the engine steps in it
+        for k in range(n_steps + 1):
+            if k:
+                be._stretch(1)
+            if k * cfg.dt >= burn_in - 1e-12:
+                live = ~be.blown if be.blown.any() else slice(None)
+                xs.append(be.x[live].copy())  # the engine may write x in place
+                cells.append((base + np.minimum(be.modes, k_head + 1))[live])
+            if xs and (k == n_steps or len(xs) * be.n_paths >= _BLOCK_ROWS):
                 radii = _norms(np.concatenate(xs))
-            rbin = np.searchsorted(edges, radii, side="right") - 1
-            at = np.concatenate(cells) + np.clip(rbin, 0, n_rbins - 1) * (k_head + 1)
-            counts += np.bincount(at, minlength=counts.size).reshape(counts.shape)
-            xs, cells = [], []
+                rbin = np.searchsorted(edges, radii, side="right") - 1
+                at = np.concatenate(cells) + np.clip(rbin, 0, n_rbins - 1) * (k_head + 1)
+                counts += np.bincount(at, minlength=counts.size).reshape(counts.shape)
+                xs, cells = [], []
     hists = []
     for c in counts:
         total = c.sum()

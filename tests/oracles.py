@@ -20,7 +20,10 @@ rows that ignore the history against the walk over every mode group that
 the per-path row totals replaced (:class:`GroupWalkEnsemble`), its
 stretches against the one-step loop they replaced, with the noise always
 through einsum (:class:`StepwiseEnsemble`, :func:`einsum_euler`), and its
-picks against the dict walks :func:`pick_target` and :func:`couple`.  The exact law's
+picks against the dict walks :func:`pick_target` and :func:`couple`.
+``simulate``, which draws the increments up to the next proposal in one
+call, is checked against the loop it replaced, one draw per step and
+every grid point through the hooks (:func:`stepwise_simulate`).  The exact law's
 irreducibility test is checked against the graph walk
 :func:`strongly_connected`.  A certificate's weighing of its law is
 checked against the two term builders it replaced, one per kind of law:
@@ -42,7 +45,17 @@ from scipy.optimize import minimize
 
 from switchsde.chain import StationaryDist
 from switchsde.segment import Segment
-from switchsde.sim import BatchEnsemble, _check_total, simulate
+from switchsde.sim import (
+    BatchEnsemble,
+    TrajectoryRecord,
+    _check_inputs,
+    _check_total,
+    _euler,
+    _fixed_targets,
+    _gap,
+    _pick,
+    simulate,
+)
 from switchsde.verify import _collect, _generator, _Trapezoid, _values, apply_generator
 
 
@@ -323,6 +336,82 @@ def couple(row: dict, ref: dict, u: float, bound: float, pair: tuple) -> tuple:
             return (pair[0], int(j)), True
         acc += lone_b
     return pair, False
+
+
+def stepwise_simulate(model, phi0, i0, cfg, *, stop=None, on_grid=None):
+    """``simulate`` one grid step at a time: each step draws its own
+    increment, checks the state with ``np.isfinite`` and passes every grid
+    point through one hook function, hooks or none."""
+    _check_inputs(model, phi0, cfg, i0)
+    seg = phi0.copy()
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), 1)))
+    dt, stride = cfg.dt, cfg.record_stride
+    n_steps = int(round(cfg.horizon / dt))
+    rates_row, bound = model.rates_row, model.thinning_bound
+    drift, diffusion, post = model.drift, model.diffusion, model.post_step
+    noise = None if model.zero_diffusion else model.brownian_dim
+    mode = int(i0)
+    rows, jumps, fixed = [], [], {}
+    stop_time = None
+
+    def draw(t, scale, u=None):
+        row = rates_row(seg, mode)
+        targets = _fixed_targets(fixed, row, mode)
+        if not targets:
+            return mode
+        rates = row.values()
+        _check_total(sum(rates), min(rates), scale, mode)
+        j = _pick(targets, [row[k] for k in targets], rng.random() if u is None else u, scale)
+        if j is None:
+            return mode
+        jumps.append((t, mode, j))
+        bound(j)
+        return int(j)
+
+    def at_grid(t, x, due):
+        nonlocal stop_time
+        if on_grid is not None:
+            on_grid(t, seg, mode)
+        hit = stop is not None and stop(t, seg, mode)
+        if due or hit:
+            rows.append((t, x, mode))
+        if hit:
+            stop_time = t
+        return hit
+
+    blow_up = False
+    x, t = seg.terminal(), 0.0
+    if not at_grid(t, x, True):
+        thinning = cfg.scheme == "thinning"
+        next_ev = _gap(rng, bound(mode)) if thinning else math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps):
+                xi = None if noise is None else rng.standard_normal(noise)
+                sigma = None if noise is None else diffusion(x, mode)
+                x = _euler(x, drift(x, mode), sigma, xi, dt, post)
+                if not np.isfinite(x).all():
+                    blow_up = True
+                    break
+                t += dt
+                if thinning:
+                    while next_ev < t:
+                        mode = draw(next_ev, bound(mode))
+                        next_ev += _gap(rng, bound(mode))
+                else:
+                    mode = draw((k + 1) * dt, 1.0 / dt, rng.random())
+                seg.push(x)
+                if at_grid((k + 1) * dt, x, (k + 1) % stride == 0 or k == n_steps - 1):
+                    break
+    times, states, modes = zip(*rows)
+    return TrajectoryRecord(
+        times=np.array(times),
+        states=np.array(states),
+        modes=np.array(modes, dtype=int),
+        jump_times=jumps,
+        terminal=seg,
+        blow_up=blow_up,
+        stop_time=stop_time,
+    )
 
 
 class ProposalLoopEnsemble(BatchEnsemble):

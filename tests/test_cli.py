@@ -1,11 +1,16 @@
+import csv
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import switchsde.cli
 from switchsde.certify import certify_recurrence, search_gain
-from switchsde.cli import main
+from switchsde.cli import _write_csv, main
 from switchsde.config import load_model_config
 from test_certify import ou_lin, truncating, undeclared
 
@@ -87,6 +92,47 @@ def test_x0_takes_one_entry_per_coordinate(tmp_path, capsys):
     hitting = ["verify", "hitting", "--model", OU, "--paths", "4", "--x0", "1,2"]
     assert main(hitting + ["--out", str(tmp_path / "h")]) == 2
     assert "state has 2 entries, expected 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("x0", ["simulate", "--model", LINEAR, "--T", "0.5", "--x0", "1,,2"]),
+    ("x0", ["simulate", "--model", LINEAR, "--T", "0.5", "--x0", "1,2,"]),
+    ("radii", ["verify", "coupling", "--model", OU, "--paths", "2", "--radii", "10,,1000"]),
+    ("starts", ["verify", "occupation", "--model", OU, "--paths", "2", "--starts", "1,,5"]),
+    ("levels", ["stationary", "--model", OU, "--levels", "10,,30"]),
+])
+def test_comma_lists_refuse_an_empty_entry(tmp_path, capsys, flag, argv):
+    # --x0 1,,2 once ran as (1, 2); the others exited 2 with a float or int
+    # conversion message that named no flag
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{flag} ") and err.rstrip().endswith(": ''")
+    assert not out.exists()
+
+
+NUMBERS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.2e-308, 1e22, 1e-7,
+                     1e16, 123456789.125]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.sampled_from([["t", "x1", "x2", "mode"], ["t", "from", "to"]]), st.data())
+def test_csv_rows_are_the_bytes_of_csv_writer(tmp_path_factory, header, data):
+    # each field is joined by its repr, as csv.writer writes a number
+    rows = data.draw(st.lists(st.tuples(*[NUMBERS] * len(header)), max_size=6))
+    out = tmp_path_factory.mktemp("csv")
+    meta = {"seed": 1, "config_hash": "abc", "version": "0"}
+    _write_csv(str(out), "rows.csv", meta, header, iter(rows))
+    want = io.StringIO(newline="")
+    want.write("# seed=1 config_hash=abc version=0\n")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert (out / "rows.csv").read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_certify_exit_codes(tmp_path):

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from oracles import (
     couple,
     einsum_euler,
     pick_target,
+    stepwise_simulate,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -300,6 +302,53 @@ def test_simulate_is_the_one_path_engine_through_post_step_and_blow_up(scheme):
             for seed in (1, 2, 3)]
     assert any(rec.blow_up for rec in recs)
     assert any((rec.states == 0.0).any() for rec in recs)
+
+
+def block_model(cols, rate, blow):
+    """Two modes whose rates read the window, so every proposal ends an
+    increment block; ``cols`` noise columns (0: zero diffusion) and, for
+    ``blow`` > 0, a cubic drift in mode 2 that overflows within a few steps."""
+    return ModelSpec(
+        dim=1,
+        brownian_dim=max(cols, 1),
+        drift=lambda x, i: blow * np.asarray(x, float) ** 3 if i == 2 else -np.asarray(x, float),
+        diffusion=lambda x, i: np.full((1, max(cols, 1)), 0.4 * i),
+        rates_row=lambda seg, i: {3 - i: rate / (1.0 + seg.sup_norm())},
+        rate_bound=rate,
+        delay=0.5,
+        zero_diffusion=cols == 0,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.125, 0.25]), st.integers(1, 4),
+       st.sampled_from(["thinning", "bernoulli"]), st.integers(0, 2),
+       st.sampled_from([0.5, 1.5]), st.sampled_from([0.0, 40.0]),
+       st.sampled_from([None, 0.0, 0.35, 1.3]), st.booleans(), st.sampled_from([2, 4096]))
+def test_simulate_draws_increment_blocks_as_the_stepwise_loop(
+        seed, dt, stride, scheme, cols, rate, blow, stop_at, watch, block):
+    # a thinning run draws the increments up to the next proposal in one
+    # call (at most ``block`` steps); the record is the one-draw-per-step
+    # loop's, field for field, through stop hooks and blow-ups that land
+    # inside a block
+    model = block_model(cols, rate, blow)
+    phi0 = Segment.make_constant([0.8], model.delay, dt)
+    cfg = SimConfig(dt=dt, horizon=4.0, scheme=scheme, seed=seed, record_stride=stride)
+    hooks = {}
+    if stop_at is not None:
+        hooks["stop"] = lambda t, seg, mode: t >= stop_at
+    if watch:
+        hooks["on_grid"] = lambda t, seg, mode: None
+    with mock.patch("switchsde.sim._BLOCK_STEPS", block):
+        got = simulate(model, phi0, 2, cfg, **hooks)
+    want = stepwise_simulate(model, phi0, 2, cfg, **hooks)
+    for field in ("times", "states", "modes"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    assert got.jump_times == want.jump_times
+    assert got.terminal.samples.tobytes() == want.terminal.samples.tobytes()
+    assert (got.blow_up, got.stop_time) == (want.blow_up, want.stop_time)
 
 
 def coupled_setup(primary_rates, qhat_row, qhat_bound, model_bound):
