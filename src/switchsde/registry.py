@@ -199,8 +199,9 @@ def _controlled_scalar(params: dict):
 
     def diffusion(x, i):
         x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape + (2,))
+        out = np.empty(x.shape + (2,))
         out[..., 0] = sigma(i) * x
+        out[..., 1] = 1.0
         return out
 
     def rates_row(seg, i):

@@ -45,11 +45,10 @@ class _Window:
         return (1.0 - frac) * lo + frac * hi
 
     def integrate_against(self, weights) -> np.ndarray:
-        """Discrete pairing sum(w_k * phi(s_k)) for weights [(s_k, w_k), ...]."""
-        out = np.zeros(self._shape)
-        for s, w in weights:
-            out += float(w) * self.value_at(s)
-        return out
+        """Discrete pairing sum(w_k * phi(s_k)) for weights [(s_k, w_k), ...],
+        summed in order from 0.0, which turns a -0.0 first term into +0.0."""
+        terms = [float(w) * self.value_at(s) for s, w in weights]
+        return sum(terms, 0.0) if terms else np.zeros(self._shape)
 
 
 class Segment(_Window):

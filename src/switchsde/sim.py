@@ -202,11 +202,11 @@ def _fixed_targets(fixed: dict, row: dict, v: int) -> list:
 
 
 def _merge(targets: list, ref: dict) -> list:
-    """(target, column in ``targets`` or None, reference rate) over the sorted
-    union of ``targets`` and the reference row ``ref``'s targets: the layout
-    :func:`_couple_pick` walks."""
+    """(target as an int, column in ``targets`` or None, reference rate) over
+    the sorted union of ``targets`` and the reference row ``ref``'s targets:
+    the layout :func:`_couple_pick` walks."""
     col = {j: c for c, j in enumerate(targets)}
-    return [(j, col.get(j), ref.get(j, 0.0)) for j in sorted(set(targets) | set(ref))]
+    return [(int(j), col.get(j), ref.get(j, 0.0)) for j in sorted(set(targets) | set(ref))]
 
 
 def _couple_pick(merged: list, rates: list, u: float, bound: float, v: int) -> tuple:
@@ -215,22 +215,28 @@ def _couple_pick(merged: list, rates: list, u: float, bound: float, v: int) -> t
     out by ``merged`` (:func:`_merge`).
 
     Both chains jump to j at rate min(q_ij, qhat_ij), one chain alone at the
-    excess.  Returns (mode, mode_hat, whether the chains came apart).
+    excess.  Returns (mode, mode_hat, whether the chains came apart).  The
+    row is checked in one pass, each pair's max(a, b) and min(a, b) taken as
+    the builtins take them, NaN included, then walked.
     """
-    pairs = [(0.0 if c is None else rates[c], b) for _, c, b in merged]
-    low = min(map(min, pairs)) if pairs else 0.0
-    _check_total(sum(max(a, b) for a, b in pairs), low, bound, (v, v))
+    tops, boths = [], []
+    for _, c, b in merged:
+        a = 0.0 if c is None else rates[c]
+        tops.append(b if b > a else a)
+        boths.append(b if b < a else a)
+    _check_total(sum(tops), min(boths) if boths else 0.0, bound, (v, v))
     acc = 0.0
-    for (j, _, _), (a, b) in zip(merged, pairs):
-        both, lone_a, lone_b = min(a, b), max(a - b, 0.0), max(b - a, 0.0)
+    for (j, c, b), both in zip(merged, boths):
+        a = 0.0 if c is None else rates[c]
+        lone_a, lone_b = 0.0 if a < b else a - b, 0.0 if b < a else b - a  # max(., 0.0)
         if u < acc + both:
-            return int(j), int(j), False
+            return j, j, False
         acc += both
         if u < acc + lone_a:
-            return int(j), v, True
+            return j, v, True
         acc += lone_a
         if u < acc + lone_b:
-            return v, int(j), True
+            return v, j, True
         acc += lone_b
     return v, v, False
 
@@ -394,16 +400,17 @@ def simulate_coupled(
     be = BatchEnsemble(model, phi0, i0, cfg, 1, qhat=lin.qhat)
     rows = [(0.0, int(i0), int(i0))]
     n_steps = int(round(cfg.horizon / cfg.dt))
-    for k in range(1, n_steps + 1):
-        be.step()
-        t, pair = k * cfg.dt, (int(be.modes[0]), int(be.modes_hat[0]))
-        if math.isfinite(be.decouple_time[0]):
-            rows.append((float(be.decouple_time[0]), *pair))
-            break
-        if be.blown[0]:
-            break
-        if k % cfg.record_stride == 0 or k == n_steps:
-            rows.append((t, *pair))
+    with np.errstate(over="ignore", invalid="ignore"):  # the engine steps in it
+        for k in range(1, n_steps + 1):
+            be._stretch(1)
+            t, pair = k * cfg.dt, (int(be.modes[0]), int(be.modes_hat[0]))
+            if math.isfinite(be.decouple_time[0]):
+                rows.append((float(be.decouple_time[0]), *pair))
+                break
+            if be.blown[0]:
+                break
+            if k % cfg.record_stride == 0 or k == n_steps:
+                rows.append((t, *pair))
     times, modes, modes_hat = zip(*rows)
     return CoupledRecord(
         times=np.array(times),
@@ -425,10 +432,10 @@ def _place(rows, out, x: np.ndarray, name: str, v, shape: tuple) -> np.ndarray:
     """A lone class's callback result ``out`` on the states ``x``: as it
     comes when it has the full ``shape``, else put at ``rows`` of a buffer."""
     out = np.asarray(out, dtype=float)
+    if out.shape == shape:  # the class holds every state, as the shape's first axis
+        return out
     if out.ndim == len(shape) and len(out) != len(x):
         raise _shape_error(name, v, out, x)
-    if out.shape == shape:
-        return out
     buf = np.empty(shape)
     buf[rows] = out
     return buf
@@ -471,11 +478,12 @@ class BatchEnsemble:
     path is in it.  A step without a jump is one comparison, with no plan;
     rows that read the history are read per mode group.
     Under thinning, each round of proposals reads its rows with one call per
-    mode and turns them into one sorted (targets, rates) pair of lists per
-    path; the proposals walk them in Python floats (:func:`_pick`, or
-    :func:`_couple_pick` over a layout merged with the reference row once
-    per mode), and the round writes the modes and clocks back once.  A
-    mode's targets are fixed at the first row read out of it.
+    mode (with no index when all its paths share one) and turns them into
+    one sorted (targets, rates) pair of lists per path; each proposal checks
+    and walks its row in Python floats (:func:`_pick`, or :func:`_couple_pick`
+    in one pass over a layout merged with the reference row once per mode),
+    and the round writes the modes and clocks back once.  A mode's targets
+    are fixed at the first row read out of it.
 
     Steps are taken in stretches (:meth:`_advance`) that end at a mode
     change, a parted pair or a blow-up, each on one plan; :meth:`step` is a
@@ -568,7 +576,7 @@ class BatchEnsemble:
                 if bound > 0
                 else np.full(self.n_paths, math.inf)
             )
-            self._first_ev = self._next_ev.min(initial=math.inf)
+            self._first_ev = np.minimum.reduce(self._next_ev, initial=math.inf)
             self._merged: dict[int, list] = {}
 
     def _invalidate(self) -> None:
@@ -731,7 +739,7 @@ class BatchEnsemble:
                 m = len(self._sq)
                 self._block = math.isqrt(m - 1) + 1  # ceil(sqrt(m)) for m >= 2
                 self._bmax = np.maximum.reduceat(self._sq, np.arange(0, m, self._block), axis=0)
-            self._norms = np.sqrt(self._bmax.max(axis=0))
+            self._norms = np.sqrt(np.maximum.reduce(self._bmax, axis=0))
         return self._norms
 
     def keep(self, mask: np.ndarray) -> None:
@@ -741,7 +749,7 @@ class BatchEnsemble:
             self._totals = self._totals[mask]
         if self._next_ev is not None:
             self._next_ev = self._next_ev[mask]
-            self._first_ev = self._next_ev.min(initial=math.inf)
+            self._first_ev = np.minimum.reduce(self._next_ev, initial=math.inf)
         if self.modes_hat is not None:
             self.modes_hat, self.decouple_time = self.modes_hat[mask], self.decouple_time[mask]
         if self._hist is not None:
@@ -814,7 +822,7 @@ class BatchEnsemble:
         if self._sq is not None:
             self._sq[self._head] = (self.x * self.x).sum(axis=1)
             lo = self._head - self._head % self._block
-            self._bmax[lo // self._block] = self._sq[lo:lo + self._block].max(axis=0)
+            self._bmax[lo // self._block] = np.maximum.reduce(self._sq[lo:lo + self._block], axis=0)
         self._head = (self._head + 1) % self._hist.shape[0]
         self._norms = None
 
@@ -884,8 +892,8 @@ class BatchEnsemble:
         for a, v in enumerate(modes):
             at.setdefault(v, []).append(a)
         rows = [None] * len(modes)
-        for v, idx in at.items():
-            targets, rates = self.rate_table(active[idx], v)
+        for v, idx in at.items():  # a one-mode round reads its rows with no index
+            targets, rates = self.rate_table(active if len(at) == 1 else active[idx], v)
             for a, r in zip(idx, rates.tolist()):
                 rows[a] = (targets, r)
         return rows
@@ -982,7 +990,7 @@ class BatchEnsemble:
                 self.jumps += len(moved)
                 if not all(self.blown[p] for p in moved):  # a blown path is not in the plan
                     self._invalidate()
-            self._first_ev = self._next_ev.min(initial=math.inf)
+            self._first_ev = np.minimum.reduce(self._next_ev, initial=math.inf)
 
     def step(self):
         """One grid step: advance states with current modes, then modes."""

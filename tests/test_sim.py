@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -1212,6 +1213,43 @@ def test_list_picks_are_the_dict_walks(row, ref, shift):
         got = outcome(_couple_pick, merged, rates, k / 8, bound, 2)
         want = outcome(couple, row, ref, k / 8, bound, (2, 2))
         assert got == (want if isinstance(want, str) else (*want[0], want[1]))
+
+
+# plain rates up to 4, past most of the bounds below, and odd ones: zeros
+# of either sign, subnormals, NaN, both infinities and a negative rate;
+# rows in sorted key order, the order in which the engine and the dict
+# walks both sum a row
+odd_rates = st.one_of(st.floats(0.0, 4.0), st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf, -0.5]))
+odd_rows = st.dictionaries(st.integers(3, 8), odd_rates, max_size=5).map(
+    lambda row: dict(sorted(row.items())))
+
+
+def pick_or_error(f, *args):
+    """f(*args), or the type and text of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by type and text
+        return "raised", type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(odd_rows, odd_rows, st.floats(0.0, 1.0, exclude_max=True), st.floats(0.25, 8.0))
+def test_picks_are_the_dict_walks_at_any_uniform_on_odd_rows(row, ref, u, bound):
+    # the engine's single-chain round and _couple_pick against pick_target
+    # and couple at one uniform u anywhere in [0, 1), where the grid test
+    # above walks multiples of 1/8; ref holds targets that row lacks and
+    # back: the same pick, or the same exception with the same text
+    targets = sorted(row)
+    rates = [row[j] for j in targets]
+    rng = SimpleNamespace(random=lambda: u, standard_exponential=lambda: 1.0)
+    engine = SimpleNamespace(rng=rng, _bound=lambda v: bound)
+    got = pick_or_error(BatchEnsemble._single_round, engine, [1], [(targets, rates)], [0.0])
+    want = pick_or_error(pick_target, row, u, bound, 1)
+    assert got == (want if isinstance(want, tuple) else [1 if want is None else want])
+    got = pick_or_error(_couple_pick, _merge(targets, ref), rates, u * bound, bound, 2)
+    want = pick_or_error(couple, row, ref, u * bound, bound, (2, 2))
+    assert got == (want if want[0] == "raised" else (*want[0], want[1]))
 
 
 def oracle_runs(model, phi0, i0, cfg, n_paths, qhat, n_steps):

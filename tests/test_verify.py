@@ -1455,13 +1455,14 @@ def test_one_class_dynkin_run_builds_no_mode_group_plan(monkeypatch):
     assert spec.shared_coefficients_from == 1 and not spec.rates_depend_on_path
     n_steps, n_paths = 128, 125
     seen, sorts = [], []
-    step, argsort = BatchEnsemble.step, np.argsort
+    stretch, argsort = BatchEnsemble._stretch, np.argsort
 
-    def watched(e):
-        step(e)
+    def watched(e, limit):  # every step, as the run takes them one stretch at a time
+        taken = stretch(e, limit)
         seen.append((e._groups is None, len(set(e.modes.tolist()))))
+        return taken
 
-    monkeypatch.setattr(BatchEnsemble, "step", watched)
+    monkeypatch.setattr(BatchEnsemble, "_stretch", watched)
     monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
     dt = 1.0 / n_steps
     phi0 = Segment.make_constant([1.0, 1.0], spec.delay, dt)
@@ -1725,3 +1726,44 @@ def test_occupation_steps_the_engine_a_stretch_at_a_time(case, scheme, monkeypat
         assert 10 < len(calls) < n_steps / 10
     else:
         assert len(calls) == len(BLOW_STEPS)  # the last blow-up is in the last step
+
+
+# float.hex of seeded runs whose switching reads the history over several
+# modes, pinned when recorded: a change that moves one draw of the shared
+# stream, or its order, changes them
+FROZEN_BITS = {
+    "hitting": ["0x1.f4c0000000000p+0", "0x1.e78ea3185ab29p-4", "0x0.0p+0"],
+    "descent": ["0x1.bb80000000000p+0", "0x1.ae1bb3387d862p-3", "0x0.0p+0"],
+    "coupling": ["0x1.c000000000000p-3", "0x1.2b5524ae1278ep-4", "0x0.0p+0", "0x0.0p+0"],
+    "occupation": ["0x1.43c71c71c71c6p-1", "0x1.ceaaaaaaaaaaap-3", "0x1.db8e38e38e38fp-4",
+                   "0x1.6fd180f5928dcp-4", "0x1.e494c19379ed8p-5", "0x1.ab1a15c0b94c5p-5"],
+    "dynkin": ["-0x1.c109f9e9f3841p-5", "0x1.4fa3a8a742b14p-3", "0x0.0p+0"],
+}
+
+
+def test_seeded_estimators_keep_their_bits():
+    ou, pp, cs = (load_model_config(str(CONFIG_DIR / f"{name}.json"))
+                  for name in ("switched_ou", "predator_prey", "controlled_scalar"))
+    dt = 1.0 / 64
+
+    def start(spec, value):
+        return Segment.make_constant([value], spec.delay, dt)
+
+    def cfg(horizon, seed):
+        return SimConfig(dt=dt, horizon=horizon, seed=seed)
+
+    def bits(est):
+        return [est.mean, est.std_error, est.censored_fraction]
+
+    rows = coupling_decay(ou.spec, ou.lin, [10.0, 1000.0], cfg(10.0, 3), 32, i0=3)
+    means, ses = occupation_fractions(cs.spec, start(cs.spec, 1.0), 1, cfg(10.0, 4), 8, [1, 2, 3],
+                                      burn_in=1.0)
+    got = {
+        "hitting": bits(estimate_hitting_time(ou.spec, start(ou.spec, 2.0), 3, 1.0, 2,
+                                              cfg(20.0, 1), 16)),
+        "descent": bits(estimate_mode_descent(pp.spec, start(pp.spec, 1.0), 10, 2, cfg(10.0, 2), 16)),
+        "coupling": [v for row in rows for v in (row["p_decouple"], row["std_error"])],
+        "occupation": [*means.tolist(), *ses.tolist()],
+        "dynkin": bits(dynkin_residual(QUAD, ou.spec, start(ou.spec, 1.0), 1, 0.5, cfg(0.5, 5), 8)),
+    }
+    assert {k: [float(v).hex() for v in vals] for k, vals in got.items()} == FROZEN_BITS
